@@ -72,9 +72,7 @@ let default_configs : Config.t list =
 
 let default_fuel = 2_000_000
 
-(** Content digest of a compiled artifact's code: the program structure
-    (including provenance sites) under the artifact's own config/arch
-    fingerprint.  Equal digests mean byte-identical optimized code. *)
+(** Content digest of a compiled artifact's code (see the interface). *)
 let code_digest (c : Compiler.compiled) : string =
   Svc.job_key
     (Svc.job ~config:c.Compiler.config ~arch:c.Compiler.arch

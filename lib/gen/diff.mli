@@ -31,9 +31,11 @@ val default_configs : Config.t list
 val default_fuel : int
 
 val code_digest : Compiler.compiled -> string
-(** Content digest of the artifact's optimized code (program structure
-    incl. provenance sites, under its config/arch).  Equal digests mean
-    byte-identical code. *)
+(** Content digest of the artifact's optimized code: {!Svc.job_key} of
+    the optimized program under the artifact's own config/arch
+    (program structure incl. provenance sites).  Equal digests mean
+    byte-identical code.  Process-local, like the key: compare digests
+    within one run, never store them. *)
 
 val check :
   ?arch:Arch.t ->

@@ -154,6 +154,13 @@ let tier0 cfg =
     heavy_factor = 1;
   }
 
+(* Built by resetting the excluded fields rather than by listing the
+   kept ones, so a field added to [t] joins the cache key by default. *)
+let semantic c =
+  ( { c with name = ""; promote_calls = 0; deopt_traps = 0;
+             phase2_arch_override = None },
+    Option.map (fun (a : Arch.t) -> a.Arch.name) c.phase2_arch_override )
+
 let by_name n =
   List.find_opt
     (fun c -> c.name = n)

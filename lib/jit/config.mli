@@ -76,5 +76,15 @@ val tier0 : t -> t
     [promote_calls]/[deopt_traps] are kept, so the policy rides with
     the configuration. *)
 
+val semantic : t -> t * string option
+(** The part of a configuration that can change compiled code — what
+    the code-cache key ([Svc.job_key]) reads.  It is the
+    configuration with the policy fields reset ([name], and the tiering
+    knobs [promote_calls] and [deopt_traps], which steer the tiered
+    manager, not the compiler) and with [phase2_arch_override] replaced
+    by the override architecture's name: an {!Arch.t} holds closures,
+    which cannot be marshalled.  A field added to [t] is semantic
+    unless it is reset here. *)
+
 val by_name : string -> t option
 (** Look a configuration up by its [name] (the CLI's [-c] values). *)

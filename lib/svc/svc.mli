@@ -26,6 +26,8 @@
     of the program structure (including check provenance sites), the
     configuration's semantic fields and the architecture name — and a
     hit returns the previously compiled artifact without recompiling.
+    The key is computed once per job, by the worker, and returned on
+    the outcome ([oc_key]); the tiered manager versions code by it.
     Two in-flight jobs with the same key may both miss and compile; the
     cache converges to one entry and both artifacts are identical, so
     the race is benign.
@@ -51,9 +53,9 @@ type job = {
 (** One compile request.  The program may be shared by many jobs (the
     batch driver compiles each workload under several configurations);
     jobs only ever read it.  [jb_tier]/[jb_deopt] are threaded to
-    [Compiler.compile] and are part of {!job_key} — the policy knobs in
-    the configuration ([promote_calls], [deopt_traps]) are not, since
-    they never change the artifact. *)
+    [Compiler.compile] and are part of {!job_key} — the policy fields of
+    the configuration ([name], [promote_calls], [deopt_traps]) are not,
+    since they never change the artifact (see {!Config.semantic}). *)
 
 val job :
   ?tier:int -> ?deopt:Ir.site list -> config:Config.t -> arch:Arch.t ->
@@ -79,22 +81,38 @@ type outcome = {
                           (** the causal context minted at submission
                               (tenant + request id); {!Ctx.none} for
                               {!compile_serial} *)
+  oc_key : string;        (** {!job_key} of [oc_job], computed once per
+                              job whether or not a cache is installed *)
 }
 
 type cache = Compiler.compiled Codecache.t
 (** A compiled-code cache shareable between services and batches. *)
 
 val job_key : job -> string
-(** Content digest of a job (hex MD5): program structure — functions,
-    blocks, instructions, handler tables, classes, check provenance
-    sites — plus the configuration's semantic fields and the
-    architecture name.  Equal keys mean [Compiler.compile] produces
-    identical artifacts. *)
+(** Content digest of a job (hex MD5) over a canonical projection read
+    straight off the IR, with no printing: the architecture name, the
+    configuration's semantic fields ({!Config.semantic}), the tier, the
+    sorted deopt sites, the entry point, the classes sorted by name,
+    and per function sorted by name its name, arity, method flag,
+    variable count, blocks (instructions with their check provenance
+    sites, terminators, regions), handler table and debug variable
+    names.  The projection is marshalled with [No_sharing], so the key
+    depends on values only — not on hash-table insertion order or
+    physical sharing — and a new instruction constructor or function
+    field is covered without editing the key.  Equal keys mean
+    [Compiler.compile] produces identical artifacts.
+
+    Keys are process-local: the [Marshal] format is tied to the OCaml
+    runtime that produced it, so a key must never be persisted or
+    compared across processes. *)
 
 val artifact_bytes : Compiler.compiled -> int
 (** Byte-cost estimate of keeping an artifact resident (used as the
-    cache [size] function): dominated by the pretty-printed size of the
-    optimized program plus the decision log. *)
+    cache [size] function), counted from the IR without printing it:
+    20 bytes per instruction and 24 per block (fitted to the
+    pretty-printed size of the optimized registry programs, which the
+    default budget was sized against), plus 64 per decision-log event
+    and a fixed 1 KiB. *)
 
 val create_cache :
   ?budget_bytes:int ->

@@ -35,7 +35,6 @@ module Recorder = Nullelim_obs.Recorder
 type pending = {
   pd_tier : int;
   pd_deopt : Ir.site list;
-  pd_key : string;
   pd_submitted : float;  (* when the recompile was handed over; the
                             install latency histogram measures from
                             here to installation *)
@@ -168,7 +167,7 @@ let install t fs (pd : pending) (oc : Svc.outcome) =
   fs.fs_func <- Ir.find_func oc.Svc.oc_compiled.Compiler.program fs.fs_name;
   fs.fs_tier <- pd.pd_tier;
   fs.fs_deopt <- pd.pd_deopt;
-  fs.fs_key <- Some pd.pd_key;
+  fs.fs_key <- Some oc.Svc.oc_key;
   t.arts <- (pd.pd_tier, oc.Svc.oc_compiled) :: t.arts;
   t.c_installs <- t.c_installs + 1;
   if prev_tier = 0 && pd.pd_tier > 0 then
@@ -193,7 +192,7 @@ let install t fs (pd : pending) (oc : Svc.outcome) =
       (Unix.gettimeofday () -. pd.pd_submitted)
   | None -> ());
   match prev_key with
-  | Some k when k <> pd.pd_key -> invalidate t k
+  | Some k when k <> oc.Svc.oc_key -> invalidate t k
   | _ -> ()
 
 (* Submit [fs]'s goal version if there is one and nothing is in
@@ -203,22 +202,21 @@ let try_submit t fs =
   match (fs.fs_goal, fs.fs_pending) with
   | Some (tier, deopt), None -> (
     let job = Svc.job ~tier ~deopt ~config:t.cfg ~arch:t.arch t.program in
-    let key = Svc.job_key job in
     let submitted = Unix.gettimeofday () in
     match t.svc with
     | None ->
       let oc = List.hd (Svc.compile_serial ?cache:t.cache [ job ]) in
       fs.fs_pending <-
-        Some { pd_tier = tier; pd_deopt = deopt; pd_key = key;
-               pd_submitted = submitted; pd_state = `Ready oc };
+        Some { pd_tier = tier; pd_deopt = deopt; pd_submitted = submitted;
+               pd_state = `Ready oc };
       fs.fs_goal <- None;
       t.c_submitted <- t.c_submitted + 1
     | Some svc -> (
       match Svc.recompile_async svc ~tenant:t.tenant job with
       | Some fut ->
         fs.fs_pending <-
-          Some { pd_tier = tier; pd_deopt = deopt; pd_key = key;
-                 pd_submitted = submitted; pd_state = `Future fut };
+          Some { pd_tier = tier; pd_deopt = deopt; pd_submitted = submitted;
+                 pd_state = `Future fut };
         fs.fs_goal <- None;
         t.c_submitted <- t.c_submitted + 1
       | None -> t.c_queue_full <- t.c_queue_full + 1))
@@ -242,7 +240,7 @@ let poll_install t fs =
     | Some oc ->
       fs.fs_pending <- None;
       if fs.fs_goal = None then install t fs pd oc
-      else invalidate t pd.pd_key)
+      else invalidate t oc.Svc.oc_key)
 
 let dispatch t name : Ir.func * int =
   let fs = fstate t name in
@@ -323,7 +321,7 @@ let drain t =
         in
         fs.fs_pending <- None;
         if fs.fs_goal = None then install t fs pd oc
-        else invalidate t pd.pd_key
+        else invalidate t oc.Svc.oc_key
       | None ->
         if fs.fs_goal = None then continue_ := false
         else Domain.cpu_relax () (* queue full; workers are draining it *)

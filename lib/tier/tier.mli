@@ -27,7 +27,9 @@
 
     A code version is addressed by {!Svc.job_key} of the whole-program
     job — which covers the configuration, the tier tag and the sorted
-    deopt-site set.  Since provenance sites are program-unique, the
+    deopt-site set.  The service computes it once per job and returns
+    it on the outcome ([Svc.oc_key]); the manager computes no key of
+    its own.  Since provenance sites are program-unique, the
     deopt set names the function being re-specialized, giving the
     [(func, tier, deopt-set)] versioning the cache needs.  When a new
     version is installed, the key of the version it supersedes is

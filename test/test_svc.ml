@@ -288,6 +288,298 @@ let test_job_key_sensitivity () =
     (Svc.job_key (job a Config.new_full))
     (Svc.job_key (job b Config.new_full))
 
+(* The key's previous payload, kept here as the reference it must
+   refine: the pretty-printed functions plus their check sites, the
+   class tables, the semantic configuration fields, the architecture
+   name, the tier and the sorted deopt sites. *)
+let printed_payload (j : Svc.job) =
+  let b = Buffer.create 4096 in
+  let p = j.Svc.jb_program and cfg = j.Svc.jb_config in
+  Buffer.add_string b j.Svc.jb_arch.Arch.name;
+  Buffer.add_char b '\x00';
+  Buffer.add_string b
+    (Printf.sprintf "%s|%b|%b|%s|%d|%b|%d|%b|%s\x00"
+       (match cfg.Config.null_opt with
+       | Config.No_null_opt -> "none"
+       | Config.Old_whaley -> "whaley"
+       | Config.New_phase1 -> "phase1"
+       | Config.New_full -> "full")
+       cfg.Config.use_trap cfg.Config.speculate
+       (match cfg.Config.phase2_arch_override with
+       | None -> "-"
+       | Some a -> a.Arch.name)
+       cfg.Config.iterations cfg.Config.inline cfg.Config.heavy_factor
+       cfg.Config.weak_arrays
+       (Config.backend_name cfg.Config.backend));
+  Buffer.add_string b (Printf.sprintf "t%d[" j.Svc.jb_tier);
+  List.iter
+    (fun s -> Buffer.add_string b (string_of_int s ^ ","))
+    (List.sort_uniq compare j.Svc.jb_deopt);
+  Buffer.add_string b "]\x00";
+  Buffer.add_string b p.Ir.prog_main;
+  Buffer.add_char b '\x00';
+  let sorted_keys tbl =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+  in
+  List.iter
+    (fun cname ->
+      let c = Hashtbl.find p.Ir.classes cname in
+      Buffer.add_string b c.Ir.cname;
+      Buffer.add_string b (Option.value ~default:"" c.Ir.csuper);
+      List.iter
+        (fun (f : Ir.field) ->
+          Buffer.add_string b
+            (Printf.sprintf "%s@%d:%s" f.Ir.fname f.Ir.foffset
+               (match f.Ir.fkind with
+               | Ir.Kint -> "i"
+               | Ir.Kfloat -> "f"
+               | Ir.Kref -> "r")))
+        c.Ir.cfields;
+      List.iter
+        (fun (m, fn) ->
+          Buffer.add_string b m;
+          Buffer.add_char b '>';
+          Buffer.add_string b fn)
+        c.Ir.cmethods;
+      Buffer.add_char b '\x00')
+    (sorted_keys p.Ir.classes);
+  List.iter
+    (fun fname ->
+      let f = Hashtbl.find p.Ir.funcs fname in
+      Buffer.add_string b (Ir_pp.func_to_string f);
+      List.iter
+        (fun s -> Buffer.add_string b (string_of_int s ^ ","))
+        (Ir.sites_of_func f);
+      Buffer.add_char b '\x00')
+    (sorted_keys p.Ir.funcs);
+  Buffer.contents b
+
+(* Wherever the printed payloads differ, the keys differ: every key
+   collision over the pool is a payload collision too.  The pool is the
+   registry (built twice from reset sites, so equal keys do occur) and
+   100 generated programs, each under every Windows configuration, with
+   a tier and a deopt variant per program. *)
+let test_key_refines_printed_payload () =
+  let registry () =
+    Ir.reset_sites ();
+    List.map (fun (w : W.t) -> w.W.build ~scale:1) (Registry.all ())
+  in
+  let generated =
+    List.init 100 (fun seed -> (Gen.generate ~seed ()).Gen.g_program)
+  in
+  let programs = registry () @ registry () @ generated in
+  let jobs =
+    List.concat_map
+      (fun p ->
+        let sites =
+          List.concat_map Ir.sites_of_func
+            (Hashtbl.fold (fun _ f acc -> f :: acc) p.Ir.funcs [])
+        in
+        let deopt = match sites with s :: _ -> [ s ] | [] -> [] in
+        Svc.job ~tier:2 ~deopt ~config:Config.new_full ~arch:Arch.ia32_windows p
+        :: List.map (job p) Config.windows_suite)
+      programs
+  in
+  let seen = Hashtbl.create 1024 in
+  let collisions = ref 0 in
+  List.iter
+    (fun j ->
+      let key = Svc.job_key j and payload = printed_payload j in
+      match Hashtbl.find_opt seen key with
+      | None -> Hashtbl.add seen key payload
+      | Some p ->
+        incr collisions;
+        if p <> payload then
+          Alcotest.failf "two jobs with different printed payloads share key %s"
+            key)
+    jobs;
+  Alcotest.(check bool) "the pool has key collisions to check" true
+    (!collisions > 0)
+
+(* Mutating one thing at a time changes the key; re-filling the hash
+   tables in another order, or permuting the deopt list, does not. *)
+let test_key_mutations () =
+  Ir.reset_sites ();
+  let p = (Option.get (Registry.find "jess")).W.build ~scale:1 in
+  let key ?(tier = -1) ?(deopt = []) q =
+    Svc.job_key (Svc.job ~tier ~deopt ~config:Config.new_full
+                   ~arch:Arch.ia32_windows q)
+  in
+  let base = key p in
+  let funcs q = Hashtbl.fold (fun _ f acc -> f :: acc) q.Ir.funcs [] in
+  let find_func q pred what =
+    match List.find_opt pred (funcs q) with
+    | Some f -> f
+    | None -> Alcotest.failf "jess has no function with %s" what
+  in
+  let mutated what mutate =
+    let q = Ir.copy_program p in
+    mutate q;
+    Alcotest.(check bool) (what ^ " changes the key") true (key q <> base)
+  in
+  Alcotest.(check string) "a copy keeps the key" base (key (Ir.copy_program p));
+  let refilled = Ir.copy_program p in
+  let reorder tbl =
+    let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+    let t = Hashtbl.create 1 in
+    List.iter (fun (k, v) -> Hashtbl.add t k v) (List.rev bindings);
+    t
+  in
+  let refilled =
+    {
+      refilled with
+      Ir.funcs = reorder refilled.Ir.funcs;
+      classes = reorder refilled.Ir.classes;
+    }
+  in
+  Alcotest.(check string) "table insertion order is not keyed" base
+    (key refilled);
+  mutated "one site id" (fun q ->
+      let f =
+        find_func q (fun f -> Ir.sites_of_func f <> []) "a check site"
+      in
+      let b =
+        List.find
+          (fun (b : Ir.block) ->
+            Array.exists (fun i -> Ir.site_of_instr i <> Ir.no_site) b.Ir.instrs)
+          (Array.to_list f.Ir.fn_blocks)
+      in
+      let i =
+        Option.get
+          (Array.find_index (fun i -> Ir.site_of_instr i <> Ir.no_site)
+             b.Ir.instrs)
+      in
+      b.Ir.instrs.(i) <-
+        (match b.Ir.instrs.(i) with
+        | Ir.Null_check (k, v, s) -> Ir.Null_check (k, v, s + 100_000)
+        | Ir.Bound_check (x, l, s) -> Ir.Bound_check (x, l, s + 100_000)
+        | other -> other));
+  mutated "one debug var name" (fun q ->
+      let f =
+        find_func q (fun f -> Hashtbl.length f.Ir.fn_var_names > 0) "var names"
+      in
+      let v, name =
+        List.hd (Hashtbl.fold (fun v n acc -> (v, n) :: acc) f.Ir.fn_var_names [])
+      in
+      Hashtbl.replace f.Ir.fn_var_names v (name ^ "'"));
+  mutated "one field offset" (fun q ->
+      let c =
+        List.find
+          (fun c -> c.Ir.cfields <> [])
+          (Hashtbl.fold (fun _ c acc -> c :: acc) q.Ir.classes [])
+      in
+      let cfields =
+        match c.Ir.cfields with
+        | f :: rest -> { f with Ir.foffset = f.Ir.foffset + 8 } :: rest
+        | [] -> assert false
+      in
+      Hashtbl.replace q.Ir.classes c.Ir.cname { c with Ir.cfields });
+  mutated "one handler entry" (fun q ->
+      let f = find_func q (fun f -> f.Ir.fn_handlers <> []) "handlers" in
+      f.Ir.fn_handlers <-
+        (match f.Ir.fn_handlers with
+        | (r, l) :: rest -> (r, (l + 1) mod Ir.nblocks f) :: rest
+        | [] -> assert false));
+  mutated "one block region" (fun q ->
+      let f = find_func q (fun f -> f.Ir.fn_handlers <> []) "handlers" in
+      let b = f.Ir.fn_blocks.(0) in
+      b.Ir.breg <- b.Ir.breg + 1);
+  let sites =
+    List.sort_uniq compare (List.concat_map Ir.sites_of_func (funcs p))
+  in
+  let s1, s2 =
+    match sites with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "jess has fewer than two check sites"
+  in
+  Alcotest.(check bool) "the tier changes the key" true
+    (key ~tier:2 p <> base);
+  Alcotest.(check bool) "the deopt set changes the key" true
+    (key ~deopt:[ s1 ] p <> key ~deopt:[ s2 ] p
+    && key ~deopt:[ s1 ] p <> base);
+  Alcotest.(check string) "a permuted deopt list keeps the key"
+    (key ~deopt:[ s1; s2 ] p) (key ~deopt:[ s2; s1 ] p);
+  (* the miss benchmark's premise: without a site reset, a rebuild
+     mints fresh sites and so gets a fresh key *)
+  let w = Option.get (Registry.find "assignment") in
+  let a = w.W.build ~scale:1 in
+  let b = w.W.build ~scale:1 in
+  Alcotest.(check bool) "fresh builds get fresh keys" true
+    (key a <> key b)
+
+(* Every [Config.t] field either changes the key or is listed as policy.
+   The field count comes from the record itself, so adding a field to
+   [Config.t] fails this test until the field is placed in one list. *)
+let test_key_config_sensitivity () =
+  let p = (Option.get (Registry.find "assignment")).W.build ~scale:1 in
+  let base = Config.new_full in
+  let key cfg = Svc.job_key (job p cfg) in
+  let semantic =
+    [
+      ("null_opt", { base with Config.null_opt = Config.New_phase1 });
+      ("use_trap", { base with Config.use_trap = not base.Config.use_trap });
+      ("speculate", { base with Config.speculate = not base.Config.speculate });
+      ( "phase2_arch_override",
+        { base with Config.phase2_arch_override = Some Arch.ppc_aix } );
+      ("iterations", { base with Config.iterations = base.Config.iterations + 1 });
+      ("inline", { base with Config.inline = not base.Config.inline });
+      ( "heavy_factor",
+        { base with Config.heavy_factor = base.Config.heavy_factor + 1 } );
+      ( "weak_arrays",
+        { base with Config.weak_arrays = not base.Config.weak_arrays } );
+      ("backend", { base with Config.backend = Config.Native });
+    ]
+  in
+  let policy =
+    [
+      ("name", { base with Config.name = base.Config.name ^ "-renamed" });
+      ( "promote_calls",
+        { base with Config.promote_calls = base.Config.promote_calls + 1 } );
+      ( "deopt_traps",
+        { base with Config.deopt_traps = base.Config.deopt_traps + 1 } );
+    ]
+  in
+  Alcotest.(check int) "every Config.t field is listed"
+    (Obj.size (Obj.repr base))
+    (List.length semantic + List.length policy);
+  List.iter
+    (fun (field, cfg) ->
+      Alcotest.(check bool) (field ^ " changes the key") true
+        (key cfg <> key base))
+    semantic;
+  Alcotest.(check bool) "the override architecture is keyed by name" true
+    (key { base with Config.phase2_arch_override = Some Arch.ia32_windows }
+    <> key { base with Config.phase2_arch_override = Some Arch.ppc_aix });
+  List.iter
+    (fun (field, cfg) ->
+      Alcotest.(check string) (field ^ " leaves the key") (key base) (key cfg))
+    policy
+
+(* The node-count size estimate stays close to the printed size the
+   64 MiB budget was sized against, on every registry artifact. *)
+let test_artifact_bytes_scale () =
+  let printed (c : Compiler.compiled) =
+    let n = ref 0 in
+    Ir.iter_funcs
+      (fun f -> n := !n + String.length (Ir_pp.func_to_string f))
+      c.Compiler.program;
+    !n + (64 * List.length c.Compiler.decisions) + 1024
+  in
+  List.iter
+    (fun (w : W.t) ->
+      let p = w.W.build ~scale:1 in
+      List.iter
+        (fun cfg ->
+          let c = Compiler.compile cfg ~arch:Arch.ia32_windows p in
+          let ratio =
+            float_of_int (Svc.artifact_bytes c) /. float_of_int (printed c)
+          in
+          if ratio < 0.5 || ratio > 2. then
+            Alcotest.failf "%s/%s: estimate is %.2fx the printed size"
+              w.W.name cfg.Config.name ratio)
+        Config.windows_suite)
+    (Registry.all ())
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: parallel ≡ serial                                      *)
 (* ------------------------------------------------------------------ *)
@@ -342,6 +634,13 @@ let test_cache_hit_equals_recompile () =
         "warm pass is all hits" true
         (List.for_all (fun o -> o.Svc.oc_cache_hit) warm);
       let recompiled = Svc.compile_serial jobs in
+      List.iter2
+        (fun (c : Svc.outcome) (w : Svc.outcome) ->
+          Alcotest.(check string) "the outcome carries the job's key"
+            (Svc.job_key w.Svc.oc_job) w.Svc.oc_key;
+          Alcotest.(check string) "hit and miss agree on the key" c.Svc.oc_key
+            w.Svc.oc_key)
+        cold warm;
       List.iteri
         (fun i (w, r) ->
           check_same_outcome ~what:(Printf.sprintf "warm job %d" i) r w)
@@ -460,7 +759,17 @@ let () =
           Alcotest.test_case "counters" `Quick test_cache_counters;
         ] );
       ( "keys",
-        [ Alcotest.test_case "sensitivity" `Quick test_job_key_sensitivity ] );
+        [
+          Alcotest.test_case "sensitivity" `Quick test_job_key_sensitivity;
+          Alcotest.test_case "refines the printed payload" `Quick
+            test_key_refines_printed_payload;
+          Alcotest.test_case "one mutation at a time" `Quick
+            test_key_mutations;
+          Alcotest.test_case "config field sensitivity" `Quick
+            test_key_config_sensitivity;
+          Alcotest.test_case "artifact size estimate scale" `Quick
+            test_artifact_bytes_scale;
+        ] );
       ( "service",
         [
           Alcotest.test_case "parallel = serial (byte-identical)" `Quick
