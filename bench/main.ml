@@ -274,24 +274,8 @@ let dynamic_profile () =
   section "Dynamic null-check elimination (per-site profile, scale 1)"
     "Figures 7-8";
   let all = PR.collect_all ~scale:1 ~arch:Arch.ia32_windows () in
-  List.iter
-    (fun runs ->
-      List.iter
-        (fun r ->
-          match PR.reconcile r with Ok () -> () | Error e -> failwith e)
-        runs)
-    all;
-  Fmt.pr "%-18s %-22s %10s %10s %8s %8s@." "workload" "config" "explicit"
-    "implicit" "elim%" "impl%";
-  List.iter
-    (fun runs ->
-      List.iter
-        (fun (e : PR.elim_row) ->
-          Fmt.pr "%-18s %-22s %10d %10d %7.1f%% %7.1f%%@." e.PR.er_workload
-            e.PR.er_config e.PR.er_explicit e.PR.er_implicit
-            e.PR.er_pct_eliminated e.PR.er_pct_implicit)
-        (PR.elim_rows runs))
-    all;
+  Result.iter_error failwith (PR.reconcile_all all);
+  Fmt.pr "%a" PR.pp_summary all;
   Fmt.pr "(all %d runs reconcile per-site sums with aggregate counters)@."
     (List.fold_left (fun a rs -> a + List.length rs) 0 all);
   all
@@ -482,21 +466,10 @@ let tiered_steady_state () =
   let arch = Arch.ia32_windows in
   let rows = SS.collect_all ~arch () in
   let fd = SS.forced_deopt ~arch () in
-  (match SS.check_rows rows with
-  | Ok () -> ()
-  | Error es -> failwith ("tiered bench: " ^ String.concat "; " es));
-  if not (fd.SS.fd_only_offending && fd.SS.fd_reconciled) then
-    failwith "tiered bench: forced deopt touched more than the trapping site";
-  Fmt.pr "%-18s %6s %10s %10s %6s %6s %10s@." "workload" "peak" "tier0"
-    "steady" "promo" "deopt" "recomp(s)";
-  List.iter
-    (fun (r : SS.row) ->
-      Fmt.pr "%-18s %6d %10d %10d %6d %6d %10.4f@." r.SS.ss_workload
-        r.SS.ss_time_to_peak r.SS.ss_tier0 r.SS.ss_steady r.SS.ss_promotions
-        r.SS.ss_deopts r.SS.ss_recompile_seconds)
-    rows;
-  Fmt.pr "forced deopt: trapped site %d -> deoptimized [%s]@." fd.SS.fd_trapped
-    (String.concat "; " (List.map string_of_int fd.SS.fd_deopted));
+  Result.iter_error
+    (fun es -> failwith ("tiered bench: " ^ String.concat "; " es))
+    (SS.gate rows fd);
+  Fmt.pr "%a" SS.pp_summary (rows, fd);
   (rows, fd)
 
 (* ------------------------------------------------------------------ *)
@@ -576,11 +549,8 @@ let solver_comparison () =
     "perf harness";
   let prog = (Option.get (Registry.find "javac")).W.build ~scale:1 in
   let compile_with ~reference =
-    let saved = !Solver.use_reference in
-    Solver.use_reference := reference;
-    Fun.protect
-      ~finally:(fun () -> Solver.use_reference := saved)
-      (fun () -> Compiler.compile Config.new_full ~arch:Arch.ia32_windows prog)
+    Solver.with_reference reference (fun () ->
+        Compiler.compile Config.new_full ~arch:Arch.ia32_windows prog)
   in
   let wl = compile_with ~reference:false in
   let rr = compile_with ~reference:true in
@@ -684,7 +654,7 @@ let write_json path ~tables ~compile_rows ~breakdown ~deltas ~checks
   let j =
     Obj
       [
-        ("schema", Str "nullelim-bench/1");
+        ("schema", Str Obs.Doc.container);
         ("scale", Int scale);
         ("repeat", Int repeat);
         ( "tables",

@@ -113,6 +113,97 @@ let print_stats (compiled : Compiler.compiled) =
   | Ok () -> Fmt.pr "  log reconciles with check stats@."
   | Error e -> Fmt.pr "  WARNING: %s@." e
 
+(* --- documents -------------------------------------------------------- *)
+
+let or_die = function
+  | Ok x -> x
+  | Error e ->
+    Fmt.epr "%s@." e;
+    exit 1
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* Where a command's versioned document goes: the four flags every
+   document-emitting command shares. *)
+type emit = {
+  e_json : string option;
+  e_merge : string option;
+  e_baseline : string option;
+  e_write_baseline : string option;
+}
+
+let emit_term ?(json = [ "json" ]) ~gate doc =
+  let what = Printf.sprintf "the %s document" (Obs.Doc.schema doc) in
+  let path names ~doc =
+    Cmdliner.Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
+  in
+  Cmdliner.Term.(
+    const (fun e_json e_merge e_baseline e_write_baseline ->
+        { e_json; e_merge; e_baseline; e_write_baseline })
+    $ path json ~doc:("Also write " ^ what ^ " to $(docv).")
+    $ path [ "merge" ]
+        ~doc:
+          (Printf.sprintf
+             "Merge %s into an existing bench report (e.g. \
+              BENCH_results.json) under the `%s' key, creating the file if \
+              absent."
+             what (Obs.Doc.name doc))
+    $ Cmdliner.Arg.(
+        value
+        & opt (some file) None
+        & info [ "baseline" ] ~docv:"FILE"
+            ~doc:
+              (Printf.sprintf
+                 "Check the fresh run against a committed baseline (its \
+                  `%s' member if present): %s"
+                 (Obs.Doc.name doc) gate))
+    $ path [ "write-baseline" ]
+        ~doc:("Record " ^ what ^ " as the new baseline."))
+
+(* Write, merge and record [j], then gate the run against the baseline
+   with [check]; every output is validated against [doc] first. *)
+let emit e doc j ~check =
+  let name = Obs.Doc.name doc in
+  Option.iter
+    (fun path ->
+      or_die (Obs.Doc.write doc path j);
+      Fmt.pr "%s document written to %s@." name path)
+    e.e_json;
+  Option.iter
+    (fun path ->
+      or_die (Obs.Doc.merge doc path j);
+      Fmt.pr "%s section merged into %s@." name path)
+    e.e_merge;
+  Option.iter
+    (fun path ->
+      or_die (Obs.Doc.write doc path j);
+      Fmt.pr "baseline written to %s@." path)
+    e.e_write_baseline;
+  Option.iter
+    (fun path ->
+      let b = Obs.Doc.find doc (or_die (Obs.Doc.read path)) in
+      or_die
+        (Result.map_error (Printf.sprintf "%s: %s" path)
+           (Obs.Doc.validate doc b));
+      match check b with
+      | Ok [] -> Fmt.pr "@.baseline check: OK (no regressions, no drift)@."
+      | Ok drift ->
+        Fmt.pr "@.baseline check: OK, with drift:@.";
+        List.iter (fun d -> Fmt.pr "  %s@." d) drift
+      | Error regs ->
+        Fmt.epr "@.baseline check FAILED:@.";
+        List.iter (fun r -> Fmt.epr "  %s@." r) regs;
+        exit 1)
+    e.e_baseline
+
+let gate_or_die what = function
+  | Ok () -> ()
+  | Error errs ->
+    Fmt.epr "%s gate FAILED:@." what;
+    List.iter (fun e -> Fmt.epr "  %s@." e) errs;
+    exit 1
+
 (* --- list ---------------------------------------------------------- *)
 
 let list_cmd =
@@ -280,14 +371,11 @@ let native_bench_cmd =
           "warning: native backend unavailable (%s); reporting fallback@." msg;
         NB.unavailable_json msg
     in
-    match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string member);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "JSON written to %s@." path
+    Option.iter
+      (fun path ->
+        or_die (Obs.Doc.write NB.doc path member);
+        Fmt.pr "JSON written to %s@." path)
+      json
   in
   let iters_arg =
     Cmdliner.Arg.(
@@ -312,8 +400,8 @@ let native_bench_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the nullelim-native-bench/1 JSON member (the \
-             \"native\" section of BENCH_results.json).")
+            "Write the nullelim-native-bench/1 document (the \"native\" \
+             member of BENCH_results.json).")
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "native-bench" ~doc)
     Cmdliner.Term.(
@@ -361,24 +449,6 @@ let verify_cmd =
 
 (* --- profile ------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
-
-(* replace-or-append one member of a JSON object document *)
-let set_member name v = function
-  | Json.Obj fields ->
-    Json.Obj (List.filter (fun (k, _) -> k <> name) fields @ [ (name, v) ])
-  | _ -> Json.Obj [ (name, v) ]
-
 let profile_cmd =
   let doc =
     "Profile every registry workload under the \
@@ -393,119 +463,24 @@ let profile_cmd =
       & opt string "PROFILE_report.md"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Markdown report output path.")
   in
-  let json_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the dynamic-elimination document (versioned \
-             nullelim-dynamic schema) to $(docv).")
-  in
-  let merge_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "merge" ] ~docv:"FILE"
-          ~doc:
-            "Merge the dynamic-elimination document into an existing \
-             bench report (e.g. BENCH_results.json) under the `dynamic' \
-             key, creating the file if absent.")
-  in
-  let baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Check fresh dynamic check counts against a committed \
-             baseline document; exit 1 if any workload x config executes \
-             more dynamic null checks than recorded.")
-  in
-  let write_baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Record the fresh dynamic counts as the new baseline.")
-  in
-  let run arch scale out json_out merge baseline write_baseline =
+  let run arch scale out e =
     let all = PR.collect_all ~scale ~arch () in
-    (* report_md reconciles every run and raises on any mismatch *)
-    let md = try PR.report_md ~scale all with Failure e ->
-      Fmt.epr "reconciliation failed: %s@." e;
-      exit 1
-    in
-    write_file out md;
+    or_die
+      (Result.map_error (( ^ ) "reconciliation failed: ")
+         (PR.reconcile_all all));
+    write_file out (PR.report_md ~scale all);
     Fmt.pr "markdown report written to %s@." out;
-    let dyn = PR.dynamic_json ~scale all in
-    (match PR.validate_dynamic dyn with
-    | Ok () -> ()
-    | Error e ->
-      Fmt.epr "internal error: dynamic document fails its own schema: %s@." e;
-      exit 1);
-    (match json_out with
-    | Some path ->
-      write_file path (Json.to_string dyn ^ "\n");
-      Fmt.pr "dynamic document written to %s@." path
-    | None -> ());
-    (match merge with
-    | Some path ->
-      let doc =
-        if Sys.file_exists path then
-          match Json.of_string (read_file path) with
-          | Ok j -> j
-          | Error e ->
-            Fmt.epr "%s: JSON parse error: %s@." path e;
-            exit 1
-        else Json.Obj [ ("schema", Json.Str "nullelim-bench/1") ]
-      in
-      write_file path (Json.to_string (set_member "dynamic" dyn doc) ^ "\n");
-      Fmt.pr "dynamic section merged into %s@." path
-    | None -> ());
-    (* summary table on stdout *)
-    Fmt.pr "@.%-18s %-22s %10s %10s %8s %8s@." "workload" "config" "explicit"
-      "implicit" "elim%" "impl%";
-    List.iter
-      (fun runs ->
-        List.iter
-          (fun (e : PR.elim_row) ->
-            Fmt.pr "%-18s %-22s %10d %10d %7.1f%% %7.1f%%@." e.PR.er_workload
-              e.PR.er_config e.PR.er_explicit e.PR.er_implicit
-              e.PR.er_pct_eliminated e.PR.er_pct_implicit)
-          (PR.elim_rows runs))
-      all;
-    (match write_baseline with
-    | Some path ->
-      write_file path (Json.to_string dyn ^ "\n");
-      Fmt.pr "@.baseline written to %s@." path
-    | None -> ());
-    match baseline with
-    | None -> ()
-    | Some path -> (
-      match Json.of_string (read_file path) with
-      | Error e ->
-        Fmt.epr "%s: JSON parse error: %s@." path e;
-        exit 1
-      | Ok b -> (
-        (* the committed baseline groups the per-schema documents under
-           member keys (like BENCH_results.json); bare dynamic docs
-           from older baselines still work *)
-        let b = match Json.member "dynamic" b with Some d -> d | None -> b in
-        match PR.check_against_baseline ~baseline:b all with
-        | Ok [] -> Fmt.pr "@.baseline check: OK (no regressions, no drift)@."
-        | Ok drift ->
-          Fmt.pr "@.baseline check: OK, with drift:@.";
-          List.iter (fun d -> Fmt.pr "  %s@." d) drift
-        | Error regs ->
-          Fmt.epr "@.baseline check FAILED:@.";
-          List.iter (fun r -> Fmt.epr "  %s@." r) regs;
-          exit 1))
+    Fmt.pr "@.%a" PR.pp_summary all;
+    emit e PR.dynamic_doc (PR.dynamic_json ~scale all) ~check:(fun baseline ->
+        PR.check_against_baseline ~baseline all)
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "profile" ~doc)
     Cmdliner.Term.(
-      const run $ arch_arg $ scale_arg $ out_arg $ json_arg $ merge_arg
-      $ baseline_arg $ write_baseline_arg)
+      const run $ arch_arg $ scale_arg $ out_arg
+      $ emit_term PR.dynamic_doc
+          ~gate:
+            "exit 1 if any workload x config executes more dynamic null \
+             checks than recorded.")
 
 (* --- batch --------------------------------------------------------- *)
 
@@ -664,45 +639,7 @@ let tiered_cmd =
       & opt string "TIERED_report.md"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Markdown report output path.")
   in
-  let json_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the tiered document (versioned nullelim-tiered \
-             schema) to $(docv).")
-  in
-  let merge_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "merge" ] ~docv:"FILE"
-          ~doc:
-            "Merge the tiered document into an existing bench report \
-             (e.g. BENCH_results.json) under the `tiered' key, creating \
-             the file if absent.")
-  in
-  let baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Check fresh steady-state check counts and promotion/deopt \
-             counters against a committed baseline document (its \
-             `tiered' member if present); exit 1 on any steady-state \
-             regression or counter drift.")
-  in
-  let write_baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Record the fresh tiered document as the new baseline.")
-  in
-  let run arch jobs runs promote_calls out json_out merge baseline
-      write_baseline =
+  let run arch jobs runs promote_calls out e =
     let config =
       if promote_calls <= 0 then Config.new_full
       else { Config.new_full with Config.promote_calls }
@@ -722,95 +659,20 @@ let tiered_cmd =
         Fmt.epr "tiered benchmark failed: %s@." e;
         exit 1
     in
-    (* headline gate: steady state strictly beats tier 0 wherever the
-       full pipeline eliminates checks, and the serving thread never
-       blocked on a compile *)
-    (match SS.check_rows rows with
-    | Ok () -> ()
-    | Error errs ->
-      Fmt.epr "steady-state gate FAILED:@.";
-      List.iter (fun e -> Fmt.epr "  %s@." e) errs;
-      exit 1);
-    if not (fd.SS.fd_only_offending && fd.SS.fd_reconciled) then begin
-      Fmt.epr
-        "forced-deopt gate FAILED: trapped site %d, deoptimized %s, \
-         reconciled %b@."
-        fd.SS.fd_trapped
-        (String.concat "," (List.map string_of_int fd.SS.fd_deopted))
-        fd.SS.fd_reconciled;
-      exit 1
-    end;
+    gate_or_die "steady-state" (SS.gate rows fd);
     write_file out (SS.report_md rows fd);
     Fmt.pr "markdown report written to %s@." out;
-    let doc = SS.tiered_json ~mode rows fd in
-    (match SS.validate_tiered doc with
-    | Ok () -> ()
-    | Error e ->
-      Fmt.epr "internal error: tiered document fails its own schema: %s@." e;
-      exit 1);
-    (match json_out with
-    | Some path ->
-      write_file path (Json.to_string doc ^ "\n");
-      Fmt.pr "tiered document written to %s@." path
-    | None -> ());
-    (match merge with
-    | Some path ->
-      let report =
-        if Sys.file_exists path then
-          match Json.of_string (read_file path) with
-          | Ok j -> j
-          | Error e ->
-            Fmt.epr "%s: JSON parse error: %s@." path e;
-            exit 1
-        else Json.Obj [ ("schema", Json.Str "nullelim-bench/1") ]
-      in
-      write_file path (Json.to_string (set_member "tiered" doc report) ^ "\n");
-      Fmt.pr "tiered section merged into %s@." path
-    | None -> ());
-    (* summary table on stdout *)
-    Fmt.pr "@.%-12s %6s %8s %8s %8s %6s %6s %6s %9s@." "workload" "peak"
-      "tier0" "steady" "full" "promo" "deopt" "traps" "recomp(s)";
-    List.iter
-      (fun (r : SS.row) ->
-        Fmt.pr "%-12s %6d %8d %8d %8d %6d %6d %6d %9.4f@." r.SS.ss_workload
-          r.SS.ss_time_to_peak r.SS.ss_tier0 r.SS.ss_steady r.SS.ss_full
-          r.SS.ss_promotions r.SS.ss_deopts r.SS.ss_traps
-          r.SS.ss_recompile_seconds)
-      rows;
-    Fmt.pr
-      "forced deopt: trapped site %d -> deoptimized [%s] (only offending: \
-       %b)@."
-      fd.SS.fd_trapped
-      (String.concat "; " (List.map string_of_int fd.SS.fd_deopted))
-      fd.SS.fd_only_offending;
-    (match write_baseline with
-    | Some path ->
-      write_file path (Json.to_string doc ^ "\n");
-      Fmt.pr "@.baseline written to %s@." path
-    | None -> ());
-    match baseline with
-    | None -> ()
-    | Some path -> (
-      match Json.of_string (read_file path) with
-      | Error e ->
-        Fmt.epr "%s: JSON parse error: %s@." path e;
-        exit 1
-      | Ok b -> (
-        let b = match Json.member "tiered" b with Some t -> t | None -> b in
-        match SS.check_against_baseline ~baseline:b rows with
-        | Ok [] -> Fmt.pr "@.baseline check: OK (no regressions, no drift)@."
-        | Ok drift ->
-          Fmt.pr "@.baseline check: OK, with drift:@.";
-          List.iter (fun d -> Fmt.pr "  %s@." d) drift
-        | Error regs ->
-          Fmt.epr "@.baseline check FAILED:@.";
-          List.iter (fun r -> Fmt.epr "  %s@." r) regs;
-          exit 1))
+    Fmt.pr "@.%a" SS.pp_summary (rows, fd);
+    emit e SS.doc (SS.tiered_json ~mode rows fd) ~check:(fun baseline ->
+        SS.check_against_baseline ~baseline rows)
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "tiered" ~doc)
     Cmdliner.Term.(
       const run $ arch_arg $ jobs_arg $ runs_arg $ promote_arg $ out_arg
-      $ json_arg $ merge_arg $ baseline_arg $ write_baseline_arg)
+      $ emit_term SS.doc
+          ~gate:
+            "exit 1 on any steady-state check regression or any \
+             promotion/deopt counter drift.")
 
 (* --- fuzz ---------------------------------------------------------- *)
 
@@ -973,19 +835,33 @@ let fuzz_cmd =
           body
       end
     in
+    (* the pool compiles one flight of programs at a time, so only a
+       flight's artifacts are ever resident *)
+    let rec flights t lo =
+      if lo < count then begin
+        let idx = List.init (min flight (count - lo)) (( + ) lo) in
+        let groups =
+          List.map (fun i -> Diff.jobs ~arch (gen_for i).Gen.g_program) idx
+        in
+        let outcomes = Svc.compile_all t (List.concat groups) in
+        pool_compiles := !pool_compiles + List.length outcomes;
+        cache_hits :=
+          !cache_hits
+          + List.length (List.filter (fun o -> o.Svc.oc_cache_hit) outcomes);
+        ignore
+          (List.fold_left2
+             (fun outs i group ->
+               let n = List.length group in
+               settle i (Some (List.filteri (fun k _ -> k < n) outs));
+               List.filteri (fun k _ -> k >= n) outs)
+             outcomes idx groups);
+        flights t (lo + flight)
+      end
+    in
     with_mutation (fun () ->
         if jobs > 0 then
-          let cache = Svc.create_cache () in
-          Svc.with_service ~domains:jobs ~cache (fun t ->
-              Svc.compile_fold t ~flight ~count ~init:()
-                ~f:(fun () i outcomes ->
-                  pool_compiles := !pool_compiles + List.length outcomes;
-                  cache_hits :=
-                    !cache_hits
-                    + List.length
-                        (List.filter (fun o -> o.Svc.oc_cache_hit) outcomes);
-                  settle i (Some outcomes))
-                (fun i -> Diff.jobs ~arch (gen_for i).Gen.g_program))
+          Svc.with_service ~domains:jobs ~cache:(Svc.create_cache ()) (fun t ->
+              flights t 0)
         else
           for i = 0 to count - 1 do
             settle i None
@@ -1010,13 +886,11 @@ let fuzz_cmd =
         fz_failures = List.rev !failures;
       }
     in
-    (match out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (Fuzz_report.to_json report));
-      output_char oc '\n';
-      close_out oc);
+    Option.iter
+      (fun path ->
+        or_die
+          (Obs.Doc.write Fuzz_report.doc path (Fuzz_report.to_json report)))
+      out;
     let d = !dist in
     Fmt.pr "fuzz         : %d programs (master seed %d, gen v%d, size %d)@."
       count master Gen.gen_version size;
@@ -1111,6 +985,13 @@ let print_tenant_totals (rows : LG.rate_row list) =
       Fmt.pr "%7d %8d %10d %6d@." id o c s)
     ids
 
+let write_timelines ~dropped tls =
+  Option.iter (fun path ->
+      or_die
+        (Obs.Doc.write Obs.Timeline.doc path
+           (Obs.Timeline.to_json ~dropped tls));
+      Fmt.pr "timeline document written to %s@." path)
+
 (* reconstruct per-request timelines from a recorder and optionally
    persist them; shared by the loadgen and serve commands *)
 let emit_timelines ?out recorder =
@@ -1132,17 +1013,7 @@ let emit_timelines ?out recorder =
   | Error e ->
     Fmt.epr "timeline causal gate FAILED: %s@." e;
     exit 1);
-  match out with
-  | None -> ()
-  | Some path ->
-    let doc = Obs.Timeline.to_json ~dropped tls in
-    (match Obs.Timeline.validate doc with
-    | Ok () -> ()
-    | Error e ->
-      Fmt.epr "internal error: timeline document fails its own schema: %s@." e;
-      exit 1);
-    write_file path (Json.to_string doc ^ "\n");
-    Fmt.pr "timeline document written to %s@." path
+  write_timelines ~dropped tls out
 
 let loadgen_cmd =
   let doc =
@@ -1222,46 +1093,12 @@ let loadgen_cmd =
              recorded event and the enabled-vs-disabled delta on a \
              steady-state tiered loop.")
   in
-  let out_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the loadgen document (nullelim-loadgen schema).")
-  in
-  let merge_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "merge" ] ~docv:"FILE"
-          ~doc:
-            "Merge the loadgen document into an existing bench report \
-             (e.g. BENCH_results.json) under the `loadgen' key, \
-             creating the file if absent.")
-  in
-  let baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Gate the normalized p99 (lowest-rate p99 / mean compile \
-             time) against a committed baseline (its `loadgen' member \
-             if present); exit 1 above the gate factor.")
-  in
   let factor_arg =
     Cmdliner.Arg.(
       value
       & opt float 3.0
       & info [ "gate-factor" ] ~docv:"X"
           ~doc:"Allowed normalized-p99 ratio over the baseline.")
-  in
-  let write_baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Record the fresh loadgen document as the new baseline.")
   in
   let flight_arg =
     Cmdliner.Arg.(
@@ -1312,9 +1149,8 @@ let loadgen_cmd =
              (nullelim-timeline schema), gate their completeness, and \
              write them to $(docv).")
   in
-  let run jobs queue duration seed sweep rate max_requests overhead out merge
-      baseline factor write_baseline flight trace tenants tenant_cap
-      timelines =
+  let run jobs queue duration seed sweep rate max_requests overhead factor
+      flight trace tenants tenant_cap timelines e =
     let multipliers = multipliers_of ~sweep ~rate in
     let t =
       LG.sweep
@@ -1349,86 +1185,34 @@ let loadgen_cmd =
         o.LG.ov_ns_per_event o.LG.ov_enabled_seconds o.LG.ov_disabled_seconds
         (100. *. o.LG.ov_fraction)
     | None -> ());
-    (match LG.check_rows t.LG.lg_rows with
-    | Ok () -> ()
-    | Error errs ->
-      Fmt.epr "loadgen gate FAILED:@.";
-      List.iter (fun e -> Fmt.epr "  %s@." e) errs;
-      exit 1);
-    let doc = LG.to_json t in
-    (match LG.validate doc with
-    | Ok () -> ()
-    | Error e ->
-      Fmt.epr "internal error: loadgen document fails its own schema: %s@." e;
-      exit 1);
-    (match out with
-    | Some path ->
-      write_file path (Json.to_string doc ^ "\n");
-      Fmt.pr "loadgen document written to %s@." path
-    | None -> ());
-    (match merge with
-    | Some path ->
-      let report =
-        if Sys.file_exists path then
-          match Json.of_string (read_file path) with
-          | Ok j -> j
-          | Error e ->
-            Fmt.epr "%s: JSON parse error: %s@." path e;
-            exit 1
-        else Json.Obj [ ("schema", Json.Str "nullelim-bench/1") ]
-      in
-      write_file path (Json.to_string (set_member "loadgen" doc report) ^ "\n");
-      Fmt.pr "loadgen section merged into %s@." path
-    | None -> ());
-    (match flight with
-    | Some path ->
-      let fj = Obs.Recorder.to_json Obs.Recorder.global in
-      (match Obs.Recorder.validate fj with
-      | Ok () -> ()
-      | Error e ->
-        Fmt.epr "internal error: flight dump fails its own schema: %s@." e;
-        exit 1);
-      write_file path (Json.to_string fj ^ "\n");
-      Fmt.pr "flight dump written to %s@." path
-    | None -> ());
-    (match trace with
-    | Some path ->
-      Obs.Trace.write path (Obs.Recorder.to_trace Obs.Recorder.global);
-      Fmt.pr "flight trace written to %s@." path
-    | None -> ());
-    (match timelines with
-    | Some path -> emit_timelines ~out:path Obs.Recorder.global
-    | None -> ());
-    (match write_baseline with
-    | Some path ->
-      write_file path (Json.to_string doc ^ "\n");
-      Fmt.pr "baseline written to %s@." path
-    | None -> ());
-    match baseline with
-    | None -> ()
-    | Some path -> (
-      match Json.of_string (read_file path) with
-      | Error e ->
-        Fmt.epr "%s: JSON parse error: %s@." path e;
-        exit 1
-      | Ok b -> (
-        let b = match Json.member "loadgen" b with Some l -> l | None -> b in
-        match LG.check_against_baseline ~factor ~baseline:b t with
-        | Ok [] -> Fmt.pr "@.baseline check: OK@."
-        | Ok drift ->
-          Fmt.pr "@.baseline check: OK, with drift:@.";
-          List.iter (fun d -> Fmt.pr "  %s@." d) drift
-        | Error regs ->
-          Fmt.epr "@.baseline check FAILED:@.";
-          List.iter (fun r -> Fmt.epr "  %s@." r) regs;
-          exit 1))
+    gate_or_die "loadgen" (LG.check_rows t.LG.lg_rows);
+    Option.iter
+      (fun path ->
+        or_die
+          (Obs.Doc.write Obs.Recorder.doc path
+             (Obs.Recorder.to_json Obs.Recorder.global));
+        Fmt.pr "flight dump written to %s@." path)
+      flight;
+    Option.iter
+      (fun path ->
+        Obs.Trace.write path (Obs.Recorder.to_trace Obs.Recorder.global);
+        Fmt.pr "flight trace written to %s@." path)
+      trace;
+    Option.iter
+      (fun path -> emit_timelines ~out:path Obs.Recorder.global)
+      timelines;
+    emit e LG.doc (LG.to_json t) ~check:(fun baseline ->
+        LG.check_against_baseline ~factor ~baseline t)
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "loadgen" ~doc)
     Cmdliner.Term.(
       const run $ jobs_arg $ queue_arg $ duration_arg $ seed_arg $ sweep_arg
-      $ rate_arg $ max_requests_arg $ overhead_arg $ out_arg $ merge_arg
-      $ baseline_arg $ factor_arg $ write_baseline_arg $ flight_arg
-      $ trace_arg $ tenants_arg $ tenant_cap_arg $ timelines_arg)
+      $ rate_arg $ max_requests_arg $ overhead_arg $ factor_arg $ flight_arg
+      $ trace_arg $ tenants_arg $ tenant_cap_arg $ timelines_arg
+      $ emit_term LG.doc ~json:[ "o"; "out" ]
+          ~gate:
+            "exit 1 when the normalized p99 (lowest-rate p99 / mean compile \
+             time) exceeds the gate factor times the recorded one.")
 
 (* --- serve --------------------------------------------------------- *)
 
@@ -1604,12 +1388,7 @@ let serve_cmd =
           r.LG.lr_offered r.LG.lr_completed r.LG.lr_shed r.LG.lr_throughput
           r.LG.lr_p99_ms)
       t.LG.lg_rows;
-    (match LG.check_rows t.LG.lg_rows with
-    | Ok () -> ()
-    | Error errs ->
-      Fmt.epr "loadgen gate FAILED:@.";
-      List.iter (fun e -> Fmt.epr "  %s@." e) errs;
-      exit 1);
+    gate_or_die "loadgen" (LG.check_rows t.LG.lg_rows);
     if tenants > 1 then print_tenant_totals t.LG.lg_rows;
     (* the server's own endpoints, probed through a real socket *)
     (match Status.get address "/metrics" with
@@ -1626,17 +1405,12 @@ let serve_cmd =
       Fmt.epr "/metrics probe failed: %s@." e;
       exit 1);
     (match Status.get address "/healthz" with
-    | Ok (s, body) -> (
-      match Json.of_string body with
-      | Error e ->
-        Fmt.epr "/healthz: JSON parse error: %s@." e;
-        exit 1
-      | Ok j -> (
-        match Obs.Slo.validate j with
-        | Ok () -> Fmt.pr "self-probe /healthz : %d (nullelim-slo/1 valid)@." s
-        | Error e ->
-          Fmt.epr "/healthz document invalid: %s@." e;
-          exit 1))
+    | Ok (s, body) ->
+      or_die
+        (Result.map_error (( ^ ) "/healthz document invalid: ")
+           (Result.bind (Json.of_string body) (Obs.Doc.validate Obs.Slo.doc)));
+      Fmt.pr "self-probe /healthz : %d (%s valid)@." s
+        (Obs.Doc.schema Obs.Slo.doc)
     | Error e ->
       Fmt.epr "/healthz probe failed: %s@." e;
       exit 1);
@@ -1700,107 +1474,47 @@ let timelines_cmd =
              events).")
   in
   let run path out check =
-    match Json.of_string (read_file path) with
-    | Error e ->
-      Fmt.epr "%s: JSON parse error: %s@." path e;
-      exit 1
-    | Ok j ->
-      let j = match Json.member "flight" j with Some f -> f | None -> j in
-      (match Obs.Recorder.validate j with
-      | Ok () -> ()
-      | Error e ->
-        Fmt.epr "%s: not a flight document: %s@." path e;
-        exit 1);
-      let geti e name =
-        match Json.member name e with
-        | Some (Json.Int i) -> Some i
-        | Some (Json.Float f) -> Some (int_of_float f)
-        | _ -> None
-      in
-      let getf e name =
-        match Json.member name e with
-        | Some (Json.Float f) -> Some f
-        | Some (Json.Int i) -> Some (float_of_int i)
-        | _ -> None
-      in
-      let dropped = Option.value ~default:0 (geti j "dropped") in
-      let events =
-        match Json.member "events" j with
-        | Some (Json.List evs) ->
-          List.filter_map
-            (fun e ->
-              match (getf e "ts", geti e "domain", Json.member "kind" e) with
-              | Some ts, Some domain, Some (Json.Str k) -> (
-                match Obs.Recorder.kind_of_name k with
-                | None -> None
-                | Some kind ->
-                  let d ?(default = -1) name =
-                    Option.value ~default (geti e name)
-                  in
-                  Some
-                    {
-                      Obs.Recorder.ev_ts = ts;
-                      ev_domain = domain;
-                      ev_kind = kind;
-                      ev_a = d ~default:0 "a";
-                      ev_b = d ~default:0 "b";
-                      ev_ctx =
-                        {
-                          Obs.Ctx.cx_tenant = d "tenant";
-                          cx_request = d "request";
-                          cx_span = d "span";
-                          cx_parent = d "parent";
-                        };
-                    })
-              | _ -> None)
-            evs
-        | _ -> []
-      in
-      let tls = Obs.Timeline.of_events events in
-      let count p =
-        List.length (List.filter (fun tl -> Obs.Timeline.phase tl = p) tls)
-      in
-      Fmt.pr
-        "%d events -> %d requests: %d completed, %d shed, %d in flight \
-         (%d events dropped)@."
-        (List.length events) (List.length tls)
-        (count Obs.Timeline.Completed)
-        (count Obs.Timeline.Shed)
-        (count Obs.Timeline.Inflight)
-        dropped;
-      Fmt.pr "@.%8s %7s %10s %10s %10s %10s@." "request" "tenant" "phase"
-        "wait_ms" "svc_ms" "total_ms";
-      List.iter
-        (fun (tl : Obs.Timeline.t) ->
-          let ms = function
-            | Some s -> Printf.sprintf "%.2f" (1000. *. s)
-            | None -> "-"
-          in
-          Fmt.pr "%8d %7d %10s %10s %10s %10s@." tl.Obs.Timeline.tl_request
-            tl.Obs.Timeline.tl_tenant
-            (Obs.Timeline.phase_name (Obs.Timeline.phase tl))
-            (ms (Obs.Timeline.queue_wait tl))
-            (ms (Obs.Timeline.service_time tl))
-            (ms (Obs.Timeline.total_latency tl)))
-        tls;
-      (if check then
-         match Obs.Timeline.check_complete ~dropped tls with
-         | Ok () -> Fmt.pr "@.causal completeness: OK@."
-         | Error e ->
-           Fmt.epr "@.causal completeness FAILED: %s@." e;
-           exit 1);
-      match out with
-      | None -> ()
-      | Some path ->
-        let doc = Obs.Timeline.to_json ~dropped tls in
-        (match Obs.Timeline.validate doc with
-        | Ok () -> ()
-        | Error e ->
-          Fmt.epr
-            "internal error: timeline document fails its own schema: %s@." e;
-          exit 1);
-        write_file path (Json.to_string doc ^ "\n");
-        Fmt.pr "timeline document written to %s@." path
+    let j = Obs.Doc.find Obs.Recorder.doc (or_die (Obs.Doc.read path)) in
+    let events, dropped =
+      or_die
+        (Result.map_error
+           (Printf.sprintf "%s: not a flight document: %s" path)
+           (Obs.Recorder.events_of_json j))
+    in
+    let tls = Obs.Timeline.of_events events in
+    let count p =
+      List.length (List.filter (fun tl -> Obs.Timeline.phase tl = p) tls)
+    in
+    Fmt.pr
+      "%d events -> %d requests: %d completed, %d shed, %d in flight \
+       (%d events dropped)@."
+      (List.length events) (List.length tls)
+      (count Obs.Timeline.Completed)
+      (count Obs.Timeline.Shed)
+      (count Obs.Timeline.Inflight)
+      dropped;
+    Fmt.pr "@.%8s %7s %10s %10s %10s %10s@." "request" "tenant" "phase"
+      "wait_ms" "svc_ms" "total_ms";
+    List.iter
+      (fun (tl : Obs.Timeline.t) ->
+        let ms = function
+          | Some s -> Printf.sprintf "%.2f" (1000. *. s)
+          | None -> "-"
+        in
+        Fmt.pr "%8d %7d %10s %10s %10s %10s@." tl.Obs.Timeline.tl_request
+          tl.Obs.Timeline.tl_tenant
+          (Obs.Timeline.phase_name (Obs.Timeline.phase tl))
+          (ms (Obs.Timeline.queue_wait tl))
+          (ms (Obs.Timeline.service_time tl))
+          (ms (Obs.Timeline.total_latency tl)))
+      tls;
+    (if check then
+       match Obs.Timeline.check_complete ~dropped tls with
+       | Ok () -> Fmt.pr "@.causal completeness: OK@."
+       | Error e ->
+         Fmt.epr "@.causal completeness FAILED: %s@." e;
+         exit 1);
+    write_timelines ~dropped tls out
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "timelines" ~doc)
     Cmdliner.Term.(const run $ file_arg $ out_arg $ check_arg)
@@ -1821,7 +1535,8 @@ let lint_exposition_cmd =
       & info [] ~docv:"FILE" ~doc:"Exposition text to lint.")
   in
   let run path =
-    match Obs.Export.lint (read_file path) with
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    match Obs.Export.lint text with
     | Ok () -> Fmt.pr "%s: OK@." path
     | Error e ->
       Fmt.epr "%s: %s@." path e;
@@ -1834,10 +1549,10 @@ let lint_exposition_cmd =
 
 let validate_json_cmd =
   let doc =
-    "Validate a telemetry JSON file: a metrics snapshot (or a report \
-     embedding one under a `metrics' key), a per-site profile snapshot \
-     (or `profile' member), a dynamic-elimination document (or `dynamic' \
-     member), or a Chrome trace-event file."
+    "Validate a telemetry JSON file by its own `schema' string: any \
+     registered nullelim-* document, a nullelim-bench/1 container (every \
+     member that carries a schema is checked), or a Chrome trace-event \
+     file."
   in
   let file_arg =
     Cmdliner.Arg.(
@@ -1845,85 +1560,12 @@ let validate_json_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"JSON file to validate.")
   in
-  let validate_trace j =
-    match Json.member "traceEvents" j with
-    | Some (Json.List evs) ->
-      let bad =
-        List.exists
-          (fun e ->
-            match
-              (Json.member "name" e, Json.member "ph" e, Json.member "ts" e)
-            with
-            | Some (Json.Str _), Some (Json.Str _),
-              Some (Json.Float _ | Json.Int _) ->
-              false
-            | _ -> true)
-          evs
-      in
-      if bad then Error "trace event missing name/ph/ts"
-      else Ok (Printf.sprintf "trace: %d events" (List.length evs))
-    | Some _ -> Error "traceEvents must be a list"
-    | None -> Error "not a trace file"
-  in
   let run path =
-    match Json.of_string (read_file path) with
+    match Nullelim_experiments.Docs.validate (or_die (Obs.Doc.read path)) with
+    | Ok checked -> Fmt.pr "%s: OK (%s)@." path (String.concat ", " checked)
     | Error e ->
-      Fmt.epr "%s: JSON parse error: %s@." path e;
+      Fmt.epr "%s: invalid: %s@." path e;
       exit 1
-    | Ok j -> (
-      (* bench reports embed the schemas under these keys *)
-      let sub name = match Json.member name j with Some m -> m | None -> j in
-      match Obs.Metrics.validate (sub "metrics") with
-      | Ok () ->
-        Fmt.pr "%s: OK (metrics schema v%d)@." path Obs.Metrics.schema_version
-      | Error metrics_err -> (
-        match Obs.Profile.validate (sub "profile") with
-        | Ok () ->
-          Fmt.pr "%s: OK (profile schema v%d)@." path
-            Obs.Profile.schema_version
-        | Error _ -> (
-          match PR.validate_dynamic (sub "dynamic") with
-          | Ok () ->
-            Fmt.pr "%s: OK (dynamic schema v%d)@." path
-              PR.dynamic_schema_version
-          | Error _ -> (
-            match SS.validate_tiered (sub "tiered") with
-            | Ok () ->
-              Fmt.pr "%s: OK (tiered schema v%d)@." path
-                SS.tiered_schema_version
-            | Error _ -> (
-              match Fuzz_report.validate (sub "fuzz") with
-              | Ok () ->
-                Fmt.pr "%s: OK (fuzz schema v%d)@." path
-                  Fuzz_report.schema_version
-              | Error _ -> (
-                match Obs.Recorder.validate (sub "flight") with
-                | Ok () -> Fmt.pr "%s: OK (flight schema v1)@." path
-                | Error _ -> (
-                  match LG.validate (sub "loadgen") with
-                  | Ok () ->
-                    Fmt.pr "%s: OK (loadgen schema v%d)@." path
-                      LG.schema_version
-                  | Error _ -> (
-                    match Obs.Slo.validate (sub "slo") with
-                    | Ok () -> Fmt.pr "%s: OK (slo schema v1)@." path
-                    | Error _ -> (
-                      (* a timeline document itself has a `timelines'
-                         list member, so try the document before the
-                         embedded-member convention *)
-                      match
-                        (match Obs.Timeline.validate j with
-                        | Ok () -> Ok ()
-                        | Error _ -> Obs.Timeline.validate (sub "timelines"))
-                      with
-                      | Ok () ->
-                        Fmt.pr "%s: OK (timeline schema v1)@." path
-                      | Error _ -> (
-                        match validate_trace j with
-                        | Ok msg -> Fmt.pr "%s: OK (%s)@." path msg
-                        | Error _ ->
-                          Fmt.epr "%s: invalid: %s@." path metrics_err;
-                          exit 1))))))))))
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "validate-json" ~doc)
     Cmdliner.Term.(const run $ file_arg)

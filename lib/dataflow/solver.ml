@@ -30,10 +30,10 @@
     {!Bitset.meet_all_into}, so a block visit allocates nothing beyond
     what the client's own [transfer]/[edge] functions allocate.
 
-    Setting the environment variable [NULLELIM_SOLVER=reference] (or
-    {!use_reference}) routes {!solve} to the round-robin engine — the
-    benchmark harness uses this to quote before/after counter and
-    timing deltas from the same binary. *)
+    Setting the environment variable [NULLELIM_SOLVER=reference], or
+    {!with_reference} on one domain, routes {!solve} to the round-robin
+    engine — the benchmark harness uses this to quote before/after
+    counter and timing deltas from the same binary. *)
 
 module Cfg = Nullelim_cfg.Cfg
 module Trace = Nullelim_obs.Trace
@@ -296,14 +296,20 @@ let solve_worklist ~(dir : direction) ~(cfg : Cfg.t)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let use_reference =
-  ref (match Sys.getenv_opt "NULLELIM_SOLVER" with
-      | Some "reference" -> true
-      | _ -> false)
+let reference =
+  Domain.DLS.new_key (fun () ->
+      Sys.getenv_opt "NULLELIM_SOLVER" = Some "reference")
+
+let with_reference on f =
+  let saved = Domain.DLS.get reference in
+  Domain.DLS.set reference on;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set reference saved) f
 
 let solve ?(name = "solve") ~dir ~cfg ~boundary ~top ~meet ?edge
     ?boundary_blocks ~transfer () =
-  let engine = if !use_reference then solve_reference else solve_worklist in
+  let engine =
+    if Domain.DLS.get reference then solve_reference else solve_worklist
+  in
   let run () =
     engine ~dir ~cfg ~boundary ~top ~meet ?edge ?boundary_blocks ~transfer ()
   in

@@ -69,10 +69,13 @@ val diff : stats -> stats -> stats
 val reset_counters : unit -> unit
 (** Zero the calling domain's counters. *)
 
-val use_reference : bool ref
-(** When true, {!solve} routes to {!solve_reference}.  Initialized from
-    the [NULLELIM_SOLVER=reference] environment variable; the benchmark
-    harness flips it to measure the baseline engine in-process. *)
+val with_reference : bool -> (unit -> 'a) -> 'a
+(** [with_reference on f] runs [f] with the calling domain's engine
+    switch set to [on], then restores it.  While it is on, {!solve}
+    routes to {!solve_reference}.  The switch is domain-local: every
+    domain starts from the [NULLELIM_SOLVER=reference] environment
+    variable, and setting it on one domain never reaches another (a
+    compile-service worker keeps its own). *)
 
 val solve :
   ?name:string ->

@@ -22,6 +22,7 @@ module Tier = Nullelim_tier.Tier
 module Metrics = Nullelim_obs.Metrics
 module Recorder = Nullelim_obs.Recorder
 module Json = Nullelim_obs.Obs_json
+module Doc = Nullelim_obs.Doc
 module W = Nullelim_workloads.Workload
 module Registry = Nullelim_workloads.Registry
 
@@ -368,8 +369,63 @@ let normalized_p99 (t : t) : float =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let schema = "nullelim-loadgen/1"
-let schema_version = 1
+let num = function
+  | Json.Float f -> Some f
+  | Json.Int i -> Some (float_of_int i)
+  | _ -> None
+
+let doc =
+  Doc.v ~name:"loadgen" "nullelim-loadgen/1" @@ fun j ->
+  let ( let* ) = Result.bind in
+  let* () =
+    match
+      Option.bind (Json.member "calibration" j) (fun cal ->
+          Option.bind (Json.member "mean_compile_seconds" cal) num)
+    with
+    | Some m when m > 0. -> Ok ()
+    | Some _ -> Error "calibration: mean_compile_seconds must be positive"
+    | None -> Error "calibration: missing mean_compile_seconds"
+  in
+  let* () =
+    if Json.member "rows" j = Some (Json.List []) then
+      Error "rows must be non-empty"
+    else Ok ()
+  in
+  let* () =
+    Doc.each "rows"
+      (fun row ->
+        let* () =
+          Doc.fields Num
+            [
+              "rate_multiplier"; "offered_rate_per_sec"; "offered";
+              "completed"; "shed"; "throughput_per_sec"; "p50_ms"; "p99_ms";
+              "p999_ms";
+            ]
+            row
+        in
+        (* "tenants" is additive (absent in pre-tenancy documents);
+           when present, each entry must close its accounting *)
+        if Json.member "tenants" row = None then Ok ()
+        else
+          Doc.each "tenants"
+            (fun tn ->
+              let* () =
+                Doc.fields Int [ "tenant"; "offered"; "completed"; "shed" ] tn
+              in
+              let get n =
+                match Json.member n tn with Some (Json.Int i) -> i | _ -> 0
+              in
+              if get "completed" + get "shed" = get "offered" then Ok ()
+              else
+                Error
+                  (Printf.sprintf
+                     "tenant %d: %d completed + %d shed <> %d offered"
+                     (get "tenant") (get "completed") (get "shed")
+                     (get "offered")))
+            row)
+      j
+  in
+  Doc.fields Num [ "saturation_throughput_per_sec"; "normalized_p99" ] j
 
 let tenant_row_json (tn : tenant_row) : Json.t =
   Json.Obj
@@ -409,10 +465,8 @@ let overhead_json (o : overhead) : Json.t =
     ]
 
 let to_json (t : t) : Json.t =
-  Json.Obj
+  Doc.obj doc
     ([
-       ("schema", Json.Str schema);
-       ("schema_version", Json.Int schema_version);
        ("domains", Json.Int t.lg_domains);
        ("queue_capacity", Json.Int t.lg_queue_capacity);
        ("duration_seconds", Json.Float t.lg_duration);
@@ -435,95 +489,6 @@ let to_json (t : t) : Json.t =
     match t.lg_overhead with
     | Some o -> [ ("recorder_overhead", overhead_json o) ]
     | None -> [])
-
-let num = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
-let validate (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing field \"schema\""
-  in
-  let* () =
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) when v = schema_version -> Ok ()
-    | Some (Json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> Error "missing field \"schema_version\""
-  in
-  let* () =
-    match Json.member "calibration" j with
-    | Some cal -> (
-      match Option.bind (Json.member "mean_compile_seconds" cal) num with
-      | Some m when m > 0. -> Ok ()
-      | Some _ -> Error "calibration: mean_compile_seconds must be positive"
-      | None -> Error "calibration: missing mean_compile_seconds")
-    | None -> Error "missing field \"calibration\""
-  in
-  let* () =
-    match Json.member "rows" j with
-    | Some (Json.List (_ :: _ as rows)) ->
-      List.fold_left
-        (fun acc row ->
-          let* () = acc in
-          let* () =
-            List.fold_left
-              (fun acc name ->
-                let* () = acc in
-                match Option.bind (Json.member name row) num with
-                | Some _ -> Ok ()
-                | None ->
-                  Error (Printf.sprintf "row: missing numeric field %S" name))
-              (Ok ())
-              [
-                "rate_multiplier"; "offered_rate_per_sec"; "offered";
-                "completed"; "shed"; "throughput_per_sec"; "p50_ms";
-                "p99_ms"; "p999_ms";
-              ]
-          in
-          (* "tenants" is additive (absent in pre-tenancy documents);
-             when present, each entry must close its accounting *)
-          match Json.member "tenants" row with
-          | None -> Ok ()
-          | Some (Json.List tns) ->
-            List.fold_left
-              (fun acc tn ->
-                let* () = acc in
-                match
-                  ( Json.member "tenant" tn,
-                    Json.member "offered" tn,
-                    Json.member "completed" tn,
-                    Json.member "shed" tn )
-                with
-                | Some (Json.Int t), Some (Json.Int o), Some (Json.Int c),
-                  Some (Json.Int s) ->
-                  if c + s <> o then
-                    Error
-                      (Printf.sprintf
-                         "tenant %d: %d completed + %d shed <> %d offered"
-                         t c s o)
-                  else Ok ()
-                | _ ->
-                  Error "tenant row: missing tenant/offered/completed/shed")
-              (Ok ()) tns
-          | Some _ -> Error "row: tenants must be a list")
-        (Ok ()) rows
-    | Some (Json.List []) -> Error "rows must be non-empty"
-    | _ -> Error "missing field \"rows\""
-  in
-  let* () =
-    match Option.bind (Json.member "saturation_throughput_per_sec" j) num with
-    | Some _ -> Ok ()
-    | None -> Error "missing field \"saturation_throughput_per_sec\""
-  in
-  match Option.bind (Json.member "normalized_p99" j) num with
-  | Some _ -> Ok ()
-  | None -> Error "missing field \"normalized_p99\""
 
 (* ------------------------------------------------------------------ *)
 (* Baseline gate                                                       *)

@@ -152,13 +152,10 @@ val normalized_p99 : t -> float
     compiles a tail request waits end-to-end), the quantity the
     baseline gate compares. *)
 
-val schema : string
-(** ["nullelim-loadgen/1"]. *)
-
-val schema_version : int
+val doc : Nullelim_obs.Doc.t
+(** ["nullelim-loadgen/1"], member ["loadgen"]. *)
 
 val to_json : t -> Json.t
-val validate : Json.t -> (unit, string) result
 
 val check_against_baseline :
   ?factor:float -> baseline:Json.t -> t -> (string list, string list) result

@@ -32,6 +32,7 @@ module B = Nullelim_ir.Ir_builder
 module Arch = Nullelim_arch.Arch
 module Native = Nullelim_backend.Native
 module Json = Nullelim_obs.Obs_json
+module Doc = Nullelim_obs.Doc
 
 type result = {
   nb_arch : string;
@@ -183,12 +184,28 @@ let collect ?(iters = 500_000) ?(traps = 2_000) ?(repeats = 3)
               nb_implicit_check_instrs = implicit_instrs;
             })))
 
-let schema = "nullelim-native-bench/1"
+let doc =
+  Doc.v ~name:"native" "nullelim-native-bench/1" @@ fun j ->
+  let ( let* ) = Result.bind in
+  match Json.member "available" j with
+  | Some (Json.Bool false) -> Doc.fields Str [ "reason" ] j
+  | Some (Json.Bool true) ->
+    let* () = Doc.fields Str [ "arch" ] j in
+    let* () =
+      Doc.fields Int [ "checks"; "traps"; "implicit_check_instrs" ] j
+    in
+    Doc.fields Num
+      [
+        "explicit_kernel_ns"; "implicit_kernel_ns"; "baseline_kernel_ns";
+        "explicit_check_ns"; "implicit_check_ns"; "trap_recovery_ns";
+        "model_explicit_check_ns";
+      ]
+      j
+  | _ -> Error "missing boolean field \"available\""
 
 let to_json (r : result) : Json.t =
-  Json.Obj
+  Doc.obj doc
     [
-      ("schema", Json.Str schema);
       ("available", Json.Bool true);
       ("arch", Json.Str r.nb_arch);
       ("checks", Json.Int r.nb_checks);
@@ -204,12 +221,8 @@ let to_json (r : result) : Json.t =
     ]
 
 let unavailable_json reason : Json.t =
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("available", Json.Bool false);
-      ("reason", Json.Str reason);
-    ]
+  Doc.obj doc
+    [ ("available", Json.Bool false); ("reason", Json.Str reason) ]
 
 let pp ppf (r : result) =
   Fmt.pf ppf

@@ -48,8 +48,8 @@ val collect :
     best of [repeats]; defaults 500k/2k/3).  [Error] when the native
     backend is unavailable or a kernel misbehaves. *)
 
-val schema : string
-(** ["nullelim-native-bench/1"] — the ["native"] member schema in
+val doc : Nullelim_obs.Doc.t
+(** ["nullelim-native-bench/1"], member ["native"] of
     BENCH_results.json. *)
 
 val to_json : result -> Json.t

@@ -24,6 +24,7 @@ module Loops = Nullelim_cfg.Loops
 module Profile = Nullelim_obs.Profile
 module Decision = Nullelim_obs.Decision
 module Json = Nullelim_obs.Obs_json
+module Doc = Nullelim_obs.Doc
 module W = Nullelim_workloads.Workload
 module Registry = Nullelim_workloads.Registry
 
@@ -406,9 +407,35 @@ let md_elim_table buf (rows : elim_row list) =
     rows;
   pf buf "\n"
 
+(** Every run reconciled; [Error] joins the mismatches.  A report whose
+    per-site rows do not sum to the aggregate counters is worthless, so
+    both the CLI and the bench refuse to emit one. *)
+let reconcile_all (all : run list list) : (unit, string) result =
+  match
+    List.concat_map
+      (List.filter_map (fun r ->
+           match reconcile r with Ok () -> None | Error e -> Some e))
+      all
+  with
+  | [] -> Ok ()
+  | errs -> Error (String.concat "; " errs)
+
+(** The stdout elimination table: one line per workload x config. *)
+let pp_summary ppf (all : run list list) =
+  Fmt.pf ppf "%-18s %-22s %10s %10s %8s %8s@." "workload" "config" "explicit"
+    "implicit" "elim%" "impl%";
+  List.iter
+    (fun runs ->
+      List.iter
+        (fun (e : elim_row) ->
+          Fmt.pf ppf "%-18s %-22s %10d %10d %7.1f%% %7.1f%%@." e.er_workload
+            e.er_config e.er_explicit e.er_implicit e.er_pct_eliminated
+            e.er_pct_implicit)
+        (elim_rows runs))
+    all
+
 (** The full markdown report over the workload x config matrix.
-    Raises [Failure] if any run fails to reconcile — a report whose
-    per-site rows do not sum to the aggregate counters is worthless. *)
+    Raises [Failure] if any run fails to reconcile ({!reconcile_all}). *)
 let report_md ?(scale = 1) (all : run list list) : string =
   let buf = Buffer.create (1 lsl 16) in
   pf buf "# Dynamic null-check profile (scale %d)\n\n" scale;
@@ -418,17 +445,8 @@ let report_md ?(scale = 1) (all : run list list) : string =
      7-8 (dynamic checks vs. the `%s` baseline).\n\n"
     baseline_config;
   pf buf "## Dynamic elimination (Figures 7-8)\n\n";
-  List.iter
-    (fun runs ->
-      (match
-         List.filter_map
-           (fun r -> match reconcile r with Ok () -> None | Error e -> Some e)
-           runs
-       with
-      | [] -> ()
-      | errs -> failwith (String.concat "; " errs));
-      md_elim_table buf (elim_rows runs))
-    all;
+  Result.iter_error failwith (reconcile_all all);
+  List.iter (fun runs -> md_elim_table buf (elim_rows runs)) all;
   pf buf "## Per-site profiles\n\n";
   List.iter (fun runs -> List.iter (fun r -> md_site_table buf r) runs) all;
   pf buf "## Loop hotness and hot paths (full config)\n\n";
@@ -446,8 +464,15 @@ let report_md ?(scale = 1) (all : run list list) : string =
 (* JSON ("dynamic" section of BENCH_results.json + baseline file)      *)
 (* ------------------------------------------------------------------ *)
 
-let dynamic_schema = "nullelim-dynamic/1"
-let dynamic_schema_version = 1
+let dynamic_doc =
+  Doc.v ~name:"dynamic" "nullelim-dynamic/1" @@ fun j ->
+  let ( let* ) = Result.bind in
+  let* () = Doc.fields Str [ "baseline_config" ] j in
+  Doc.each "rows"
+    (fun row ->
+      let* () = Doc.fields Str [ "workload"; "config" ] row in
+      Doc.fields Int [ "explicit"; "implicit"; "bound"; "baseline" ] row)
+    j
 
 let elim_row_json (e : elim_row) : Json.t =
   Json.Obj
@@ -466,62 +491,14 @@ let elim_row_json (e : elim_row) : Json.t =
     deterministic dynamic counters — no wall-clock anywhere, so the
     committed baseline diff is meaningful. *)
 let dynamic_json ~scale (all : run list list) : Json.t =
-  Json.Obj
+  Doc.obj dynamic_doc
     [
-      ("schema", Json.Str dynamic_schema);
-      ("schema_version", Json.Int dynamic_schema_version);
       ("scale", Json.Int scale);
       ("baseline_config", Json.Str baseline_config);
       ( "rows",
         Json.List (List.concat_map (fun runs -> List.map elim_row_json (elim_rows runs)) all)
       );
     ]
-
-let validate_dynamic (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = dynamic_schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing field \"schema\""
-  in
-  let* () =
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) when v = dynamic_schema_version -> Ok ()
-    | Some (Json.Int v) -> Error (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> Error "missing field \"schema_version\""
-  in
-  let* () =
-    match Json.member "baseline_config" j with
-    | Some (Json.Str _) -> Ok ()
-    | _ -> Error "missing field \"baseline_config\""
-  in
-  match Json.member "rows" j with
-  | Some (Json.List rows) ->
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let int_f n =
-          match Json.member n row with
-          | Some (Json.Int _) -> Ok ()
-          | _ -> Error (Printf.sprintf "row: missing integer field %S" n)
-        in
-        let* () =
-          match Json.member "workload" row with
-          | Some (Json.Str _) -> Ok ()
-          | _ -> Error "row: missing field \"workload\""
-        in
-        let* () =
-          match Json.member "config" row with
-          | Some (Json.Str _) -> Ok ()
-          | _ -> Error "row: missing field \"config\""
-        in
-        let* () = int_f "explicit" in
-        let* () = int_f "implicit" in
-        let* () = int_f "bound" in
-        int_f "baseline")
-      (Ok ()) rows
-  | _ -> Error "missing field \"rows\""
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate (BENCH_baseline.json)                               *)

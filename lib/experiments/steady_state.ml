@@ -43,6 +43,7 @@ module Svc = Nullelim_svc.Svc
 module Tier = Nullelim_tier.Tier
 module Decision = Nullelim_obs.Decision
 module Json = Nullelim_obs.Obs_json
+module Doc = Nullelim_obs.Doc
 module W = Nullelim_workloads.Workload
 module Registry = Nullelim_workloads.Registry
 
@@ -360,12 +361,73 @@ let report_md (rows : row list) (fd : forced_deopt) : string =
      else "UNEXPECTED extra sites");
   Buffer.contents buf
 
+(** The headline gate: {!check_rows}, plus a forced deoptimization that
+    re-materialized exactly the trapping site and reconciled. *)
+let gate (rows : row list) (fd : forced_deopt) : (unit, string list) result =
+  let fd_errs =
+    if fd.fd_only_offending && fd.fd_reconciled then []
+    else
+      [
+        Printf.sprintf
+          "forced deopt: trapped site %d, deoptimized [%s], reconciled %b"
+          fd.fd_trapped
+          (String.concat "; " (List.map string_of_int fd.fd_deopted))
+          fd.fd_reconciled;
+      ]
+  in
+  let row_errs = match check_rows rows with Ok () -> [] | Error es -> es in
+  match row_errs @ fd_errs with [] -> Ok () | errs -> Error errs
+
+(** The stdout table: one line per workload, then the forced deopt. *)
+let pp_summary ppf ((rows : row list), (fd : forced_deopt)) =
+  Fmt.pf ppf "%-12s %6s %8s %8s %8s %6s %6s %6s %9s@." "workload" "peak"
+    "tier0" "steady" "full" "promo" "deopt" "traps" "recomp(s)";
+  List.iter
+    (fun r ->
+      Fmt.pf ppf "%-12s %6d %8d %8d %8d %6d %6d %6d %9.4f@." r.ss_workload
+        r.ss_time_to_peak r.ss_tier0 r.ss_steady r.ss_full r.ss_promotions
+        r.ss_deopts r.ss_traps r.ss_recompile_seconds)
+    rows;
+  Fmt.pf ppf
+    "forced deopt: trapped site %d -> deoptimized [%s] (only offending: \
+     %b)@."
+    fd.fd_trapped
+    (String.concat "; " (List.map string_of_int fd.fd_deopted))
+    fd.fd_only_offending
+
 (* ------------------------------------------------------------------ *)
 (* JSON ("tiered" section of BENCH_results.json + baseline file)       *)
 (* ------------------------------------------------------------------ *)
 
-let tiered_schema = "nullelim-tiered/1"
-let tiered_schema_version = 1
+let doc =
+  Doc.v ~name:"tiered" "nullelim-tiered/1" @@ fun j ->
+  let ( let* ) = Result.bind in
+  let* () =
+    match Json.member "mode" j with
+    | Some (Json.Str ("sync" | "async")) -> Ok ()
+    | Some (Json.Str s) -> Error (Printf.sprintf "unknown mode %S" s)
+    | _ -> Error "missing field \"mode\""
+  in
+  let* () =
+    Doc.each "rows"
+      (fun row ->
+        let* () = Doc.fields Str [ "workload" ] row in
+        Doc.fields Int
+          [
+            "time_to_peak"; "tier0_checks"; "steady_checks"; "full_checks";
+            "promotions"; "deopts"; "demotions"; "awaits";
+          ]
+          row)
+      j
+  in
+  match Json.member "forced_deopt" j with
+  | Some fd -> (
+    match (Json.member "only_offending" fd, Json.member "reconciled" fd) with
+    | Some (Json.Bool true), Some (Json.Bool true) -> Ok ()
+    | Some (Json.Bool _), Some (Json.Bool _) ->
+      Error "forced_deopt: deoptimization was not exact or did not reconcile"
+    | _ -> Error "forced_deopt: missing boolean evidence fields")
+  | None -> Error "missing field \"forced_deopt\""
 
 let row_json (r : row) : Json.t =
   Json.Obj
@@ -410,71 +472,12 @@ let forced_deopt_json (fd : forced_deopt) : Json.t =
     the synchronous manager ("sync" — deterministic, what the baseline
     gate compares) or a real compile pool ("async"). *)
 let tiered_json ~mode (rows : row list) (fd : forced_deopt) : Json.t =
-  Json.Obj
+  Doc.obj doc
     [
-      ("schema", Json.Str tiered_schema);
-      ("schema_version", Json.Int tiered_schema_version);
       ("mode", Json.Str mode);
       ("rows", Json.List (List.map row_json rows));
       ("forced_deopt", forced_deopt_json fd);
     ]
-
-let validate_tiered (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = tiered_schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing field \"schema\""
-  in
-  let* () =
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) when v = tiered_schema_version -> Ok ()
-    | Some (Json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> Error "missing field \"schema_version\""
-  in
-  let* () =
-    match Json.member "mode" j with
-    | Some (Json.Str ("sync" | "async")) -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown mode %S" s)
-    | _ -> Error "missing field \"mode\""
-  in
-  let* () =
-    match Json.member "rows" j with
-    | Some (Json.List rows) ->
-      List.fold_left
-        (fun acc row ->
-          let* () = acc in
-          let int_f n =
-            match Json.member n row with
-            | Some (Json.Int _) -> Ok ()
-            | _ -> Error (Printf.sprintf "row: missing integer field %S" n)
-          in
-          let* () =
-            match Json.member "workload" row with
-            | Some (Json.Str _) -> Ok ()
-            | _ -> Error "row: missing field \"workload\""
-          in
-          let* () = int_f "time_to_peak" in
-          let* () = int_f "tier0_checks" in
-          let* () = int_f "steady_checks" in
-          let* () = int_f "full_checks" in
-          let* () = int_f "promotions" in
-          let* () = int_f "deopts" in
-          let* () = int_f "demotions" in
-          int_f "awaits")
-        (Ok ()) rows
-    | _ -> Error "missing field \"rows\""
-  in
-  match Json.member "forced_deopt" j with
-  | Some fd -> (
-    match (Json.member "only_offending" fd, Json.member "reconciled" fd) with
-    | Some (Json.Bool true), Some (Json.Bool true) -> Ok ()
-    | Some (Json.Bool _), Some (Json.Bool _) ->
-      Error "forced_deopt: deoptimization was not exact or did not reconcile"
-    | _ -> Error "forced_deopt: missing boolean evidence fields")
-  | None -> Error "missing field \"forced_deopt\""
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate (BENCH_baseline.json)                               *)

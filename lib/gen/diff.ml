@@ -115,16 +115,9 @@ let check_config ~arch ~fuel ~reference (p : Ir.program) (cfg : Config.t) =
     fail "behaviour"
       (Fmt.str "raw=%a optimized=%a" Interp.pp_outcome
          reference.Interp.outcome Interp.pp_outcome r.Interp.outcome);
-  (* solver differential: the reference engine must compile identically.
-     [Solver.use_reference] is process-global — callers running this
-     inside a service folder rely on the pool being idle (compile_fold's
-     contract). *)
-  let saved = !Solver.use_reference in
+  (* solver differential: the reference engine must compile identically *)
   let c_ref =
-    Fun.protect
-      ~finally:(fun () -> Solver.use_reference := saved)
-      (fun () ->
-        Solver.use_reference := true;
+    Solver.with_reference true (fun () ->
         compile_or_fail ~oracle_config:name cfg ~arch p)
   in
   if code_digest c <> code_digest c_ref then

@@ -43,10 +43,8 @@ val check :
   ?fuel:int ->
   Ir.program ->
   verdict
-(** Run every serial oracle.  Compiles on the calling domain and flips
-    the process-global reference-solver switch around its own compiles —
-    callers inside a service folder rely on [Svc.compile_fold]'s
-    pool-idle guarantee. *)
+(** Run every serial oracle, compiling on the calling domain (the
+    reference-solver differential flips only that domain's switch). *)
 
 val check_native :
   ?arch:Arch.t ->

@@ -11,9 +11,7 @@
 
 module Ir_pp = Nullelim_ir.Ir_pp
 module Json = Nullelim_obs.Obs_json
-
-let schema = "nullelim-fuzz/1"
-let schema_version = 1
+module Doc = Nullelim_obs.Doc
 
 type failure_row = {
   fr_seed : int;             (** per-program seed — regenerates the input *)
@@ -107,12 +105,41 @@ let failure_row_json (r : failure_row) : Json.t =
         ("shrunk_program", Json.Str printed);
       ])
 
+let doc =
+  Doc.v ~name:"fuzz" "nullelim-fuzz/1" @@ fun j ->
+  let ( let* ) = Result.bind in
+  let* () =
+    Doc.fields Int
+      [
+        "seed"; "count"; "gen_version"; "size"; "jobs"; "passed"; "skipped";
+        "failed"; "pool_compiles"; "cache_hits";
+      ]
+      j
+  in
+  let* () = Doc.fields Str [ "arch" ] j in
+  let* () = Doc.fields Bool [ "mutate" ] j in
+  let* () = Doc.fields Num [ "seconds" ] j in
+  let* () =
+    match Json.member "distribution" j with
+    | Some d ->
+      Doc.fields Int
+        [
+          "programs"; "with_try"; "with_alias"; "with_null"; "with_loop";
+          "recursive"; "instrs_total";
+        ]
+        d
+    | None -> Error "missing object field \"distribution\""
+  in
+  Doc.each "failures"
+    (fun row ->
+      let* () = Doc.fields Int [ "seed" ] row in
+      Doc.fields Str [ "oracle"; "config"; "detail" ] row)
+    j
+
 let to_json (t : t) : Json.t =
   let d = t.fz_distribution in
-  Json.Obj
+  Doc.obj doc
     [
-      ("schema", Json.Str schema);
-      ("schema_version", Json.Int schema_version);
       ("seed", Json.Int t.fz_seed);
       ("count", Json.Int t.fz_count);
       ("gen_version", Json.Int t.fz_gen_version);
@@ -140,78 +167,6 @@ let to_json (t : t) : Json.t =
       ("failures", Json.List (List.map failure_row_json t.fz_failures));
     ]
 
-let validate (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let str_f ctx n o =
-    match Json.member n o with
-    | Some (Json.Str _) -> Ok ()
-    | _ -> Error (Printf.sprintf "%s: missing string field %S" ctx n)
-  in
-  let int_f ctx n o =
-    match Json.member n o with
-    | Some (Json.Int _) -> Ok ()
-    | _ -> Error (Printf.sprintf "%s: missing integer field %S" ctx n)
-  in
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing field \"schema\""
-  in
-  let* () =
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) when v = schema_version -> Ok ()
-    | Some (Json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> Error "missing field \"schema_version\""
-  in
-  let* () =
-    List.fold_left
-      (fun acc n ->
-        let* () = acc in
-        int_f "fuzz" n j)
-      (Ok ())
-      [
-        "seed"; "count"; "gen_version"; "size"; "jobs"; "passed"; "skipped";
-        "failed"; "pool_compiles"; "cache_hits";
-      ]
-  in
-  let* () = str_f "fuzz" "arch" j in
-  let* () =
-    match Json.member "mutate" j with
-    | Some (Json.Bool _) -> Ok ()
-    | _ -> Error "missing boolean field \"mutate\""
-  in
-  let* () =
-    match Json.member "seconds" j with
-    | Some (Json.Float _ | Json.Int _) -> Ok ()
-    | _ -> Error "missing number field \"seconds\""
-  in
-  let* () =
-    match Json.member "distribution" j with
-    | Some (Json.Obj _ as d) ->
-      List.fold_left
-        (fun acc n ->
-          let* () = acc in
-          int_f "distribution" n d)
-        (Ok ())
-        [
-          "programs"; "with_try"; "with_alias"; "with_null"; "with_loop";
-          "recursive"; "instrs_total";
-        ]
-    | _ -> Error "missing object field \"distribution\""
-  in
-  match Json.member "failures" j with
-  | Some (Json.List rows) ->
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let* () = int_f "failure" "seed" row in
-        let* () = str_f "failure" "oracle" row in
-        let* () = str_f "failure" "config" row in
-        str_f "failure" "detail" row)
-      (Ok ()) rows
-  | _ -> Error "missing list field \"failures\""
 
 (* ------------------------------------------------------------------ *)
 (* Corpus entries                                                      *)

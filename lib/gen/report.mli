@@ -5,10 +5,9 @@
 
 module Json = Nullelim_obs.Obs_json
 
-val schema : string
-(** ["nullelim-fuzz/1"]. *)
-
-val schema_version : int
+val doc : Nullelim_obs.Doc.t
+(** ["nullelim-fuzz/1"], member ["fuzz"].  The bench container's
+    ["fuzz"] member is a different, schema-less throughput record. *)
 
 type failure_row = {
   fr_seed : int;             (** per-program seed — regenerates the input *)
@@ -55,7 +54,6 @@ val program_to_string : Nullelim_ir.Ir.program -> string
     shrunk-reproducer payload of a failure row. *)
 
 val to_json : t -> Json.t
-val validate : Json.t -> (unit, string) result
 
 (** {1 Corpus entries} *)
 

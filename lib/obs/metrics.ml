@@ -1,5 +1,5 @@
 (** Typed metrics registry: counters, gauges and histograms with labels,
-    and one stable JSON snapshot schema (see {!schema_version}).
+    and one stable JSON snapshot schema (see {!doc}).
 
     This is the single sink that unifies the instrumentation that used to
     live in three ad-hoc shapes (the pass manager's timing/counter
@@ -70,8 +70,6 @@ type t = {
 type counter = int ref          (* the calling domain's cell *)
 type gauge = float Atomic.t     (* shared across domains *)
 type histogram = hcells         (* the calling domain's cells *)
-
-let schema_version = 1
 
 let create () : t =
   {
@@ -333,6 +331,41 @@ let percentile (r : t) ?labels name q : float =
 let labels_json (labels : labels) : Obs_json.t =
   Obs_json.Obj (List.map (fun (k, v) -> (k, Obs_json.Str v)) labels)
 
+(* ------------------------------------------------------------------ *)
+(* Schema validation                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let doc =
+  Doc.v ~name:"metrics" "nullelim-metrics/1" @@ fun j ->
+  let ( let* ) = Result.bind in
+  let number_or_null name o =
+    match Obs_json.member name o with
+    | Some Obs_json.Null -> Ok ()
+    | _ -> Doc.fields Num [ name ] o
+  in
+  let series check o =
+    match (Obs_json.member "name" o, Obs_json.member "labels" o) with
+    | Some (Obs_json.Str _), Some (Obs_json.Obj kvs) ->
+      if List.for_all (function _, Obs_json.Str _ -> true | _ -> false) kvs
+      then check o
+      else Error "labels values must be strings"
+    | _ -> Error "entry missing name/labels"
+  in
+  let* () = Doc.each "counters" (series (Doc.fields Int [ "value" ])) j in
+  let* () = Doc.each "gauges" (series (number_or_null "value")) j in
+  Doc.each "histograms"
+    (series (fun o ->
+         let* () = Doc.fields Int [ "count" ] o in
+         let* () = number_or_null "sum" o in
+         Doc.each "buckets"
+           (fun b ->
+             let* () = Doc.fields Int [ "count" ] b in
+             match Obs_json.member "le" b with
+             | Some (Obs_json.Str "+Inf") -> Ok ()
+             | _ -> Doc.fields Num [ "le" ] b)
+           o))
+    j
+
 let snapshot (r : t) : Obs_json.t =
   (* deterministic order: sorted by (name, labels); values merged across
      every domain's shard *)
@@ -377,93 +410,9 @@ let snapshot (r : t) : Obs_json.t =
               ])
           :: !histograms)
     keys;
-  Obs_json.Obj
+  Doc.obj doc
     [
-      ("schema_version", Obs_json.Int schema_version);
       ("counters", Obs_json.List (List.rev !counters));
       ("gauges", Obs_json.List (List.rev !gauges));
       ("histograms", Obs_json.List (List.rev !histograms));
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let validate (j : Obs_json.t) : (unit, string) result =
-  let ( let* ) r f = Result.bind r f in
-  let str_labels = function
-    | Obs_json.Obj kvs ->
-      if List.for_all (function _, Obs_json.Str _ -> true | _ -> false) kvs
-      then Ok ()
-      else Error "labels values must be strings"
-    | _ -> Error "labels must be an object"
-  in
-  let check_series kind check_extra = function
-    | Obs_json.Obj _ as o -> (
-      match (Obs_json.member "name" o, Obs_json.member "labels" o) with
-      | Some (Obs_json.Str _), Some labels ->
-        let* () = str_labels labels in
-        check_extra o
-      | _ -> Error (kind ^ " entry missing name/labels"))
-    | _ -> Error (kind ^ " entry must be an object")
-  in
-  let all kind check_extra xs =
-    List.fold_left
-      (fun acc x -> let* () = acc in check_series kind check_extra x)
-      (Ok ()) xs
-  in
-  let list_member name o =
-    match Obs_json.member name o with
-    | Some (Obs_json.List xs) -> Ok xs
-    | Some _ -> Error (name ^ " must be a list")
-    | None -> Error ("missing " ^ name)
-  in
-  match j with
-  | Obs_json.Obj _ -> (
-    match Obs_json.member "schema_version" j with
-    | Some (Obs_json.Int v) when v = schema_version ->
-      let* cs = list_member "counters" j in
-      let* gs = list_member "gauges" j in
-      let* hs = list_member "histograms" j in
-      let* () =
-        all "counter"
-          (fun o ->
-            match Obs_json.member "value" o with
-            | Some (Obs_json.Int _) -> Ok ()
-            | _ -> Error "counter value must be an integer")
-          cs
-      in
-      let* () =
-        all "gauge"
-          (fun o ->
-            match Obs_json.member "value" o with
-            | Some (Obs_json.Float _ | Obs_json.Int _ | Obs_json.Null) -> Ok ()
-            | _ -> Error "gauge value must be a number")
-          gs
-      in
-      all "histogram"
-        (fun o ->
-          match
-            (Obs_json.member "count" o, Obs_json.member "sum" o,
-             Obs_json.member "buckets" o)
-          with
-          | Some (Obs_json.Int _),
-            Some (Obs_json.Float _ | Obs_json.Int _ | Obs_json.Null),
-            Some (Obs_json.List bs) ->
-            if
-              List.for_all
-                (fun b ->
-                  match (Obs_json.member "le" b, Obs_json.member "count" b) with
-                  | Some (Obs_json.Float _ | Obs_json.Int _ | Obs_json.Str "+Inf"),
-                    Some (Obs_json.Int _) ->
-                    true
-                  | _ -> false)
-                bs
-            then Ok ()
-            else Error "histogram bucket must have le + integer count"
-          | _ -> Error "histogram entry missing count/sum/buckets")
-        hs
-    | Some (Obs_json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d (want %d)" v schema_version)
-    | _ -> Error "missing schema_version")
-  | _ -> Error "metrics snapshot must be an object"

@@ -29,9 +29,6 @@ type counter
 type gauge
 type histogram
 
-val schema_version : int
-(** Version stamped into (and required of) every snapshot. *)
-
 val create : unit -> t
 (** A fresh, empty registry. *)
 
@@ -131,11 +128,11 @@ val percentile_of :
     bucket/count pair — e.g. on a {e windowed delta} of two
     {!histogram_merged} samples (the SLO evaluator's case). *)
 
+val doc : Doc.t
+(** ["nullelim-metrics/1"], member ["metrics"]: the snapshot schema. *)
+
 val snapshot : t -> Obs_json.t
-(** Deterministic merged snapshot (all domains' shards summed):
-    [{"schema_version":N,"counters":[{"name","labels","value"}...],
+(** Deterministic merged snapshot (all domains' shards summed): the
+    {!doc} header, then [{"counters":[{"name","labels","value"}...],
       "gauges":[...],"histograms":[{"name","labels","count","sum",
       "buckets":[{"le","count"}...]}...]}]. *)
-
-val validate : Obs_json.t -> (unit, string) result
-(** Structural validation of a snapshot against the schema above. *)

@@ -146,11 +146,37 @@ let total_hits t kind =
     t.site_tbl 0
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot                                                            *)
+(* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let schema = "nullelim-profile/2"
-let schema_version = 2
+let doc =
+  Doc.v ~name:"profile" "nullelim-profile/2" @@ fun j ->
+  let ( let* ) = Result.bind in
+  let* () =
+    Doc.each "sites"
+      (fun row ->
+        let* () =
+          Doc.fields Int [ "site"; "tier"; "hits"; "npe"; "traps"; "misses" ] row
+        in
+        let* () = Doc.fields Str [ "func"; "kind" ] row in
+        match Obs_json.member "kind" row with
+        | Some (Obs_json.Str k) when kind_of_string k = None ->
+          Error (Printf.sprintf "unknown check kind %S" k)
+        | _ -> Ok ())
+      j
+  in
+  let* () =
+    Doc.each "blocks"
+      (fun row ->
+        let* () = Doc.fields Str [ "func" ] row in
+        Doc.fields Int [ "block"; "count"; "spec_reads" ] row)
+      j
+  in
+  Doc.fields Int [ "other_traps" ] j
+
+(* ------------------------------------------------------------------ *)
+(* Snapshot                                                            *)
+(* ------------------------------------------------------------------ *)
 
 let to_json t : Obs_json.t =
   let site_json (r : site_row) =
@@ -175,85 +201,9 @@ let to_json t : Obs_json.t =
         ("spec_reads", Obs_json.Int r.br_spec_reads);
       ]
   in
-  Obs_json.Obj
+  Doc.obj doc
     [
-      ("schema", Obs_json.Str schema);
-      ("schema_version", Obs_json.Int schema_version);
       ("sites", Obs_json.List (List.map site_json (sites t)));
       ("blocks", Obs_json.List (List.map block_json (blocks t)));
       ("other_traps", Obs_json.Int t.other);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Validation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let validate (j : Obs_json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let int_field obj name =
-    match Obs_json.member name obj with
-    | Some (Obs_json.Int _) -> Ok ()
-    | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let str_field obj name =
-    match Obs_json.member name obj with
-    | Some (Obs_json.Str _) -> Ok ()
-    | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let* () =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.Str s) when s = schema -> Ok ()
-    | Some (Obs_json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | Some _ -> Error "field \"schema\" must be a string"
-    | None -> Error "missing field \"schema\""
-  in
-  let* () =
-    match Obs_json.member "schema_version" j with
-    | Some (Obs_json.Int v) when v = schema_version -> Ok ()
-    | Some (Obs_json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d" v)
-    | Some _ -> Error "field \"schema_version\" must be an integer"
-    | None -> Error "missing field \"schema_version\""
-  in
-  let* () =
-    match Obs_json.member "sites" j with
-    | Some (Obs_json.List rows) ->
-      List.fold_left
-        (fun acc row ->
-          let* () = acc in
-          let* () = int_field row "site" in
-          let* () = str_field row "func" in
-          let* () =
-            match Obs_json.member "kind" row with
-            | Some (Obs_json.Str k) -> (
-              match kind_of_string k with
-              | Some _ -> Ok ()
-              | None -> Error (Printf.sprintf "unknown check kind %S" k))
-            | _ -> Error "site row: field \"kind\" must be a string"
-          in
-          let* () = int_field row "tier" in
-          let* () = int_field row "hits" in
-          let* () = int_field row "npe" in
-          let* () = int_field row "traps" in
-          int_field row "misses")
-        (Ok ()) rows
-    | Some _ -> Error "field \"sites\" must be a list"
-    | None -> Error "missing field \"sites\""
-  in
-  let* () =
-    match Obs_json.member "blocks" j with
-    | Some (Obs_json.List rows) ->
-      List.fold_left
-        (fun acc row ->
-          let* () = acc in
-          let* () = str_field row "func" in
-          let* () = int_field row "block" in
-          let* () = int_field row "count" in
-          int_field row "spec_reads")
-        (Ok ()) rows
-    | Some _ -> Error "field \"blocks\" must be a list"
-    | None -> Error "missing field \"blocks\""
-  in
-  int_field j "other_traps"

@@ -74,19 +74,13 @@ val total_hits : t -> check_kind -> int
 
 (** {1 Snapshot schema} *)
 
-val schema : string
-(** ["nullelim-profile/2"] — /2 added the per-site [tier] dimension. *)
-
-val schema_version : int
+val doc : Doc.t
+(** ["nullelim-profile/2"], member ["profile"] — /2 added the per-site
+    [tier] dimension. *)
 
 val to_json : t -> Obs_json.t
-(** [{"schema": "nullelim-profile/2", "schema_version": 2,
-      "sites": [...], "blocks": [...], "other_traps": n}] with rows in
-    the {!sites}/{!blocks} order — deterministic for a deterministic
-    run. *)
-
-val validate : Obs_json.t -> (unit, string) result
-(** Structural validation of a snapshot (or of a document embedding one
-    under a ["profile"] key is the caller's concern). *)
+(** The {!doc} header, then [{"sites": [...], "blocks": [...],
+    "other_traps": n}] with rows in the {!sites}/{!blocks} order —
+    deterministic for a deterministic run. *)
 
 val kind_to_string : check_kind -> string

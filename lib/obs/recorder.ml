@@ -145,9 +145,6 @@ type t = {
   rcap : int;
 }
 
-let schema = "nullelim-flight/1"
-let schema_version = 1
-
 let create ?(capacity = default_capacity) () : t =
   if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
   let owner = Rings.create () in
@@ -236,37 +233,9 @@ let event_to_json (e : event) : Obs_json.t =
       ("parent", Obs_json.Int e.ev_ctx.Ctx.cx_parent);
     ]
 
-let to_json (t : t) : Obs_json.t =
-  let d = dropped t in
-  Obs_json.Obj
-    ([
-       ("schema", Obs_json.Str schema);
-       ("schema_version", Obs_json.Int schema_version);
-       ("capacity", Obs_json.Int t.rcap);
-       ("dropped", Obs_json.Int d);
-     ]
-    @ (if d > 0 then
-         [
-           ( "warning",
-             Obs_json.Str
-               (Printf.sprintf
-                  "%d events were overwritten before this dump; the oldest \
-                   part of the timeline is incomplete (raise the recorder \
-                   capacity to retain more)"
-                  d) );
-         ]
-       else [])
-    @ [ ("events", Obs_json.List (List.map event_to_json (dump t))) ])
-
-let validate (j : Obs_json.t) : (unit, string) result =
+let doc =
+  Doc.v ~name:"flight" "nullelim-flight/1" @@ fun j ->
   let ( let* ) r f = Result.bind r f in
-  let* () =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.Str s) when s = schema -> Ok ()
-    | Some (Obs_json.Str s) ->
-      Error (Printf.sprintf "unsupported schema %s (want %s)" s schema)
-    | _ -> Error "missing schema"
-  in
   let* () =
     match (Obs_json.member "capacity" j, Obs_json.member "dropped" j) with
     | Some (Obs_json.Int c), Some (Obs_json.Int d) when c >= 1 && d >= 0 ->
@@ -329,6 +298,63 @@ let validate (j : Obs_json.t) : (unit, string) result =
     let* _ = List.fold_left check_event (Ok neg_infinity) evs in
     Ok ()
   | _ -> Error "missing events list"
+
+let to_json (t : t) : Obs_json.t =
+  let d = dropped t in
+  Doc.obj doc
+    ([ ("capacity", Obs_json.Int t.rcap); ("dropped", Obs_json.Int d) ]
+    @ (if d > 0 then
+         [
+           ( "warning",
+             Obs_json.Str
+               (Printf.sprintf
+                  "%d events were overwritten before this dump; the oldest \
+                   part of the timeline is incomplete (raise the recorder \
+                   capacity to retain more)"
+                  d) );
+         ]
+       else [])
+    @ [ ("events", Obs_json.List (List.map event_to_json (dump t))) ])
+
+let events_of_json (j : Obs_json.t) : (event list * int, string) result =
+  let int_of name ~default e =
+    match Obs_json.member name e with Some (Obs_json.Int i) -> i | _ -> default
+  in
+  let event e =
+    let ts =
+      match Obs_json.member "ts" e with
+      | Some (Obs_json.Float f) -> f
+      | _ -> float_of_int (int_of "ts" ~default:0 e)
+    in
+    let kind =
+      match Obs_json.member "kind" e with
+      | Some (Obs_json.Str k) -> kind_of_name k
+      | _ -> None
+    in
+    {
+      ev_ts = ts;
+      ev_domain = int_of "domain" ~default:0 e;
+      ev_kind = Option.get kind;
+      ev_a = int_of "a" ~default:0 e;
+      ev_b = int_of "b" ~default:0 e;
+      ev_ctx =
+        {
+          Ctx.cx_tenant = int_of "tenant" ~default:(-1) e;
+          cx_request = int_of "request" ~default:(-1) e;
+          cx_span = int_of "span" ~default:(-1) e;
+          cx_parent = int_of "parent" ~default:(-1) e;
+        };
+    }
+  in
+  Result.map
+    (fun () ->
+      let evs =
+        match Obs_json.member "events" j with
+        | Some (Obs_json.List evs) -> evs
+        | _ -> []
+      in
+      (List.map event evs, int_of "dropped" ~default:0 j))
+    (Doc.validate doc j)
 
 let to_trace (t : t) : Trace.event list =
   match dump t with

@@ -87,19 +87,21 @@ val kind_name : kind -> string
 val kind_of_name : string -> kind option
 (** Inverse of {!kind_name} ([None] for unknown names). *)
 
-val schema : string
-(** ["nullelim-flight/1"]. *)
+val doc : Doc.t
+(** ["nullelim-flight/1"], member ["flight"] (context fields are
+    optional for pre-context dumps). *)
 
 val to_json : t -> Obs_json.t
-(** [{"schema":"nullelim-flight/1","schema_version":1,"capacity":C,
-      "dropped":D,"events":[{"ts","domain","kind","a","b",
+(** The {!doc} header, then [{"capacity":C,"dropped":D,
+      "events":[{"ts","domain","kind","a","b",
       "tenant","request","span","parent"}…]}] with events as in
     {!dump}.  When [D > 0] a ["warning"] string member calls out that
     the oldest part of the timeline was overwritten. *)
 
-val validate : Obs_json.t -> (unit, string) result
-(** Structural validation of a {!to_json} document (context fields are
-    optional for pre-context dumps). *)
+val events_of_json : Obs_json.t -> (event list * int, string) result
+(** Inverse of {!to_json}: validate a flight document, then return its
+    events in order and its dropped count (missing context fields
+    decode as [-1]). *)
 
 val to_trace : t -> Trace.event list
 (** The retained events as zero-duration Chrome trace instants

@@ -191,9 +191,6 @@ let evaluate ?now (t : t) : report list =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let schema = "nullelim-slo/1"
-let schema_version = 1
-
 let kind_name = function
   | Latency _ -> "latency"
   | Availability _ -> "availability"
@@ -226,43 +223,14 @@ let report_to_json (r : report) : Obs_json.t =
         ("long_total", Obs_json.Int r.r_long_total);
       ])
 
-let to_json ?now (t : t) : Obs_json.t =
-  let reports = evaluate ?now t in
-  let worst =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r.r_status) with
-        | Failing, _ | _, Failing -> Failing
-        | Degraded, _ | _, Degraded -> Degraded
-        | Healthy, Healthy -> Healthy)
-      Healthy reports
-  in
-  Obs_json.Obj
-    [
-      ("schema", Obs_json.Str schema);
-      ("schema_version", Obs_json.Int schema_version);
-      ("short_window", Obs_json.Float t.short_window);
-      ("long_window", Obs_json.Float t.long_window);
-      ("degraded_burn", Obs_json.Float t.degraded_burn);
-      ("failing_burn", Obs_json.Float t.failing_burn);
-      ("status", Obs_json.Str (status_name worst));
-      ("objectives", Obs_json.List (List.map report_to_json reports));
-    ]
-
-let validate (j : Obs_json.t) : (unit, string) result =
+let doc =
+  Doc.v ~name:"slo" "nullelim-slo/1" @@ fun j ->
   let ( let* ) r f = Result.bind r f in
   let num name o =
     match Obs_json.member name o with
     | Some (Obs_json.Float f) -> Ok f
     | Some (Obs_json.Int i) -> Ok (float_of_int i)
     | _ -> Error (Printf.sprintf "missing numeric %s" name)
-  in
-  let* () =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.Str s) when s = schema -> Ok ()
-    | Some (Obs_json.Str s) ->
-      Error (Printf.sprintf "unsupported schema %s (want %s)" s schema)
-    | _ -> Error "missing schema"
   in
   let* sw = num "short_window" j in
   let* lw = num "long_window" j in
@@ -320,3 +288,24 @@ let validate (j : Obs_json.t) : (unit, string) result =
         check o)
       (Ok ()) objs
   | _ -> Error "missing objectives list"
+
+let to_json ?now (t : t) : Obs_json.t =
+  let reports = evaluate ?now t in
+  let worst =
+    List.fold_left
+      (fun acc r ->
+        match (acc, r.r_status) with
+        | Failing, _ | _, Failing -> Failing
+        | Degraded, _ | _, Degraded -> Degraded
+        | Healthy, Healthy -> Healthy)
+      Healthy reports
+  in
+  Doc.obj doc
+    [
+      ("short_window", Obs_json.Float t.short_window);
+      ("long_window", Obs_json.Float t.long_window);
+      ("degraded_burn", Obs_json.Float t.degraded_burn);
+      ("failing_burn", Obs_json.Float t.failing_burn);
+      ("status", Obs_json.Str (status_name worst));
+      ("objectives", Obs_json.List (List.map report_to_json reports));
+    ]

@@ -93,16 +93,13 @@ val evaluate : ?now:float -> t -> report list
 (** Burn rates and classification per objective, from the recorded
     samples (does not itself sample — {!tick} first). *)
 
-val schema : string
-(** ["nullelim-slo/1"]. *)
+val doc : Doc.t
+(** ["nullelim-slo/1"], member ["slo"]. *)
 
 val to_json : ?now:float -> t -> Obs_json.t
-(** [{"schema":"nullelim-slo/1","schema_version":1,"short_window":…,
+(** The {!doc} header, then [{"short_window":…,
       "long_window":…,"degraded_burn":…,"failing_burn":…,
       "status":worst-of-all,"objectives":[{"name","kind","target",
       kind-specific members,"status","short_burn","long_burn",
       "short_total","long_total"}…]}].  Infinite burns (target = 1
     with any error) serialize as [1e18]. *)
-
-val validate : Obs_json.t -> (unit, string) result
-(** Structural validation of a {!to_json} document. *)

@@ -153,9 +153,6 @@ let check_complete ?(dropped = 0) (tls : t list) : (unit, string) result =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let schema = "nullelim-timeline/1"
-let schema_version = 1
-
 let opt_f name = function
   | None -> []
   | Some v -> [ (name, Obs_json.Float v) ]
@@ -193,30 +190,9 @@ let timeline_to_json (tl : t) : Obs_json.t =
                tl.tl_events) );
       ])
 
-let to_json ?(dropped = 0) (tls : t list) : Obs_json.t =
-  let phases = List.map phase tls in
-  let count p = List.length (List.filter (( = ) p) phases) in
-  Obs_json.Obj
-    [
-      ("schema", Obs_json.Str schema);
-      ("schema_version", Obs_json.Int schema_version);
-      ("dropped", Obs_json.Int dropped);
-      ("requests", Obs_json.Int (List.length tls));
-      ("completed", Obs_json.Int (count Completed));
-      ("shed", Obs_json.Int (count Shed));
-      ("inflight", Obs_json.Int (count Inflight));
-      ("timelines", Obs_json.List (List.map timeline_to_json tls));
-    ]
-
-let validate (j : Obs_json.t) : (unit, string) result =
+let doc =
+  Doc.v ~name:"timelines" "nullelim-timeline/1" @@ fun j ->
   let ( let* ) r f = Result.bind r f in
-  let* () =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.Str s) when s = schema -> Ok ()
-    | Some (Obs_json.Str s) ->
-      Error (Printf.sprintf "unsupported schema %s (want %s)" s schema)
-    | _ -> Error "missing schema"
-  in
   let int_ge0 name =
     match Obs_json.member name j with
     | Some (Obs_json.Int i) when i >= 0 -> Ok i
@@ -274,3 +250,16 @@ let validate (j : Obs_json.t) : (unit, string) result =
     in
     if n = total then Ok () else Error "requests count <> timelines length"
   | _ -> Error "missing timelines list"
+
+let to_json ?(dropped = 0) (tls : t list) : Obs_json.t =
+  let phases = List.map phase tls in
+  let count p = List.length (List.filter (( = ) p) phases) in
+  Doc.obj doc
+    [
+      ("dropped", Obs_json.Int dropped);
+      ("requests", Obs_json.Int (List.length tls));
+      ("completed", Obs_json.Int (count Completed));
+      ("shed", Obs_json.Int (count Shed));
+      ("inflight", Obs_json.Int (count Inflight));
+      ("timelines", Obs_json.List (List.map timeline_to_json tls));
+    ]

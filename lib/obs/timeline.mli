@@ -47,17 +47,14 @@ val check_complete : ?dropped:int -> t list -> (unit, string) result
     were overwritten by design, so the check vacuously passes (the
     flight dump's ["warning"] member reports the loss instead). *)
 
-val schema : string
-(** ["nullelim-timeline/1"]. *)
+val doc : Doc.t
+(** ["nullelim-timeline/1"], member ["timelines"]; the check includes
+    the [completed + shed + inflight = requests] tie-out. *)
 
 val to_json : ?dropped:int -> t list -> Obs_json.t
-(** [{"schema":"nullelim-timeline/1","schema_version":1,"dropped":D,
+(** The {!doc} header, then [{"dropped":D,
       "requests":N,"completed":C,"shed":S,"inflight":I,
       "timelines":[{"request","tenant","phase",optional
       "enqueue_ts"/"dequeue_ts"/"done_ts"/"shed_ts"/"queue_wait"/
       "service_time"/"total_latency","spans":[{"ts","domain","kind",
       "span","parent"}…]}…]}]. *)
-
-val validate : Obs_json.t -> (unit, string) result
-(** Structural validation of a {!to_json} document, including the
-    [completed + shed + inflight = requests] tie-out. *)

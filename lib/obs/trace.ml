@@ -147,6 +147,27 @@ let write path events =
   output_char oc '\n';
   close_out oc
 
+let validate (j : Obs_json.t) : (unit, string) result =
+  match Obs_json.member "traceEvents" j with
+  | Some (Obs_json.List evs) ->
+    if
+      List.for_all
+        (fun e ->
+          match
+            ( Obs_json.member "name" e,
+              Obs_json.member "ph" e,
+              Obs_json.member "ts" e )
+          with
+          | Some (Obs_json.Str _), Some (Obs_json.Str _),
+            Some (Obs_json.Float _ | Obs_json.Int _) ->
+            true
+          | _ -> false)
+        evs
+    then Ok ()
+    else Error "trace event missing name/ph/ts"
+  | Some _ -> Error "traceEvents must be a list"
+  | None -> Error "missing field \"traceEvents\""
+
 let stop () =
   let st = state () in
   match st.active with

@@ -52,3 +52,7 @@ val to_json : event list -> Obs_json.t
 
 val write : string -> event list -> unit
 (** [write path events] writes {!to_json} to [path]. *)
+
+val validate : Obs_json.t -> (unit, string) result
+(** Structural check of a trace-event file: a ["traceEvents"] list
+    whose events all carry [name], [ph] and a numeric [ts]. *)

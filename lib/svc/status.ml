@@ -11,6 +11,7 @@ module Export = Nullelim_obs.Export
 module Slo = Nullelim_obs.Slo
 module Timeline = Nullelim_obs.Timeline
 module Json = Nullelim_obs.Obs_json
+module Doc = Nullelim_obs.Doc
 
 type response = {
   rs_status : int;
@@ -225,6 +226,28 @@ let stop (t : t) : unit =
 (* The observability routes                                            *)
 (* ------------------------------------------------------------------ *)
 
+let tenants_doc =
+  Doc.v ~name:"tenants" "nullelim-tenants/1"
+  @@ Doc.each "tenants" (fun t ->
+         let ( let* ) = Result.bind in
+         let* () = Doc.fields Str [ "tenant" ] t in
+         let* () = Doc.fields Int [ "submitted"; "completed"; "shed" ] t in
+         let negative n =
+           match Json.member n t with Some (Json.Int c) -> c < 0 | _ -> false
+         in
+         let number_or_null n =
+           match Json.member n t with
+           | Some Json.Null -> Ok ()
+           | _ -> Doc.fields Num [ n ] t
+         in
+         let* () =
+           if List.exists negative [ "submitted"; "completed"; "shed" ] then
+             Error "negative request count"
+           else Ok ()
+         in
+         let* () = number_or_null "queue_wait_p99" in
+         number_or_null "compile_p99")
+
 let tenants_json (metrics : Metrics.t) : Json.t =
   let tenants = Metrics.label_values metrics "svc_requests_submitted_total" "tenant" in
   let per_tenant tenant =
@@ -257,10 +280,8 @@ let tenants_json (metrics : Metrics.t) : Json.t =
         ("compile_p99", p99 "svc_compile_seconds");
       ]
   in
-  Json.Obj
+  Doc.obj tenants_doc
     [
-      ("schema", Json.Str "nullelim-tenants/1");
-      ("schema_version", Json.Int 1);
       ("tenants", Json.List (List.map per_tenant tenants));
     ]
 

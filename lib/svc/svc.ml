@@ -440,47 +440,6 @@ let compile_all (t : t) (jobs : job list) : outcome list =
     match !first_error with Some e -> raise e | None -> !out
   end
 
-(* Corpus-scale driver: the job stream is produced lazily (a fuzzing
-   corpus of thousands of programs must not be resident all at once) in
-   flights of [flight] groups; each flight is compiled on the pool, then
-   the folder consumes the flight's outcomes group by group *while the
-   pool is idle* — which is what makes it safe for the folder to flip
-   process-global compiler knobs (e.g. [Solver.use_reference] for a
-   reference-solver differential) without racing worker domains.  A
-   flight's artifacts become garbage as soon as the folder returns, so
-   resident memory is bounded by the flight size, not the corpus. *)
-let compile_fold (t : t) ?(flight = 8) ~(count : int) ~(init : 'a)
-    ~(f : 'a -> int -> outcome list -> 'a) (produce : int -> job list) : 'a =
-  if flight <= 0 then invalid_arg "Svc.compile_fold: flight must be positive";
-  let acc = ref init in
-  let base = ref 0 in
-  while !base < count do
-    let hi = min count (!base + flight) in
-    let groups =
-      List.init (hi - !base) (fun k ->
-          let i = !base + k in
-          (i, produce i))
-    in
-    let outcomes = compile_all t (List.concat_map snd groups) in
-    let rest = ref outcomes in
-    List.iter
-      (fun (i, gjobs) ->
-        let n = List.length gjobs in
-        let rec take k taken l =
-          if k = 0 then (List.rev taken, l)
-          else
-            match l with
-            | [] -> assert false (* compile_all preserves length and order *)
-            | x :: tl -> take (k - 1) (x :: taken) tl
-        in
-        let mine, tl = take n [] !rest in
-        rest := tl;
-        acc := f !acc i mine)
-      groups;
-    base := hi
-  done;
-  !acc
-
 (* ------------------------------------------------------------------ *)
 (* Asynchronous single-job recompilation (tiered execution)            *)
 (* ------------------------------------------------------------------ *)

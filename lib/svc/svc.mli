@@ -214,30 +214,6 @@ val compile_serial : ?cache:cache -> job list -> outcome list
     calling domain, no queue and no workers.  Differential tests
     compare {!compile_all} against this. *)
 
-val compile_fold :
-  t ->
-  ?flight:int ->
-  count:int ->
-  init:'a ->
-  f:('a -> int -> outcome list -> 'a) ->
-  (int -> job list) ->
-  'a
-(** [compile_fold t ~count ~init ~f produce] drives a corpus-scale
-    stream of [count] job {e groups} through the pool in flights of
-    [flight] groups (default 8): [produce i] is called lazily for each
-    group index, the flight's jobs are compiled via {!compile_all}, and
-    [f acc i outcomes] folds each group's outcomes in index order.
-
-    The folder runs between flights, while the pool is {e idle} — it may
-    therefore safely flip process-global compiler knobs (e.g. the
-    reference-solver switch) for its own same-domain compiles.  A
-    flight's artifacts are dropped as soon as its groups are folded, so
-    resident memory is bounded by the flight size, not the corpus.
-
-    @raise Invalid_argument if [flight <= 0] or the service has been
-    shut down; a job whose compilation raised re-raises as in
-    {!compile_all}. *)
-
 type future
 (** An in-flight single-job recompilation submitted with
     {!recompile_async}. *)

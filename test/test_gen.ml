@@ -320,11 +320,10 @@ let test_serial_parallel_identity () =
   in
   let parallel =
     Svc.with_service ~domains:2 (fun t ->
-        List.rev
-          (Svc.compile_fold t ~flight:3 ~count:(List.length seeds) ~init:[]
-             ~f:(fun acc _i outcomes -> outcomes :: acc)
-             (fun i ->
-               Diff.jobs (Gen.generate ~seed:(List.nth seeds i) ()).Gen.g_program)))
+        List.map
+          (fun seed ->
+            Svc.compile_all t (Diff.jobs (Gen.generate ~seed ()).Gen.g_program))
+          seeds)
   in
   List.iteri
     (fun i (s, p) ->
@@ -370,14 +369,14 @@ let sample_report () : Fuzz_report.t =
 
 let test_report_schema_roundtrip () =
   let j = Fuzz_report.to_json (sample_report ()) in
-  (match Fuzz_report.validate j with
+  (match Obs.Doc.validate Fuzz_report.doc j with
   | Ok () -> ()
   | Error e -> Alcotest.failf "well-formed report rejected: %s" e);
   (* the validator is not a rubber stamp *)
   match Json.of_string "{\"schema\":\"bogus\"}" with
   | Error e -> Alcotest.failf "test JSON does not parse: %s" e
   | Ok bogus -> (
-    match Fuzz_report.validate bogus with
+    match Obs.Doc.validate Fuzz_report.doc bogus with
     | Ok () -> Alcotest.fail "bogus schema accepted"
     | Error _ -> ())
 

@@ -179,14 +179,22 @@ let test_flight_schema_roundtrip () =
   Recorder.record ~a:1 ~b:2 r Recorder.Tier_promote;
   Recorder.record ~a:3 r Recorder.Trap_fired;
   Recorder.record ~a:0 r Recorder.Cache_miss;
+  Recorder.record ~ctx:(Obs.Ctx.mint ~tenant:2 ~request:5 ()) ~a:5 r
+    Recorder.Req_enqueue;
   let j = Recorder.to_json r in
-  (match Recorder.validate j with
+  (match Obs.Doc.validate Recorder.doc j with
   | Ok () -> ()
   | Error e -> Alcotest.failf "flight self-validate: %s" e);
+  (* decoding gives back the dump *)
+  (match Recorder.events_of_json j with
+  | Ok (evs, dropped) ->
+    Alcotest.(check bool) "decoded events = dump" true (evs = Recorder.dump r);
+    Alcotest.(check int) "dropped" (Recorder.dropped r) dropped
+  | Error e -> Alcotest.failf "flight decode: %s" e);
   (* survives a print/parse cycle *)
   (match Json.of_string (Json.to_string j) with
   | Ok j2 -> (
-    match Recorder.validate j2 with
+    match Obs.Doc.validate Recorder.doc j2 with
     | Ok () -> ()
     | Error e -> Alcotest.failf "flight reparse-validate: %s" e)
   | Error e -> Alcotest.failf "flight reparse: %s" e);
@@ -211,11 +219,11 @@ let test_flight_schema_roundtrip () =
            fields)
     | _ -> Alcotest.fail "reparse shape"
   in
-  match Recorder.validate corrupt with
+  match Obs.Doc.validate Recorder.doc corrupt with
   | Ok () -> Alcotest.fail "corrupt kind must not validate"
   | Error _ -> ();
   (* trace conversion: one instant per retained event *)
-  Alcotest.(check int) "trace instants" 3
+  Alcotest.(check int) "trace instants" 4
     (List.length (Recorder.to_trace r))
 
 (* ------------------------------------------------------------------ *)
@@ -243,12 +251,12 @@ let test_loadgen_smoke () =
   Alcotest.(check bool) "saturation positive" true
     (t.LG.lg_saturation_throughput > 0.);
   let doc = LG.to_json t in
-  (match LG.validate doc with
+  (match Obs.Doc.validate LG.doc doc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "self-validate: %s" e);
   (match Json.of_string (Json.to_string doc) with
   | Ok j -> (
-    match LG.validate j with
+    match Obs.Doc.validate LG.doc j with
     | Ok () -> ()
     | Error e -> Alcotest.failf "reparse-validate: %s" e)
   | Error e -> Alcotest.failf "reparse: %s" e);

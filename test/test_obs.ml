@@ -110,21 +110,21 @@ let test_metrics_snapshot () =
   Alcotest.(check int) "hist count" 3 (Obs.Metrics.histogram_count h);
   let snap = Obs.Metrics.snapshot m in
   (* validates against the documented schema *)
-  (match Obs.Metrics.validate snap with
+  (match Obs.Doc.validate Obs.Metrics.doc snap with
   | Ok () -> ()
   | Error e -> Alcotest.failf "snapshot does not validate: %s" e);
   (* round-trips through the serializer and still validates *)
   (match Json.of_string (Json.to_string snap) with
   | Ok j ->
     Alcotest.(check bool) "snapshot round-trips" true (Json.equal snap j);
-    (match Obs.Metrics.validate j with
+    (match Obs.Doc.validate Obs.Metrics.doc j with
     | Ok () -> ()
     | Error e -> Alcotest.failf "re-parsed snapshot does not validate: %s" e)
   | Error e -> Alcotest.failf "snapshot does not parse: %s" e);
   (* schema_version is present and current *)
   match Json.member "schema_version" snap with
   | Some (Json.Int v) ->
-    Alcotest.(check int) "schema_version" Obs.Metrics.schema_version v
+    Alcotest.(check int) "schema_version" (Obs.Doc.version Obs.Metrics.doc) v
   | _ -> Alcotest.fail "missing schema_version"
 
 let test_metrics_kind_conflict () =
@@ -138,7 +138,7 @@ let test_metrics_kind_conflict () =
 let test_metrics_validate_rejects () =
   List.iter
     (fun j ->
-      match Obs.Metrics.validate j with
+      match Obs.Doc.validate Obs.Metrics.doc j with
       | Ok () -> Alcotest.fail "validated a malformed snapshot"
       | Error _ -> ())
     [
@@ -147,7 +147,11 @@ let test_metrics_validate_rejects () =
       Json.Obj [ ("schema_version", Json.Int 999) ];
       Json.Obj
         [
-          ("schema_version", Json.Int Obs.Metrics.schema_version);
+          ("schema", Json.Str (Obs.Doc.schema Obs.Metrics.doc));
+          ("schema_version", Json.Int 999);
+        ];
+      Obs.Doc.obj Obs.Metrics.doc
+        [
           ("counters", Json.List [ Json.Obj [ ("name", Json.Str "a") ] ]);
           ("gauges", Json.List []);
           ("histograms", Json.List []);
@@ -209,7 +213,7 @@ let test_metrics_hammer () =
     (* concurrent snapshots must stay well-formed while instruments are
        being registered and bumped under them *)
     for _ = 1 to 25 do
-      match Obs.Metrics.validate (Obs.Metrics.snapshot m) with
+      match Obs.Doc.validate Obs.Metrics.doc (Obs.Metrics.snapshot m) with
       | Ok () -> ()
       | Error e -> Alcotest.failf "mid-flight snapshot invalid: %s" e
     done
@@ -219,7 +223,7 @@ let test_metrics_hammer () =
   in
   List.iter Domain.join ds;
   let snap = Obs.Metrics.snapshot m in
-  (match Obs.Metrics.validate snap with
+  (match Obs.Doc.validate Obs.Metrics.doc snap with
   | Ok () -> ()
   | Error e -> Alcotest.failf "final snapshot invalid: %s" e);
   let expected = domains * iters in
@@ -421,7 +425,7 @@ let test_compile_metrics () =
     (List.length c.Compiler.decisions)
     (counter "decision_events");
   (* per-pass series exist and validate *)
-  (match Obs.Metrics.validate (Obs.Metrics.snapshot m) with
+  (match Obs.Doc.validate Obs.Metrics.doc (Obs.Metrics.snapshot m) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "compile metrics do not validate: %s" e);
   (* the interpreter can dump into the same registry *)

@@ -95,22 +95,20 @@ let test_profile_schema_roundtrip () =
   (match Json.of_string s with
   | Error e -> Alcotest.failf "profile snapshot does not reparse: %s" e
   | Ok j' -> (
-    match Obs.Profile.validate j' with
+    match Obs.Doc.validate Obs.Profile.doc j' with
     | Ok () -> ()
     | Error e -> Alcotest.failf "profile snapshot does not validate: %s" e));
   (* wrong schema string is rejected *)
   (match
-     Obs.Profile.validate
+     Obs.Doc.validate Obs.Profile.doc
        (Json.Obj [ ("schema", Json.Str "nullelim-profile/999") ])
    with
   | Ok () -> Alcotest.fail "bad schema accepted"
   | Error _ -> ());
   (* a site row with an unknown kind is rejected *)
   let corrupt =
-    Json.Obj
+    Obs.Doc.obj Obs.Profile.doc
       [
-        ("schema", Json.Str Obs.Profile.schema);
-        ("schema_version", Json.Int Obs.Profile.schema_version);
         ( "sites",
           Json.List
             [
@@ -129,7 +127,7 @@ let test_profile_schema_roundtrip () =
         ("other_traps", Json.Int 0);
       ]
   in
-  match Obs.Profile.validate corrupt with
+  match Obs.Doc.validate Obs.Profile.doc corrupt with
   | Ok () -> Alcotest.fail "unknown check kind accepted"
   | Error _ -> ()
 
@@ -139,10 +137,10 @@ let test_dynamic_schema () =
     List.map (fun cfg -> PR.collect ~scale:1 ~arch cfg w) PR.profile_configs
   in
   let dyn = PR.dynamic_json ~scale:1 [ runs ] in
-  (match PR.validate_dynamic dyn with
+  (match Obs.Doc.validate PR.dynamic_doc dyn with
   | Ok () -> ()
   | Error e -> Alcotest.failf "dynamic document does not validate: %s" e);
-  match PR.validate_dynamic (Json.Obj [ ("schema", Json.Str "nope") ]) with
+  match Obs.Doc.validate PR.dynamic_doc (Json.Obj [ ("schema", Json.Str "nope") ]) with
   | Ok () -> Alcotest.fail "bad dynamic schema accepted"
   | Error _ -> ()
 

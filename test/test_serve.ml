@@ -111,7 +111,7 @@ let test_obs_routes_live () =
       Alcotest.(check int) "/healthz healthy" 200 st;
       (match Json.of_string body with
       | Ok j -> (
-        match Slo.validate j with
+        match Obs.Doc.validate Slo.doc j with
         | Ok () -> ()
         | Error e -> Alcotest.failf "/healthz not nullelim-slo/1: %s" e)
       | Error e -> Alcotest.failf "/healthz not JSON: %s" e);
@@ -119,7 +119,7 @@ let test_obs_routes_live () =
       Alcotest.(check int) "/flight 200" 200 st;
       (match Json.of_string body with
       | Ok j -> (
-        match Recorder.validate j with
+        match Obs.Doc.validate Recorder.doc j with
         | Ok () -> ()
         | Error e -> Alcotest.failf "/flight not nullelim-flight/1: %s" e)
       | Error e -> Alcotest.failf "/flight not JSON: %s" e);
@@ -127,7 +127,7 @@ let test_obs_routes_live () =
       Alcotest.(check int) "/timelines 200" 200 st;
       (match Json.of_string body with
       | Ok j -> (
-        match Timeline.validate j with
+        match Obs.Doc.validate Timeline.doc j with
         | Ok () -> ()
         | Error e -> Alcotest.failf "/timelines not nullelim-timeline/1: %s" e)
       | Error e -> Alcotest.failf "/timelines not JSON: %s" e);
@@ -135,6 +135,9 @@ let test_obs_routes_live () =
       Alcotest.(check int) "/tenants 200" 200 st;
       match Json.of_string body with
       | Ok j -> (
+        (match Obs.Doc.validate Status.tenants_doc j with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "/tenants not nullelim-tenants/1: %s" e);
         match Json.member "tenants" j with
         | Some (Json.List (_ :: _)) -> ()
         | _ -> Alcotest.fail "/tenants lists no tenants")
@@ -207,7 +210,7 @@ let test_timelines_complete_4domain () =
       | _ -> Alcotest.fail "completed timeline missing spans")
     completed;
   (* the json document ties out *)
-  match Timeline.validate (Timeline.to_json ~dropped tls) with
+  match Obs.Doc.validate Timeline.doc (Timeline.to_json ~dropped tls) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "timeline doc invalid: %s" e
 

@@ -150,17 +150,17 @@ let test_slo_json_schema () =
   Metrics.inc bad 5;
   Slo.tick ~now:30. slo;
   let doc = Slo.to_json ~now:30. slo in
-  (match Slo.validate doc with
+  (match Obs.Doc.validate Slo.doc doc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "self-produced doc invalid: %s" e);
   (match Json.of_string (Json.to_string doc) with
   | Ok j -> (
-    match Slo.validate j with
+    match Obs.Doc.validate Slo.doc j with
     | Ok () -> ()
     | Error e -> Alcotest.failf "round-tripped doc invalid: %s" e)
   | Error e -> Alcotest.failf "doc does not reparse: %s" e);
   match Json.member "schema" doc with
-  | Some (Json.Str s) -> Alcotest.(check string) "schema" Slo.schema s
+  | Some (Json.Str s) -> Alcotest.(check string) "schema" (Obs.Doc.schema Slo.doc) s
   | _ -> Alcotest.fail "missing schema member"
 
 (* target = 1 leaves no error budget: any error is an infinite burn,
