@@ -288,14 +288,14 @@ let profiling_overhead () =
   let prog = w.W.build ~scale:1 in
   let c = Compiler.compile Config.new_full ~arch:Arch.ia32_windows prog in
   let time_runs ~profile n =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     for _ = 1 to n do
       let p = if profile then Some (Obs.Profile.create ()) else None in
       ignore
         (Interp.run ?profile:p ~fuel:1_000_000_000 ~arch:Arch.ia32_windows
            c.Compiler.program [])
     done;
-    (Unix.gettimeofday () -. t0) /. float_of_int n
+    (Obs.Clock.now () -. t0) /. float_of_int n
   in
   ignore (time_runs ~profile:false 3);
   let n = 20 in
@@ -344,10 +344,10 @@ let service_throughput () =
   in
   let n = List.length jobs in
   let time_batch ?cache ~domains () =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     ignore
       (Svc.with_service ~domains ?cache (fun t -> Svc.compile_all t jobs));
-    Unix.gettimeofday () -. t0
+    Obs.Clock.now () -. t0
   in
   ignore (time_batch ~domains:1 ()) (* warm up code + allocator *);
   let scaling =
@@ -412,7 +412,7 @@ let cache_contention () =
       Codecache.create ~budget_bytes:(1 lsl 20) ~shards ~size:(fun _ -> 64) ()
     in
     Array.iter (fun k -> Codecache.add cache ~key:k 0) keys;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     let worker d =
       Domain.spawn (fun () ->
           let n = Array.length keys in
@@ -424,7 +424,7 @@ let cache_contention () =
     in
     let ds = List.init domains worker in
     List.iter Domain.join ds;
-    Unix.gettimeofday () -. t0
+    Obs.Clock.now () -. t0
   in
   ignore (time ~shards:1) (* warm up *);
   let single = time ~shards:1 in
@@ -497,7 +497,7 @@ let fuzz_throughput () =
   section "Differential fuzzing: programs/sec through the oracle set"
     "fuzz harness";
   let n = 25 * scale in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   let passed = ref 0 and skipped = ref 0 in
   for seed = 1 to n do
     let g = Gen.generate ~seed () in
@@ -507,7 +507,7 @@ let fuzz_throughput () =
     | Diff.Fail f ->
       failwith (Fmt.str "fuzz bench: seed %d fails: %a" seed Diff.pp_failure f)
   done;
-  let s = Unix.gettimeofday () -. t0 in
+  let s = Obs.Clock.now () -. t0 in
   Fmt.pr "%d programs in %.2f s — %.1f programs/sec (%d passed, %d skipped)@."
     n s (float_of_int n /. Float.max 1e-9 s) !passed !skipped;
   { fb_programs = n; fb_seconds = s; fb_passed = !passed; fb_skipped = !skipped }
@@ -568,10 +568,7 @@ let solver_comparison () =
     (100. *. float_of_int t_wl /. float_of_int (max 1 t_rr))
     (if t_wl < t_rr then "" else "  ** WORKLIST NOT SPARSER **");
   (* per-pass worklist counters, sorted by key for stable output *)
-  let per_pass =
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) wl.Compiler.counters [])
-  in
+  let per_pass = Pipeline.counters wl.Compiler.records in
   Fmt.pr "@.per-pass worklist counters (pass#counter = value):@.";
   List.iter (fun (k, v) -> Fmt.pr "  %-42s %10d@." k v) per_pass;
   (wl, rr, per_pass)
@@ -809,7 +806,7 @@ let write_json path ~tables ~compile_rows ~breakdown ~deltas ~checks
         (* per-pass timing/solver metrics of the reference javac compile,
            in the versioned metrics-snapshot schema (validated in CI via
            `nullelim validate-json`) *)
-        ("metrics", Obs.Metrics.snapshot wl.Compiler.metrics);
+        ("metrics", Obs.Metrics.snapshot (Compiler.metrics wl));
       ]
   in
   let oc = open_out path in

@@ -77,34 +77,20 @@ let find_workload name =
     Fmt.epr "unknown workload %s; try `nullelim list'@." name;
     exit 2
 
-(** Per-pass table: wall time plus the solver-work counters that
-    accumulated under each pass name. *)
+(** Per-pass table: wall time and solver work summed under each pass
+    name, from the compile's pass records. *)
 let print_stats (compiled : Compiler.compiled) =
-  let timings = compiled.Compiler.timings
-  and counters = compiled.Compiler.counters in
-  let passes =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) timings [])
+  Fmt.pr "@.%-24s %5s %10s %8s %8s %10s %8s@." "pass" "runs" "seconds"
+    "solves" "visits" "transfers" "pushes";
+  let row name runs secs (s : Solver.stats) =
+    Fmt.pr "%-24s %5s %10.4f %8d %8d %10d %8d@." name runs secs s.Solver.solves
+      s.Solver.visits s.Solver.transfers s.Solver.pushes
   in
-  let counter pass which =
-    match Hashtbl.find_opt counters (pass ^ "#" ^ which) with
-    | Some n -> n
-    | None -> 0
-  in
-  Fmt.pr "@.%-24s %10s %8s %8s %10s %8s@." "pass" "seconds" "solves"
-    "visits" "transfers" "pushes";
   List.iter
-    (fun pass ->
-      Fmt.pr "%-24s %10.4f %8d %8d %10d %8d@." pass
-        (Hashtbl.find timings pass)
-        (counter pass "solves") (counter pass "visits")
-        (counter pass "transfers") (counter pass "pushes"))
-    passes;
-  Fmt.pr "%-24s %10.4f %8d %8d %10d %8d@." "total"
-    (Pipeline.total timings)
-    compiled.Compiler.solver.Solver.solves
-    compiled.Compiler.solver.Solver.visits
-    compiled.Compiler.solver.Solver.transfers
-    compiled.Compiler.solver.Solver.pushes;
+    (fun (pass, n, secs, s) -> row pass (string_of_int n) secs s)
+    (Pipeline.by_pass compiled.Compiler.records);
+  row "total" "" (Pipeline.total compiled.Compiler.records)
+    compiled.Compiler.solver;
   let summary = Obs.Decision.summary compiled.Compiler.decisions in
   Fmt.pr "@.decisions (%d events):@."
     (List.length compiled.Compiler.decisions);
@@ -538,14 +524,14 @@ let batch_cmd =
     let all_jobs = List.concat (List.init repeat (fun _ -> matrix)) in
     let cache = if use_cache then Some (Svc.create_cache ()) else None in
     let domains = if jobs > 0 then jobs else Svc.default_domains () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     let outcomes =
       Svc.with_service ~domains ?cache (fun t -> Svc.compile_all t all_jobs)
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Obs.Clock.now () -. t0 in
     let n = List.length outcomes in
     let hits = List.length (List.filter (fun o -> o.Svc.oc_cache_hit) outcomes) in
-    let compile_cpu =
+    let compile_time =
       List.fold_left
         (fun acc (o : Svc.outcome) ->
           acc +. o.Svc.oc_compiled.Compiler.compile_seconds)
@@ -557,7 +543,7 @@ let batch_cmd =
     Fmt.pr "arch / scale   : %s / %d@." arch.Arch.name scale;
     Fmt.pr "wall time      : %.4f s (%.1f jobs/sec)@." wall
       (float_of_int n /. Float.max 1e-9 wall);
-    Fmt.pr "compile cpu    : %.4f s summed over fresh compiles@." compile_cpu;
+    Fmt.pr "compile time   : %.4f s summed over fresh compiles@." compile_time;
     (match cache with
     | None -> Fmt.pr "cache          : off@."
     | Some c ->
@@ -825,7 +811,7 @@ let fuzz_cmd =
         | None -> incr passed));
       Hashtbl.remove gens i
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     let with_mutation body =
       if not mutate then body ()
       else begin
@@ -866,7 +852,7 @@ let fuzz_cmd =
           for i = 0 to count - 1 do
             settle i None
           done);
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Obs.Clock.now () -. t0 in
     let report =
       {
         Fuzz_report.fz_seed = master;

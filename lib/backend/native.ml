@@ -30,9 +30,8 @@ external stub_heap_reset : unit -> unit = "ne_stub_heap_reset"
 external stub_probe : unit -> bool = "ne_stub_probe"
 external stub_fork_unknown_pc : unit -> int = "ne_stub_fork_unknown_pc"
 external stub_fork_nested : unit -> int = "ne_stub_fork_nested"
-external stub_now_ns : unit -> int64 = "ne_stub_now_ns"
 
-let now_ns = stub_now_ns
+let now_ns = Nullelim_obs.Clock.now_ns
 let probe_guard = stub_probe
 let fork_unknown_pc = stub_fork_unknown_pc
 let fork_nested_trap = stub_fork_nested
@@ -250,9 +249,9 @@ let run ?(fuel = 400_000_000) (c : compiled) : run =
   with_lock (fun () ->
       stub_heap_reset ();
       let null_v = stub_init init_trap_area in
-      let t0 = stub_now_ns () in
+      let t0 = now_ns () in
       let pending, retk, ret = stub_exec c.nc_entry (Int64.of_int fuel) in
-      let t1 = stub_now_ns () in
+      let t1 = now_ns () in
       let trace =
         stub_events () |> Array.to_list
         |> List.map (event_of c.nc_emitted null_v)

@@ -118,4 +118,4 @@ val fork_nested_trap : unit -> int
     child's terminating signal number (expected: 6, SIGABRT). *)
 
 val now_ns : unit -> int64
-(** Monotonic clock, for benchmark timing.  Works on every platform. *)
+(** Alias of {!Nullelim_obs.Clock.now_ns}. *)

@@ -543,12 +543,3 @@ CAMLprim value ne_stub_fork_nested(value v) { (void)v; return Val_long(-1); }
 CAMLprim value ne_stub_platform_ok(value v) { (void)v; return Val_false; }
 
 #endif /* NE_PLATFORM_OK */
-
-/* Monotonic clock for the trap-cost bench; available everywhere. */
-CAMLprim value ne_stub_now_ns(value unit)
-{
-  (void)unit;
-  struct timespec ts;
-  if (clock_gettime(CLOCK_MONOTONIC, &ts) != 0) return caml_copy_int64(0);
-  return caml_copy_int64((int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec);
-}

@@ -21,6 +21,7 @@ module Svc = Nullelim_svc.Svc
 module Tier = Nullelim_tier.Tier
 module Metrics = Nullelim_obs.Metrics
 module Recorder = Nullelim_obs.Recorder
+module Clock = Nullelim_obs.Clock
 module Json = Nullelim_obs.Obs_json
 module Doc = Nullelim_obs.Doc
 module W = Nullelim_workloads.Workload
@@ -133,14 +134,14 @@ let run_rate ~svc ~(jobs : Svc.job array) ~multiplier ~rate ~duration ~seed
   let t_offered = Array.make tenants 0 in
   let t_completed = Array.make tenants 0 in
   let t_shed = Array.make tenants 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let next = ref t0 in
   let inflight = ref [] in
   let shed = ref 0 in
   for k = 0 to n - 1 do
     let u = Random.State.float st 1.0 in
     next := !next +. (-.log (1. -. u) /. rate);
-    let now = Unix.gettimeofday () in
+    let now = Clock.now () in
     if !next > now then Unix.sleepf (!next -. now);
     (* tenants interleave round-robin, so every tenant offers load at
        every rate and the per-tenant series are comparable *)
@@ -164,7 +165,7 @@ let run_rate ~svc ~(jobs : Svc.job array) ~multiplier ~rate ~duration ~seed
         l)
       !inflight
   in
-  let elapsed = max 1e-9 (Unix.gettimeofday () -. t0) in
+  let elapsed = max 1e-9 (Clock.now () -. t0) in
   let sorted = Array.of_list lats in
   Array.sort compare sorted;
   let completed = Array.length sorted in
@@ -235,24 +236,24 @@ let measure_overhead ?(rounds = 3) () : overhead =
       (* tight-loop cost of one record *)
       let r = Recorder.create ~capacity:1024 () in
       let iters = 1_000_000 in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       for i = 0 to iters - 1 do
         Recorder.record ~a:i r Recorder.Mark
       done;
-      let ns = 1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int iters in
+      let ns = 1e9 *. (Clock.now () -. t0) /. float_of_int iters in
       (* alternating on/off passes of the tiered loop; medians cancel
          the occasional GC/scheduler outlier *)
       let on = ref [] and off = ref [] in
       tiered_pass () (* warm-up, not timed *);
       for _ = 1 to max 1 rounds do
         Recorder.set_enabled g false;
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         tiered_pass ();
-        off := (Unix.gettimeofday () -. t0) :: !off;
+        off := (Clock.now () -. t0) :: !off;
         Recorder.set_enabled g true;
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         tiered_pass ();
-        on := (Unix.gettimeofday () -. t0) :: !on
+        on := (Clock.now () -. t0) :: !on
       done;
       let on = median !on and off = median !off in
       {

@@ -1,6 +1,6 @@
 (** The JIT compile driver: applies a {!Config.t} to a program for a
-    target architecture, recording per-pass timings and static
-    null-check statistics. *)
+    target architecture, recording one record per executed pass and
+    static null-check statistics. *)
 
 module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
@@ -10,6 +10,7 @@ module Solver = Nullelim_dataflow.Solver
 module Codegen = Nullelim_backend.Codegen
 module Emit_c = Nullelim_backend.Emit_c
 module Trace = Nullelim_obs.Trace
+module Clock = Nullelim_obs.Clock
 module Metrics = Nullelim_obs.Metrics
 module Decision = Nullelim_obs.Decision
 module Json = Nullelim_obs.Obs_json
@@ -25,12 +26,10 @@ type compiled = {
   program : Ir.program;
   config : Config.t;
   arch : Arch.t;
-  timings : Pipeline.timings;
-  counters : Pipeline.counters;  (** per-pass solver-work counters *)
+  records : Pipeline.record list;  (** one per executed pass, in order *)
   solver : Solver.stats;         (** solver work of this compilation *)
   checks : check_stats;
   compile_seconds : float;
-  metrics : Metrics.t;           (** per-compile metrics registry *)
   decisions : Decision.event list;  (** per-check decision log *)
   native_stats : Emit_c.stats option;
       (** C-emission statistics when the configuration's backend is
@@ -75,22 +74,8 @@ let deopt_pass (sites : Ir.site list) : Pipeline.pass =
             b.instrs)
         f.fn_blocks)
 
-(** Build the pass list for a configuration. *)
-let passes ?(deopt_sites = []) (cfg : Config.t) ~(arch : Arch.t) :
-    Pipeline.pass list =
-  let normalize =
-    (* log:true — dropped code here is original, not a duplicate, so its
-       checks must leave the decision log balanced *)
-    Pipeline.per_func "other:normalize" (Opt.Opt_util.remove_unreachable ~log:true)
-  in
-  let cleanup =
-    [
-      Pipeline.per_func "other:simplify-cfg" (fun f ->
-          ignore (Opt.Simplify_cfg.run f));
-      Pipeline.per_func "other:copyprop" (fun f -> ignore (Opt.Copyprop.run f));
-      Pipeline.per_func "other:dce" (fun f -> ignore (Opt.Dce.run f));
-    ]
-  in
+(** One round of phase 1 and its helpers (Figure 2). *)
+let round (cfg : Config.t) ~(arch : Arch.t) : Pipeline.pass list =
   let null_pass =
     match cfg.null_opt with
     | Config.No_null_opt -> []
@@ -115,6 +100,24 @@ let passes ?(deopt_sites = []) (cfg : Config.t) ~(arch : Arch.t) :
             ignore (Opt.Scalar_repl.run ~speculate:cfg.speculate ~arch f));
       ]
   in
+  let cleanup =
+    [
+      Pipeline.per_func "other:simplify-cfg" (fun f ->
+          ignore (Opt.Simplify_cfg.run f));
+      Pipeline.per_func "other:copyprop" (fun f -> ignore (Opt.Copyprop.run f));
+      Pipeline.per_func "other:dce" (fun f -> ignore (Opt.Dce.run f));
+    ]
+  in
+  null_pass @ helpers @ cleanup
+
+(** Build the pass list for a configuration. *)
+let passes ?(deopt_sites = []) (cfg : Config.t) ~(arch : Arch.t) :
+    Pipeline.pass list =
+  let normalize =
+    (* log:true — dropped code here is original, not a duplicate, so its
+       checks must leave the decision log balanced *)
+    Pipeline.per_func "other:normalize" (Opt.Opt_util.remove_unreachable ~log:true)
+  in
   let inline_passes =
     if cfg.inline then
       [
@@ -126,10 +129,9 @@ let passes ?(deopt_sites = []) (cfg : Config.t) ~(arch : Arch.t) :
       ]
     else []
   in
-  let iterated =
-    List.concat
-      (List.init cfg.iterations (fun _ -> null_pass @ helpers @ cleanup))
-  in
+  (* phase 1 and its helpers iterate (Figure 2) until a round changes
+     nothing *)
+  let iterated = Pipeline.rounds ~max:cfg.iterations (round cfg ~arch) in
   let arch_dep =
     match cfg.null_opt with
     | Config.New_full ->
@@ -149,13 +151,14 @@ let passes ?(deopt_sites = []) (cfg : Config.t) ~(arch : Arch.t) :
       else []
   in
   (* the HotSpot stand-in repeats its (cheaper per-round) pipeline many
-     times to model a compiler that spends much more time compiling *)
+     times to model a compiler that spends much more time compiling;
+     these rounds run unconditionally, since their cost is what is
+     modelled *)
   let heavy =
     if cfg.heavy_factor <= 1 then []
     else
       List.concat
-        (List.init (cfg.heavy_factor - 1) (fun _ ->
-             null_pass @ helpers @ cleanup))
+        (List.init (cfg.heavy_factor - 1) (fun _ -> round cfg ~arch))
   in
   (* Deopt runs after the arch-dependent phase so it undoes whatever
      implicit form the offending site ended up in, and before the final
@@ -181,17 +184,14 @@ let compile ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t)
      on the input program, not on what was compiled before *)
   Ir.seed_sites p';
   let raw_e, raw_i = count_all_checks p' in
-  let timings = Pipeline.new_timings () in
-  let counters = Pipeline.new_counters () in
-  let metrics = Metrics.create () in
+  let sink = Pipeline.sink () in
   let s0 = Solver.snapshot () in
-  let t0 = Sys.time () in
+  let t0 = Clock.now () in
   let (), decisions =
     Decision.with_log (fun () ->
         Decision.set_tier tier;
         let run () =
-          Pipeline.run ~timings ~counters ~metrics
-            (passes ~deopt_sites cfg ~arch) p'
+          Pipeline.run ~sink (passes ~deopt_sites cfg ~arch) p'
         in
         if Trace.enabled () then
           Trace.span ~cat:"compile"
@@ -203,37 +203,22 @@ let compile ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t)
             "compile" run
         else run ())
   in
-  let compile_seconds = Sys.time () -. t0 in
+  let compile_seconds = Clock.now () -. t0 in
   let solver = Solver.diff (Solver.snapshot ()) s0 in
   let e, i = count_all_checks p' in
-  Metrics.set (Metrics.gauge metrics "compile_seconds") compile_seconds;
-  Metrics.inc (Metrics.counter metrics "checks_raw_explicit") raw_e;
-  Metrics.inc (Metrics.counter metrics "checks_raw_implicit") raw_i;
-  Metrics.inc (Metrics.counter metrics "checks_explicit_after") e;
-  Metrics.inc (Metrics.counter metrics "checks_implicit_after") i;
-  Metrics.inc (Metrics.counter metrics "decision_events") (List.length decisions);
   let native_stats =
     match cfg.Config.backend with
     | Config.Interp -> None
     | Config.Native -> (
       match Emit_c.emit ~trap_area:arch.Arch.trap_area p' with
-      | Ok em ->
-        let st = em.Emit_c.em_stats in
-        Metrics.inc
-          (Metrics.counter metrics "native_implicit_check_instrs")
-          st.Emit_c.ec_implicit_check_instrs;
-        Metrics.inc
-          (Metrics.counter metrics "native_trap_entries")
-          st.Emit_c.ec_trap_entries;
-        Some st
+      | Ok em -> Some em.Emit_c.em_stats
       | Error _ -> None)
   in
   {
     program = p';
     config = cfg;
     arch;
-    timings;
-    counters;
+    records = Pipeline.records sink;
     solver;
     checks =
       {
@@ -243,7 +228,6 @@ let compile ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t)
         implicit_after = i;
       };
     compile_seconds;
-    metrics;
     decisions;
     native_stats;
   }
@@ -267,8 +251,26 @@ let reconcile (c : compiled) : (unit, string) result =
 
 (** Time spent in null-check optimization vs. the rest (Table 4). *)
 let nullcheck_time c =
-  Pipeline.total_matching c.timings (String.starts_with ~prefix:"nullcheck")
+  Pipeline.total_matching c.records (String.starts_with ~prefix:"nullcheck")
 
 let other_time c =
-  Pipeline.total_matching c.timings (fun n ->
+  Pipeline.total_matching c.records (fun n ->
       not (String.starts_with ~prefix:"nullcheck" n))
+
+let metrics c =
+  let m = Metrics.create () in
+  Pipeline.record_metrics m c.records;
+  Metrics.set (Metrics.gauge m "compile_seconds") c.compile_seconds;
+  Metrics.inc (Metrics.counter m "checks_raw_explicit") c.checks.raw_checks;
+  Metrics.inc (Metrics.counter m "checks_raw_implicit") c.checks.raw_implicit;
+  Metrics.inc (Metrics.counter m "checks_explicit_after") c.checks.explicit_after;
+  Metrics.inc (Metrics.counter m "checks_implicit_after") c.checks.implicit_after;
+  Metrics.inc (Metrics.counter m "decision_events") (List.length c.decisions);
+  (match c.native_stats with
+  | Some st ->
+    Metrics.inc
+      (Metrics.counter m "native_implicit_check_instrs")
+      st.Emit_c.ec_implicit_check_instrs;
+    Metrics.inc (Metrics.counter m "native_trap_entries") st.Emit_c.ec_trap_entries
+  | None -> ());
+  m

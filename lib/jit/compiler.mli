@@ -1,6 +1,6 @@
 (** The JIT compile driver: applies a configuration to a program for a
-    target architecture, recording per-pass timings and null-check
-    statistics. *)
+    target architecture, recording one record per executed pass and
+    null-check statistics. *)
 
 module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
@@ -20,16 +20,16 @@ type compiled = {
   program : Ir.program;
   config : Config.t;
   arch : Arch.t;
-  timings : Pipeline.timings;
-  counters : Pipeline.counters;
-      (** per-pass data-flow solver work (see {!Pipeline.counters}) *)
+  records : Pipeline.record list;
+      (** one record per executed pass, in execution order: name,
+          monotonic seconds and solver work.  Per-pass timings and
+          counters are derived from it (see {!Pipeline.by_pass}). *)
   solver : Solver.stats;
-      (** total data-flow solver work of this compilation *)
+      (** total data-flow solver work of this compilation, measured
+          around the whole pipeline; equals the sum of the per-pass
+          deltas in [records] *)
   checks : check_stats;
-  compile_seconds : float;
-  metrics : Metrics.t;
-      (** per-compile metrics registry: per-pass timings/solver work and
-          the compile-level check counters *)
+  compile_seconds : float;  (** monotonic wall time of the compile *)
   decisions : Decision.event list;
       (** per-check decision log of this compilation, in record order *)
   native_stats : Nullelim_backend.Emit_c.stats option;
@@ -40,9 +40,16 @@ type compiled = {
           {!Nullelim_backend.Native.compile}'s job. *)
 }
 
+val round : Config.t -> arch:Arch.t -> Pipeline.pass list
+(** One round of phase 1 and its helpers (bound-check optimization,
+    scalar replacement) followed by the cleanup passes (Figure 2). *)
+
 val passes :
   ?deopt_sites:Ir.site list -> Config.t -> arch:Arch.t -> Pipeline.pass list
-(** [deopt_sites] appends a deoptimization pass (after the
+(** The configuration's passes.  The [iterations] rounds of phase 1
+    and its helpers are built with {!Pipeline.rounds}, so they stop at
+    their fixpoint; the HotSpot model's extra rounds run
+    unconditionally.  [deopt_sites] appends a deoptimization pass (after the
     architecture-dependent phase, before final DCE/codegen) that
     re-materializes the explicit check at each listed implicit site,
     recording a [Deoptimized]/[Trap_fired] decision event per site so
@@ -70,3 +77,10 @@ val nullcheck_time : compiled -> float
 (** Seconds spent in null-check optimization passes (Table 4). *)
 
 val other_time : compiled -> float
+
+val metrics : compiled -> Metrics.t
+(** A fresh metrics registry for this compilation, built on demand:
+    the per-pass series of {!Pipeline.record_metrics}, the
+    [compile_seconds] gauge, the [checks_*] and [decision_events]
+    counters and, with native stats, [native_implicit_check_instrs]
+    and [native_trap_entries]. *)

@@ -99,6 +99,8 @@ let current () = Domain.DLS.get current_key
 
 let active () = !(current ()) <> None
 
+let count () = match !(current ()) with Some c -> c.n | None -> 0
+
 let set_pass name =
   match !(current ()) with Some c -> c.cur_pass <- name | None -> ()
 

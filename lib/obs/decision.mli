@@ -53,6 +53,9 @@ val active : unit -> bool
 (** Is a collector installed?  Passes may use this to skip building
     event payloads entirely. *)
 
+val count : unit -> int
+(** Events recorded so far by the installed collector; 0 when none. *)
+
 val set_pass : string -> unit
 val set_func : string -> unit
 (** Context maintained by the pass manager; no-ops when inactive. *)

@@ -7,6 +7,7 @@
     [Obs.Recorder.record ...], [Obs.Decision.record ...]. *)
 
 module Json = Obs_json
+module Clock = Clock
 module Doc = Doc
 module Log = Log
 module Trace = Trace

@@ -47,7 +47,7 @@ let state () = Domain.DLS.get state_key
     dropping the tail rather than exhausting memory. *)
 let max_events = 2_000_000
 
-let now_us () = Unix.gettimeofday () *. 1e6
+let now_us () = Int64.to_float (Clock.now_ns ()) *. 1e-3
 
 let enabled () = (state ()).active <> None
 let depth () = (state ()).cur_depth

@@ -1,51 +1,36 @@
-(** Pass manager: named passes over whole programs, with per-pass wall
-    time accumulated into a [timings] table and per-pass data-flow
-    solver counters accumulated into a [counters] table.  The
-    compilation-time breakdown of the paper's Tables 4 and 5
-    (null-check optimization vs. everything else, new vs. old
-    algorithm) is produced from the timings; the counters are what the
-    benchmark harness reports as the solver's work (blocks visited,
-    transfers applied, worklist pushes).
+(** Pass manager: named passes over whole programs.  [run] appends one
+    {!record} per executed pass to a single sink: the pass name, its
+    monotonic wall time and the data-flow solver work it did.  Every
+    per-pass view is derived from those records: the compilation-time
+    breakdown of the paper's Tables 4 and 5 (null-check optimization
+    vs. everything else, new vs. old algorithm), the solver-work
+    counters the benchmark harness reports, and the per-compile metrics
+    registry.
+
+    [rounds] iterates a group of passes up to a bound and retires the
+    remaining rounds once one leaves the program unchanged.
 
     The pass manager is also where the telemetry layer hooks into the
     pipeline: each pass runs under a {!Nullelim_obs.Trace} span (with
-    per-function child spans when tracing is active), the decision log's
-    pass/function context is maintained here so individual passes only
-    state what they did, and an optional {!Nullelim_obs.Metrics} registry
-    receives the same per-pass series as the hashtables. *)
+    per-function child spans when tracing is active), and the decision
+    log's pass/function context is maintained here so individual passes
+    only state what they did. *)
 
 module Ir = Nullelim_ir.Ir
 module Solver = Nullelim_dataflow.Solver
-module Obs = Nullelim_obs
 module Trace = Nullelim_obs.Trace
+module Clock = Nullelim_obs.Clock
 module Metrics = Nullelim_obs.Metrics
 module Decision = Nullelim_obs.Decision
 
 type pass = { name : string; run : Ir.program -> unit }
 
-type timings = (string, float) Hashtbl.t
+type record = { r_pass : string; r_seconds : float; r_solver : Solver.stats }
 
-type counters = (string, int) Hashtbl.t
-(** Keyed by ["<pass>#<counter>"], e.g. ["nullcheck:phase1#transfers"]. *)
+type sink = record list ref
 
-let new_timings () : timings = Hashtbl.create 16
-let new_counters () : counters = Hashtbl.create 16
-
-let add (t : timings) name dt =
-  Hashtbl.replace t name (dt +. Option.value ~default:0. (Hashtbl.find_opt t name))
-
-let bump (c : counters) key n =
-  if n <> 0 then
-    Hashtbl.replace c key (n + Option.value ~default:0 (Hashtbl.find_opt c key))
-
-let timed (t : timings option) name g =
-  match t with
-  | None -> g ()
-  | Some tbl ->
-    let t0 = Sys.time () in
-    let r = g () in
-    add tbl name (Sys.time () -. t0);
-    r
+let sink () : sink = ref []
+let records (s : sink) = List.rev !s
 
 (** Lift a per-function transformation to a program pass.  Maintains the
     decision log's function context and, when tracing, opens one child
@@ -65,65 +50,179 @@ let per_func name (g : Ir.func -> unit) : pass =
 
 let program_pass name (g : Ir.program -> unit) : pass = { name; run = g }
 
-(** Mirror one pass's timing and solver-counter deltas into a metrics
-    registry: [pass_seconds] histogram and [solver_*] counters, each
-    labeled with the pass name. *)
-let record_metrics (m : Metrics.t) pass_name dt (d : Solver.stats) =
-  let labels = [ ("pass", pass_name) ] in
-  Metrics.observe (Metrics.histogram m ~labels "pass_seconds") dt;
-  Metrics.inc (Metrics.counter m ~labels "pass_runs") 1;
-  Metrics.inc (Metrics.counter m ~labels "solver_solves") d.Solver.solves;
-  Metrics.inc (Metrics.counter m ~labels "solver_visits") d.Solver.visits;
-  Metrics.inc (Metrics.counter m ~labels "solver_transfers") d.Solver.transfers;
-  Metrics.inc (Metrics.counter m ~labels "solver_pushes") d.Solver.pushes
+(* Raised by a pass of a round that [rounds] has retired; [run] drops
+   the pass without a record. *)
+exception Skipped
 
-let run ?timings ?counters ?metrics (passes : pass list) (p : Ir.program) :
-    unit =
+let run ?sink (passes : pass list) (p : Ir.program) : unit =
   List.iter
     (fun pass ->
       Decision.set_pass pass.name;
       Decision.set_func "";
-      let want_solver_delta = counters <> None || metrics <> None in
       let execute () =
         if Trace.enabled () then
           Trace.span ~cat:"pass" pass.name (fun () -> pass.run p)
         else pass.run p
       in
-      if not want_solver_delta then timed timings pass.name execute
-      else begin
+      match sink with
+      | None -> ( try execute () with Skipped -> ())
+      | Some s -> (
         let s0 = Solver.snapshot () in
-        let t0 = Sys.time () in
-        timed timings pass.name execute;
-        let dt = Sys.time () -. t0 in
-        let d = Solver.diff (Solver.snapshot ()) s0 in
-        (match counters with
-        | Some c ->
-          bump c (pass.name ^ "#solves") d.Solver.solves;
-          bump c (pass.name ^ "#visits") d.Solver.visits;
-          bump c (pass.name ^ "#transfers") d.Solver.transfers;
-          bump c (pass.name ^ "#pushes") d.Solver.pushes
-        | None -> ());
-        match metrics with
-        | Some m -> record_metrics m pass.name dt d
-        | None -> ()
-      end)
+        let t0 = Clock.now_ns () in
+        match execute () with
+        | () ->
+          let t1 = Clock.now_ns () in
+          s :=
+            {
+              r_pass = pass.name;
+              r_seconds = Int64.to_float (Int64.sub t1 t0) *. 1e-9;
+              r_solver = Solver.diff (Solver.snapshot ()) s0;
+            }
+            :: !s
+        | exception Skipped -> ()))
     passes;
   Decision.set_pass "";
   Decision.set_func ""
 
-let total (t : timings) = Hashtbl.fold (fun _ v acc -> acc +. v) t 0.
+(* ------------------------------------------------------------------ *)
+(* Rounds to a fixpoint                                                *)
+(* ------------------------------------------------------------------ *)
 
-(** Total time spent in passes whose name matches the predicate. *)
-let total_matching (t : timings) pred =
-  Hashtbl.fold (fun k v acc -> if pred k then acc +. v else acc) t 0.
+(* Everything a round of per-function passes can change: each
+   function's blocks (copied, since passes rewrite them in place),
+   variable count and handlers, the domain's site counter and the
+   number of decision-log events. *)
+type fingerprint = {
+  fp_funcs : (Ir.func * int * Ir.block array * (Ir.region * Ir.label) list) list;
+  fp_sites : int;
+  fp_events : int;
+}
 
-(** Sum of one counter kind (e.g. ["transfers"]) across all passes. *)
-let counter_total (c : counters) kind =
-  let suffix = "#" ^ kind in
-  Hashtbl.fold
-    (fun k v acc ->
-      if String.length k >= String.length suffix
-         && String.ends_with ~suffix k
-      then acc + v
-      else acc)
-    c 0
+let fingerprint (p : Ir.program) =
+  {
+    fp_funcs =
+      Hashtbl.fold
+        (fun _ (f : Ir.func) acc ->
+          ( f,
+            f.fn_nvars,
+            Array.map
+              (fun (b : Ir.block) -> { b with Ir.instrs = Array.copy b.instrs })
+              f.fn_blocks,
+            f.fn_handlers )
+          :: acc)
+        p.Ir.funcs [];
+    fp_sites = !(Domain.DLS.get Ir.site_counter);
+    fp_events = Decision.count ();
+  }
+
+let same_block (a : Ir.block) (b : Ir.block) =
+  a.breg = b.breg && compare a.term b.term = 0 && compare a.instrs b.instrs = 0
+
+let unchanged fp (p : Ir.program) =
+  fp.fp_sites = !(Domain.DLS.get Ir.site_counter)
+  && fp.fp_events = Decision.count ()
+  && Hashtbl.length p.Ir.funcs = List.length fp.fp_funcs
+  && List.for_all
+       (fun ((f : Ir.func), nvars, blocks, handlers) ->
+         (match Hashtbl.find_opt p.Ir.funcs f.fn_name with
+         | Some g -> g == f
+         | None -> false)
+         && f.fn_nvars = nvars
+         && f.fn_handlers = handlers
+         && Array.length f.fn_blocks = Array.length blocks
+         && Array.for_all2 same_block f.fn_blocks blocks)
+       fp.fp_funcs
+
+(* The round state lives in the closures of the returned passes, so
+   running them one at a time through [run] skips the same rounds as
+   running the whole list.  The first pass of round 1 resets it, which
+   makes the list reusable. *)
+let rounds ~max (round : pass list) : pass list =
+  let last = List.length round - 1 in
+  let stopped = ref false and before = ref None in
+  List.concat
+    (List.init max (fun r ->
+         List.mapi
+           (fun i (pass : pass) ->
+             {
+               pass with
+               run =
+                 (fun p ->
+                   if r = 0 && i = 0 then stopped := false;
+                   if !stopped then raise Skipped;
+                   let judge = r < max - 1 in
+                   if judge && i = 0 then before := Some (fingerprint p);
+                   pass.run p;
+                   if judge && i = last then begin
+                     (match !before with
+                     | Some fp -> stopped := unchanged fp p
+                     | None -> ());
+                     before := None
+                   end);
+             })
+           round))
+
+(* ------------------------------------------------------------------ *)
+(* Views derived from the records                                      *)
+(* ------------------------------------------------------------------ *)
+
+let zero_stats () : Solver.stats =
+  { Solver.solves = 0; visits = 0; transfers = 0; pushes = 0 }
+
+let add_stats (a : Solver.stats) (b : Solver.stats) : Solver.stats =
+  {
+    Solver.solves = a.solves + b.solves;
+    visits = a.visits + b.visits;
+    transfers = a.transfers + b.transfers;
+    pushes = a.pushes + b.pushes;
+  }
+
+let total recs = List.fold_left (fun acc r -> acc +. r.r_seconds) 0. recs
+
+let total_matching recs pred =
+  List.fold_left
+    (fun acc r -> if pred r.r_pass then acc +. r.r_seconds else acc)
+    0. recs
+
+let by_pass recs =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      let n, t, s =
+        Option.value ~default:(0, 0., zero_stats ())
+          (Hashtbl.find_opt tbl r.r_pass)
+      in
+      Hashtbl.replace tbl r.r_pass
+        (n + 1, t +. r.r_seconds, add_stats s r.r_solver))
+    recs;
+  List.sort compare (Hashtbl.fold (fun k (n, t, s) acc -> (k, n, t, s) :: acc) tbl [])
+
+let counter_kinds =
+  [
+    ("solves", fun (s : Solver.stats) -> s.solves);
+    ("visits", fun s -> s.visits);
+    ("transfers", fun s -> s.transfers);
+    ("pushes", fun s -> s.pushes);
+  ]
+
+let counters recs =
+  List.sort compare
+    (List.concat_map
+       (fun (name, _, _, s) ->
+         List.filter_map
+           (fun (kind, get) ->
+             if get s = 0 then None else Some (name ^ "#" ^ kind, get s))
+           counter_kinds)
+       (by_pass recs))
+
+let record_metrics (m : Metrics.t) recs =
+  List.iter
+    (fun r ->
+      let labels = [ ("pass", r.r_pass) ] in
+      Metrics.observe (Metrics.histogram m ~labels "pass_seconds") r.r_seconds;
+      Metrics.inc (Metrics.counter m ~labels "pass_runs") 1;
+      List.iter
+        (fun (kind, get) ->
+          Metrics.inc (Metrics.counter m ~labels ("solver_" ^ kind)) (get r.r_solver))
+        counter_kinds)
+    recs

@@ -1,40 +1,64 @@
-(** Pass manager: named program passes with accumulated per-pass wall
-    time and per-pass data-flow solver counters; the source of the
-    paper's compilation-time tables and of the benchmark harness's
-    solver-work report. *)
+(** Pass manager: named program passes, each executed pass recorded
+    once (name, monotonic wall time, solver work) into a single sink;
+    the source of the paper's compilation-time tables, of the
+    benchmark harness's solver-work report and of the per-compile
+    metrics registry. *)
 
 module Ir = Nullelim_ir.Ir
+module Solver = Nullelim_dataflow.Solver
 
 type pass = { name : string; run : Ir.program -> unit }
-type timings = (string, float) Hashtbl.t
 
-type counters = (string, int) Hashtbl.t
-(** Solver-work counters keyed by ["<pass>#<counter>"] with counter one
-    of [solves]/[visits]/[transfers]/[pushes]. *)
+type record = {
+  r_pass : string;           (** the pass's name *)
+  r_seconds : float;         (** monotonic wall time of this execution *)
+  r_solver : Solver.stats;   (** solver work done by this execution *)
+}
 
-val new_timings : unit -> timings
-val new_counters : unit -> counters
+type sink
+(** Where {!run} appends its records. *)
+
+val sink : unit -> sink
+val records : sink -> record list
+(** In execution order. *)
+
 val per_func : string -> (Ir.func -> unit) -> pass
 val program_pass : string -> (Ir.program -> unit) -> pass
 
-val run :
-  ?timings:timings ->
-  ?counters:counters ->
-  ?metrics:Nullelim_obs.Metrics.t ->
-  pass list ->
-  Ir.program ->
-  unit
-(** Run the passes in order.  With [timings], wall time accumulates per
-    pass name; with [counters], the global {!Nullelim_dataflow.Solver}
-    counter deltas of each pass accumulate per pass name; with
-    [metrics], the same per-pass series are recorded into the registry
-    ([pass_seconds], [pass_runs], [solver_*], labeled by pass).  Each
-    pass runs under a trace span, and the decision log's pass/function
-    context is maintained here. *)
+val run : ?sink:sink -> pass list -> Ir.program -> unit
+(** Run the passes in order.  With [sink], append one record per
+    executed pass: two clock reads and the calling domain's
+    {!Solver} counter delta.  A pass of a retired round (see {!rounds})
+    does nothing and leaves no record (a trace shows it as an empty
+    span).  Each pass runs under a trace
+    span, and the decision log's pass/function context is maintained
+    here. *)
 
-val total : timings -> float
-val total_matching : timings -> (string -> bool) -> float
+val rounds : max:int -> pass list -> pass list
+(** [rounds ~max round] is [max] copies of [round] that stop at a
+    fixpoint.  Before each round but the last, the first pass saves a
+    fingerprint of everything a round can change: every function's
+    blocks, [fn_nvars] and handlers, the domain's site counter and the
+    number of decision-log events.  When a round ends with the
+    fingerprint equal, the remaining rounds are skipped; the passes
+    are deterministic, so they would have changed nothing.  The round
+    state lives in the returned passes, so running them one at a time
+    through {!run} skips the same rounds; the list is reusable. *)
 
-val bump : counters -> string -> int -> unit
-val counter_total : counters -> string -> int
-(** [counter_total c "transfers"] sums that counter across passes. *)
+(** {1 Views derived from the records} *)
+
+val total : record list -> float
+val total_matching : record list -> (string -> bool) -> float
+
+val by_pass : record list -> (string * int * float * Solver.stats) list
+(** Per pass name, sorted by name: executions, seconds and solver
+    work. *)
+
+val counters : record list -> (string * int) list
+(** Solver-work counters keyed by ["<pass>#<counter>"] with counter one
+    of [solves]/[visits]/[transfers]/[pushes], sorted by key; zero
+    counters are left out. *)
+
+val record_metrics : Nullelim_obs.Metrics.t -> record list -> unit
+(** Per-pass series into a registry, labeled by pass: [pass_seconds],
+    [pass_runs] and [solver_solves]/[_visits]/[_transfers]/[_pushes]. *)

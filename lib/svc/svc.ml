@@ -16,6 +16,7 @@ module Compiler = Nullelim_jit.Compiler
 module Recorder = Nullelim_obs.Recorder
 module Metrics = Nullelim_obs.Metrics
 module Ctx = Nullelim_obs.Ctx
+module Clock = Nullelim_obs.Clock
 
 type job = {
   jb_program : Ir.program;
@@ -123,7 +124,7 @@ let create_cache ?budget_bytes ?shards ?recorder () : cache =
 
 let compile_job ?cache ?(queued_seconds = 0.) ?(ctx = Ctx.none) ~worker
     (j : job) : outcome =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let key = job_key j in
   let compile () =
     Compiler.compile ~tier:j.jb_tier ~deopt_sites:j.jb_deopt j.jb_config
@@ -145,7 +146,7 @@ let compile_job ?cache ?(queued_seconds = 0.) ?(ctx = Ctx.none) ~worker
             Codecache.add c ~key artifact;
             (false, artifact)))
   in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Clock.now () in
   {
     oc_job = j;
     oc_compiled = compiled;
@@ -285,7 +286,7 @@ let worker_loop queue cache srec acct completed worker =
       ledger_release acct task.t_ctx.Ctx.cx_tenant;
       Recorder.record ~ctx:task.t_ctx ~a:task.t_id ~b:worker srec
         Recorder.Req_start;
-      let queued_seconds = Unix.gettimeofday () -. task.t_enqueued in
+      let queued_seconds = Clock.now () -. task.t_enqueued in
       let r =
         try
           Ok
@@ -384,7 +385,7 @@ let new_task t ?(tenant = -1) ~index job batch =
   {
     t_index = index;
     t_id = id;
-    t_enqueued = Unix.gettimeofday ();
+    t_enqueued = Clock.now ();
     t_job = job;
     t_batch = batch;
     t_ctx = Ctx.mint ~tenant ~request:id ();

@@ -17,7 +17,8 @@
     job on any domain produces a byte-identical artifact.
     {!compile_all} preserves job order in its results; consequently a
     parallel batch is observably identical to {!compile_serial} except
-    for wall-clock fields ([compile_seconds], [oc_seconds]) and
+    for wall-clock fields ([compile_seconds], the seconds of each pass
+    record, [oc_seconds]) and
     [oc_worker]/[oc_cache_hit] provenance.
 
     {2 Caching}
@@ -73,8 +74,8 @@ type outcome = {
                           (** time spent waiting in the queue before a
                               worker picked the job up (0 for
                               {!compile_serial}) *)
-  oc_done_at : float;     (** absolute completion time
-                              ([Unix.gettimeofday]) — lets a load
+  oc_done_at : float;     (** completion time on the monotonic
+                              clock ({!Nullelim_obs.Clock.now}) — lets a load
                               generator compute end-to-end latency
                               against its own arrival schedule *)
   oc_ctx : Nullelim_obs.Ctx.t;

@@ -31,6 +31,7 @@ module Interp = Nullelim_vm.Interp
 module Value = Nullelim_vm.Value
 module Metrics = Nullelim_obs.Metrics
 module Recorder = Nullelim_obs.Recorder
+module Clock = Nullelim_obs.Clock
 
 type pending = {
   pd_tier : int;
@@ -189,7 +190,7 @@ let install t fs (pd : pending) (oc : Svc.outcome) =
       (Metrics.histogram m ~buckets:install_buckets
          ~labels:[ ("kind", kind) ]
          "tier_install_seconds")
-      (Unix.gettimeofday () -. pd.pd_submitted)
+      (Clock.now () -. pd.pd_submitted)
   | None -> ());
   match prev_key with
   | Some k when k <> oc.Svc.oc_key -> invalidate t k
@@ -202,7 +203,7 @@ let try_submit t fs =
   match (fs.fs_goal, fs.fs_pending) with
   | Some (tier, deopt), None -> (
     let job = Svc.job ~tier ~deopt ~config:t.cfg ~arch:t.arch t.program in
-    let submitted = Unix.gettimeofday () in
+    let submitted = Clock.now () in
     match t.svc with
     | None ->
       let oc = List.hd (Svc.compile_serial ?cache:t.cache [ job ]) in

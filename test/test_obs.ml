@@ -408,7 +408,7 @@ let test_compile_metrics () =
   let w = Option.get (Workloads.find "assignment") in
   let prog = w.Nullelim_workloads.Workload.build ~scale:1 in
   let c = H.compile Config.new_full prog in
-  let m = c.Compiler.metrics in
+  let m = Compiler.metrics c in
   let counter name =
     Obs.Metrics.counter_value (Obs.Metrics.counter m name)
   in

@@ -279,6 +279,182 @@ let test_inlined_accessors () =
   | Interp.Uncaught Ir.Npe -> ()
   | o -> Alcotest.failf "null receiver: %a" Interp.pp_outcome o
 
+(* ------------------------------------------------------------------ *)
+(* Rounds to a fixpoint                                                *)
+(* ------------------------------------------------------------------ *)
+
+let configs_with_arch =
+  List.map (fun c -> (c, Arch.ia32_windows)) Config.windows_suite
+  @ List.map (fun c -> (c, Arch.ppc_aix)) Config.aix_suite
+
+let normalize = Pipeline.per_func "other:normalize" (Opt_util.remove_unreachable ~log:true)
+
+(* Run [passes] on a freshly seeded copy of [p]; return everything a
+   round may change: the program, the decision log, the check counts
+   and the site counter. *)
+let artifact passes p =
+  let q = Ir.copy_program p in
+  Ir.seed_sites q;
+  let (), events = Obs.Decision.with_log (fun () -> Pipeline.run passes q) in
+  ( Fmt.str "%a" Ir_pp.pp_program q,
+    events,
+    Compiler.count_all_checks q,
+    !(Domain.DLS.get Ir.site_counter) )
+
+let check_rounds_match_unrolled label p =
+  List.iter
+    (fun ((cfg : Config.t), arch) ->
+      let round () = Compiler.round cfg ~arch in
+      let fixpoint = artifact (normalize :: Pipeline.rounds ~max:4 (round ())) p in
+      let unrolled =
+        artifact (normalize :: List.concat (List.init 4 (fun _ -> round ()))) p
+      in
+      let prog_a, ev_a, ck_a, site_a = fixpoint
+      and prog_b, ev_b, ck_b, site_b = unrolled in
+      let what = label ^ "/" ^ cfg.Config.name in
+      Alcotest.(check string) (what ^ ": program") prog_b prog_a;
+      Alcotest.(check bool) (what ^ ": decision log") true (ev_a = ev_b);
+      Alcotest.(check (pair int int)) (what ^ ": check stats") ck_b ck_a;
+      Alcotest.(check int) (what ^ ": site counter") site_b site_a)
+    configs_with_arch
+
+let test_rounds_generated () =
+  for seed = 1 to 200 do
+    let g = Gen.generate ~seed () in
+    check_rounds_match_unrolled (Printf.sprintf "seed %d" seed) g.Gen.g_program
+  done
+
+let test_rounds_workloads () =
+  List.iter
+    (fun (w : Nullelim_workloads.Workload.t) ->
+      check_rounds_match_unrolled w.Nullelim_workloads.Workload.name
+        (w.Nullelim_workloads.Workload.build ~scale:1))
+    (Nullelim_workloads.Registry.all ())
+
+(* Runs [passes] under a decision log; returns the number of records. *)
+let run_counting passes p =
+  let sink = Pipeline.sink () in
+  ignore (Obs.Decision.with_log (fun () -> Pipeline.run ~sink passes p));
+  List.length (Pipeline.records sink)
+
+(* How many times a one-pass group runs under [rounds ~max:4] when its
+   body is [g] (given the call number), and how many records it left. *)
+let calls_under_rounds g p =
+  let calls = ref 0 in
+  let probe = Pipeline.program_pass "probe" (fun p -> incr calls; g !calls p) in
+  let records = run_counting (Pipeline.rounds ~max:4 [ probe ]) p in
+  (!calls, records)
+
+let test_rounds_deterministic () =
+  let p = matrix2d ~rows:2 ~cols:2 () in
+  let runs, recs = calls_under_rounds (fun _ _ -> ()) p in
+  Alcotest.(check int) "no-op group runs once" 1 runs;
+  Alcotest.(check int) "skipped rounds leave no record" 1 recs;
+  let runs, _ =
+    calls_under_rounds (fun n _ -> if n = 1 then ignore (Ir.fresh_site ())) p
+  in
+  Alcotest.(check int) "site minted in round 1 only: two rounds" 2 runs;
+  let runs, _ = calls_under_rounds (fun _ _ -> ignore (Ir.fresh_site ())) p in
+  Alcotest.(check int) "site minted every round: all four" 4 runs;
+  let runs, _ =
+    calls_under_rounds
+      (fun _ _ ->
+        Obs.Decision.record ~kind:Obs.Decision.Kother
+          ~action:Obs.Decision.Speculated ~just:Obs.Decision.Speculative_read ())
+      p
+  in
+  Alcotest.(check int) "decision event every round: all four" 4 runs;
+  (* an in-place rewrite is seen, so the fingerprint copies the blocks *)
+  let runs, _ =
+    calls_under_rounds
+      (fun n (p : Ir.program) ->
+        if n = 1 then
+          let f = Ir.find_func p "mat" in
+          let b = f.Ir.fn_blocks.(0) in
+          b.Ir.instrs.(0) <- Ir.Print (Ir.Cint 7))
+      (Ir.copy_program p)
+  in
+  Alcotest.(check int) "in-place rewrite in round 1: two rounds" 2 runs;
+  (* the round state resets, so the same list can run again *)
+  let calls = ref 0 in
+  let list =
+    Pipeline.rounds ~max:4
+      [ Pipeline.program_pass "probe" (fun _ -> incr calls) ]
+  in
+  ignore (run_counting list p);
+  ignore (run_counting list p);
+  Alcotest.(check int) "reused list runs once per use" 2 !calls
+
+(* ------------------------------------------------------------------ *)
+(* One sink                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let kinds =
+  [
+    ("solves", fun (s : Solver.stats) -> s.Solver.solves);
+    ("visits", fun s -> s.Solver.visits);
+    ("transfers", fun s -> s.Solver.transfers);
+    ("pushes", fun s -> s.Solver.pushes);
+  ]
+
+let check_sink what (c : Compiler.compiled) =
+  let recs = c.Compiler.records in
+  Alcotest.(check (float 0.)) (what ^ ": total = sum of records")
+    (List.fold_left (fun acc r -> acc +. r.Pipeline.r_seconds) 0. recs)
+    (Pipeline.total recs);
+  Alcotest.(check (float 1e-12)) (what ^ ": nullcheck + other = total")
+    (Pipeline.total recs)
+    (Compiler.nullcheck_time c +. Compiler.other_time c);
+  let counters = Pipeline.counters recs in
+  let m = Compiler.metrics c in
+  List.iter
+    (fun (kind, get) ->
+      let sum = List.fold_left (fun acc r -> acc + get r.Pipeline.r_solver) 0 recs in
+      Alcotest.(check int) (what ^ ": counters #" ^ kind) sum
+        (List.fold_left
+           (fun acc (k, v) ->
+             if String.ends_with ~suffix:("#" ^ kind) k then acc + v else acc)
+           0 counters);
+      (* the compile's own solver stats, measured around the whole
+         pipeline, equal the sum of the per-pass deltas *)
+      Alcotest.(check int) (what ^ ": compile solver " ^ kind) (get c.Compiler.solver) sum;
+      Alcotest.(check int) (what ^ ": metrics solver_" ^ kind) sum
+        (List.fold_left
+           (fun acc (pass, _, _, _) ->
+             acc
+             + Obs.Metrics.counter_value
+                 (Obs.Metrics.counter m ~labels:[ ("pass", pass) ] ("solver_" ^ kind)))
+           0 (Pipeline.by_pass recs)))
+    kinds;
+  List.iter
+    (fun (pass, runs, _, _) ->
+      Alcotest.(check int) (what ^ ": pass_runs " ^ pass) runs
+        (Obs.Metrics.counter_value
+           (Obs.Metrics.counter m ~labels:[ ("pass", pass) ] "pass_runs")))
+    (Pipeline.by_pass recs)
+
+let test_single_sink () =
+  let settled = ref false in
+  List.iter
+    (fun (w : Nullelim_workloads.Workload.t) ->
+      let p = w.Nullelim_workloads.Workload.build ~scale:1 in
+      List.iter
+        (fun ((cfg : Config.t), arch) ->
+          let c = Compiler.compile cfg ~arch p in
+          check_sink (w.Nullelim_workloads.Workload.name ^ "/" ^ cfg.Config.name) c;
+          let phase1 =
+            List.length
+              (List.filter
+                 (fun r -> r.Pipeline.r_pass = "nullcheck:phase1")
+                 c.Compiler.records)
+          in
+          if cfg == Config.new_full && phase1 < cfg.Config.iterations then
+            settled := true)
+        configs_with_arch)
+    (Nullelim_workloads.Registry.all ());
+  Alcotest.(check bool) "some new-full compile settles before its last round"
+    true !settled
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -299,5 +475,17 @@ let () =
         ] );
       ( "inlining",
         [ Alcotest.test_case "accessor methods" `Quick test_inlined_accessors ]
+      );
+      ( "rounds",
+        [
+          Alcotest.test_case "fixpoint = unrolled, 200 generated programs" `Slow
+            test_rounds_generated;
+          Alcotest.test_case "fixpoint = unrolled, registry workloads" `Quick
+            test_rounds_workloads;
+          Alcotest.test_case "stop after an unchanged round" `Quick
+            test_rounds_deterministic;
+        ] );
+      ( "sink",
+        [ Alcotest.test_case "views derive from the records" `Quick test_single_sink ]
       );
     ]
