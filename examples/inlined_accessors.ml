@@ -72,7 +72,7 @@ let () =
   (* behaviour is identical, including the NullPointerException *)
   let box_value n =
     let obj = Value.new_object (Hashtbl.create 1) cls in
-    Hashtbl.replace obj.Value.o_slots fld_v.Ir.foffset (Value.Vint n);
+    Value.set_field obj fld_v (Value.Vint n);
     Value.Vref (Value.Obj obj)
   in
   List.iter

@@ -210,11 +210,8 @@ type run = {
 }
 
 let dummy_obj : Value.obj =
-  {
-    Value.o_cls =
-      { Ir.cname = "<native>"; csuper = None; cfields = []; cmethods = [] };
-    o_slots = Hashtbl.create 1;
-  }
+  Value.new_object (Hashtbl.create 1)
+    { Ir.cname = "<native>"; csuper = None; cfields = []; cmethods = [] }
 
 let exn_of_code (em : Emit_c.emitted) code : Ir.exn_kind =
   if code = 1 then Ir.Npe

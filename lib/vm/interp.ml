@@ -88,6 +88,9 @@ type state = {
       (** runtime feedback: called when a hardware trap fires at an
           implicit check site, before the NPE propagates — the tiered
           manager's deoptimization trigger *)
+  layouts : (string, Value.layout) Hashtbl.t;
+      (** object layout per class name, built on the class's first
+          allocation in this run *)
 }
 
 let record st e = st.trace_rev <- e :: st.trace_rev
@@ -123,19 +126,37 @@ let eval vars = function
   | Ir.Cfloat x -> Vfloat x
   | Ir.Cnull -> Vref Null
 
+(** An integer operand, unboxed.  Anything but a defined int raises the
+    same [Sim] error as [as_int (eval vars o)]. *)
+let eval_int vars = function
+  | Ir.Var v as o -> (match vars.(v) with Vint n -> n | _ -> as_int (eval vars o))
+  | Ir.Cint n -> n
+  | o -> as_int (eval vars o)
+
+(** Whether [eval_int] would succeed.  Two-operand instructions take the
+    unboxed path only when both operands are ints, so that an ill-typed
+    operand still raises the boxed path's error in the boxed path's
+    order. *)
+let is_int vars = function
+  | Ir.Var v -> (match vars.(v) with Vint _ -> true | _ -> false)
+  | Ir.Cint _ -> true
+  | Ir.Cfloat _ | Ir.Cnull -> false
+
 (** Handle a dereference through a null pointer: hardware trap (NPE) or a
-    silent zero-page access. [prev] is the instruction preceding the
-    access in its block, used to classify a miss as an implicit-check
-    soundness violation and to attribute the event to the implicit
+    silent zero-page access.  The access is [instrs.(ix)] of block [blk];
+    the instruction before it classifies a miss as an implicit-check
+    soundness violation and attributes the event to the implicit
     check's provenance site.  [fname]/[blk] locate the access for the
     profile. *)
-let null_deref st ~fname ~tier ~blk ~(prev : Ir.instr option)
+let null_deref st ~fname ~tier ~blk ~(instrs : Ir.instr array) ~ix
     ~(base : Ir.var) ~offset ~access : value =
   (* the site of the implicit check guarding this access, if any *)
   let guard_site =
-    match prev with
-    | Some (Ir.Null_check (Implicit, v, s)) when v = base -> Some s
-    | _ -> None
+    if ix = 0 then None
+    else
+      match instrs.(ix - 1) with
+      | Ir.Null_check (Implicit, v, s) when v = base -> Some s
+      | _ -> None
   in
   if Arch.trap_covers st.arch ~offset:(Some offset) ~access then begin
     st.c.npe_trap <- st.c.npe_trap + 1;
@@ -168,12 +189,14 @@ let null_deref st ~fname ~tier ~blk ~(prev : Ir.instr option)
     Value.null_page_garbage
   end
 
+let cmp_int c (x : int) y =
+  match c with
+  | Ir.Eq -> x = y | Ir.Ne -> x <> y | Ir.Lt -> x < y
+  | Ir.Le -> x <= y | Ir.Gt -> x > y | Ir.Ge -> x >= y
+
 let cmp_values c a b =
   match (a, b) with
-  | Vint x, Vint y ->
-    (match c with
-    | Ir.Eq -> x = y | Ir.Ne -> x <> y | Ir.Lt -> x < y
-    | Ir.Le -> x <= y | Ir.Gt -> x > y | Ir.Ge -> x >= y)
+  | Vint x, Vint y -> cmp_int c x y
   | Vfloat x, Vfloat y ->
     (match c with
     | Ir.Eq -> x = y | Ir.Ne -> x <> y | Ir.Lt -> x < y
@@ -196,6 +219,24 @@ let apply_intrinsic u x =
   | Ir.Fcos -> cos x
   | Ir.Neg | Ir.Fneg | Ir.I2f | Ir.F2i -> assert false
 
+let int_binop (op : Ir.binop) x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> if y = 0 then raise (Jexn Arith) else x / y
+  | Rem -> if y = 0 then raise (Jexn Arith) else x mod y
+  | Band -> x land y
+  | Bor -> x lor y
+  | Bxor -> x lxor y
+  | Shl -> x lsl (y land 63)
+  | Shr -> x asr (y land 63)
+  | Icmp c -> if cmp_int c x y then 1 else 0
+  | Fadd | Fsub | Fmul | Fdiv | Fcmp _ -> assert false
+
+(* The label [exec_block] returns for a block that ends in [Return]. *)
+let returned : Ir.label = -1
+
 (* [tier] is the tier of the code version being executed; it only
    flows into profile events (and stays 0 for untiered runs). *)
 let rec exec_func st ~tier (f : Ir.func) (args : value list) : value option =
@@ -207,59 +248,63 @@ let rec exec_func st ~tier (f : Ir.func) (args : value list) : value option =
     args;
   let rec run l =
     let b = Ir.block f l in
-    let next =
-      try `Flow (exec_block st ~tier f vars l b)
-      with Jexn k -> (
-        match Ir.handler_of f b.breg with
-        | Some h ->
-          record st (Ecaught k);
-          `Flow (`Jump h)
-        | None -> raise (Jexn k))
-    in
-    match next with
-    | `Flow (`Jump l') -> run l'
-    | `Flow (`Return v) -> v
+    match exec_block st ~tier f vars l b with
+    | l' when l' <> returned -> run l'
+    | _ -> (
+      match b.term with Return (Some o) -> Some (eval vars o) | _ -> None)
+    | exception Jexn k -> (
+      match Ir.handler_of f b.breg with
+      | Some h ->
+        record st (Ecaught k);
+        run h
+      | None -> raise (Jexn k))
   in
-  let r = run 0 in
-  st.depth <- st.depth - 1;
-  r
+  match run 0 with
+  | r ->
+    st.depth <- st.depth - 1;
+    r
+  | exception e ->
+    (* an exception the caller catches resumes at this depth *)
+    st.depth <- st.depth - 1;
+    raise e
 
-and exec_block st ~tier f vars (l : Ir.label) (b : Ir.block) :
-    [ `Jump of Ir.label | `Return of value option ] =
+(* Runs the block and returns the label to continue at, or [returned];
+   the caller reads a returned value from [b.term]. *)
+and exec_block st ~tier f vars (l : Ir.label) (b : Ir.block) : Ir.label =
   let cost = st.arch.cost in
   (match st.profile with
   | Some p -> Profile.hit_block p ~func:f.Ir.fn_name ~block:l
   | None -> ());
-  let prev = ref None in
-  Array.iter
-    (fun i ->
-      exec_instr st ~tier f vars ~blk:l ~prev:!prev i;
-      prev := Some i)
-    b.instrs;
+  let instrs = b.instrs in
+  for ix = 0 to Array.length instrs - 1 do
+    exec_instr st ~tier f vars ~blk:l instrs ix
+  done;
   tick st;
   match b.term with
   | Goto l ->
     charge st cost.c_branch;
-    `Jump l
+    l
   | If (c, x, y, l1, l2) ->
     charge st cost.c_branch;
-    `Jump (if cmp_values c (eval vars x) (eval vars y) then l1 else l2)
+    let taken =
+      if is_int vars x && is_int vars y then
+        cmp_int c (eval_int vars x) (eval_int vars y)
+      else cmp_values c (eval vars x) (eval vars y)
+    in
+    if taken then l1 else l2
   | Ifnull (v, l1, l2) ->
     charge st cost.c_branch;
-    (match as_ref vars.(v) with Null -> `Jump l1 | Obj _ | Arr _ -> `Jump l2)
-  | Return None ->
+    (match as_ref vars.(v) with Null -> l1 | Obj _ | Arr _ -> l2)
+  | Return _ ->
     charge st cost.c_branch;
-    `Return None
-  | Return (Some o) ->
-    charge st cost.c_branch;
-    `Return (Some (eval vars o))
+    returned
   | Throw s -> raise (Jexn (User s))
 
-and exec_instr st ~tier f vars ~blk ~prev (i : Ir.instr) : unit =
+and exec_instr st ~tier f vars ~blk (instrs : Ir.instr array) ix : unit =
   let cost = st.arch.cost in
   let fname = f.Ir.fn_name in
   tick st;
-  match i with
+  match instrs.(ix) with
   | Move (d, o) ->
     charge st cost.c_alu;
     vars.(d) <- eval vars o
@@ -267,45 +312,45 @@ and exec_instr st ~tier f vars ~blk ~prev (i : Ir.instr) : unit =
     match u with
     | Neg ->
       charge st cost.c_alu;
-      vars.(d) <- Vint (-as_int (eval vars o))
+      vars.(d) <- Vint (-eval_int vars o)
     | Fneg ->
       charge st cost.c_fpu;
       vars.(d) <- Vfloat (-.as_float (eval vars o))
     | I2f ->
       charge st cost.c_fpu;
-      vars.(d) <- Vfloat (float_of_int (as_int (eval vars o)))
+      vars.(d) <- Vfloat (float_of_int (eval_int vars o))
     | F2i ->
       charge st cost.c_fpu;
       vars.(d) <- Vint (int_of_float (as_float (eval vars o)))
     | (Fsqrt | Fexp | Flog | Fsin | Fcos) as u ->
       charge st cost.c_intrinsic;
       vars.(d) <- Vfloat (apply_intrinsic u (as_float (eval vars o))))
+  | Binop
+      ( d,
+        ((Add | Sub | Mul | Div | Rem | Band | Bor | Bxor | Shl | Shr | Icmp _)
+         as op),
+        a,
+        b )
+    when is_int vars a && is_int vars b ->
+    charge st cost.c_alu;
+    vars.(d) <- Vint (int_binop op (eval_int vars a) (eval_int vars b))
   | Binop (d, op, a, b) -> (
     let va = eval vars a and vb = eval vars b in
     match op with
-    | Add -> charge st cost.c_alu; vars.(d) <- Vint (as_int va + as_int vb)
-    | Sub -> charge st cost.c_alu; vars.(d) <- Vint (as_int va - as_int vb)
-    | Mul -> charge st cost.c_alu; vars.(d) <- Vint (as_int va * as_int vb)
-    | Div ->
-      charge st cost.c_alu;
-      let n = as_int vb in
-      if n = 0 then raise (Jexn Arith) else vars.(d) <- Vint (as_int va / n)
-    | Rem ->
-      charge st cost.c_alu;
-      let n = as_int vb in
-      if n = 0 then raise (Jexn Arith) else vars.(d) <- Vint (as_int va mod n)
-    | Band -> charge st cost.c_alu; vars.(d) <- Vint (as_int va land as_int vb)
-    | Bor -> charge st cost.c_alu; vars.(d) <- Vint (as_int va lor as_int vb)
-    | Bxor -> charge st cost.c_alu; vars.(d) <- Vint (as_int va lxor as_int vb)
-    | Shl -> charge st cost.c_alu; vars.(d) <- Vint (as_int va lsl (as_int vb land 63))
-    | Shr -> charge st cost.c_alu; vars.(d) <- Vint (as_int va asr (as_int vb land 63))
     | Fadd -> charge st cost.c_fpu; vars.(d) <- Vfloat (as_float va +. as_float vb)
     | Fsub -> charge st cost.c_fpu; vars.(d) <- Vfloat (as_float va -. as_float vb)
     | Fmul -> charge st cost.c_fpu; vars.(d) <- Vfloat (as_float va *. as_float vb)
     | Fdiv -> charge st cost.c_fpu; vars.(d) <- Vfloat (as_float va /. as_float vb)
     | Icmp c | Fcmp c ->
       charge st cost.c_alu;
-      vars.(d) <- Vint (if cmp_values c va vb then 1 else 0))
+      vars.(d) <- Vint (if cmp_values c va vb then 1 else 0)
+    | Add | Sub | Mul | Div | Rem | Band | Bor | Bxor | Shl | Shr -> (
+      (* a non-int operand: the right one is converted first, and a zero
+         divisor raises before the left one is converted *)
+      charge st cost.c_alu;
+      match (op, as_int vb) with
+      | (Div | Rem), 0 -> raise (Jexn Arith)
+      | _, y -> vars.(d) <- Vint (int_binop op (as_int va) y)))
   | Null_check (Explicit, v, s) -> (
     charge st cost.c_explicit_check;
     st.c.explicit_checks <- st.c.explicit_checks + 1;
@@ -336,19 +381,20 @@ and exec_instr st ~tier f vars ~blk ~prev (i : Ir.instr) : unit =
     | Some p ->
       Profile.hit_check ~tier p ~func:fname ~site:s ~kind:Profile.Cbound
     | None -> ());
-    let idx = as_int (eval vars io) and len = as_int (eval vars lo) in
+    let idx = eval_int vars io in
+    let len = eval_int vars lo in
     if idx < 0 || idx >= len then raise (Jexn Oob)
   | Get_field (d, o, fld) -> (
     charge st cost.c_load;
     st.c.loads <- st.c.loads + 1;
     match as_ref vars.(o) with
     | Obj obj -> (
-      match Hashtbl.find_opt obj.o_slots fld.foffset with
-      | Some v -> vars.(d) <- v
-      | None -> raise (Sim ("field " ^ fld.fname ^ " missing from object")))
+      match Value.slot_of obj fld.foffset with
+      | -1 -> raise (Sim ("field " ^ fld.fname ^ " missing from object"))
+      | k -> vars.(d) <- obj.o_slots.(k))
     | Null ->
       vars.(d) <-
-        null_deref st ~fname ~tier ~blk ~prev ~base:o ~offset:fld.foffset
+        null_deref st ~fname ~tier ~blk ~instrs ~ix ~base:o ~offset:fld.foffset
           ~access:Arch.Read
     | Arr _ -> raise (Sim "field access on array"))
   | Put_field (o, fld, s) -> (
@@ -356,16 +402,16 @@ and exec_instr st ~tier f vars ~blk ~prev (i : Ir.instr) : unit =
     st.c.stores <- st.c.stores + 1;
     let v = eval vars s in
     match as_ref vars.(o) with
-    | Obj obj -> Hashtbl.replace obj.o_slots fld.foffset v
+    | Obj obj -> Value.set_field obj fld v
     | Null ->
       ignore
-        (null_deref st ~fname ~tier ~blk ~prev ~base:o ~offset:fld.foffset
+        (null_deref st ~fname ~tier ~blk ~instrs ~ix ~base:o ~offset:fld.foffset
            ~access:Arch.Write)
     | Arr _ -> raise (Sim "field store on array"))
   | Array_load (d, a, io, k) -> (
     charge st cost.c_load;
     st.c.loads <- st.c.loads + 1;
-    let idx = as_int (eval vars io) in
+    let idx = eval_int vars io in
     match as_ref vars.(a) with
     | Arr arr ->
       if arr.a_kind <> k then raise (Sim "array load with wrong element kind");
@@ -375,12 +421,12 @@ and exec_instr st ~tier f vars ~blk ~prev (i : Ir.instr) : unit =
     | Null ->
       let offset = Ir.array_elem_base + (idx * Ir.slot_size) in
       vars.(d) <-
-        null_deref st ~fname ~tier ~blk ~prev ~base:a ~offset ~access:Arch.Read
+        null_deref st ~fname ~tier ~blk ~instrs ~ix ~base:a ~offset ~access:Arch.Read
     | Obj _ -> raise (Sim "array read on object"))
   | Array_store (a, io, s, k) -> (
     charge st cost.c_store;
     st.c.stores <- st.c.stores + 1;
-    let idx = as_int (eval vars io) in
+    let idx = eval_int vars io in
     let v = eval vars s in
     match as_ref vars.(a) with
     | Arr arr ->
@@ -391,7 +437,7 @@ and exec_instr st ~tier f vars ~blk ~prev (i : Ir.instr) : unit =
     | Null ->
       let offset = Ir.array_elem_base + (idx * Ir.slot_size) in
       ignore
-        (null_deref st ~fname ~tier ~blk ~prev ~base:a ~offset ~access:Arch.Write)
+        (null_deref st ~fname ~tier ~blk ~instrs ~ix ~base:a ~offset ~access:Arch.Write)
     | Obj _ -> raise (Sim "array write on object"))
   | Array_length (d, a) -> (
     charge st cost.c_load;
@@ -400,16 +446,23 @@ and exec_instr st ~tier f vars ~blk ~prev (i : Ir.instr) : unit =
     | Arr arr -> vars.(d) <- Vint (Array.length arr.a_elems)
     | Null ->
       vars.(d) <-
-        null_deref st ~fname ~tier ~blk ~prev ~base:a
+        null_deref st ~fname ~tier ~blk ~instrs ~ix ~base:a
           ~offset:Ir.array_length_offset ~access:Arch.Read
     | Obj _ -> raise (Sim "arraylength on object"))
   | New_object (d, cname) ->
     charge st cost.c_alloc;
     st.c.allocs <- st.c.allocs + 1;
-    let cls = Ir.find_class st.prog cname in
-    vars.(d) <- Vref (Obj (Value.new_object st.prog.classes cls))
+    let l =
+      match Hashtbl.find st.layouts cname with
+      | l -> l
+      | exception Not_found ->
+        let l = Value.layout st.prog.classes (Ir.find_class st.prog cname) in
+        Hashtbl.add st.layouts cname l;
+        l
+    in
+    vars.(d) <- Vref (Obj (Value.instantiate l))
   | New_array (d, k, n) ->
-    let len = as_int (eval vars n) in
+    let len = eval_int vars n in
     if len < 0 then raise (Jexn (User "NegativeArraySize"));
     charge st (cost.c_alloc + (len / 16));
     st.c.allocs <- st.c.allocs + 1;
@@ -514,6 +567,7 @@ let run ?(fuel = 400_000_000) ?metrics ?profile ?dispatch ?on_trap
       profile;
       resolve;
       on_trap;
+      layouts = Hashtbl.create 8;
     }
   in
   let execute () =

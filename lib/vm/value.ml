@@ -12,7 +12,10 @@ and heapref = Null | Obj of obj | Arr of arr
 
 and obj = {
   o_cls : Ir.cls;
-  o_slots : (int, value) Hashtbl.t; (** keyed by field byte offset *)
+  mutable o_offsets : int array;
+      (** field byte offset of each slot, shared by every object of the
+          class; replaced, never written, when a store adds an offset *)
+  mutable o_slots : value array; (** [o_slots.(k)] is the field at [o_offsets.(k)] *)
 }
 
 and arr = { a_kind : Ir.kind; a_elems : value array }
@@ -38,13 +41,39 @@ let rec all_fields (classes : (string, Ir.cls) Hashtbl.t) (c : Ir.cls) :
   in
   inherited @ c.cfields
 
-let new_object classes (c : Ir.cls) : obj =
-  let slots = Hashtbl.create 8 in
+type layout = { l_cls : Ir.cls; l_offsets : int array; l_init : value array }
+
+(* One slot per distinct offset, in field order; a redeclared offset
+   keeps its slot and takes the last default.  Offsets are sparse (a
+   field may sit at 512 KiB), so they are searched, not indexed. *)
+let layout classes (c : Ir.cls) : layout =
+  let offsets = ref [] and init = Hashtbl.create 8 in
   List.iter
     (fun (fd : Ir.field) ->
-      Hashtbl.replace slots fd.foffset (default_of_kind fd.fkind))
+      if not (Hashtbl.mem init fd.foffset) then offsets := fd.foffset :: !offsets;
+      Hashtbl.replace init fd.foffset (default_of_kind fd.fkind))
     (all_fields classes c);
-  { o_cls = c; o_slots = slots }
+  let l_offsets = Array.of_list (List.rev !offsets) in
+  { l_cls = c; l_offsets; l_init = Array.map (Hashtbl.find init) l_offsets }
+
+let instantiate (l : layout) : obj =
+  { o_cls = l.l_cls; o_offsets = l.l_offsets; o_slots = Array.copy l.l_init }
+
+let new_object classes c = instantiate (layout classes c)
+
+let slot_of (o : obj) offset =
+  let offs = o.o_offsets in
+  let n = Array.length offs in
+  let k = ref 0 in
+  while !k < n && offs.(!k) <> offset do incr k done;
+  if !k = n then -1 else !k
+
+let set_field (o : obj) (fd : Ir.field) v =
+  match slot_of o fd.foffset with
+  | -1 ->
+    o.o_offsets <- Array.append o.o_offsets [| fd.foffset |];
+    o.o_slots <- Array.append o.o_slots [| v |]
+  | k -> o.o_slots.(k) <- v
 
 let new_array kind len : arr =
   { a_kind = kind; a_elems = Array.make len (default_of_kind kind) }
@@ -70,11 +99,9 @@ let deep_copy_all (vs : value list) : value list =
       match List.assq_opt (Obj.repr o) !memo with
       | Some r' -> r'
       | None ->
-        let slots = Hashtbl.create (Hashtbl.length o.o_slots) in
-        let o' = { o_cls = o.o_cls; o_slots = slots } in
+        let o' = { o with o_slots = Array.copy o.o_slots } in
         memo := (Obj.repr o, Obj o') :: !memo;
-        Hashtbl.iter (fun k v -> Hashtbl.replace slots k (copy_value v))
-          o.o_slots;
+        Array.iteri (fun i v -> o'.o_slots.(i) <- copy_value v) o'.o_slots;
         Obj o')
     | Arr a -> (
       match List.assq_opt (Obj.repr a) !memo with

@@ -5,6 +5,8 @@
 #         the key of one job is stable across requests;
 #   miss  the cache must serve none (cache_hits = 0): every freshly
 #         built program mints new check sites, and the key covers them.
+# The hit run also gates steady state: its warm tier-2 code must execute
+# no explicit null checks (interp_explicit_checks = 0).
 # Both runs must also report correct = true.
 #
 # Usage (from the root of a checkout, with dune on PATH):
@@ -35,8 +37,12 @@ if workload == "hit" and misses > 0:
 if workload == "miss" and hits > 0:
     errors.append("miss reports %d cache hits: the key drops check sites"
                   % hits)
-print("%s: correct=%s cache_hits=%d cache_misses=%d"
-      % (workload, result["correct"], hits, misses))
+explicit = metrics["interp_explicit_checks"]["value"]
+if workload == "hit" and explicit != 0:
+    errors.append("hit executed %d explicit null checks in warm tier-2 code"
+                  % explicit)
+print("%s: correct=%s cache_hits=%d cache_misses=%d explicit_checks=%d"
+      % (workload, result["correct"], hits, misses, explicit))
 for e in errors:
     print("perf smoke (%s): %s" % (workload, e), file=sys.stderr)
 sys.exit(1 if errors else 0)

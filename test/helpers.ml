@@ -27,8 +27,7 @@ let program_of ?(classes = [ point_cls ]) funcs main =
 (** Allocate a Point with field [x] set. *)
 let new_point ?(x = 0) () : Value.value =
   let obj = Value.new_object (Hashtbl.create 1) point_cls in
-  (match obj with
-  | { Value.o_slots; _ } -> Hashtbl.replace o_slots fld_x.Ir.foffset (Value.Vint x));
+  Value.set_field obj fld_x (Value.Vint x);
   Value.Vref (Value.Obj obj)
 
 let vint n = Value.Vint n

@@ -192,15 +192,143 @@ let test_fuel_limit () =
   let b = create ~name:"m" ~params:[] () in
   let i = fresh b in
   emit b (Move (i, Cint 0));
+  emit b (Print (Cint 42));
   do_while b
-    ~body:(fun _ -> ())
+    ~body:(fun b -> emit b (Print (Cint 1)))
     ~cond:(fun _ -> (Ir.Eq, Ir.Cint 0, Ir.Cint 0))
     ();
   terminate b (Return None);
   let p = H.program_of [ finish b ] "m" in
-  match (Interp.run ~fuel:1000 ~arch:ia32 p []).Interp.outcome with
+  let r = Interp.run ~fuel:1000 ~arch:ia32 p [] in
+  (match r.Interp.outcome with
   | Interp.Sim_error "out of fuel" -> ()
+  | o -> Alcotest.failf "%a" Interp.pp_outcome o);
+  check_int "fuel spent exactly" 1000 r.Interp.counters.Interp.instrs;
+  (* the prints before exhaustion stay in the trace, in order *)
+  match r.Interp.trace with
+  | Interp.Eprint "42" :: (_ :: _ as loop) ->
+    check_bool "loop prints" true
+      (List.for_all (function Interp.Eprint "1" -> true | _ -> false) loop)
+  | _ -> Alcotest.fail "prints before fuel exhaustion lost"
+
+(* [down n] recurses [n] frames deep *)
+let down_program () =
+  let open Builder in
+  let down =
+    let b = create ~name:"down" ~params:[ "n" ] () in
+    let m = fresh b and r = fresh b in
+    if_then b (Ir.Le, Var (param b 0), Cint 0)
+      ~then_:(fun b -> terminate b (Return (Some (Cint 0))))
+      ();
+    emit b (Binop (m, Sub, Var (param b 0), Cint 1));
+    scall b ~dst:r "down" [ Var m ];
+    emit b (Binop (r, Add, Var r, Cint 1));
+    terminate b (Return (Some (Var r)));
+    finish b
+  in
+  let main =
+    let b = create ~name:"main" ~params:[ "n" ] () in
+    let r = fresh b in
+    scall b ~dst:r "down" [ Var (param b 0) ];
+    terminate b (Return (Some (Var r)));
+    finish b
+  in
+  H.program_of [ main; down ] "main"
+
+let test_deep_recursion_fails () =
+  let p = down_program () in
+  (match outcome ~arch:ia32 p [ H.vint 1500 ] with
+  | Interp.Returned (Some (Value.Vint 1500)) -> ()
+  | o -> Alcotest.failf "1,500 frames: %a" Interp.pp_outcome o);
+  match outcome ~arch:ia32 p [ H.vint 2500 ] with
+  | Interp.Sim_error "call depth exceeded" -> ()
+  | o -> Alcotest.failf "2,500 frames: %a" Interp.pp_outcome o
+
+(* 3,000 throws out of a callee, each caught in the caller's loop: the
+   unwound frames give their call depth back *)
+let test_depth_restored_after_throw () =
+  let open Builder in
+  let thrower =
+    let b = create ~name:"thrower" ~params:[] () in
+    terminate b (Throw "E");
+    finish b
+  in
+  let main =
+    let b = create ~name:"main" ~params:[] () in
+    let i = fresh b and n = fresh b in
+    emit b (Move (n, Cint 0));
+    count_do b ~v:i ~from:(Cint 0) ~limit:(Cint 3000) (fun b ->
+        with_try b
+          ~handler:(fun b -> emit b (Binop (n, Add, Var n, Cint 1)))
+          (fun b -> scall b "thrower" []));
+    terminate b (Return (Some (Var n)));
+    finish b
+  in
+  let p = H.program_of [ main; thrower ] "main" in
+  let r = Interp.run ~arch:ia32 p [] in
+  (match r.Interp.outcome with
+  | Interp.Returned (Some (Value.Vint 3000)) -> ()
+  | o -> Alcotest.failf "expected 3000 caught throws: %a" Interp.pp_outcome o);
+  if Native.available () then
+    match Native.run_program ~arch:ia32 p with
+    | Ok n ->
+      check_bool "native agrees" true (Interp.equivalent n.Native.r_result r)
+    | Error msg -> Alcotest.failf "native run failed: %s" msg
+
+(* Point has no field at offset 40 *)
+let ghost = { Ir.fname = "ghost"; foffset = 40; fkind = Ir.Kint }
+
+let test_absent_field () =
+  (match outcome ~arch:ia32 (bare_read ghost) [ H.new_point () ] with
+  | Interp.Sim_error "field ghost missing from object" -> ()
+  | o -> Alcotest.failf "absent field read: %a" Interp.pp_outcome o);
+  (* a store to an absent offset adds the field; a read then sees it *)
+  let open Builder in
+  let b = create ~name:"m" ~params:[ "a" ] () in
+  let x = fresh b in
+  emit b (Put_field (param b 0, ghost, Cint 5));
+  emit b (Get_field (x, param b 0, ghost));
+  terminate b (Return (Some (Var x)));
+  match outcome ~arch:ia32 (H.program_of [ finish b ] "m") [ H.new_point () ] with
+  | Interp.Returned (Some (Value.Vint 5)) -> ()
+  | o -> Alcotest.failf "absent field store: %a" Interp.pp_outcome o
+
+let test_sparse_offsets_dense_slots () =
+  (* fld_big sits at 512 KiB: the object still holds one slot per field *)
+  let open Builder in
+  let b = create ~name:"m" ~params:[] () in
+  let o = fresh b and x = fresh b in
+  emit b (New_object (o, "Point"));
+  emit b (Put_field (o, H.fld_big, Cint 7));
+  emit b (Get_field (x, o, H.fld_big));
+  emit b (Print (Var x));
+  terminate b (Return (Some (Var o)));
+  let r = Interp.run ~arch:ia32 (H.program_of [ finish b ] "m") [] in
+  check_bool "big field read back" true (r.Interp.trace = [ Interp.Eprint "7" ]);
+  match r.Interp.outcome with
+  | Interp.Returned (Some (Value.Vref (Value.Obj obj))) ->
+    check_int "one slot per field" 4 (Array.length obj.Value.o_slots)
   | o -> Alcotest.failf "%a" Interp.pp_outcome o
+
+let test_deep_copy_aliasing () =
+  let pt = H.new_point ~x:3 () in
+  let arr = Value.new_array Ir.Kref 1 in
+  arr.Value.a_elems.(0) <- pt;
+  let x_of (o : Value.obj) =
+    o.Value.o_slots.(Value.slot_of o H.fld_x.Ir.foffset)
+  in
+  match (pt, Value.deep_copy_all [ pt; pt; Value.Vref (Value.Arr arr) ]) with
+  | ( Value.Vref (Value.Obj orig),
+      [ Value.Vref (Value.Obj a); Value.Vref (Value.Obj b);
+        Value.Vref (Value.Arr c) ] ) ->
+    check_bool "passed twice, one copy" true (a == b);
+    check_bool "reached through an array, same copy" true
+      (match c.Value.a_elems.(0) with Value.Vref (Value.Obj o) -> o == a | _ -> false);
+    check_bool "a copy, not the original" true (a != orig);
+    Value.set_field a H.fld_x (Value.Vint 99);
+    check_bool "copy mutated" true (x_of a = Value.Vint 99);
+    check_bool "original unchanged" true (x_of orig = Value.Vint 3)
+  | _ -> Alcotest.fail "deep copy changed the shape of its arguments"
 
 let test_equivalence_relation () =
   let mk outcome trace = { Interp.outcome; trace; counters = Interp.new_counters () } in
@@ -280,6 +408,15 @@ let () =
             test_exception_unwinds_calls;
           Alcotest.test_case "virtual dispatch + CHA" `Quick
             test_virtual_dispatch;
+          Alcotest.test_case "call depth restored after throws" `Quick
+            test_depth_restored_after_throw;
+          Alcotest.test_case "deep recursion fails" `Quick
+            test_deep_recursion_fails;
+          Alcotest.test_case "absent field" `Quick test_absent_field;
+          Alcotest.test_case "sparse offsets, dense slots" `Quick
+            test_sparse_offsets_dense_slots;
+          Alcotest.test_case "deep copy keeps aliasing" `Quick
+            test_deep_copy_aliasing;
         ] );
       ( "safety-nets",
         [
