@@ -6,7 +6,11 @@
 
     Output sections are labelled with the paper artifact they reproduce;
     EXPERIMENTS.md records the shape comparison against the published
-    numbers.
+    numbers.  Quantities outside the paper's evaluation have their own
+    commands and are not re-measured here: service throughput
+    ([nullelim batch]), tiered steady state ([nullelim tiered]), fuzz
+    cost ([nullelim fuzz]) and native trap costs
+    ([nullelim native-bench]).
 
     Environment:
     - [BENCH_SCALE] (default 4): workload scale factor;
@@ -309,234 +313,6 @@ let profiling_overhead () =
   (off, on)
 
 (* ------------------------------------------------------------------ *)
-(* Compile-service throughput: jobs/sec scaling and cache speedup       *)
-(* ------------------------------------------------------------------ *)
-
-module Svc = Nullelim.Svc
-module Codecache = Nullelim.Codecache
-
-type throughput = {
-  th_jobs : int;
-  th_scaling : (int * float * float) list;  (* domains, seconds, jobs/sec *)
-  th_cold_seconds : float;
-  th_warm_seconds : float;
-  th_cache : Codecache.stats;
-}
-
-(** Batch-compile the whole registry under every IA32 configuration on
-    1/2/4 domains (uncached, so each run does the full work), then
-    measure a cold vs. warm pass through the content-addressed code
-    cache.  Speedup from domains needs hardware parallelism — on a
-    single-core CI runner the scaling column flattens to ~1x, which is
-    the honest number. *)
-let service_throughput () =
-  section "Compile service: jobs/sec scaling and code-cache speedup"
-    "throughput harness";
-  let jobs =
-    List.concat_map
-      (fun (w : W.t) ->
-        let p = w.W.build ~scale:1 in
-        List.map
-          (fun cfg ->
-            Svc.job ~config:cfg ~arch:Arch.ia32_windows p)
-          Config.windows_suite)
-      (Registry.all ())
-  in
-  let n = List.length jobs in
-  let time_batch ?cache ~domains () =
-    let t0 = Obs.Clock.now () in
-    ignore
-      (Svc.with_service ~domains ?cache (fun t -> Svc.compile_all t jobs));
-    Obs.Clock.now () -. t0
-  in
-  ignore (time_batch ~domains:1 ()) (* warm up code + allocator *);
-  let scaling =
-    List.map
-      (fun domains ->
-        let s = time_batch ~domains () in
-        (domains, s, float_of_int n /. Float.max 1e-9 s))
-      [ 1; 2; 4 ]
-  in
-  Fmt.pr "%d jobs (%d workloads x %d configs), scale 1, no cache@." n
-    (List.length (Registry.all ()))
-    (List.length Config.windows_suite);
-  Fmt.pr "%-10s %12s %12s %10s@." "domains" "seconds" "jobs/sec" "speedup";
-  let base = match scaling with (_, s, _) :: _ -> s | [] -> 1. in
-  List.iter
-    (fun (d, s, r) ->
-      Fmt.pr "%-10d %12.4f %12.1f %9.2fx@." d s r (base /. Float.max 1e-9 s))
-    scaling;
-  let cache = Svc.create_cache () in
-  let cold = time_batch ~cache ~domains:(Svc.default_domains ()) () in
-  let warm = time_batch ~cache ~domains:(Svc.default_domains ()) () in
-  let st = Codecache.stats cache in
-  Fmt.pr
-    "cache: cold %.4f s, warm %.4f s (%.1fx), %d hits / %d misses / %d \
-     evictions@."
-    cold warm (cold /. Float.max 1e-9 warm) st.Codecache.hits
-    st.Codecache.misses st.Codecache.evictions;
-  {
-    th_jobs = n;
-    th_scaling = scaling;
-    th_cold_seconds = cold;
-    th_warm_seconds = warm;
-    th_cache = st;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Code-cache lock contention: single shard vs hash-sharded             *)
-(* ------------------------------------------------------------------ *)
-
-type contention = {
-  cc_domains : int;
-  cc_ops : int;  (* total operations per configuration *)
-  cc_shards : int;
-  cc_single_seconds : float;
-  cc_sharded_seconds : float;
-}
-
-(** Hammer one cache from several domains with a find-heavy mix (1 add
-    per 64 finds over a fixed digest key set) and compare a single
-    global LRU against the hash-sharded layout.  Speedup needs hardware
-    parallelism — on a single-core runner both columns converge, which
-    is the honest number. *)
-let cache_contention () =
-  section "Code cache: sharded vs single-lock contention" "perf harness";
-  let domains = 4 in
-  let ops_per_domain = 200_000 in
-  let keys =
-    Array.init 256 (fun i -> Digest.to_hex (Digest.string (string_of_int i)))
-  in
-  let time ~shards =
-    let cache =
-      Codecache.create ~budget_bytes:(1 lsl 20) ~shards ~size:(fun _ -> 64) ()
-    in
-    Array.iter (fun k -> Codecache.add cache ~key:k 0) keys;
-    let t0 = Obs.Clock.now () in
-    let worker d =
-      Domain.spawn (fun () ->
-          let n = Array.length keys in
-          for i = 0 to ops_per_domain - 1 do
-            let k = keys.((i * 7 + d) mod n) in
-            if i land 63 = 0 then Codecache.add cache ~key:k i
-            else ignore (Codecache.find cache k)
-          done)
-    in
-    let ds = List.init domains worker in
-    List.iter Domain.join ds;
-    Obs.Clock.now () -. t0
-  in
-  ignore (time ~shards:1) (* warm up *);
-  let single = time ~shards:1 in
-  let shards = 8 in
-  let sharded = time ~shards in
-  let total = domains * ops_per_domain in
-  let rate s = float_of_int total /. Float.max 1e-9 s in
-  Fmt.pr "%d domains x %d ops (1 add / 64 finds), %d keys@." domains
-    ops_per_domain (Array.length keys);
-  Fmt.pr "%-16s %12s %14s@." "layout" "seconds" "ops/sec";
-  Fmt.pr "%-16s %12.4f %14.0f@." "1 shard" single (rate single);
-  Fmt.pr "%-16s %12.4f %14.0f@."
-    (Printf.sprintf "%d shards" shards)
-    sharded (rate sharded);
-  Fmt.pr "sharded speedup: %.2fx@." (single /. Float.max 1e-9 sharded);
-  {
-    cc_domains = domains;
-    cc_ops = total;
-    cc_shards = shards;
-    cc_single_seconds = single;
-    cc_sharded_seconds = sharded;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Tiered execution: time-to-peak and steady-state check counts         *)
-(* ------------------------------------------------------------------ *)
-
-module SS = Nullelim_experiments.Steady_state
-
-(** Run every registry workload through the tiered manager in sync mode
-    (deterministic counters — the document the committed baseline
-    regresses against) and force one trap-triggered deoptimization.
-    The steady-state gate (strictly fewer explicit checks than tier 0
-    wherever the full pipeline eliminates any, no serving-thread
-    blocking) aborts the bench on failure. *)
-let tiered_steady_state () =
-  section "Tiered execution: time-to-peak and steady-state checks"
-    "tiered harness";
-  let arch = Arch.ia32_windows in
-  let rows = SS.collect_all ~arch () in
-  let fd = SS.forced_deopt ~arch () in
-  Result.iter_error
-    (fun es -> failwith ("tiered bench: " ^ String.concat "; " es))
-    (SS.gate rows fd);
-  Fmt.pr "%a" SS.pp_summary (rows, fd);
-  (rows, fd)
-
-(* ------------------------------------------------------------------ *)
-(* Differential fuzzing throughput                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Gen = Nullelim.Gen
-module Diff = Nullelim.Diff
-module NB = Nullelim_experiments.Native_bench
-
-type fuzz_bench = {
-  fb_programs : int;
-  fb_seconds : float;
-  fb_passed : int;
-  fb_skipped : int;
-}
-
-(** Push generated programs through the full serial oracle set
-    (generate, strict-validate, compile under every configuration,
-    verify, reconcile, behaviour-diff, solver identity, profile
-    equations) and report programs/sec — the cost model behind the
-    nightly fuzz budget.  Any differential failure aborts the bench:
-    the fuzzer gating CI must be clean here too. *)
-let fuzz_throughput () =
-  section "Differential fuzzing: programs/sec through the oracle set"
-    "fuzz harness";
-  let n = 25 * scale in
-  let t0 = Obs.Clock.now () in
-  let passed = ref 0 and skipped = ref 0 in
-  for seed = 1 to n do
-    let g = Gen.generate ~seed () in
-    match Diff.check g.Nullelim.Gen.g_program with
-    | Diff.Pass -> incr passed
-    | Diff.Skip _ -> incr skipped
-    | Diff.Fail f ->
-      failwith (Fmt.str "fuzz bench: seed %d fails: %a" seed Diff.pp_failure f)
-  done;
-  let s = Obs.Clock.now () -. t0 in
-  Fmt.pr "%d programs in %.2f s — %.1f programs/sec (%d passed, %d skipped)@."
-    n s (float_of_int n /. Float.max 1e-9 s) !passed !skipped;
-  { fb_programs = n; fb_seconds = s; fb_passed = !passed; fb_skipped = !skipped }
-
-(* ------------------------------------------------------------------ *)
-(* Native backend: measured trap costs (real hardware)                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Replace the simulator's modeled per-check cycle constants with
-    wall-clock measurements through the native backend: explicit vs
-    implicit vs unchecked pointer-chase kernels, plus the full SIGSEGV
-    recovery round trip.  Reduced iteration counts keep the bench fast;
-    `nullelim native-bench` runs the full-size defaults.  Unavailable
-    hosts (no linux/x86-64 traps, masked compiler) report a reasoned
-    ["available": false] member instead of failing the bench. *)
-let native_trap_costs () =
-  section "Native backend: measured trap costs (real hardware traps)"
-    "trap-cost model (EXPERIMENTS.md)";
-  match
-    NB.collect ~iters:100_000 ~traps:1_000 ~arch:Arch.ia32_windows ()
-  with
-  | Ok r ->
-    Fmt.pr "%a@." NB.pp r;
-    Ok r
-  | Error m ->
-    Fmt.pr "native backend unavailable: %s@." m;
-    Error m
-
-(* ------------------------------------------------------------------ *)
 (* Solver engine comparison: worklist vs reference round-robin          *)
 (* ------------------------------------------------------------------ *)
 
@@ -631,10 +407,7 @@ let bechamel_suite () =
 (* ------------------------------------------------------------------ *)
 
 let write_json path ~tables ~compile_rows ~breakdown ~deltas ~checks
-    ~solver:(wl, rr, per_pass) ~bechamel ~dynamic ~overhead:(ov_off, ov_on)
-    ~throughput:(th : throughput) ~contention:(cc : contention)
-    ~tiered:(ss_rows, fd) ~fuzz:(fb : fuzz_bench)
-    ~native:(nb : (NB.result, string) result) =
+    ~solver:(wl, rr, per_pass) ~bechamel ~dynamic ~overhead:(ov_off, ov_on) =
   let open Json in
   let compile_row_json (r : E.compile_row) =
     Obj
@@ -730,79 +503,6 @@ let write_json path ~tables ~compile_rows ~breakdown ~deltas ~checks
               ("on_seconds_per_run", Float ov_on);
               ("on_over_off", Float (ov_on /. Float.max 1e-9 ov_off));
             ] );
-        (* compile-service batch throughput: registry x IA32 configs at
-           scale 1 on 1/2/4 domains, plus cold/warm code-cache timings *)
-        ( "throughput",
-          Obj
-            [
-              ("jobs", Int th.th_jobs);
-              ( "scaling",
-                List
-                  (List.map
-                     (fun (d, s, r) ->
-                       Obj
-                         [
-                           ("domains", Int d);
-                           ("seconds", Float s);
-                           ("jobs_per_sec", Float r);
-                         ])
-                     th.th_scaling) );
-              ( "cache",
-                Obj
-                  [
-                    ("cold_seconds", Float th.th_cold_seconds);
-                    ("warm_seconds", Float th.th_warm_seconds);
-                    ( "speedup",
-                      Float
-                        (th.th_cold_seconds
-                        /. Float.max 1e-9 th.th_warm_seconds) );
-                    ("hits", Int th.th_cache.Codecache.hits);
-                    ("misses", Int th.th_cache.Codecache.misses);
-                    ("evictions", Int th.th_cache.Codecache.evictions);
-                  ] );
-            ] );
-        (* code-cache lock contention: single global LRU vs hash-sharded
-           under a find-heavy multi-domain mix *)
-        ( "cache_contention",
-          Obj
-            [
-              ("domains", Int cc.cc_domains);
-              ("ops", Int cc.cc_ops);
-              ("shards", Int cc.cc_shards);
-              ("single_shard_seconds", Float cc.cc_single_seconds);
-              ("sharded_seconds", Float cc.cc_sharded_seconds);
-              ( "speedup",
-                Float
-                  (cc.cc_single_seconds
-                  /. Float.max 1e-9 cc.cc_sharded_seconds) );
-            ] );
-        (* tiered steady-state document (versioned nullelim-tiered
-           schema, sync mode — the member BENCH_baseline.json gates
-           promotion/deopt counter drift against) *)
-        ("tiered", SS.tiered_json ~mode:"sync" ss_rows fd);
-        (* differential-fuzzing throughput: generated programs/sec
-           through the full serial oracle set, the cost model for the
-           nightly fuzz budget *)
-        ( "fuzz",
-          Obj
-            [
-              ("programs", Int fb.fb_programs);
-              ("seconds", Float fb.fb_seconds);
-              ( "programs_per_sec",
-                Float
-                  (float_of_int fb.fb_programs /. Float.max 1e-9 fb.fb_seconds)
-              );
-              ("passed", Int fb.fb_passed);
-              ("skipped", Int fb.fb_skipped);
-            ] );
-        (* measured trap costs through the native backend (versioned
-           nullelim-native-bench schema); hosts that cannot run it
-           report {"available": false, "reason": ...} so the member is
-           always present *)
-        ( "native",
-          match nb with
-          | Ok r -> NB.to_json r
-          | Error m -> NB.unavailable_json m );
         (* per-pass timing/solver metrics of the reference javac compile,
            in the versioned metrics-snapshot schema (validated in CI via
            `nullelim validate-json`) *)
@@ -835,11 +535,6 @@ let () =
   let checks = check_statistics () in
   let dynamic = dynamic_profile () in
   let overhead = profiling_overhead () in
-  let throughput = service_throughput () in
-  let contention = cache_contention () in
-  let tiered = tiered_steady_state () in
-  let fuzz = fuzz_throughput () in
-  let native = native_trap_costs () in
   let solver = solver_comparison () in
   let bech = bechamel_suite () in
   (match json_path with
@@ -855,5 +550,5 @@ let () =
           ("ablation", "cycles", abl);
         ]
       ~compile_rows ~breakdown:t4 ~deltas ~checks ~solver ~bechamel:bech
-      ~dynamic ~overhead ~throughput ~contention ~tiered ~fuzz ~native);
+      ~dynamic ~overhead);
   Fmt.pr "@.done.@."

@@ -386,8 +386,7 @@ let native_bench_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the nullelim-native-bench/1 document (the \"native\" \
-             member of BENCH_results.json).")
+            "Write the nullelim-native-bench/1 document to $(docv).")
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "native-bench" ~doc)
     Cmdliner.Term.(

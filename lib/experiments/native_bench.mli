@@ -49,12 +49,12 @@ val collect :
     backend is unavailable or a kernel misbehaves. *)
 
 val doc : Nullelim_obs.Doc.t
-(** ["nullelim-native-bench/1"], member ["native"] of
-    BENCH_results.json. *)
+(** ["nullelim-native-bench/1"], the document [nullelim native-bench
+    --json] writes. *)
 
 val to_json : result -> Json.t
 val unavailable_json : string -> Json.t
-(** The ["native"] member when the host cannot run the backend:
+(** The document when the host cannot run the backend:
     [{"available": false, "reason": ...}] — CI's cc-masked leg asserts
     this shape. *)
 

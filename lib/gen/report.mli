@@ -6,8 +6,7 @@
 module Json = Nullelim_obs.Obs_json
 
 val doc : Nullelim_obs.Doc.t
-(** ["nullelim-fuzz/1"], member ["fuzz"].  The bench container's
-    ["fuzz"] member is a different, schema-less throughput record. *)
+(** ["nullelim-fuzz/1"], member ["fuzz"]. *)
 
 type failure_row = {
   fr_seed : int;             (** per-program seed — regenerates the input *)

@@ -1,13 +1,14 @@
 (** Parallel JIT compile service (see the interface for the contract).
 
-    Shape: [compile_all] allocates a per-batch result array plus a
-    remaining-jobs countdown, pushes one task per job into the shared
-    bounded {!Chan}, and blocks on the batch condition variable until
-    the countdown hits zero.  Worker domains loop on [Chan.pop],
-    compile (through the cache when one is installed), write their slot
-    and decrement the countdown.  Because each task carries its batch,
-    several [compile_all] calls can be in flight at once and tasks of
-    different batches interleave freely on the pool. *)
+    Shape: every request is a task carrying its own {!future} (a
+    mutex, a condition and a result slot).  Worker domains loop on
+    [Chan.pop], compile (through the cache when one is installed) and
+    fill the task's future.  [compile_all] pushes one task per job into
+    the shared bounded {!Chan} and awaits the futures in job order;
+    [recompile_async] hands its single future to the caller.  Because
+    each task completes on its own, several [compile_all] calls can be
+    in flight at once and tasks of different batches interleave freely
+    on the pool. *)
 
 module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
@@ -115,8 +116,8 @@ let artifact_bytes (c : Compiler.compiled) : int =
   in
   program_bytes + (64 * List.length c.Compiler.decisions) + 1024
 
-let create_cache ?budget_bytes ?shards ?recorder () : cache =
-  Codecache.create ?budget_bytes ?shards ?recorder ~size:artifact_bytes ()
+let create_cache ?budget_bytes ?recorder () : cache =
+  Codecache.create ?budget_bytes ?recorder ~size:artifact_bytes ()
 
 (* ------------------------------------------------------------------ *)
 (* Compiling one job                                                   *)
@@ -166,19 +167,39 @@ let compile_serial ?cache jobs =
 (* The domain pool                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type batch = {
-  results : (outcome, exn) result option array;
-  bm : Mutex.t;
-  bdone : Condition.t;
-  mutable remaining : int;
+(* The completion slot of one request: the worker that runs the task
+   fills [f_result] once and broadcasts.  [poll] is a lock/read/unlock,
+   so the serving thread never waits on the pool. *)
+type future = {
+  f_m : Mutex.t;
+  f_done : Condition.t;
+  mutable f_result : (outcome, exn) result option;
 }
 
+let new_future () =
+  { f_m = Mutex.create (); f_done = Condition.create (); f_result = None }
+
+let fulfil f r =
+  Mutex.lock f.f_m;
+  f.f_result <- Some r;
+  Condition.broadcast f.f_done;
+  Mutex.unlock f.f_m
+
+(* block until the slot is filled; the caller decides whether to raise *)
+let wait f =
+  Mutex.lock f.f_m;
+  while Option.is_none f.f_result do
+    Condition.wait f.f_done f.f_m
+  done;
+  let r = Option.get f.f_result in
+  Mutex.unlock f.f_m;
+  r
+
 type task = {
-  t_index : int;
   t_id : int;             (* service-wide request id *)
   t_enqueued : float;     (* absolute submission time *)
   t_job : job;
-  t_batch : batch;
+  t_future : future;
   t_ctx : Ctx.t;          (* causal context minted at submission *)
 }
 
@@ -271,13 +292,6 @@ let ledger_release (a : accounting) tenant =
     Mutex.unlock a.am
   end
 
-let finish_task (b : batch) idx r =
-  Mutex.lock b.bm;
-  b.results.(idx) <- Some r;
-  b.remaining <- b.remaining - 1;
-  if b.remaining <= 0 then Condition.broadcast b.bdone;
-  Mutex.unlock b.bm
-
 let worker_loop queue cache srec acct completed worker =
   let rec loop () =
     match Chan.pop queue with
@@ -304,7 +318,7 @@ let worker_loop queue cache srec acct completed worker =
         note_completed acct task.t_ctx ~queued_seconds ~seconds:0.);
       Recorder.record ~ctx:task.t_ctx ~a:task.t_id ~b:worker srec
         Recorder.Req_done;
-      finish_task task.t_batch task.t_index r;
+      fulfil task.t_future r;
       loop ()
   in
   loop ()
@@ -380,83 +394,53 @@ let tenants t =
    event and the per-tenant submitted counter fire from the queue's
    on_enqueue hook, only once the push is accepted (a shed [try_push]
    must not look like an accepted request). *)
-let new_task t ?(tenant = -1) ~index job batch =
+let new_task t ?(tenant = -1) job future =
   let id = Atomic.fetch_and_add t.seq 1 in
   {
-    t_index = index;
     t_id = id;
     t_enqueued = Clock.now ();
     t_job = job;
-    t_batch = batch;
+    t_future = future;
     t_ctx = Ctx.mint ~tenant ~request:id ();
   }
 
 let compile_all (t : t) (jobs : job list) : outcome list =
-  let jobs = Array.of_list jobs in
-  let n = Array.length jobs in
-  if n = 0 then []
-  else begin
-    let batch =
-      {
-        results = Array.make n None;
-        bm = Mutex.create ();
-        bdone = Condition.create ();
-        remaining = n;
-      }
-    in
-    (* If the queue closes mid-submission (a racing or prior shutdown),
-       fail the unsubmitted tail ourselves so the batch countdown still
-       reaches zero; tasks already queued are drained by the workers
-       before they exit, so the wait below terminates either way. *)
-    let submitted = ref 0 in
-    (try
-       Array.iteri
-         (fun i job ->
-           let task = new_task t ~index:i job batch in
-           Chan.push t.queue task;
-           (* the queue's on_enqueue hook has already recorded
-              Req_enqueue and the per-tenant submitted counter *)
-           Atomic.incr t.submitted;
-           incr submitted)
-         jobs
-     with Chan.Closed ->
-       for i = !submitted to n - 1 do
-         finish_task batch i
-           (Error
-              (Invalid_argument "Svc.compile_all: service has been shut down"))
-       done);
-    Mutex.lock batch.bm;
-    while batch.remaining > 0 do
-      Condition.wait batch.bdone batch.bm
-    done;
-    Mutex.unlock batch.bm;
-    let out = ref [] in
-    let first_error = ref None in
-    for i = n - 1 downto 0 do
-      match batch.results.(i) with
-      | Some (Ok o) -> out := o :: !out
-      | Some (Error e) -> first_error := Some e
-      | None -> assert false
-    done;
-    match !first_error with Some e -> raise e | None -> !out
-  end
+  (* If the queue closes mid-submission (a racing or prior shutdown),
+     fail the unsubmitted tail's futures ourselves; tasks already queued
+     are drained by the workers before they exit, so every future
+     completes either way. *)
+  let closed = ref false in
+  let submit job =
+    let f = new_future () in
+    (if not !closed then
+       match Chan.push t.queue (new_task t job f) with
+       | () ->
+         (* the queue's on_enqueue hook has already recorded
+            Req_enqueue and the per-tenant submitted counter *)
+         Atomic.incr t.submitted
+       | exception Chan.Closed -> closed := true);
+    if !closed then
+      fulfil f
+        (Error (Invalid_argument "Svc.compile_all: service has been shut down"));
+    f
+  in
+  let results = List.map wait (List.map submit jobs) in
+  match List.find_map (function Error e -> Some e | Ok _ -> None) results with
+  | Some e -> raise e
+  | None -> List.map Result.get_ok results
 
 (* ------------------------------------------------------------------ *)
 (* Asynchronous single-job recompilation (tiered execution)            *)
 (* ------------------------------------------------------------------ *)
 
-(* A future is a one-slot batch: the worker that picks the task up
-   fills slot 0 and broadcasts, exactly as for [compile_all]; the
-   serving thread only ever [poll]s, which is a lock/read/unlock.  The
-   submission uses [Chan.try_push], so a saturated queue is reported to
-   the caller (who retries later) instead of blocking interpretation —
-   this is what "no stop-the-world" means operationally. *)
-type future = { f_batch : batch }
-
 (* Shed reasons, also the [reason] label values on [m_shed]. *)
 let reason_queue_full = "queue_full"
 let reason_tenant_cap = "tenant_cap"
 
+(* The submission uses [Chan.try_push], so a saturated queue is
+   reported to the caller (who retries later) instead of blocking
+   interpretation — this is what "no stop-the-world" means
+   operationally. *)
 let recompile_async (t : t) ?(tenant = -1) (j : job) : future option =
   (* the front door: per-tenant admission first (cheap ledger check),
      then the global queue bound via [try_push] *)
@@ -468,20 +452,13 @@ let recompile_async (t : t) ?(tenant = -1) (j : job) : future option =
     None
   end
   else begin
-    let batch =
-      {
-        results = Array.make 1 None;
-        bm = Mutex.create ();
-        bdone = Condition.create ();
-        remaining = 1;
-      }
-    in
-    let task = new_task t ~tenant ~index:0 j batch in
+    let f = new_future () in
+    let task = new_task t ~tenant j f in
     match Chan.try_push t.queue task with
     | true ->
       (* Req_enqueue + per-tenant submitted fired from the queue hook *)
       Atomic.incr t.submitted;
-      Some { f_batch = batch }
+      Some f
     | false ->
       ledger_release t.acct tenant;
       Atomic.incr t.shed;
@@ -495,10 +472,9 @@ let recompile_async (t : t) ?(tenant = -1) (j : job) : future option =
   end
 
 let poll (f : future) : outcome option =
-  let b = f.f_batch in
-  Mutex.lock b.bm;
-  let r = b.results.(0) in
-  Mutex.unlock b.bm;
+  Mutex.lock f.f_m;
+  let r = f.f_result in
+  Mutex.unlock f.f_m;
   (* raise outside the lock *)
   match r with
   | None -> None
@@ -506,17 +482,7 @@ let poll (f : future) : outcome option =
   | Some (Error e) -> raise e
 
 let await (f : future) : outcome =
-  let b = f.f_batch in
-  Mutex.lock b.bm;
-  while b.remaining > 0 do
-    Condition.wait b.bdone b.bm
-  done;
-  let r = b.results.(0) in
-  Mutex.unlock b.bm;
-  match r with
-  | Some (Ok o) -> o
-  | Some (Error e) -> raise e
-  | None -> assert false (* remaining = 0 implies the slot is filled *)
+  match wait f with Ok o -> o | Error e -> raise e
 
 let shutdown (t : t) =
   let do_join =

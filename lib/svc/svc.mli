@@ -117,14 +117,14 @@ val artifact_bytes : Compiler.compiled -> int
 
 val create_cache :
   ?budget_bytes:int ->
-  ?shards:int ->
   ?recorder:Nullelim_obs.Recorder.t ->
   unit ->
   cache
 (** A cache keyed for {!job_key}, sized by {!artifact_bytes};
-    [budget_bytes] and [shards] default to {!Codecache.create}'s 64 MiB
-    and clamped recommended-domain-count sharding; cache traffic is
-    recorded into [recorder] (default {!Nullelim_obs.Recorder.global}). *)
+    [budget_bytes] defaults to {!Codecache.create}'s 64 MiB and the
+    shard count to its clamped recommended-domain-count sharding; cache
+    traffic is recorded into [recorder] (default
+    {!Nullelim_obs.Recorder.global}). *)
 
 type t
 (** A running service: worker domains + job queue + optional cache. *)
@@ -216,8 +216,9 @@ val compile_serial : ?cache:cache -> job list -> outcome list
     compare {!compile_all} against this. *)
 
 type future
-(** An in-flight single-job recompilation submitted with
-    {!recompile_async}. *)
+(** The completion of one submitted job.  Every request the service
+    accepts — each job of a {!compile_all} batch and each
+    {!recompile_async} submission — completes through one of these. *)
 
 val reason_queue_full : string
 (** ["queue_full"] — the [reason] label on [svc_requests_shed_total]
@@ -252,9 +253,10 @@ val await : future -> outcome
     compilation failed. *)
 
 val shutdown : t -> unit
-(** Close the queue and join every worker.  Queued-but-unstarted work
-    from a concurrent {!compile_all} is abandoned (its caller receives
-    [Invalid_argument]); prefer quiescing first.  Idempotent. *)
+(** Close the queue and join every worker.  Work already queued is
+    drained before the workers exit; jobs of a concurrent {!compile_all}
+    not yet submitted fail with [Invalid_argument].  Prefer quiescing
+    first.  Idempotent. *)
 
 val with_service :
   ?domains:int ->

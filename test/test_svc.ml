@@ -750,6 +750,45 @@ let test_service_stats () =
             (o.Svc.oc_done_at >= 0.))
         outcomes)
 
+(* A job whose compile raises: one block that jumps to a label the
+   function does not have. *)
+let failing_job () =
+  let p = (Option.get (Registry.find "assignment")).W.build ~scale:1 in
+  let f = Hashtbl.find p.Ir.funcs p.Ir.prog_main in
+  f.Ir.fn_blocks.(0).Ir.term <- Ir.Goto (Array.length f.Ir.fn_blocks + 7);
+  job p Config.new_full
+
+let test_failing_job () =
+  let bad = failing_job () in
+  let expected =
+    match Svc.compile_serial [ bad ] with
+    | _ -> Alcotest.fail "the broken job must not compile"
+    | exception e -> e
+  in
+  let raises_expected what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: returned instead of raising" what
+    | exception e ->
+      Alcotest.(check string) what (Printexc.to_string expected)
+        (Printexc.to_string e)
+  in
+  let good = sample_jobs () in
+  Svc.with_service ~domains:2 ~queue_capacity:2 (fun t ->
+      raises_expected "batch re-raises the failing job's exception" (fun () ->
+          Svc.compile_all t (good @ [ bad ] @ good));
+      let s = Svc.stats t in
+      Alcotest.(check int) "the whole batch was submitted"
+        ((2 * List.length good) + 1) s.Svc.s_submitted;
+      Alcotest.(check int) "every submitted job completed" s.Svc.s_submitted
+        s.Svc.s_completed;
+      Alcotest.(check int) "the next batch succeeds" (List.length good)
+        (List.length (Svc.compile_all t good));
+      match Svc.recompile_async t bad with
+      | None -> Alcotest.fail "an idle queue must accept the job"
+      | Some f ->
+        raises_expected "await re-raises" (fun () -> Svc.await f);
+        raises_expected "poll re-raises once done" (fun () -> Svc.poll f))
+
 let () =
   Alcotest.run "svc"
     [
@@ -807,5 +846,7 @@ let () =
             test_service_stats;
           Alcotest.test_case "solver switch stays on its domain" `Quick
             test_solver_switch_domain_local;
+          Alcotest.test_case "a failing job fails only its request" `Quick
+            test_failing_job;
         ] );
     ]
