@@ -305,8 +305,23 @@ let run ?fuel ?metrics ?profile t args =
     ~on_trap:(fun ~func ~site -> on_trap t ~func ~site)
     ~arch:t.arch t.p0 args
 
+let settle t =
+  let rec settle_one fs =
+    try_submit t fs;
+    match fs.fs_pending with
+    | Some { pd_state = `Future fut; _ } ->
+      (* a sanctioned blocking point like [drain]: no awaits bump *)
+      ignore (Svc.await fut)
+    | Some _ -> ()
+    | None when fs.fs_goal <> None ->
+      Domain.cpu_relax (); (* queue full; workers are draining it *)
+      settle_one fs
+    | None -> ()
+  in
+  if t.svc <> None then Hashtbl.iter (fun _ fs -> settle_one fs) t.tbl
+
 let drain t =
-  let settle _ fs =
+  let drain_one _ fs =
     let continue_ = ref true in
     while !continue_ do
       try_submit t fs;
@@ -328,7 +343,7 @@ let drain t =
         else Domain.cpu_relax () (* queue full; workers are draining it *)
     done
   in
-  Hashtbl.iter settle t.tbl
+  Hashtbl.iter drain_one t.tbl
 
 let stats t =
   {

@@ -124,6 +124,13 @@ val run :
     repeatedly; tier state persists across runs — that is the
     steady-state loop. *)
 
+val settle : t -> unit
+(** Block until every in-flight recompilation has completed, without
+    installing any of it: each artifact is installed by the serving
+    path at the function's next call boundary, as in normal running
+    (goal versions deferred by a full queue are submitted first).
+    Test/benchmark helper.  No-op in synchronous mode. *)
+
 val drain : t -> unit
 (** Block until every in-flight recompilation has completed and
     installed (goal versions that were never submitted because the
