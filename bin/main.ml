@@ -77,19 +77,23 @@ let find_workload name =
     Fmt.epr "unknown workload %s; try `nullelim list'@." name;
     exit 2
 
-(** Per-pass table: wall time and solver work summed under each pass
-    name, from the compile's pass records. *)
+(** Per-pass table: wall time, minor-heap words and solver work summed
+    under each pass name, from the compile's pass records. *)
 let print_stats (compiled : Compiler.compiled) =
-  Fmt.pr "@.%-24s %5s %10s %8s %8s %10s %8s@." "pass" "runs" "seconds"
-    "solves" "visits" "transfers" "pushes";
-  let row name runs secs (s : Solver.stats) =
-    Fmt.pr "%-24s %5s %10.4f %8d %8d %10d %8d@." name runs secs s.Solver.solves
-      s.Solver.visits s.Solver.transfers s.Solver.pushes
+  Fmt.pr "@.%-24s %5s %10s %11s %8s %8s %10s %8s@." "pass" "runs" "seconds"
+    "minor_words" "solves" "visits" "transfers" "pushes";
+  let row name runs secs words (s : Solver.stats) =
+    Fmt.pr "%-24s %5s %10.4f %11d %8d %8d %10d %8d@." name runs secs words
+      s.Solver.solves s.Solver.visits s.Solver.transfers s.Solver.pushes
   in
+  let recs = compiled.Compiler.records in
   List.iter
-    (fun (pass, n, secs, s) -> row pass (string_of_int n) secs s)
-    (Pipeline.by_pass compiled.Compiler.records);
-  row "total" "" (Pipeline.total compiled.Compiler.records)
+    (fun (p : Pipeline.pass_total) ->
+      row p.p_pass (string_of_int p.p_runs) p.p_seconds p.p_minor_words
+        p.p_solver)
+    (Pipeline.by_pass recs);
+  row "total" "" (Pipeline.total recs)
+    (List.fold_left (fun acc r -> acc + r.Pipeline.r_minor_words) 0 recs)
     compiled.Compiler.solver;
   let summary = Obs.Decision.summary compiled.Compiler.decisions in
   Fmt.pr "@.decisions (%d events):@."

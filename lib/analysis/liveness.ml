@@ -6,19 +6,25 @@ module Bitset = Nullelim_dataflow.Bitset
 module Solver = Nullelim_dataflow.Solver
 module Cfg = Nullelim_cfg.Cfg
 
-(** Update [s] (live after instruction) to live-before, in place. *)
-let transfer_instr (s : Bitset.t) (i : Ir.instr) : unit =
+(* One backward step; [add] is [Bitset.add_mut s], passed in so that a
+   walk over a block builds that closure once, not once per instruction. *)
+let step (s : Bitset.t) add (i : Ir.instr) : unit =
   (match Ir.def_of_instr i with
   | Some d -> Bitset.remove_mut s d
   | None -> ());
-  List.iter (Bitset.add_mut s) (Ir.uses_of_instr i)
+  Ir.iter_uses add i
+
+(** Update [s] (live after instruction) to live-before, in place. *)
+let transfer_instr (s : Bitset.t) (i : Ir.instr) : unit =
+  step s (Bitset.add_mut s) i
 
 let block_transfer (f : Ir.func) l (outb : Bitset.t) : Bitset.t =
   let s = Bitset.copy outb in
-  List.iter (Bitset.add_mut s) (Ir.uses_of_term (Ir.block f l).term);
+  let add = Bitset.add_mut s in
+  Ir.iter_term_uses add (Ir.block f l).term;
   let instrs = (Ir.block f l).instrs in
   for k = Array.length instrs - 1 downto 0 do
-    transfer_instr s instrs.(k)
+    step s add instrs.(k)
   done;
   s
 

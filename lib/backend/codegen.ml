@@ -63,15 +63,13 @@ let emit_func ~(arch : Arch.t) (f : Ir.func) (alloc : Regalloc.allocation) :
           | Ir.Null_check (Explicit, _, _) ->
             checks := !checks + base_cost arch i
           | _ -> ());
-          List.iter
-            (fun u -> if spilled u then incr loads)
-            (Ir.uses_of_instr i);
+          Ir.iter_uses (fun u -> if spilled u then incr loads) i;
           match Ir.def_of_instr i with
           | Some d when spilled d -> incr stores
           | _ -> ())
         b.instrs;
       machine := !machine + term_cost b.term;
-      List.iter (fun u -> if spilled u then incr loads) (Ir.uses_of_term b.term))
+      Ir.iter_term_uses (fun u -> if spilled u then incr loads) b.term)
     f.fn_blocks;
   let total = !machine + !loads + !stores in
   {

@@ -16,6 +16,7 @@
 
 module Ir = Nullelim_ir.Ir
 module Cfg = Nullelim_cfg.Cfg
+module Context = Nullelim_cfg.Context
 module Bitset = Nullelim_dataflow.Bitset
 module Liveness = Nullelim_analysis.Liveness
 
@@ -78,10 +79,10 @@ let build_intervals (cfg : Cfg.t) (live : Liveness.t) : interval list * int =
         (fun k i ->
           let p = start + k in
           (match Ir.def_of_instr i with Some d -> touch d p | None -> ());
-          List.iter (fun u -> touch u p) (Ir.uses_of_instr i))
+          Ir.iter_uses (fun u -> touch u p) i)
         b.instrs;
       let term_pos = start + Array.length b.instrs in
-      List.iter (fun u -> touch u term_pos) (Ir.uses_of_term b.term);
+      Ir.iter_term_uses (fun u -> touch u term_pos) b.term;
       (* live-out extension *)
       Bitset.iter
         (fun v -> touch v term_pos)
@@ -98,7 +99,7 @@ let build_intervals (cfg : Cfg.t) (live : Liveness.t) : interval list * int =
     when the register file is exhausted, spill the interval that ends
     last (it is the least likely to free a register soon). *)
 let allocate ?(nregs = 12) (f : Ir.func) : allocation =
-  let cfg = Cfg.make f in
+  let cfg = Context.cfg (Context.of_func f) in
   let live = Liveness.solve cfg in
   let intervals, linear_length = build_intervals cfg live in
   let locations = Array.make (max f.fn_nvars 1) (Slot 0) in

@@ -221,27 +221,41 @@ let def_of_instr = function
 
 let vars_of_operand = function Var v -> [ v ] | Cint _ | Cfloat _ | Cnull -> []
 
-(** Variables read by an instruction. *)
-let uses_of_instr i =
-  let op = vars_of_operand in
-  match i with
-  | Move (_, o) | Unop (_, _, o) | Print o | New_array (_, _, o) -> op o
-  | Binop (_, _, a, b) | Bound_check (a, b, _) -> op a @ op b
-  | Null_check (_, v, _) | Array_length (_, v) -> [ v ]
-  | Get_field (_, o, _) -> [ o ]
-  | Put_field (o, _, s) -> o :: op s
-  | Array_load (_, a, i, _) -> a :: op i
-  | Array_store (a, i, s, _) -> (a :: op i) @ op s
-  | New_object _ -> []
-  | Call (_, _, args) -> List.concat_map op args
+let iter_operand (g : var -> unit) = function
+  | Var v -> g v
+  | Cint _ | Cfloat _ | Cnull -> ()
 
-let uses_of_term = function
-  | Goto _ -> []
-  | If (_, a, b, _, _) -> vars_of_operand a @ vars_of_operand b
-  | Ifnull (v, _, _) -> [ v ]
-  | Return (Some o) -> vars_of_operand o
-  | Return None -> []
-  | Throw _ -> []
+(** [iter_uses g i] applies [g] to each variable the instruction reads,
+    in operand order. *)
+let iter_uses (g : var -> unit) i =
+  match i with
+  | Move (_, o) | Unop (_, _, o) | Print o | New_array (_, _, o) ->
+    iter_operand g o
+  | Binop (_, _, a, b) | Bound_check (a, b, _) ->
+    iter_operand g a;
+    iter_operand g b
+  | Null_check (_, v, _) | Array_length (_, v) | Get_field (_, v, _) -> g v
+  | Put_field (o, _, s) ->
+    g o;
+    iter_operand g s
+  | Array_load (_, a, i, _) ->
+    g a;
+    iter_operand g i
+  | Array_store (a, i, s, _) ->
+    g a;
+    iter_operand g i;
+    iter_operand g s
+  | New_object _ -> ()
+  | Call (_, _, args) -> List.iter (iter_operand g) args
+
+(** {!iter_uses} for a terminator. *)
+let iter_term_uses (g : var -> unit) = function
+  | If (_, a, b, _, _) ->
+    iter_operand g a;
+    iter_operand g b
+  | Ifnull (v, _, _) -> g v
+  | Return (Some o) -> iter_operand g o
+  | Goto _ | Return None | Throw _ -> ()
 
 let succs_of_term = function
   | Goto l -> [ l ]

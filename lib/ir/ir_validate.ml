@@ -124,12 +124,12 @@ let check_definite_assignment err (f : Ir.func) =
         Array.iteri
           (fun i instr ->
             let where = Printf.sprintf "instr %d" i in
-            List.iter (use where) (Ir.uses_of_instr instr);
+            Ir.iter_uses (use where) instr;
             match Ir.def_of_instr instr with
             | Some d when d < nv -> st.(d) <- true
             | _ -> ())
           b.instrs;
-        List.iter (use "terminator") (Ir.uses_of_term b.term))
+        Ir.iter_term_uses (use "terminator") b.term)
     f.fn_blocks
 
 (** Try-region entry discipline and handler placement. *)
@@ -198,7 +198,7 @@ let validate_func ?(strict = false) (p : Ir.program option) (f : Ir.func) :
       let where = Printf.sprintf "B%d" bi in
       Array.iter
         (fun i ->
-          List.iter (check_var where) (Ir.uses_of_instr i);
+          Ir.iter_uses (check_var where) i;
           (match Ir.def_of_instr i with
           | Some d -> check_var where d
           | None -> ());
@@ -216,7 +216,7 @@ let validate_func ?(strict = false) (p : Ir.program option) (f : Ir.func) :
           | _ -> ())
         b.instrs;
       List.iter (check_label where) (Ir.succs_of_term b.term);
-      List.iter (check_var where) (Ir.uses_of_term b.term);
+      Ir.iter_term_uses (check_var where) b.term;
       if b.breg <> Ir.no_region then
         match Ir.handler_of f b.breg with
         | Some h -> check_label where h

@@ -6,6 +6,7 @@ module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
 module Opt = Nullelim_opt
 module Pipeline = Nullelim_opt.Pipeline
+module Context = Nullelim_cfg.Context
 module Solver = Nullelim_dataflow.Solver
 module Codegen = Nullelim_backend.Codegen
 module Emit_c = Nullelim_backend.Emit_c
@@ -190,8 +191,10 @@ let compile ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t)
   let (), decisions =
     Decision.with_log (fun () ->
         Decision.set_tier tier;
+        (* one analysis context per function for every pass *)
         let run () =
-          Pipeline.run ~sink (passes ~deopt_sites cfg ~arch) p'
+          Context.with_store (fun () ->
+              Pipeline.run ~sink (passes ~deopt_sites cfg ~arch) p')
         in
         if Trace.enabled () then
           Trace.span ~cat:"compile"

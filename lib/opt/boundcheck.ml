@@ -56,13 +56,12 @@ let collect_pairs (f : Ir.func) : (Ir.operand * Ir.operand) array =
     f.fn_blocks;
   Array.of_list (List.rev !order)
 
-let eliminate_redundant_ctx (ctx : Context.t) : int =
-  let f = Context.func ctx in
+let eliminate_redundant (f : Ir.func) : int =
   let pairs = collect_pairs f in
   let np = Array.length pairs in
   if np = 0 then 0
   else begin
-    let cfg = Context.cfg ctx in
+    let cfg = Context.cfg (Context.of_func f) in
     let index = Hashtbl.create 16 in
     Array.iteri (fun k p -> Hashtbl.replace index p k) pairs;
     let killed_by = Array.make np [] in
@@ -103,6 +102,7 @@ let eliminate_redundant_ctx (ctx : Context.t) : int =
     for l = 0 to Ir.nblocks f - 1 do
       if Cfg.is_reachable cfg l then begin
         let s = Bitset.copy r.Solver.inb.(l) in
+        let before = !removed in
         let keep = ref [] in
         Array.iter
           (fun i ->
@@ -122,14 +122,11 @@ let eliminate_redundant_ctx (ctx : Context.t) : int =
             else keep := i :: !keep;
             transfer_instr s i)
           (Ir.block f l).instrs;
-        Opt_util.set_instrs f l (List.rev !keep)
+        if !removed > before then Opt_util.set_instrs f l (List.rev !keep)
       end
     done;
     !removed
   end
-
-let eliminate_redundant (f : Ir.func) : int =
-  eliminate_redundant_ctx (Context.make f)
 
 (* ------------------------------------------------------------------ *)
 (* Loop-invariant hoisting                                             *)
@@ -139,13 +136,13 @@ let operand_invariant defs_in_loop = function
   | Ir.Var v -> not (Hashtbl.mem defs_in_loop v)
   | Ir.Cint _ | Ir.Cfloat _ | Ir.Cnull -> true
 
-let hoist_loop_invariant_ctx (ctx : Context.t) : int =
-  let f = Context.func ctx in
+let hoist_loop_invariant (f : Ir.func) : int =
+  let ctx = Context.of_func f in
   let hoisted = ref 0 in
   let continue_ = ref true in
-  (* Loop until no change.  The cached context is invalidated only when
-     hoisting creates a fresh preheader block; moving a check between
-     existing blocks leaves CFG, dominators and loops intact. *)
+  (* Loop until no change.  The context rebuilds its structures only
+     when hoisting creates a fresh preheader block; moving a check
+     between existing blocks leaves CFG, dominators and loops intact. *)
   while !continue_ do
     continue_ := false;
     let cfg = Context.cfg ctx in
@@ -207,7 +204,6 @@ let hoist_loop_invariant_ctx (ctx : Context.t) : int =
                 instrs;
               Opt_util.set_instrs f l.header (List.rev !keep);
               Opt_util.append_instrs f ph [ check ];
-              if Ir.nblocks f <> Cfg.nblocks cfg then Context.invalidate ctx;
               Decision.record ~block:l.header ~site:(Ir.site_of_instr check)
                 ~kind:Decision.Kbound ~action:Decision.Moved_backward
                 ~just:Decision.Invariant_in_loop ();
@@ -220,14 +216,11 @@ let hoist_loop_invariant_ctx (ctx : Context.t) : int =
   done;
   !hoisted
 
-let hoist_loop_invariant (f : Ir.func) : int =
-  hoist_loop_invariant_ctx (Context.make f)
-
-(** Run both stages.  Returns [(eliminated, hoisted)].  The two stages
-    share one cached analysis context: when the hoisting settles without
-    a structural change, the elimination reuses its CFG snapshot. *)
+(** Run both stages.  Returns [(eliminated, hoisted)].  Within a
+    compile the two stages share the function's analysis context: when
+    the hoisting settles without a structural change, the elimination
+    reuses its CFG snapshot. *)
 let run (f : Ir.func) : int * int =
-  let ctx = Context.make f in
-  let h = hoist_loop_invariant_ctx ctx in
-  let e = eliminate_redundant_ctx ctx in
+  let h = hoist_loop_invariant f in
+  let e = eliminate_redundant f in
   (e, h)

@@ -4,78 +4,130 @@
     basic block ([d = s; ... use d] becomes [... use s]) as long as
     neither side has been redefined in between.  Null-check targets are
     only rewritten to variables (a check needs a variable), which lets
-    phase 1 recognize two checks of the same object through a copy. *)
+    phase 1 recognize two checks of the same object through a copy.
+
+    The rewrite is in place: an instruction or terminator is rebuilt
+    only when one of its uses is substituted, so a block with nothing
+    to propagate keeps its terminator and the function's analysis
+    context stays valid. *)
 
 module Ir = Nullelim_ir.Ir
 
 let run (f : Ir.func) : int =
   let changed = ref 0 in
-  Array.iteri
-    (fun l (b : Ir.block) ->
-      let copy : (Ir.var, Ir.operand) Hashtbl.t = Hashtbl.create 8 in
-      let kill v =
-        Hashtbl.remove copy v;
-        Hashtbl.iter
-          (fun d s -> if s = Ir.Var v then Hashtbl.remove copy d)
-          (Hashtbl.copy copy)
-      in
-      let subst_op o =
-        match o with
-        | Ir.Var v -> (
-          match Hashtbl.find_opt copy v with
-          | Some o' ->
-            incr changed;
-            o'
-          | None -> o)
-        | _ -> o
-      in
-      let subst_var v =
-        match Hashtbl.find_opt copy v with
-        | Some (Ir.Var w) ->
-          incr changed;
-          w
-        | _ -> v
-      in
-      let rewrite (i : Ir.instr) : Ir.instr =
-        match i with
-        | Move (d, s) -> Move (d, subst_op s)
-        | Unop (d, u, s) -> Unop (d, u, subst_op s)
-        | Binop (d, op, a, b) -> Binop (d, op, subst_op a, subst_op b)
-        | Null_check (k, v, s) -> Null_check (k, subst_var v, s)
-        | Bound_check (a, b, s) -> Bound_check (subst_op a, subst_op b, s)
-        | Get_field (d, o, fld) -> Get_field (d, subst_var o, fld)
-        | Put_field (o, fld, s) -> Put_field (subst_var o, fld, subst_op s)
-        | Array_load (d, a, idx, k) -> Array_load (d, subst_var a, subst_op idx, k)
-        | Array_store (a, idx, s, k) ->
-          Array_store (subst_var a, subst_op idx, subst_op s, k)
-        | Array_length (d, a) -> Array_length (d, subst_var a)
-        | New_object _ | New_array _ -> (
-          match i with
-          | New_array (d, k, n) -> New_array (d, k, subst_op n)
-          | _ -> i)
-        | Call (d, t, args) -> Call (d, t, List.map subst_op args)
-        | Print s -> Print (subst_op s)
-      in
-      let out = ref [] in
-      Array.iter
-        (fun i ->
-          let i' = rewrite i in
-          out := i' :: !out;
-          (match Ir.def_of_instr i' with Some d -> kill d | None -> ());
-          match i' with
-          | Move (d, (Ir.Var s as src)) when d <> s ->
-            Hashtbl.replace copy d src
-          | Move (d, ((Ir.Cint _ | Ir.Cfloat _) as c)) ->
-            Hashtbl.replace copy d c
-          | _ -> ())
-        b.instrs;
-      b.term <-
-        (match b.term with
-        | Goto _ as t -> t
-        | If (c, a, b', l1, l2) -> If (c, subst_op a, subst_op b', l1, l2)
-        | Ifnull (v, l1, l2) -> Ifnull (subst_var v, l1, l2)
-        | Return (Some o) -> Return (Some (subst_op o))
-        | (Return None | Throw _) as t -> t);
-      Opt_util.set_instrs f l (List.rev !out))
+  (* one table for the function, cleared per block *)
+  let copy : (Ir.var, Ir.operand) Hashtbl.t = Hashtbl.create 8 in
+  let kill v =
+    Hashtbl.remove copy v;
+    Hashtbl.filter_map_inplace
+      (fun _ s ->
+        match s with Ir.Var w when w = v -> None | _ -> Some s)
+      copy
+  in
+  (* substitution returns its argument itself when nothing changes *)
+  let subst_op o =
+    match o with
+    | Ir.Var v -> (
+      match Hashtbl.find_opt copy v with
+      | Some o' ->
+        incr changed;
+        o'
+      | None -> o)
+    | _ -> o
+  in
+  let subst_var v =
+    match Hashtbl.find_opt copy v with
+    | Some (Ir.Var w) ->
+      incr changed;
+      w
+    | _ -> v
+  in
+  let rec subst_args = function
+    | [] -> []
+    | a :: rest as args ->
+      let a' = subst_op a in
+      let rest' = subst_args rest in
+      if a' == a && rest' == rest then args else a' :: rest'
+  in
+  let rewrite (i : Ir.instr) : Ir.instr =
+    match i with
+    | Move (d, s) ->
+      let s' = subst_op s in
+      if s' == s then i else Move (d, s')
+    | Unop (d, u, s) ->
+      let s' = subst_op s in
+      if s' == s then i else Unop (d, u, s')
+    | Binop (d, op, a, b) ->
+      let a' = subst_op a in
+      let b' = subst_op b in
+      if a' == a && b' == b then i else Binop (d, op, a', b')
+    | Null_check (k, v, s) ->
+      let v' = subst_var v in
+      if v' = v then i else Null_check (k, v', s)
+    | Bound_check (a, b, s) ->
+      let a' = subst_op a in
+      let b' = subst_op b in
+      if a' == a && b' == b then i else Bound_check (a', b', s)
+    | Get_field (d, o, fld) ->
+      let o' = subst_var o in
+      if o' = o then i else Get_field (d, o', fld)
+    | Put_field (o, fld, s) ->
+      let o' = subst_var o in
+      let s' = subst_op s in
+      if o' = o && s' == s then i else Put_field (o', fld, s')
+    | Array_load (d, a, idx, k) ->
+      let a' = subst_var a in
+      let idx' = subst_op idx in
+      if a' = a && idx' == idx then i else Array_load (d, a', idx', k)
+    | Array_store (a, idx, s, k) ->
+      let a' = subst_var a in
+      let idx' = subst_op idx in
+      let s' = subst_op s in
+      if a' = a && idx' == idx && s' == s then i
+      else Array_store (a', idx', s', k)
+    | Array_length (d, a) ->
+      let a' = subst_var a in
+      if a' = a then i else Array_length (d, a')
+    | New_object _ -> i
+    | New_array (d, k, n) ->
+      let n' = subst_op n in
+      if n' == n then i else New_array (d, k, n')
+    | Call (d, t, args) ->
+      let args' = subst_args args in
+      if args' == args then i else Call (d, t, args')
+    | Print s ->
+      let s' = subst_op s in
+      if s' == s then i else Print s'
+  in
+  let rewrite_term (t : Ir.terminator) : Ir.terminator =
+    match t with
+    | If (c, a, b, l1, l2) ->
+      let a' = subst_op a in
+      let b' = subst_op b in
+      if a' == a && b' == b then t else If (c, a', b', l1, l2)
+    | Ifnull (v, l1, l2) ->
+      let v' = subst_var v in
+      if v' = v then t else Ifnull (v', l1, l2)
+    | Return (Some o) ->
+      let o' = subst_op o in
+      if o' == o then t else Return (Some o')
+    | Goto _ | Return None | Throw _ -> t
+  in
+  Array.iter
+    (fun (b : Ir.block) ->
+      Hashtbl.clear copy;
+      let instrs = b.instrs in
+      for k = 0 to Array.length instrs - 1 do
+        let i = instrs.(k) in
+        let i' = rewrite i in
+        if i' != i then instrs.(k) <- i';
+        (match Ir.def_of_instr i' with Some d -> kill d | None -> ());
+        match i' with
+        | Move (d, (Ir.Var s as src)) when d <> s -> Hashtbl.replace copy d src
+        | Move (d, ((Ir.Cint _ | Ir.Cfloat _) as c)) -> Hashtbl.replace copy d c
+        | _ -> ()
+      done;
+      let t' = rewrite_term b.term in
+      if t' != b.term then b.term <- t')
     f.fn_blocks;
   !changed

@@ -13,6 +13,7 @@
 module Ir = Nullelim_ir.Ir
 module Bitset = Nullelim_dataflow.Bitset
 module Cfg = Nullelim_cfg.Cfg
+module Context = Nullelim_cfg.Context
 module Liveness = Nullelim_analysis.Liveness
 
 let removable ~keep_derefs (i : Ir.instr) =
@@ -31,7 +32,7 @@ let removable ~keep_derefs (i : Ir.instr) =
     as the instruction that raises the NPE, so no dereference may be
     deleted then. *)
 let run ?(keep_derefs = false) (f : Ir.func) : int =
-  let cfg = Cfg.make f in
+  let cfg = Context.cfg (Context.of_func f) in
   let live = Liveness.solve cfg in
   let removed = ref 0 in
   (* scratch fact set, reused across blocks *)
@@ -49,7 +50,7 @@ let run ?(keep_derefs = false) (f : Ir.func) : int =
     if Cfg.is_reachable cfg l && not protected_block then begin
       let b = Ir.block f l in
       Bitset.copy_into s (Liveness.live_out live l);
-      List.iter (Bitset.add_mut s) (Ir.uses_of_term b.term);
+      Ir.iter_term_uses (Bitset.add_mut s) b.term;
       let instrs = b.instrs in
       let n = Array.length instrs in
       let keep = Array.make n true in

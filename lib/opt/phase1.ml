@@ -48,6 +48,7 @@ module Ir = Nullelim_ir.Ir
 module Bitset = Nullelim_dataflow.Bitset
 module Solver = Nullelim_dataflow.Solver
 module Cfg = Nullelim_cfg.Cfg
+module Context = Nullelim_cfg.Context
 module Nullness = Nullelim_analysis.Nullness
 module Decision = Nullelim_obs.Decision
 
@@ -132,7 +133,7 @@ let analyse (cfg : Cfg.t) : analysis =
 (** Run the whole phase on a function.  Returns
     [(eliminated, inserted)]. *)
 let run (f : Ir.func) : int * int =
-  let cfg = Cfg.make f in
+  let cfg = Context.cfg (Context.of_func f) in
   let { earliest; _ } = analyse cfg in
   (* Stage 2: forward elimination, treating Earliest(m) as available at
      the exit of m. *)

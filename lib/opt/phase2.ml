@@ -307,7 +307,7 @@ let eliminate_substitutable ~arch ~(cfg : Cfg.t) (f : Ir.func)
     elimination. *)
 let run ~(arch : Arch.t) (f : Ir.func) : stats =
   let stats = { made_implicit = 0; made_explicit = 0; eliminated = 0 } in
-  let ctx = Context.make f in
+  let ctx = Context.of_func f in
   let cfg = Context.cfg ctx in
   let r = analyse ~arch cfg in
   (* Provenance: the floating set is keyed by variable, so rematerialized

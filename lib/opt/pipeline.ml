@@ -1,11 +1,11 @@
 (** Pass manager: named passes over whole programs.  [run] appends one
     {!record} per executed pass to a single sink: the pass name, its
-    monotonic wall time and the data-flow solver work it did.  Every
-    per-pass view is derived from those records: the compilation-time
-    breakdown of the paper's Tables 4 and 5 (null-check optimization
-    vs. everything else, new vs. old algorithm), the solver-work
-    counters the benchmark harness reports, and the per-compile metrics
-    registry.
+    monotonic wall time, the words it allocated on the minor heap and
+    the data-flow solver work it did.  Every per-pass view is derived
+    from those records: the compilation-time breakdown of the paper's
+    Tables 4 and 5 (null-check optimization vs. everything else, new
+    vs. old algorithm), the solver-work counters the benchmark harness
+    reports, and the per-compile metrics registry.
 
     [rounds] iterates a group of passes up to a bound and retires the
     remaining rounds once one leaves the program unchanged.
@@ -25,7 +25,12 @@ module Decision = Nullelim_obs.Decision
 
 type pass = { name : string; run : Ir.program -> unit }
 
-type record = { r_pass : string; r_seconds : float; r_solver : Solver.stats }
+type record = {
+  r_pass : string;
+  r_seconds : float;
+  r_minor_words : int;
+  r_solver : Solver.stats;
+}
 
 type sink = record list ref
 
@@ -68,14 +73,17 @@ let run ?sink (passes : pass list) (p : Ir.program) : unit =
       | None -> ( try execute () with Skipped -> ())
       | Some s -> (
         let s0 = Solver.snapshot () in
+        let w0 = Gc.minor_words () in
         let t0 = Clock.now_ns () in
         match execute () with
         | () ->
           let t1 = Clock.now_ns () in
+          let w1 = Gc.minor_words () in
           s :=
             {
               r_pass = pass.name;
               r_seconds = Int64.to_float (Int64.sub t1 t0) *. 1e-9;
+              r_minor_words = int_of_float (w1 -. w0);
               r_solver = Solver.diff (Solver.snapshot ()) s0;
             }
             :: !s
@@ -184,18 +192,37 @@ let total_matching recs pred =
     (fun acc r -> if pred r.r_pass then acc +. r.r_seconds else acc)
     0. recs
 
+type pass_total = {
+  p_pass : string;
+  p_runs : int;
+  p_seconds : float;
+  p_minor_words : int;
+  p_solver : Solver.stats;
+}
+
 let by_pass recs =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun r ->
-      let n, t, s =
-        Option.value ~default:(0, 0., zero_stats ())
+      let p =
+        Option.value
+          ~default:
+            { p_pass = r.r_pass; p_runs = 0; p_seconds = 0.;
+              p_minor_words = 0; p_solver = zero_stats () }
           (Hashtbl.find_opt tbl r.r_pass)
       in
       Hashtbl.replace tbl r.r_pass
-        (n + 1, t +. r.r_seconds, add_stats s r.r_solver))
+        {
+          p with
+          p_runs = p.p_runs + 1;
+          p_seconds = p.p_seconds +. r.r_seconds;
+          p_minor_words = p.p_minor_words + r.r_minor_words;
+          p_solver = add_stats p.p_solver r.r_solver;
+        })
     recs;
-  List.sort compare (Hashtbl.fold (fun k (n, t, s) acc -> (k, n, t, s) :: acc) tbl [])
+  List.sort
+    (fun a b -> compare a.p_pass b.p_pass)
+    (Hashtbl.fold (fun _ p acc -> p :: acc) tbl [])
 
 let counter_kinds =
   [
@@ -208,10 +235,11 @@ let counter_kinds =
 let counters recs =
   List.sort compare
     (List.concat_map
-       (fun (name, _, _, s) ->
+       (fun p ->
          List.filter_map
            (fun (kind, get) ->
-             if get s = 0 then None else Some (name ^ "#" ^ kind, get s))
+             let v = get p.p_solver in
+             if v = 0 then None else Some (p.p_pass ^ "#" ^ kind, v))
            counter_kinds)
        (by_pass recs))
 
@@ -221,6 +249,7 @@ let record_metrics (m : Metrics.t) recs =
       let labels = [ ("pass", r.r_pass) ] in
       Metrics.observe (Metrics.histogram m ~labels "pass_seconds") r.r_seconds;
       Metrics.inc (Metrics.counter m ~labels "pass_runs") 1;
+      Metrics.inc (Metrics.counter m ~labels "pass_minor_words") r.r_minor_words;
       List.iter
         (fun (kind, get) ->
           Metrics.inc (Metrics.counter m ~labels ("solver_" ^ kind)) (get r.r_solver))

@@ -1,5 +1,6 @@
 (** Pass manager: named program passes, each executed pass recorded
-    once (name, monotonic wall time, solver work) into a single sink;
+    once (name, monotonic wall time, minor-heap words, solver work)
+    into a single sink;
     the source of the paper's compilation-time tables, of the
     benchmark harness's solver-work report and of the per-compile
     metrics registry. *)
@@ -12,6 +13,10 @@ type pass = { name : string; run : Ir.program -> unit }
 type record = {
   r_pass : string;           (** the pass's name *)
   r_seconds : float;         (** monotonic wall time of this execution *)
+  r_minor_words : int;
+      (** words this execution allocated on the minor heap: the calling
+          domain's [Gc.minor_words] delta, which other domains'
+          allocation does not move *)
   r_solver : Solver.stats;   (** solver work done by this execution *)
 }
 
@@ -27,10 +32,10 @@ val program_pass : string -> (Ir.program -> unit) -> pass
 
 val run : ?sink:sink -> pass list -> Ir.program -> unit
 (** Run the passes in order.  With [sink], append one record per
-    executed pass: two clock reads and the calling domain's
-    {!Solver} counter delta.  A pass of a retired round (see {!rounds})
-    does nothing and leaves no record (a trace shows it as an empty
-    span).  Each pass runs under a trace
+    executed pass: two clock reads, the calling domain's
+    [Gc.minor_words] delta and its {!Solver} counter delta.  A pass of
+    a retired round (see {!rounds}) does nothing and leaves no record
+    (a trace shows it as an empty span).  Each pass runs under a trace
     span, and the decision log's pass/function context is maintained
     here. *)
 
@@ -50,9 +55,16 @@ val rounds : max:int -> pass list -> pass list
 val total : record list -> float
 val total_matching : record list -> (string -> bool) -> float
 
-val by_pass : record list -> (string * int * float * Solver.stats) list
-(** Per pass name, sorted by name: executions, seconds and solver
-    work. *)
+type pass_total = {
+  p_pass : string;
+  p_runs : int;           (** executions *)
+  p_seconds : float;
+  p_minor_words : int;
+  p_solver : Solver.stats;
+}
+
+val by_pass : record list -> pass_total list
+(** The records summed per pass name, sorted by name. *)
 
 val counters : record list -> (string * int) list
 (** Solver-work counters keyed by ["<pass>#<counter>"] with counter one
@@ -61,4 +73,5 @@ val counters : record list -> (string * int) list
 
 val record_metrics : Nullelim_obs.Metrics.t -> record list -> unit
 (** Per-pass series into a registry, labeled by pass: [pass_seconds],
-    [pass_runs] and [solver_solves]/[_visits]/[_transfers]/[_pushes]. *)
+    [pass_runs], [pass_minor_words] and
+    [solver_solves]/[_visits]/[_transfers]/[_pushes]. *)

@@ -109,21 +109,23 @@ let bounds_proven (f : Ir.func) ph ~arr ~idx =
 
 (** One hoisting round over one loop; returns true if something moved. *)
 let hoist_in_loop ~speculate ~(arch : Arch.t) (f : Ir.func) (cfg : Cfg.t)
-    (live : Liveness.t) (nullness : Nullness.t) (l : Loops.loop)
-    (stats : stats) : bool =
+    (live : Liveness.t Lazy.t) (nullness : Nullness.t Lazy.t)
+    (l : Loops.loop) (stats : stats) : bool =
   let members = Loops.members l in
   let s = summarize f members in
   if s.has_call then false
   else begin
-    let live_in_header = Liveness.live_in live l.header in
-    let nonnull_at ph v = Bitset.mem v (Nullness.at_exit nullness ph) in
+    let nonnull_at ph v =
+      Bitset.mem v (Nullness.at_exit (Lazy.force nullness) ph)
+    in
     let may_speculate_read ~offset =
       speculate
       && (not (arch.Arch.traps_on Arch.Read))
       && offset >= 0 && offset < arch.Arch.trap_area
     in
     let dst_ok d =
-      Hashtbl.find_opt s.defs d = Some 1 && not (Bitset.mem d live_in_header)
+      Hashtbl.find_opt s.defs d = Some 1
+      && not (Bitset.mem d (Liveness.live_in (Lazy.force live) l.header))
     in
     (* collect all candidates: (block, index, instr, base, site) *)
     let candidates = ref [] in
@@ -196,97 +198,90 @@ let hoist_in_loop ~speculate ~(arch : Arch.t) (f : Ir.func) (cfg : Cfg.t)
 type expr = Efield of Ir.var * int | Elen of Ir.var
 
 let eliminate_redundant_loads (f : Ir.func) (stats : stats) : unit =
-  Array.iteri
-    (fun l (b : Ir.block) ->
-      let avail : (expr, Ir.var) Hashtbl.t = Hashtbl.create 16 in
-      let kill_var v =
-        Hashtbl.iter
-          (fun e w ->
-            match e with
-            | Efield (o, _) when o = v || w = v -> Hashtbl.remove avail e
-            | Elen a when a = v || w = v -> Hashtbl.remove avail e
-            | _ -> ())
-          (Hashtbl.copy avail)
-      in
-      let kill_field offset =
-        Hashtbl.iter
-          (fun e _ ->
-            match e with
-            | Efield (_, o) when o = offset -> Hashtbl.remove avail e
-            | _ -> ())
-          (Hashtbl.copy avail)
-      in
-      let kill_all_fields () =
-        Hashtbl.iter
-          (fun e _ ->
-            match e with
-            | Efield _ -> Hashtbl.remove avail e
-            | Elen _ -> ())
-          (Hashtbl.copy avail)
-      in
-      let out = ref [] in
-      Array.iter
-        (fun i ->
-          let replacement =
-            match i with
-            | Ir.Get_field (d, o, fld) -> (
-              match Hashtbl.find_opt avail (Efield (o, fld.foffset)) with
-              | Some w when w <> d -> Some (Ir.Move (d, Ir.Var w))
-              | _ -> None)
-            | Ir.Array_length (d, a) -> (
-              match Hashtbl.find_opt avail (Elen a) with
-              | Some w when w <> d -> Some (Ir.Move (d, Ir.Var w))
-              | _ -> None)
-            | _ -> None
-          in
-          let emitted =
-            match replacement with
-            | Some r ->
-              stats.replaced <- stats.replaced + 1;
-              r
-            | None -> i
-          in
-          out := emitted :: !out;
-          (* update availability from the ORIGINAL instruction *)
-          (match Ir.def_of_instr i with
-          | Some d -> kill_var d
-          | None -> ());
+  (* one table for the function, cleared per block *)
+  let avail : (expr, Ir.var) Hashtbl.t = Hashtbl.create 16 in
+  let kill_var v =
+    Hashtbl.filter_map_inplace
+      (fun e w ->
+        match e with
+        | (Efield (a, _) | Elen a) when a = v || w = v -> None
+        | Efield _ | Elen _ -> Some w)
+      avail
+  in
+  let kill_field offset =
+    Hashtbl.filter_map_inplace
+      (fun e w ->
+        match e with
+        | Efield (_, o) when o = offset -> None
+        | Efield _ | Elen _ -> Some w)
+      avail
+  in
+  let kill_all_fields () =
+    Hashtbl.filter_map_inplace
+      (fun e w -> match e with Efield _ -> None | Elen _ -> Some w)
+      avail
+  in
+  Array.iter
+    (fun (b : Ir.block) ->
+      Hashtbl.clear avail;
+      let instrs = b.instrs in
+      for k = 0 to Array.length instrs - 1 do
+        let i = instrs.(k) in
+        let replacement =
           match i with
-          | Ir.Get_field (d, o, fld) ->
-            Hashtbl.replace avail (Efield (o, fld.foffset)) d
-          | Ir.Array_length (d, a) -> Hashtbl.replace avail (Elen a) d
-          | Ir.Put_field (o, fld, src) -> (
-            kill_field fld.foffset;
-            match src with
-            | Ir.Var sv -> Hashtbl.replace avail (Efield (o, fld.foffset)) sv
-            | _ -> ())
-          | Ir.Call _ -> kill_all_fields ()
+          | Ir.Get_field (d, o, fld) -> (
+            match Hashtbl.find_opt avail (Efield (o, fld.foffset)) with
+            | Some w when w <> d -> Some (Ir.Move (d, Ir.Var w))
+            | _ -> None)
+          | Ir.Array_length (d, a) -> (
+            match Hashtbl.find_opt avail (Elen a) with
+            | Some w when w <> d -> Some (Ir.Move (d, Ir.Var w))
+            | _ -> None)
+          | _ -> None
+        in
+        (match replacement with
+        | Some r ->
+          stats.replaced <- stats.replaced + 1;
+          instrs.(k) <- r
+        | None -> ());
+        (* update availability from the ORIGINAL instruction *)
+        (match Ir.def_of_instr i with
+        | Some d -> kill_var d
+        | None -> ());
+        match i with
+        | Ir.Get_field (d, o, fld) ->
+          Hashtbl.replace avail (Efield (o, fld.foffset)) d
+        | Ir.Array_length (d, a) -> Hashtbl.replace avail (Elen a) d
+        | Ir.Put_field (o, fld, src) -> (
+          kill_field fld.foffset;
+          match src with
+          | Ir.Var sv -> Hashtbl.replace avail (Efield (o, fld.foffset)) sv
           | _ -> ())
-        b.instrs;
-      Opt_util.set_instrs f l (List.rev !out))
+        | Ir.Call _ -> kill_all_fields ()
+        | _ -> ()
+      done)
     f.fn_blocks
 
 (** Run the pass.  [speculate] enables read speculation (legal only when
     the architecture does not trap reads, i.e. AIX in the paper). *)
 let run ?(speculate = false) ~(arch : Arch.t) (f : Ir.func) : stats =
   let stats = { hoisted = 0; replaced = 0 } in
-  let ctx = Context.make f in
+  let ctx = Context.of_func f in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
     let cfg = Context.cfg ctx in
     let loops = Context.loops ctx in
-    (* liveness/nullness are per-round (instruction motion changes them);
-       CFG, dominators and loops survive rounds that create no block *)
-    let live = Liveness.solve cfg in
-    let nullness = Nullness.solve ~deref_gen:false cfg in
+    (* liveness/nullness are per-round (instruction motion changes them)
+       and solved only once a candidate reads them; CFG, dominators and
+       loops survive rounds that create no block *)
+    let live = lazy (Liveness.solve cfg) in
+    let nullness = lazy (Nullness.solve ~deref_gen:false cfg) in
     List.iter
       (fun l ->
         if not !continue_ then
-          if hoist_in_loop ~speculate ~arch f cfg live nullness l stats then begin
-            if Ir.nblocks f <> Cfg.nblocks cfg then Context.invalidate ctx;
-            continue_ := true
-          end)
+          if hoist_in_loop ~speculate ~arch f cfg live nullness l stats then
+            continue_ := true)
       loops
   done;
   eliminate_redundant_loads f stats;

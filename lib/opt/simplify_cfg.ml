@@ -16,13 +16,17 @@
 
 module Ir = Nullelim_ir.Ir
 module Cfg = Nullelim_cfg.Cfg
+module Context = Nullelim_cfg.Context
 
 let run (f : Ir.func) : int =
   let merged = ref 0 in
+  let ctx = Context.of_func f in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let cfg = Cfg.make f in
+    (* one snapshot per sweep: merges within the sweep read the
+       predecessor lists as they were when it started *)
+    let cfg = Context.cfg ctx in
     let handlers = List.map snd f.fn_handlers in
     let try_merge a =
       if not (Cfg.is_reachable cfg a) then false

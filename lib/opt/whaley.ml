@@ -12,12 +12,13 @@
 module Ir = Nullelim_ir.Ir
 module Bitset = Nullelim_dataflow.Bitset
 module Cfg = Nullelim_cfg.Cfg
+module Context = Nullelim_cfg.Context
 module Nullness = Nullelim_analysis.Nullness
 module Decision = Nullelim_obs.Decision
 
 (** Returns the number of checks removed. *)
 let run (f : Ir.func) : int =
-  let cfg = Cfg.make f in
+  let cfg = Context.cfg (Context.of_func f) in
   let nullness = Nullness.solve ~deref_gen:true cfg in
   let removed = ref 0 in
   for l = 0 to Ir.nblocks f - 1 do

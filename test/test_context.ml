@@ -1,0 +1,237 @@
+(** The per-compile analysis store and the optimizer's allocation.
+
+    - After every pass of a compile, each function's shared context
+      agrees with analyses computed from scratch.
+    - A compile (one context per function, shared by every pass) gives
+      the same program, decision log and check statistics as running
+      the same passes with a fresh context per pass.
+    - The minor-heap words a compile allocates stay under a committed
+      budget, and another domain's allocation does not move the words
+      a compile records. *)
+
+open Nullelim
+module Registry = Nullelim_workloads.Registry
+module Workload = Nullelim_workloads.Workload
+module Decision = Obs.Decision
+
+let all_configs = Config.windows_suite @ Config.aix_suite
+let archs = [ Arch.ia32_windows; Arch.ppc_aix ]
+let gen_seeds = List.init 100 (fun k -> k + 1)
+
+let registry () =
+  List.map (fun (w : Workload.t) -> (w.name, w.build ~scale:1)) (Registry.all ())
+
+let generated () =
+  List.map
+    (fun seed ->
+      (Printf.sprintf "gen%d" seed, (Gen.generate ~seed ()).Gen.g_program))
+    gen_seeds
+
+(* What [Compiler.compile] does to its input before the passes: a copy
+   with re-seeded sites. *)
+let seeded_copy p =
+  let p' = Ir.copy_program p in
+  Ir.seed_sites p';
+  p'
+
+(* ------------------------------------------------------------------ *)
+(* The shared context after every pass                                 *)
+(* ------------------------------------------------------------------ *)
+
+let loop_shape (l : Loops.loop) =
+  (l.Loops.header, Array.to_list l.Loops.body, List.sort compare l.Loops.latches)
+
+let agrees (ctx : Context.t) (f : Ir.func) =
+  let a = Context.cfg ctx and b = Cfg.make f in
+  let n = Cfg.nblocks b in
+  let dom = Dominance.compute b in
+  Cfg.nblocks a = n
+  && List.for_all
+       (fun l ->
+         Cfg.succs a l = Cfg.succs b l
+         && Cfg.preds a l = Cfg.preds b l
+         && Cfg.is_handler a l = Cfg.is_handler b l
+         && Dominance.idom (Context.dom ctx) l = Dominance.idom dom l)
+       (List.init n Fun.id)
+  && Cfg.reverse_postorder a = Cfg.reverse_postorder b
+  && List.map loop_shape (Context.loops ctx)
+     = List.map loop_shape (Loops.detect b dom)
+
+let check_each_pass name cfg arch p =
+  let p = seeded_copy p in
+  let (), _ =
+    Decision.with_log (fun () ->
+        Context.with_store (fun () ->
+            List.iter
+              (fun (pass : Pipeline.pass) ->
+                Pipeline.run [ pass ] p;
+                Ir.iter_funcs
+                  (fun f ->
+                    if not (agrees (Context.of_func f) f) then
+                      Alcotest.failf "%s/%s/%s: after %s, %s's context is stale"
+                        name cfg.Config.name arch.Arch.name pass.Pipeline.name
+                        f.Ir.fn_name)
+                  p)
+              (Compiler.passes cfg ~arch)))
+  in
+  ()
+
+let test_fresh_after_each_pass () =
+  List.iter
+    (fun (name, p) ->
+      List.iter (fun arch ->
+          List.iter (fun cfg -> check_each_pass name cfg arch p) all_configs)
+        archs)
+    (registry ());
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun cfg -> check_each_pass name cfg Arch.ia32_windows p)
+        all_configs)
+    (generated ())
+
+(* ------------------------------------------------------------------ *)
+(* Identity oracle: shared store = fresh context per pass              *)
+(* ------------------------------------------------------------------ *)
+
+let same_program (a : Ir.program) (b : Ir.program) =
+  Hashtbl.length a.funcs = Hashtbl.length b.funcs
+  && Hashtbl.fold
+       (fun name (f : Ir.func) ok ->
+         ok
+         &&
+         match Hashtbl.find_opt b.funcs name with
+         | None -> false
+         | Some g ->
+           f.fn_nvars = g.fn_nvars
+           && f.fn_handlers = g.fn_handlers
+           && compare f.fn_blocks g.fn_blocks = 0)
+       a.funcs true
+
+let check_identity name cfg arch p =
+  let c = Compiler.compile cfg ~arch p in
+  let p' = seeded_copy p in
+  let raw_e, raw_i = Compiler.count_all_checks p' in
+  let (), decisions =
+    Decision.with_log (fun () -> Pipeline.run (Compiler.passes cfg ~arch) p')
+  in
+  let e, i = Compiler.count_all_checks p' in
+  let what = Printf.sprintf "%s/%s/%s" name cfg.Config.name arch.Arch.name in
+  if not (same_program c.Compiler.program p') then
+    Alcotest.failf "%s: programs differ" what;
+  if c.Compiler.decisions <> decisions then
+    Alcotest.failf "%s: decision logs differ" what;
+  let ck = c.Compiler.checks in
+  if (ck.raw_checks, ck.raw_implicit, ck.explicit_after, ck.implicit_after)
+     <> (raw_e, raw_i, e, i)
+  then Alcotest.failf "%s: check stats differ" what
+
+let test_identity () =
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun arch -> List.iter (fun cfg -> check_identity name cfg arch p) all_configs)
+        archs)
+    (registry ());
+  List.iter
+    (fun (name, p) ->
+      List.iter (fun cfg -> check_identity name cfg Arch.ia32_windows p) all_configs)
+    (generated ())
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Mean minor words per compile over the registry x [windows_suite] on
+   ia32-windows.  The count is deterministic for a given compiler
+   version: it was 129,496 before the per-compile store and the
+   allocation cuts, 67,830 after them.  The budget is that value plus
+   10%. *)
+let words_budget = 74_600.
+
+let test_words_budget () =
+  let arch = Arch.ia32_windows in
+  let progs = registry () in
+  (* warm up the domain-local state a first compile initializes *)
+  ignore (Compiler.compile Config.new_full ~arch (snd (List.hd progs)));
+  let per_pass = Hashtbl.create 16 in
+  let total = ref 0. and n = ref 0 in
+  List.iter
+    (fun (_, p) ->
+      List.iter
+        (fun cfg ->
+          let w0 = Gc.minor_words () in
+          let c = Compiler.compile cfg ~arch p in
+          total := !total +. (Gc.minor_words () -. w0);
+          incr n;
+          List.iter
+            (fun (r : Pipeline.record) ->
+              Hashtbl.replace per_pass r.r_pass
+                (r.r_minor_words
+                + Option.value ~default:0 (Hashtbl.find_opt per_pass r.r_pass)))
+            c.Compiler.records)
+        Config.windows_suite)
+    progs;
+  let mean = !total /. float !n in
+  let top =
+    List.sort
+      (fun (_, a) (_, b) -> compare b a)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_pass [])
+  in
+  Printf.printf "mean minor words per compile: %.0f (budget %.0f)\n" mean
+    words_budget;
+  List.iteri
+    (fun i (pass, w) ->
+      if i < 3 then
+        Printf.printf "  %-22s %10.0f words per compile\n" pass
+          (float w /. float !n))
+    top;
+  if mean > words_budget then
+    Alcotest.failf "%.0f minor words per compile, over the budget of %.0f" mean
+      words_budget
+
+(* OCaml 5 counts minor words per domain: a compile records the same
+   words whether or not another domain is allocating meanwhile. *)
+let test_words_per_domain () =
+  let arch = Arch.ia32_windows in
+  let p = (Option.get (Registry.find "javac")).Workload.build ~scale:1 in
+  let words () =
+    let c = Compiler.compile Config.new_full ~arch p in
+    List.fold_left (fun acc r -> acc + r.Pipeline.r_minor_words) 0 c.Compiler.records
+  in
+  ignore (words ());
+  let alone = words () in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let junk = ref [] in
+        while not (Atomic.get stop) do
+          junk := List.init 64 Fun.id;
+          Atomic.set started true
+        done;
+        List.length !junk)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let busy = List.init 5 (fun _ -> words ()) in
+  Atomic.set stop true;
+  ignore (Domain.join d);
+  List.iter (Alcotest.(check int) "words with a busy second domain" alone) busy
+
+let () =
+  Alcotest.run "context"
+    [
+      ( "store",
+        [
+          Alcotest.test_case "fresh analyses after every pass" `Quick
+            test_fresh_after_each_pass;
+          Alcotest.test_case "compile = fresh context per pass" `Quick
+            test_identity;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "minor words budget" `Quick test_words_budget;
+          Alcotest.test_case "words are per domain" `Quick test_words_per_domain;
+        ] );
+    ]

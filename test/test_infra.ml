@@ -158,6 +158,95 @@ let test_preheader () =
   check_int "stable" ph ph2
 
 (* ------------------------------------------------------------------ *)
+(* Self-validating analysis context                                    *)
+(* ------------------------------------------------------------------ *)
+
+let loop_shape (l : Loops.loop) =
+  (l.Loops.header, Array.to_list l.Loops.body, List.sort compare l.Loops.latches)
+
+(* The context's structures equal ones computed from scratch. *)
+let agrees what ctx (f : Ir.func) =
+  let a = Context.cfg ctx and b = Cfg.make f in
+  check_int (what ^ ": blocks") (Cfg.nblocks b) (Cfg.nblocks a);
+  for l = 0 to Cfg.nblocks b - 1 do
+    Alcotest.(check (list int)) (what ^ ": succs") (Cfg.succs b l) (Cfg.succs a l);
+    Alcotest.(check (list int)) (what ^ ": preds") (Cfg.preds b l) (Cfg.preds a l);
+    check_bool (what ^ ": handler") (Cfg.is_handler b l) (Cfg.is_handler a l)
+  done;
+  Alcotest.(check (array int)) (what ^ ": rpo") (Cfg.reverse_postorder b)
+    (Cfg.reverse_postorder a);
+  let dom = Dominance.compute b in
+  for l = 0 to Cfg.nblocks b - 1 do
+    check_int (what ^ ": idom") (Dominance.idom dom l)
+      (Dominance.idom (Context.dom ctx) l)
+  done;
+  check_bool (what ^ ": loops") true
+    (List.map loop_shape (Loops.detect b dom)
+    = List.map loop_shape (Context.loops ctx))
+
+(* Each structural edit below is made without telling the context; its
+   next query must build a fresh snapshot that agrees with a scratch
+   computation.  An instruction-only rewrite must keep the cached one. *)
+let test_context_record () =
+  (* a loop whose header has two outside predecessors, so it needs a
+     fresh preheader *)
+  let blk instrs term : Ir.block = { instrs; term; breg = Ir.no_region } in
+  let f : Ir.func =
+    {
+      fn_name = "ctx";
+      fn_nparams = 1;
+      fn_is_method = false;
+      fn_nvars = 2;
+      fn_blocks =
+        [|
+          blk [| Ir.Move (1, Ir.Cint 0) |] (Ir.If (Ir.Lt, Ir.Var 0, Ir.Cint 0, 1, 2));
+          blk [||] (Ir.Goto 2);
+          blk [||] (Ir.If (Ir.Lt, Ir.Var 1, Ir.Var 0, 3, 4));
+          blk [| Ir.Binop (1, Ir.Add, Ir.Var 1, Ir.Cint 1) |] (Ir.Goto 2);
+          blk [||] (Ir.Return (Some (Ir.Var 1)));
+        |];
+      fn_handlers = [];
+      fn_var_names = Hashtbl.create 1;
+    }
+  in
+  let ctx = Context.make f in
+  let structural what edit =
+    let before = Context.cfg ctx in
+    ignore (Context.loops ctx);
+    edit ();
+    check_bool (what ^ ": fresh snapshot") false (Context.cfg ctx == before);
+    agrees what ctx f
+  in
+  agrees "initial" ctx f;
+  let c0 = Context.cfg ctx and d0 = Context.dom ctx and l0 = Context.loops ctx in
+  let b0 = Ir.block f 0 in
+  b0.instrs <- Array.append b0.instrs [| Ir.Move (1, Ir.Cint 7) |];
+  b0.instrs.(0) <- Ir.Move (1, Ir.Cint 8);
+  check_bool "instruction rewrite: cached cfg" true (Context.cfg ctx == c0);
+  check_bool "instruction rewrite: cached dominators" true (Context.dom ctx == d0);
+  check_bool "instruction rewrite: cached loops" true (Context.loops ctx == l0);
+  let n = Ir.nblocks f in
+  structural "appended preheader" (fun () ->
+      ignore
+        (Loops.ensure_preheader f (Context.cfg ctx) (List.hd (Context.loops ctx))));
+  check_int "a block was appended" (n + 1) (Ir.nblocks f);
+  structural "appended unreachable block" (fun () ->
+      f.fn_blocks <- Array.append f.fn_blocks [| blk [||] (Ir.Return None) |]);
+  let last = Ir.nblocks f - 1 in
+  structural "retargeted terminator" (fun () ->
+      let b = Ir.block f n in
+      match b.term with
+      | Ir.Goto h -> b.term <- Ir.If (Ir.Lt, Ir.Var 0, Ir.Cint 0, h, 0)
+      | _ -> Alcotest.fail "preheader ends in a goto");
+  structural "new fn_handlers" (fun () -> f.fn_handlers <- [ (7, last) ]);
+  check_bool "handler seen" true (Cfg.is_handler (Context.cfg ctx) last);
+  structural "changed breg" (fun () -> (Ir.block f 0).breg <- 7);
+  (* same terminator and region: only the block's identity changed *)
+  structural "replaced fn_blocks slot" (fun () ->
+      let b = Ir.block f 0 in
+      f.fn_blocks.(0) <- { b with Ir.instrs = [||] })
+
+(* ------------------------------------------------------------------ *)
 (* Data-flow solver on a textbook problem                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -250,6 +339,7 @@ let () =
           Alcotest.test_case "loops" `Quick test_loops;
           Alcotest.test_case "preheader" `Quick test_preheader;
           Alcotest.test_case "remove unreachable" `Quick test_remove_unreachable;
+          Alcotest.test_case "context record" `Quick test_context_record;
         ] );
       ( "solver",
         [

@@ -341,7 +341,7 @@ let test_copyprop () =
   (* check and deref now reference the original variable *)
   let uses_copy = ref false in
   Array.iter
-    (fun i -> if List.mem c (Ir.uses_of_instr i) then uses_copy := true)
+    (fun i -> Ir.iter_uses (fun v -> if v = c then uses_copy := true) i)
     (Ir.block f 0).instrs;
   check_bool "copy propagated away" false !uses_copy
 

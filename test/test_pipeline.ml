@@ -420,17 +420,22 @@ let check_sink what (c : Compiler.compiled) =
       Alcotest.(check int) (what ^ ": compile solver " ^ kind) (get c.Compiler.solver) sum;
       Alcotest.(check int) (what ^ ": metrics solver_" ^ kind) sum
         (List.fold_left
-           (fun acc (pass, _, _, _) ->
+           (fun acc (p : Pipeline.pass_total) ->
              acc
              + Obs.Metrics.counter_value
-                 (Obs.Metrics.counter m ~labels:[ ("pass", pass) ] ("solver_" ^ kind)))
+                 (Obs.Metrics.counter m ~labels:[ ("pass", p.p_pass) ]
+                    ("solver_" ^ kind)))
            0 (Pipeline.by_pass recs)))
     kinds;
   List.iter
-    (fun (pass, runs, _, _) ->
-      Alcotest.(check int) (what ^ ": pass_runs " ^ pass) runs
+    (fun (p : Pipeline.pass_total) ->
+      let labels = [ ("pass", p.p_pass) ] in
+      Alcotest.(check int) (what ^ ": pass_runs " ^ p.p_pass) p.p_runs
+        (Obs.Metrics.counter_value (Obs.Metrics.counter m ~labels "pass_runs"));
+      Alcotest.(check int) (what ^ ": pass_minor_words " ^ p.p_pass)
+        p.p_minor_words
         (Obs.Metrics.counter_value
-           (Obs.Metrics.counter m ~labels:[ ("pass", pass) ] "pass_runs")))
+           (Obs.Metrics.counter m ~labels "pass_minor_words")))
     (Pipeline.by_pass recs)
 
 let test_single_sink () =

@@ -27,11 +27,15 @@ type pools = {
 let gen_program : Ir.program QCheck2.Gen.t =
   let open QCheck2.Gen in
   let fld = oneofl [ H.fld_x; H.fld_y ] in
-  let rec stmts b pools ~depth ~in_try n =
+  (* Builder emission is a side effect, so a nested statement list is
+     generated eagerly, inside its parent's generator, by [run]: the
+     case's [generate1 ~rand:st], which keeps every random choice on the
+     case's own state and lets QCHECK_SEED reproduce it. *)
+  let rec stmts b pools ~run ~depth ~in_try n =
     if n <= 0 then return ()
-    else stmt b pools ~depth ~in_try >>= fun () ->
-      stmts b pools ~depth ~in_try (n - 1)
-  and stmt b pools ~depth ~in_try =
+    else stmt b pools ~run ~depth ~in_try >>= fun () ->
+      stmts b pools ~run ~depth ~in_try (n - 1)
+  and stmt b pools ~run ~depth ~in_try =
     let int_var = oneofl pools.ints in
     let ref_var = oneofl pools.refs in
     let arr_var = oneofl pools.arrs in
@@ -104,9 +108,9 @@ let gen_program : Ir.program QCheck2.Gen.t =
             return
               (Builder.if_then b (Ir.Lt, Ir.Var x, y)
                  ~then_:(fun _ ->
-                   run_gen (stmts b pools ~depth:(depth - 1) ~in_try sizes.(0)))
+                   run (stmts b pools ~run ~depth:(depth - 1) ~in_try sizes.(0)))
                  ~else_:(fun _ ->
-                   run_gen (stmts b pools ~depth:(depth - 1) ~in_try sizes.(1)))
+                   run (stmts b pools ~run ~depth:(depth - 1) ~in_try sizes.(1)))
                  ()) );
           ( 1,
             ref_var >>= fun r ->
@@ -114,9 +118,9 @@ let gen_program : Ir.program QCheck2.Gen.t =
             return
               (Builder.if_null b r
                  ~null:(fun _ ->
-                   run_gen (stmts b pools ~depth:(depth - 1) ~in_try sizes.(0)))
+                   run (stmts b pools ~run ~depth:(depth - 1) ~in_try sizes.(0)))
                  ~nonnull:(fun _ ->
-                   run_gen (stmts b pools ~depth:(depth - 1) ~in_try sizes.(1)))) );
+                   run (stmts b pools ~run ~depth:(depth - 1) ~in_try sizes.(1)))) );
           ( 1,
             int_range 1 3 >>= fun iters ->
             int_range 1 4 >>= fun body ->
@@ -124,7 +128,7 @@ let gen_program : Ir.program QCheck2.Gen.t =
               (let i = Builder.fresh b in
                Builder.count_do b ~v:i ~from:(Ir.Cint 0)
                  ~limit:(Ir.Cint iters) (fun _ ->
-                   run_gen (stmts b pools ~depth:(depth - 1) ~in_try body))) );
+                   run (stmts b pools ~run ~depth:(depth - 1) ~in_try body))) );
         ]
         @
         if in_try then []
@@ -138,24 +142,16 @@ let gen_program : Ir.program QCheck2.Gen.t =
                    ~handler:(fun b ->
                      Builder.emit b (Ir.Move (flag, Ir.Cint 99)))
                    (fun _ ->
-                     run_gen
-                       (stmts b pools ~depth:(depth - 1) ~in_try:true body))) );
+                     run
+                       (stmts b pools ~run ~depth:(depth - 1) ~in_try:true body))) );
           ]
     in
     frequency (base @ nested)
-  (* qcheck generators are pure; we thread the builder through by running
-     nested generators eagerly with a fixed-seed escape hatch *)
-  and run_gen (g : unit QCheck2.Gen.t) : unit =
-    ignore (QCheck2.Gen.generate1 g)
   and nat_split ~size n =
     array_repeat n (int_range 0 size)
   in
-  ignore run_gen;
-  (* Because builder emission is a side effect, we generate a *recipe*
-     (list of random choices) instead: simplest robust approach is to
-     generate with an explicit random state woven through [generate1].
-     To keep determinism per test case we wrap everything in one
-     generator that captures all randomness up front via [int] seeds. *)
+  (* One [int] seed per case: all the statement generators below draw
+     from the state it makes. *)
   int >>= fun seed ->
   sized_size (int_range 4 14) @@ fun size ->
   return
@@ -178,7 +174,7 @@ let gen_program : Ir.program QCheck2.Gen.t =
      in
      let arrs = [ 2 ] in
      let pools = { ints; refs; arrs } in
-     gen1 (stmts b pools ~depth:2 ~in_try:false size);
+     gen1 (stmts b pools ~run:gen1 ~depth:2 ~in_try:false size);
      (* return something observable *)
      Builder.terminate b (Ir.Return (Some (Ir.Var (List.hd ints))));
      Builder.program ~classes:[ H.point_cls ] ~main:"f" [ Builder.finish b ])
