@@ -96,34 +96,41 @@ let kind_error name want =
        name want)
 
 (* Register (or fetch) the canonical spec for a key; the first
-   registration wins, later ones must agree on the constructor. *)
-let register_spec (r : t) key (k : kind) : kind =
+   registration wins, later ones must agree on the constructor.  [mk]
+   runs only on first registration. *)
+let register_spec (r : t) key (mk : unit -> kind) : kind =
   with_lock r.rm (fun () ->
       match Hashtbl.find_opt r.specs key with
       | Some k0 -> k0
       | None ->
+        let k = mk () in
         Hashtbl.replace r.specs key k;
         k)
 
-(* The calling domain's cell for [key], creating it from [spec] on first
-   access.  Insertion excludes concurrent snapshot traversal. *)
-let my_cell (r : t) key (mk : unit -> cell) : cell =
+(* The calling domain's cell for [key], if it has one: the lookup every
+   repeated [counter]/[histogram] call ends at.  A cell exists only
+   after its spec was registered, so the spec's lock is not needed. *)
+let find_my_cell (r : t) key : cell option =
+  Hashtbl.find_opt (Shards.my_shard r.owner).sh_tbl key
+
+(* Install the calling domain's cell for [key].  Insertion excludes
+   concurrent snapshot traversal. *)
+let add_my_cell (r : t) key (c : cell) =
   let sh = Shards.my_shard r.owner in
-  match Hashtbl.find_opt sh.sh_tbl key with
-  | Some c -> c
-  | None ->
-    let c = mk () in
-    with_lock sh.sh_m (fun () -> Hashtbl.replace sh.sh_tbl key c);
-    c
+  with_lock sh.sh_m (fun () -> Hashtbl.replace sh.sh_tbl key c)
 
 let counter (r : t) ?(labels = []) name : counter =
   let key = (name, norm_labels labels) in
-  match register_spec r key Kcounter with
-  | Kgauge | Khistogram _ -> kind_error name "counter"
-  | Kcounter -> (
-    match my_cell r key (fun () -> Ccounter (ref 0)) with
-    | Ccounter c -> c
-    | Chistogram _ -> assert false (* spec said counter *))
+  match find_my_cell r key with
+  | Some (Ccounter c) -> c
+  | Some (Chistogram _) -> kind_error name "counter"
+  | None -> (
+    match register_spec r key (fun () -> Kcounter) with
+    | Kgauge | Khistogram _ -> kind_error name "counter"
+    | Kcounter ->
+      let c = ref 0 in
+      add_my_cell r key (Ccounter c);
+      c)
 
 let inc (c : counter) n = c := !c + n
 let counter_value (c : counter) = !c
@@ -166,23 +173,25 @@ let log_buckets ~lo ~hi ~per_decade : float array =
 let histogram (r : t) ?(labels = []) ?(buckets = default_buckets) name :
     histogram =
   let key = (name, norm_labels labels) in
-  let sorted () =
-    let b = Array.copy buckets in
-    Array.sort compare b;
-    b
-  in
-  match register_spec r key (Khistogram (sorted ())) with
-  | Kcounter | Kgauge -> kind_error name "histogram"
-  | Khistogram canonical -> (
-    let mk () =
-      Chistogram
+  match find_my_cell r key with
+  | Some (Chistogram h) -> h
+  | Some (Ccounter _) -> kind_error name "histogram"
+  | None -> (
+    let sorted () =
+      let b = Array.copy buckets in
+      Array.sort compare b;
+      Khistogram b
+    in
+    match register_spec r key sorted with
+    | Kcounter | Kgauge -> kind_error name "histogram"
+    | Khistogram canonical ->
+      let h =
         { hbuckets = canonical;
           hcounts = Array.make (Array.length canonical + 1) 0;
           hcount = 0; hsum = 0. }
-    in
-    match my_cell r key mk with
-    | Chistogram h -> h
-    | Ccounter _ -> assert false)
+      in
+      add_my_cell r key (Chistogram h);
+      h)
 
 let observe (h : histogram) v =
   let nb = Array.length h.hbuckets in

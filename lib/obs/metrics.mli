@@ -38,8 +38,10 @@ val global : t
 
 val counter : t -> ?labels:labels -> string -> counter
 (** Find-or-register; same (name, labels) from the same domain always
-    yields the same cell.  @raise Invalid_argument if the name is
-    already registered as a different type. *)
+    yields the same cell.  Once the calling domain has the cell, a
+    lookup is one hash-table probe of its shard, with no lock.
+    @raise Invalid_argument if the name is already registered as a
+    different type. *)
 
 val inc : counter -> int -> unit
 (** Add to a monotone counter (the calling domain's cell; lock-free). *)
@@ -73,8 +75,9 @@ val log_buckets : lo:float -> hi:float -> per_decade:int -> float array
 
 val histogram : t -> ?labels:labels -> ?buckets:float array -> string -> histogram
 (** Find-or-register a histogram with cumulative buckets; identity rules
-    as for {!counter}.  The first registration fixes the bucket bounds;
-    later [?buckets] for the same identity are ignored. *)
+    as for {!counter}.  The first registration fixes the bucket bounds
+    (a sorted copy of [?buckets]); later [?buckets] for the same
+    identity are ignored and never copied or sorted. *)
 
 val observe : histogram -> float -> unit
 (** Record one sample: bumps the count, the sum and the one bucket

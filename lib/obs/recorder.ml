@@ -155,12 +155,14 @@ let create ?(capacity = default_capacity) () : t =
 
 let global : t = create ~capacity:8192 ()
 
-let record ?ctx ?(a = 0) ?(b = 0) (t : t) (kind : kind) : unit =
+let now () = Unix.gettimeofday ()
+
+let record ?ctx ?ts ?(a = 0) ?(b = 0) (t : t) (kind : kind) : unit =
   if Atomic.get t.enabled then begin
     let c = match ctx with Some c -> c | None -> Ctx.current () in
     let r = Rings.my_shard t.owner in
     let i = r.w mod r.cap in
-    r.rts.(i) <- Unix.gettimeofday ();
+    r.rts.(i) <- (match ts with Some ts -> ts | None -> Unix.gettimeofday ());
     r.rkind.(i) <- kind_to_int kind;
     r.ra.(i) <- a;
     r.rb.(i) <- b;

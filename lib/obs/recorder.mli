@@ -28,14 +28,18 @@ type kind =
   | Enqueue       (** [a] = queue depth after the push *)
   | Dequeue       (** [a] = queue depth after the pop *)
   | Req_enqueue   (** [a] = request id *)
-  | Req_start     (** [a] = request id, [b] = worker *)
-  | Req_done      (** [a] = request id, [b] = worker *)
-  | Req_shed      (** [a] = request id (or -1 if never minted),
-                      [b] = 0 queue full / 1 tenant cap *)
+  | Req_start     (** [a] = request id, [b] = worker, or -1 for a
+                      request served at admission (a code-cache hit
+                      answered on the submitting thread, which never
+                      reaches a worker) *)
+  | Req_done      (** [a] = request id, [b] = worker or -1 as for
+                      [Req_start] *)
+  | Req_shed      (** [a] = request id, [b] = 0 queue full / 1 tenant
+                      cap *)
   | Mark          (** free-form; [a]/[b] caller-defined *)
 
 type event = {
-  ev_ts : float;      (** absolute seconds (Unix.gettimeofday) *)
+  ev_ts : float;      (** absolute seconds ({!now}) *)
   ev_domain : int;    (** recording domain's id *)
   ev_kind : kind;
   ev_a : int;
@@ -53,10 +57,18 @@ val global : t
 (** The process-wide recorder the runtime layers record into by
     default. *)
 
-val record : ?ctx:Ctx.t -> ?a:int -> ?b:int -> t -> kind -> unit
+val now : unit -> float
+(** The recorder's clock ([Unix.gettimeofday]), the one [ev_ts] is on. *)
+
+val record : ?ctx:Ctx.t -> ?ts:float -> ?a:int -> ?b:int -> t -> kind -> unit
 (** Append one event to the calling domain's ring (no-op when
     disabled).  [ctx] defaults to the domain's ambient
-    {!Ctx.current}. *)
+    {!Ctx.current}; [ts] defaults to {!now}, and a caller passes an
+    earlier {!now} reading to place an event at the instant it
+    describes when it can only decide to record it later (a request
+    served at admission records its enqueue and start after its cache
+    hit).  {!dump} sorts by [ts], so such an event still lands in
+    causal order. *)
 
 val set_enabled : t -> bool -> unit
 (** Disabling reduces {!record} to one atomic load + branch — the knob

@@ -31,7 +31,9 @@ val phase : t -> phase
     exists, else [Inflight]. *)
 
 val queue_wait : t -> float option
-(** Dequeue − enqueue, when both spans are present. *)
+(** Dequeue − enqueue, when both spans are present: 0 for a cache hit
+    served at admission, whose enqueue and start share the admission
+    instant. *)
 
 val service_time : t -> float option
 (** Done − dequeue, when both spans are present. *)

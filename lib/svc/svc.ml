@@ -1,14 +1,18 @@
 (** Parallel JIT compile service (see the interface for the contract).
 
-    Shape: every request is a task carrying its own {!future} (a
-    mutex, a condition and a result slot).  Worker domains loop on
-    [Chan.pop], compile (through the cache when one is installed) and
-    fill the task's future.  [compile_all] pushes one task per job into
-    the shared bounded {!Chan} and awaits the futures in job order;
+    Shape: every request goes through one admission step on the
+    submitting thread ([submit]): it digests the job's key and, with a
+    cache, does the request's one lookup.  A hit completes right there
+    as a ready {!future}.  A miss becomes a task carrying its key and
+    its own result slot (a mutex, a condition and a result); worker
+    domains loop on [Chan.pop], compile, install the artifact under the
+    key and fill the slot.  [compile_all] admits one job after another
+    (blocking for queue room; with a cache, a repeated key waits for its
+    first copy) and awaits the futures in job order;
     [recompile_async] hands its single future to the caller.  Because
-    each task completes on its own, several [compile_all] calls can be
-    in flight at once and tasks of different batches interleave freely
-    on the pool. *)
+    each request completes on its own, several [compile_all] calls can
+    be in flight at once and tasks of different batches interleave
+    freely on the pool. *)
 
 module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
@@ -120,63 +124,107 @@ let create_cache ?budget_bytes ?recorder () : cache =
   Codecache.create ?budget_bytes ?recorder ~size:artifact_bytes ()
 
 (* ------------------------------------------------------------------ *)
-(* Compiling one job                                                   *)
+(* Admission: one key and one lookup per request                       *)
 (* ------------------------------------------------------------------ *)
 
-let compile_job ?cache ?(queued_seconds = 0.) ?(ctx = Ctx.none) ~worker
-    (j : job) : outcome =
+(* What admission learned about a request on the submitting thread: its
+   key, the artifact if the request's one lookup hit, how long the
+   digest and lookup took (the first part of the request's service
+   time) and when the lookup returned. *)
+type admission = {
+  ad_key : string;
+  ad_hit : Compiler.compiled option;
+  ad_seconds : float;
+  ad_end : float;
+}
+
+(* The first half of admission: the request's one key digest, with the
+   time it took. *)
+let digest (j : job) : string * float =
   let t0 = Clock.now () in
   let key = job_key j in
-  let compile () =
-    Compiler.compile ~tier:j.jb_tier ~deopt_sites:j.jb_deopt j.jb_config
-      ~arch:j.jb_arch j.jb_program
-  in
-  (* The whole job — cache lookup included — runs under the request's
-     ambient context, so Cache_hit/Cache_miss/Cache_evict events deep in
-     {!Codecache} land on this request's causal timeline without the
-     cache knowing anything about requests. *)
-  let hit, compiled =
-    Ctx.with_current ctx (fun () ->
-        match cache with
-        | None -> (false, compile ())
-        | Some c -> (
-          match Codecache.find c key with
-          | Some artifact -> (true, artifact)
-          | None ->
-            let artifact = compile () in
-            Codecache.add c ~key artifact;
-            (false, artifact)))
+  (key, Clock.now () -. t0)
+
+(* The second half: with a cache, the request's one lookup.  It runs
+   under the request's context, so the Cache_hit/Cache_miss event deep
+   in {!Codecache} lands on the request's causal timeline. *)
+let admit ?cache ~ctx ((key, digest_seconds) : string * float) : admission =
+  let t0 = Clock.now () in
+  let hit =
+    match cache with
+    | None -> None
+    | Some c -> Ctx.with_current ctx (fun () -> Codecache.find c key)
   in
   let t1 = Clock.now () in
+  { ad_key = key; ad_hit = hit; ad_seconds = digest_seconds +. (t1 -. t0);
+    ad_end = t1 }
+
+let outcome (j : job) (ad : admission) ~ctx ~worker ~queued_seconds ~hit
+    compiled ~seconds ~done_at =
   {
     oc_job = j;
     oc_compiled = compiled;
     oc_cache_hit = hit;
     oc_worker = worker;
-    oc_seconds = t1 -. t0;
+    oc_seconds = seconds;
     oc_queued_seconds = queued_seconds;
-    oc_done_at = t1;
+    oc_done_at = done_at;
     oc_ctx = ctx;
-    oc_key = key;
+    oc_key = ad.ad_key;
   }
 
+(* A request whose lookup hit is complete at admission. *)
+let hit_outcome (j : job) (ad : admission) ~ctx compiled =
+  outcome j ad ~ctx ~worker:(-1) ~queued_seconds:0. ~hit:true compiled
+    ~seconds:ad.ad_seconds ~done_at:ad.ad_end
+
+(* The rest of a miss, on whichever domain serves it: compile, then
+   install under the key admission computed — no second digest or
+   lookup.  The compile runs under the request's context too. *)
+let miss_outcome ?cache (j : job) (ad : admission) ~ctx ~worker
+    ~queued_seconds =
+  let t0 = Clock.now () in
+  let compiled =
+    Ctx.with_current ctx (fun () ->
+        let artifact =
+          Compiler.compile ~tier:j.jb_tier ~deopt_sites:j.jb_deopt
+            j.jb_config ~arch:j.jb_arch j.jb_program
+        in
+        Option.iter (fun c -> Codecache.add c ~key:ad.ad_key artifact) cache;
+        artifact)
+  in
+  let t1 = Clock.now () in
+  outcome j ad ~ctx ~worker ~queued_seconds ~hit:false compiled
+    ~seconds:(ad.ad_seconds +. (t1 -. t0))
+    ~done_at:t1
+
 let compile_serial ?cache jobs =
-  List.map (compile_job ?cache ~worker:(-1)) jobs
+  List.map
+    (fun j ->
+      let ctx = Ctx.none in
+      let ad = admit ?cache ~ctx (digest j) in
+      match ad.ad_hit with
+      | Some compiled -> hit_outcome j ad ~ctx compiled
+      | None -> miss_outcome ?cache j ad ~ctx ~worker:(-1) ~queued_seconds:0.)
+    jobs
 
 (* ------------------------------------------------------------------ *)
 (* The domain pool                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The completion slot of one request: the worker that runs the task
-   fills [f_result] once and broadcasts.  [poll] is a lock/read/unlock,
-   so the serving thread never waits on the pool. *)
-type future = {
+(* The completion of one request.  A request served at admission is
+   [Ready] when it is handed out; a queued one is [Pending] until the
+   worker that runs it fills the slot once and broadcasts.  [poll] is a
+   lock/read/unlock, so the serving thread never waits on the pool. *)
+type slot = {
   f_m : Mutex.t;
   f_done : Condition.t;
   mutable f_result : (outcome, exn) result option;
 }
 
-let new_future () =
+type future = Ready of (outcome, exn) result | Pending of slot
+
+let new_slot () =
   { f_m = Mutex.create (); f_done = Condition.create (); f_result = None }
 
 let fulfil f r =
@@ -186,21 +234,26 @@ let fulfil f r =
   Mutex.unlock f.f_m
 
 (* block until the slot is filled; the caller decides whether to raise *)
-let wait f =
-  Mutex.lock f.f_m;
-  while Option.is_none f.f_result do
-    Condition.wait f.f_done f.f_m
-  done;
-  let r = Option.get f.f_result in
-  Mutex.unlock f.f_m;
-  r
+let wait = function
+  | Ready r -> r
+  | Pending f ->
+    Mutex.lock f.f_m;
+    while Option.is_none f.f_result do
+      Condition.wait f.f_done f.f_m
+    done;
+    let r = Option.get f.f_result in
+    Mutex.unlock f.f_m;
+    r
 
+(* A queued request: one whose admission lookup missed (or that had no
+   cache to look in). *)
 type task = {
   t_id : int;             (* service-wide request id *)
-  t_enqueued : float;     (* absolute submission time *)
+  t_enqueued : float;     (* absolute time of the push *)
   t_job : job;
-  t_future : future;
-  t_ctx : Ctx.t;          (* causal context minted at submission *)
+  t_admission : admission;
+  t_slot : slot;
+  t_ctx : Ctx.t;          (* causal context minted at admission *)
 }
 
 (* Per-tenant instruments + the in-queue admission ledger.  The ledger
@@ -219,10 +272,9 @@ type t = {
   queue : task Chan.t;
   workers : unit Domain.t array;
   svc_cache : cache option;
-  sm : Mutex.t;
-  mutable stopped : bool;
+  stopped : bool Atomic.t;
   seq : int Atomic.t;        (* next request id *)
-  submitted : int Atomic.t;  (* requests accepted into the queue *)
+  submitted : int Atomic.t;  (* requests served at admission or queued *)
   completed : int Atomic.t;
   shed : int Atomic.t;       (* async submissions rejected *)
   srec : Recorder.t;
@@ -297,28 +349,26 @@ let worker_loop queue cache srec acct completed worker =
     match Chan.pop queue with
     | None -> ()
     | Some task ->
-      ledger_release acct task.t_ctx.Ctx.cx_tenant;
-      Recorder.record ~ctx:task.t_ctx ~a:task.t_id ~b:worker srec
-        Recorder.Req_start;
+      let ctx = task.t_ctx in
+      ledger_release acct ctx.Ctx.cx_tenant;
+      Recorder.record ~ctx ~a:task.t_id ~b:worker srec Recorder.Req_start;
       let queued_seconds = Clock.now () -. task.t_enqueued in
       let r =
         try
           Ok
-            (compile_job ?cache ~queued_seconds ~ctx:task.t_ctx ~worker
-               task.t_job)
+            (miss_outcome ?cache task.t_job task.t_admission ~ctx ~worker
+               ~queued_seconds)
         with e -> Error e
       in
       Atomic.incr completed;
       (match r with
-      | Ok o ->
-        note_completed acct task.t_ctx ~queued_seconds ~seconds:o.oc_seconds
+      | Ok o -> note_completed acct ctx ~queued_seconds ~seconds:o.oc_seconds
       | Error _ ->
         (* a failed compile still consumed its queue slot; count it so
-           submitted = completed + shed stays a service-level identity *)
-        note_completed acct task.t_ctx ~queued_seconds ~seconds:0.);
-      Recorder.record ~ctx:task.t_ctx ~a:task.t_id ~b:worker srec
-        Recorder.Req_done;
-      fulfil task.t_future r;
+           submitted = completed holds once the service is quiescent *)
+        note_completed acct ctx ~queued_seconds ~seconds:0.);
+      Recorder.record ~ctx ~a:task.t_id ~b:worker srec Recorder.Req_done;
+      fulfil task.t_slot r;
       loop ()
   in
   loop ()
@@ -356,8 +406,7 @@ let create ?domains ?(queue_capacity = 64) ?cache
           Domain.spawn (fun () ->
               worker_loop queue cache recorder acct completed i));
     svc_cache = cache;
-    sm = Mutex.create ();
-    stopped = false;
+    stopped = Atomic.make false;
     seq = Atomic.make 0;
     submitted = Atomic.make 0;
     completed;
@@ -387,44 +436,129 @@ let tenant_cap t = t.acct.a_tenant_cap
 let tenants t =
   Metrics.label_values t.acct.amx m_submitted "tenant"
 
-(* Mint a task: assign the request id, mint the causal context (request
-   id doubles as the trace's request id) and stamp the submission time.
-   [t_enqueued] is read by the worker for the queue-delay measurement,
-   so it is stamped as close to the push as possible; the Req_enqueue
-   event and the per-tenant submitted counter fire from the queue's
-   on_enqueue hook, only once the push is accepted (a shed [try_push]
-   must not look like an accepted request). *)
-let new_task t ?(tenant = -1) job future =
+(* Shed reasons, also the [reason] label values on [m_shed]. *)
+let reason_queue_full = "queue_full"
+let reason_tenant_cap = "tenant_cap"
+
+let shed_request t ~id ~ctx ~reason =
+  Atomic.incr t.shed;
+  note_shed t.acct ctx ~reason;
+  Recorder.record ~ctx ~a:id
+    ~b:(if reason = reason_tenant_cap then 1 else 0)
+    t.srec Recorder.Req_shed;
+  None
+
+(* A hit is complete at admission: it is submitted and completed on the
+   submitting thread, with worker -1 and no queue wait.  Its enqueue and
+   start are stamped at [admitted_at], before the lookup, so the
+   request's timeline reads enqueue <= start <= Cache_hit <= done. *)
+let serve_at_admission t ~id ~ctx ~admitted_at j ad compiled =
+  Recorder.record ~ctx ~ts:admitted_at ~a:id t.srec Recorder.Req_enqueue;
+  Recorder.record ~ctx ~ts:admitted_at ~a:id ~b:(-1) t.srec Recorder.Req_start;
+  note_submitted t.acct ctx;
+  Atomic.incr t.submitted;
+  let o = hit_outcome j ad ~ctx compiled in
+  Atomic.incr t.completed;
+  note_completed t.acct ctx ~queued_seconds:0. ~seconds:o.oc_seconds;
+  Recorder.record ~ctx ~a:id ~b:(-1) t.srec Recorder.Req_done;
+  Ready (Ok o)
+
+(* The one submission step every pooled request goes through, on the
+   submitting thread: refuse a shut-down service before anything else,
+   mint the request id and context, admit (one key, one lookup), and
+   either complete a hit right here or queue the miss with its key.
+   [digested] is the job's key from {!digest}, which the caller runs.
+   Only a miss can be shed: the tenant cap and the queue bound guard
+   queue slots, which a hit never takes.  [blocking] picks [Chan.push]
+   (a batch) over [Chan.try_push] (the async front door); [None] means
+   shed.  @raise Chan.Closed once the service is shut down. *)
+let submit t ~tenant ~blocking digested (j : job) : future option =
+  if Atomic.get t.stopped then raise Chan.Closed;
   let id = Atomic.fetch_and_add t.seq 1 in
-  {
-    t_id = id;
-    t_enqueued = Clock.now ();
-    t_job = job;
-    t_future = future;
-    t_ctx = Ctx.mint ~tenant ~request:id ();
-  }
+  let ctx = Ctx.mint ~tenant ~request:id () in
+  let admitted_at = Recorder.now () in
+  let ad = admit ?cache:t.svc_cache ~ctx digested in
+  match ad.ad_hit with
+  | Some compiled ->
+    Some (serve_at_admission t ~id ~ctx ~admitted_at j ad compiled)
+  | None when not (ledger_admit t.acct tenant) ->
+    shed_request t ~id ~ctx ~reason:reason_tenant_cap
+  | None -> (
+    let slot = new_slot () in
+    (* [t_enqueued] is stamped as close to the push as possible: the
+       worker reads it for the queue-wait measurement.  Req_enqueue and
+       the per-tenant submitted counter fire from the queue's
+       on_enqueue hook, only once the push is accepted. *)
+    let task =
+      {
+        t_id = id;
+        t_enqueued = Clock.now ();
+        t_job = j;
+        t_admission = ad;
+        t_slot = slot;
+        t_ctx = ctx;
+      }
+    in
+    match
+      if blocking then (Chan.push t.queue task; true)
+      else Chan.try_push t.queue task
+    with
+    | true ->
+      Atomic.incr t.submitted;
+      Some (Pending slot)
+    | false ->
+      ledger_release t.acct tenant;
+      shed_request t ~id ~ctx ~reason:reason_queue_full
+    | exception Chan.Closed ->
+      ledger_release t.acct tenant;
+      raise Chan.Closed)
 
 let compile_all (t : t) (jobs : job list) : outcome list =
-  (* If the queue closes mid-submission (a racing or prior shutdown),
-     fail the unsubmitted tail's futures ourselves; tasks already queued
-     are drained by the workers before they exit, so every future
-     completes either way. *)
+  (* Once the service is shut down (before or during the batch), fail
+     the unsubmitted tail's futures here; requests already queued are
+     drained by the workers before they exit, so every future completes
+     either way.  A batch is never shed: it blocks for queue room. *)
   let closed = ref false in
-  let submit job =
-    let f = new_future () in
-    (if not !closed then
-       match Chan.push t.queue (new_task t job f) with
-       | () ->
-         (* the queue's on_enqueue hook has already recorded
-            Req_enqueue and the per-tenant submitted counter *)
-         Atomic.incr t.submitted
-       | exception Chan.Closed -> closed := true);
-    if !closed then
-      fulfil f
-        (Error (Invalid_argument "Svc.compile_all: service has been shut down"));
-    f
+  let submit_one digested job =
+    match
+      if !closed then None
+      else submit t ~tenant:(-1) ~blocking:true digested job
+    with
+    | Some f -> f
+    | None | exception Chan.Closed ->
+      closed := true;
+      Ready
+        (Error (Invalid_argument "Svc.compile_all: service has been shut down"))
   in
-  let results = List.map wait (List.map submit jobs) in
+  (* Single flight within the batch: with a cache, a later copy of a key
+     already in the batch is held back and admitted only once the first
+     copy has completed, so its one lookup hits what the first copy
+     installed instead of missing and compiling the same code again.
+     Every first copy is admitted before any held copy, so holding never
+     starves the pool. *)
+  let hold = Option.is_some t.svc_cache and firsts = Hashtbl.create 16 in
+  let admitted =
+    List.map
+      (fun job ->
+        let ((key, _) as digested) = digest job in
+        match if hold then Hashtbl.find_opt firsts key else None with
+        | Some first -> Either.Right (first, digested, job)
+        | None ->
+          let f = submit_one digested job in
+          if hold then Hashtbl.add firsts key f;
+          Either.Left f)
+      jobs
+  in
+  let futures =
+    List.map
+      (function
+        | Either.Left f -> f
+        | Either.Right (first, digested, job) ->
+          ignore (wait first);
+          submit_one digested job)
+      admitted
+  in
+  let results = List.map wait futures in
   match List.find_map (function Error e -> Some e | Ok _ -> None) results with
   | Some e -> raise e
   | None -> List.map Result.get_ok results
@@ -433,48 +567,24 @@ let compile_all (t : t) (jobs : job list) : outcome list =
 (* Asynchronous single-job recompilation (tiered execution)            *)
 (* ------------------------------------------------------------------ *)
 
-(* Shed reasons, also the [reason] label values on [m_shed]. *)
-let reason_queue_full = "queue_full"
-let reason_tenant_cap = "tenant_cap"
-
 (* The submission uses [Chan.try_push], so a saturated queue is
    reported to the caller (who retries later) instead of blocking
    interpretation — this is what "no stop-the-world" means
    operationally. *)
 let recompile_async (t : t) ?(tenant = -1) (j : job) : future option =
-  (* the front door: per-tenant admission first (cheap ledger check),
-     then the global queue bound via [try_push] *)
-  if not (ledger_admit t.acct tenant) then begin
-    Atomic.incr t.shed;
-    let ctx = Ctx.mint ~tenant () in
-    note_shed t.acct ctx ~reason:reason_tenant_cap;
-    Recorder.record ~ctx ~a:(-1) ~b:1 t.srec Recorder.Req_shed;
-    None
-  end
-  else begin
-    let f = new_future () in
-    let task = new_task t ~tenant j f in
-    match Chan.try_push t.queue task with
-    | true ->
-      (* Req_enqueue + per-tenant submitted fired from the queue hook *)
-      Atomic.incr t.submitted;
-      Some f
-    | false ->
-      ledger_release t.acct tenant;
-      Atomic.incr t.shed;
-      note_shed t.acct task.t_ctx ~reason:reason_queue_full;
-      Recorder.record ~ctx:task.t_ctx ~a:task.t_id ~b:0 t.srec
-        Recorder.Req_shed;
-      None
-    | exception Chan.Closed ->
-      ledger_release t.acct tenant;
-      invalid_arg "Svc.recompile_async: service has been shut down"
-  end
+  try submit t ~tenant ~blocking:false (digest j) j
+  with Chan.Closed -> invalid_arg "Svc.recompile_async: service has been shut down"
 
 let poll (f : future) : outcome option =
-  Mutex.lock f.f_m;
-  let r = f.f_result in
-  Mutex.unlock f.f_m;
+  let r =
+    match f with
+    | Ready r -> Some r
+    | Pending f ->
+      Mutex.lock f.f_m;
+      let r = f.f_result in
+      Mutex.unlock f.f_m;
+      r
+  in
   (* raise outside the lock *)
   match r with
   | None -> None
@@ -485,14 +595,7 @@ let await (f : future) : outcome =
   match wait f with Ok o -> o | Error e -> raise e
 
 let shutdown (t : t) =
-  let do_join =
-    Mutex.lock t.sm;
-    let fresh = not t.stopped in
-    t.stopped <- true;
-    Mutex.unlock t.sm;
-    fresh
-  in
-  if do_join then begin
+  if not (Atomic.exchange t.stopped true) then begin
     Chan.close t.queue;
     Array.iter Domain.join t.workers
   end

@@ -18,20 +18,40 @@
     {!compile_all} preserves job order in its results; consequently a
     parallel batch is observably identical to {!compile_serial} except
     for wall-clock fields ([compile_seconds], the seconds of each pass
-    record, [oc_seconds]) and
+    record, [oc_seconds], [oc_queued_seconds]) and
     [oc_worker]/[oc_cache_hit] provenance.
 
-    {2 Caching}
+    {2 Admission and caching}
 
-    With a cache installed, each job is keyed by {!job_key} — a digest
-    of the program structure (including check provenance sites), the
-    configuration's semantic fields and the architecture name — and a
-    hit returns the previously compiled artifact without recompiling.
-    The key is computed once per job, by the worker, and returned on
-    the outcome ([oc_key]); the tiered manager versions code by it.
-    Two in-flight jobs with the same key may both miss and compile; the
-    cache converges to one entry and both artifacts are identical, so
-    the race is benign.
+    Every request — each job of a {!compile_all} batch, each
+    {!recompile_async} submission and each job of {!compile_serial} —
+    goes through one admission step on the submitting thread.  For a
+    pooled request it first refuses a shut-down service, then mints the
+    request's causal context and id ({!compile_serial} runs under
+    {!Nullelim_obs.Ctx.none}).  It computes {!job_key} once — a
+    digest of the program structure (including check provenance sites),
+    the configuration's semantic fields and the architecture name — and,
+    with a cache installed, does the request's one counted
+    [Codecache.find].  A hit completes right there: the future is ready
+    when {!recompile_async} returns, no worker domain or queue slot is
+    involved, [oc_worker] is [-1] and [oc_queued_seconds] is 0.  A miss
+    is queued with its key; the worker compiles and [Codecache.add]s
+    under that key without digesting or looking up again.  So each
+    request costs exactly one key and, with a cache, one lookup (each
+    admitted request adds exactly one to [Codecache.stats] hits plus
+    misses).  Without a cache nothing is looked up and the key is
+    still computed once.  The key is returned on the outcome
+    ([oc_key]); the tiered manager versions code by it.
+
+    Within one {!compile_all} batch a key compiles at most once: a
+    later copy of a key already in the batch is admitted only after the
+    first copy completes, so its lookup hits (unless the entry was
+    evicted meanwhile).  Across separate submissions — two batches in
+    flight, or {!recompile_async} — two requests with the same key may
+    both miss and compile when the second is admitted before the first
+    completes: the window runs from the first one's admission to its
+    completion, queue wait included.  The cache converges to one entry
+    and the artifacts are identical, so that race is benign.
 
     {2 Shutdown}
 
@@ -68,18 +88,25 @@ type outcome = {
   oc_job : job;           (** the request, physically equal to the input *)
   oc_compiled : Compiler.compiled;
   oc_cache_hit : bool;    (** artifact came from the cache *)
-  oc_worker : int;        (** worker index, or -1 for {!compile_serial} *)
-  oc_seconds : float;     (** wall time of this job incl. cache lookup *)
+  oc_worker : int;        (** index of the worker domain that compiled
+                              the job, or -1 when no worker did: a cache
+                              hit served at admission, or
+                              {!compile_serial} *)
+  oc_seconds : float;     (** service time: the admission's key digest
+                              and lookup plus, on a miss, the compile and
+                              the cache install — everything but the
+                              queue wait *)
   oc_queued_seconds : float;
-                          (** time spent waiting in the queue before a
-                              worker picked the job up (0 for
-                              {!compile_serial}) *)
+                          (** time from the push onto the queue until a
+                              worker picked the job up; 0 for a hit
+                              served at admission and for
+                              {!compile_serial} *)
   oc_done_at : float;     (** completion time on the monotonic
                               clock ({!Nullelim_obs.Clock.now}) — lets a load
                               generator compute end-to-end latency
                               against its own arrival schedule *)
   oc_ctx : Nullelim_obs.Ctx.t;
-                          (** the causal context minted at submission
+                          (** the causal context minted at admission
                               (tenant + request id); {!Ctx.none} for
                               {!compile_serial} *)
   oc_key : string;        (** {!job_key} of [oc_job], computed once per
@@ -144,11 +171,15 @@ val create :
   t
 (** Start a service with [domains] workers (default
     {!default_domains}, clamped to at least 1) and a queue bound of
-    [queue_capacity] jobs (default 64).  With [cache], every job is
-    looked up before compiling and installed after.  Request lifecycle
-    events (enqueue/start/done/shed, carrying the request's causal
-    context) and queue movement are recorded into [recorder] (default
-    {!Nullelim_obs.Recorder.global}).
+    [queue_capacity] jobs (default 64).  With [cache], every request
+    is looked up once at admission; a hit is served there and a miss is
+    compiled by a worker and installed after.  Request lifecycle events
+    (enqueue/start/done/shed, carrying the request's causal context)
+    and queue movement are recorded into [recorder] (default
+    {!Nullelim_obs.Recorder.global}).  A hit served at admission
+    records [Req_enqueue] and [Req_start] stamped at admission, then
+    its [Cache_hit], then [Req_done]; its [Req_start]/[Req_done] carry
+    worker [b = -1].
 
     Per-tenant request accounting goes to [metrics] (default
     {!Nullelim_obs.Metrics.global}): counters
@@ -162,7 +193,9 @@ val create :
     [tenant_cap] > 0 bounds how many requests {e of one tenant} may sit
     in the queue at once ({!recompile_async} sheds with reason
     [tenant_cap] beyond it), so one chatty tenant cannot monopolize the
-    shared queue.  0 (the default) disables the cap. *)
+    shared queue.  The cap does not apply to cache hits: a hit is served
+    at admission and never takes a queue slot, so it is never shed.
+    0 (the default) disables the cap. *)
 
 val metrics : t -> Nullelim_obs.Metrics.t
 (** The registry the service accounts into. *)
@@ -188,14 +221,17 @@ type stats = {
   s_queue_capacity : int;    (** queue bound from {!create} *)
   s_queue_depth : int;       (** current queue depth (racy snapshot) *)
   s_queue_high_water : int;  (** deepest the queue has ever been *)
-  s_submitted : int;         (** requests accepted into the queue *)
-  s_completed : int;         (** requests fully compiled *)
+  s_submitted : int;         (** requests accepted: served at
+                                 admission or queued *)
+  s_completed : int;         (** requests completed (hits served at
+                                 admission, compiles finished or failed) *)
   s_shed : int;              (** async submissions rejected (queue full
-                                 or tenant cap) *)
+                                 or tenant cap; only misses are shed) *)
 }
 (** Service-level counters; snapshots are racy but each field is an
     untorn word, and [s_submitted = s_completed] once the service is
-    quiescent. *)
+    quiescent (with [s_shed] counted apart, every offered request is
+    either completed or shed). *)
 
 val stats : t -> stats
 (** Snapshot the service counters and queue occupancy. *)
@@ -205,20 +241,27 @@ val compile_all : t -> job list -> outcome list
     job order (deterministic regardless of completion order).  Blocks
     until the whole batch is done.  If any job's compilation raised,
     the exception of the earliest such job is re-raised after the
-    batch drains — the queue is left clean either way.  May be called
-    repeatedly, and from different domains.
+    batch drains — the queue is left clean either way.  Jobs are
+    admitted in order on the calling domain, which blocks for queue
+    room (a batch is never shed); hits complete during admission.
+    With a cache, a repeated key is admitted after its first copy in
+    the batch completes, so it is looked up once and hits.  May be
+    called repeatedly, and from different domains.
 
-    @raise Invalid_argument if the service has been shut down. *)
+    @raise Invalid_argument if the service has been shut down (checked
+    at each job's admission, before its lookup). *)
 
 val compile_serial : ?cache:cache -> job list -> outcome list
-(** Reference implementation: compile the jobs one by one on the
-    calling domain, no queue and no workers.  Differential tests
-    compare {!compile_all} against this. *)
+(** Reference implementation: admit and compile the jobs one by one on
+    the calling domain, no queue and no workers (the same admission as
+    the pool: one key, and one lookup with [cache]).  Differential
+    tests compare {!compile_all} against this. *)
 
 type future
 (** The completion of one submitted job.  Every request the service
     accepts — each job of a {!compile_all} batch and each
-    {!recompile_async} submission — completes through one of these. *)
+    {!recompile_async} submission — completes through one of these; a
+    cache hit's is already complete when it is handed out. *)
 
 val reason_queue_full : string
 (** ["queue_full"] — the [reason] label on [svc_requests_shed_total]
@@ -229,9 +272,11 @@ val reason_tenant_cap : string
     at its per-tenant in-queue cap. *)
 
 val recompile_async : t -> ?tenant:int -> job -> future option
-(** Submit one job to the pool without ever blocking: returns [None]
-    when the queue is full or the submitting [tenant] (default -1 =
-    untenanted) is at its in-queue cap — the request was {e shed}, and
+(** Submit one job without ever blocking.  A cache hit is served at
+    admission: the returned future's {!poll} is already [Some].  A miss
+    goes to the pool, or returns [None] when the queue is full or the
+    submitting [tenant] (default -1 = untenanted) is at its in-queue
+    cap — the request was {e shed}, and
     which of the two happened is visible in the
     [svc_requests_shed_total] [reason] label and the [Req_shed] flight
     event ([b] = 0 queue full, 1 tenant cap).  This is the tiered
@@ -240,7 +285,8 @@ val recompile_async : t -> ?tenant:int -> job -> future option
     never wait on the compile pool, so installation happens whenever a
     later {!poll} finds the artifact ready.
 
-    @raise Invalid_argument if the service has been shut down. *)
+    @raise Invalid_argument if the service has been shut down, checked
+    before the lookup, so even a request whose key would hit. *)
 
 val poll : future -> outcome option
 (** Non-blocking completion check: [Some outcome] once the worker has

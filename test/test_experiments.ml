@@ -92,9 +92,23 @@ let test_hotspot_comparison () =
        mean)
     true (mean > 1.02)
 
-(* Table 4 / Figure 13 *)
+(* Table 4 / Figure 13.  The columns are wall-clock times of compiles
+   a tenth of a millisecond long, so each side is the best of three
+   tables: one sample is at the mercy of whatever else the host runs. *)
 let test_compile_breakdown () =
-  let rows = E.table4 ~scale in
+  let best (a : E.breakdown_row) (b : E.breakdown_row) =
+    {
+      a with
+      E.new_nullcheck = Float.min a.E.new_nullcheck b.E.new_nullcheck;
+      new_other = Float.min a.E.new_other b.E.new_other;
+      old_nullcheck = Float.min a.E.old_nullcheck b.E.old_nullcheck;
+      old_other = Float.min a.E.old_other b.E.old_other;
+    }
+  in
+  let rows =
+    List.fold_left (List.map2 best) (E.table4 ~scale)
+      [ E.table4 ~scale; E.table4 ~scale ]
+  in
   List.iter
     (fun (r : E.breakdown_row) ->
       check_bool

@@ -135,6 +135,43 @@ let test_metrics_kind_conflict () =
        "Metrics: x already registered with a different type (wanted gauge)")
     (fun () -> ignore (Obs.Metrics.gauge m "x"))
 
+(* The first registration fixes a histogram's buckets, sorted; a later
+   lookup with other or unsorted buckets gets the same cell back, from
+   this domain's shard and from a fresh domain's, and a lookup under
+   another kind still raises once the cell exists. *)
+let test_metrics_first_registration_wins () =
+  let m = Obs.Metrics.create () in
+  let h = Obs.Metrics.histogram m ~buckets:[| 3.; 1.; 2. |] "lat" in
+  Alcotest.(check bool) "unsorted spec: same cell" true
+    (Obs.Metrics.histogram m ~buckets:[| 9.; 0.5 |] "lat" == h);
+  Obs.Metrics.observe h 1.5;
+  Domain.join
+    (Domain.spawn (fun () ->
+         Obs.Metrics.observe (Obs.Metrics.histogram m ~buckets:[| 7. |] "lat") 2.5));
+  (match Obs.Metrics.histogram_merged m "lat" with
+  | Some (buckets, counts, n, _) ->
+    Alcotest.(check (array (float 0.))) "canonical sorted buckets"
+      [| 1.; 2.; 3. |] buckets;
+    Alcotest.(check (array int)) "samples in the canonical buckets"
+      [| 0; 1; 1; 0 |] counts;
+    Alcotest.(check int) "both domains counted" 2 n
+  | None -> Alcotest.fail "histogram not registered");
+  let kind_error want =
+    Invalid_argument
+      (Printf.sprintf
+         "Metrics: lat already registered with a different type (wanted %s)"
+         want)
+  in
+  Alcotest.check_raises "counter vs histogram" (kind_error "counter")
+    (fun () -> ignore (Obs.Metrics.counter m "lat"));
+  Alcotest.check_raises "gauge vs histogram" (kind_error "gauge")
+    (fun () -> ignore (Obs.Metrics.gauge m "lat"));
+  ignore (Obs.Metrics.counter m "n");
+  Alcotest.check_raises "histogram vs counter"
+    (Invalid_argument
+       "Metrics: n already registered with a different type (wanted histogram)")
+    (fun () -> ignore (Obs.Metrics.histogram m "n"))
+
 let test_metrics_validate_rejects () =
   List.iter
     (fun j ->
@@ -452,6 +489,8 @@ let () =
         [
           Alcotest.test_case "snapshot + validate" `Quick test_metrics_snapshot;
           Alcotest.test_case "kind conflict" `Quick test_metrics_kind_conflict;
+          Alcotest.test_case "first registration wins" `Quick
+            test_metrics_first_registration_wins;
           Alcotest.test_case "validate rejects" `Quick
             test_metrics_validate_rejects;
           Alcotest.test_case "4-domain hammer (exact counts)" `Quick

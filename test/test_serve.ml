@@ -3,7 +3,8 @@
    4-domain loadgen run's flight dump reconstructs a complete causal
    timeline for every completed request, and the per-tenant admission
    cap sheds with the right reason while the closed accounting
-   (submitted = completed + shed, per tenant) keeps holding. *)
+   (submitted + shed = offered and submitted = completed, per tenant)
+   keeps holding. *)
 
 open Nullelim
 module LG = Nullelim_experiments.Loadgen

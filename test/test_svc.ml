@@ -2,8 +2,9 @@
    semantics, the content-addressed cache's hit/evict behaviour, and
    the service-level guarantees the bench and batch driver rely on —
    parallel output byte-identical to serial, cache hit equivalent to a
-   recompile, decision-log reconciliation under 4 domains, and clean
-   shutdown edge cases. *)
+   recompile, decision-log reconciliation under 4 domains, clean
+   shutdown edge cases, and admission: one key and one lookup per
+   request, with hits served on the submitting thread. *)
 
 open Nullelim
 module W = Nullelim_workloads.Workload
@@ -789,6 +790,279 @@ let test_failing_job () =
         raises_expected "await re-raises" (fun () -> Svc.await f);
         raises_expected "poll re-raises once done" (fun () -> Svc.poll f))
 
+(* ------------------------------------------------------------------ *)
+(* Admission: a cache hit is served on the submitting thread           *)
+(* ------------------------------------------------------------------ *)
+
+let lookups cache =
+  let s = Codecache.stats cache in
+  s.Codecache.hits + s.Codecache.misses
+
+(* Each request does exactly one counted lookup, whether it hits or
+   misses and whichever entry point admitted it; a hit through
+   [recompile_async] is complete before the call returns, so no worker
+   took part; and every artifact equals the serial compile's. *)
+let test_one_lookup_per_request () =
+  let jobs = sample_jobs () in
+  let serial = Svc.compile_serial jobs in
+  let check_against_serial what outcomes =
+    List.iteri
+      (fun i (s, o) -> check_same_outcome ~what:(Printf.sprintf "%s %d" what i) s o)
+      (List.combine serial outcomes)
+  in
+  let n = List.length jobs in
+  (* recompile_async: a cold pass, then a warm one *)
+  let cache = Svc.create_cache () in
+  Svc.with_service ~domains:1 ~cache (fun t ->
+      let cold =
+        List.map
+          (fun j -> Svc.await (Option.get (Svc.recompile_async t j)))
+          jobs
+      in
+      Alcotest.(check int) "cold async: one lookup per request" n (lookups cache);
+      Alcotest.(check int) "cold async: every request missed" n
+        (Codecache.stats cache).Codecache.misses;
+      check_against_serial "cold async" cold;
+      let warm =
+        List.map
+          (fun j ->
+            match Svc.recompile_async t j with
+            | None -> Alcotest.fail "a hit must not be shed"
+            | Some f -> (
+              match Svc.poll f with
+              | Some o -> o
+              | None -> Alcotest.fail "a hit is complete when recompile_async returns"))
+          jobs
+      in
+      Alcotest.(check int) "warm async: one lookup per request" (2 * n)
+        (lookups cache);
+      Alcotest.(check int) "warm async: every request hit" n
+        (Codecache.stats cache).Codecache.hits;
+      List.iter
+        (fun (o : Svc.outcome) ->
+          Alcotest.(check bool) "served at admission" true o.Svc.oc_cache_hit;
+          Alcotest.(check int) "no worker" (-1) o.Svc.oc_worker;
+          Alcotest.(check (float 0.)) "no queue wait" 0. o.Svc.oc_queued_seconds;
+          Alcotest.(check string) "the outcome carries the job's key"
+            (Svc.job_key o.Svc.oc_job) o.Svc.oc_key)
+        warm;
+      check_against_serial "warm async" warm;
+      let s = Svc.stats t in
+      Alcotest.(check int) "submitted = completed" s.Svc.s_submitted
+        s.Svc.s_completed;
+      Alcotest.(check int) "every request submitted" (2 * n) s.Svc.s_submitted);
+  (* compile_all: the same on a fresh cache *)
+  let cache = Svc.create_cache () in
+  Svc.with_service ~domains:2 ~cache (fun t ->
+      let cold = Svc.compile_all t jobs in
+      Alcotest.(check int) "cold batch: one lookup per request" n (lookups cache);
+      check_against_serial "cold batch" cold;
+      let warm = Svc.compile_all t jobs in
+      Alcotest.(check int) "warm batch: one lookup per request" (2 * n)
+        (lookups cache);
+      Alcotest.(check int) "warm batch: every request hit" n
+        (Codecache.stats cache).Codecache.hits;
+      Alcotest.(check bool) "warm batch: no worker" true
+        (List.for_all (fun o -> o.Svc.oc_worker = -1) warm);
+      check_against_serial "warm batch" warm);
+  (* compile_serial admits the same way *)
+  let cache = Svc.create_cache () in
+  ignore (Svc.compile_serial ~cache jobs);
+  ignore (Svc.compile_serial ~cache jobs);
+  Alcotest.(check int) "serial: one lookup per request" (2 * n) (lookups cache);
+  Alcotest.(check int) "serial: warm pass hit" n (Codecache.stats cache).Codecache.hits
+
+(* A shut-down service refuses a request before its lookup, even one
+   whose key would hit. *)
+let test_shutdown_before_lookup () =
+  let jobs = sample_jobs () in
+  let cache = Svc.create_cache () in
+  ignore (Svc.compile_serial ~cache jobs);
+  let t = Svc.create ~domains:1 ~cache () in
+  Svc.shutdown t;
+  let before = lookups cache in
+  (match Svc.recompile_async t (List.hd jobs) with
+  | _ -> Alcotest.fail "recompile_async after shutdown must raise"
+  | exception Invalid_argument _ -> ());
+  (match Svc.compile_all t jobs with
+  | _ -> Alcotest.fail "compile_all after shutdown must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "no lookup after shutdown" before (lookups cache);
+  Alcotest.(check int) "nothing submitted" 0 (Svc.stats t).Svc.s_submitted
+
+(* The tenant cap guards queue slots, and a hit never takes one: a burst
+   of hits from a capped tenant is never shed, and the queue never sees
+   any of it. *)
+let test_hits_bypass_queue_and_cap () =
+  let jobs = sample_jobs () in
+  let cache = Svc.create_cache () in
+  ignore (Svc.compile_serial ~cache jobs);
+  let metrics = Obs.Metrics.create () in
+  let n = 60 in
+  Svc.with_service ~domains:1 ~queue_capacity:1 ~cache ~metrics ~tenant_cap:1
+    (fun t ->
+      for i = 0 to n - 1 do
+        match Svc.recompile_async t ~tenant:0 (List.nth jobs (i mod List.length jobs)) with
+        | Some f -> ignore (Svc.await f)
+        | None -> Alcotest.failf "hit %d was shed" i
+      done;
+      let s = Svc.stats t in
+      Alcotest.(check int) "nothing shed" 0 s.Svc.s_shed;
+      Alcotest.(check int) "submitted = completed" s.Svc.s_submitted
+        s.Svc.s_completed;
+      Alcotest.(check int) "all submitted" n s.Svc.s_submitted;
+      Alcotest.(check int) "the queue was never used" 0 s.Svc.s_queue_high_water;
+      let count name =
+        Obs.Metrics.counter_total metrics ~labels:[ ("tenant", "0") ] name
+      in
+      Alcotest.(check int) "tenant submitted" n
+        (count "svc_requests_submitted_total");
+      Alcotest.(check int) "tenant completed" n
+        (count "svc_requests_completed_total");
+      Alcotest.(check int) "queue-wait samples" n
+        (Obs.Metrics.histogram_total_count metrics ~labels:[ ("tenant", "0") ]
+           "svc_queue_wait_seconds"))
+
+(* A burst from one capped tenant that mixes hits with cold misses:
+   misses beyond the cap are shed, hits never are, and the accounting
+   stays closed — submitted + shed = offered, and once every accepted
+   request has been awaited, submitted = completed. *)
+let test_mixed_hit_shed_accounting () =
+  let warm = sample_jobs () in
+  let cache = Svc.create_cache () in
+  ignore (Svc.compile_serial ~cache warm);
+  let warm_keys = List.map Svc.job_key warm in
+  let cold =
+    List.concat_map
+      (fun (w : W.t) ->
+        let p = w.W.build ~scale:1 in
+        List.map (job p) Config.windows_suite)
+      (Registry.all ())
+    |> List.filter (fun j -> not (List.mem (Svc.job_key j) warm_keys))
+  in
+  let nwarm = List.length warm in
+  Svc.with_service ~domains:1 ~cache ~tenant_cap:1 (fun t ->
+      let offered = ref 0 and shed_misses = ref 0 and futures = ref [] in
+      let offer j =
+        incr offered;
+        Svc.recompile_async t ~tenant:0 j
+      in
+      List.iteri
+        (fun i miss ->
+          (match offer (List.nth warm (i mod nwarm)) with
+          | Some f ->
+            Alcotest.(check bool) "a hit is complete at once" true
+              (Option.is_some (Svc.poll f))
+          | None -> Alcotest.failf "hit %d was shed" i);
+          match offer miss with
+          | Some f -> futures := f :: !futures
+          | None -> incr shed_misses)
+        cold;
+      List.iter (fun f -> ignore (Svc.await f)) !futures;
+      let s = Svc.stats t in
+      Alcotest.(check bool) "a burst of misses against cap 1 sheds" true
+        (s.Svc.s_shed > 0);
+      Alcotest.(check int) "only misses were shed" !shed_misses s.Svc.s_shed;
+      Alcotest.(check int) "submitted + shed = offered" !offered
+        (s.Svc.s_submitted + s.Svc.s_shed);
+      Alcotest.(check int) "submitted = completed" s.Svc.s_submitted
+        s.Svc.s_completed)
+
+(* With a cache, a batch that repeats its jobs compiles each key once:
+   the later copies wait for the first and then hit, each still with
+   one lookup, and every artifact equals the serial compile's. *)
+let test_batch_single_flight () =
+  let jobs = sample_jobs () in
+  let n = List.length jobs in
+  let serial = Svc.compile_serial jobs in
+  let cache = Svc.create_cache () in
+  let outcomes =
+    Svc.with_service ~domains:2 ~cache (fun t -> Svc.compile_all t (jobs @ jobs))
+  in
+  let s = Codecache.stats cache in
+  Alcotest.(check int) "one lookup per request" (2 * n) (lookups cache);
+  Alcotest.(check int) "each key compiled once" n s.Codecache.misses;
+  Alcotest.(check int) "every repeat hit" n s.Codecache.hits;
+  List.iteri
+    (fun i (o : Svc.outcome) ->
+      if i < n then
+        Alcotest.(check bool) "a first copy misses" false o.Svc.oc_cache_hit
+      else begin
+        Alcotest.(check bool) "a repeat hits" true o.Svc.oc_cache_hit;
+        Alcotest.(check int) "a repeat is served at admission" (-1)
+          o.Svc.oc_worker
+      end)
+    outcomes;
+  List.iteri
+    (fun i (s, o) -> check_same_outcome ~what:(Printf.sprintf "job %d" i) s o)
+    (List.combine (serial @ serial) outcomes)
+
+(* On a mixed hit/miss run every completed request has a complete
+   causal timeline; a hit's reads enqueue <= start <= Cache_hit <= done
+   on worker -1, a miss's Cache_miss sits on its own timeline, and the
+   trace export keeps one lane. *)
+let test_admission_timelines () =
+  let module Recorder = Obs.Recorder in
+  let module Timeline = Obs.Timeline in
+  let recorder = Recorder.create ~capacity:8192 () in
+  let cache = Svc.create_cache ~recorder () in
+  let jobs = sample_jobs () in
+  let hit_ids = ref [] and miss_ids = ref [] in
+  Svc.with_service ~domains:2 ~cache ~recorder (fun t ->
+      let first = List.filteri (fun i _ -> i mod 2 = 0) jobs in
+      ignore (Svc.compile_all t first);
+      List.iter
+        (fun j ->
+          let o = Svc.await (Option.get (Svc.recompile_async t ~tenant:3 j)) in
+          let id = o.Svc.oc_ctx.Obs.Ctx.cx_request in
+          if o.Svc.oc_cache_hit then hit_ids := id :: !hit_ids
+          else miss_ids := id :: !miss_ids)
+        jobs);
+  Alcotest.(check int) "hits" 3 (List.length !hit_ids);
+  Alcotest.(check int) "misses" 3 (List.length !miss_ids);
+  Alcotest.(check int) "nothing dropped" 0 (Recorder.dropped recorder);
+  let tls = Timeline.of_events (Recorder.dump recorder) in
+  (match Timeline.check_complete tls with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "timelines incomplete: %s" e);
+  let timeline id = List.find (fun tl -> tl.Timeline.tl_request = id) tls in
+  let ts kind (tl : Timeline.t) =
+    match
+      List.find_opt (fun e -> e.Recorder.ev_kind = kind) tl.Timeline.tl_events
+    with
+    | Some e -> e
+    | None -> Alcotest.failf "request %d has no %s" tl.Timeline.tl_request
+                (Recorder.kind_name kind)
+  in
+  List.iter
+    (fun id ->
+      let tl = timeline id in
+      let e = ts Recorder.Req_enqueue tl and s = ts Recorder.Req_start tl
+      and h = ts Recorder.Cache_hit tl and d = ts Recorder.Req_done tl in
+      Alcotest.(check bool) "enqueue <= start <= cache hit <= done" true
+        (e.Recorder.ev_ts <= s.Recorder.ev_ts
+        && s.Recorder.ev_ts <= h.Recorder.ev_ts
+        && h.Recorder.ev_ts <= d.Recorder.ev_ts);
+      Alcotest.(check int) "start on worker -1" (-1) s.Recorder.ev_b;
+      Alcotest.(check int) "done on worker -1" (-1) d.Recorder.ev_b;
+      Alcotest.(check int) "tenant" 3 tl.Timeline.tl_tenant;
+      Alcotest.(check (option (float 0.))) "no queue wait" (Some 0.)
+        (Timeline.queue_wait tl))
+    !hit_ids;
+  List.iter
+    (fun id ->
+      let tl = timeline id in
+      ignore (ts Recorder.Cache_miss tl);
+      Alcotest.(check bool) "a miss starts on a worker" true
+        ((ts Recorder.Req_start tl).Recorder.ev_b >= 0))
+    !miss_ids;
+  let trace = Obs.Trace.to_json (Recorder.to_trace recorder) in
+  match Json.member "traceEvents" trace with
+  | Some (Json.List evs) ->
+    Alcotest.(check bool) "one trace lane" true
+      (List.for_all (fun e -> Json.member "tid" e = Some (Json.Int 1)) evs)
+  | _ -> Alcotest.fail "trace has no traceEvents"
+
 let () =
   Alcotest.run "svc"
     [
@@ -848,5 +1122,20 @@ let () =
             test_solver_switch_domain_local;
           Alcotest.test_case "a failing job fails only its request" `Quick
             test_failing_job;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "one lookup per request" `Quick
+            test_one_lookup_per_request;
+          Alcotest.test_case "shutdown refuses before the lookup" `Quick
+            test_shutdown_before_lookup;
+          Alcotest.test_case "hits bypass the queue and the tenant cap" `Quick
+            test_hits_bypass_queue_and_cap;
+          Alcotest.test_case "mixed hit/shed accounting" `Quick
+            test_mixed_hit_shed_accounting;
+          Alcotest.test_case "a batch compiles each key once" `Quick
+            test_batch_single_flight;
+          Alcotest.test_case "timelines on a mixed hit/miss run" `Quick
+            test_admission_timelines;
         ] );
     ]
