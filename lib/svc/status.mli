@@ -50,6 +50,13 @@ val serve :
     port 0 lets the kernel pick, {!address} reports the actual port,
     which is how the CI smoke avoids port races). *)
 
+val head_deadline_s : float
+(** Seconds a connection has, from its accept, to send its request head
+    (at most 16 KiB).  Connections are served one at a time, so this
+    bounds how long a silent or slow client delays everyone else; a
+    client that misses it, or sends a longer head, gets the 400
+    response a malformed request gets. *)
+
 val address : t -> address
 (** Where the server actually listens (real port after port-0 bind). *)
 

@@ -1,7 +1,8 @@
 (** Tiered execution manager (see the interface for the model).
 
     Implementation shape: one [fstate] per function, holding the
-    installed code version (body + tier + deopt set + cache key), the
+    installed code version (decoded body + tier + deopt set + cache
+    key) and the decoded tier-0 body a demotion returns to, the
     invocation counter, and at most one desired next version.  The
     desired version lives in two fields: [fs_goal] ("we want this
     version but have not managed to submit it") and [fs_pending] ("a
@@ -47,7 +48,10 @@ type pending = {
 
 type fstate = {
   fs_name : string;
-  mutable fs_func : Ir.func;          (* installed body *)
+  fs_code0 : Interp.decoded;          (* the tier-0 body, decoded at the
+                                         first dispatch *)
+  mutable fs_code : Interp.decoded;   (* installed body, decoded when
+                                         installed *)
   mutable fs_tier : int;
   mutable fs_deopt : Ir.site list;    (* sorted; sites gone explicit *)
   mutable fs_key : string option;     (* cache key of the installed
@@ -140,10 +144,12 @@ let fstate t name =
   match Hashtbl.find_opt t.tbl name with
   | Some fs -> fs
   | None ->
+    let code0 = Interp.decode ~arch:t.arch (Ir.find_func t.p0 name) in
     let fs =
       {
         fs_name = name;
-        fs_func = Ir.find_func t.p0 name;
+        fs_code0 = code0;
+        fs_code = code0;
         fs_tier = 0;
         fs_deopt = [];
         fs_key = None;
@@ -165,7 +171,9 @@ let invalidate t key =
    the version it supersedes. *)
 let install t fs (pd : pending) (oc : Svc.outcome) =
   let prev_tier = fs.fs_tier and prev_key = fs.fs_key in
-  fs.fs_func <- Ir.find_func oc.Svc.oc_compiled.Compiler.program fs.fs_name;
+  fs.fs_code <-
+    Interp.decode ~arch:t.arch
+      (Ir.find_func oc.Svc.oc_compiled.Compiler.program fs.fs_name);
   fs.fs_tier <- pd.pd_tier;
   fs.fs_deopt <- pd.pd_deopt;
   fs.fs_key <- Some oc.Svc.oc_key;
@@ -243,7 +251,7 @@ let poll_install t fs =
       if fs.fs_goal = None then install t fs pd oc
       else invalidate t oc.Svc.oc_key)
 
-let dispatch t name : Ir.func * int =
+let dispatch t name : Interp.decoded * int =
   let fs = fstate t name in
   poll_install t fs;
   try_submit t fs;
@@ -259,7 +267,7 @@ let dispatch t name : Ir.func * int =
     fs.fs_goal <- Some (2, fs.fs_deopt);
     try_submit t fs
   end;
-  (fs.fs_func, fs.fs_tier)
+  (fs.fs_code, fs.fs_tier)
 
 let on_trap t ~func ~site =
   t.c_traps <- t.c_traps + 1;
@@ -285,7 +293,7 @@ let on_trap t ~func ~site =
          losing sites re-materialized. *)
       if fs.fs_tier <> 0 then begin
         Recorder.record ~a:site ~b:fs.fs_tier t.trec Recorder.Tier_demote;
-        fs.fs_func <- Ir.find_func t.p0 fs.fs_name;
+        fs.fs_code <- fs.fs_code0;
         fs.fs_tier <- 0;
         t.c_demotions <- t.c_demotions + 1;
         (match fs.fs_key with Some k -> invalidate t k | None -> ());

@@ -98,13 +98,15 @@ val create :
     [Tier_promote] install event joins the compile request's
     timeline. *)
 
-val dispatch : t -> string -> Ir.func * int
+val dispatch : t -> string -> Interp.decoded * int
 (** The interpreter's call-boundary hook (plug into [Interp.run
     ~dispatch]).  Installs any completed recompilation for the callee,
     bumps its invocation counter, submits a promotion when the counter
     crosses the threshold (retrying submissions the queue previously
-    refused), and returns the current code version and its tier.  Never
-    blocks. *)
+    refused), and returns the current code version, decoded for the
+    manager's arch, and its tier.  The manager owns the decoded code:
+    a version is decoded when it is installed, and a function's tier-0
+    body at its first dispatch (a demotion reuses it).  Never blocks. *)
 
 val on_trap : t -> func:string -> site:int -> unit
 (** The interpreter's trap hook (plug into [Interp.run ~on_trap]).

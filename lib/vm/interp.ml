@@ -72,18 +72,17 @@ type state = {
   arch : Arch.t;
   c : counters;
   mutable fuel : int;
+      (** every instruction ticks it down once, so [c.instrs] is the
+          fuel spent; both it and [cycles] land in [c] when the run
+          ends, which keeps the per-instruction work off [c] *)
+  mutable cycles : int;
   mutable trace_rev : event list;
   mutable depth : int;
   profile : Profile.t option;
       (** per-site/per-block collection; [None] keeps every hook down to
           one option match so disabled profiling costs nothing
           measurable *)
-  resolve : string -> Ir.func * int;
-      (** call-boundary dispatch: maps a (resolved) function name to the
-          code version to execute and its tier.  The default looks the
-          function up in [prog] at tier 0; the tiered manager installs
-          newly compiled versions here, which is why promotion never
-          needs to patch running frames *)
+  resolve : resolver;
   on_trap : (func:string -> site:int -> unit) option;
       (** runtime feedback: called when a hardware trap fires at an
           implicit check site, before the NPE propagates — the tiered
@@ -93,12 +92,36 @@ type state = {
           allocation in this run *)
 }
 
+(** Call-boundary dispatch: maps a (resolved) function name to the code
+    version to execute and its tier.  The tiered manager installs newly
+    compiled versions behind it, which is why promotion never needs to
+    patch running frames.  [Reference] runs the IR-walking loop. *)
+and resolver =
+  | Decoded of (string -> decoded * int)
+  | Reference of (string -> Ir.func * int)
+
+and decoded = {
+  d_func : Ir.func;
+  d_arch : Arch.t;  (** the arch whose cost model the charges came from *)
+  d_blocks : dblock array;  (** indexed by label *)
+}
+
+and dblock = {
+  db_ir : Ir.block;
+  db_ops : op array;  (** one per instruction, in order *)
+  db_term : state -> value array -> Ir.label;
+      (** the terminator, after its tick: the label to continue at, or
+          [returned] *)
+}
+
+(** One pre-decoded instruction: [op st tier vars]. *)
+and op = state -> int -> value array -> unit
+
 let record st e = st.trace_rev <- e :: st.trace_rev
 
-let charge st n = st.c.cycles <- st.c.cycles + n
+let charge st n = st.cycles <- st.cycles + n
 
 let tick st =
-  st.c.instrs <- st.c.instrs + 1;
   st.fuel <- st.fuel - 1;
   if st.fuel <= 0 then raise Out_of_fuel
 
@@ -194,13 +217,15 @@ let cmp_int c (x : int) y =
   | Ir.Eq -> x = y | Ir.Ne -> x <> y | Ir.Lt -> x < y
   | Ir.Le -> x <= y | Ir.Gt -> x > y | Ir.Ge -> x >= y
 
+let cmp_float c (x : float) y =
+  match c with
+  | Ir.Eq -> x = y | Ir.Ne -> x <> y | Ir.Lt -> x < y
+  | Ir.Le -> x <= y | Ir.Gt -> x > y | Ir.Ge -> x >= y
+
 let cmp_values c a b =
   match (a, b) with
   | Vint x, Vint y -> cmp_int c x y
-  | Vfloat x, Vfloat y ->
-    (match c with
-    | Ir.Eq -> x = y | Ir.Ne -> x <> y | Ir.Lt -> x < y
-    | Ir.Le -> x <= y | Ir.Gt -> x > y | Ir.Ge -> x >= y)
+  | Vfloat x, Vfloat y -> cmp_float c x y
   | Vref x, Vref y ->
     (match c with
     | Ir.Eq -> x == y || (x = Null && y = Null)
@@ -234,18 +259,62 @@ let int_binop (op : Ir.binop) x y =
   | Icmp c -> if cmp_int c x y then 1 else 0
   | Fadd | Fsub | Fmul | Fdiv | Fcmp _ -> assert false
 
-(* The label [exec_block] returns for a block that ends in [Return]. *)
+(* The label a terminator returns for [Return]. *)
 let returned : Ir.label = -1
 
-(* [tier] is the tier of the code version being executed; it only
-   flows into profile events (and stays 0 for untiered runs). *)
-let rec exec_func st ~tier (f : Ir.func) (args : value list) : value option =
+(* The terminator of [b], after its tick. *)
+let exec_term st vars (b : Ir.block) : Ir.label =
+  let cost = st.arch.cost in
+  match b.term with
+  | Goto l ->
+    charge st cost.c_branch;
+    l
+  | If (c, x, y, l1, l2) ->
+    charge st cost.c_branch;
+    let taken =
+      if is_int vars x && is_int vars y then
+        cmp_int c (eval_int vars x) (eval_int vars y)
+      else cmp_values c (eval vars x) (eval vars y)
+    in
+    if taken then l1 else l2
+  | Ifnull (v, l1, l2) ->
+    charge st cost.c_branch;
+    (match as_ref vars.(v) with Null -> l1 | Obj _ | Arr _ -> l2)
+  | Return _ ->
+    charge st cost.c_branch;
+    returned
+  | Throw s -> raise (Jexn (User s))
+
+let run_dblock st ~tier (f : Ir.func) vars l (b : dblock) : Ir.label =
+  (match st.profile with
+  | Some p -> Profile.hit_block p ~func:f.fn_name ~block:l
+  | None -> ());
+  let ops = b.db_ops in
+  for i = 0 to Array.length ops - 1 do
+    (Array.unsafe_get ops i) st tier vars
+  done;
+  tick st;
+  b.db_term st vars
+
+(* The reference loop ([exec_func], [exec_block]) walks the IR; the run
+   path ([exec_decoded]) runs decoded operations, each of which falls
+   back to [step] for anything but its common case.  [tier] is the tier
+   of the code version being executed; it only flows into profile
+   events (and stays 0 for untiered runs). *)
+(* A new frame of [f]: one call deeper, its variables with [args]
+   bound.  Every exit, an exception unwinding it included, restores the
+   depth. *)
+let enter st (f : Ir.func) (args : value list) : value array =
   st.depth <- st.depth + 1;
   if st.depth > 2000 then raise (Sim "call depth exceeded");
   let vars = Array.make (max f.fn_nvars 1) Vundef in
   List.iteri
     (fun i a -> if i < f.fn_nvars then vars.(i) <- a)
     args;
+  vars
+
+let rec exec_func st ~tier (f : Ir.func) (args : value list) : value option =
+  let vars = enter st f args in
   let rec run l =
     let b = Ir.block f l in
     match exec_block st ~tier f vars l b with
@@ -271,7 +340,6 @@ let rec exec_func st ~tier (f : Ir.func) (args : value list) : value option =
 (* Runs the block and returns the label to continue at, or [returned];
    the caller reads a returned value from [b.term]. *)
 and exec_block st ~tier f vars (l : Ir.label) (b : Ir.block) : Ir.label =
-  let cost = st.arch.cost in
   (match st.profile with
   | Some p -> Profile.hit_block p ~func:f.Ir.fn_name ~block:l
   | None -> ());
@@ -280,30 +348,16 @@ and exec_block st ~tier f vars (l : Ir.label) (b : Ir.block) : Ir.label =
     exec_instr st ~tier f vars ~blk:l instrs ix
   done;
   tick st;
-  match b.term with
-  | Goto l ->
-    charge st cost.c_branch;
-    l
-  | If (c, x, y, l1, l2) ->
-    charge st cost.c_branch;
-    let taken =
-      if is_int vars x && is_int vars y then
-        cmp_int c (eval_int vars x) (eval_int vars y)
-      else cmp_values c (eval vars x) (eval vars y)
-    in
-    if taken then l1 else l2
-  | Ifnull (v, l1, l2) ->
-    charge st cost.c_branch;
-    (match as_ref vars.(v) with Null -> l1 | Obj _ | Arr _ -> l2)
-  | Return _ ->
-    charge st cost.c_branch;
-    returned
-  | Throw s -> raise (Jexn (User s))
+  exec_term st vars b
 
 and exec_instr st ~tier f vars ~blk (instrs : Ir.instr array) ix : unit =
+  tick st;
+  step st ~tier f vars ~blk instrs ix
+
+(* The generic step: instruction [ix] of block [blk], after its tick. *)
+and step st ~tier f vars ~blk (instrs : Ir.instr array) ix : unit =
   let cost = st.arch.cost in
   let fname = f.Ir.fn_name in
-  tick st;
   match instrs.(ix) with
   | Move (d, o) ->
     charge st cost.c_alu;
@@ -491,28 +545,347 @@ and exec_instr st ~tier f vars ~blk (instrs : Ir.instr array) ix : unit =
           else raise (Sim "virtual dispatch through null without trap")
         | _ -> raise (Sim "virtual dispatch on non-object"))
     in
-    match intrinsic_of_name fname with
-    | Some u ->
-      (* out-of-line math routine *)
-      charge st cost.c_intrinsic_call;
-      st.c.calls <- st.c.calls + 1;
-      let x = match argv with [ v ] -> as_float v | _ -> raise (Sim "bad intrinsic arity") in
-      (match d with
-      | Some d -> vars.(d) <- Vfloat (apply_intrinsic u x)
-      | None -> ())
-    | None -> (
-      charge st cost.c_call;
-      st.c.calls <- st.c.calls + 1;
-      let callee, ctier = st.resolve fname in
-      let r = exec_func st ~tier:ctier callee argv in
-      match (d, r) with
-      | Some d, Some v -> vars.(d) <- v
-      | Some _, None -> raise (Sim ("call to void function " ^ fname ^ " expects a value"))
-      | None, _ -> ()))
+    call st vars d fname (intrinsic_of_name fname) argv)
   | Print o ->
     charge st cost.c_print;
     let v = eval vars o in
     record st (Eprint (Fmt.str "%a" Value.pp v))
+
+(* A call to [fname] (an intrinsic when [intrinsic] is set) whose
+   arguments are evaluated. *)
+and call st vars d fname intrinsic argv =
+  let cost = st.arch.cost in
+  match intrinsic with
+  | Some u ->
+    (* out-of-line math routine *)
+    charge st cost.c_intrinsic_call;
+    st.c.calls <- st.c.calls + 1;
+    let x = match argv with [ v ] -> as_float v | _ -> raise (Sim "bad intrinsic arity") in
+    (match d with
+    | Some d -> vars.(d) <- Vfloat (apply_intrinsic u x)
+    | None -> ())
+  | None -> (
+    charge st cost.c_call;
+    st.c.calls <- st.c.calls + 1;
+    match (d, invoke st fname argv) with
+    | Some d, Some v -> vars.(d) <- v
+    | Some _, None -> raise (Sim ("call to void function " ^ fname ^ " expects a value"))
+    | None, _ -> ())
+
+and invoke st fname argv =
+  match st.resolve with
+  | Decoded r ->
+    let code, tier = r fname in
+    exec_decoded st ~tier code argv
+  | Reference r ->
+    let f, tier = r fname in
+    exec_func st ~tier f argv
+
+(* [exec_func] over decoded blocks. *)
+and exec_decoded st ~tier (d : decoded) (args : value list) : value option =
+  if d.d_arch != st.arch then
+    invalid_arg
+      (Printf.sprintf "Interp: %s was decoded for %s but runs under %s"
+         d.d_func.fn_name d.d_arch.name st.arch.name);
+  let f = d.d_func in
+  let vars = enter st f args in
+  let rec run l =
+    let b = d.d_blocks.(l) in
+    match run_dblock st ~tier f vars l b with
+    | l' when l' <> returned -> run l'
+    | _ -> (
+      match b.db_ir.term with Return (Some o) -> Some (eval vars o) | _ -> None)
+    | exception Jexn k -> (
+      match Ir.handler_of f b.db_ir.breg with
+      | Some h ->
+        record st (Ecaught k);
+        run h
+      | None -> raise (Jexn k))
+  in
+  match run 0 with
+  | r ->
+    st.depth <- st.depth - 1;
+    r
+  | exception e ->
+    st.depth <- st.depth - 1;
+    raise e
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A decoded operation handles only its common case — operands of the
+   expected type, a non-null base, an index in range — and hands
+   anything else, after its tick, to [step], so every counter, charge,
+   error, hook and event happens as in the reference loop.  Operand
+   reads check [ox >= 0]: a variable's index, or -1 and the constant,
+   boxed once here. *)
+
+let operand = function
+  | Ir.Var v -> (v, Vundef)
+  | Ir.Cint n -> (-1, Vint n)
+  | Ir.Cfloat x -> (-1, Vfloat x)
+  | Ir.Cnull -> (-1, Vref Null)
+
+let[@inline] read vars ox ok = if ox >= 0 then vars.(ox) else ok
+
+(* The common operators directly, the rest through [int_binop]. *)
+let int_fn (op : Ir.binop) : int -> int -> int =
+  match op with
+  | Add -> ( + )
+  | Sub -> ( - )
+  | Mul -> ( * )
+  | op -> int_binop op
+
+let float_fn (op : Ir.binop) : float -> float -> value =
+  match op with
+  | Fadd -> fun x y -> Vfloat (x +. y)
+  | Fsub -> fun x y -> Vfloat (x -. y)
+  | Fmul -> fun x y -> Vfloat (x *. y)
+  | Fdiv -> fun x y -> Vfloat (x /. y)
+  | Fcmp c -> fun x y -> Vint (if cmp_float c x y then 1 else 0)
+  | _ -> assert false
+
+(* The slot of offset [off], memoised per operation on the object's
+   offset array: a store that adds a slot replaces the array (never
+   writes it), so the same array gives the same slot.  One immutable
+   pair behind one reference keeps the memo consistent. *)
+type slot_memo = { sm_offsets : int array; sm_slot : int }
+
+let slot_memo () = ref { sm_offsets = [||]; sm_slot = -1 }
+
+let memo_slot memo (obj : obj) off =
+  let m = !memo in
+  if m.sm_offsets == obj.o_offsets then m.sm_slot
+  else begin
+    let k = Value.slot_of obj off in
+    memo := { sm_offsets = obj.o_offsets; sm_slot = k };
+    k
+  end
+
+let decode_int_binop ~slow c d op a b : op =
+  let fn = int_fn op and ax, ak = operand a and bx, bk = operand b in
+  fun st tier vars ->
+    tick st;
+    match (read vars ax ak, read vars bx bk) with
+    | Vint p, Vint q -> charge st c; vars.(d) <- Vint (fn p q)
+    | _ -> slow st tier vars
+
+let decode_float_binop ~slow c d op a b : op =
+  let fn = float_fn op and ax, ak = operand a and bx, bk = operand b in
+  fun st tier vars ->
+    tick st;
+    match (read vars ax ak, read vars bx bk) with
+    | Vfloat p, Vfloat q -> charge st c; vars.(d) <- fn p q
+    | _ -> slow st tier vars
+
+let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
+    (instrs : Ir.instr array) ix : op =
+  let fname = f.fn_name in
+  let slow st tier vars = step st ~tier f vars ~blk instrs ix in
+  match instrs.(ix) with
+  | Move (d, o) ->
+    let c = cost.c_alu and ox, ok = operand o in
+    fun st tier vars ->
+      tick st;
+      (match read vars ox ok with
+      | Vundef -> slow st tier vars
+      | v -> charge st c; vars.(d) <- v)
+  | Unop (d, u, o) -> (
+    let ox, ok = operand o in
+    let c =
+      match u with
+      | Neg -> cost.c_alu
+      | Fneg | I2f | F2i -> cost.c_fpu
+      | Fsqrt | Fexp | Flog | Fsin | Fcos -> cost.c_intrinsic
+    in
+    match u with
+    | Neg | I2f ->
+      let fn =
+        if u = Neg then fun n -> Vint (-n) else fun n -> Vfloat (float_of_int n)
+      in
+      fun st tier vars ->
+        tick st;
+        (match read vars ox ok with
+        | Vint n -> charge st c; vars.(d) <- fn n
+        | _ -> slow st tier vars)
+    | Fneg | F2i | Fsqrt | Fexp | Flog | Fsin | Fcos ->
+      let fn =
+        match u with
+        | Fneg -> fun x -> Vfloat (-.x)
+        | F2i -> fun x -> Vint (int_of_float x)
+        | u -> fun x -> Vfloat (apply_intrinsic u x)
+      in
+      fun st tier vars ->
+        tick st;
+        (match read vars ox ok with
+        | Vfloat x -> charge st c; vars.(d) <- fn x
+        | _ -> slow st tier vars))
+  | Binop (d, ((Fadd | Fsub | Fmul | Fdiv) as op), a, b) ->
+    decode_float_binop ~slow cost.c_fpu d op a b
+  | Binop (d, (Fcmp _ as op), a, b) -> decode_float_binop ~slow cost.c_alu d op a b
+  | Binop (d, op, a, b) -> decode_int_binop ~slow cost.c_alu d op a b
+  | Null_check (Explicit, v, s) ->
+    let c = cost.c_explicit_check in
+    fun st tier vars ->
+      tick st;
+      (match vars.(v) with
+      | Vref (Obj _ | Arr _) -> (
+        charge st c;
+        st.c.explicit_checks <- st.c.explicit_checks + 1;
+        match st.profile with
+        | Some p ->
+          Profile.hit_check ~tier p ~func:fname ~site:s ~kind:Profile.Cexplicit
+        | None -> ())
+      | _ -> slow st tier vars)
+  | Null_check (Implicit, v, s) ->
+    fun st tier vars ->
+      tick st;
+      (match vars.(v) with
+      | Vref _ -> (
+        st.c.implicit_checks <- st.c.implicit_checks + 1;
+        match st.profile with
+        | Some p ->
+          Profile.hit_check ~tier p ~func:fname ~site:s ~kind:Profile.Cimplicit
+        | None -> ())
+      | _ -> slow st tier vars)
+  | Bound_check (io, lo, s) ->
+    let c = cost.c_bound_check and ix, ik = operand io and lx, lk = operand lo in
+    fun st tier vars ->
+      tick st;
+      (match (read vars ix ik, read vars lx lk) with
+      | Vint i, Vint n when i >= 0 && i < n -> (
+        charge st c;
+        st.c.bound_checks <- st.c.bound_checks + 1;
+        match st.profile with
+        | Some p ->
+          Profile.hit_check ~tier p ~func:fname ~site:s ~kind:Profile.Cbound
+        | None -> ())
+      | _ -> slow st tier vars)
+  | Get_field (d, o, fld) ->
+    let c = cost.c_load and off = fld.foffset and memo = slot_memo () in
+    fun st tier vars ->
+      tick st;
+      (match vars.(o) with
+      | Vref (Obj obj) ->
+        let k = memo_slot memo obj off in
+        if k < 0 then slow st tier vars
+        else begin
+          charge st c;
+          st.c.loads <- st.c.loads + 1;
+          vars.(d) <- obj.o_slots.(k)
+        end
+      | _ -> slow st tier vars)
+  | Put_field (o, fld, s) ->
+    let c = cost.c_store and off = fld.foffset and memo = slot_memo () in
+    let sx, sk = operand s in
+    fun st tier vars ->
+      tick st;
+      (match (vars.(o), read vars sx sk) with
+      | Vref (Obj obj), v when v != Vundef ->
+        let k = memo_slot memo obj off in
+        if k < 0 then slow st tier vars
+        else begin
+          charge st c;
+          st.c.stores <- st.c.stores + 1;
+          obj.o_slots.(k) <- v
+        end
+      | _ -> slow st tier vars)
+  | Array_load (d, a, io, k) ->
+    let c = cost.c_load and ix, ik = operand io in
+    fun st tier vars ->
+      tick st;
+      (match (vars.(a), read vars ix ik) with
+      | Vref (Arr arr), Vint i
+        when arr.a_kind == k && i >= 0 && i < Array.length arr.a_elems ->
+        charge st c;
+        st.c.loads <- st.c.loads + 1;
+        vars.(d) <- Array.unsafe_get arr.a_elems i
+      | _ -> slow st tier vars)
+  | Array_store (a, io, s, k) ->
+    let c = cost.c_store and ix, ik = operand io and sx, sk = operand s in
+    fun st tier vars ->
+      tick st;
+      (match (vars.(a), read vars ix ik, read vars sx sk) with
+      | Vref (Arr arr), Vint i, v
+        when v != Vundef && arr.a_kind == k && i >= 0
+             && i < Array.length arr.a_elems ->
+        charge st c;
+        st.c.stores <- st.c.stores + 1;
+        Array.unsafe_set arr.a_elems i v
+      | _ -> slow st tier vars)
+  | Array_length (d, a) ->
+    let c = cost.c_load in
+    fun st tier vars ->
+      tick st;
+      (match vars.(a) with
+      | Vref (Arr arr) ->
+        charge st c;
+        st.c.loads <- st.c.loads + 1;
+        vars.(d) <- Vint (Array.length arr.a_elems)
+      | _ -> slow st tier vars)
+  | Call (d, Static callee, args) ->
+    let intrinsic = intrinsic_of_name callee in
+    fun st _ vars ->
+      tick st;
+      call st vars d callee intrinsic (List.map (eval vars) args)
+  | New_object _ | New_array _ | Call (_, Virtual _, _) | Print _ ->
+    fun st tier vars -> exec_instr st ~tier f vars ~blk instrs ix
+
+(* [If] as [x < y] or [x = y], swapping operands or labels: the
+   rewrite only ever sees two ints. *)
+let decode_if ~slow cb c x y l1 l2 =
+  let lt, x, y, t, e =
+    match (c : Ir.cmp) with
+    | Lt -> (true, x, y, l1, l2)
+    | Gt -> (true, y, x, l1, l2)
+    | Ge -> (true, x, y, l2, l1)
+    | Le -> (true, y, x, l2, l1)
+    | Eq -> (false, x, y, l1, l2)
+    | Ne -> (false, x, y, l2, l1)
+  in
+  let xx, xk = operand x and yx, yk = operand y in
+  if lt then fun st vars ->
+    match (read vars xx xk, read vars yx yk) with
+    | Vint p, Vint q -> charge st cb; if p < q then t else e
+    | _ -> slow st vars
+  else fun st vars ->
+    match (read vars xx xk, read vars yx yk) with
+    | Vint p, Vint q -> charge st cb; if p = q then t else e
+    | _ -> slow st vars
+
+let decode_term (cost : Arch.cost_model) (b : Ir.block) =
+  let cb = cost.c_branch in
+  let slow st vars = exec_term st vars b in
+  match b.term with
+  | Goto l ->
+    fun st _ ->
+      charge st cb;
+      l
+  | Return _ ->
+    fun st _ ->
+      charge st cb;
+      returned
+  | Ifnull (v, l1, l2) ->
+    fun st vars ->
+      (match vars.(v) with
+      | Vref Null -> charge st cb; l1
+      | Vref _ -> charge st cb; l2
+      | _ -> slow st vars)
+  | If (c, x, y, l1, l2) -> decode_if ~slow cb c x y l1 l2
+  | Throw _ -> slow
+
+let decode ~(arch : Arch.t) (f : Ir.func) : decoded =
+  let block blk (b : Ir.block) =
+    {
+      db_ir = b;
+      db_ops = Array.mapi (fun ix _ -> decode_instr arch.cost f ~blk b.instrs ix) b.instrs;
+      db_term = decode_term arch.cost b;
+    }
+  in
+  { d_func = f; d_arch = arch; d_blocks = Array.mapi block f.fn_blocks }
+
+let decoded_func d = d.d_func
 
 (** Dump a run's dynamic counters into a metrics registry as
     [interp_*]-prefixed counters.  Each run must be distinguishable in
@@ -548,20 +921,15 @@ let record_metrics ?run (m : Metrics.t) (c : counters) : unit =
   add "implicit_miss" c.implicit_miss;
   add "spec_null_reads" c.spec_null_reads
 
-(** Run a program's main function. *)
-let run ?(fuel = 400_000_000) ?metrics ?profile ?dispatch ?on_trap
-    ~(arch : Arch.t) (p : Ir.program) (args : value list) : result =
-  let resolve =
-    match dispatch with
-    | Some d -> d
-    | None -> fun n -> (Ir.find_func p n, 0)
-  in
+let start ~fuel ?metrics ?profile ?on_trap ~(arch : Arch.t) (p : Ir.program)
+    (args : value list) resolve : result =
   let st =
     {
       prog = p;
       arch;
       c = new_counters ();
       fuel;
+      cycles = 0;
       trace_rev = [];
       depth = 0;
       profile;
@@ -571,10 +939,7 @@ let run ?(fuel = 400_000_000) ?metrics ?profile ?dispatch ?on_trap
     }
   in
   let execute () =
-    try
-      let mainf, mtier = st.resolve p.prog_main in
-      Returned (exec_func st ~tier:mtier mainf args)
-    with
+    try Returned (invoke st p.prog_main args) with
     | Jexn k -> Uncaught k
     | Sim msg -> Sim_error msg
     | Out_of_fuel -> Sim_error "out of fuel"
@@ -587,8 +952,43 @@ let run ?(fuel = 400_000_000) ?metrics ?profile ?dispatch ?on_trap
         "run" execute
     else execute ()
   in
+  st.c.instrs <- fuel - st.fuel;
+  st.c.cycles <- st.cycles;
   (match metrics with Some m -> record_metrics m st.c | None -> ());
   { outcome; trace = List.rev st.trace_rev; counters = st.c }
+
+(** Run a program's main function on decoded code. *)
+let run ?(fuel = 400_000_000) ?metrics ?profile ?dispatch ?on_trap
+    ~(arch : Arch.t) (p : Ir.program) (args : value list) : result =
+  let resolve =
+    match dispatch with
+    | Some d -> d
+    | None ->
+      (* each function is decoded at its first call in this run *)
+      let codes = Hashtbl.create 16 in
+      fun n ->
+        match Hashtbl.find_opt codes n with
+        | Some d -> (d, 0)
+        | None ->
+          let d = decode ~arch (Ir.find_func p n) in
+          Hashtbl.add codes n d;
+          (d, 0)
+  in
+  start ~fuel ?metrics ?profile ?on_trap ~arch p args (Decoded resolve)
+
+(** [run] on the IR-walking loop: the oracle the decoded engine is
+    compared against. *)
+let run_reference ?(fuel = 400_000_000) ?metrics ?profile ?dispatch ?on_trap
+    ~(arch : Arch.t) (p : Ir.program) (args : value list) : result =
+  let resolve =
+    match dispatch with
+    | Some d ->
+      fun n ->
+        let code, tier = d n in
+        (code.d_func, tier)
+    | None -> fun n -> (Ir.find_func p n, 0)
+  in
+  start ~fuel ?metrics ?profile ?on_trap ~arch p args (Reference resolve)
 
 let pp_exn_kind ppf = function
   | Ir.Npe -> Fmt.string ppf "NullPointerException"

@@ -299,6 +299,42 @@ let test_workload_equivalence () =
     [ "assignment"; "huffman" ]
 
 (* ------------------------------------------------------------------ *)
+(* Decoded code: dispatch returns the installed version, decoded once  *)
+(* ------------------------------------------------------------------ *)
+
+let test_dispatch_decoded () =
+  let p = build_program () in
+  let sa, _ = helper_sites p in
+  let t = Tier.create ~config:cfg ~arch p in
+  let latest () =
+    Ir.find_func (snd (List.hd (List.rev (Tier.artifacts t)))).Compiler.program
+      "helper"
+  in
+  let code0, tier = Tier.dispatch t "helper" in
+  check_int "first call runs tier 0" 0 tier;
+  check_bool "tier-0 code is the tier-0 body" true
+    (Interp.decoded_func code0 == latest ());
+  let code2, tier = Tier.dispatch t "helper" in
+  check_int "promotion installed" 2 tier;
+  check_bool "decoded from the installed artifact" true
+    (Interp.decoded_func code2 == latest ());
+  let again, _ = Tier.dispatch t "helper" in
+  check_bool "decoded once, at install" true (again == code2);
+  (* the deopt variant replaces it at the next boundary *)
+  Tier.on_trap t ~func:"helper" ~site:sa;
+  let code3, tier = Tier.dispatch t "helper" in
+  check_int "deopt variant installed" 2 tier;
+  check_bool "a new version, decoded at its install" true
+    (code3 != code2 && Interp.decoded_func code3 == latest ());
+  (* decoded for the manager's arch: another arch refuses to run it *)
+  match
+    Interp.run ~dispatch:(fun _ -> (code3, 2)) ~arch:Arch.ppc_aix p
+      [ H.new_point (); H.new_point (); H.vint 0; H.vint 0; H.vint 1 ]
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "tier code decoded for IA32 ran under AIX"
+
+(* ------------------------------------------------------------------ *)
 (* Async steady state: the serving path installs the pool's compiles   *)
 (* ------------------------------------------------------------------ *)
 
@@ -341,6 +377,8 @@ let () =
         [
           Alcotest.test_case "stale promotion dropped, not installed" `Quick
             test_stale_promotion_dropped;
+          Alcotest.test_case "dispatch returns decoded installed code" `Quick
+            test_dispatch_decoded;
         ] );
       ( "equivalence",
         [
