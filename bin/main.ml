@@ -479,7 +479,9 @@ let batch_cmd =
      architecture's configurations in parallel on a pool of OCaml \
      domains, optionally through the content-addressed code cache, and \
      print throughput plus cache statistics.  Every result's decision \
-     log is reconciled against its check statistics."
+     log is reconciled against its check statistics, and with the \
+     cache on and no evictions every distinct job key must have been \
+     compiled exactly once (misses = distinct keys)."
   in
   let jobs_arg =
     Cmdliner.Arg.(
@@ -547,18 +549,36 @@ let batch_cmd =
     Fmt.pr "wall time      : %.4f s (%.1f jobs/sec)@." wall
       (float_of_int n /. Float.max 1e-9 wall);
     Fmt.pr "compile time   : %.4f s summed over fresh compiles@." compile_time;
-    (match cache with
-    | None -> Fmt.pr "cache          : off@."
-    | Some c ->
-      let s = Codecache.stats c in
-      Fmt.pr
-        "cache          : %d hits / %d misses / %d evictions, %d entries, \
-         %.2f MiB of %.0f MiB@."
-        s.Codecache.hits s.Codecache.misses s.Codecache.evictions
-        s.Codecache.entries
-        (float_of_int s.Codecache.bytes /. 1048576.)
-        (float_of_int s.Codecache.budget_bytes /. 1048576.);
-      Fmt.pr "               : %d of %d jobs served from cache@." hits n);
+    let single_flight_error =
+      match cache with
+      | None ->
+        Fmt.pr "cache          : off@.";
+        None
+      | Some c ->
+        let s = Codecache.stats c in
+        Fmt.pr
+          "cache          : %d hits / %d misses / %d evictions, %d entries, \
+           %.2f MiB of %.0f MiB@."
+          s.Codecache.hits s.Codecache.misses s.Codecache.evictions
+          s.Codecache.entries
+          (float_of_int s.Codecache.bytes /. 1048576.)
+          (float_of_int s.Codecache.budget_bytes /. 1048576.);
+        Fmt.pr "               : %d of %d jobs served from cache@." hits n;
+        let keys =
+          List.length
+            (List.sort_uniq String.compare
+               (List.map (fun (o : Svc.outcome) -> o.Svc.oc_key) outcomes))
+        in
+        Fmt.pr "               : %d misses for %d distinct keys@."
+          s.Codecache.misses keys;
+        (* With nothing evicted, a key that missed twice was compiled
+           twice: the batch's single flight let a repeat through. *)
+        if s.Codecache.evictions = 0 && s.Codecache.misses <> keys then
+          Some
+            (Printf.sprintf "%d misses for %d distinct keys"
+               s.Codecache.misses keys)
+        else None
+    in
     let bad =
       List.filter_map
         (fun (o : Svc.outcome) ->
@@ -567,10 +587,15 @@ let batch_cmd =
           | Error e -> Some e)
         outcomes
     in
-    match bad with
+    (match bad with
     | [] -> Fmt.pr "reconciliation : all %d decision logs reconcile@." n
     | e :: _ ->
       Fmt.epr "reconciliation FAILED (%d of %d): %s@." (List.length bad) n e;
+      exit 1);
+    match single_flight_error with
+    | None -> ()
+    | Some e ->
+      Fmt.epr "single flight FAILED: %s@." e;
       exit 1
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "batch" ~doc)

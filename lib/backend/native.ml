@@ -35,7 +35,6 @@ let now_ns = Nullelim_obs.Clock.now_ns
 let probe_guard = stub_probe
 let fork_unknown_pc = stub_fork_unknown_pc
 let fork_nested_trap = stub_fork_nested
-let platform_ok = stub_platform_ok
 
 let lock = Mutex.create ()
 let with_lock f = Mutex.protect lock f

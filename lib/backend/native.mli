@@ -31,10 +31,6 @@ module Interp = Nullelim_vm.Interp
 
 (** {1 Availability} *)
 
-val platform_ok : unit -> bool
-(** [true] iff the stubs were built with trap support
-    (linux/x86-64). *)
-
 val available : unit -> bool
 (** Platform support, guard-region installation, and a cached one-shot
     trial compile with the configured C compiler. *)

@@ -73,9 +73,6 @@ let reverse_postorder t = t.rpo
 let rpo_pos t l = t.rpo_index.(l)
 let is_reachable t l = t.rpo_index.(l) >= 0
 
-(** Iterate blocks in reverse postorder. *)
-let iter_rpo g t = Array.iter g t.rpo
-
 (** Exit blocks: blocks whose terminator leaves the function. *)
 let exits t =
   let acc = ref [] in

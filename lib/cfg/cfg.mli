@@ -35,7 +35,6 @@ val is_handler : t -> Ir.label -> bool
 val reverse_postorder : t -> Ir.label array
 val rpo_pos : t -> Ir.label -> int
 val is_reachable : t -> Ir.label -> bool
-val iter_rpo : (Ir.label -> unit) -> t -> unit
 
 val exits : t -> Ir.label list
 (** Blocks whose terminator leaves the function. *)

@@ -83,12 +83,6 @@ let diff (a : stats) (b : stats) : stats =
     pushes = a.pushes - b.pushes;
   }
 
-let reset_counters () =
-  let c = counters () in
-  c.solves <- 0;
-  c.visits <- 0;
-  c.transfers <- 0;
-  c.pushes <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Shared pieces                                                       *)

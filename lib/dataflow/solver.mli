@@ -50,10 +50,10 @@ type stats = {
   mutable pushes : int;    (** worklist insertions (incl. the seeding) *)
 }
 (** Cumulative counters over every solve run by the calling domain
-    since that domain started (or its last {!reset_counters}); both
-    engines update them.  The counters are domain-local, so a
-    {!snapshot}/{!diff} pair around a compilation measures exactly that
-    compilation even when other domains are solving concurrently. *)
+    since that domain started; both engines update them.  The
+    counters are domain-local, so a {!snapshot}/{!diff} pair around a
+    compilation measures exactly that compilation even when other
+    domains are solving concurrently. *)
 
 val counters : unit -> stats
 (** The calling domain's live counter record (mutated by every solve
@@ -65,9 +65,6 @@ val snapshot : unit -> stats
 val diff : stats -> stats -> stats
 (** [diff later earlier] is the per-field difference — the cost of the
     work done between two {!snapshot}s. *)
-
-val reset_counters : unit -> unit
-(** Zero the calling domain's counters. *)
 
 val with_reference : bool -> (unit -> 'a) -> 'a
 (** [with_reference on f] runs [f] with the calling domain's engine

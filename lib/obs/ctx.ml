@@ -36,8 +36,6 @@ let key : t ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref none)
 
 let current () = !(Domain.DLS.get key)
 
-let set_current c = Domain.DLS.get key := c
-
 let with_current c f =
   let slot = Domain.DLS.get key in
   let saved = !slot in

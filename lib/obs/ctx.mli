@@ -45,10 +45,6 @@ val child : t -> t
 val current : unit -> t
 (** The calling domain's ambient context ({!none} if unset). *)
 
-val set_current : t -> unit
-(** Overwrite the ambient slot.  Prefer {!with_current}, which
-    restores. *)
-
 val with_current : t -> (unit -> 'a) -> 'a
 (** Run with the ambient context set to [t], restoring the previous
     value on any exit path. *)

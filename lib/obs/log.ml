@@ -2,10 +2,10 @@
 
     Library modules must never write to stderr unconditionally; they call
     {!debug}/{!info}/{!warn} and the active level decides whether
-    anything is printed.  The initial level comes from the environment
-    variable [NULLELIM_LOG] ([debug], [info], [warn] or [quiet]); the
-    default is [warn], so a library embedded in a larger program is
-    silent unless something is actually wrong. *)
+    anything is printed.  The level is read once, at startup, from the
+    environment variable [NULLELIM_LOG] ([debug], [info], [warn] or
+    [quiet]); the default is [warn], so a library embedded in a larger
+    program is silent unless something is actually wrong. *)
 
 type level = Debug | Info | Warn | Quiet
 
@@ -26,16 +26,14 @@ let of_string s =
 let rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Quiet -> 3
 
 let current =
-  ref
-    (match Sys.getenv_opt "NULLELIM_LOG" with
-    | Some s -> Option.value ~default:Warn (of_string s)
-    | None -> Warn)
+  match Sys.getenv_opt "NULLELIM_LOG" with
+  | Some s -> Option.value ~default:Warn (of_string s)
+  | None -> Warn
 
-let set_level l = current := l
-let level () = !current
+let level () = current
 
 (** Is a message at [l] emitted under the active level? *)
-let enabled l = l <> Quiet && rank l >= rank !current
+let enabled l = l <> Quiet && rank l >= rank current
 
 let logf l fmt =
   if enabled l then

@@ -9,10 +9,6 @@ val to_string : level -> string
 val of_string : string -> level option
 (** Inverse of {!to_string}; [None] on anything else. *)
 
-val set_level : level -> unit
-(** Override the threshold for the rest of the process; wins over the
-    [NULLELIM_LOG] environment variable read at startup. *)
-
 val level : unit -> level
 (** The current threshold. *)
 

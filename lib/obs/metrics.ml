@@ -202,7 +202,6 @@ let observe (h : histogram) v =
   h.hsum <- h.hsum +. v
 
 let histogram_count (h : histogram) = h.hcount
-let histogram_sum (h : histogram) = h.hsum
 
 (* ------------------------------------------------------------------ *)
 (* Merged (cross-domain) reads                                         *)

@@ -86,8 +86,6 @@ val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
 (** This domain's sample count; {!histogram_total_count} for merged. *)
 
-val histogram_sum : histogram -> float
-
 val histogram_total_count : t -> ?labels:labels -> string -> int
 (** Merged sample count across every domain's shard. *)
 

@@ -22,9 +22,9 @@ type kind =
   | Tier_promote  (** [a] = tier installed, [b] = pending deopt sites *)
   | Tier_demote   (** [a] = trapping site id *)
   | Trap_fired    (** [a] = site id *)
-  | Cache_hit     (** [a] = cache shard index *)
-  | Cache_miss    (** [a] = cache shard index *)
-  | Cache_evict   (** [a] = cache shard index *)
+  | Cache_hit     (** a code-cache lookup found its key *)
+  | Cache_miss    (** a code-cache lookup did not *)
+  | Cache_evict   (** the code cache evicted an entry for space *)
   | Enqueue       (** [a] = queue depth after the push *)
   | Dequeue       (** [a] = queue depth after the pop *)
   | Req_enqueue   (** [a] = request id *)

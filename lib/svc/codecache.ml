@@ -1,31 +1,35 @@
-(** Sharded content-addressed LRU artifact cache (see the interface
-    for the contract).
+(** Content-addressed LRU artifact cache (see the interface for the
+    contract).
 
-    The cache is split into [shards] independent LRUs, each with its
-    own mutex, hash table and byte budget (an equal slice of the
-    total).  A key is routed to a shard by its digest prefix — job
-    keys are hex MD5 digests, so the first two hex characters give a
-    uniform 8-bit value; non-hex keys fall back to [Hashtbl.hash].
-    Routing is stateless, so the hot [find] path only ever contends on
-    one shard's lock instead of a single global one.
+    One hash table behind one mutex, with the whole byte budget.  Every
+    lookup runs at admission on the submitting thread; worker domains
+    only [add], once per miss after a compile of about a millisecond,
+    and the tiered manager [remove]s on its serving thread, so the lock
+    is rarely contended (EXPERIMENTS.md, "Code cache traffic").
 
-    Within a shard, recency is tracked with a monotonic stamp per
-    entry; eviction scans for the minimum stamp.  The scan is
-    O(entries-per-shard), which is the right trade-off here: evictions
-    only happen when the byte budget overflows, and a compile cache
-    holds at most a few hundred entries (workloads × configurations ×
-    tiers), so a doubly-linked LRU list would be bookkeeping without a
-    measurable win. *)
+    Recency is tracked with a monotonic stamp per entry; eviction scans
+    every entry for the minimum stamp.  The scan is O(entries), and the
+    cache does get large: perfbench [miss] compiles a fresh program per
+    request, and the 64 MiB budget fills at about 21,200 entries.  The
+    scan is kept because the benchmark's window barely reaches that:
+    three 20 s [miss] runs (seed 1, 2-core x86-64) ended with 15,165–
+    18,579 entries and no eviction in 15,749–19,301 lookups, and a run
+    fast enough to fill the budget evicts on fewer than 1% of its
+    requests.  Past the budget the trade-off turns: a 30 s run evicted
+    on 1,864 of 23,919 lookups (7.8%), at about 1.4 ms per scan, as
+    much as the compile it follows; a doubly-linked LRU list would make
+    that O(1). *)
 
 module Recorder = Nullelim_obs.Recorder
 
 type 'a entry = { value : 'a; ebytes : int; mutable stamp : int }
 
-type 'a shard = {
-  sh_id : int;
+type 'a t = {
   tbl : (string, 'a entry) Hashtbl.t;
   m : Mutex.t;
-  sh_budget : int;
+  size : 'a -> int;
+  budget : int;
+  crec : Recorder.t;
   mutable bytes : int;
   mutable tick : int;
   mutable hits : int;
@@ -44,102 +48,46 @@ type stats = {
   entries : int;
   bytes : int;
   budget_bytes : int;
-  shards : int;
-}
-
-(* [t] is defined after [stats] on purpose: both have a [shards] field
-   (and [shard] shares the counter labels), and the most recent
-   definition wins unqualified label lookup on the hot paths. *)
-type 'a t = {
-  shards : 'a shard array;
-  size : 'a -> int;
-  budget_bytes : int;
-  crec : Recorder.t;
 }
 
 let default_budget = 64 * 1024 * 1024
-let default_shards () = max 1 (min 16 (Domain.recommended_domain_count ()))
 
-let create ?(budget_bytes = default_budget) ?shards
-    ?(recorder = Recorder.global) ~size () =
-  let n =
-    match shards with Some n -> max 1 n | None -> default_shards ()
-  in
-  let budget_bytes = max 0 budget_bytes in
-  (* Ceiling division so n shards never budget fewer total bytes than
-     requested; a 0 budget stays 0 in every shard (pass-through). *)
-  let sh_budget = if budget_bytes = 0 then 0 else (budget_bytes + n - 1) / n in
+let create ?(budget_bytes = default_budget) ?(recorder = Recorder.global)
+    ~size () =
   {
-    crec = recorder;
-    shards =
-      Array.init n (fun i ->
-          {
-            sh_id = i;
-            tbl = Hashtbl.create 64;
-            m = Mutex.create ();
-            sh_budget;
-            bytes = 0;
-            tick = 0;
-            hits = 0;
-            misses = 0;
-            evictions = 0;
-            rejections = 0;
-            invalidations = 0;
-          });
+    tbl = Hashtbl.create 64;
+    m = Mutex.create ();
     size;
-    budget_bytes;
+    budget = max 0 budget_bytes;
+    crec = recorder;
+    bytes = 0;
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    rejections = 0;
+    invalidations = 0;
   }
 
-(* Route by digest prefix: job keys are hex MD5 strings, so the first
-   two characters are a uniform byte.  Anything else (tests, ad-hoc
-   keys) routes through [Hashtbl.hash]. *)
-let shard_of t key =
-  let hex c =
-    match c with
-    | '0' .. '9' -> Some (Char.code c - Char.code '0')
-    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-    | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-    | _ -> None
-  in
-  let idx =
-    if String.length key >= 2 then
-      match (hex key.[0], hex key.[1]) with
-      | Some a, Some b -> (a * 16) + b
-      | _ -> Hashtbl.hash key
-    else Hashtbl.hash key
-  in
-  t.shards.(idx mod Array.length t.shards)
+let next_tick (t : _ t) =
+  t.tick <- t.tick + 1;
+  t.tick
 
-let with_lock (s : _ shard) f =
-  Mutex.lock s.m;
-  match f () with
-  | v ->
-    Mutex.unlock s.m;
-    v
-  | exception e ->
-    Mutex.unlock s.m;
-    raise e
-
-let next_tick (s : _ shard) =
-  s.tick <- s.tick + 1;
-  s.tick
-
-let find t key =
-  let s = shard_of t key in
-  with_lock s (fun () ->
-      match Hashtbl.find_opt s.tbl key with
+let find (t : _ t) key =
+  Mutex.protect t.m (fun () ->
+      match Hashtbl.find_opt t.tbl key with
       | Some e ->
-        e.stamp <- next_tick s;
-        s.hits <- s.hits + 1;
-        Recorder.record ~a:s.sh_id t.crec Recorder.Cache_hit;
+        e.stamp <- next_tick t;
+        t.hits <- t.hits + 1;
+        Recorder.record t.crec Recorder.Cache_hit;
         Some e.value
       | None ->
-        s.misses <- s.misses + 1;
-        Recorder.record ~a:s.sh_id t.crec Recorder.Cache_miss;
+        t.misses <- t.misses + 1;
+        Recorder.record t.crec Recorder.Cache_miss;
         None)
 
 (* the least recently used entry, excluding [keep] *)
-let lru_key (s : _ shard) ~keep =
+let lru_key (t : _ t) ~keep =
   Hashtbl.fold
     (fun k (e : _ entry) acc ->
       if k = keep then acc
@@ -147,125 +95,63 @@ let lru_key (s : _ shard) ~keep =
         match acc with
         | Some (_, stamp) when stamp <= e.stamp -> acc
         | _ -> Some (k, e.stamp))
-    s.tbl None
+    t.tbl None
 
-let remove_entry (s : _ shard) key =
-  match Hashtbl.find_opt s.tbl key with
+let remove_entry (t : _ t) key =
+  match Hashtbl.find_opt t.tbl key with
   | None -> false
   | Some e ->
-    Hashtbl.remove s.tbl key;
-    s.bytes <- s.bytes - e.ebytes;
+    Hashtbl.remove t.tbl key;
+    t.bytes <- t.bytes - e.ebytes;
     true
 
-let add t ~key v =
-  let s = shard_of t key in
-  with_lock s (fun () ->
+let add (t : _ t) ~key v =
+  Mutex.protect t.m (fun () ->
       let ebytes = max 1 (t.size v) in
-      if ebytes > s.sh_budget then begin
+      ignore (remove_entry t key);
+      if ebytes > t.budget then
         (* An artifact that can never fit is rejected outright instead
            of being cached and immediately evicted — caching it would
-           flush the whole shard and skew the eviction counter.  A
+           flush the whole cache and skew the eviction counter.  A
            zero budget therefore rejects everything: pass-through. *)
-        ignore (remove_entry s key);
-        s.rejections <- s.rejections + 1
-      end
+        t.rejections <- t.rejections + 1
       else begin
-        ignore (remove_entry s key);
-        Hashtbl.replace s.tbl key { value = v; ebytes; stamp = next_tick s };
-        s.bytes <- s.bytes + ebytes;
+        Hashtbl.replace t.tbl key { value = v; ebytes; stamp = next_tick t };
+        t.bytes <- t.bytes + ebytes;
         let rec evict () =
-          if s.bytes > s.sh_budget then
-            match lru_key s ~keep:key with
+          if t.bytes > t.budget then
+            match lru_key t ~keep:key with
             | Some (k, _) ->
-              ignore (remove_entry s k);
-              s.evictions <- s.evictions + 1;
-              Recorder.record ~a:s.sh_id t.crec Recorder.Cache_evict;
+              ignore (remove_entry t k);
+              t.evictions <- t.evictions + 1;
+              Recorder.record t.crec Recorder.Cache_evict;
               evict ()
             | None -> ()
         in
         evict ()
       end)
 
-let remove t key =
-  let s = shard_of t key in
-  with_lock s (fun () ->
-      let removed = remove_entry s key in
-      if removed then s.invalidations <- s.invalidations + 1;
+let remove (t : _ t) key =
+  Mutex.protect t.m (fun () ->
+      let removed = remove_entry t key in
+      if removed then t.invalidations <- t.invalidations + 1;
       removed)
 
-let stats t =
-  (* Aggregate across shards; each shard snapshot is taken under its
-     own lock, so the total is consistent per shard (the usual moment-
-     in-time caveat applies across shards). *)
-  Array.fold_left
-    (fun acc s ->
-      with_lock s (fun () ->
-          {
-            acc with
-            hits = acc.hits + s.hits;
-            misses = acc.misses + s.misses;
-            evictions = acc.evictions + s.evictions;
-            rejections = acc.rejections + s.rejections;
-            invalidations = acc.invalidations + s.invalidations;
-            entries = acc.entries + Hashtbl.length s.tbl;
-            bytes = acc.bytes + s.bytes;
-          }))
-    {
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      rejections = 0;
-      invalidations = 0;
-      entries = 0;
-      bytes = 0;
-      budget_bytes = t.budget_bytes;
-      shards = Array.length t.shards;
-    }
-    t.shards
+let stats (t : _ t) =
+  Mutex.protect t.m (fun () ->
+      {
+        hits = t.hits;
+        misses = t.misses;
+        evictions = t.evictions;
+        rejections = t.rejections;
+        invalidations = t.invalidations;
+        entries = Hashtbl.length t.tbl;
+        bytes = t.bytes;
+        budget_bytes = t.budget;
+      })
 
-(* One shard's counters/occupancy as a [stats] record ([shards] = 1,
-   budget = the shard's slice). *)
-let shard_stats t : stats array =
-  Array.map
-    (fun s ->
-      with_lock s (fun () ->
-          {
-            hits = s.hits;
-            misses = s.misses;
-            evictions = s.evictions;
-            rejections = s.rejections;
-            invalidations = s.invalidations;
-            entries = Hashtbl.length s.tbl;
-            bytes = s.bytes;
-            budget_bytes = s.sh_budget;
-            shards = 1;
-          }))
-    t.shards
-
-(* Export per-shard occupancy/traffic into a metrics registry as
-   [codecache_*] gauges labelled by shard index. *)
-let record_metrics ?(prefix = "codecache") (m : Nullelim_obs.Metrics.t) t :
-    unit =
-  let module Metrics = Nullelim_obs.Metrics in
-  Array.iteri
-    (fun i st ->
-      let labels = [ ("shard", string_of_int i) ] in
-      let set name v =
-        Metrics.set (Metrics.gauge m ~labels (prefix ^ "_" ^ name)) v
-      in
-      set "entries" (float_of_int st.entries);
-      set "bytes" (float_of_int st.bytes);
-      set "budget_bytes" (float_of_int st.budget_bytes);
-      set "hits" (float_of_int st.hits);
-      set "misses" (float_of_int st.misses);
-      set "evictions" (float_of_int st.evictions))
-    (shard_stats t)
-
-let clear t =
-  Array.iter
-    (fun s ->
-      with_lock s (fun () ->
-          s.evictions <- s.evictions + Hashtbl.length s.tbl;
-          Hashtbl.reset s.tbl;
-          s.bytes <- 0))
-    t.shards
+let clear (t : _ t) =
+  Mutex.protect t.m (fun () ->
+      t.evictions <- t.evictions + Hashtbl.length t.tbl;
+      Hashtbl.reset t.tbl;
+      t.bytes <- 0)

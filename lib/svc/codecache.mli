@@ -1,24 +1,16 @@
-(** Sharded content-addressed compiled-code cache with an LRU byte
-    budget.
+(** Content-addressed compiled-code cache with an LRU byte budget.
 
     The cache maps a content digest (see {!Svc.job_key}: structural
     hash of IR program × JIT configuration × tier × deopt set × target
     architecture) to a compiled artifact, the way a production JIT's
     code cache keys installed code.  It is generic in the artifact
     type; the byte cost of an artifact is estimated by the [size]
-    function supplied at {!create} time, and once a shard's resident
-    total exceeds its budget slice the least-recently-used entries are
-    evicted.
+    function supplied at {!create} time, and once the resident total
+    exceeds the budget the least-recently-used entries are evicted.
 
-    Internally the cache is split into N independent LRU shards, each
-    behind its own mutex, with keys routed by digest prefix — so
-    concurrent {!find}s from the compile-service domains contend on a
-    single shard's lock rather than one global lock.  {!stats}
-    aggregates over all shards.
-
-    Thread-safe: any number of compile-service domains may share one
-    cache.  Hit, miss, eviction, rejection and invalidation counts are
-    tracked and exposed through {!stats}. *)
+    Thread-safe: one mutex guards the whole cache, so any number of
+    domains may share it.  Hit, miss, eviction, rejection and
+    invalidation counts are tracked and exposed through {!stats}. *)
 
 type 'a t
 (** A cache holding artifacts of type ['a]. *)
@@ -28,20 +20,17 @@ type stats = {
   misses : int;      (** {!find}s that returned [None] *)
   evictions : int;   (** entries removed by the byte budget *)
   rejections : int;  (** {!add}s refused because the artifact exceeds
-                         a shard's whole budget (see {!add}) *)
+                         the whole budget (see {!add}) *)
   invalidations : int;
                      (** entries dropped through {!remove} *)
   entries : int;     (** entries currently resident *)
   bytes : int;       (** estimated resident bytes *)
-  budget_bytes : int;(** the configured total budget *)
-  shards : int;      (** number of independent LRU shards *)
+  budget_bytes : int;(** the configured budget *)
 }
-(** An aggregate snapshot of the cache's counters and occupancy across
-    all shards. *)
+(** A snapshot of the cache's counters and occupancy. *)
 
 val create :
   ?budget_bytes:int ->
-  ?shards:int ->
   ?recorder:Nullelim_obs.Recorder.t ->
   size:('a -> int) ->
   unit ->
@@ -51,28 +40,22 @@ val create :
     {!add}.  [budget_bytes] defaults to 64 MiB and bounds the sum of
     the size estimates; [budget_bytes:0] makes the cache a pass-through
     that caches nothing (every {!add} is a rejection, every {!find} a
-    miss).  [shards] defaults to [Domain.recommended_domain_count]
-    clamped to [1..16]; each shard owns an equal slice of the budget.
-    Pass [~shards:1] when deterministic global LRU order matters (the
-    unit tests do).  Hits, misses and evictions are recorded (with the
-    shard index) into [recorder], default
-    {!Nullelim_obs.Recorder.global}. *)
+    miss).  Hits, misses and evictions are recorded into [recorder],
+    default {!Nullelim_obs.Recorder.global}. *)
 
 val find : 'a t -> string -> 'a option
 (** [find t key] returns the cached artifact and marks it most recently
-    used, counting a hit; [None] counts a miss.  Only the owning
-    shard's lock is taken. *)
+    used, counting a hit; [None] counts a miss. *)
 
 val add : 'a t -> key:string -> 'a -> unit
 (** [add t ~key a] installs [a] under [key] as the most recently used
-    entry of its shard, replacing any previous entry with that key
-    (replacement does not count as an eviction), then evicts
-    least-recently-used entries until the shard is back within its
-    budget slice.  An artifact whose size estimate exceeds the shard's
-    whole budget slice is rejected instead of cached-then-evicted: the
-    cache is left without the key and the [rejections] counter is
-    bumped — this keeps a single oversized artifact from flushing the
-    shard and skewing the eviction stats. *)
+    entry, replacing any previous entry with that key (replacement
+    does not count as an eviction), then evicts least-recently-used
+    entries until the cache is back within its budget.  An artifact
+    whose size estimate exceeds the whole budget is rejected instead
+    of cached-then-evicted: the cache is left without the key and the
+    [rejections] counter is bumped — this keeps a single oversized
+    artifact from flushing the cache and skewing the eviction stats. *)
 
 val remove : 'a t -> string -> bool
 (** [remove t key] invalidates the entry under [key], returning whether
@@ -81,20 +64,7 @@ val remove : 'a t -> string -> bool
     pressure; counted under [invalidations], not [evictions]. *)
 
 val stats : 'a t -> stats
-(** Aggregate counter snapshot over all shards; each shard is read
-    under its own lock. *)
-
-val shard_stats : 'a t -> stats array
-(** Per-shard snapshots, indexed by shard: each element has
-    [shards = 1] and [budget_bytes] = that shard's budget slice.
-    Summing the array (except [budget_bytes], which uses ceiling
-    division) reproduces {!stats}. *)
-
-val record_metrics : ?prefix:string -> Nullelim_obs.Metrics.t -> 'a t -> unit
-(** Export per-shard occupancy and traffic into a metrics registry as
-    [<prefix>_entries] / [_bytes] / [_budget_bytes] / [_hits] /
-    [_misses] / [_evictions] gauges labelled [("shard", i)]; [prefix]
-    defaults to ["codecache"]. *)
+(** A consistent snapshot, read under the cache's lock. *)
 
 val clear : 'a t -> unit
 (** Drop every entry (counted as evictions); counters are retained. *)

@@ -417,7 +417,6 @@ let create ?domains ?(queue_capacity = 64) ?cache
 
 let domains t = Array.length t.workers
 let cache t = t.svc_cache
-let cache_stats t = Option.map Codecache.stats t.svc_cache
 
 let stats t =
   {

@@ -148,8 +148,7 @@ val create_cache :
   unit ->
   cache
 (** A cache keyed for {!job_key}, sized by {!artifact_bytes};
-    [budget_bytes] defaults to {!Codecache.create}'s 64 MiB and the
-    shard count to its clamped recommended-domain-count sharding; cache
+    [budget_bytes] defaults to {!Codecache.create}'s 64 MiB; cache
     traffic is recorded into [recorder] (default
     {!Nullelim_obs.Recorder.global}). *)
 
@@ -212,9 +211,6 @@ val domains : t -> int
 
 val cache : t -> cache option
 (** The cache installed at {!create} time, if any. *)
-
-val cache_stats : t -> Codecache.stats option
-(** Shorthand for [Option.map Codecache.stats (cache t)]. *)
 
 type stats = {
   s_domains : int;           (** worker domains *)

@@ -242,8 +242,9 @@ let test_equivalence =
 
 (* phase 1 is idempotent on random programs *)
 let test_phase1_idempotent =
-  QCheck2.Test.make ~count:40 ~name:"phase1 idempotent" gen_program
-    (fun prog ->
+  QCheck2.Test.make ~count:40 ~name:"phase1 idempotent"
+    ~print:(Fmt.str "%a" Ir_pp.pp_program)
+    gen_program (fun prog ->
       let p = Ir.copy_program prog in
       Ir.iter_funcs (fun f -> ignore (Phase1.run f)) p;
       let once = Fmt.str "%a" Ir_pp.pp_program p in

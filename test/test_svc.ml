@@ -105,10 +105,9 @@ let test_chan_depth_high_water () =
 (* ------------------------------------------------------------------ *)
 
 let test_cache_lru_eviction () =
-  (* one shard for deterministic LRU; each entry "costs" its int value;
-     budget fits two of them *)
+  (* each entry "costs" its int value; budget fits two of them *)
   let c =
-    Codecache.create ~budget_bytes:25 ~shards:1 ~size:(fun v -> v) ()
+    Codecache.create ~budget_bytes:25 ~size:(fun v -> v) ()
   in
   Codecache.add c ~key:"a" 10;
   Codecache.add c ~key:"b" 10;
@@ -132,7 +131,7 @@ let test_cache_oversized_rejected () =
   (* an artifact larger than the whole budget is rejected outright —
      it must never displace the resident working set *)
   let c =
-    Codecache.create ~budget_bytes:25 ~shards:1 ~size:(fun v -> v) ()
+    Codecache.create ~budget_bytes:25 ~size:(fun v -> v) ()
   in
   Codecache.add c ~key:"a" 10;
   Codecache.add c ~key:"b" 10;
@@ -154,7 +153,7 @@ let test_cache_oversized_rejected () =
 let test_cache_zero_budget_passthrough () =
   (* budget_bytes:0 = a pass-through cache: everything is rejected,
      nothing is resident, finds always miss *)
-  let c = Codecache.create ~budget_bytes:0 ~shards:1 ~size:(fun v -> v) () in
+  let c = Codecache.create ~budget_bytes:0 ~size:(fun v -> v) () in
   Codecache.add c ~key:"a" 1;
   Codecache.add c ~key:"b" 0;
   Alcotest.(check bool) "a not cached" true (Codecache.find c "a" = None);
@@ -167,7 +166,7 @@ let test_cache_zero_budget_passthrough () =
   Alcotest.(check int) "no evictions" 0 s.Codecache.evictions
 
 let test_cache_remove () =
-  let c = Codecache.create ~shards:1 ~size:(fun _ -> 1) () in
+  let c = Codecache.create ~size:(fun _ -> 1) () in
   Codecache.add c ~key:"k" 7;
   Alcotest.(check bool) "present" true (Codecache.find c "k" = Some 7);
   Alcotest.(check bool) "removed" true (Codecache.remove c "k");
@@ -179,13 +178,12 @@ let test_cache_remove () =
   Alcotest.(check int) "entries" 0 s.Codecache.entries;
   Alcotest.(check int) "bytes" 0 s.Codecache.bytes
 
-let test_cache_sharded_stats () =
-  (* many shards: keys spread out, but stats aggregate across all of
-     them and the reported budget is the configured total *)
+let test_cache_aggregate_stats () =
+  (* digest keys, as the service uses: all resident, every hit counted,
+     the reported budget is the configured one, [clear] empties *)
   let n = 64 in
   let c =
-    Codecache.create ~budget_bytes:(1024 * 1024) ~shards:8
-      ~size:(fun _ -> 1) ()
+    Codecache.create ~budget_bytes:(1024 * 1024) ~size:(fun _ -> 1) ()
   in
   for i = 1 to n do
     Codecache.add c ~key:(Digest.to_hex (Digest.string (string_of_int i))) i
@@ -195,62 +193,38 @@ let test_cache_sharded_stats () =
     Alcotest.(check bool) "resident" true (Codecache.find c k = Some i)
   done;
   let s = Codecache.stats c in
-  Alcotest.(check int) "shards" 8 s.Codecache.shards;
-  Alcotest.(check int) "aggregate entries" n s.Codecache.entries;
-  Alcotest.(check int) "aggregate bytes" n s.Codecache.bytes;
-  Alcotest.(check int) "aggregate hits" n s.Codecache.hits;
-  Alcotest.(check int) "aggregate budget" (1024 * 1024)
-    s.Codecache.budget_bytes;
+  Alcotest.(check int) "entries" n s.Codecache.entries;
+  Alcotest.(check int) "bytes" n s.Codecache.bytes;
+  Alcotest.(check int) "hits" n s.Codecache.hits;
+  Alcotest.(check int) "budget" (1024 * 1024) s.Codecache.budget_bytes;
   Codecache.clear c;
   Alcotest.(check int) "cleared" 0 (Codecache.stats c).Codecache.entries
 
-let test_cache_shard_stats_sum () =
-  (* per-shard snapshots must sum back to the aggregate *)
-  let c =
-    Codecache.create ~budget_bytes:(1024 * 1024) ~shards:4
-      ~size:(fun _ -> 3) ()
-  in
-  for i = 1 to 40 do
-    Codecache.add c ~key:(Digest.to_hex (Digest.string (string_of_int i))) i
-  done;
-  for i = 1 to 20 do
-    ignore
-      (Codecache.find c (Digest.to_hex (Digest.string (string_of_int i))))
-  done;
-  ignore (Codecache.find c "absent-key");
-  let agg = Codecache.stats c in
-  let per = Codecache.shard_stats c in
-  Alcotest.(check int) "one stats per shard" agg.Codecache.shards
-    (Array.length per);
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 per in
-  Alcotest.(check int) "entries sum" agg.Codecache.entries
-    (sum (fun s -> s.Codecache.entries));
-  Alcotest.(check int) "bytes sum" agg.Codecache.bytes
-    (sum (fun s -> s.Codecache.bytes));
-  Alcotest.(check int) "hits sum" agg.Codecache.hits
-    (sum (fun s -> s.Codecache.hits));
-  Alcotest.(check int) "misses sum" agg.Codecache.misses
-    (sum (fun s -> s.Codecache.misses));
-  Array.iter
-    (fun s -> Alcotest.(check int) "each is a 1-shard view" 1 s.Codecache.shards)
-    per;
-  (* budget slices use ceiling division: never under the total *)
-  Alcotest.(check bool) "budget slices cover total" true
-    (sum (fun s -> s.Codecache.budget_bytes) >= agg.Codecache.budget_bytes);
-  (* the metrics export mirrors shard_stats *)
-  let m = Obs.Metrics.create () in
-  Codecache.record_metrics m c;
-  let entries =
-    Array.to_list per
-    |> List.mapi (fun i _ ->
-           Obs.Metrics.gauge_value
-             (Obs.Metrics.gauge m
-                ~labels:[ ("shard", string_of_int i) ]
-                "codecache_entries"))
-    |> List.fold_left ( +. ) 0.
-  in
-  Alcotest.(check (float 0.0)) "exported entries"
-    (float_of_int agg.Codecache.entries) entries
+let test_cache_default_global_lru () =
+  (* the default cache is one LRU over the whole budget: three
+     artifacts of a third of it each are all resident, and the fourth
+     evicts the globally least recently used one, whichever keys they
+     are *)
+  let c = Codecache.create ~size:(fun v -> v) () in
+  let third = (Codecache.stats c).Codecache.budget_bytes / 3 in
+  let key i = Digest.to_hex (Digest.string (string_of_int i)) in
+  List.iter (fun i -> Codecache.add c ~key:(key i) third) [ 1; 2; 3 ];
+  Alcotest.(check int) "three thirds fit" 3
+    (Codecache.stats c).Codecache.entries;
+  Alcotest.(check int) "no eviction yet" 0
+    (Codecache.stats c).Codecache.evictions;
+  ignore (Codecache.find c (key 1));
+  ignore (Codecache.find c (key 3));
+  Codecache.add c ~key:(key 4) third;
+  Alcotest.(check bool) "2 is the LRU victim" true
+    (Codecache.find c (key 2) = None);
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "%d kept" i) true
+        (Codecache.find c (key i) = Some third))
+    [ 1; 3; 4 ];
+  Alcotest.(check int) "one eviction" 1
+    (Codecache.stats c).Codecache.evictions
 
 let test_cache_counters () =
   let c = Codecache.create ~size:(fun _ -> 1) () in
@@ -667,7 +641,7 @@ let test_cache_hit_equals_recompile () =
         (fun i (w, r) ->
           check_same_outcome ~what:(Printf.sprintf "warm job %d" i) r w)
         (List.combine warm recompiled);
-      let s = Option.get (Svc.cache_stats t) in
+      let s = Option.get (Option.map Codecache.stats (Svc.cache t)) in
       Alcotest.(check int) "hits" (List.length jobs) s.Codecache.hits;
       Alcotest.(check int) "misses" (List.length jobs) s.Codecache.misses)
 
@@ -1086,10 +1060,10 @@ let () =
             test_cache_zero_budget_passthrough;
           Alcotest.test_case "remove / invalidations" `Quick
             test_cache_remove;
-          Alcotest.test_case "sharded aggregate stats" `Quick
-            test_cache_sharded_stats;
-          Alcotest.test_case "shard_stats sums to stats" `Quick
-            test_cache_shard_stats_sum;
+          Alcotest.test_case "aggregate stats" `Quick
+            test_cache_aggregate_stats;
+          Alcotest.test_case "default is one global lru" `Quick
+            test_cache_default_global_lru;
           Alcotest.test_case "counters" `Quick test_cache_counters;
         ] );
       ( "keys",
