@@ -22,7 +22,6 @@ val solve :
     outgoing edges; phase 1 uses it to model the checks pending insertion
     at block exits (the Earliest(m) term of the In_fwd equation). *)
 
-val at_entry : t -> Ir.label -> Bitset.t
 val at_exit : t -> Ir.label -> Bitset.t
 
 val iter_block : t -> Ir.label -> (Bitset.t -> int -> Ir.instr -> unit) -> unit

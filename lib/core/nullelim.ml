@@ -103,15 +103,17 @@ module Tier = Nullelim_tier.Tier
 (** {1 Random program generation and differential fuzzing}
 
     A seeded, deterministic IR program generator ([Gen]), a structural
-    shrinker ([Shrink]), the differential oracle set ([Diff]) and the
+    shrinker ([Shrink]), the differential oracle set ([Diff]), the
     [nullelim-fuzz/1] report / [nullelim-corpus/1] corpus-entry formats
-    ([Fuzz_report]).  Driven by the [fuzz] CLI command. *)
+    ([Fuzz_report]) and the fuzz run that ties them together ([Fuzz],
+    the body of the [fuzz] CLI command). *)
 
 module Gen = Nullelim_gen.Gen
 module Gen_rng = Nullelim_gen.Rng
 module Shrink = Nullelim_gen.Shrink
 module Diff = Nullelim_gen.Diff
 module Fuzz_report = Nullelim_gen.Report
+module Fuzz = Nullelim_gen.Fuzz
 
 (** {1 Telemetry}
 

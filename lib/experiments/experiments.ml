@@ -316,3 +316,37 @@ let ablation ~scale : row list =
       in
       { workload = name; cells })
     interesting
+
+(* ------------------------------------------------------------------ *)
+(* One compile's pass table ([nullelim run --stats])                   *)
+(* ------------------------------------------------------------------ *)
+
+(** Per-pass table: wall time, minor-heap words and solver work summed
+    under each pass name, from the compile's pass records; then the
+    decision-log summary and whether it reconciles. *)
+let pp_pass_stats ppf (compiled : Compiler.compiled) =
+  let module Pipeline = Nullelim_opt.Pipeline in
+  let module Solver = Nullelim_dataflow.Solver in
+  Fmt.pf ppf "@.%-24s %5s %10s %11s %8s %8s %10s %8s@." "pass" "runs"
+    "seconds" "minor_words" "solves" "visits" "transfers" "pushes";
+  let row name runs secs words (s : Solver.stats) =
+    Fmt.pf ppf "%-24s %5s %10.4f %11d %8d %8d %10d %8d@." name runs secs words
+      s.Solver.solves s.Solver.visits s.Solver.transfers s.Solver.pushes
+  in
+  let recs = compiled.Compiler.records in
+  List.iter
+    (fun (p : Pipeline.pass_total) ->
+      row p.p_pass (string_of_int p.p_runs) p.p_seconds p.p_minor_words
+        p.p_solver)
+    (Pipeline.by_pass recs);
+  row "total" "" (Pipeline.total recs)
+    (List.fold_left (fun acc r -> acc + r.Pipeline.r_minor_words) 0 recs)
+    compiled.Compiler.solver;
+  Fmt.pf ppf "@.decisions (%d events):@."
+    (List.length compiled.Compiler.decisions);
+  List.iter
+    (fun (action, n) -> Fmt.pf ppf "  %-24s %6d@." action n)
+    (Nullelim_obs.Decision.summary compiled.Compiler.decisions);
+  match Compiler.reconcile compiled with
+  | Ok () -> Fmt.pf ppf "  log reconciles with check stats@."
+  | Error e -> Fmt.pf ppf "  WARNING: %s@." e

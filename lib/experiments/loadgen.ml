@@ -24,6 +24,7 @@ module Recorder = Nullelim_obs.Recorder
 module Clock = Nullelim_obs.Clock
 module Json = Nullelim_obs.Obs_json
 module Doc = Nullelim_obs.Doc
+module Trace = Nullelim_obs.Trace
 module W = Nullelim_workloads.Workload
 module Registry = Nullelim_workloads.Registry
 
@@ -227,7 +228,7 @@ let median l =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-let measure_overhead ?(rounds = 3) () : overhead =
+let measure_overhead () : overhead =
   let g = Recorder.global in
   let was = Recorder.is_enabled g in
   Fun.protect
@@ -245,7 +246,7 @@ let measure_overhead ?(rounds = 3) () : overhead =
          the occasional GC/scheduler outlier *)
       let on = ref [] and off = ref [] in
       tiered_pass () (* warm-up, not timed *);
-      for _ = 1 to max 1 rounds do
+      for _ = 1 to 3 do
         Recorder.set_enabled g false;
         let t0 = Clock.now () in
         tiered_pass ();
@@ -495,8 +496,9 @@ let to_json (t : t) : Json.t =
 (* Baseline gate                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let check_against_baseline ?(factor = 3.0) ~(baseline : Json.t) (t : t) :
+let check_against_baseline ~(baseline : Json.t) (t : t) :
     (string list, string list) result =
+  let factor = 3.0 in
   let fresh = normalized_p99 t in
   match Option.bind (Json.member "normalized_p99" baseline) num with
   | None -> Error [ "baseline document has no \"normalized_p99\" member" ]
@@ -529,3 +531,111 @@ let check_against_baseline ?(factor = 3.0) ~(baseline : Json.t) (t : t) :
           :: !drift
       | _ -> ());
       Ok (List.rev !drift)
+
+(* ------------------------------------------------------------------ *)
+(* The loadgen command                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type load = {
+  ld_jobs : int;
+  ld_duration : float;
+  ld_seed : int;
+  ld_multipliers : float list;
+  ld_max_requests : int;
+  ld_tenants : int;
+  ld_tenant_cap : int;
+}
+
+let parse_multipliers s =
+  match
+    String.split_on_char ',' s
+    |> List.map String.trim
+    |> List.filter (fun s -> s <> "")
+    |> List.map float_of_string
+  with
+  | exception Failure _ -> Error (Printf.sprintf "cannot parse %S" s)
+  | ms when ms = [] || List.exists (fun m -> m <= 0.) ms ->
+    Error "rate multipliers must be positive"
+  | ms -> Ok ms
+
+(* per-tenant offered/completed/shed totals summed over the rate rows *)
+let pp_tenant_totals ppf (rows : rate_row list) =
+  let tbl : (int, int * int * int) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun tn ->
+          let o, c, s =
+            Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl tn.tn_tenant)
+          in
+          Hashtbl.replace tbl tn.tn_tenant
+            (o + tn.tn_offered, c + tn.tn_completed, s + tn.tn_shed))
+        r.lr_tenants)
+    rows;
+  let ids = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
+  Fmt.pf ppf "@.%7s %8s %10s %6s@." "tenant" "offered" "completed" "shed";
+  List.iter
+    (fun id ->
+      let o, c, s = Hashtbl.find tbl id in
+      Fmt.pf ppf "%7d %8d %10d %6d@." id o c s)
+    ids
+
+let pp ppf (t : t) =
+  let cal = t.lg_calibration in
+  Fmt.pf ppf
+    "calibration: %d jobs, %.4f s mean compile, base rate %.2f req/s, %d \
+     domains@."
+    cal.cal_jobs cal.cal_mean_seconds cal.cal_base_rate t.lg_domains;
+  Fmt.pf ppf "@.%6s %9s %7s %9s %5s %9s %9s %9s %9s@." "rate" "offered/s"
+    "offered" "completed" "shed" "thru/s" "p50ms" "p99ms" "p999ms";
+  List.iter
+    (fun r ->
+      Fmt.pf ppf "%5.2fx %9.2f %7d %9d %5d %9.2f %9.2f %9.2f %9.2f@."
+        r.lr_multiplier r.lr_offered_rate r.lr_offered r.lr_completed r.lr_shed
+        r.lr_throughput r.lr_p50_ms r.lr_p99_ms r.lr_p999_ms)
+    t.lg_rows;
+  Fmt.pf ppf
+    "saturation throughput: %.2f req/s; normalized p99: %.3f mean-compiles@."
+    t.lg_saturation_throughput (normalized_p99 t);
+  if t.lg_tenants > 1 then pp_tenant_totals ppf t.lg_rows;
+  Option.iter
+    (fun o ->
+      Fmt.pf ppf
+        "recorder overhead: %.0f ns/event; tiered loop %.4f s on vs %.4f s \
+         off (%+.2f%%)@."
+        o.ov_ns_per_event o.ov_enabled_seconds o.ov_disabled_seconds
+        (100. *. o.ov_fraction))
+    t.lg_overhead
+
+let run ppf ?overhead ?metrics ?(recorder = Recorder.global) ?flight
+    ?flight_trace ?timelines (l : load) =
+  let ( let* ) = Result.bind in
+  let t =
+    sweep
+      ?domains:(if l.ld_jobs > 0 then Some l.ld_jobs else None)
+      ~duration:l.ld_duration ~seed:l.ld_seed ~multipliers:l.ld_multipliers
+      ~max_requests:l.ld_max_requests ?overhead ~tenants:l.ld_tenants
+      ~tenant_cap:l.ld_tenant_cap ?metrics ~recorder ()
+  in
+  pp ppf t;
+  let* () =
+    Result.map_error
+      (fun es -> String.concat "\n  " ("loadgen gate FAILED:" :: es))
+      (check_rows t.lg_rows)
+  in
+  let* () =
+    match flight with
+    | None -> Ok ()
+    | Some path ->
+      Doc.write Recorder.doc path (Recorder.to_json recorder)
+      |> Result.map (fun () -> Fmt.pf ppf "flight dump written to %s@." path)
+  in
+  Option.iter
+    (fun path ->
+      Trace.write path (Recorder.to_trace recorder);
+      Fmt.pf ppf "flight trace written to %s@." path)
+    flight_trace;
+  let tls = Timelines.of_recorder recorder in
+  Timelines.pp ppf tls;
+  let* () = Timelines.emit ppf ~gate:true ?out:timelines tls in
+  Ok t

@@ -23,10 +23,11 @@
     extraction is reported alongside as a cross-check of the merged
     histogram path.
 
-    {!measure_overhead} times the steady-state tiered benchmark with
-    the global flight recorder enabled versus disabled (median of
-    alternating runs) and a tight record loop (ns/event) — the evidence
-    behind the "always-on" claim. *)
+    With [~overhead:true] the sweep also times the steady-state tiered
+    benchmark with the global flight recorder enabled versus disabled
+    (median of three alternating pairs; toggling the global recorder
+    and restoring its state) and a tight record loop (ns/event) — the
+    evidence behind the "always-on" claim. *)
 
 module Svc = Nullelim_svc.Svc
 module Json = Nullelim_obs.Obs_json
@@ -89,10 +90,6 @@ type t = {
   lg_overhead : overhead option;
 }
 
-val default_multipliers : float list
-(** [[0.25; 0.5; 1.0; 2.0; 4.0]] — from comfortably under one domain's
-    capacity to well past saturation. *)
-
 val calibrate : Svc.job list -> calibration
 (** Serially compile every job once and average. *)
 
@@ -117,9 +114,11 @@ val sweep :
 (** Run the rate sweep on a fresh (uncached) service.  [domains]
     defaults to {!Svc.default_domains}, [queue_capacity] to 64,
     [duration] to 2.0 s per step, [seed] to 42, [multipliers] to
-    {!default_multipliers}, [max_requests] caps a step's schedule
+    [[0.25; 0.5; 1; 2; 4]] (from comfortably under one domain's
+    capacity to well past saturation), [max_requests] caps a step's schedule
     (default 400) so high-rate steps stay bounded.  [overhead] (default
-    false) additionally runs {!measure_overhead}.
+    false) additionally measures the flight recorder's overhead
+    ({!overhead}).
 
     Multi-tenancy: requests rotate round-robin over [tenants] tenant
     ids (default 1 — everything is tenant 0), so per-tenant metrics,
@@ -129,12 +128,6 @@ val sweep :
     sinks the service accounts into (defaults: the process-wide
     globals) — the serve command passes the instances its status
     endpoints read. *)
-
-val measure_overhead : ?rounds:int -> unit -> overhead
-(** Alternate recorder-on / recorder-off timings of a steady-state
-    tiered workload loop, [rounds] pairs (default 3), medians; plus a
-    tight-loop ns/event microbenchmark.  Temporarily toggles
-    {!Nullelim_obs.Recorder.global}; restores the enabled state. *)
 
 val check_rows : rate_row list -> (unit, string list) result
 (** The sweep's structural gate: at least one row; offered counts
@@ -158,10 +151,46 @@ val doc : Nullelim_obs.Doc.t
 val to_json : t -> Json.t
 
 val check_against_baseline :
-  ?factor:float -> baseline:Json.t -> t -> (string list, string list) result
+  baseline:Json.t -> t -> (string list, string list) result
 (** Gate a fresh sweep against a committed ["loadgen"] baseline
     document.  The stable quantity compared is the {e normalized} p99 —
     the lowest-rate row's p99 divided by the calibrated mean compile
     time — which cancels the machine's absolute speed; a fresh value
-    above [factor] (default 3.0) × baseline fails.  [Ok drift] lists
+    above 3 × the baseline's fails.  [Ok drift] lists
     non-fatal differences. *)
+
+(** {1 The loadgen command} *)
+
+type load = {
+  ld_jobs : int;            (** worker domains; 0 = {!Svc.default_domains} *)
+  ld_duration : float;      (** target seconds per rate step *)
+  ld_seed : int;
+  ld_multipliers : float list;
+  ld_max_requests : int;    (** cap on the requests of one step *)
+  ld_tenants : int;
+  ld_tenant_cap : int;      (** 0 = unlimited *)
+}
+(** The sweep settings [loadgen] and [serve] share (see {!sweep}). *)
+
+val parse_multipliers : string -> (float list, string) result
+(** A comma-separated list of positive rate multipliers. *)
+
+val run :
+  Format.formatter ->
+  ?overhead:bool ->
+  ?metrics:Nullelim_obs.Metrics.t ->
+  ?recorder:Nullelim_obs.Recorder.t ->
+  ?flight:string ->
+  ?flight_trace:string ->
+  ?timelines:string ->
+  load ->
+  (t, string) result
+(** [nullelim loadgen]: {!sweep} with [load] into [metrics] and
+    [recorder] (default the global ones), print the calibration, one
+    row per rate, the saturation throughput and normalized p99 (plus
+    per-tenant totals with several tenants, and the recorder overhead
+    when measured), gate the rows
+    ({!check_rows}), write the recorder's [nullelim-flight/1] dump to
+    [flight] and its Chrome trace to [flight_trace], then slice the
+    recorder into per-request timelines, gate them and write them to
+    [timelines] ({!Timelines.emit}).  [Error] names the failed gate. *)

@@ -404,6 +404,32 @@ let gate (rows : row list) (fd : forced_deopt) : (unit, string list) result =
   let row_errs = match check_rows rows with Ok () -> [] | Error es -> es in
   match row_errs @ fd_errs with [] -> Ok () | errs -> Error errs
 
+(** [nullelim tiered]: every workload's row and the forced deopt under
+    [Config.new_full] with [promote_calls] (0 keeps its default), then
+    {!gate}.  With [jobs > 0] recompiles run on a pool of that many
+    domains (mode [async]); otherwise at the submission point (mode
+    [sync], deterministic counters). *)
+let run ?(jobs = 0) ?(promote_calls = 0) ?runs ~(arch : Arch.t) () =
+  let config =
+    if promote_calls <= 0 then Config.new_full
+    else { Config.new_full with Config.promote_calls }
+  in
+  let collect svc =
+    let rows = collect_all ?svc ~config ?runs ~arch () in
+    (rows, forced_deopt ~config ~arch ())
+  in
+  match
+    if jobs > 0 then
+      Svc.with_service ~domains:jobs (fun svc -> collect (Some svc))
+    else collect None
+  with
+  | exception Failure e -> Error ("tiered benchmark failed: " ^ e)
+  | rows, fd ->
+    Result.map_error
+      (fun errs -> String.concat "\n  " ("steady-state gate FAILED:" :: errs))
+      (gate rows fd)
+    |> Result.map (fun () -> (rows, fd))
+
 (** The stdout table: one line per workload, then the forced deopt. *)
 let pp_summary ppf ((rows : row list), (fd : forced_deopt)) =
   Fmt.pf ppf "%-12s %6s %8s %8s %8s %6s %6s %6s %9s@." "workload" "peak"

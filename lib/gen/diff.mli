@@ -25,18 +25,6 @@ type verdict = Pass | Skip of string | Fail of failure
 
 val pp_failure : failure Fmt.t
 
-val default_configs : Config.t list
-(** Every legal (non-override) Windows-suite configuration. *)
-
-val default_fuel : int
-
-val code_digest : Compiler.compiled -> string
-(** Content digest of the artifact's optimized code: {!Svc.job_key} of
-    the optimized program under the artifact's own config/arch
-    (program structure incl. provenance sites).  Equal digests mean
-    byte-identical code.  Process-local, like the key: compare digests
-    within one run, never store them. *)
-
 val check :
   ?arch:Arch.t ->
   ?configs:Config.t list ->

@@ -56,9 +56,6 @@ val to_json : t -> Json.t
 
 (** {1 Corpus entries} *)
 
-val corpus_schema : string
-(** ["nullelim-corpus/1"]. *)
-
 type corpus_entry = {
   ce_seed : int;
   ce_gen_version : int;

@@ -86,14 +86,6 @@ val with_log : (unit -> 'a) -> 'a * event list
 val derived_deltas : event list -> int * int
 (** [(sum d_explicit, sum d_implicit)]. *)
 
-val action_to_string : action -> string
-(** Kebab-case action name as it appears in reports
-    ("eliminated-redundant", "moved-backward", …). *)
-
-val justification_to_string : justification -> string
-(** Kebab-case justification, with the trap offset appended for
-    [Trap_covered] and the callee for [Inline_copy]. *)
-
 val kind_to_string : kind -> string
 
 val event_to_json : event -> Obs_json.t

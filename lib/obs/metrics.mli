@@ -62,10 +62,6 @@ val set : gauge -> float -> unit
 val add : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val default_buckets : float array
-(** Exponential seconds-scale bucket bounds used when [?buckets] is
-    omitted. *)
-
 val log_buckets : lo:float -> hi:float -> per_decade:int -> float array
 (** Log-spaced bucket bounds from [lo] up to at least [hi] with
     [per_decade] bounds per decade — e.g.
@@ -122,12 +118,6 @@ val percentile : t -> ?labels:labels -> string -> float -> float
 
 val percentiles : t -> ?labels:labels -> string -> float list -> float list
 (** {!percentile} at several quantiles over one merge. *)
-
-val percentile_of :
-  buckets:float array -> counts:int array -> total:int -> float -> float
-(** The rank-extraction primitive behind {!percentile}, usable on any
-    bucket/count pair — e.g. on a {e windowed delta} of two
-    {!histogram_merged} samples (the SLO evaluator's case). *)
 
 val doc : Doc.t
 (** ["nullelim-metrics/1"], member ["metrics"]: the snapshot schema. *)

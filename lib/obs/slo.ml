@@ -65,8 +65,6 @@ let create ?(short_window = 300.) ?(long_window = 3600.)
     m = Mutex.create ();
   }
 
-let objectives t = List.map (fun tr -> tr.t_obj) t.tracked
-
 (* Cumulative (good, bad) for an objective right now. *)
 let read_counts (r : Metrics.t) = function
   | Availability { good; bad } ->

@@ -69,8 +69,6 @@ val create :
     1.0, failing at burn 14.4.
     @raise Invalid_argument unless [0 < short_window <= long_window]. *)
 
-val objectives : t -> objective list
-
 val tick : ?now:float -> t -> unit
 (** Sample every objective's cumulative good/bad counts at [now]
     (default [Unix.gettimeofday ()]).  History older than the long

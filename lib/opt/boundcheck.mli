@@ -7,7 +7,5 @@
 module Ir = Nullelim_ir.Ir
 
 val eliminate_redundant : Ir.func -> int
-val hoist_loop_invariant : Ir.func -> int
-
 val run : Ir.func -> int * int
 (** Hoist then eliminate; returns [(eliminated, hoisted)]. *)

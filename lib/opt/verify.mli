@@ -15,5 +15,4 @@ type violation = {
 }
 
 val pp_violation : violation Fmt.t
-val verify_func : arch:Arch.t -> Ir.func -> violation list
 val verify_program : arch:Arch.t -> Ir.program -> violation list

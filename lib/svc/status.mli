@@ -18,11 +18,6 @@ type response = {
 val ok : ?content_type:string -> string -> response
 (** 200 with the given body (default content type [text/plain]). *)
 
-val json_response : ?status:int -> Nullelim_obs.Obs_json.t -> response
-(** Serialize as [application/json] (default status 200). *)
-
-val not_found : response
-
 type route = string * (unit -> response)
 (** Exact-match path (query strings are stripped before dispatch) and
     its handler.  A raising handler becomes a 500 with the exception

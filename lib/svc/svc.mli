@@ -259,10 +259,6 @@ type future
     {!recompile_async} submission — completes through one of these; a
     cache hit's is already complete when it is handed out. *)
 
-val reason_queue_full : string
-(** ["queue_full"] — the [reason] label on [svc_requests_shed_total]
-    when the bounded queue refused the request. *)
-
 val reason_tenant_cap : string
 (** ["tenant_cap"] — the [reason] label when the submitting tenant was
     at its per-tenant in-queue cap. *)

@@ -20,11 +20,8 @@ and obj = {
 
 and arr = { a_kind : Ir.kind; a_elems : value array }
 
-val default_of_kind : Ir.kind -> value
 val null_page_garbage : value
 (** What a non-trapping read through a null pointer returns. *)
-
-val all_fields : (string, Ir.cls) Hashtbl.t -> Ir.cls -> Ir.field list
 
 type layout
 (** A class's object layout: one slot per distinct field offset of the

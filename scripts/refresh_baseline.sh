@@ -31,6 +31,6 @@ dune exec bin/main.exe -- tiered \
   --merge BENCH_baseline.json
 # reduced smoke settings: keep in sync with the CI loadgen step
 dune exec bin/main.exe -- loadgen \
-  --jobs 2 --duration 1 --max-requests 100 --seed 42 \
+  --jobs 2 --duration 2 --max-requests 8000 --seed 42 \
   --merge BENCH_baseline.json
 echo "refreshed BENCH_baseline.json, PROFILE_report.md and TIERED_report.md"

@@ -294,44 +294,57 @@ let test_mutation_detected_and_shrunk () =
 (* Differential mini-sweep                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The fuzz run itself ([nullelim fuzz]): 200 programs through every
+   serial oracle. *)
 let test_differential_sweep () =
-  let skips = ref 0 in
-  for seed = 1 to 200 do
-    let g = Gen.generate ~seed () in
-    match Diff.check g.Gen.g_program with
-    | Diff.Pass -> ()
-    | Diff.Skip _ -> incr skips
-    | Diff.Fail f ->
-      Alcotest.failf "seed %d: %a" seed Diff.pp_failure f
-  done;
+  let r = Fuzz.run ~seed:1 ~count:200 () in
+  if r.Fuzz_report.fz_failed > 0 then
+    Alcotest.failf "%d/200 programs failed:@.%a" r.Fuzz_report.fz_failed
+      Fuzz.pp_failures r;
   (* a few fuel/depth skips are legitimate; a flood means the generator
      or the fuel budget broke *)
-  if !skips > 20 then
+  if r.Fuzz_report.fz_skipped > 20 then
     Alcotest.failf "%d/200 programs skipped — differential signal too weak"
-      !skips
+      r.Fuzz_report.fz_skipped;
+  Alcotest.(check bool) "verdict passes" true (Fuzz.verdict r = Ok None)
 
+(* With a pool, every program's artifacts are also compiled on two
+   domains and must be byte-identical to the serial ones. *)
 let test_serial_parallel_identity () =
-  let seeds = [ 1; 2; 3; 4; 5; 6 ] in
-  let serial =
-    List.map
-      (fun seed ->
-        Svc.compile_serial (Diff.jobs (Gen.generate ~seed ()).Gen.g_program))
-      seeds
-  in
-  let parallel =
-    Svc.with_service ~domains:2 (fun t ->
-        List.map
-          (fun seed ->
-            Svc.compile_all t (Diff.jobs (Gen.generate ~seed ()).Gen.g_program))
-          seeds)
-  in
-  List.iteri
-    (fun i (s, p) ->
-      match Diff.compare_artifacts ~serial:s ~parallel:p with
-      | None -> ()
-      | Some f ->
-        Alcotest.failf "seed %d: %a" (List.nth seeds i) Diff.pp_failure f)
-    (List.combine serial parallel)
+  let count = 6 in
+  let r = Fuzz.run ~jobs:2 ~seed:1 ~count () in
+  List.iter
+    (fun (f : Fuzz_report.failure_row) ->
+      Alcotest.failf "seed %d: [%s] %s%s" f.Fuzz_report.fr_seed
+        f.Fuzz_report.fr_oracle f.Fuzz_report.fr_config
+        f.Fuzz_report.fr_detail)
+    r.Fuzz_report.fz_failures;
+  let per_program = List.length (Diff.jobs (Gen.generate ~seed:1 ()).Gen.g_program) in
+  Alcotest.(check int) "every program's jobs went through the pool"
+    (count * per_program) r.Fuzz_report.fz_pool_compiles;
+  Alcotest.(check int) "every program settled" count
+    (r.Fuzz_report.fz_passed + r.Fuzz_report.fz_skipped)
+
+(* [--mutate] inverts the verdict: the weakened kill rule must be
+   caught, and being caught is the pass. *)
+let test_mutation_run_verdict () =
+  let r = Fuzz.run ~mutate:true ~seed:2 ~count:12 () in
+  Alcotest.(check bool) "mutation lifted after the run" false
+    (Atomic.get Phase2.mutate_kill_barrier);
+  if r.Fuzz_report.fz_failed = 0 then
+    Alcotest.fail "the oracles missed the mutation in 12 programs";
+  (match Fuzz.verdict r with
+  | Ok (Some _) -> ()
+  | Ok None -> Alcotest.fail "a caught mutation gave no note"
+  | Error e -> Alcotest.failf "a caught mutation failed the run: %s" e);
+  (* the same counts without the mutation flag fail, and a mutation
+     nobody caught fails *)
+  Alcotest.(check bool) "failures fail an unmutated run" true
+    (Result.is_error (Fuzz.verdict { r with Fuzz_report.fz_mutate = false }));
+  Alcotest.(check bool) "an undetected mutation fails" true
+    (Result.is_error
+       (Fuzz.verdict
+          { r with Fuzz_report.fz_failed = 0; fz_failures = [] }))
 
 (* ------------------------------------------------------------------ *)
 (* Report schema and corpus entries                                    *)
@@ -471,6 +484,8 @@ let () =
           Alcotest.test_case "200-program sweep" `Slow test_differential_sweep;
           Alcotest.test_case "serial = parallel artifacts" `Slow
             test_serial_parallel_identity;
+          Alcotest.test_case "a caught mutation passes" `Slow
+            test_mutation_run_verdict;
         ] );
       ( "report",
         [

@@ -17,6 +17,8 @@ module Ctx = Nullelim_obs.Ctx
 module W = Nullelim_workloads.Workload
 module Registry = Nullelim_workloads.Registry
 
+let null_ppf = Format.make_formatter (fun _ _ _ -> ()) ignore
+
 let get_ok srv path =
   match Status.get (Status.address srv) path with
   | Ok (st, body) -> (st, body)
@@ -172,28 +174,35 @@ let test_healthz_failing () =
 (* Causal timelines from a real 4-domain run                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The tentpole's acceptance gate: a flight dump from a 4-domain
-   loadgen run must reconstruct a complete causal timeline for every
-   completed request — enqueue -> dequeue -> done, in order, with every
-   span agreeing on request id and tenant. *)
+(* The loadgen command's own path ([LG.run], as [serve] drives it): a
+   4-domain sweep into a private recorder must reconstruct a complete
+   causal timeline for every completed request — enqueue -> dequeue ->
+   done, in order, with every span agreeing on request id and tenant —
+   and write a valid timeline document. *)
 let test_timelines_complete_4domain () =
   let metrics = Metrics.create () in
   let recorder = Recorder.create ~capacity:65536 () in
-  let t =
-    LG.sweep ~domains:4 ~duration:0.2 ~seed:7 ~multipliers:[ 0.5; 1.0 ]
-      ~max_requests:40 ~tenants:3 ~metrics ~recorder ()
+  let out = Filename.temp_file "timelines" ".json" in
+  let load =
+    {
+      LG.ld_jobs = 4;
+      ld_duration = 0.2;
+      ld_seed = 7;
+      ld_multipliers = [ 0.5; 1.0 ];
+      ld_max_requests = 40;
+      ld_tenants = 3;
+      ld_tenant_cap = 0;
+    }
   in
-  (match LG.check_rows t.LG.lg_rows with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "loadgen gate: %s" (String.concat "; " es));
-  let dropped = Recorder.dropped recorder in
-  Alcotest.(check int) "ring did not wrap" 0 dropped;
-  let tls = Timeline.of_events (Recorder.dump recorder) in
-  (match Timeline.check_complete ~dropped tls with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "causal gate: %s" e);
+  let t =
+    match LG.run null_ppf ~metrics ~recorder ~timelines:out load with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "loadgen run: %s" e
+  in
+  let tls = Nullelim_experiments.Timelines.of_recorder recorder in
+  Alcotest.(check int) "ring did not wrap" 0 tls.dropped;
   let completed =
-    List.filter (fun tl -> Timeline.phase tl = Timeline.Completed) tls
+    List.filter (fun tl -> Timeline.phase tl = Timeline.Completed) tls.timelines
   in
   let total_completed =
     List.fold_left (fun a r -> a + r.LG.lr_completed) 0 t.LG.lg_rows
@@ -210,8 +219,10 @@ let test_timelines_complete_4domain () =
         Alcotest.(check bool) "wait <= total" true (w <= l +. 1e-9)
       | _ -> Alcotest.fail "completed timeline missing spans")
     completed;
-  (* the json document ties out *)
-  match Obs.Doc.validate Timeline.doc (Timeline.to_json ~dropped tls) with
+  (* the written document ties out *)
+  let doc = Obs.Doc.read out in
+  Sys.remove out;
+  match Result.bind doc (Obs.Doc.validate Timeline.doc) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "timeline doc invalid: %s" e
 
@@ -430,6 +441,52 @@ let test_high_fd_client () =
       let st, _ = get_ok srv "/healthz" in
       Alcotest.(check int) "still serving" 200 st)
 
+(* ------------------------------------------------------------------ *)
+(* The serve command's self-probes                                     *)
+(* ------------------------------------------------------------------ *)
+
+let with_server routes f =
+  let srv = Status.serve routes in
+  Fun.protect ~finally:(fun () -> Status.stop srv) (fun () -> f srv)
+
+let probe_routes () =
+  let metrics = Metrics.create () in
+  let slo =
+    Slo.create metrics
+      [
+        Slo.availability ~name:"avail" ~good:"good_total" ~bad:"bad_total"
+          ~target:0.99;
+      ]
+  in
+  Status.obs_routes ~metrics ~slo ()
+
+let test_self_probe_passes () =
+  with_server (probe_routes ()) (fun srv ->
+      match Nullelim_experiments.Serve.self_probe null_ppf (Status.address srv) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "healthy server failed its probe: %s" e)
+
+let test_self_probe_non_200_metrics () =
+  let failing =
+    {
+      Status.rs_status = 503;
+      rs_content_type = "text/plain";
+      rs_body = "# TYPE x counter\nx 1\n";
+    }
+  in
+  let routes =
+    ("/metrics", fun () -> failing)
+    :: List.filter
+         (fun (path, _) -> path <> "/metrics")
+         (probe_routes ())
+  in
+  with_server routes (fun srv ->
+      match Nullelim_experiments.Serve.self_probe null_ppf (Status.address srv) with
+      | Ok () -> Alcotest.fail "a 503 /metrics passed the probe"
+      | Error e ->
+        Alcotest.(check bool) ("names the status: " ^ e) true
+          (Helpers.contains e "/metrics returned 503"))
+
 let () =
   Alcotest.run "serve"
     [
@@ -462,5 +519,11 @@ let () =
             test_tenant_cap_sheds;
           Alcotest.test_case "cap isolates tenants" `Slow
             test_tenant_cap_isolation;
+        ] );
+      ( "probe",
+        [
+          Alcotest.test_case "obs routes pass" `Quick test_self_probe_passes;
+          Alcotest.test_case "non-200 /metrics fails" `Quick
+            test_self_probe_non_200_metrics;
         ] );
     ]

@@ -1037,6 +1037,141 @@ let test_admission_timelines () =
       (List.for_all (fun e -> Json.member "tid" e = Some (Json.Int 1)) evs)
   | _ -> Alcotest.fail "trace has no traceEvents"
 
+(* ------------------------------------------------------------------ *)
+(* The batch command's single-flight gate                              *)
+(* ------------------------------------------------------------------ *)
+
+module Batch = Nullelim_experiments.Batch
+
+let stats ~misses ~evictions =
+  {
+    Codecache.hits = 0;
+    misses;
+    evictions;
+    rejections = 0;
+    invalidations = 0;
+    entries = misses;
+    bytes = 0;
+    budget_bytes = 1;
+  }
+
+let test_batch_single_flight_gate () =
+  Alcotest.(check bool) "misses = keys passes" true
+    (Batch.single_flight (stats ~misses:5 ~evictions:0) ~keys:5 = Ok ());
+  (match Batch.single_flight (stats ~misses:6 ~evictions:0) ~keys:5 with
+  | Ok () -> Alcotest.fail "a key compiled twice passed"
+  | Error e ->
+    Alcotest.(check bool) ("names the counts: " ^ e) true
+      (Helpers.contains e "6 misses for 5 distinct keys"));
+  Alcotest.(check bool) "evictions excuse a second miss" true
+    (Batch.single_flight (stats ~misses:6 ~evictions:1) ~keys:5 = Ok ());
+  (* the batch itself: a repeated matrix is half served from the cache
+     and passes the gate *)
+  let b = Batch.run ~jobs:2 ~repeat:2 ~arch:Arch.ia32_windows () in
+  let n = List.length b.Batch.b_outcomes in
+  Alcotest.(check int) "half the jobs hit" (n / 2)
+    (List.length (List.filter (fun o -> o.Svc.oc_cache_hit) b.Batch.b_outcomes));
+  match Batch.check b with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "batch gate: %s" e
+
+(* ------------------------------------------------------------------ *)
+(* Config.semantic: the projection the cache key reads                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Configs differing only in a policy field: same key, and the same
+   compiled code and decision log. *)
+let policy_variants (c : Config.t) =
+  [
+    { c with Config.name = c.Config.name ^ "-renamed" };
+    { c with Config.promote_calls = c.Config.promote_calls + 7 };
+    { c with Config.deopt_traps = c.Config.deopt_traps + 3 };
+  ]
+
+(* One variant per remaining field, each differing from [c] there only;
+   the field count is pinned so a new field must join a list. *)
+let semantic_variants (c : Config.t) =
+  let flip_opt = function Config.New_full -> Config.New_phase1 | _ -> Config.New_full in
+  let vs =
+    [
+      { c with Config.null_opt = flip_opt c.Config.null_opt };
+      { c with Config.use_trap = not c.Config.use_trap };
+      { c with Config.speculate = not c.Config.speculate };
+      {
+        c with
+        Config.phase2_arch_override =
+          (match c.Config.phase2_arch_override with
+          | None -> Some Arch.ppc_aix
+          | Some _ -> None);
+      };
+      { c with Config.iterations = c.Config.iterations + 1 };
+      { c with Config.inline = not c.Config.inline };
+      { c with Config.heavy_factor = c.Config.heavy_factor + 1 };
+      { c with Config.weak_arrays = not c.Config.weak_arrays };
+      {
+        c with
+        Config.backend =
+          (match c.Config.backend with
+          | Config.Interp -> Config.Native
+          | Config.Native -> Config.Interp);
+      };
+    ]
+  in
+  assert (List.length vs + 3 = Obj.size (Obj.repr c));
+  vs
+
+let suite = Array.of_list (Config.windows_suite @ Config.aix_suite)
+
+let arch_of (c : Config.t) =
+  if List.memq c Config.aix_suite then Arch.ppc_aix else Arch.ia32_windows
+
+let artifact (o : Svc.outcome) =
+  program_bytes o.Svc.oc_compiled.Compiler.program
+  ^ Json.to_string (Obs.Decision.to_json o.Svc.oc_compiled.Compiler.decisions)
+
+(* [Some reason] when the projection property fails for [p] under [c] *)
+let projection_failure (p : Ir.program) (c : Config.t) =
+  let arch = arch_of c in
+  let jobs = List.map (fun v -> Svc.job ~config:v ~arch p) (c :: policy_variants c) in
+  match Svc.compile_serial jobs with
+  | [] -> Some "no outcomes"
+  | base :: rest -> (
+    match
+      List.find_opt
+        (fun o -> o.Svc.oc_key <> base.Svc.oc_key || artifact o <> artifact base)
+        rest
+    with
+    | Some o ->
+      Some
+        (Printf.sprintf "%s: policy variant %S changed the key or the artifact"
+           c.Config.name o.Svc.oc_job.Svc.jb_config.Config.name)
+    | None ->
+      List.find_map
+        (fun v ->
+          if Svc.job_key (Svc.job ~config:v ~arch p) = base.Svc.oc_key then
+            Some (Printf.sprintf "%s: a semantic field left the key" c.Config.name)
+          else None)
+        (semantic_variants c))
+
+let test_projection_registry () =
+  List.iteri
+    (fun i (w : W.t) ->
+      let c = suite.(i mod Array.length suite) in
+      match projection_failure (w.W.build ~scale:1) c with
+      | None -> ()
+      | Some e -> Alcotest.failf "%s: %s" w.W.name e)
+    (Registry.all ())
+
+let test_projection_generated =
+  QCheck_alcotest.to_alcotest ~long:false
+    (QCheck2.Test.make ~count:40 ~name:"generated programs"
+       ~print:(fun (seed, i) -> Printf.sprintf "seed %d, config %s" seed suite.(i).Config.name)
+       QCheck2.Gen.(pair (int_range 1 1_000_000) (int_bound (Array.length suite - 1)))
+       (fun (seed, i) ->
+         match projection_failure (Gen.generate ~seed ()).Gen.g_program suite.(i) with
+         | None -> true
+         | Some e -> QCheck2.Test.fail_report e))
+
 let () =
   Alcotest.run "svc"
     [
@@ -1111,5 +1246,16 @@ let () =
             test_batch_single_flight;
           Alcotest.test_case "timelines on a mixed hit/miss run" `Quick
             test_admission_timelines;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "single-flight gate" `Quick
+            test_batch_single_flight_gate;
+        ] );
+      ( "semantic",
+        [
+          Alcotest.test_case "registry programs" `Quick
+            test_projection_registry;
+          test_projection_generated;
         ] );
     ]
