@@ -673,8 +673,8 @@ let timelines_cmd =
       $ flag [ "check" ]
           ~doc:
             "Exit 1 unless every completed request's timeline is \
-             causally complete (vacuous if the dump reports dropped \
-             events).")
+             causally complete (after dropped events, the spans that \
+             remain must still be in causal order).")
 
 (* --- lint-exposition / validate-json ---------------------------------- *)
 

@@ -4,7 +4,6 @@ module Json = Nullelim_obs.Obs_json
 let all =
   [
     Nullelim_obs.Metrics.doc;
-    Nullelim_obs.Profile.doc;
     Nullelim_obs.Recorder.doc;
     Nullelim_obs.Timeline.doc;
     Nullelim_obs.Slo.doc;

@@ -3,7 +3,7 @@
     [nullelim validate-json]. *)
 
 val all : Nullelim_obs.Doc.t list
-(** One entry per schema: metrics, profile, flight, timeline, slo,
+(** One entry per schema: metrics, flight, timeline, slo,
     dynamic, tiered, loadgen, native-bench, fuzz and tenants. *)
 
 val validate : Nullelim_obs.Obs_json.t -> (string list, string) result

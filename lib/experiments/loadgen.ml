@@ -376,121 +376,93 @@ let num = function
   | Json.Int i -> Some (float_of_int i)
   | _ -> None
 
-let doc =
-  Doc.v ~name:"loadgen" "nullelim-loadgen/1" @@ fun j ->
-  let ( let* ) = Result.bind in
-  let* () =
-    match
-      Option.bind (Json.member "calibration" j) (fun cal ->
-          Option.bind (Json.member "mean_compile_seconds" cal) num)
-    with
-    | Some m when m > 0. -> Ok ()
-    | Some _ -> Error "calibration: mean_compile_seconds must be positive"
-    | None -> Error "calibration: missing mean_compile_seconds"
-  in
-  let* () =
-    if Json.member "rows" j = Some (Json.List []) then
-      Error "rows must be non-empty"
-    else Ok ()
-  in
-  let* () =
-    Doc.each "rows"
-      (fun row ->
-        let* () =
-          Doc.fields Num
-            [
-              "rate_multiplier"; "offered_rate_per_sec"; "offered";
-              "completed"; "shed"; "throughput_per_sec"; "p50_ms"; "p99_ms";
-              "p999_ms";
-            ]
-            row
-        in
-        (* "tenants" is additive (absent in pre-tenancy documents);
-           when present, each entry must close its accounting *)
-        if Json.member "tenants" row = None then Ok ()
-        else
-          Doc.each "tenants"
-            (fun tn ->
-              let* () =
-                Doc.fields Int [ "tenant"; "offered"; "completed"; "shed" ] tn
-              in
-              let get n =
-                match Json.member n tn with Some (Json.Int i) -> i | _ -> 0
-              in
-              if get "completed" + get "shed" = get "offered" then Ok ()
-              else
-                Error
-                  (Printf.sprintf
-                     "tenant %d: %d completed + %d shed <> %d offered"
-                     (get "tenant") (get "completed") (get "shed")
-                     (get "offered")))
-            row)
-      j
-  in
-  Doc.fields Num [ "saturation_throughput_per_sec"; "normalized_p99" ] j
-
-let tenant_row_json (tn : tenant_row) : Json.t =
-  Json.Obj
+let tenant_fields =
+  Doc.
     [
-      ("tenant", Json.Int tn.tn_tenant);
-      ("offered", Json.Int tn.tn_offered);
-      ("completed", Json.Int tn.tn_completed);
-      ("shed", Json.Int tn.tn_shed);
+      field "tenant" int (fun tn -> tn.tn_tenant);
+      field "offered" int (fun tn -> tn.tn_offered);
+      field "completed" int (fun tn -> tn.tn_completed);
+      field "shed" int (fun tn -> tn.tn_shed);
     ]
 
-let row_json (r : rate_row) : Json.t =
-  Json.Obj
+let row_fields =
+  Doc.
     [
-      ("rate_multiplier", Json.Float r.lr_multiplier);
-      ("offered_rate_per_sec", Json.Float r.lr_offered_rate);
-      ("offered", Json.Int r.lr_offered);
-      ("completed", Json.Int r.lr_completed);
-      ("shed", Json.Int r.lr_shed);
-      ("elapsed_seconds", Json.Float r.lr_elapsed);
-      ("throughput_per_sec", Json.Float r.lr_throughput);
-      ("mean_ms", Json.Float r.lr_mean_ms);
-      ("p50_ms", Json.Float r.lr_p50_ms);
-      ("p90_ms", Json.Float r.lr_p90_ms);
-      ("p99_ms", Json.Float r.lr_p99_ms);
-      ("p999_ms", Json.Float r.lr_p999_ms);
-      ("hist_p99_ms", Json.Float r.lr_hist_p99_ms);
-      ("tenants", Json.List (List.map tenant_row_json r.lr_tenants));
+      field "rate_multiplier" num (fun r -> r.lr_multiplier);
+      field "offered_rate_per_sec" num (fun r -> r.lr_offered_rate);
+      field "offered" int (fun r -> r.lr_offered);
+      field "completed" int (fun r -> r.lr_completed);
+      field "shed" int (fun r -> r.lr_shed);
+      field "elapsed_seconds" num (fun r -> r.lr_elapsed);
+      field "throughput_per_sec" num (fun r -> r.lr_throughput);
+      field "mean_ms" num (fun r -> r.lr_mean_ms);
+      field "p50_ms" num (fun r -> r.lr_p50_ms);
+      field "p90_ms" num (fun r -> r.lr_p90_ms);
+      field "p99_ms" num (fun r -> r.lr_p99_ms);
+      field "p999_ms" num (fun r -> r.lr_p999_ms);
+      field "hist_p99_ms" num (fun r -> r.lr_hist_p99_ms);
+      field "tenants" (list (nested tenant_fields)) (fun r -> r.lr_tenants);
     ]
 
-let overhead_json (o : overhead) : Json.t =
-  Json.Obj
+let calibration_fields =
+  Doc.
     [
-      ("ns_per_event", Json.Float o.ov_ns_per_event);
-      ("enabled_seconds", Json.Float o.ov_enabled_seconds);
-      ("disabled_seconds", Json.Float o.ov_disabled_seconds);
-      ("fraction", Json.Float o.ov_fraction);
+      field "jobs" int (fun c -> c.cal_jobs);
+      field "mean_compile_seconds" (num_where "a number > 0" (fun m -> m > 0.))
+        (fun c -> c.cal_mean_seconds);
+      field "base_rate_per_sec" num (fun c -> c.cal_base_rate);
     ]
 
-let to_json (t : t) : Json.t =
-  Doc.obj doc
-    ([
-       ("domains", Json.Int t.lg_domains);
-       ("queue_capacity", Json.Int t.lg_queue_capacity);
-       ("duration_seconds", Json.Float t.lg_duration);
-       ("seed", Json.Int t.lg_seed);
-       ("tenants", Json.Int t.lg_tenants);
-       ("tenant_cap", Json.Int t.lg_tenant_cap);
-       ( "calibration",
-         Json.Obj
-           [
-             ("jobs", Json.Int t.lg_calibration.cal_jobs);
-             ( "mean_compile_seconds",
-               Json.Float t.lg_calibration.cal_mean_seconds );
-             ("base_rate_per_sec", Json.Float t.lg_calibration.cal_base_rate);
-           ] );
-       ("rows", Json.List (List.map row_json t.lg_rows));
-       ("saturation_throughput_per_sec", Json.Float t.lg_saturation_throughput);
-       ("normalized_p99", Json.Float (normalized_p99 t));
-     ]
-    @
-    match t.lg_overhead with
-    | Some o -> [ ("recorder_overhead", overhead_json o) ]
-    | None -> [])
+let overhead_fields =
+  Doc.
+    [
+      field "ns_per_event" num (fun o -> o.ov_ns_per_event);
+      field "enabled_seconds" num (fun o -> o.ov_enabled_seconds);
+      field "disabled_seconds" num (fun o -> o.ov_disabled_seconds);
+      field "fraction" num (fun o -> o.ov_fraction);
+    ]
+
+let fields =
+  Doc.
+    [
+      field "domains" int (fun t -> t.lg_domains);
+      field "queue_capacity" int (fun t -> t.lg_queue_capacity);
+      field "duration_seconds" num (fun t -> t.lg_duration);
+      field "seed" int (fun t -> t.lg_seed);
+      field "tenants" int (fun t -> t.lg_tenants);
+      field "tenant_cap" int (fun t -> t.lg_tenant_cap);
+      field "calibration" (nested calibration_fields) (fun t ->
+          t.lg_calibration);
+      field "rows" (list ~non_empty:true (nested row_fields)) (fun t ->
+          t.lg_rows);
+      field "saturation_throughput_per_sec" num (fun t ->
+          t.lg_saturation_throughput);
+      field "normalized_p99" num normalized_p99;
+      opt "recorder_overhead" (nested overhead_fields) (fun t -> t.lg_overhead);
+    ]
+
+(* each tenant row closes its own accounting *)
+let rules j =
+  let int name o =
+    match Json.member name o with Some (Json.Int i) -> i | _ -> 0
+  in
+  let list name o =
+    match Json.member name o with Some (Json.List xs) -> xs | _ -> []
+  in
+  match
+    List.find_opt
+      (fun tn -> int "completed" tn + int "shed" tn <> int "offered" tn)
+      (List.concat_map (list "tenants") (list "rows" j))
+  with
+  | None -> Ok ()
+  | Some tn ->
+    Error
+      (Printf.sprintf "tenant %d: %d completed + %d shed <> %d offered"
+         (int "tenant" tn) (int "completed" tn) (int "shed" tn)
+         (int "offered" tn))
+
+let doc = Doc.v ~name:"loadgen" ~rules "nullelim-loadgen/1" fields
+let to_json (t : t) : Json.t = Doc.obj doc (Doc.record fields t)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline gate                                                       *)

@@ -184,45 +184,43 @@ let collect ?(iters = 500_000) ?(traps = 2_000) ?(repeats = 3)
               nb_implicit_check_instrs = implicit_instrs;
             })))
 
-let doc =
-  Doc.v ~name:"native" "nullelim-native-bench/1" @@ fun j ->
-  let ( let* ) = Result.bind in
-  match Json.member "available" j with
-  | Some (Json.Bool false) -> Doc.fields Str [ "reason" ] j
-  | Some (Json.Bool true) ->
-    let* () = Doc.fields Str [ "arch" ] j in
-    let* () =
-      Doc.fields Int [ "checks"; "traps"; "implicit_check_instrs" ] j
-    in
-    Doc.fields Num
-      [
-        "explicit_kernel_ns"; "implicit_kernel_ns"; "baseline_kernel_ns";
-        "explicit_check_ns"; "implicit_check_ns"; "trap_recovery_ns";
-        "model_explicit_check_ns";
-      ]
-      j
-  | _ -> Error "missing boolean field \"available\""
-
-let to_json (r : result) : Json.t =
-  Doc.obj doc
+let measured_fields =
+  Doc.
     [
-      ("available", Json.Bool true);
-      ("arch", Json.Str r.nb_arch);
-      ("checks", Json.Int r.nb_checks);
-      ("traps", Json.Int r.nb_traps);
-      ("explicit_kernel_ns", Json.Float r.nb_explicit_ns);
-      ("implicit_kernel_ns", Json.Float r.nb_implicit_ns);
-      ("baseline_kernel_ns", Json.Float r.nb_baseline_ns);
-      ("explicit_check_ns", Json.Float r.nb_explicit_check_ns);
-      ("implicit_check_ns", Json.Float r.nb_implicit_check_ns);
-      ("trap_recovery_ns", Json.Float r.nb_recovery_ns);
-      ("model_explicit_check_ns", Json.Float r.nb_model_explicit_check_ns);
-      ("implicit_check_instrs", Json.Int r.nb_implicit_check_instrs);
+      field "arch" str (fun r -> r.nb_arch);
+      field "checks" int (fun r -> r.nb_checks);
+      field "traps" int (fun r -> r.nb_traps);
+      field "explicit_kernel_ns" num (fun r -> r.nb_explicit_ns);
+      field "implicit_kernel_ns" num (fun r -> r.nb_implicit_ns);
+      field "baseline_kernel_ns" num (fun r -> r.nb_baseline_ns);
+      field "explicit_check_ns" num (fun r -> r.nb_explicit_check_ns);
+      field "implicit_check_ns" num (fun r -> r.nb_implicit_check_ns);
+      field "trap_recovery_ns" num (fun r -> r.nb_recovery_ns);
+      field "model_explicit_check_ns" num (fun r ->
+          r.nb_model_explicit_check_ns);
+      field "implicit_check_instrs" int (fun r -> r.nb_implicit_check_instrs);
     ]
 
+(* The document describes a measurement, or why there is none. *)
+let fields =
+  Doc.
+    [
+      field "available" bool Result.is_ok;
+      group Result.to_option measured_fields;
+      opt "reason" str (function Error m -> Some m | Ok _ -> None);
+    ]
+
+let rules j =
+  let has name = Json.member name j <> None in
+  match Json.member "available" j with
+  | Some (Json.Bool true) when has "arch" && not (has "reason") -> Ok ()
+  | Some (Json.Bool false) when has "reason" && not (has "arch") -> Ok ()
+  | _ -> Error "\"available\" does not match the members present"
+
+let doc = Doc.v ~name:"native" ~rules "nullelim-native-bench/1" fields
+let to_json (r : result) : Json.t = Doc.obj doc (Doc.record fields (Ok r))
 let unavailable_json reason : Json.t =
-  Doc.obj doc
-    [ ("available", Json.Bool false); ("reason", Json.Str reason) ]
+  Doc.obj doc (Doc.record fields (Error reason))
 
 let pp ppf (r : result) =
   Fmt.pf ppf

@@ -464,41 +464,36 @@ let report_md ?(scale = 1) (all : run list list) : string =
 (* JSON ("dynamic" section of BENCH_results.json + baseline file)      *)
 (* ------------------------------------------------------------------ *)
 
-let dynamic_doc =
-  Doc.v ~name:"dynamic" "nullelim-dynamic/1" @@ fun j ->
-  let ( let* ) = Result.bind in
-  let* () = Doc.fields Str [ "baseline_config" ] j in
-  Doc.each "rows"
-    (fun row ->
-      let* () = Doc.fields Str [ "workload"; "config" ] row in
-      Doc.fields Int [ "explicit"; "implicit"; "bound"; "baseline" ] row)
-    j
-
-let elim_row_json (e : elim_row) : Json.t =
-  Json.Obj
+let elim_fields =
+  Doc.
     [
-      ("workload", Json.Str e.er_workload);
-      ("config", Json.Str e.er_config);
-      ("explicit", Json.Int e.er_explicit);
-      ("implicit", Json.Int e.er_implicit);
-      ("bound", Json.Int e.er_bound);
-      ("baseline", Json.Int e.er_baseline);
-      ("pct_eliminated", Json.Float e.er_pct_eliminated);
-      ("pct_implicit", Json.Float e.er_pct_implicit);
+      field "workload" str (fun e -> e.er_workload);
+      field "config" str (fun e -> e.er_config);
+      field "explicit" int (fun e -> e.er_explicit);
+      field "implicit" int (fun e -> e.er_implicit);
+      field "bound" int (fun e -> e.er_bound);
+      field "baseline" int (fun e -> e.er_baseline);
+      field "pct_eliminated" num (fun e -> e.er_pct_eliminated);
+      field "pct_implicit" num (fun e -> e.er_pct_implicit);
     ]
+
+(* The document describes (scale, rows). *)
+let dynamic_fields =
+  Doc.
+    [
+      field "scale" int fst;
+      field "baseline_config" str (fun _ -> baseline_config);
+      field "rows" (list (nested elim_fields)) snd;
+    ]
+
+let dynamic_doc = Doc.v ~name:"dynamic" "nullelim-dynamic/1" dynamic_fields
 
 (** The ["dynamic"] document merged into [BENCH_results.json]: scale-1
     deterministic dynamic counters — no wall-clock anywhere, so the
     committed baseline diff is meaningful. *)
 let dynamic_json ~scale (all : run list list) : Json.t =
   Doc.obj dynamic_doc
-    [
-      ("scale", Json.Int scale);
-      ("baseline_config", Json.Str baseline_config);
-      ( "rows",
-        Json.List (List.concat_map (fun runs -> List.map elim_row_json (elim_rows runs)) all)
-      );
-    ]
+    (Doc.record dynamic_fields (scale, List.concat_map elim_rows all))
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate (BENCH_baseline.json)                               *)

@@ -451,85 +451,68 @@ let pp_summary ppf ((rows : row list), (fd : forced_deopt)) =
 (* JSON ("tiered" section of BENCH_results.json + baseline file)       *)
 (* ------------------------------------------------------------------ *)
 
-let doc =
-  Doc.v ~name:"tiered" "nullelim-tiered/1" @@ fun j ->
-  let ( let* ) = Result.bind in
-  let* () =
-    match Json.member "mode" j with
-    | Some (Json.Str ("sync" | "async")) -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown mode %S" s)
-    | _ -> Error "missing field \"mode\""
-  in
-  let* () =
-    Doc.each "rows"
-      (fun row ->
-        let* () = Doc.fields Str [ "workload" ] row in
-        Doc.fields Int
-          [
-            "time_to_peak"; "tier0_checks"; "steady_checks"; "full_checks";
-            "promotions"; "deopts"; "demotions"; "awaits";
-          ]
-          row)
-      j
-  in
-  match Json.member "forced_deopt" j with
-  | Some fd -> (
-    match (Json.member "only_offending" fd, Json.member "reconciled" fd) with
-    | Some (Json.Bool true), Some (Json.Bool true) -> Ok ()
-    | Some (Json.Bool _), Some (Json.Bool _) ->
-      Error "forced_deopt: deoptimization was not exact or did not reconcile"
-    | _ -> Error "forced_deopt: missing boolean evidence fields")
-  | None -> Error "missing field \"forced_deopt\""
-
-let row_json (r : row) : Json.t =
-  Json.Obj
+let row_fields =
+  Doc.
     [
-      ("workload", Json.Str r.ss_workload);
-      ("runs", Json.Int r.ss_runs);
-      ("time_to_peak", Json.Int r.ss_time_to_peak);
-      ("tier0_checks", Json.Int r.ss_tier0);
-      ("steady_checks", Json.Int r.ss_steady);
-      ("full_checks", Json.Int r.ss_full);
-      ( "tier0_checks_per_call",
-        Json.Float (checks_per_call ~checks:r.ss_tier0 ~calls:r.ss_tier0_calls)
-      );
-      ( "steady_checks_per_call",
-        Json.Float
-          (checks_per_call ~checks:r.ss_steady ~calls:r.ss_steady_calls) );
-      ("promotions", Json.Int r.ss_promotions);
-      ("demotions", Json.Int r.ss_demotions);
-      ("deopts", Json.Int r.ss_deopts);
-      ("installs", Json.Int r.ss_installs);
-      ("submitted", Json.Int r.ss_submitted);
-      ("queue_full", Json.Int r.ss_queue_full);
-      ("traps", Json.Int r.ss_traps);
-      ("awaits", Json.Int r.ss_awaits);
-      ("recompile_seconds", Json.Float r.ss_recompile_seconds);
+      field "workload" str (fun r -> r.ss_workload);
+      field "runs" int (fun r -> r.ss_runs);
+      field "time_to_peak" int (fun r -> r.ss_time_to_peak);
+      field "tier0_checks" int (fun r -> r.ss_tier0);
+      field "steady_checks" int (fun r -> r.ss_steady);
+      field "full_checks" int (fun r -> r.ss_full);
+      field "tier0_checks_per_call" num (fun r ->
+          checks_per_call ~checks:r.ss_tier0 ~calls:r.ss_tier0_calls);
+      field "steady_checks_per_call" num (fun r ->
+          checks_per_call ~checks:r.ss_steady ~calls:r.ss_steady_calls);
+      field "promotions" int (fun r -> r.ss_promotions);
+      field "demotions" int (fun r -> r.ss_demotions);
+      field "deopts" int (fun r -> r.ss_deopts);
+      field "installs" int (fun r -> r.ss_installs);
+      field "submitted" int (fun r -> r.ss_submitted);
+      field "queue_full" int (fun r -> r.ss_queue_full);
+      field "traps" int (fun r -> r.ss_traps);
+      field "awaits" int (fun r -> r.ss_awaits);
+      field "recompile_seconds" num (fun r -> r.ss_recompile_seconds);
     ]
 
-let forced_deopt_json (fd : forced_deopt) : Json.t =
-  Json.Obj
+let forced_deopt_fields =
+  Doc.
     [
-      ("sites", Json.List (List.map (fun s -> Json.Int s) fd.fd_sites));
-      ("trapped_site", Json.Int fd.fd_trapped);
-      ("deopt_sites", Json.List (List.map (fun s -> Json.Int s) fd.fd_deopted));
-      ("only_offending", Json.Bool fd.fd_only_offending);
-      ("demotions", Json.Int fd.fd_demotions);
-      ("deopts", Json.Int fd.fd_deopts);
-      ("rematerialized", Json.Int fd.fd_rematerialized);
-      ("reconciled", Json.Bool fd.fd_reconciled);
+      field "sites" (list int) (fun fd -> fd.fd_sites);
+      field "trapped_site" int (fun fd -> fd.fd_trapped);
+      field "deopt_sites" (list int) (fun fd -> fd.fd_deopted);
+      field "only_offending" bool (fun fd -> fd.fd_only_offending);
+      field "demotions" int (fun fd -> fd.fd_demotions);
+      field "deopts" int (fun fd -> fd.fd_deopts);
+      field "rematerialized" int (fun fd -> fd.fd_rematerialized);
+      field "reconciled" bool (fun fd -> fd.fd_reconciled);
     ]
+
+(* The document describes (mode, rows, forced deopt). *)
+let fields =
+  Doc.
+    [
+      field "mode" (enum Fun.id [ "sync"; "async" ]) (fun (m, _, _) -> m);
+      field "rows" (list (nested row_fields)) (fun (_, rows, _) -> rows);
+      field "forced_deopt" (nested forced_deopt_fields) (fun (_, _, fd) -> fd);
+    ]
+
+let rules j =
+  let evidence name =
+    Option.bind (Json.member "forced_deopt" j) (Json.member name)
+  in
+  if evidence "only_offending" = Some (Json.Bool true)
+     && evidence "reconciled" = Some (Json.Bool true)
+  then Ok ()
+  else Error "forced_deopt: deoptimization was not exact or did not reconcile"
+
+let doc = Doc.v ~name:"tiered" ~rules "nullelim-tiered/1" fields
 
 (** The ["tiered"] document.  [mode] records whether the rows came from
     the synchronous manager ("sync" — deterministic, what the baseline
     gate compares) or a real compile pool ("async"). *)
 let tiered_json ~mode (rows : row list) (fd : forced_deopt) : Json.t =
-  Doc.obj doc
-    [
-      ("mode", Json.Str mode);
-      ("rows", Json.List (List.map row_json rows));
-      ("forced_deopt", forced_deopt_json fd);
-    ]
+  Doc.obj doc (Doc.record fields (mode, rows, fd))
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate (BENCH_baseline.json)                               *)

@@ -53,10 +53,14 @@ let emit ppf ~gate ?out t =
     else
       match Timeline.check_complete ~dropped:t.dropped t.timelines with
       | Ok () ->
+        let partial = List.filter Timeline.missing_spans t.timelines in
         Fmt.pf ppf "causal gate: OK%s@."
-          (if t.dropped > 0 then
-             Printf.sprintf " (vacuous: %d events dropped)" t.dropped
-           else "");
+          (if t.dropped = 0 then ""
+           else
+             Printf.sprintf
+               " (%d events dropped: %d completed requests lost spans, \
+                only the order of the rest was checked)"
+               t.dropped (List.length partial));
         Ok ()
       | Error e -> Error ("timeline causal gate FAILED: " ^ e)
   in

@@ -17,9 +17,10 @@ val pp : t Fmt.t
 val emit :
   Format.formatter -> gate:bool -> ?out:string -> t -> (unit, string) result
 (** With [gate], fail unless every completed request's timeline is
-    causally complete ({!Nullelim_obs.Timeline.check_complete}; vacuous
-    when events were dropped); then write the [nullelim-timeline/1]
-    document to [out].  Each step that succeeds prints one line. *)
+    causally complete ({!Nullelim_obs.Timeline.check_complete}; after
+    drops it counts the requests that lost spans); then write the
+    [nullelim-timeline/1] document to [out].  Each step that succeeds
+    prints one line. *)
 
 val run :
   Format.formatter -> check:bool -> ?out:string -> string -> (unit, string) result

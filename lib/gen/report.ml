@@ -87,86 +87,57 @@ let program_to_string (p : Nullelim_ir.Ir.program) : string =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let failure_row_json (r : failure_row) : Json.t =
-  Json.Obj
-    ([
-       ("seed", Json.Int r.fr_seed);
-       ("oracle", Json.Str r.fr_oracle);
-       ("config", Json.Str r.fr_config);
-       ("detail", Json.Str r.fr_detail);
-     ]
-    @
-    match r.fr_shrunk with
-    | None -> []
-    | Some (instrs, steps, printed) ->
-      [
-        ("shrunk_instrs", Json.Int instrs);
-        ("shrunk_steps", Json.Int steps);
-        ("shrunk_program", Json.Str printed);
-      ])
-
-let doc =
-  Doc.v ~name:"fuzz" "nullelim-fuzz/1" @@ fun j ->
-  let ( let* ) = Result.bind in
-  let* () =
-    Doc.fields Int
-      [
-        "seed"; "count"; "gen_version"; "size"; "jobs"; "passed"; "skipped";
-        "failed"; "pool_compiles"; "cache_hits";
-      ]
-      j
-  in
-  let* () = Doc.fields Str [ "arch" ] j in
-  let* () = Doc.fields Bool [ "mutate" ] j in
-  let* () = Doc.fields Num [ "seconds" ] j in
-  let* () =
-    match Json.member "distribution" j with
-    | Some d ->
-      Doc.fields Int
-        [
-          "programs"; "with_try"; "with_alias"; "with_null"; "with_loop";
-          "recursive"; "instrs_total";
-        ]
-        d
-    | None -> Error "missing object field \"distribution\""
-  in
-  Doc.each "failures"
-    (fun row ->
-      let* () = Doc.fields Int [ "seed" ] row in
-      Doc.fields Str [ "oracle"; "config"; "detail" ] row)
-    j
-
-let to_json (t : t) : Json.t =
-  let d = t.fz_distribution in
-  Doc.obj doc
+let failure_fields =
+  Doc.
     [
-      ("seed", Json.Int t.fz_seed);
-      ("count", Json.Int t.fz_count);
-      ("gen_version", Json.Int t.fz_gen_version);
-      ("size", Json.Int t.fz_size);
-      ("arch", Json.Str t.fz_arch);
-      ("jobs", Json.Int t.fz_jobs);
-      ("mutate", Json.Bool t.fz_mutate);
-      ("passed", Json.Int t.fz_passed);
-      ("skipped", Json.Int t.fz_skipped);
-      ("failed", Json.Int t.fz_failed);
-      ("pool_compiles", Json.Int t.fz_pool_compiles);
-      ("cache_hits", Json.Int t.fz_cache_hits);
-      ("seconds", Json.Float t.fz_seconds);
-      ( "distribution",
-        Json.Obj
-          [
-            ("programs", Json.Int d.ds_programs);
-            ("with_try", Json.Int d.ds_with_try);
-            ("with_alias", Json.Int d.ds_with_alias);
-            ("with_null", Json.Int d.ds_with_null);
-            ("with_loop", Json.Int d.ds_with_loop);
-            ("recursive", Json.Int d.ds_recursive);
-            ("instrs_total", Json.Int d.ds_instrs_total);
-          ] );
-      ("failures", Json.List (List.map failure_row_json t.fz_failures));
+      field "seed" int (fun r -> r.fr_seed);
+      field "oracle" str (fun r -> r.fr_oracle);
+      field "config" str (fun r -> r.fr_config);
+      field "detail" str (fun r -> r.fr_detail);
+      group
+        (fun r -> r.fr_shrunk)
+        [
+          field "shrunk_instrs" int (fun (i, _, _) -> i);
+          field "shrunk_steps" int (fun (_, s, _) -> s);
+          field "shrunk_program" str (fun (_, _, p) -> p);
+        ];
     ]
 
+let distribution_fields =
+  Doc.
+    [
+      field "programs" int (fun d -> d.ds_programs);
+      field "with_try" int (fun d -> d.ds_with_try);
+      field "with_alias" int (fun d -> d.ds_with_alias);
+      field "with_null" int (fun d -> d.ds_with_null);
+      field "with_loop" int (fun d -> d.ds_with_loop);
+      field "recursive" int (fun d -> d.ds_recursive);
+      field "instrs_total" int (fun d -> d.ds_instrs_total);
+    ]
+
+let fields =
+  Doc.
+    [
+      field "seed" int (fun t -> t.fz_seed);
+      field "count" int (fun t -> t.fz_count);
+      field "gen_version" int (fun t -> t.fz_gen_version);
+      field "size" int (fun t -> t.fz_size);
+      field "arch" str (fun t -> t.fz_arch);
+      field "jobs" int (fun t -> t.fz_jobs);
+      field "mutate" bool (fun t -> t.fz_mutate);
+      field "passed" int (fun t -> t.fz_passed);
+      field "skipped" int (fun t -> t.fz_skipped);
+      field "failed" int (fun t -> t.fz_failed);
+      field "pool_compiles" int (fun t -> t.fz_pool_compiles);
+      field "cache_hits" int (fun t -> t.fz_cache_hits);
+      field "seconds" num (fun t -> t.fz_seconds);
+      field "distribution" (nested distribution_fields) (fun t ->
+          t.fz_distribution);
+      field "failures" (list (nested failure_fields)) (fun t -> t.fz_failures);
+    ]
+
+let doc = Doc.v ~name:"fuzz" "nullelim-fuzz/1" fields
+let to_json (t : t) : Json.t = Doc.obj doc (Doc.record fields t)
 
 (* ------------------------------------------------------------------ *)
 (* Corpus entries                                                      *)

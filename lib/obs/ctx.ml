@@ -43,12 +43,3 @@ let with_current c f =
   Fun.protect ~finally:(fun () -> slot := saved) f
 
 let tenant_label t = if t < 0 then "none" else string_of_int t
-
-let to_json (c : t) : Obs_json.t =
-  Obs_json.Obj
-    [
-      ("tenant", Obs_json.Int c.cx_tenant);
-      ("request", Obs_json.Int c.cx_request);
-      ("span", Obs_json.Int c.cx_span);
-      ("parent", Obs_json.Int c.cx_parent);
-    ]

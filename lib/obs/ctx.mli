@@ -52,5 +52,3 @@ val with_current : t -> (unit -> 'a) -> 'a
 val tenant_label : int -> string
 (** Canonical metrics label value for a tenant id: the decimal id, or
     ["none"] for negative (unattributed) ids. *)
-
-val to_json : t -> Obs_json.t

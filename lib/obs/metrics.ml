@@ -336,43 +336,68 @@ let percentile (r : t) ?labels name q : float =
 (* Snapshot                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let labels_json (labels : labels) : Obs_json.t =
-  Obs_json.Obj (List.map (fun (k, v) -> (k, Obs_json.Str v)) labels)
+(* A series is ((name, labels), value); a histogram's value is its
+   merged (bounds, counts, count, sum). *)
+let series value =
+  Doc.
+    [
+      field "name" str (fun ((n, _), _) -> n);
+      field "labels"
+        (custom "an object of strings"
+           (fun labels ->
+             Obs_json.Obj (List.map (fun (k, v) -> (k, Obs_json.Str v)) labels))
+           (function
+             | Obs_json.Obj kvs ->
+               List.for_all
+                 (function _, Obs_json.Str _ -> true | _ -> false)
+                 kvs
+             | _ -> false))
+        (fun ((_, l), _) -> l);
+    ]
+  @ value
 
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
-(* ------------------------------------------------------------------ *)
+let bucket_fields =
+  Doc.
+    [
+      (* the overflow bucket's bound is "+Inf" *)
+      field "le"
+        (custom "a number or \"+Inf\""
+           (function Some b -> Obs_json.Float b | None -> Obs_json.Str "+Inf")
+           (function
+             | Obs_json.Int _ | Obs_json.Float _ | Obs_json.Str "+Inf" -> true
+             | _ -> false))
+        fst;
+      field "count" int snd;
+    ]
 
-let doc =
-  Doc.v ~name:"metrics" "nullelim-metrics/1" @@ fun j ->
-  let ( let* ) = Result.bind in
-  let number_or_null name o =
-    match Obs_json.member name o with
-    | Some Obs_json.Null -> Ok ()
-    | _ -> Doc.fields Num [ name ] o
-  in
-  let series check o =
-    match (Obs_json.member "name" o, Obs_json.member "labels" o) with
-    | Some (Obs_json.Str _), Some (Obs_json.Obj kvs) ->
-      if List.for_all (function _, Obs_json.Str _ -> true | _ -> false) kvs
-      then check o
-      else Error "labels values must be strings"
-    | _ -> Error "entry missing name/labels"
-  in
-  let* () = Doc.each "counters" (series (Doc.fields Int [ "value" ])) j in
-  let* () = Doc.each "gauges" (series (number_or_null "value")) j in
-  Doc.each "histograms"
-    (series (fun o ->
-         let* () = Doc.fields Int [ "count" ] o in
-         let* () = number_or_null "sum" o in
-         Doc.each "buckets"
-           (fun b ->
-             let* () = Doc.fields Int [ "count" ] b in
-             match Obs_json.member "le" b with
-             | Some (Obs_json.Str "+Inf") -> Ok ()
-             | _ -> Doc.fields Num [ "le" ] b)
-           o))
-    j
+let buckets (bounds, counts, _, _) =
+  List.init
+    (Array.length bounds + 1)
+    (fun k ->
+      ((if k < Array.length bounds then Some bounds.(k) else None), counts.(k)))
+
+let fields =
+  Doc.
+    [
+      field "counters" (list (nested (series [ field "value" int snd ])))
+        (fun (c, _, _) -> c);
+      field "gauges"
+        (list (nested (series [ field "value" (nullable num) snd ])))
+        (fun (_, g, _) -> g);
+      field "histograms"
+        (list
+           (nested
+              (series
+                 [
+                   field "count" int (fun (_, (_, _, n, _)) -> n);
+                   field "sum" (nullable num) (fun (_, (_, _, _, s)) -> Some s);
+                   field "buckets" (list (nested bucket_fields))
+                     (fun (_, h) -> buckets h);
+                 ])))
+        (fun (_, _, h) -> h);
+    ]
+
+let doc = Doc.v ~name:"metrics" "nullelim-metrics/1" fields
 
 let snapshot (r : t) : Obs_json.t =
   (* deterministic order: sorted by (name, labels); values merged across
@@ -385,42 +410,15 @@ let snapshot (r : t) : Obs_json.t =
   let counters = ref [] and gauges = ref [] and histograms = ref [] in
   List.iter
     (fun (((name, labels) as key), kind) ->
-      let base = [ ("name", Obs_json.Str name); ("labels", labels_json labels) ] in
       match kind with
-      | Kcounter ->
-        let v = counter_total r ~labels name in
-        counters :=
-          Obs_json.Obj (base @ [ ("value", Obs_json.Int v) ]) :: !counters
+      | Kcounter -> counters := (key, counter_total r ~labels name) :: !counters
       | Kgauge ->
         let g = with_lock r.rm (fun () -> Hashtbl.find r.gauges key) in
-        gauges :=
-          Obs_json.Obj (base @ [ ("value", Obs_json.Float (Atomic.get g)) ])
-          :: !gauges
+        let v = Atomic.get g in
+        gauges := (key, if Float.is_nan v then None else Some v) :: !gauges
       | Khistogram _ ->
-        let buckets, counts, hcount, hsum =
-          Option.get (merged_histogram r key)
-        in
-        let bucket k le =
-          Obs_json.Obj [ ("le", le); ("count", Obs_json.Int counts.(k)) ]
-        in
-        let bs =
-          List.init (Array.length buckets) (fun k ->
-              bucket k (Obs_json.Float buckets.(k)))
-          @ [ bucket (Array.length buckets) (Obs_json.Str "+Inf") ]
-        in
-        histograms :=
-          Obs_json.Obj
-            (base
-            @ [
-                ("count", Obs_json.Int hcount);
-                ("sum", Obs_json.Float hsum);
-                ("buckets", Obs_json.List bs);
-              ])
-          :: !histograms)
+        histograms := (key, Option.get (merged_histogram r key)) :: !histograms)
     keys;
   Doc.obj doc
-    [
-      ("counters", Obs_json.List (List.rev !counters));
-      ("gauges", Obs_json.List (List.rev !gauges));
-      ("histograms", Obs_json.List (List.rev !histograms));
-    ]
+    (Doc.record fields
+       (List.rev !counters, List.rev !gauges, List.rev !histograms))

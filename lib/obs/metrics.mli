@@ -123,7 +123,5 @@ val doc : Doc.t
 (** ["nullelim-metrics/1"], member ["metrics"]: the snapshot schema. *)
 
 val snapshot : t -> Obs_json.t
-(** Deterministic merged snapshot (all domains' shards summed): the
-    {!doc} header, then [{"counters":[{"name","labels","value"}...],
-      "gauges":[...],"histograms":[{"name","labels","count","sum",
-      "buckets":[{"le","count"}...]}...]}]. *)
+(** Deterministic merged snapshot (all domains' shards summed) as a
+    {!doc} document: every counter, gauge and histogram series. *)

@@ -98,12 +98,6 @@ let kind_to_string = function
   | Cimplicit -> "implicit"
   | Cbound -> "bound"
 
-let kind_of_string = function
-  | "explicit" -> Some Cexplicit
-  | "implicit" -> Some Cimplicit
-  | "bound" -> Some Cbound
-  | _ -> None
-
 let sites t =
   Hashtbl.fold
     (fun (site, kind, tier) (c : site_cell) acc ->
@@ -144,66 +138,3 @@ let total_hits t kind =
   Hashtbl.fold
     (fun (_, k, _) (c : site_cell) acc -> if k = kind then acc + c.hits else acc)
     t.site_tbl 0
-
-(* ------------------------------------------------------------------ *)
-(* Validation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let doc =
-  Doc.v ~name:"profile" "nullelim-profile/2" @@ fun j ->
-  let ( let* ) = Result.bind in
-  let* () =
-    Doc.each "sites"
-      (fun row ->
-        let* () =
-          Doc.fields Int [ "site"; "tier"; "hits"; "npe"; "traps"; "misses" ] row
-        in
-        let* () = Doc.fields Str [ "func"; "kind" ] row in
-        match Obs_json.member "kind" row with
-        | Some (Obs_json.Str k) when kind_of_string k = None ->
-          Error (Printf.sprintf "unknown check kind %S" k)
-        | _ -> Ok ())
-      j
-  in
-  let* () =
-    Doc.each "blocks"
-      (fun row ->
-        let* () = Doc.fields Str [ "func" ] row in
-        Doc.fields Int [ "block"; "count"; "spec_reads" ] row)
-      j
-  in
-  Doc.fields Int [ "other_traps" ] j
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let to_json t : Obs_json.t =
-  let site_json (r : site_row) =
-    Obs_json.Obj
-      [
-        ("site", Obs_json.Int r.sr_site);
-        ("func", Obs_json.Str r.sr_func);
-        ("kind", Obs_json.Str (kind_to_string r.sr_kind));
-        ("tier", Obs_json.Int r.sr_tier);
-        ("hits", Obs_json.Int r.sr_hits);
-        ("npe", Obs_json.Int r.sr_npe);
-        ("traps", Obs_json.Int r.sr_traps);
-        ("misses", Obs_json.Int r.sr_misses);
-      ]
-  in
-  let block_json (r : block_row) =
-    Obs_json.Obj
-      [
-        ("func", Obs_json.Str r.br_func);
-        ("block", Obs_json.Int r.br_block);
-        ("count", Obs_json.Int r.br_count);
-        ("spec_reads", Obs_json.Int r.br_spec_reads);
-      ]
-  in
-  Doc.obj doc
-    [
-      ("sites", Obs_json.List (List.map site_json (sites t)));
-      ("blocks", Obs_json.List (List.map block_json (blocks t)));
-      ("other_traps", Obs_json.Int t.other);
-    ]

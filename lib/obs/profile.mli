@@ -72,15 +72,4 @@ val other_traps : t -> int
 val total_hits : t -> check_kind -> int
 (** Sum of [sr_hits] over all sites of one kind. *)
 
-(** {1 Snapshot schema} *)
-
-val doc : Doc.t
-(** ["nullelim-profile/2"], member ["profile"] — /2 added the per-site
-    [tier] dimension. *)
-
-val to_json : t -> Obs_json.t
-(** The {!doc} header, then [{"sites": [...], "blocks": [...],
-    "other_traps": n}] with rows in the {!sites}/{!blocks} order —
-    deterministic for a deterministic run. *)
-
 val kind_to_string : check_kind -> string

@@ -19,36 +19,6 @@ type kind =
   | Req_shed
   | Mark
 
-let kind_to_int = function
-  | Tier_promote -> 0
-  | Tier_demote -> 1
-  | Trap_fired -> 2
-  | Cache_hit -> 3
-  | Cache_miss -> 4
-  | Cache_evict -> 5
-  | Enqueue -> 6
-  | Dequeue -> 7
-  | Req_enqueue -> 8
-  | Req_start -> 9
-  | Req_done -> 10
-  | Req_shed -> 11
-  | Mark -> 12
-
-let kind_of_int = function
-  | 0 -> Tier_promote
-  | 1 -> Tier_demote
-  | 2 -> Trap_fired
-  | 3 -> Cache_hit
-  | 4 -> Cache_miss
-  | 5 -> Cache_evict
-  | 6 -> Enqueue
-  | 7 -> Dequeue
-  | 8 -> Req_enqueue
-  | 9 -> Req_start
-  | 10 -> Req_done
-  | 11 -> Req_shed
-  | _ -> Mark
-
 let kind_name = function
   | Tier_promote -> "tier_promote"
   | Tier_demote -> "tier_demote"
@@ -64,21 +34,14 @@ let kind_name = function
   | Req_shed -> "req_shed"
   | Mark -> "mark"
 
-let kind_of_name = function
-  | "tier_promote" -> Some Tier_promote
-  | "tier_demote" -> Some Tier_demote
-  | "trap_fired" -> Some Trap_fired
-  | "cache_hit" -> Some Cache_hit
-  | "cache_miss" -> Some Cache_miss
-  | "cache_evict" -> Some Cache_evict
-  | "enqueue" -> Some Enqueue
-  | "dequeue" -> Some Dequeue
-  | "req_enqueue" -> Some Req_enqueue
-  | "req_start" -> Some Req_start
-  | "req_done" -> Some Req_done
-  | "req_shed" -> Some Req_shed
-  | "mark" -> Some Mark
-  | _ -> None
+let all_kinds =
+  [
+    Tier_promote; Tier_demote; Trap_fired; Cache_hit; Cache_miss; Cache_evict;
+    Enqueue; Dequeue; Req_enqueue; Req_start; Req_done; Req_shed; Mark;
+  ]
+
+let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
+let kind_enum = Doc.enum kind_name all_kinds
 
 type event = {
   ev_ts : float;
@@ -93,7 +56,7 @@ type ring = {
   rd : int;               (* recording domain's id *)
   cap : int;
   rts : float array;
-  rkind : int array;
+  rkind : kind array;  (* constant constructors: stored unboxed *)
   ra : int array;
   rb : int array;
   rtenant : int array;
@@ -128,7 +91,7 @@ module Rings = Domain_shard.Make (struct
       rd = domain;
       cap;
       rts = Array.make cap 0.;
-      rkind = Array.make cap 0;
+      rkind = Array.make cap Mark;
       ra = Array.make cap 0;
       rb = Array.make cap 0;
       rtenant = Array.make cap (-1);
@@ -155,15 +118,15 @@ let create ?(capacity = default_capacity) () : t =
 
 let global : t = create ~capacity:8192 ()
 
-let now () = Unix.gettimeofday ()
+let now = Clock.now
 
 let record ?ctx ?ts ?(a = 0) ?(b = 0) (t : t) (kind : kind) : unit =
   if Atomic.get t.enabled then begin
     let c = match ctx with Some c -> c | None -> Ctx.current () in
     let r = Rings.my_shard t.owner in
     let i = r.w mod r.cap in
-    r.rts.(i) <- (match ts with Some ts -> ts | None -> Unix.gettimeofday ());
-    r.rkind.(i) <- kind_to_int kind;
+    r.rts.(i) <- (match ts with Some ts -> ts | None -> Clock.now ());
+    r.rkind.(i) <- kind;
     r.ra.(i) <- a;
     r.rb.(i) <- b;
     r.rtenant.(i) <- c.Ctx.cx_tenant;
@@ -186,7 +149,7 @@ let ring_events (r : ring) : event list =
       {
         ev_ts = r.rts.(i);
         ev_domain = r.rd;
-        ev_kind = kind_of_int r.rkind.(i);
+        ev_kind = r.rkind.(i);
         ev_a = r.ra.(i);
         ev_b = r.rb.(i);
         ev_ctx =
@@ -221,130 +184,88 @@ let record_metrics ?(registry = Metrics.global) (t : t) : unit =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let event_to_json (e : event) : Obs_json.t =
-  Obs_json.Obj
+let event_fields =
+  Doc.
     [
-      ("ts", Obs_json.Float e.ev_ts);
-      ("domain", Obs_json.Int e.ev_domain);
-      ("kind", Obs_json.Str (kind_name e.ev_kind));
-      ("a", Obs_json.Int e.ev_a);
-      ("b", Obs_json.Int e.ev_b);
-      ("tenant", Obs_json.Int e.ev_ctx.Ctx.cx_tenant);
-      ("request", Obs_json.Int e.ev_ctx.Ctx.cx_request);
-      ("span", Obs_json.Int e.ev_ctx.Ctx.cx_span);
-      ("parent", Obs_json.Int e.ev_ctx.Ctx.cx_parent);
+      field "ts" num (fun e -> e.ev_ts);
+      field "domain" int (fun e -> e.ev_domain);
+      field "kind" kind_enum (fun e -> e.ev_kind);
+      field "a" int (fun e -> e.ev_a);
+      field "b" int (fun e -> e.ev_b);
+      field "tenant" int (fun e -> e.ev_ctx.Ctx.cx_tenant);
+      field "request" int (fun e -> e.ev_ctx.Ctx.cx_request);
+      field "span" int (fun e -> e.ev_ctx.Ctx.cx_span);
+      field "parent" int (fun e -> e.ev_ctx.Ctx.cx_parent);
     ]
 
-let doc =
-  Doc.v ~name:"flight" "nullelim-flight/1" @@ fun j ->
-  let ( let* ) r f = Result.bind r f in
-  let* () =
-    match (Obs_json.member "capacity" j, Obs_json.member "dropped" j) with
-    | Some (Obs_json.Int c), Some (Obs_json.Int d) when c >= 1 && d >= 0 ->
-      Ok ()
-    | _ -> Error "capacity/dropped must be non-negative integers"
+(* A dump is (capacity, dropped, events), read once so the warning and
+   the count agree on a live recorder. *)
+let fields =
+  Doc.
+    [
+      field "capacity" (int_where "an integer >= 1" (fun c -> c >= 1))
+        (fun (c, _, _) -> c);
+      field "dropped" nat (fun (_, d, _) -> d);
+      opt "warning" str (fun (_, d, _) ->
+          if d = 0 then None
+          else
+            Some
+              (Printf.sprintf
+                 "%d events were overwritten before this dump; the oldest \
+                  part of the timeline is incomplete (raise the recorder \
+                  capacity to retain more)"
+                 d));
+      field "events" (list (nested event_fields)) (fun (_, _, evs) -> evs);
+    ]
+
+let rules j =
+  let ts e =
+    match Obs_json.member "ts" e with
+    | Some (Obs_json.Int i) -> float_of_int i
+    | Some (Obs_json.Float f) -> f
+    | _ -> nan
   in
-  let* () =
-    (* the drop warning, when present, must accompany a positive count *)
-    match (Obs_json.member "warning" j, Obs_json.member "dropped" j) with
-    | None, _ -> Ok ()
-    | Some (Obs_json.Str _), Some (Obs_json.Int d) when d > 0 -> Ok ()
-    | Some (Obs_json.Str _), _ -> Error "warning present but dropped = 0"
-    | Some _, _ -> Error "warning must be a string"
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> ts b +. 1e-9 >= ts a && sorted rest
+    | _ -> true
   in
-  match Obs_json.member "events" j with
-  | Some (Obs_json.List evs) ->
-    let opt_int name e =
-      match Obs_json.member name e with
-      | None | Some (Obs_json.Int _) -> true
-      | Some _ -> false
-    in
-    let check_event prev_ts e =
-      let* prev_ts = prev_ts in
-      match
-        ( Obs_json.member "ts" e,
-          Obs_json.member "domain" e,
-          Obs_json.member "kind" e,
-          Obs_json.member "a" e,
-          Obs_json.member "b" e )
-      with
-      | Some ((Obs_json.Float _ | Obs_json.Int _) as jts),
-        Some (Obs_json.Int _),
-        Some (Obs_json.Str k),
-        Some (Obs_json.Int _),
-        Some (Obs_json.Int _) ->
-        let ts =
-          match jts with
-          | Obs_json.Int i -> float_of_int i
-          | Obs_json.Float f -> f
-          | _ -> 0.
-        in
-        let* () =
-          match kind_of_name k with
-          | Some _ -> Ok ()
-          | None -> Error (Printf.sprintf "unknown event kind %s" k)
-        in
-        let* () =
-          if
-            List.for_all
-              (fun n -> opt_int n e)
-              [ "tenant"; "request"; "span"; "parent" ]
-          then Ok ()
-          else Error "context fields must be integers"
-        in
-        if ts +. 1e-9 < prev_ts then
-          Error "events not sorted by timestamp"
-        else Ok ts
-      | _ -> Error "event missing ts/domain/kind/a/b"
-    in
-    let* _ = List.fold_left check_event (Ok neg_infinity) evs in
-    Ok ()
-  | _ -> Error "missing events list"
+  match (Obs_json.member "warning" j, Obs_json.member "dropped" j) with
+  | Some _, Some (Obs_json.Int 0) -> Error "warning present but dropped = 0"
+  | _ -> (
+    match Obs_json.member "events" j with
+    | Some (Obs_json.List evs) when not (sorted evs) ->
+      Error "events not sorted by timestamp"
+    | _ -> Ok ())
+
+let doc = Doc.v ~name:"flight" ~rules "nullelim-flight/1" fields
 
 let to_json (t : t) : Obs_json.t =
-  let d = dropped t in
-  Doc.obj doc
-    ([ ("capacity", Obs_json.Int t.rcap); ("dropped", Obs_json.Int d) ]
-    @ (if d > 0 then
-         [
-           ( "warning",
-             Obs_json.Str
-               (Printf.sprintf
-                  "%d events were overwritten before this dump; the oldest \
-                   part of the timeline is incomplete (raise the recorder \
-                   capacity to retain more)"
-                  d) );
-         ]
-       else [])
-    @ [ ("events", Obs_json.List (List.map event_to_json (dump t))) ])
+  Doc.obj doc (Doc.record fields (t.rcap, dropped t, dump t))
 
 let events_of_json (j : Obs_json.t) : (event list * int, string) result =
-  let int_of name ~default e =
-    match Obs_json.member name e with Some (Obs_json.Int i) -> i | _ -> default
+  (* after validation every member is present with its declared kind *)
+  let int name e =
+    match Obs_json.member name e with Some (Obs_json.Int i) -> i | _ -> 0
   in
   let event e =
-    let ts =
-      match Obs_json.member "ts" e with
-      | Some (Obs_json.Float f) -> f
-      | _ -> float_of_int (int_of "ts" ~default:0 e)
-    in
-    let kind =
-      match Obs_json.member "kind" e with
-      | Some (Obs_json.Str k) -> kind_of_name k
-      | _ -> None
-    in
     {
-      ev_ts = ts;
-      ev_domain = int_of "domain" ~default:0 e;
-      ev_kind = Option.get kind;
-      ev_a = int_of "a" ~default:0 e;
-      ev_b = int_of "b" ~default:0 e;
+      ev_ts =
+        (match Obs_json.member "ts" e with
+        | Some (Obs_json.Float f) -> f
+        | _ -> float_of_int (int "ts" e));
+      ev_domain = int "domain" e;
+      ev_kind =
+        (match Obs_json.member "kind" e with
+        | Some (Obs_json.Str k) -> Option.get (kind_of_name k)
+        | _ -> Mark);
+      ev_a = int "a" e;
+      ev_b = int "b" e;
       ev_ctx =
         {
-          Ctx.cx_tenant = int_of "tenant" ~default:(-1) e;
-          cx_request = int_of "request" ~default:(-1) e;
-          cx_span = int_of "span" ~default:(-1) e;
-          cx_parent = int_of "parent" ~default:(-1) e;
+          Ctx.cx_tenant = int "tenant" e;
+          cx_request = int "request" e;
+          cx_span = int "span" e;
+          cx_parent = int "parent" e;
         };
     }
   in
@@ -355,7 +276,7 @@ let events_of_json (j : Obs_json.t) : (event list * int, string) result =
         | Some (Obs_json.List evs) -> evs
         | _ -> []
       in
-      (List.map event evs, int_of "dropped" ~default:0 j))
+      (List.map event evs, int "dropped" j))
     (Doc.validate doc j)
 
 let to_trace (t : t) : Trace.event list =

@@ -39,7 +39,7 @@ type kind =
   | Mark          (** free-form; [a]/[b] caller-defined *)
 
 type event = {
-  ev_ts : float;      (** absolute seconds ({!now}) *)
+  ev_ts : float;      (** seconds on {!now} *)
   ev_domain : int;    (** recording domain's id *)
   ev_kind : kind;
   ev_a : int;
@@ -58,7 +58,8 @@ val global : t
     default. *)
 
 val now : unit -> float
-(** The recorder's clock ([Unix.gettimeofday]), the one [ev_ts] is on. *)
+(** The recorder's clock ({!Clock.now}, monotonic), the one [ev_ts] is
+    on. *)
 
 val record : ?ctx:Ctx.t -> ?ts:float -> ?a:int -> ?b:int -> t -> kind -> unit
 (** Append one event to the calling domain's ring (no-op when
@@ -96,24 +97,20 @@ val record_metrics : ?registry:Metrics.t -> t -> unit
 
 val kind_name : kind -> string
 
-val kind_of_name : string -> kind option
-(** Inverse of {!kind_name} ([None] for unknown names). *)
+val kind_enum : kind Doc.kind
+(** An event kind in a document: written by {!kind_name}. *)
 
 val doc : Doc.t
-(** ["nullelim-flight/1"], member ["flight"] (context fields are
-    optional for pre-context dumps). *)
+(** ["nullelim-flight/1"], member ["flight"]; its rules add that events
+    are sorted by [ts] and that the warning needs [dropped > 0]. *)
 
 val to_json : t -> Obs_json.t
-(** The {!doc} header, then [{"capacity":C,"dropped":D,
-      "events":[{"ts","domain","kind","a","b",
-      "tenant","request","span","parent"}…]}] with events as in
-    {!dump}.  When [D > 0] a ["warning"] string member calls out that
-    the oldest part of the timeline was overwritten. *)
+(** The {!dump} as a {!doc} document; when events were dropped a
+    ["warning"] member says the oldest part is incomplete. *)
 
 val events_of_json : Obs_json.t -> (event list * int, string) result
 (** Inverse of {!to_json}: validate a flight document, then return its
-    events in order and its dropped count (missing context fields
-    decode as [-1]). *)
+    events in order and its dropped count. *)
 
 val to_trace : t -> Trace.event list
 (** The retained events as zero-duration Chrome trace instants

@@ -29,12 +29,6 @@ let status_name = function
   | Degraded -> "degraded"
   | Failing -> "failing"
 
-let status_of_name = function
-  | "healthy" -> Some Healthy
-  | "degraded" -> Some Degraded
-  | "failing" -> Some Failing
-  | _ -> None
-
 (* one cumulative sample: (timestamp, good events ever, bad events ever) *)
 type sample = { s_ts : float; s_good : int; s_bad : int }
 
@@ -83,7 +77,7 @@ let read_counts (r : Metrics.t) = function
       (!good, total - !good))
 
 let tick ?now (t : t) : unit =
-  let ts = match now with Some n -> n | None -> Unix.gettimeofday () in
+  let ts = match now with Some n -> n | None -> Clock.now () in
   Mutex.lock t.m;
   List.iter
     (fun tr ->
@@ -159,7 +153,7 @@ let classify (t : t) ~short_burn ~long_burn : status =
   else Healthy
 
 let evaluate ?now (t : t) : report list =
-  let now = match now with Some n -> n | None -> Unix.gettimeofday () in
+  let now = match now with Some n -> n | None -> Clock.now () in
   Mutex.lock t.m;
   let reports =
     List.map
@@ -193,117 +187,92 @@ let kind_name = function
   | Latency _ -> "latency"
   | Availability _ -> "availability"
 
-let json_burn (b : float) : Obs_json.t =
-  (* burns can be +inf when target = 1; JSON has no Inf literal, so cap
-     at a sentinel large enough to read as "off the chart" *)
-  Obs_json.Float (if Float.is_finite b then b else 1e18)
+let status = Doc.enum status_name [ Healthy; Degraded; Failing ]
 
-let report_to_json (r : report) : Obs_json.t =
-  Obs_json.Obj
-    ([
-       ("name", Obs_json.Str r.r_name);
-       ("kind", Obs_json.Str (kind_name r.r_kind));
-       ("target", Obs_json.Float r.r_target);
-     ]
-    @ (match r.r_kind with
-      | Latency { metric; threshold } ->
-        [
-          ("metric", Obs_json.Str metric);
-          ("threshold", Obs_json.Float threshold);
-        ]
-      | Availability { good; bad } ->
-        [ ("good", Obs_json.Str good); ("bad", Obs_json.Str bad) ])
-    @ [
-        ("status", Obs_json.Str (status_name r.r_status));
-        ("short_burn", json_burn r.r_short_burn);
-        ("long_burn", json_burn r.r_long_burn);
-        ("short_total", Obs_json.Int r.r_short_total);
-        ("long_total", Obs_json.Int r.r_long_total);
-      ])
+(* burns are +inf when target = 1; JSON has no Inf literal, so they are
+   capped at a sentinel large enough to read as "off the chart" *)
+let burn =
+  Doc.custom "a number >= 0"
+    (fun b -> Obs_json.Float (if Float.is_finite b then b else 1e18))
+    (function
+      | Obs_json.Int i -> i >= 0
+      | Obs_json.Float f -> f >= 0.
+      | _ -> false)
 
-let doc =
-  Doc.v ~name:"slo" "nullelim-slo/1" @@ fun j ->
-  let ( let* ) r f = Result.bind r f in
+let report_fields =
+  Doc.
+    [
+      field "name" str (fun r -> r.r_name);
+      field "kind" (enum Fun.id [ "latency"; "availability" ]) (fun r ->
+          kind_name r.r_kind);
+      field "target"
+        (num_where "a number in [0, 1]" (fun t -> t >= 0. && t <= 1.))
+        (fun r -> r.r_target);
+      group
+        (fun r ->
+          match r.r_kind with
+          | Latency { metric; threshold } -> Some (metric, threshold)
+          | Availability _ -> None)
+        [ field "metric" str fst; field "threshold" num snd ];
+      group
+        (fun r ->
+          match r.r_kind with
+          | Availability { good; bad } -> Some (good, bad)
+          | Latency _ -> None)
+        [ field "good" str fst; field "bad" str snd ];
+      field "status" status (fun r -> r.r_status);
+      field "short_burn" burn (fun r -> r.r_short_burn);
+      field "long_burn" burn (fun r -> r.r_long_burn);
+      field "short_total" nat (fun r -> r.r_short_total);
+      field "long_total" nat (fun r -> r.r_long_total);
+    ]
+
+let worst reports =
+  List.fold_left
+    (fun acc r ->
+      match (acc, r.r_status) with
+      | Failing, _ | _, Failing -> Failing
+      | Degraded, _ | _, Degraded -> Degraded
+      | Healthy, Healthy -> Healthy)
+    Healthy reports
+
+(* The document describes (evaluator, its reports). *)
+let fields =
+  Doc.
+    [
+      field "short_window" num (fun (t, _) -> t.short_window);
+      field "long_window" num (fun (t, _) -> t.long_window);
+      field "degraded_burn" num (fun (t, _) -> t.degraded_burn);
+      field "failing_burn" num (fun (t, _) -> t.failing_burn);
+      field "status" status (fun (_, reports) -> worst reports);
+      field "objectives" (list (nested report_fields)) snd;
+    ]
+
+let rules j =
   let num name o =
     match Obs_json.member name o with
-    | Some (Obs_json.Float f) -> Ok f
-    | Some (Obs_json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing numeric %s" name)
+    | Some (Obs_json.Float f) -> f
+    | Some (Obs_json.Int i) -> float_of_int i
+    | _ -> nan
   in
-  let* sw = num "short_window" j in
-  let* lw = num "long_window" j in
-  let* () =
-    if sw > 0. && lw >= sw then Ok ()
-    else Error "want 0 < short_window <= long_window"
+  let has name o = Obs_json.member name o <> None in
+  let shape o =
+    (* a latency objective names its histogram, an availability one its
+       two counters — never both *)
+    match Obs_json.member "kind" o with
+    | Some (Obs_json.Str "latency") -> has "metric" o && not (has "good" o)
+    | _ -> has "good" o && not (has "metric" o)
   in
-  let* _ = num "degraded_burn" j in
-  let* _ = num "failing_burn" j in
-  let* () =
-    match Obs_json.member "status" j with
-    | Some (Obs_json.Str s) when status_of_name s <> None -> Ok ()
-    | _ -> Error "status must be healthy/degraded/failing"
-  in
-  match Obs_json.member "objectives" j with
-  | Some (Obs_json.List objs) ->
-    let check o =
-      let* name =
-        match Obs_json.member "name" o with
-        | Some (Obs_json.Str s) -> Ok s
-        | _ -> Error "objective missing name"
-      in
-      let fail msg = Error (Printf.sprintf "objective %s: %s" name msg) in
-      let* () =
-        match Obs_json.member "kind" o with
-        | Some (Obs_json.Str ("latency" | "availability")) -> Ok ()
-        | _ -> fail "kind must be latency or availability"
-      in
-      let* target = num "target" o in
-      let* () =
-        if target >= 0. && target <= 1. then Ok ()
-        else fail "target must be in [0,1]"
-      in
-      let* () =
-        match Obs_json.member "status" o with
-        | Some (Obs_json.Str s) when status_of_name s <> None -> Ok ()
-        | _ -> fail "status must be healthy/degraded/failing"
-      in
-      let* sb = num "short_burn" o in
-      let* lb = num "long_burn" o in
-      let* () =
-        if sb >= 0. && lb >= 0. then Ok () else fail "burns must be >= 0"
-      in
-      match
-        (Obs_json.member "short_total" o, Obs_json.member "long_total" o)
-      with
-      | Some (Obs_json.Int s), Some (Obs_json.Int l) when s >= 0 && l >= 0
-        ->
-        Ok ()
-      | _ -> fail "totals must be non-negative integers"
-    in
-    List.fold_left
-      (fun acc o ->
-        let* () = acc in
-        check o)
-      (Ok ()) objs
-  | _ -> Error "missing objectives list"
+  let short = num "short_window" j in
+  if not (short > 0. && num "long_window" j >= short) then
+    Error "want 0 < short_window <= long_window"
+  else
+    match Obs_json.member "objectives" j with
+    | Some (Obs_json.List objs) when not (List.for_all shape objs) ->
+      Error "an objective's members do not match its kind"
+    | _ -> Ok ()
+
+let doc = Doc.v ~name:"slo" ~rules "nullelim-slo/1" fields
 
 let to_json ?now (t : t) : Obs_json.t =
-  let reports = evaluate ?now t in
-  let worst =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r.r_status) with
-        | Failing, _ | _, Failing -> Failing
-        | Degraded, _ | _, Degraded -> Degraded
-        | Healthy, Healthy -> Healthy)
-      Healthy reports
-  in
-  Doc.obj doc
-    [
-      ("short_window", Obs_json.Float t.short_window);
-      ("long_window", Obs_json.Float t.long_window);
-      ("degraded_burn", Obs_json.Float t.degraded_burn);
-      ("failing_burn", Obs_json.Float t.failing_burn);
-      ("status", Obs_json.Str (status_name worst));
-      ("objectives", Obs_json.List (List.map report_to_json reports));
-    ]
+  Doc.obj doc (Doc.record fields (t, evaluate ?now t))

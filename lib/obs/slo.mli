@@ -71,7 +71,7 @@ val create :
 
 val tick : ?now:float -> t -> unit
 (** Sample every objective's cumulative good/bad counts at [now]
-    (default [Unix.gettimeofday ()]).  History older than the long
+    (default {!Clock.now}).  History older than the long
     window is pruned, always retaining one sample at-or-beyond the edge
     so edge deltas stay exact.  [?now] exists for deterministic tests —
     pass monotonically non-decreasing values. *)
@@ -89,15 +89,14 @@ type report = {
 
 val evaluate : ?now:float -> t -> report list
 (** Burn rates and classification per objective, from the recorded
-    samples (does not itself sample — {!tick} first). *)
+    samples at [now] (default {!Clock.now}; does not itself sample —
+    {!tick} first). *)
 
 val doc : Doc.t
-(** ["nullelim-slo/1"], member ["slo"]. *)
+(** ["nullelim-slo/1"], member ["slo"]; its rules add the window order
+    and that each objective carries the members of its kind. *)
 
 val to_json : ?now:float -> t -> Obs_json.t
-(** The {!doc} header, then [{"short_window":…,
-      "long_window":…,"degraded_burn":…,"failing_burn":…,
-      "status":worst-of-all,"objectives":[{"name","kind","target",
-      kind-specific members,"status","short_burn","long_burn",
-      "short_total","long_total"}…]}].  Infinite burns (target = 1
+(** The settings and the {!evaluate} reports at [now] as a {!doc}
+    document, with the worst status on top.  Infinite burns (target = 1
     with any error) serialize as [1e18]. *)

@@ -11,12 +11,6 @@ let phase_name = function
   | Shed -> "shed"
   | Inflight -> "inflight"
 
-let phase_of_name = function
-  | "completed" -> Some Completed
-  | "shed" -> Some Shed
-  | "inflight" -> Some Inflight
-  | _ -> None
-
 type t = {
   tl_request : int;
   tl_tenant : int;
@@ -105,161 +99,111 @@ let total_latency (tl : t) : float option =
 (* ------------------------------------------------------------------ *)
 
 let check_complete ?(dropped = 0) (tls : t list) : (unit, string) result =
-  (* With a wrapped ring the oldest spans are gone by design; a
-     completed request missing its enqueue is then expected, not a
-     propagation bug, so the check only binds when nothing was lost. *)
-  if dropped > 0 then Ok ()
-  else
-    let rec go = function
-      | [] -> Ok ()
-      | tl :: rest -> (
-        let fail msg =
-          Error (Printf.sprintf "request %d: %s" tl.tl_request msg)
-        in
-        match phase tl with
-        | Shed | Inflight -> go rest
-        | Completed -> (
-          match (tl.tl_enqueue, tl.tl_dequeue, tl.tl_done) with
-          | None, _, _ -> fail "completed without a req_enqueue span"
-          | _, None, _ -> fail "completed without a req_start span"
-          | _, _, None -> go rest (* unreachable: Completed has tl_done *)
-          | Some e, Some s, Some d ->
-            if not (e <= s +. 1e-9 && s <= d +. 1e-9) then
-              fail
-                (Printf.sprintf
-                   "spans out of causal order (enqueue %.6f, start %.6f, \
-                    done %.6f)"
-                   e s d)
-            else if
-              (* every attributed span must agree on the tenant *)
-              List.exists
-                (fun ev ->
-                  let t = ev.Recorder.ev_ctx.Ctx.cx_tenant in
-                  t >= 0 && tl.tl_tenant >= 0 && t <> tl.tl_tenant)
-                tl.tl_events
-            then fail "spans disagree on tenant"
-            else if
-              List.exists
-                (fun ev ->
-                  let r = ev.Recorder.ev_ctx.Ctx.cx_request in
-                  r >= 0 && r <> tl.tl_request)
-                tl.tl_events
-            then fail "spans disagree on request id"
-            else go rest))
-    in
-    go tls
+  (* With a wrapped ring the oldest spans are gone by design: a
+     completed request missing its enqueue or start is then expected,
+     not a propagation bug.  The spans that are present are checked
+     either way. *)
+  let before a b =
+    match (a, b) with Some a, Some b -> a <= b +. 1e-9 | _ -> true
+  in
+  let ts = function Some t -> Printf.sprintf "%.6f" t | None -> "-" in
+  let rec go = function
+    | [] -> Ok ()
+    | tl :: rest ->
+      let fail msg =
+        Error (Printf.sprintf "request %d: %s" tl.tl_request msg)
+      in
+      let e, s, d = (tl.tl_enqueue, tl.tl_dequeue, tl.tl_done) in
+      if phase tl <> Completed then go rest
+      else if dropped = 0 && e = None then
+        fail "completed without a req_enqueue span"
+      else if dropped = 0 && s = None then
+        fail "completed without a req_start span"
+      else if not (before e s && before s d && before e d) then
+        fail
+          (Printf.sprintf
+             "spans out of causal order (enqueue %s, start %s, done %s)"
+             (ts e) (ts s) (ts d))
+      else if
+        (* every attributed span must agree on the tenant *)
+        List.exists
+          (fun ev ->
+            let t = ev.Recorder.ev_ctx.Ctx.cx_tenant in
+            t >= 0 && tl.tl_tenant >= 0 && t <> tl.tl_tenant)
+          tl.tl_events
+      then fail "spans disagree on tenant"
+      else if
+        List.exists
+          (fun ev ->
+            let r = ev.Recorder.ev_ctx.Ctx.cx_request in
+            r >= 0 && r <> tl.tl_request)
+          tl.tl_events
+      then fail "spans disagree on request id"
+      else go rest
+  in
+  go tls
+
+let missing_spans (tl : t) =
+  phase tl = Completed && (tl.tl_enqueue = None || tl.tl_dequeue = None)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let opt_f name = function
-  | None -> []
-  | Some v -> [ (name, Obs_json.Float v) ]
+let span_fields =
+  Doc.
+    [
+      field "ts" num (fun e -> e.Recorder.ev_ts);
+      field "domain" int (fun e -> e.Recorder.ev_domain);
+      field "kind" Recorder.kind_enum (fun e -> e.Recorder.ev_kind);
+      field "span" int (fun e -> e.Recorder.ev_ctx.Ctx.cx_span);
+      field "parent" int (fun e -> e.Recorder.ev_ctx.Ctx.cx_parent);
+    ]
 
-let timeline_to_json (tl : t) : Obs_json.t =
-  Obs_json.Obj
-    ([
-       ("request", Obs_json.Int tl.tl_request);
-       ("tenant", Obs_json.Int tl.tl_tenant);
-       ("phase", Obs_json.Str (phase_name (phase tl)));
-     ]
-    @ opt_f "enqueue_ts" tl.tl_enqueue
-    @ opt_f "dequeue_ts" tl.tl_dequeue
-    @ opt_f "done_ts" tl.tl_done
-    @ opt_f "shed_ts" tl.tl_shed
-    @ opt_f "queue_wait" (queue_wait tl)
-    @ opt_f "service_time" (service_time tl)
-    @ opt_f "total_latency" (total_latency tl)
-    @ [
-        ( "spans",
-          Obs_json.List
-            (List.map
-               (fun e ->
-                 Obs_json.Obj
-                   [
-                     ("ts", Obs_json.Float e.Recorder.ev_ts);
-                     ("domain", Obs_json.Int e.Recorder.ev_domain);
-                     ( "kind",
-                       Obs_json.Str (Recorder.kind_name e.Recorder.ev_kind)
-                     );
-                     ("span", Obs_json.Int e.Recorder.ev_ctx.Ctx.cx_span);
-                     ( "parent",
-                       Obs_json.Int e.Recorder.ev_ctx.Ctx.cx_parent );
-                   ])
-               tl.tl_events) );
-      ])
+let timeline_fields =
+  Doc.
+    [
+      field "request" nat (fun tl -> tl.tl_request);
+      field "tenant" int (fun tl -> tl.tl_tenant);
+      field "phase" (enum phase_name [ Completed; Shed; Inflight ]) phase;
+      opt "enqueue_ts" num (fun tl -> tl.tl_enqueue);
+      opt "dequeue_ts" num (fun tl -> tl.tl_dequeue);
+      opt "done_ts" num (fun tl -> tl.tl_done);
+      opt "shed_ts" num (fun tl -> tl.tl_shed);
+      opt "queue_wait" num queue_wait;
+      opt "service_time" num service_time;
+      opt "total_latency" num total_latency;
+      field "spans" (list (nested span_fields)) (fun tl -> tl.tl_events);
+    ]
 
-let doc =
-  Doc.v ~name:"timelines" "nullelim-timeline/1" @@ fun j ->
-  let ( let* ) r f = Result.bind r f in
-  let int_ge0 name =
-    match Obs_json.member name j with
-    | Some (Obs_json.Int i) when i >= 0 -> Ok i
-    | _ -> Error (Printf.sprintf "%s must be a non-negative integer" name)
+(* The document describes (dropped, timelines). *)
+let fields =
+  let count p (_, tls) =
+    List.length (List.filter (fun tl -> phase tl = p) tls)
   in
-  let* _ = int_ge0 "dropped" in
-  let* total = int_ge0 "requests" in
-  let* c = int_ge0 "completed" in
-  let* s = int_ge0 "shed" in
-  let* i = int_ge0 "inflight" in
-  let* () =
-    if c + s + i = total then Ok ()
-    else Error "completed + shed + inflight <> requests"
+  Doc.
+    [
+      field "dropped" nat fst;
+      field "requests" nat (fun (_, tls) -> List.length tls);
+      field "completed" nat (count Completed);
+      field "shed" nat (count Shed);
+      field "inflight" nat (count Inflight);
+      field "timelines" (list (nested timeline_fields)) snd;
+    ]
+
+let rules j =
+  let int name =
+    match Obs_json.member name j with Some (Obs_json.Int i) -> i | _ -> 0
   in
-  match Obs_json.member "timelines" j with
-  | Some (Obs_json.List tls) ->
-    let* n =
-      List.fold_left
-        (fun acc tl ->
-          let* n = acc in
-          let* req =
-            match Obs_json.member "request" tl with
-            | Some (Obs_json.Int r) when r >= 0 -> Ok r
-            | _ -> Error "timeline missing request id"
-          in
-          let fail msg =
-            Error (Printf.sprintf "request %d: %s" req msg)
-          in
-          let* () =
-            match Obs_json.member "phase" tl with
-            | Some (Obs_json.Str p) when phase_of_name p <> None -> Ok ()
-            | _ -> fail "phase must be completed/shed/inflight"
-          in
-          let* () =
-            match Obs_json.member "spans" tl with
-            | Some (Obs_json.List spans) ->
-              if
-                List.for_all
-                  (fun sp ->
-                    match
-                      ( Obs_json.member "ts" sp,
-                        Obs_json.member "kind" sp )
-                    with
-                    | ( Some (Obs_json.Float _ | Obs_json.Int _),
-                        Some (Obs_json.Str k) ) ->
-                      Recorder.kind_of_name k <> None
-                    | _ -> false)
-                  spans
-              then Ok ()
-              else fail "span missing ts/kind"
-            | _ -> fail "missing spans list"
-          in
-          Ok (n + 1))
-        (Ok 0) tls
-    in
-    if n = total then Ok () else Error "requests count <> timelines length"
-  | _ -> Error "missing timelines list"
+  if int "completed" + int "shed" + int "inflight" <> int "requests" then
+    Error "completed + shed + inflight <> requests"
+  else
+    match Obs_json.member "timelines" j with
+    | Some (Obs_json.List tls) when List.length tls <> int "requests" ->
+      Error "requests count <> timelines length"
+    | _ -> Ok ()
+
+let doc = Doc.v ~name:"timelines" ~rules "nullelim-timeline/1" fields
 
 let to_json ?(dropped = 0) (tls : t list) : Obs_json.t =
-  let phases = List.map phase tls in
-  let count p = List.length (List.filter (( = ) p) phases) in
-  Doc.obj doc
-    [
-      ("dropped", Obs_json.Int dropped);
-      ("requests", Obs_json.Int (List.length tls));
-      ("completed", Obs_json.Int (count Completed));
-      ("shed", Obs_json.Int (count Shed));
-      ("inflight", Obs_json.Int (count Inflight));
-      ("timelines", Obs_json.List (List.map timeline_to_json tls));
-    ]
+  Doc.obj doc (Doc.record fields (dropped, tls))

@@ -45,18 +45,17 @@ val check_complete : ?dropped:int -> t list -> (unit, string) result
 (** The structural gate the CI smoke runs on a live dump: every
     {e completed} timeline must carry enqueue, start and done spans in
     causal order, with every attributed span agreeing on the tenant and
-    request id.  When [dropped > 0] the ring wrapped — the oldest spans
-    were overwritten by design, so the check vacuously passes (the
-    flight dump's ["warning"] member reports the loss instead). *)
+    request id.  When [dropped > 0] the ring wrapped and the oldest
+    spans were overwritten by design: a completed timeline may then
+    lack its enqueue or start span ({!missing_spans}), but the spans
+    it does have must still be in causal order and agree. *)
+
+val missing_spans : t -> bool
+(** A completed timeline without its enqueue or start span. *)
 
 val doc : Doc.t
 (** ["nullelim-timeline/1"], member ["timelines"]; the check includes
     the [completed + shed + inflight = requests] tie-out. *)
 
 val to_json : ?dropped:int -> t list -> Obs_json.t
-(** The {!doc} header, then [{"dropped":D,
-      "requests":N,"completed":C,"shed":S,"inflight":I,
-      "timelines":[{"request","tenant","phase",optional
-      "enqueue_ts"/"dequeue_ts"/"done_ts"/"shed_ts"/"queue_wait"/
-      "service_time"/"total_latency","spans":[{"ts","domain","kind",
-      "span","parent"}…]}…]}]. *)
+(** The timelines and their phase counts as a {!doc} document. *)

@@ -121,52 +121,40 @@ let ordered (s : sink) =
       | c -> c)
     (List.rev s.events)
 
-let event_json (e : event) : Obs_json.t =
-  Obs_json.Obj
-    ([
-       ("name", Obs_json.Str e.ev_name);
-       ("cat", Obs_json.Str e.ev_cat);
-       ("ph", Obs_json.Str "X");
-       ("ts", Obs_json.Float e.ev_ts_us);
-       ("dur", Obs_json.Float e.ev_dur_us);
-       ("pid", Obs_json.Int 1);
-       ("tid", Obs_json.Int 1);
-     ]
-    @ match e.ev_args with [] -> [] | args -> [ ("args", Obs_json.Obj args) ])
+let event_fields =
+  Doc.
+    [
+      field "name" str (fun e -> e.ev_name);
+      field "cat" str (fun e -> e.ev_cat);
+      field "ph" str (fun _ -> "X");
+      field "ts" num (fun e -> e.ev_ts_us);
+      field "dur" num (fun e -> e.ev_dur_us);
+      field "pid" int (fun _ -> 1);
+      field "tid" int (fun _ -> 1);
+      opt "args"
+        (custom "an object"
+           (fun args -> Obs_json.Obj args)
+           (function Obs_json.Obj _ -> true | _ -> false))
+        (fun e -> if e.ev_args = [] then None else Some e.ev_args);
+    ]
+
+let fields =
+  Doc.
+    [
+      field "traceEvents" (list (nested event_fields)) Fun.id;
+      field "displayTimeUnit" str (fun _ -> "ms");
+    ]
 
 let to_json (events : event list) : Obs_json.t =
-  Obs_json.Obj
-    [
-      ("traceEvents", Obs_json.List (List.map event_json events));
-      ("displayTimeUnit", Obs_json.Str "ms");
-    ]
+  Obs_json.Obj (Doc.record fields events)
+
+let validate = Doc.check fields
 
 let write path events =
   let oc = open_out path in
   output_string oc (Obs_json.to_string (to_json events));
   output_char oc '\n';
   close_out oc
-
-let validate (j : Obs_json.t) : (unit, string) result =
-  match Obs_json.member "traceEvents" j with
-  | Some (Obs_json.List evs) ->
-    if
-      List.for_all
-        (fun e ->
-          match
-            ( Obs_json.member "name" e,
-              Obs_json.member "ph" e,
-              Obs_json.member "ts" e )
-          with
-          | Some (Obs_json.Str _), Some (Obs_json.Str _),
-            Some (Obs_json.Float _ | Obs_json.Int _) ->
-            true
-          | _ -> false)
-        evs
-    then Ok ()
-    else Error "trace event missing name/ph/ts"
-  | Some _ -> Error "traceEvents must be a list"
-  | None -> Error "missing field \"traceEvents\""
 
 let stop () =
   let st = state () in

@@ -54,5 +54,5 @@ val write : string -> event list -> unit
 (** [write path events] writes {!to_json} to [path]. *)
 
 val validate : Obs_json.t -> (unit, string) result
-(** Structural check of a trace-event file: a ["traceEvents"] list
-    whose events all carry [name], [ph] and a numeric [ts]. *)
+(** Check of a trace-event file, derived from the members {!to_json}
+    writes ({!Doc.check}). *)

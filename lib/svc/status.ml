@@ -12,6 +12,7 @@ module Slo = Nullelim_obs.Slo
 module Timeline = Nullelim_obs.Timeline
 module Json = Nullelim_obs.Obs_json
 module Doc = Nullelim_obs.Doc
+module Clock = Nullelim_obs.Clock
 
 type response = {
   rs_status : int;
@@ -102,7 +103,7 @@ let max_head = 16 * 1024
    the time left before each read (select would refuse an fd at or above
    FD_SETSIZE); a timed-out read fails with EAGAIN. *)
 let read_head fd : string option =
-  let deadline = Unix.gettimeofday () +. head_deadline_s in
+  let deadline = Clock.now () +. head_deadline_s in
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 512 in
   (* no "\r\n\r\n" starts before [from]: each scan resumes where the
@@ -116,7 +117,7 @@ let read_head fd : string option =
        || has_end (from + 1))
   in
   let rec loop from =
-    let remaining = deadline -. Unix.gettimeofday () in
+    let remaining = deadline -. Clock.now () in
     if Buffer.length buf > max_head || remaining <= 0. then None
     else
       (* a zero timeout would mean "wait forever": keep at least 1 ms *)
@@ -241,64 +242,53 @@ let stop (t : t) : unit =
 (* The observability routes                                            *)
 (* ------------------------------------------------------------------ *)
 
-let tenants_doc =
-  Doc.v ~name:"tenants" "nullelim-tenants/1"
-  @@ Doc.each "tenants" (fun t ->
-         let ( let* ) = Result.bind in
-         let* () = Doc.fields Str [ "tenant" ] t in
-         let* () = Doc.fields Int [ "submitted"; "completed"; "shed" ] t in
-         let negative n =
-           match Json.member n t with Some (Json.Int c) -> c < 0 | _ -> false
-         in
-         let number_or_null n =
-           match Json.member n t with
-           | Some Json.Null -> Ok ()
-           | _ -> Doc.fields Num [ n ] t
-         in
-         let* () =
-           if List.exists negative [ "submitted"; "completed"; "shed" ] then
-             Error "negative request count"
-           else Ok ()
-         in
-         let* () = number_or_null "queue_wait_p99" in
-         number_or_null "compile_p99")
+(* A tenant row describes (registry, tenant label). *)
+let tenant_fields =
+  let counter name (metrics, tenant) =
+    Metrics.counter_total metrics ~labels:[ ("tenant", tenant) ] name
+  in
+  let shed (metrics, tenant) =
+    (* shed counters carry an extra reason label; sum the reasons *)
+    List.fold_left
+      (fun acc reason ->
+        acc
+        + Metrics.counter_total metrics
+            ~labels:[ ("reason", reason); ("tenant", tenant) ]
+            "svc_requests_shed_total")
+      0
+      (Metrics.label_values metrics "svc_requests_shed_total" "reason")
+  in
+  let p99 name (metrics, tenant) =
+    let v =
+      Metrics.percentile metrics ~labels:[ ("tenant", tenant) ] name 0.99
+    in
+    if Float.is_nan v then None
+    else Some (if Float.is_finite v then v else 1e18)
+  in
+  Doc.
+    [
+      field "tenant" str snd;
+      field "submitted" nat (counter "svc_requests_submitted_total");
+      field "completed" nat (counter "svc_requests_completed_total");
+      field "shed" nat shed;
+      field "queue_wait_p99" (nullable num) (p99 "svc_queue_wait_seconds");
+      field "compile_p99" (nullable num) (p99 "svc_compile_seconds");
+    ]
+
+let tenants_fields =
+  Doc.
+    [
+      field "tenants" (list (nested tenant_fields)) (fun metrics ->
+          List.map
+            (fun tenant -> (metrics, tenant))
+            (Metrics.label_values metrics "svc_requests_submitted_total"
+               "tenant"));
+    ]
+
+let tenants_doc = Doc.v ~name:"tenants" "nullelim-tenants/1" tenants_fields
 
 let tenants_json (metrics : Metrics.t) : Json.t =
-  let tenants = Metrics.label_values metrics "svc_requests_submitted_total" "tenant" in
-  let per_tenant tenant =
-    let labels = [ ("tenant", tenant) ] in
-    let counter name = Metrics.counter_total metrics ~labels name in
-    let shed =
-      (* shed counters carry an extra reason label; sum the reasons *)
-      List.fold_left
-        (fun acc reason ->
-          acc
-          + Metrics.counter_total metrics
-              ~labels:(("reason", reason) :: labels)
-              "svc_requests_shed_total")
-        0
-        (Metrics.label_values metrics "svc_requests_shed_total" "reason")
-    in
-    let p99 name =
-      let v = Metrics.percentile metrics ~labels name 0.99 in
-      if Float.is_nan v then Json.Null
-      else if Float.is_finite v then Json.Float v
-      else Json.Float 1e18
-    in
-    Json.Obj
-      [
-        ("tenant", Json.Str tenant);
-        ("submitted", Json.Int (counter "svc_requests_submitted_total"));
-        ("completed", Json.Int (counter "svc_requests_completed_total"));
-        ("shed", Json.Int shed);
-        ("queue_wait_p99", p99 "svc_queue_wait_seconds");
-        ("compile_p99", p99 "svc_compile_seconds");
-      ]
-  in
-  Doc.obj tenants_doc
-    [
-      ("tenants", Json.List (List.map per_tenant tenants));
-    ]
+  Doc.obj tenants_doc (Doc.record tenants_fields metrics)
 
 let obs_routes ?(metrics = Metrics.global) ?(recorder = Recorder.global)
     ?slo () : route list =

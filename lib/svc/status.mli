@@ -82,9 +82,8 @@ val obs_routes :
       queue-wait/compile latency per tenant label. *)
 
 val tenants_doc : Nullelim_obs.Doc.t
-(** ["nullelim-tenants/1"], the [/tenants] document: [{"tenants":
-    [{"tenant","submitted","completed","shed","queue_wait_p99",
-    "compile_p99"}…]}] (a p99 is [null] before any sample). *)
+(** ["nullelim-tenants/1"], the [/tenants] document: one row of counts
+    and p99s per tenant (a p99 is [null] before any sample). *)
 
 val get : address -> string -> (int * string, string) result
 (** Minimal blocking GET against a server (the CI smoke's probe and the

@@ -2,13 +2,13 @@
    (pre-decoded, opcode-specialised operations) against
    [Interp.run_reference] (the IR-walking loop).  Both must agree on the
    full counters record, the event trace, the outcome including the
-   text of a simulation error, the profile document and the sequence of
-   [on_trap] calls — over the registry workloads at tier 0 and 2 under
-   every Windows and AIX configuration, the synchronous tiered manager,
-   generated programs, a grid of ill-typed and undefined operands for
-   every specialised shape, every fuel limit of a small program, and
-   field slots that move between objects.  Decoded code is also tied to
-   the arch it was decoded for. *)
+   text of a simulation error, the profile's site and block rows and
+   the sequence of [on_trap] calls — over the registry workloads at
+   tier 0 and 2 under every Windows and AIX configuration, the
+   synchronous tiered manager, generated programs, a grid of ill-typed
+   and undefined operands for every specialised shape, every fuel limit
+   of a small program, and field slots that move between objects.
+   Decoded code is also tied to the arch it was decoded for. *)
 
 open Nullelim
 module Profile = Obs.Profile
@@ -24,7 +24,7 @@ let aix = Arch.ppc_aix
 
 type obs = {
   r : Interp.result;
-  profile : string;            (* the profile document, or "" *)
+  profile : (Profile.site_row list * Profile.block_row list * int) option;
   traps : (string * int) list; (* on_trap calls, in order *)
 }
 
@@ -59,9 +59,9 @@ let observe ~reference ?fuel ?(profile = false) ?dispatch
     else Interp.run ?fuel ?profile:prof ?dispatch ~on_trap ~arch p args
   in
   let profile =
-    match prof with
-    | Some pr -> Json.to_string (Profile.to_json pr)
-    | None -> ""
+    Option.map
+      (fun pr -> (Profile.sites pr, Profile.blocks pr, Profile.other_traps pr))
+      prof
   in
   { r; profile; traps = List.rev !traps }
 
@@ -76,7 +76,19 @@ let check_same what (d : obs) (r : obs) =
   if c1 <> c2 then fail "counters" c1 c2;
   let trace x = Fmt.(str "%a" (list ~sep:semi Interp.pp_event) x.r.trace) in
   if d.r.trace <> r.r.trace then fail "traces" (trace d) (trace r);
-  if d.profile <> r.profile then fail "profiles" d.profile r.profile;
+  let profile x =
+    match x.profile with
+    | None -> "none"
+    | Some (sites, blocks, other) ->
+      let sum f l = List.fold_left (fun a x -> a + f x) 0 l in
+      Printf.sprintf "%d sites (%d hits), %d blocks (%d runs), %d other traps"
+        (List.length sites)
+        (sum (fun s -> s.Profile.sr_hits) sites)
+        (List.length blocks)
+        (sum (fun b -> b.Profile.br_count) blocks)
+        other
+  in
+  if d.profile <> r.profile then fail "profiles" (profile d) (profile r);
   let traps x =
     String.concat ";" (List.map (fun (f, s) -> Printf.sprintf "%s@%d" f s) x.traps)
   in

@@ -1,11 +1,13 @@
 (* Versioned JSON documents: the header every document shares, the
    registry behind `nullelim validate-json' (container members checked
-   by their own schema string, unknown schemas refused), and the body
-   checks of the native-bench and tenants documents. *)
+   by their own schema string, unknown schemas refused), the body
+   checks of the native-bench and tenants documents, and that every
+   member a writer emits is checked by its document. *)
 
 open Nullelim
 module Docs = Nullelim_experiments.Docs
 module NB = Nullelim_experiments.Native_bench
+module Fuzz_report = Nullelim_gen.Report
 
 let accepts what d j =
   match Obs.Doc.validate d j with
@@ -112,8 +114,7 @@ let test_unrecognised_file () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "trace file: %s" e
 
-let test_native_bench_doc () =
-  let r =
+let native_sample =
     {
       NB.nb_arch = "ia32-windows";
       nb_checks = 800;
@@ -127,8 +128,9 @@ let test_native_bench_doc () =
       nb_model_explicit_check_ns = 3.3;
       nb_implicit_check_instrs = 0;
     }
-  in
-  let ok = NB.to_json r in
+
+let test_native_bench_doc () =
+  let ok = NB.to_json native_sample in
   accepts "available: true" NB.doc ok;
   accepts "available: false" NB.doc (NB.unavailable_json "no cc");
   (* a real measurement, or the real fallback on hosts without one *)
@@ -159,6 +161,141 @@ let test_tenants_doc () =
   rejects "a negative count" d (Obs.Doc.obj d [ ("tenants", Json.List [ tenant (-1) ]) ]);
   rejects "no tenant list" d (Obs.Doc.obj d [])
 
+(* One written document per registered schema: the committed baseline's
+   members, and documents built here for the rest. *)
+let written () =
+  let b = baseline () in
+  let module M = Obs.Metrics in
+  let m = M.create () in
+  let tenant = [ ("tenant", "0") ] in
+  M.inc (M.counter m ~labels:tenant "svc_requests_submitted_total") 3;
+  M.inc (M.counter m ~labels:tenant "svc_requests_completed_total") 2;
+  M.inc
+    (M.counter m
+       ~labels:(("reason", "queue_full") :: tenant)
+       "svc_requests_shed_total")
+    1;
+  List.iter
+    (fun name -> M.observe (M.histogram m ~labels:tenant name) 0.002)
+    [ "svc_queue_wait_seconds"; "svc_compile_seconds" ];
+  M.set (M.gauge m "depth") 2.;
+  (* a small ring that wraps, so the dump carries its warning *)
+  let r = Obs.Recorder.create ~capacity:4 () in
+  let ctx = Obs.Ctx.mint ~tenant:0 ~request:0 () in
+  List.iter
+    (fun kind -> Obs.Recorder.record ~ctx ~a:0 r kind)
+    Obs.Recorder.[ Mark; Mark; Req_enqueue; Req_start; Req_done ];
+  let tls = Obs.Timeline.of_events (Obs.Recorder.dump r) in
+  let slo =
+    Obs.Slo.create m
+      [
+        Obs.Slo.latency ~name:"lat" ~metric:"svc_compile_seconds"
+          ~threshold:0.01 ~target:0.99;
+        Obs.Slo.availability ~name:"avail" ~good:"svc_requests_completed_total"
+          ~bad:"svc_requests_shed_total" ~target:0.99;
+      ]
+  in
+  Obs.Slo.tick ~now:0. slo;
+  let tenants =
+    let route = List.assoc "/tenants" (Status.obs_routes ~metrics:m ()) in
+    match Json.of_string (route ()).Status.rs_body with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "/tenants: %s" e
+  in
+  let fuzz =
+    {
+      Fuzz_report.fz_seed = 42;
+      fz_count = 1;
+      fz_gen_version = 1;
+      fz_size = 24;
+      fz_arch = "ia32-windows";
+      fz_jobs = 0;
+      fz_mutate = false;
+      fz_passed = 0;
+      fz_skipped = 0;
+      fz_failed = 1;
+      fz_pool_compiles = 0;
+      fz_cache_hits = 0;
+      fz_seconds = 0.25;
+      fz_distribution = Fuzz_report.empty_distribution;
+      fz_failures =
+        [
+          {
+            Fuzz_report.fr_seed = 17;
+            fr_oracle = "behaviour";
+            fr_config = "new-full";
+            fr_detail = "trace mismatch";
+            fr_shrunk = Some (10, 446, "func main() { ... }");
+          };
+        ];
+    }
+  in
+  [
+    member "dynamic" b;
+    member "tiered" b;
+    member "loadgen" b;
+    Obs.Metrics.snapshot m;
+    Obs.Recorder.to_json r;
+    Obs.Timeline.to_json ~dropped:(Obs.Recorder.dropped r) tls;
+    Obs.Slo.to_json ~now:0. slo;
+    tenants;
+    NB.to_json native_sample;
+    NB.unavailable_json "no cc";
+    Fuzz_report.to_json fuzz;
+  ]
+
+(* Every member at the top, and down through nested objects and the
+   first element of every list, replaced by a value of another type: a
+   string by 0, anything else by "corrupt". *)
+let corruptions (j : Json.t) : (string * Json.t) list =
+  let bad = function Json.Str _ -> Json.Int 0 | _ -> Json.Str "corrupt" in
+  let rec go path j =
+    let inside path v rebuild =
+      (path, rebuild (bad v))
+      :: List.map (fun (p, v') -> (p, rebuild v')) (go path v)
+    in
+    match j with
+    | Json.Obj fields ->
+      List.concat_map
+        (fun (k, v) ->
+          inside (if path = "" then k else path ^ "." ^ k) v (fun v' ->
+              Json.Obj
+                (List.map
+                   (fun (k', x) -> if k' = k then (k, v') else (k', x))
+                   fields)))
+        fields
+    | Json.List (x :: rest) ->
+      inside (path ^ "[0]") x (fun x' -> Json.List (x' :: rest))
+    | _ -> []
+  in
+  go "" j
+
+let test_every_member_checked () =
+  let docs = written () in
+  let doc_of j =
+    match Json.member "schema" j with
+    | Some (Json.Str s) -> List.find (fun d -> Obs.Doc.schema d = s) Docs.all
+    | _ -> Alcotest.fail "written document without a schema"
+  in
+  Alcotest.(check (list string)) "one written document per schema"
+    (List.sort compare (List.map Obs.Doc.schema Docs.all))
+    (List.sort_uniq compare
+       (List.map (fun j -> Obs.Doc.schema (doc_of j)) docs));
+  let accepted =
+    List.concat_map
+      (fun j ->
+        let d = doc_of j in
+        accepts (Obs.Doc.schema d) d j;
+        List.filter_map
+          (fun (path, j') ->
+            match Obs.Doc.validate d j' with
+            | Ok () -> Some (Obs.Doc.schema d ^ " " ^ path)
+            | Error _ -> None)
+          (corruptions j))
+      docs
+  in
+  Alcotest.(check (list string)) "corrupted members accepted" [] accepted
+
 let () =
   Alcotest.run "docs"
     [
@@ -170,6 +307,8 @@ let () =
           Alcotest.test_case "bench container, schema-less fuzz" `Quick
             test_bench_container;
           Alcotest.test_case "unrecognised file" `Quick test_unrecognised_file;
+          Alcotest.test_case "every emitted member is checked" `Quick
+            test_every_member_checked;
         ] );
       ( "bodies",
         [

@@ -226,6 +226,95 @@ let test_flight_schema_roundtrip () =
   Alcotest.(check int) "trace instants" 4
     (List.length (Recorder.to_trace r))
 
+(* Events are stamped on Obs.Clock, and a dump keeps enough digits:
+   re-reading it and re-slicing reproduces every request's queue wait
+   and service time to within the rounding of its timestamps to 12
+   significant digits. *)
+let test_flight_timelines_roundtrip () =
+  let r = Recorder.create ~capacity:64 () in
+  for req = 0 to 4 do
+    let ctx = Obs.Ctx.mint ~tenant:0 ~request:req () in
+    Recorder.record ~ctx ~a:req r Recorder.Req_enqueue;
+    Unix.sleepf 0.001;
+    Recorder.record ~ctx ~a:req r Recorder.Req_start;
+    Unix.sleepf 0.002;
+    Recorder.record ~ctx ~a:req r Recorder.Req_done
+  done;
+  let now = Obs.Clock.now () in
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "stamped on Obs.Clock" true
+        (now -. e.Recorder.ev_ts >= 0. && now -. e.Recorder.ev_ts < 10.))
+    (Recorder.dump r);
+  let reread =
+    match Json.of_string (Json.to_string (Recorder.to_json r)) with
+    | Error e -> Alcotest.failf "flight reparse: %s" e
+    | Ok j -> (
+      match Recorder.events_of_json j with
+      | Ok (evs, _) -> Obs.Timeline.of_events evs
+      | Error e -> Alcotest.failf "flight decode: %s" e)
+  in
+  let live = Obs.Timeline.of_events (Recorder.dump r) in
+  Alcotest.(check int) "requests" 5 (List.length reread);
+  List.iter2
+    (fun (a : Obs.Timeline.t) (b : Obs.Timeline.t) ->
+      (* two stamps, each off by at most half a unit in the 12th digit *)
+      let tol = 1e-11 *. Float.abs (Option.get a.Obs.Timeline.tl_done) in
+      let close what x y =
+        match (x, y) with
+        | Some x, Some y ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %.9f vs %.9f" what x y)
+            true
+            (Float.abs (x -. y) <= tol)
+        | _ ->
+          Alcotest.failf "request %d lost its %s" a.Obs.Timeline.tl_request
+            what
+      in
+      close "queue wait" (Obs.Timeline.queue_wait a)
+        (Obs.Timeline.queue_wait b);
+      close "service time" (Obs.Timeline.service_time a)
+        (Obs.Timeline.service_time b))
+    live reread
+
+(* After drops a completed request may lack its enqueue, but the spans
+   it has must still be in causal order. *)
+let test_gate_after_drops () =
+  let ev ts kind req =
+    {
+      Recorder.ev_ts = ts;
+      ev_domain = 0;
+      ev_kind = kind;
+      ev_a = req;
+      ev_b = 0;
+      ev_ctx =
+        {
+          Obs.Ctx.cx_tenant = 0;
+          cx_request = req;
+          cx_span = req;
+          cx_parent = -1;
+        };
+    }
+  in
+  let lost_enqueue =
+    [ ev 1. Recorder.Req_start 1; ev 2. Recorder.Req_done 1 ]
+  in
+  let inverted =
+    [
+      ev 1. Recorder.Req_enqueue 2; ev 3. Recorder.Req_start 2;
+      ev 2. Recorder.Req_done 2;
+    ]
+  in
+  let gate ~dropped evs =
+    Obs.Timeline.check_complete ~dropped (Obs.Timeline.of_events evs)
+  in
+  Alcotest.(check bool) "a lost enqueue passes after drops" true
+    (Result.is_ok (gate ~dropped:3 lost_enqueue));
+  Alcotest.(check bool) "a lost enqueue fails without drops" true
+    (Result.is_error (gate ~dropped:0 lost_enqueue));
+  Alcotest.(check bool) "an inverted request fails after drops" true
+    (Result.is_error (gate ~dropped:3 (lost_enqueue @ inverted)))
+
 (* ------------------------------------------------------------------ *)
 (* Load generator                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -311,6 +400,10 @@ let () =
             test_cross_domain_merge;
           Alcotest.test_case "flight schema roundtrip" `Quick
             test_flight_schema_roundtrip;
+          Alcotest.test_case "dump keeps timelines" `Quick
+            test_flight_timelines_roundtrip;
+          Alcotest.test_case "gate checks order after drops" `Quick
+            test_gate_after_drops;
         ] );
       ( "loadgen",
         [

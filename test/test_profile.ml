@@ -83,53 +83,8 @@ let test_elim_rows () =
     (full.PR.er_pct_eliminated > 0.)
 
 (* ------------------------------------------------------------------ *)
-(* Schema round-trips                                                  *)
+(* The dynamic document                                                *)
 (* ------------------------------------------------------------------ *)
-
-let test_profile_schema_roundtrip () =
-  let w = Option.get (Registry.find "fourier") in
-  let r = PR.collect ~scale:1 ~arch Config.new_full w in
-  let j = Obs.Profile.to_json r.PR.pr_profile in
-  (* serialized and reparsed, the snapshot still validates *)
-  let s = Json.to_string j in
-  (match Json.of_string s with
-  | Error e -> Alcotest.failf "profile snapshot does not reparse: %s" e
-  | Ok j' -> (
-    match Obs.Doc.validate Obs.Profile.doc j' with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "profile snapshot does not validate: %s" e));
-  (* wrong schema string is rejected *)
-  (match
-     Obs.Doc.validate Obs.Profile.doc
-       (Json.Obj [ ("schema", Json.Str "nullelim-profile/999") ])
-   with
-  | Ok () -> Alcotest.fail "bad schema accepted"
-  | Error _ -> ());
-  (* a site row with an unknown kind is rejected *)
-  let corrupt =
-    Obs.Doc.obj Obs.Profile.doc
-      [
-        ( "sites",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("site", Json.Int 0);
-                  ("func", Json.Str "f");
-                  ("kind", Json.Str "telepathic");
-                  ("hits", Json.Int 1);
-                  ("npe", Json.Int 0);
-                  ("traps", Json.Int 0);
-                  ("misses", Json.Int 0);
-                ];
-            ] );
-        ("blocks", Json.List []);
-        ("other_traps", Json.Int 0);
-      ]
-  in
-  match Obs.Doc.validate Obs.Profile.doc corrupt with
-  | Ok () -> Alcotest.fail "unknown check kind accepted"
-  | Error _ -> ()
 
 let test_dynamic_schema () =
   let w = Option.get (Registry.find "bitfield") in
@@ -300,8 +255,6 @@ let () =
         [ Alcotest.test_case "table shape" `Quick test_elim_rows ] );
       ( "schema",
         [
-          Alcotest.test_case "profile round-trip" `Quick
-            test_profile_schema_roundtrip;
           Alcotest.test_case "dynamic document" `Quick test_dynamic_schema;
         ] );
       ( "baseline",

@@ -159,7 +159,7 @@ let test_healthz_failing () =
   in
   (* seed a baseline sample well in the past so the probe's own tick
      sees the 100 errors inside both windows *)
-  Slo.tick ~now:(Unix.gettimeofday () -. 30.) slo;
+  Slo.tick ~now:(Obs.Clock.now () -. 30.) slo;
   Metrics.inc (Metrics.counter metrics "bad_total") 100;
   let srv =
     Status.serve (Status.obs_routes ~metrics ~recorder:Recorder.global ~slo ())
