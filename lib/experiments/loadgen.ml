@@ -92,15 +92,22 @@ let corpus () : Svc.job list =
         (w.W.build ~scale:1))
     (Registry.all ())
 
+(* One serial pass's mean compile time varies by a factor of four from
+   run to run on a shared host, and the normalized p99 divides by it;
+   the median of five passes' means takes that noise out. *)
 let calibrate (jobs : Svc.job list) : calibration =
   if jobs = [] then invalid_arg "Loadgen.calibrate: empty corpus";
-  let outcomes = Svc.compile_serial jobs in
-  let total =
-    List.fold_left (fun acc o -> acc +. o.Svc.oc_seconds) 0. outcomes
+  let n = List.length jobs in
+  let pass_mean _ =
+    List.fold_left
+      (fun acc o -> acc +. o.Svc.oc_seconds)
+      0. (Svc.compile_serial jobs)
+    /. float_of_int n
   in
-  let mean = max 1e-9 (total /. float_of_int (List.length jobs)) in
+  let means = List.sort compare (List.init 5 pass_mean) in
+  let mean = max 1e-9 (List.nth means 2) in
   {
-    cal_jobs = List.length jobs;
+    cal_jobs = n;
     cal_mean_seconds = mean;
     cal_base_rate = 1. /. mean;
   }

@@ -13,9 +13,9 @@
     lag and queue wait both count, which is what makes the reported
     percentiles honest under overload.
 
-    {!sweep} first calibrates the corpus (serial compiles → mean
-    seconds per request, giving the service's theoretical per-domain
-    capacity), then replays the schedule at a list of rate multipliers
+    {!sweep} first calibrates the corpus (serial compiles → median of
+    five passes' mean seconds per request, giving the service's
+    theoretical per-domain capacity), then replays the schedule at a list of rate multipliers
     of that capacity, reporting throughput and p50/p90/p99/p999 per
     rate.  Exact percentiles come from sorting the latency sample;
     every latency is also observed into a log-bucketed
@@ -91,7 +91,8 @@ type t = {
 }
 
 val calibrate : Svc.job list -> calibration
-(** Serially compile every job once and average. *)
+(** Serially compile every job five times over; the mean compile time
+    is the median of the five passes' means. *)
 
 val corpus : unit -> Svc.job list
 (** Every registry workload at scale 1 under [Config.new_full] for the

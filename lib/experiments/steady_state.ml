@@ -22,9 +22,8 @@
     Collection is synchronous (no domains) by default — bit-for-bit
     deterministic, which is what the committed baseline diffs against.
     {!collect} also accepts a running {!Svc.t}; then recompilations
-    overlap execution on the pool and the row additionally proves the
-    no-stop-the-world property ([ss_awaits = 0]: the serving thread
-    polled, never blocked).  Before the final run the collector waits
+    overlap execution on the pool (the serving path only polls, see
+    {!Tier.dispatch}).  Before the final run the collector waits
     for the recompiles still in flight ({!Tier.settle}) but leaves
     installing them to the serving path, so [steady] counts tiered code
     in both modes and an async row still proves that installs land
@@ -70,7 +69,6 @@ type row = {
   ss_submitted : int;
   ss_queue_full : int;
   ss_traps : int;
-  ss_awaits : int;          (** serving-thread blocking waits: always 0 *)
   ss_served_installs : int option;
       (** with a service: installs made by the serving path, i.e.
           before the final {!Tier.drain}; [None] in sync mode *)
@@ -167,7 +165,6 @@ let collect ?svc ?(config = Config.new_full) ?(runs = default_runs)
     ss_submitted = s.Tier.st_submitted;
     ss_queue_full = s.Tier.st_queue_full;
     ss_traps = s.Tier.st_traps;
-    ss_awaits = s.Tier.st_awaits;
     ss_served_installs = Option.map (fun _ -> served) svc;
     ss_recompile_seconds = s.Tier.st_recompile_seconds;
   }
@@ -181,9 +178,8 @@ let collect_all ?svc ?config ?runs ~(arch : Arch.t) () : row list =
 
 (** On every workload where the full pipeline eliminates checks, the
     steady state must execute strictly fewer explicit checks than tier
-    0 — and the serving thread must never have blocked.  With a
-    service, a workload that promoted anything must have installed
-    some of it through the serving path. *)
+    0.  With a service, a workload that promoted anything must have
+    installed some of it through the serving path. *)
 let check_rows (rows : row list) : (unit, string list) result =
   let errs =
     List.concat_map
@@ -199,14 +195,6 @@ let check_rows (rows : row list) : (unit, string list) result =
           else []
         in
         let e2 =
-          if r.ss_awaits > 0 then
-            [
-              Printf.sprintf "%s: serving thread blocked %d times on the pool"
-                r.ss_workload r.ss_awaits;
-            ]
-          else []
-        in
-        let e3 =
           match r.ss_served_installs with
           | Some 0 when r.ss_promotions > 0 ->
             [
@@ -216,7 +204,7 @@ let check_rows (rows : row list) : (unit, string list) result =
             ]
           | _ -> []
         in
-        e1 @ e2 @ e3)
+        e1 @ e2)
       rows
   in
   if errs = [] then Ok () else Error errs
@@ -471,7 +459,6 @@ let row_fields =
       field "submitted" int (fun r -> r.ss_submitted);
       field "queue_full" int (fun r -> r.ss_queue_full);
       field "traps" int (fun r -> r.ss_traps);
-      field "awaits" int (fun r -> r.ss_awaits);
       field "recompile_seconds" num (fun r -> r.ss_recompile_seconds);
     ]
 

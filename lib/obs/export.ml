@@ -1,5 +1,5 @@
 (* See export.mli.  The renderer works straight off the registry's
-   merged reads (not the JSON snapshot) so bucket counts can be
+   {!Metrics.values} (not the JSON snapshot) so bucket counts can be
    accumulated into the cumulative form Prometheus requires without a
    JSON round-trip; [lint] closes the loop by checking any exposition
    text — ours or a server's — against the format rules the tests and
@@ -66,20 +66,15 @@ let render_float (v : float) : string =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type series =
-  | Scounter of Metrics.labels * int
-  | Sgauge of Metrics.labels * float
-  | Shistogram of Metrics.labels * float array * int array * int * float
-
-let render_series (b : Buffer.t) name = function
-  | Scounter (labels, v) ->
+let render_series (b : Buffer.t) name labels = function
+  | Metrics.Vcounter v ->
     Buffer.add_string b
       (Printf.sprintf "%s%s %d\n" name (render_labels labels) v)
-  | Sgauge (labels, v) ->
+  | Metrics.Vgauge v ->
     Buffer.add_string b
       (Printf.sprintf "%s%s %s\n" name (render_labels labels)
          (render_float v))
-  | Shistogram (labels, buckets, counts, count, sum) ->
+  | Metrics.Vhistogram (buckets, counts, count, sum) ->
     (* the registry stores per-bucket counts; the exposition format
        wants cumulative-to-le, ending at le="+Inf" = _count *)
     let cum = ref 0 in
@@ -102,67 +97,29 @@ let render_series (b : Buffer.t) name = function
       (Printf.sprintf "%s_count%s %d\n" name (render_labels labels) count)
 
 let render (r : Metrics.t) : string =
-  let snap = Metrics.snapshot r in
-  (* Re-read the registry for the values (merged, exact after
-     quiescence); the snapshot only supplies the deterministic ordered
-     universe of (name, labels, kind). *)
-  let collect section of_json =
-    match Obs_json.member section snap with
-    | Some (Obs_json.List xs) -> List.filter_map of_json xs
-    | _ -> []
-  in
-  let name_labels o =
-    match (Obs_json.member "name" o, Obs_json.member "labels" o) with
-    | Some (Obs_json.Str n), Some (Obs_json.Obj kvs) ->
-      Some
-        ( n,
-          List.filter_map
-            (fun (k, v) ->
-              match v with Obs_json.Str s -> Some (k, s) | _ -> None)
-            kvs )
-    | _ -> None
-  in
-  let counters =
-    collect "counters" (fun o ->
-        Option.map
-          (fun (n, labels) ->
-            (n, Scounter (labels, Metrics.counter_total r ~labels n)))
-          (name_labels o))
-  in
-  let gauges =
-    collect "gauges" (fun o ->
-        match (name_labels o, Obs_json.member "value" o) with
-        | Some (n, labels), Some (Obs_json.Float v) ->
-          Some (n, Sgauge (labels, v))
-        | Some (n, labels), Some (Obs_json.Int v) ->
-          Some (n, Sgauge (labels, float_of_int v))
-        | _ -> None)
-  in
-  let histograms =
-    collect "histograms" (fun o ->
-        Option.bind (name_labels o) (fun (n, labels) ->
-            Option.map
-              (fun (buckets, counts, count, sum) ->
-                (n, Shistogram (labels, buckets, counts, count, sum)))
-              (Metrics.histogram_merged r ~labels n)))
-  in
+  let values = Metrics.values r in
   let b = Buffer.create 4096 in
-  let emit_family tname series =
+  let emit_family tname keep =
     (* one # TYPE header per family, series grouped beneath it *)
     let last = ref "" in
     List.iter
-      (fun (name, s) ->
-        let name = sanitize_name name in
-        if name <> !last then begin
-          Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name tname);
-          last := name
-        end;
-        render_series b name s)
-      series
+      (fun ((name, labels), v) ->
+        if keep v then begin
+          let name = sanitize_name name in
+          if name <> !last then begin
+            Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name tname);
+            last := name
+          end;
+          render_series b name labels v
+        end)
+      values
   in
-  emit_family "counter" counters;
-  emit_family "gauge" gauges;
-  emit_family "histogram" histograms;
+  emit_family "counter" (function Metrics.Vcounter _ -> true | _ -> false);
+  (* a gauge never set to a number (NaN) has no sample to expose *)
+  emit_family "gauge" (function
+    | Metrics.Vgauge v -> not (Float.is_nan v)
+    | _ -> false);
+  emit_family "histogram" (function Metrics.Vhistogram _ -> true | _ -> false);
   Buffer.contents b
 
 let content_type = "text/plain; version=0.0.4; charset=utf-8"

@@ -14,70 +14,35 @@
     asking with a different type is a programming error
     ([Invalid_argument]).
 
-    Domain safety (see DESIGN.md §14): the registry is sharded
-    per domain.  Counters and histograms live in domain-local shards
-    ({!Domain_shard}) so the hot mutation path is a plain unsynchronized
-    write — no lock, no CAS — and {!snapshot} / the [_total] readers
-    merge all shards by summation.  Gauges have set-semantics (a sum of
-    per-domain values is meaningless), so each gauge is a single shared
-    [Atomic.t] cell.  Cross-domain reads of live cells are racy word
-    reads — never torn, but possibly missing in-flight bumps; after the
-    writing domains quiesce (join, pool shutdown) merged values are
-    exact. *)
+    Domain safety (see DESIGN.md §14): one table per registry behind
+    one mutex.  The first registration of a key fixes its kind (and a
+    histogram's bucket bounds); every domain then shares the one
+    instrument.  Counters and gauges are [Atomic.t] cells; a
+    histogram's counts and sum change under the registry's mutex, so
+    every read is exact even while writers are live.  The mutex is a
+    leaf: nothing is called while it is held. *)
 
 type labels = (string * string) list
 
-(* Central per-registry spec of every instrument ever registered:
-   enforces kind consistency across domains and fixes a histogram's
-   bucket bounds at first registration. *)
-type kind =
-  | Kcounter
-  | Kgauge
-  | Khistogram of float array  (* upper bounds, ascending; +inf implicit *)
-
-(* Domain-local cells.  Mutated only by the owning domain. *)
-type hcells = {
-  hbuckets : float array;       (* shared spec array, never written *)
+type histogram = {
+  hm : Mutex.t;                 (* the registry's mutex *)
+  hbuckets : float array;       (* upper bounds, ascending; +inf implicit *)
   hcounts : int array;          (* length = Array.length hbuckets + 1 *)
   mutable hcount : int;
   mutable hsum : float;
 }
 
-type cell = Ccounter of int ref | Chistogram of hcells
+type instrument =
+  | Counter of int Atomic.t
+  | Gauge of float Atomic.t
+  | Histogram of histogram
 
-type shard = {
-  sh_tbl : (string * labels, cell) Hashtbl.t;
-  sh_m : Mutex.t;
-      (* Guards structural mutation of [sh_tbl] against cross-domain
-         snapshot traversal.  The owning domain's lookups need no lock:
-         only the owner inserts, and traversals don't mutate. *)
-}
+type t = { m : Mutex.t; tbl : (string * labels, instrument) Hashtbl.t }
 
-module Shards = Domain_shard.Make (struct
-  type nonrec shard = shard
+type counter = int Atomic.t
+type gauge = float Atomic.t
 
-  let create ~owner_uid:_ ~domain:_ =
-    { sh_tbl = Hashtbl.create 32; sh_m = Mutex.create () }
-end)
-
-type t = {
-  owner : Shards.owner;
-  rm : Mutex.t;                 (* guards [specs] and [gauges] *)
-  specs : (string * labels, kind) Hashtbl.t;
-  gauges : (string * labels, float Atomic.t) Hashtbl.t;
-}
-
-type counter = int ref          (* the calling domain's cell *)
-type gauge = float Atomic.t     (* shared across domains *)
-type histogram = hcells         (* the calling domain's cells *)
-
-let create () : t =
-  {
-    owner = Shards.create ();
-    rm = Mutex.create ();
-    specs = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-  }
+let create () : t = { m = Mutex.create (); tbl = Hashtbl.create 32 }
 
 (** A process-wide default registry, for callers that do not thread their
     own. *)
@@ -86,66 +51,41 @@ let global : t = create ()
 let norm_labels (labels : labels) : labels =
   List.sort_uniq compare labels
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let kind_error name want =
   invalid_arg
     (Printf.sprintf "Metrics: %s already registered with a different type (wanted %s)"
        name want)
 
-(* Register (or fetch) the canonical spec for a key; the first
-   registration wins, later ones must agree on the constructor.  [mk]
-   runs only on first registration. *)
-let register_spec (r : t) key (mk : unit -> kind) : kind =
-  with_lock r.rm (fun () ->
-      match Hashtbl.find_opt r.specs key with
-      | Some k0 -> k0
+(* The instrument registered under [key], registering [mk ()] first if
+   there is none: the first registration wins. *)
+let find_or_add (r : t) key (mk : unit -> instrument) : instrument =
+  Mutex.protect r.m (fun () ->
+      match Hashtbl.find_opt r.tbl key with
+      | Some i -> i
       | None ->
-        let k = mk () in
-        Hashtbl.replace r.specs key k;
-        k)
+        let i = mk () in
+        Hashtbl.add r.tbl key i;
+        i)
 
-(* The calling domain's cell for [key], if it has one: the lookup every
-   repeated [counter]/[histogram] call ends at.  A cell exists only
-   after its spec was registered, so the spec's lock is not needed. *)
-let find_my_cell (r : t) key : cell option =
-  Hashtbl.find_opt (Shards.my_shard r.owner).sh_tbl key
-
-(* Install the calling domain's cell for [key].  Insertion excludes
-   concurrent snapshot traversal. *)
-let add_my_cell (r : t) key (c : cell) =
-  let sh = Shards.my_shard r.owner in
-  with_lock sh.sh_m (fun () -> Hashtbl.replace sh.sh_tbl key c)
+let find (r : t) ?(labels = []) name : instrument option =
+  let key = (name, norm_labels labels) in
+  Mutex.protect r.m (fun () -> Hashtbl.find_opt r.tbl key)
 
 let counter (r : t) ?(labels = []) name : counter =
-  let key = (name, norm_labels labels) in
-  match find_my_cell r key with
-  | Some (Ccounter c) -> c
-  | Some (Chistogram _) -> kind_error name "counter"
-  | None -> (
-    match register_spec r key (fun () -> Kcounter) with
-    | Kgauge | Khistogram _ -> kind_error name "counter"
-    | Kcounter ->
-      let c = ref 0 in
-      add_my_cell r key (Ccounter c);
-      c)
+  match
+    find_or_add r (name, norm_labels labels) (fun () -> Counter (Atomic.make 0))
+  with
+  | Counter c -> c
+  | Gauge _ | Histogram _ -> kind_error name "counter"
 
-let inc (c : counter) n = c := !c + n
-let counter_value (c : counter) = !c
+let inc (c : counter) n = ignore (Atomic.fetch_and_add c n)
 
 let gauge (r : t) ?(labels = []) name : gauge =
-  let key = (name, norm_labels labels) in
-  with_lock r.rm (fun () ->
-      match Hashtbl.find_opt r.specs key with
-      | Some (Kcounter | Khistogram _) -> kind_error name "gauge"
-      | Some Kgauge -> Hashtbl.find r.gauges key
-      | None ->
-        Hashtbl.replace r.specs key Kgauge;
-        let g = Atomic.make 0. in
-        Hashtbl.replace r.gauges key g;
-        g)
+  match
+    find_or_add r (name, norm_labels labels) (fun () -> Gauge (Atomic.make 0.))
+  with
+  | Gauge g -> g
+  | Counter _ | Histogram _ -> kind_error name "gauge"
 
 let set (g : gauge) v = Atomic.set g v
 
@@ -172,95 +112,58 @@ let log_buckets ~lo ~hi ~per_decade : float array =
 
 let histogram (r : t) ?(labels = []) ?(buckets = default_buckets) name :
     histogram =
-  let key = (name, norm_labels labels) in
-  match find_my_cell r key with
-  | Some (Chistogram h) -> h
-  | Some (Ccounter _) -> kind_error name "histogram"
-  | None -> (
-    let sorted () =
-      let b = Array.copy buckets in
-      Array.sort compare b;
-      Khistogram b
-    in
-    match register_spec r key sorted with
-    | Kcounter | Kgauge -> kind_error name "histogram"
-    | Khistogram canonical ->
-      let h =
-        { hbuckets = canonical;
-          hcounts = Array.make (Array.length canonical + 1) 0;
-          hcount = 0; hsum = 0. }
-      in
-      add_my_cell r key (Chistogram h);
-      h)
+  let mk () =
+    let b = Array.copy buckets in
+    Array.sort compare b;
+    Histogram
+      { hm = r.m; hbuckets = b; hcounts = Array.make (Array.length b + 1) 0;
+        hcount = 0; hsum = 0. }
+  in
+  match find_or_add r (name, norm_labels labels) mk with
+  | Histogram h -> h
+  | Counter _ | Gauge _ -> kind_error name "histogram"
 
 let observe (h : histogram) v =
   let nb = Array.length h.hbuckets in
   let rec slot k = if k >= nb || v <= h.hbuckets.(k) then k else slot (k + 1) in
   let k = slot 0 in
+  Mutex.lock h.hm;
   h.hcounts.(k) <- h.hcounts.(k) + 1;
   h.hcount <- h.hcount + 1;
-  h.hsum <- h.hsum +. v
-
-let histogram_count (h : histogram) = h.hcount
+  h.hsum <- h.hsum +. v;
+  Mutex.unlock h.hm
 
 (* ------------------------------------------------------------------ *)
-(* Merged (cross-domain) reads                                         *)
+(* Reads                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Fold [f] over every shard's cell for [key].  Shard locks exclude
-   concurrent structural insertion during the lookup; the cell reads
-   themselves are unsynchronized word reads. *)
-let fold_cells (r : t) key (f : 'a -> cell -> 'a) (init : 'a) : 'a =
-  List.fold_left
-    (fun acc sh ->
-      match with_lock sh.sh_m (fun () -> Hashtbl.find_opt sh.sh_tbl key) with
-      | Some c -> f acc c
-      | None -> acc)
-    init
-    (Shards.shards r.owner)
+let counter_total (r : t) ?labels name : int =
+  match find r ?labels name with Some (Counter c) -> Atomic.get c | _ -> 0
 
-let counter_total (r : t) ?(labels = []) name : int =
-  let key = (name, norm_labels labels) in
-  fold_cells r key
-    (fun acc c -> match c with Ccounter c -> acc + !c | Chistogram _ -> acc)
-    0
+(* (bucket bounds, per-bucket counts, total count, sum), copied in one
+   critical section. *)
+let read_hist (h : histogram) : float array * int array * int * float =
+  Mutex.protect h.hm (fun () ->
+      (h.hbuckets, Array.copy h.hcounts, h.hcount, h.hsum))
 
-(* Merged histogram for [key]: (bucket bounds, per-bucket counts, total
-   count, sum).  None if no histogram is registered under the key. *)
-let merged_histogram (r : t) key : (float array * int array * int * float) option =
-  match with_lock r.rm (fun () -> Hashtbl.find_opt r.specs key) with
-  | Some (Khistogram buckets) ->
-    let counts = Array.make (Array.length buckets + 1) 0 in
-    let n = ref 0 and sum = ref 0. in
-    fold_cells r key
-      (fun () c ->
-        match c with
-        | Chistogram h ->
-          Array.iteri (fun k v -> counts.(k) <- counts.(k) + v) h.hcounts;
-          n := !n + h.hcount;
-          sum := !sum +. h.hsum
-        | Ccounter _ -> ())
-      ();
-    Some (buckets, counts, !n, !sum)
-  | Some (Kcounter | Kgauge) | None -> None
+let histogram_merged (r : t) ?labels name :
+    (float array * int array * int * float) option =
+  match find r ?labels name with
+  | Some (Histogram h) -> Some (read_hist h)
+  | _ -> None
 
-let histogram_total_count (r : t) ?(labels = []) name : int =
-  match merged_histogram r (name, norm_labels labels) with
+let histogram_total_count (r : t) ?labels name : int =
+  match histogram_merged r ?labels name with
   | Some (_, _, n, _) -> n
   | None -> 0
 
-let histogram_merged (r : t) ?(labels = []) name :
-    (float array * int array * int * float) option =
-  merged_histogram r (name, norm_labels labels)
-
-(* Every registered (labels) variant of [name], in registration-spec
-   (sorted-key) order.  Lets callers enumerate e.g. the tenants a
-   labelled family has accumulated. *)
+(* Every registered (labels) variant of [name], sorted.  Lets callers
+   enumerate e.g. the tenants a labelled family has accumulated. *)
 let instruments (r : t) name : labels list =
-  with_lock r.rm (fun () ->
+  Mutex.protect r.m (fun () ->
       Hashtbl.fold
         (fun (n, labels) _ acc -> if n = name then labels :: acc else acc)
-        r.specs [])
+        r.tbl [])
   |> List.sort compare
 
 let label_values (r : t) name key : string list =
@@ -268,7 +171,7 @@ let label_values (r : t) name key : string list =
   |> List.filter_map (fun labels -> List.assoc_opt key labels)
   |> List.sort_uniq compare
 
-(* Sum of [name] across every label set and every domain. *)
+(* Sum of [name] across every label set. *)
 let counter_total_any (r : t) name : int =
   instruments r name
   |> List.fold_left (fun acc labels -> acc + counter_total r ~labels name) 0
@@ -321,8 +224,8 @@ let percentile_of ~buckets ~counts ~total q : float =
     go 0 0
   end
 
-let percentiles (r : t) ?(labels = []) name (qs : float list) : float list =
-  match merged_histogram r (name, norm_labels labels) with
+let percentiles (r : t) ?labels name (qs : float list) : float list =
+  match histogram_merged r ?labels name with
   | None -> List.map (fun _ -> Float.nan) qs
   | Some (buckets, counts, total, _) ->
     List.map (percentile_of ~buckets ~counts ~total) qs
@@ -337,7 +240,7 @@ let percentile (r : t) ?labels name q : float =
 (* ------------------------------------------------------------------ *)
 
 (* A series is ((name, labels), value); a histogram's value is its
-   merged (bounds, counts, count, sum). *)
+   (bounds, counts, count, sum). *)
 let series value =
   Doc.
     [
@@ -399,26 +302,31 @@ let fields =
 
 let doc = Doc.v ~name:"metrics" "nullelim-metrics/1" fields
 
+type value =
+  | Vcounter of int
+  | Vgauge of float
+  | Vhistogram of (float array * int array * int * float)
+
+let values (r : t) : ((string * labels) * value) list =
+  Mutex.protect r.m (fun () ->
+      Hashtbl.fold (fun key i acc -> (key, i) :: acc) r.tbl [])
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (key, i) ->
+         ( key,
+           match i with
+           | Counter c -> Vcounter (Atomic.get c)
+           | Gauge g -> Vgauge (Atomic.get g)
+           | Histogram h -> Vhistogram (read_hist h) ))
+
 let snapshot (r : t) : Obs_json.t =
-  (* deterministic order: sorted by (name, labels); values merged across
-     every domain's shard *)
-  let keys =
-    with_lock r.rm (fun () ->
-        Hashtbl.fold (fun key kind acc -> (key, kind) :: acc) r.specs []
-        |> List.sort compare)
+  let vs = values r in
+  let pick f =
+    List.filter_map (fun (key, v) -> Option.map (fun x -> (key, x)) (f v)) vs
   in
-  let counters = ref [] and gauges = ref [] and histograms = ref [] in
-  List.iter
-    (fun (((name, labels) as key), kind) ->
-      match kind with
-      | Kcounter -> counters := (key, counter_total r ~labels name) :: !counters
-      | Kgauge ->
-        let g = with_lock r.rm (fun () -> Hashtbl.find r.gauges key) in
-        let v = Atomic.get g in
-        gauges := (key, if Float.is_nan v then None else Some v) :: !gauges
-      | Khistogram _ ->
-        histograms := (key, Option.get (merged_histogram r key)) :: !histograms)
-    keys;
   Doc.obj doc
     (Doc.record fields
-       (List.rev !counters, List.rev !gauges, List.rev !histograms))
+       ( pick (function Vcounter n -> Some n | _ -> None),
+         pick (function
+           | Vgauge v -> Some (if Float.is_nan v then None else Some v)
+           | _ -> None),
+         pick (function Vhistogram h -> Some h | _ -> None) ))

@@ -7,15 +7,12 @@
     same identity returns the same instrument, so instrumented code can
     re-request instruments instead of threading them around.
 
-    Domain safety: a registry may be shared across domains.  Counters
-    and histograms are sharded per domain — {!counter} / {!histogram}
-    return the {e calling domain's} cell, {!inc} / {!observe} are plain
-    unsynchronized writes on it, and {!snapshot} / {!counter_total} /
-    {!percentiles} merge every domain's shard by summation.  Gauges have
-    set-semantics and are a single shared atomic cell.  Merged reads
-    taken while writer domains are live may miss in-flight bumps (cell
-    reads are word-atomic, never torn); once the writers quiesce, merged
-    values are exact.  See DESIGN.md §14. *)
+    Domain safety: a registry may be shared across domains.  It is one
+    table behind one mutex, and every domain asking for an identity gets
+    the same instrument.  Counters and gauges are atomic cells;
+    {!observe} updates a histogram under the registry's mutex.  Every
+    read ({!counter_total}, {!percentiles}, {!snapshot}, ...) is exact,
+    even while other domains write.  See DESIGN.md §14. *)
 
 type t
 (** A registry.  [Compiler.compile] creates a private one per
@@ -37,22 +34,17 @@ val global : t
     library records to it implicitly. *)
 
 val counter : t -> ?labels:labels -> string -> counter
-(** Find-or-register; same (name, labels) from the same domain always
-    yields the same cell.  Once the calling domain has the cell, a
-    lookup is one hash-table probe of its shard, with no lock.
+(** Find-or-register; the same (name, labels) always yields the same
+    cell, from any domain.  A lookup is one hash-table probe under the
+    registry's mutex.
     @raise Invalid_argument if the name is already registered as a
     different type. *)
 
 val inc : counter -> int -> unit
-(** Add to a monotone counter (the calling domain's cell; lock-free). *)
-
-val counter_value : counter -> int
-(** This cell's (i.e. one domain's) contribution; {!counter_total} for
-    the merged value. *)
+(** Add to a monotone counter (one atomic fetch-and-add). *)
 
 val counter_total : t -> ?labels:labels -> string -> int
-(** Sum of the counter across every domain's shard (0 if never
-    registered). *)
+(** The counter's value (0 if never registered). *)
 
 val gauge : t -> ?labels:labels -> string -> gauge
 (** Find-or-register a gauge (a settable float); identity rules as for
@@ -77,17 +69,14 @@ val histogram : t -> ?labels:labels -> ?buckets:float array -> string -> histogr
 
 val observe : histogram -> float -> unit
 (** Record one sample: bumps the count, the sum and the one bucket
-    admitting the value (the calling domain's cells; lock-free). *)
-
-val histogram_count : histogram -> int
-(** This domain's sample count; {!histogram_total_count} for merged. *)
+    admitting the value, under the registry's mutex. *)
 
 val histogram_total_count : t -> ?labels:labels -> string -> int
-(** Merged sample count across every domain's shard. *)
+(** The histogram's sample count (0 if never registered). *)
 
 val histogram_merged :
   t -> ?labels:labels -> string -> (float array * int array * int * float) option
-(** The named histogram merged across every domain's shard:
+(** The named histogram, read in one critical section:
     [(bucket bounds, per-bucket counts, total count, sum)] — the raw
     material {!percentile} and the SLO burn-rate evaluator work from.
     [None] if no histogram is registered under the identity.  The
@@ -101,7 +90,7 @@ val histogram_merged_any :
     e.g. [svc_compile_seconds] aggregates the per-tenant series. *)
 
 val counter_total_any : t -> string -> int
-(** Sum of the named counter across every label set and every domain. *)
+(** Sum of the named counter across every label set. *)
 
 val label_values : t -> string -> string -> string list
 (** [label_values r name key] — the distinct values the label [key]
@@ -110,18 +99,27 @@ val label_values : t -> string -> string -> string list
 
 val percentile : t -> ?labels:labels -> string -> float -> float
 (** [percentile r name q] (with [0 <= q <= 1]) extracts the q-quantile
-    of the named histogram merged across domains: the upper bound of the
+    of the named histogram: the upper bound of the
     first bucket whose cumulative count reaches [ceil (q * total)] — an
     overestimate by at most one bucket width.  Returns [nan] on an empty
     or unregistered histogram and [infinity] when the quantile lands in
     the overflow bucket. *)
 
 val percentiles : t -> ?labels:labels -> string -> float list -> float list
-(** {!percentile} at several quantiles over one merge. *)
+(** {!percentile} at several quantiles over one read. *)
+
+type value =
+  | Vcounter of int
+  | Vgauge of float
+  | Vhistogram of (float array * int array * int * float)
+      (** as {!histogram_merged} returns it *)
+
+val values : t -> ((string * labels) * value) list
+(** Every instrument's current value, sorted by (name, labels). *)
 
 val doc : Doc.t
 (** ["nullelim-metrics/1"], member ["metrics"]: the snapshot schema. *)
 
 val snapshot : t -> Obs_json.t
-(** Deterministic merged snapshot (all domains' shards summed) as a
-    {!doc} document: every counter, gauge and histogram series. *)
+(** Deterministic snapshot as a {!doc} document: every counter, gauge
+    and histogram series, sorted by (name, labels). *)

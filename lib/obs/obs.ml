@@ -21,4 +21,3 @@ module Decision = Decision
 module Profile = Profile
 
 let span = Trace.span
-let instant = Trace.instant

@@ -1,8 +1,6 @@
-(* See recorder.mli.  Struct-of-arrays rings: one float array for
-   timestamps and a handful of int arrays for payload keep recording
-   allocation-free (no per-event record on the hot path).  The four
-   context columns (tenant/request/span/parent) are filled from the
-   explicit [?ctx] or the calling domain's ambient {!Ctx.current}. *)
+(* See recorder.mli.  The four context columns (tenant/request/span/
+   parent) are filled from the explicit [?ctx] or the calling domain's
+   ambient {!Ctx.current}. *)
 
 type kind =
   | Tier_promote
@@ -52,11 +50,16 @@ type event = {
   ev_ctx : Ctx.t;
 }
 
-type ring = {
-  rd : int;               (* recording domain's id *)
+(* One struct-of-arrays ring behind one mutex: a float array for
+   timestamps and int arrays for the rest keep recording allocation-free
+   (no per-event record on the hot path). *)
+type t = {
+  m : Mutex.t;            (* a leaf: guards every array and [w] *)
+  enabled : bool Atomic.t;
   cap : int;
   rts : float array;
-  rkind : kind array;  (* constant constructors: stored unboxed *)
+  rdomain : int array;
+  rkind : kind array;     (* constant constructors: stored unboxed *)
   ra : int array;
   rb : int array;
   rtenant : int array;
@@ -66,119 +69,96 @@ type ring = {
   mutable w : int;        (* total events ever recorded *)
 }
 
-(* Domain_shard's create hook only sees the owner uid, so per-owner
-   capacity is resolved through this side table (written once per
-   recorder, under the mutex). *)
-let caps : (int, int) Hashtbl.t = Hashtbl.create 8
-let caps_m = Mutex.create ()
-
-let default_capacity = 4096
-
-module Rings = Domain_shard.Make (struct
-  type shard = ring
-
-  let create ~owner_uid ~domain =
-    let cap =
-      Mutex.lock caps_m;
-      let c =
-        Option.value ~default:default_capacity
-          (Hashtbl.find_opt caps owner_uid)
-      in
-      Mutex.unlock caps_m;
-      c
-    in
-    {
-      rd = domain;
-      cap;
-      rts = Array.make cap 0.;
-      rkind = Array.make cap Mark;
-      ra = Array.make cap 0;
-      rb = Array.make cap 0;
-      rtenant = Array.make cap (-1);
-      rreq = Array.make cap (-1);
-      rspan = Array.make cap (-1);
-      rparent = Array.make cap (-1);
-      w = 0;
-    }
-end)
-
-type t = {
-  owner : Rings.owner;
-  enabled : bool Atomic.t;
-  rcap : int;
-}
-
-let create ?(capacity = default_capacity) () : t =
+let create ?(capacity = 4096) () : t =
   if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
-  let owner = Rings.create () in
-  Mutex.lock caps_m;
-  Hashtbl.replace caps (Rings.uid owner) capacity;
-  Mutex.unlock caps_m;
-  { owner; enabled = Atomic.make true; rcap = capacity }
+  let ints v = Array.make capacity v in
+  {
+    m = Mutex.create ();
+    enabled = Atomic.make true;
+    cap = capacity;
+    rts = Array.make capacity 0.;
+    rdomain = ints 0;
+    rkind = Array.make capacity Mark;
+    ra = ints 0;
+    rb = ints 0;
+    rtenant = ints (-1);
+    rreq = ints (-1);
+    rspan = ints (-1);
+    rparent = ints (-1);
+    w = 0;
+  }
 
-let global : t = create ~capacity:8192 ()
+let global : t = create ~capacity:24576 ()
 
 let now = Clock.now
 
 let record ?ctx ?ts ?(a = 0) ?(b = 0) (t : t) (kind : kind) : unit =
   if Atomic.get t.enabled then begin
     let c = match ctx with Some c -> c | None -> Ctx.current () in
-    let r = Rings.my_shard t.owner in
-    let i = r.w mod r.cap in
-    r.rts.(i) <- (match ts with Some ts -> ts | None -> Clock.now ());
-    r.rkind.(i) <- kind;
-    r.ra.(i) <- a;
-    r.rb.(i) <- b;
-    r.rtenant.(i) <- c.Ctx.cx_tenant;
-    r.rreq.(i) <- c.Ctx.cx_request;
-    r.rspan.(i) <- c.Ctx.cx_span;
-    r.rparent.(i) <- c.Ctx.cx_parent;
-    r.w <- r.w + 1
+    let d = (Domain.self () :> int) in
+    Mutex.lock t.m;
+    (* the clock is read inside the critical section, so ring order is
+       timestamp order for every event without an explicit [ts] *)
+    let i = t.w mod t.cap in
+    t.rts.(i) <- (match ts with Some ts -> ts | None -> Clock.now ());
+    t.rdomain.(i) <- d;
+    t.rkind.(i) <- kind;
+    t.ra.(i) <- a;
+    t.rb.(i) <- b;
+    t.rtenant.(i) <- c.Ctx.cx_tenant;
+    t.rreq.(i) <- c.Ctx.cx_request;
+    t.rspan.(i) <- c.Ctx.cx_span;
+    t.rparent.(i) <- c.Ctx.cx_parent;
+    t.w <- t.w + 1;
+    Mutex.unlock t.m
   end
 
 let set_enabled t on = Atomic.set t.enabled on
 let is_enabled t = Atomic.get t.enabled
-let capacity t = t.rcap
 
-let ring_events (r : ring) : event list =
-  let w = r.w in
-  let n = min w r.cap in
-  (* oldest retained event first *)
-  List.init n (fun k ->
-      let i = (w - n + k) mod r.cap in
-      {
-        ev_ts = r.rts.(i);
-        ev_domain = r.rd;
-        ev_kind = r.rkind.(i);
-        ev_a = r.ra.(i);
-        ev_b = r.rb.(i);
-        ev_ctx =
-          {
-            Ctx.cx_tenant = r.rtenant.(i);
-            cx_request = r.rreq.(i);
-            cx_span = r.rspan.(i);
-            cx_parent = r.rparent.(i);
-          };
-      })
+(* (dropped, events): the arrays are copied under the lock, oldest
+   retained event first, and the events are built outside it. *)
+let snapshot (t : t) : int * event list =
+  let w, cols =
+    Mutex.protect t.m (fun () ->
+        let n = min t.w t.cap in
+        let sub a = Array.sub a 0 n in
+        ( t.w,
+          ( sub t.rts, sub t.rdomain, sub t.rkind, sub t.ra, sub t.rb,
+            sub t.rtenant, sub t.rreq, sub t.rspan, sub t.rparent ) ))
+  in
+  let ts, dom, kind, a, b, tenant, req, span, parent = cols in
+  let n = Array.length ts in
+  let evs =
+    List.init n (fun k ->
+        let i = (w - n + k) mod t.cap in
+        {
+          ev_ts = ts.(i);
+          ev_domain = dom.(i);
+          ev_kind = kind.(i);
+          ev_a = a.(i);
+          ev_b = b.(i);
+          ev_ctx =
+            {
+              Ctx.cx_tenant = tenant.(i);
+              cx_request = req.(i);
+              cx_span = span.(i);
+              cx_parent = parent.(i);
+            };
+        })
+  in
+  (* only events recorded with an explicit [ts] can be out of order *)
+  (w - n, List.stable_sort (fun a b -> compare a.ev_ts b.ev_ts) evs)
 
-let dump (t : t) : event list =
-  Rings.shards t.owner
-  |> List.concat_map ring_events
-  |> List.stable_sort (fun a b -> compare a.ev_ts b.ev_ts)
-
-let dropped (t : t) : int =
-  List.fold_left
-    (fun acc r -> acc + max 0 (r.w - r.cap))
-    0 (Rings.shards t.owner)
-
-let clear (t : t) : unit =
-  List.iter (fun r -> r.w <- 0) (Rings.shards t.owner)
+let dump t = snd (snapshot t)
+let dropped t = Mutex.protect t.m (fun () -> max 0 (t.w - t.cap))
+let clear t = Mutex.protect t.m (fun () -> t.w <- 0)
 
 let record_metrics ?(registry = Metrics.global) (t : t) : unit =
   Metrics.set (Metrics.gauge registry "flight_recorder_dropped")
     (float_of_int (dropped t));
   Metrics.set (Metrics.gauge registry "flight_recorder_capacity")
-    (float_of_int t.rcap)
+    (float_of_int t.cap)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -240,7 +220,8 @@ let rules j =
 let doc = Doc.v ~name:"flight" ~rules "nullelim-flight/1" fields
 
 let to_json (t : t) : Obs_json.t =
-  Doc.obj doc (Doc.record fields (t.rcap, dropped t, dump t))
+  let dropped, evs = snapshot t in
+  Doc.obj doc (Doc.record fields (t.cap, dropped, evs))
 
 let events_of_json (j : Obs_json.t) : (event list * int, string) result =
   (* after validation every member is present with its declared kind *)

@@ -1,16 +1,16 @@
-(** Flight recorder: a fixed-size, lock-free ring buffer of timestamped
-    runtime events — tier promotions/demotions, trap firings, code-cache
+(** Flight recorder: a fixed-size ring buffer of timestamped runtime
+    events — tier promotions/demotions, trap firings, code-cache
     traffic, queue movement, request lifecycle — cheap enough to leave
-    on in production (one enabled-flag load, a handful of array stores
-    and a clock read per event).
+    on in production (one enabled-flag load, then one uncontended lock,
+    a clock read and a handful of array stores per event).
 
-    Each domain records into its own ring ({!Domain_shard}): the hot
-    path takes no lock and performs no CAS, and once a ring is full new
-    events overwrite the oldest ({!dropped} counts the overwritten
-    ones).  {!dump} merges every domain's ring into one timestamp-sorted
-    stream; merging while writers are live is best-effort (a
-    concurrently overwritten slot can surface with mixed fields), after
-    quiescence it is exact.
+    Every domain records into the one ring, behind one mutex that is a
+    leaf (nothing is called while it is held).  Once the ring is full
+    new events overwrite the oldest ({!dropped} counts the overwritten
+    ones).  The clock is read inside the critical section, so the ring
+    is in timestamp order except for events recorded with an explicit
+    [?ts].  {!dump} copies the ring under the lock, so a dump taken
+    while writers are live is exact: it never holds a torn slot.
 
     Every event additionally carries a causal {!Ctx.t} — tenant id,
     request id, span and parent span — taken from the explicit [?ctx]
@@ -50,21 +50,21 @@ type event = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** A recorder whose per-domain rings hold [capacity] events each
-    (default 4096).  Enabled from birth. *)
+(** A recorder whose ring holds [capacity] events in all (default
+    4096).  Enabled from birth. *)
 
 val global : t
 (** The process-wide recorder the runtime layers record into by
-    default. *)
+    default; it holds 24,576 events. *)
 
 val now : unit -> float
 (** The recorder's clock ({!Clock.now}, monotonic), the one [ev_ts] is
     on. *)
 
 val record : ?ctx:Ctx.t -> ?ts:float -> ?a:int -> ?b:int -> t -> kind -> unit
-(** Append one event to the calling domain's ring (no-op when
-    disabled).  [ctx] defaults to the domain's ambient
-    {!Ctx.current}; [ts] defaults to {!now}, and a caller passes an
+(** Append one event to the ring (no-op when disabled).  The event's
+    domain is the calling domain's id.  [ctx] defaults to the domain's
+    ambient {!Ctx.current}; [ts] defaults to {!now}, and a caller passes an
     earlier {!now} reading to place an event at the instant it
     describes when it can only decide to record it later (a request
     served at admission records its enqueue and start after its cache
@@ -77,17 +77,15 @@ val set_enabled : t -> bool -> unit
 
 val is_enabled : t -> bool
 
-val capacity : t -> int
-
 val dump : t -> event list
-(** All retained events, merged across domains, sorted by timestamp. *)
+(** All retained events, sorted by timestamp (a stable sort, so events
+    with equal stamps keep their recording order). *)
 
 val dropped : t -> int
-(** Events overwritten because a ring wrapped, summed over rings. *)
+(** Events overwritten because the ring wrapped. *)
 
 val clear : t -> unit
-(** Reset every ring (and the drop count).  Only meaningful while no
-    other domain is recording. *)
+(** Empty the ring and reset the drop count. *)
 
 val record_metrics : ?registry:Metrics.t -> t -> unit
 (** Export the recorder's health into a metrics registry (default

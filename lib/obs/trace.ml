@@ -97,19 +97,6 @@ let span ?(cat = "nullelim") ?(args = []) name f =
       finish ();
       raise e)
 
-let instant ?(cat = "nullelim") ?(args = []) name =
-  let st = state () in
-  if st.active <> None then
-    record_event st
-      {
-        ev_name = name;
-        ev_cat = cat;
-        ev_ts_us = now_us () -. st.t0_us;
-        ev_dur_us = 0.;
-        ev_depth = st.cur_depth;
-        ev_args = args;
-      }
-
 (** Events in start order (spans record at exit, so the raw list is in
     completion order; sort by start time, ties broken longest-first so a
     parent precedes its children). *)

@@ -42,10 +42,6 @@ val span :
 (** [span name f] runs [f], recording a complete event when active.
     Exception-safe: the span closes and the exception is re-raised. *)
 
-val instant :
-  ?cat:string -> ?args:(string * Obs_json.t) list -> string -> unit
-(** Zero-duration marker event. *)
-
 val to_json : event list -> Obs_json.t
 (** The Chrome trace-event document ([{"traceEvents": [...]}]); each
     event becomes a complete event ([ph:"X"]). *)

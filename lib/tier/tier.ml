@@ -70,7 +70,6 @@ type stats = {
   st_submitted : int;
   st_queue_full : int;
   st_traps : int;
-  st_awaits : int;
   st_recompile_seconds : float;
 }
 
@@ -92,7 +91,6 @@ type t = {
   mutable c_submitted : int;
   mutable c_queue_full : int;
   mutable c_traps : int;
-  mutable c_awaits : int;
   mutable c_recompile : float;
   tm : Metrics.t option;   (* install-latency histograms land here *)
   trec : Recorder.t;
@@ -133,7 +131,6 @@ let create ?svc ?cache ?(config = Config.new_full) ?metrics
     c_submitted = 0;
     c_queue_full = 0;
     c_traps = 0;
-    c_awaits = 0;
     c_recompile = 0.;
     tm = metrics;
     trec = recorder;
@@ -318,7 +315,7 @@ let settle t =
     try_submit t fs;
     match fs.fs_pending with
     | Some { pd_state = `Future fut; _ } ->
-      (* a sanctioned blocking point like [drain]: no awaits bump *)
+      (* a sanctioned blocking point like [drain] *)
       ignore (Svc.await fut)
     | Some _ -> ()
     | None when fs.fs_goal <> None ->
@@ -339,8 +336,8 @@ let drain t =
           match pd.pd_state with
           | `Ready oc -> oc
           | `Future fut ->
-            (* drain is the one sanctioned blocking point; it is not
-               part of the serving path, so it does not bump awaits *)
+            (* a sanctioned blocking point: not part of the serving
+               path *)
             Svc.await fut
         in
         fs.fs_pending <- None;
@@ -362,7 +359,6 @@ let stats t =
     st_submitted = t.c_submitted;
     st_queue_full = t.c_queue_full;
     st_traps = t.c_traps;
-    st_awaits = t.c_awaits;
     st_recompile_seconds = t.c_recompile;
   }
 

@@ -42,8 +42,9 @@
     on the calling thread and install at the next call boundary —
     fully deterministic, used by the unit tests, the fuzz
     tier-equivalence oracle and the CI counter-drift gate.  With a
-    service, the serving thread only ever calls {!Svc.poll} (the
-    [awaits] counter stays 0 — asserted by the steady-state bench). *)
+    service, {!dispatch} and {!on_trap} call into it only through
+    {!Svc.poll} and {!Svc.recompile_async}, neither of which blocks;
+    only {!settle} and {!drain} wait on the pool. *)
 
 module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
@@ -63,9 +64,6 @@ type stats = {
   st_submitted : int;    (** recompile jobs handed to the pool *)
   st_queue_full : int;   (** submissions deferred because the queue was full *)
   st_traps : int;        (** on_trap callbacks received *)
-  st_awaits : int;       (** blocking waits on the pool from the serving
-                             path — 0 by construction; {!drain} does not
-                             count *)
   st_recompile_seconds : float;
                          (** summed wall time of the installed recompiles *)
 }

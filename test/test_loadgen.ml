@@ -1,9 +1,10 @@
 (* Telemetry-pipeline tests: exact percentile extraction from the
-   sharded metrics histograms (constant, uniform and bimodal samples —
+   metrics histograms (constant, uniform and bimodal samples —
    each answer must land within one log-bucket width of the true
-   quantile), the flight recorder's ring wraparound and cross-domain
-   merge ordering, both new schemas' round-trips, and a tiny end-to-end
-   load-generator smoke on a 2-domain service. *)
+   quantile), the flight recorder's ring wraparound, cross-domain
+   ordering and dumps taken while writers are live, both new schemas'
+   round-trips, and a tiny end-to-end load-generator smoke on a
+   2-domain service. *)
 
 open Nullelim
 module LG = Nullelim_experiments.Loadgen
@@ -173,6 +174,75 @@ let test_cross_domain_merge () =
       per
       (Option.value ~default:0 (Hashtbl.find_opt last d))
   done
+
+(* Dumps taken while two domains write: every field of an event is
+   derived from one per-domain counter, so a slot copied mid-overwrite
+   would disagree with itself.  The small ring wraps thousands of times
+   under the reader. *)
+let test_live_dump_consistent () =
+  let r = Recorder.create ~capacity:64 () in
+  let per = 20_000 in
+  let reading = Atomic.make false and writers_done = Atomic.make 0 in
+  let writer d () =
+    while not (Atomic.get reading) do
+      Domain.cpu_relax ()
+    done;
+    for i = 1 to per do
+      let ctx =
+        { Obs.Ctx.cx_tenant = d; cx_request = i; cx_span = (2 * i) + d;
+          cx_parent = i - 1 }
+      in
+      Recorder.record ~ctx ~a:((1_000_000 * d) + i) ~b:(-i) r Recorder.Mark
+    done;
+    Atomic.incr writers_done
+  in
+  let check_dump evs =
+    let last = Array.make 2 0 in
+    let rec sorted = function
+      | (a : Recorder.event) :: (b :: _ as tl) ->
+        a.Recorder.ev_ts <= b.Recorder.ev_ts && sorted tl
+      | _ -> true
+    in
+    let ok =
+      List.for_all
+        (fun (e : Recorder.event) ->
+          let c = e.Recorder.ev_ctx in
+          let d = c.Obs.Ctx.cx_tenant and i = c.Obs.Ctx.cx_request in
+          let consistent =
+            (d = 0 || d = 1)
+            && e.Recorder.ev_a = (1_000_000 * d) + i
+            && e.Recorder.ev_b = -i
+            && c.Obs.Ctx.cx_span = (2 * i) + d
+            && c.Obs.Ctx.cx_parent = i - 1
+            && i > last.(d)
+          in
+          if consistent then last.(d) <- i;
+          consistent)
+        evs
+    in
+    (ok, sorted evs)
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let dumps = ref 0 and torn = ref 0 and unsorted = ref 0 in
+        Atomic.set reading true;
+        while Atomic.get writers_done < 2 do
+          let ok, sorted = check_dump (Recorder.dump r) in
+          incr dumps;
+          if not ok then incr torn;
+          if not sorted then incr unsorted
+        done;
+        (!dumps, !torn, !unsorted))
+  in
+  let writers = List.map (fun d -> Domain.spawn (writer d)) [ 0; 1 ] in
+  List.iter Domain.join writers;
+  let dumps, torn, unsorted = Domain.join reader in
+  Alcotest.(check bool) "the reader dumped" true (dumps > 0);
+  Alcotest.(check int) "dumps with a torn or reordered event" 0 torn;
+  Alcotest.(check int) "dumps not sorted by ts" 0 unsorted;
+  let ok, sorted = check_dump (Recorder.dump r) in
+  Alcotest.(check bool) "final dump consistent and sorted" true (ok && sorted);
+  Alcotest.(check int) "dropped" ((2 * per) - 64) (Recorder.dropped r)
 
 let test_flight_schema_roundtrip () =
   let r = Recorder.create ~capacity:16 () in
@@ -398,6 +468,8 @@ let () =
             test_disabled_records_nothing;
           Alcotest.test_case "cross-domain merge ordering" `Quick
             test_cross_domain_merge;
+          Alcotest.test_case "live dump is consistent" `Quick
+            test_live_dump_consistent;
           Alcotest.test_case "flight schema roundtrip" `Quick
             test_flight_schema_roundtrip;
           Alcotest.test_case "dump keeps timelines" `Quick

@@ -99,7 +99,7 @@ let test_metrics_snapshot () =
   let c = Obs.Metrics.counter m ~labels:[ ("pass", "p1") ] "widgets" in
   Obs.Metrics.inc c 3;
   Obs.Metrics.inc (Obs.Metrics.counter m ~labels:[ ("pass", "p1") ] "widgets") 2;
-  Alcotest.(check int) "same instrument" 5 (Obs.Metrics.counter_value c);
+  Alcotest.(check int) "same instrument" 5 (Obs.Metrics.counter_total m ~labels:[ ("pass", "p1") ] "widgets");
   let g = Obs.Metrics.gauge m "temperature" in
   Obs.Metrics.set g 1.5;
   Obs.Metrics.add g 0.25;
@@ -107,7 +107,7 @@ let test_metrics_snapshot () =
   Obs.Metrics.observe h 0.002;
   Obs.Metrics.observe h 5.0;
   Obs.Metrics.observe h 1e6 (* beyond the last bucket: +Inf overflow *);
-  Alcotest.(check int) "hist count" 3 (Obs.Metrics.histogram_count h);
+  Alcotest.(check int) "hist count" 3 (Obs.Metrics.histogram_total_count m "latency");
   let snap = Obs.Metrics.snapshot m in
   (* validates against the documented schema *)
   (match Obs.Doc.validate Obs.Metrics.doc snap with
@@ -137,7 +137,7 @@ let test_metrics_kind_conflict () =
 
 (* The first registration fixes a histogram's buckets, sorted; a later
    lookup with other or unsorted buckets gets the same cell back, from
-   this domain's shard and from a fresh domain's, and a lookup under
+   this domain and from a fresh one, and a lookup under
    another kind still raises once the cell exists. *)
 let test_metrics_first_registration_wins () =
   let m = Obs.Metrics.create () in
@@ -447,7 +447,7 @@ let test_compile_metrics () =
   let c = H.compile Config.new_full prog in
   let m = Compiler.metrics c in
   let counter name =
-    Obs.Metrics.counter_value (Obs.Metrics.counter m name)
+    Obs.Metrics.counter_total m name
   in
   Alcotest.(check int) "raw explicit mirrored"
     c.Compiler.checks.Compiler.raw_checks

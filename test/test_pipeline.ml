@@ -422,20 +422,18 @@ let check_sink what (c : Compiler.compiled) =
         (List.fold_left
            (fun acc (p : Pipeline.pass_total) ->
              acc
-             + Obs.Metrics.counter_value
-                 (Obs.Metrics.counter m ~labels:[ ("pass", p.p_pass) ]
-                    ("solver_" ^ kind)))
+             + Obs.Metrics.counter_total m ~labels:[ ("pass", p.p_pass) ]
+                 ("solver_" ^ kind))
            0 (Pipeline.by_pass recs)))
     kinds;
   List.iter
     (fun (p : Pipeline.pass_total) ->
       let labels = [ ("pass", p.p_pass) ] in
       Alcotest.(check int) (what ^ ": pass_runs " ^ p.p_pass) p.p_runs
-        (Obs.Metrics.counter_value (Obs.Metrics.counter m ~labels "pass_runs"));
+        (Obs.Metrics.counter_total m ~labels "pass_runs");
       Alcotest.(check int) (what ^ ": pass_minor_words " ^ p.p_pass)
         p.p_minor_words
-        (Obs.Metrics.counter_value
-           (Obs.Metrics.counter m ~labels "pass_minor_words")))
+        (Obs.Metrics.counter_total m ~labels "pass_minor_words"))
     (Pipeline.by_pass recs)
 
 let test_single_sink () =

@@ -191,7 +191,7 @@ let test_record_metrics_labels () =
   Interp.record_metrics ~run:"first" m c1;
   Interp.record_metrics ~run:"second" m c2;
   let v labels name =
-    Obs.Metrics.counter_value (Obs.Metrics.counter m ~labels name)
+    Obs.Metrics.counter_total m ~labels name
   in
   Alcotest.(check int) "first run instrs" 10
     (v [ ("run", "first") ] "interp_instrs");
@@ -205,7 +205,7 @@ let test_record_metrics_labels () =
   let m2 = Obs.Metrics.create () in
   Interp.record_metrics m2 c1;
   Alcotest.(check int) "unlabeled first dump" 10
-    (Obs.Metrics.counter_value (Obs.Metrics.counter m2 "interp_instrs"));
+    (Obs.Metrics.counter_total m2 "interp_instrs");
   (* ...but a second unlabeled dump would silently merge runs: rejected *)
   (match Interp.record_metrics m2 c2 with
   | () -> Alcotest.fail "second unlabeled record_metrics accepted"
@@ -213,8 +213,7 @@ let test_record_metrics_labels () =
   (* labeled dumps into that registry remain fine *)
   Interp.record_metrics ~run:"third" m2 c2;
   Alcotest.(check int) "labeled after unlabeled" 7
-    (Obs.Metrics.counter_value
-       (Obs.Metrics.counter m2 ~labels:[ ("run", "third") ] "interp_instrs"))
+    (Obs.Metrics.counter_total m2 ~labels:[ ("run", "third") ] "interp_instrs")
 
 (* ------------------------------------------------------------------ *)
 (* Provenance lineage across passes                                    *)
