@@ -7,31 +7,38 @@
     and the tiered manager [remove]s on its serving thread, so the lock
     is rarely contended (EXPERIMENTS.md, "Code cache traffic").
 
-    Recency is tracked with a monotonic stamp per entry; eviction scans
-    every entry for the minimum stamp.  The scan is O(entries), and the
-    cache does get large: perfbench [miss] compiles a fresh program per
-    request, and the 64 MiB budget fills at about 21,200 entries.  The
-    scan is kept because the benchmark's window barely reaches that:
-    three 20 s [miss] runs (seed 1, 2-core x86-64) ended with 15,165–
-    18,579 entries and no eviction in 15,749–19,301 lookups, and a run
-    fast enough to fill the budget evicts on fewer than 1% of its
-    requests.  Past the budget the trade-off turns: a 30 s run evicted
-    on 1,864 of 23,919 lookups (7.8%), at about 1.4 ms per scan, as
-    much as the compile it follows; a doubly-linked LRU list would make
-    that O(1). *)
+    Recency is an intrusive doubly-linked list through the entries,
+    most recently used first: a hit moves its entry to the front, an
+    add puts the new entry there, and eviction pops the back, so every
+    operation is O(1) under the lock however many entries there are.
+    Eviction must not scan: perfbench [miss] compiles a fresh program
+    per request, the 64 MiB budget fills at about 21,200 entries, and a
+    scan for the oldest of them takes about 1.4 ms, as long as the
+    compile it follows. *)
 
 module Recorder = Nullelim_obs.Recorder
 
-type 'a entry = { value : 'a; ebytes : int; mutable stamp : int }
+(* A resident entry and its neighbours in the recency list: [prev] is
+   more recently used, [next] less. *)
+type 'a node =
+  | Nil
+  | Node of {
+      key : string;
+      value : 'a;
+      ebytes : int;
+      mutable prev : 'a node;
+      mutable next : 'a node;
+    }
 
 type 'a t = {
-  tbl : (string, 'a entry) Hashtbl.t;
+  tbl : (string, 'a node) Hashtbl.t;
   m : Mutex.t;
   size : 'a -> int;
   budget : int;
   crec : Recorder.t;
   mutable bytes : int;
-  mutable tick : int;
+  mutable newest : 'a node;
+  mutable oldest : 'a node;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -61,7 +68,8 @@ let create ?(budget_bytes = default_budget) ?(recorder = Recorder.global)
     budget = max 0 budget_bytes;
     crec = recorder;
     bytes = 0;
-    tick = 0;
+    newest = Nil;
+    oldest = Nil;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -69,41 +77,43 @@ let create ?(budget_bytes = default_budget) ?(recorder = Recorder.global)
     invalidations = 0;
   }
 
-let next_tick (t : _ t) =
-  t.tick <- t.tick + 1;
-  t.tick
+let unlink (t : _ t) = function
+  | Nil -> ()
+  | Node e ->
+    (match e.prev with Nil -> t.newest <- e.next | Node p -> p.next <- e.next);
+    (match e.next with Nil -> t.oldest <- e.prev | Node n -> n.prev <- e.prev);
+    e.prev <- Nil;
+    e.next <- Nil
+
+let push_newest (t : _ t) = function
+  | Nil -> ()
+  | Node e as node ->
+    e.next <- t.newest;
+    (match t.newest with Nil -> t.oldest <- node | Node n -> n.prev <- node);
+    t.newest <- node
 
 let find (t : _ t) key =
   Mutex.protect t.m (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-        e.stamp <- next_tick t;
+      match Hashtbl.find t.tbl key with
+      | Node e as node ->
+        unlink t node;
+        push_newest t node;
         t.hits <- t.hits + 1;
         Recorder.record t.crec Recorder.Cache_hit;
         Some e.value
-      | None ->
+      | Nil | (exception Not_found) ->
         t.misses <- t.misses + 1;
         Recorder.record t.crec Recorder.Cache_miss;
         None)
 
-(* the least recently used entry, excluding [keep] *)
-let lru_key (t : _ t) ~keep =
-  Hashtbl.fold
-    (fun k (e : _ entry) acc ->
-      if k = keep then acc
-      else
-        match acc with
-        | Some (_, stamp) when stamp <= e.stamp -> acc
-        | _ -> Some (k, e.stamp))
-    t.tbl None
-
 let remove_entry (t : _ t) key =
   match Hashtbl.find_opt t.tbl key with
-  | None -> false
-  | Some e ->
+  | Some (Node e as node) ->
     Hashtbl.remove t.tbl key;
+    unlink t node;
     t.bytes <- t.bytes - e.ebytes;
     true
+  | Some Nil | None -> false
 
 let add (t : _ t) ~key v =
   Mutex.protect t.m (fun () ->
@@ -116,17 +126,20 @@ let add (t : _ t) ~key v =
            zero budget therefore rejects everything: pass-through. *)
         t.rejections <- t.rejections + 1
       else begin
-        Hashtbl.replace t.tbl key { value = v; ebytes; stamp = next_tick t };
+        let node = Node { key; value = v; ebytes; prev = Nil; next = Nil } in
+        Hashtbl.replace t.tbl key node;
+        push_newest t node;
         t.bytes <- t.bytes + ebytes;
+        (* the new entry is the newest and fits the budget on its own,
+           so eviction stops before reaching it *)
         let rec evict () =
-          if t.bytes > t.budget then
-            match lru_key t ~keep:key with
-            | Some (k, _) ->
-              ignore (remove_entry t k);
-              t.evictions <- t.evictions + 1;
-              Recorder.record t.crec Recorder.Cache_evict;
-              evict ()
-            | None -> ()
+          match t.oldest with
+          | Node e when t.bytes > t.budget && t.oldest != node ->
+            ignore (remove_entry t e.key);
+            t.evictions <- t.evictions + 1;
+            Recorder.record t.crec Recorder.Cache_evict;
+            evict ()
+          | Node _ | Nil -> ()
         in
         evict ()
       end)
@@ -154,4 +167,6 @@ let clear (t : _ t) =
   Mutex.protect t.m (fun () ->
       t.evictions <- t.evictions + Hashtbl.length t.tbl;
       Hashtbl.reset t.tbl;
+      t.newest <- Nil;
+      t.oldest <- Nil;
       t.bytes <- 0)

@@ -58,15 +58,17 @@ type cache = Compiler.compiled Codecache.t
 (* Content addressing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The key digests a marshalled projection of the job read straight off
-   the IR, so a new instruction constructor or function field is covered
-   without editing this code.  The projection is canonical: hash tables
-   are listed sorted by key (a [Hashtbl]'s layout depends on its
-   insertion history), the deopt set is sorted, and [No_sharing] makes
-   the bytes depend on values alone, not on which of them happen to be
-   physically shared.  An [Arch.t] holds closures and enters by name.
-   Instructions carry their check provenance sites, which flow into the
-   artifact's decision log and profile ids. *)
+(* The key digests a canonical projection of the job read straight off
+   the IR with {!structural_digest}, a generic walk over the value, so a
+   new instruction constructor or function field is covered without
+   editing this code.  Hash tables are listed sorted by key (a
+   [Hashtbl]'s layout depends on its insertion history) and the deopt
+   set is sorted; the walk hashes values alone, not which of them happen
+   to be physically shared.  An [Arch.t] holds closures and enters by
+   name.  Instructions carry their check provenance sites, which flow
+   into the artifact's decision log and profile ids. *)
+external structural_digest : 'a -> string = "ne_structural_digest"
+
 let sorted_bindings cmp tbl =
   List.sort
     (fun (a, _) (b, _) -> cmp a b)
@@ -94,8 +96,7 @@ let job_key (j : job) : string =
         (fun (name, f) -> (name, func_projection f))
         (sorted_bindings String.compare p.Ir.funcs) )
   in
-  Digest.to_hex
-    (Digest.string (Marshal.to_string projection [ Marshal.No_sharing ]))
+  structural_digest projection
 
 (* ------------------------------------------------------------------ *)
 (* Artifact sizing and cache construction                              *)
@@ -256,13 +257,29 @@ type task = {
   t_ctx : Ctx.t;          (* causal context minted at admission *)
 }
 
-(* Per-tenant instruments + the in-queue admission ledger.  The ledger
-   (tenant -> tasks currently queued) backs the per-tenant cap: bumped
-   under [am] on a successful push, decremented by the worker that pops
-   the task.  Metrics instruments are find-or-register, so the helpers
-   just go through the registry every time — the registry interns. *)
+(* One tenant's instruments, each resolved from the registry by the
+   first request that needs it and kept: the submitted counter at the
+   tenant's first submission, the completed counter and the two
+   histograms at its first completion.  The registry so holds exactly
+   the series it would if every request looked them up.  Two domains
+   resolving one at once get the same find-or-register instrument. *)
+type instruments = {
+  i_submitted : Metrics.counter option Atomic.t;
+  i_completed :
+    (Metrics.counter * Metrics.histogram * Metrics.histogram) option Atomic.t;
+}
+
+module Tenant_map = Map.Make (Int)
+
+(* Per-tenant instruments + the in-queue admission ledger.  The
+   instruments map is read without a lock and replaced by
+   compare-and-set when a tenant is first seen.  The ledger (tenant ->
+   tasks currently queued) backs the per-tenant cap: bumped under [am]
+   on a successful push, decremented by the worker that pops the
+   task. *)
 type accounting = {
   amx : Metrics.t;
+  a_instruments : instruments Tenant_map.t Atomic.t;
   am : Mutex.t;
   a_in_queue : (int, int) Hashtbl.t;
   a_tenant_cap : int;       (* 0 = unlimited *)
@@ -305,8 +322,32 @@ let m_compile = "svc_compile_seconds"
 let tenant_labels (c : Ctx.t) =
   [ ("tenant", Ctx.tenant_label c.Ctx.cx_tenant) ]
 
+let rec instruments (a : accounting) tenant =
+  let known = Atomic.get a.a_instruments in
+  match Tenant_map.find tenant known with
+  | i -> i
+  | exception Not_found ->
+    let i = { i_submitted = Atomic.make None; i_completed = Atomic.make None } in
+    if Atomic.compare_and_set a.a_instruments known
+         (Tenant_map.add tenant i known)
+    then i
+    else instruments a tenant
+
+(* the instrument in [slot], resolved the first time it is needed *)
+let resolved slot resolve =
+  match Atomic.get slot with
+  | Some k -> k
+  | None ->
+    let k = resolve () in
+    Atomic.set slot (Some k);
+    k
+
 let note_submitted (a : accounting) (c : Ctx.t) =
-  Metrics.inc (Metrics.counter a.amx ~labels:(tenant_labels c) m_submitted) 1
+  let i = instruments a c.Ctx.cx_tenant in
+  Metrics.inc
+    (resolved i.i_submitted (fun () ->
+         Metrics.counter a.amx ~labels:(tenant_labels c) m_submitted))
+    1
 
 let note_shed (a : accounting) (c : Ctx.t) ~(reason : string) =
   Metrics.inc
@@ -316,10 +357,17 @@ let note_shed (a : accounting) (c : Ctx.t) ~(reason : string) =
     1
 
 let note_completed (a : accounting) (c : Ctx.t) ~queued_seconds ~seconds =
-  let labels = tenant_labels c in
-  Metrics.inc (Metrics.counter a.amx ~labels m_completed) 1;
-  Metrics.observe (Metrics.histogram a.amx ~labels m_queue_wait) queued_seconds;
-  Metrics.observe (Metrics.histogram a.amx ~labels m_compile) seconds
+  let i = instruments a c.Ctx.cx_tenant in
+  let completed, queue_wait, compile =
+    resolved i.i_completed (fun () ->
+        let labels = tenant_labels c in
+        ( Metrics.counter a.amx ~labels m_completed,
+          Metrics.histogram a.amx ~labels m_queue_wait,
+          Metrics.histogram a.amx ~labels m_compile ))
+  in
+  Metrics.inc completed 1;
+  Metrics.observe queue_wait queued_seconds;
+  Metrics.observe compile seconds
 
 (* the in-queue ledger: [admit] under the cap check, [release] when a
    worker takes the task off the queue *)
@@ -381,6 +429,7 @@ let create ?domains ?(queue_capacity = 64) ?cache
   let acct =
     {
       amx = metrics;
+      a_instruments = Atomic.make Tenant_map.empty;
       am = Mutex.create ();
       a_in_queue = Hashtbl.create 16;
       a_tenant_cap = max 0 tenant_cap;

@@ -237,6 +237,47 @@ let test_cache_counters () =
   Codecache.clear c;
   Alcotest.(check int) "cleared" 0 (Codecache.stats c).Codecache.entries
 
+(* A cache filled past its budget, with finds interleaved, evicts
+   exactly the least recently used keys, one per add, in order: a
+   reference list (most recent first) predicts every victim.  A miss
+   does not touch recency, so each victim is checked absent without
+   disturbing the order. *)
+let test_cache_lru_order () =
+  let budget = 8 in
+  let c = Codecache.create ~budget_bytes:budget ~size:(fun _ -> 1) () in
+  let rng = Random.State.make [| 25 |] in
+  let model = ref [] (* resident keys, most recently used first *) in
+  let next = ref 0 in
+  let victims = ref 0 in
+  for _ = 1 to 400 do
+    if !model <> [] && Random.State.int rng 3 > 0 then begin
+      let k = List.nth !model (Random.State.int rng (List.length !model)) in
+      Alcotest.(check bool) ("hit " ^ k) true (Codecache.find c k <> None);
+      model := k :: List.filter (( <> ) k) !model
+    end
+    else begin
+      let k = string_of_int !next in
+      incr next;
+      Codecache.add c ~key:k 0;
+      model := k :: !model;
+      if List.length !model > budget then begin
+        let victim = List.nth !model budget in
+        model := List.filteri (fun i _ -> i < budget) !model;
+        incr victims;
+        Alcotest.(check bool) ("evicted " ^ victim) true
+          (Codecache.find c victim = None)
+      end
+    end;
+    let s = Codecache.stats c in
+    Alcotest.(check int) "evictions" !victims s.Codecache.evictions;
+    Alcotest.(check int) "entries" (List.length !model) s.Codecache.entries
+  done;
+  Alcotest.(check bool) "the budget was passed" true (!victims > 50);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("resident " ^ k) true (Codecache.find c k <> None))
+    !model
+
 (* ------------------------------------------------------------------ *)
 (* Job keys                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -529,6 +570,135 @@ let test_key_config_sensitivity () =
     (fun (field, cfg) ->
       Alcotest.(check string) (field ^ " leaves the key") (key base) (key cfg))
     policy
+
+(* The key's previous digest, kept here as the reference it must
+   agree with: MD5 over [Marshal.to_string ... [No_sharing]] of the
+   same canonical projection the service builds. *)
+let marshalled_key (j : Svc.job) =
+  let sorted_bindings cmp tbl =
+    List.sort
+      (fun (a, _) (b, _) -> cmp a b)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
+  let func_projection (f : Ir.func) =
+    ( f.Ir.fn_name,
+      f.Ir.fn_nparams,
+      f.Ir.fn_is_method,
+      f.Ir.fn_nvars,
+      f.Ir.fn_blocks,
+      f.Ir.fn_handlers,
+      sorted_bindings Int.compare f.Ir.fn_var_names )
+  in
+  let p = j.Svc.jb_program in
+  let projection =
+    ( j.Svc.jb_arch.Arch.name,
+      Config.semantic j.Svc.jb_config,
+      j.Svc.jb_tier,
+      List.sort_uniq Int.compare j.Svc.jb_deopt,
+      p.Ir.prog_main,
+      sorted_bindings String.compare p.Ir.classes,
+      List.map
+        (fun (name, f) -> (name, func_projection f))
+        (sorted_bindings String.compare p.Ir.funcs) )
+  in
+  Digest.to_hex
+    (Digest.string (Marshal.to_string projection [ Marshal.No_sharing ]))
+
+(* Two jobs' keys are equal exactly when their marshalled keys are:
+   each key maps to one reference key and back.  The pool is the
+   registry (built twice from reset sites, so equal keys do occur) and
+   100 generated programs, each under every Windows configuration at
+   tier -1, at tier 0 and at tier 2 with one deopt site. *)
+let test_key_agrees_with_marshal () =
+  let registry () =
+    Ir.reset_sites ();
+    List.map (fun (w : W.t) -> w.W.build ~scale:1) (Registry.all ())
+  in
+  let generated =
+    List.init 100 (fun seed -> (Gen.generate ~seed ()).Gen.g_program)
+  in
+  let jobs =
+    List.concat_map
+      (fun p ->
+        let site =
+          List.concat_map Ir.sites_of_func
+            (Hashtbl.fold (fun _ f acc -> f :: acc) p.Ir.funcs [])
+          |> List.sort compare
+        in
+        let deopt = match site with s :: _ -> [ s ] | [] -> [] in
+        List.concat_map
+          (fun config ->
+            [
+              Svc.job ~config ~arch:Arch.ia32_windows p;
+              Svc.job ~tier:0 ~config ~arch:Arch.ia32_windows p;
+              Svc.job ~tier:2 ~deopt ~config ~arch:Arch.ia32_windows p;
+            ])
+          Config.windows_suite)
+      (registry () @ registry () @ generated)
+  in
+  let to_ref = Hashtbl.create 4096 and of_ref = Hashtbl.create 4096 in
+  let equal = ref 0 in
+  let bind tbl a b what =
+    match Hashtbl.find_opt tbl a with
+    | None -> Hashtbl.add tbl a b
+    | Some b' when b' = b -> ()
+    | Some b' -> Alcotest.failf "%s %s maps to both %s and %s" what a b b'
+  in
+  List.iter
+    (fun j ->
+      let key = Svc.job_key j and reference = marshalled_key j in
+      if Hashtbl.mem to_ref key then incr equal;
+      bind to_ref key reference "key";
+      bind of_ref reference key "marshalled key")
+    jobs;
+  Alcotest.(check bool) "the pool has equal keys to check" true (!equal > 0);
+  Alcotest.(check bool) "the pool has distinct keys" true
+    (Hashtbl.length to_ref > List.length jobs / 3)
+
+(* nesting in the first field, which the walk cannot loop on *)
+type nested = Leaf | Deeper of nested * int
+
+let test_structural_digest_edges () =
+  let d = Svc.structural_digest in
+  let raises what v =
+    match d v with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let differ what a b =
+    Alcotest.(check bool) (what ^ " differ") true (d a <> d b)
+  in
+  raises "a closure" (fun x -> x + 1);
+  raises "a closure inside a list" [ Fun.id ];
+  raises "an Int64" 42L;
+  raises "an Int64 inside a tuple" (1, 42L);
+  raises "a lazy value" (lazy (print_string ""));
+  raises "a mutex" (Mutex.create ());
+  differ "(\"ab\",\"c\") and (\"a\",\"bc\")" ("ab", "c") ("a", "bc");
+  differ "\"a\" and \"a\\000\"" "a" "a\000";
+  differ "\"\" and \"\\000\"" "" "\000";
+  differ "0.0 and -0.0" 0.0 (-0.0);
+  differ "[0.0] and [-0.0]" [| 0.0 |] [| -0.0 |];
+  differ "a float array and a tuple of the same floats" [| 1.5; 2.5 |]
+    (1.5, 2.5);
+  differ "Ok 1 and Error 1" (Ok 1 : (int, int) result) (Error 1);
+  differ "[1; 2] and [2; 1]" [ 1; 2 ] [ 2; 1 ];
+  differ "1 and \"\"" 1 "";
+  Alcotest.(check int) "32 hex characters" 32 (String.length (d (1, "x")));
+  Alcotest.(check bool) "lowercase hex" true
+    (String.for_all
+       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+       (d (1, "x")));
+  let shared = "s" in
+  Alcotest.(check string) "sharing is not seen"
+    (d (shared, shared))
+    (d ("s", String.make 1 's'));
+  let long = List.init 1_000_000 Fun.id in
+  Alcotest.(check string) "a 1,000,000-element list" (d long)
+    (d (List.init 1_000_000 Fun.id));
+  let rec nest n acc = if n = 0 then acc else nest (n - 1) (Deeper (acc, n)) in
+  Alcotest.(check bool) "100,000 levels nested before a last field" true
+    (d (nest 100_000 Leaf) <> d (nest 99_999 Leaf))
 
 (* The node-count size estimate stays close to the printed size the
    64 MiB budget was sized against, on every registry artifact. *)
@@ -1200,6 +1370,8 @@ let () =
           Alcotest.test_case "default is one global lru" `Quick
             test_cache_default_global_lru;
           Alcotest.test_case "counters" `Quick test_cache_counters;
+          Alcotest.test_case "past the budget, lru order" `Quick
+            test_cache_lru_order;
         ] );
       ( "keys",
         [
@@ -1212,6 +1384,10 @@ let () =
             test_key_config_sensitivity;
           Alcotest.test_case "artifact size estimate scale" `Quick
             test_artifact_bytes_scale;
+          Alcotest.test_case "equal exactly when marshalled keys are" `Quick
+            test_key_agrees_with_marshal;
+          Alcotest.test_case "structural digest edge cases" `Quick
+            test_structural_digest_edges;
         ] );
       ( "service",
         [
