@@ -201,19 +201,27 @@ let run_cmd =
             (fun s -> Hashtbl.replace orig_sites s ())
             (Ir.sites_of_func f))
         prog.Ir.funcs;
-    Option.iter Obs.Trace.start_to_file trace;
     let prof = if profile then Some (Obs.Profile.create ()) else None in
-    let cfg = { cfg with Config.backend } in
     let compiled = Compiler.compile cfg ~arch prog in
+    let t0 = Obs.Clock.now () in
     let r =
       match backend with
-      | Config.Native -> run_native_or_fallback ~arch compiled
-      | Config.Interp ->
-        Interp.run ?profile:prof ~arch compiled.Compiler.program []
+      | `Native -> run_native_or_fallback ~arch compiled
+      | `Interp -> Interp.run ?profile:prof ~arch compiled.Compiler.program []
     in
+    let t1 = Obs.Clock.now () in
     Option.iter
       (fun path ->
-        ignore (Obs.Trace.stop ());
+        let run_span =
+          {
+            Obs.Trace.ev_name = "run";
+            ev_cat = "run";
+            ev_ts_us = (t0 -. compiled.Compiler.compile_start) *. 1e6;
+            ev_dur_us = (t1 -. t0) *. 1e6;
+            ev_args = [ ("main", Obs.Json.Str prog.Ir.prog_main) ];
+          }
+        in
+        Obs.Trace.write path (Compiler.trace compiled @ [ run_span ]);
         Fmt.pr "trace written to %s@." path)
       trace;
     let c = r.Interp.counters in
@@ -257,22 +265,14 @@ let run_cmd =
       prof;
     if stats then Fmt.pr "%a" X.Experiments.pp_pass_stats compiled
   in
-  let backend_conv =
-    let parse = function
-      | "interp" -> Ok Config.Interp
-      | "native" -> Ok Config.Native
-      | s -> Error (`Msg ("unknown backend: " ^ s))
-    in
-    Arg.conv (parse, fun ppf b -> Fmt.string ppf (Config.backend_name b))
-  in
   cmd "run" ~doc:"Compile and run a workload, printing counters and checksum."
     Term.(
       const run $ arch_arg $ config_arg $ scale_arg
       $ opt_file [ "trace" ]
           ~doc:
             "Write a Chrome trace-event file (chrome://tracing, \
-             ui.perfetto.dev) covering compilation and execution.  \
-             Equivalent to setting \\$(b,NULLELIM_TRACE)."
+             ui.perfetto.dev): a compile span holding one span per \
+             optimizer pass, then a span for the execution."
       $ flag [ "stats" ]
           ~doc:
             "Print the per-pass timing and data-flow solver work table and \
@@ -282,7 +282,9 @@ let run_cmd =
             "Collect the per-site dynamic profile during the run and print \
              the per-site check table, loop hotness and reconciliation \
              status."
-      $ opt backend_conv Config.Interp [ "backend" ] ~docv:"BACKEND"
+      $ opt
+          Arg.(enum [ ("interp", `Interp); ("native", `Native) ])
+          `Interp [ "backend" ] ~docv:"BACKEND"
           ~doc:
             "Execution engine: interp (simulating interpreter, default) or \
              native (emitted C, real hardware traps; falls back to interp \

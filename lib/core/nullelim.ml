@@ -117,8 +117,8 @@ module Fuzz = Nullelim_gen.Fuzz
 
 (** {1 Telemetry}
 
-    Trace spans ([Obs.span], Chrome trace-event output via
-    [NULLELIM_TRACE=path]), leveled logging ([NULLELIM_LOG=debug]),
+    Chrome trace-event output rendered from a compile's pass records
+    ([Compiler.trace], [run --trace]), leveled logging ([NULLELIM_LOG=debug]),
     a typed metrics registry with a versioned JSON snapshot, and the
     per-check optimization decision log. *)
 

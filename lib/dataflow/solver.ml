@@ -36,7 +36,6 @@
     counter and timing deltas from the same binary. *)
 
 module Cfg = Nullelim_cfg.Cfg
-module Trace = Nullelim_obs.Trace
 
 type direction = Forward | Backward
 
@@ -299,16 +298,8 @@ let with_reference on f =
   Domain.DLS.set reference on;
   Fun.protect ~finally:(fun () -> Domain.DLS.set reference saved) f
 
-let solve ?(name = "solve") ~dir ~cfg ~boundary ~top ~meet ?edge
-    ?boundary_blocks ~transfer () =
+let solve ~dir ~cfg ~boundary ~top ~meet ?edge ?boundary_blocks ~transfer () =
   let engine =
     if Domain.DLS.get reference then solve_reference else solve_worklist
   in
-  let run () =
-    engine ~dir ~cfg ~boundary ~top ~meet ?edge ?boundary_blocks ~transfer ()
-  in
-  if Trace.enabled () then
-    Trace.span ~cat:"solver"
-      ~args:[ ("blocks", Nullelim_obs.Obs_json.Int (Cfg.nblocks cfg)) ]
-      name run
-  else run ()
+  engine ~dir ~cfg ~boundary ~top ~meet ?edge ?boundary_blocks ~transfer ()

@@ -19,9 +19,7 @@
       handlers), whose input is forced to [boundary] regardless of
       syntactic predecessors (forward problems only);
     - [transfer]: per-block transfer function.  It must not mutate or
-      retain its argument; the solver owns and reuses that set;
-    - [name]: analysis name used for the trace span {!solve} emits when
-      tracing ({!Nullelim_obs.Trace}) is active.
+      retain its argument; the solver owns and reuses that set.
 
     {!solve} runs a sparse priority worklist keyed by reverse-postorder
     position (forward) / postorder position (backward): when a block's
@@ -75,7 +73,6 @@ val with_reference : bool -> (unit -> 'a) -> 'a
     compile-service worker keeps its own). *)
 
 val solve :
-  ?name:string ->
   dir:direction ->
   cfg:Cfg.t ->
   boundary:Bitset.t ->

@@ -9,7 +9,6 @@ module Pipeline = Nullelim_opt.Pipeline
 module Context = Nullelim_cfg.Context
 module Solver = Nullelim_dataflow.Solver
 module Codegen = Nullelim_backend.Codegen
-module Emit_c = Nullelim_backend.Emit_c
 module Trace = Nullelim_obs.Trace
 module Clock = Nullelim_obs.Clock
 module Metrics = Nullelim_obs.Metrics
@@ -30,13 +29,9 @@ type compiled = {
   records : Pipeline.record list;  (** one per executed pass, in order *)
   solver : Solver.stats;         (** solver work of this compilation *)
   checks : check_stats;
+  compile_start : float;
   compile_seconds : float;
   decisions : Decision.event list;  (** per-check decision log *)
-  native_stats : Emit_c.stats option;
-      (** C-emission statistics when the configuration's backend is
-          [Native] (and the program is expressible); [None] on the
-          interp backend.  Emission is pure — no toolchain is
-          invoked here. *)
 }
 
 let count_all_checks p =
@@ -186,43 +181,23 @@ let compile ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t)
   Ir.seed_sites p';
   let raw_e, raw_i = count_all_checks p' in
   let sink = Pipeline.sink () in
-  let s0 = Solver.snapshot () in
   let t0 = Clock.now () in
   let (), decisions =
     Decision.with_log (fun () ->
         Decision.set_tier tier;
         (* one analysis context per function for every pass *)
-        let run () =
-          Context.with_store (fun () ->
-              Pipeline.run ~sink (passes ~deopt_sites cfg ~arch) p')
-        in
-        if Trace.enabled () then
-          Trace.span ~cat:"compile"
-            ~args:
-              [
-                ("config", Json.Str cfg.Config.name);
-                ("arch", Json.Str arch.Arch.name);
-              ]
-            "compile" run
-        else run ())
+        Context.with_store (fun () ->
+            Pipeline.run ~sink (passes ~deopt_sites cfg ~arch) p'))
   in
   let compile_seconds = Clock.now () -. t0 in
-  let solver = Solver.diff (Solver.snapshot ()) s0 in
+  let records = Pipeline.records sink in
   let e, i = count_all_checks p' in
-  let native_stats =
-    match cfg.Config.backend with
-    | Config.Interp -> None
-    | Config.Native -> (
-      match Emit_c.emit ~trap_area:arch.Arch.trap_area p' with
-      | Ok em -> Some em.Emit_c.em_stats
-      | Error _ -> None)
-  in
   {
     program = p';
     config = cfg;
     arch;
-    records = Pipeline.records sink;
-    solver;
+    records;
+    solver = Pipeline.solver_total records;
     checks =
       {
         raw_checks = raw_e;
@@ -230,9 +205,9 @@ let compile ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t)
         explicit_after = e;
         implicit_after = i;
       };
+    compile_start = t0;
     compile_seconds;
     decisions;
-    native_stats;
   }
 
 (** Check that the decision log accounts exactly for the difference
@@ -269,11 +244,27 @@ let metrics c =
   Metrics.inc (Metrics.counter m "checks_explicit_after") c.checks.explicit_after;
   Metrics.inc (Metrics.counter m "checks_implicit_after") c.checks.implicit_after;
   Metrics.inc (Metrics.counter m "decision_events") (List.length c.decisions);
-  (match c.native_stats with
-  | Some st ->
-    Metrics.inc
-      (Metrics.counter m "native_implicit_check_instrs")
-      st.Emit_c.ec_implicit_check_instrs;
-    Metrics.inc (Metrics.counter m "native_trap_entries") st.Emit_c.ec_trap_entries
-  | None -> ());
   m
+
+(* The compile span starts the trace (ts 0); the pass spans sit inside
+   it on the same clock. *)
+let trace c =
+  let span cat name ts dur args =
+    {
+      Trace.ev_name = name;
+      ev_cat = cat;
+      ev_ts_us = ts *. 1e6;
+      ev_dur_us = dur *. 1e6;
+      ev_args = args;
+    }
+  in
+  span "compile" "compile" 0. c.compile_seconds
+    [ ("config", Json.Str c.config.Config.name); ("arch", Json.Str c.arch.Arch.name) ]
+  :: List.map
+       (fun (r : Pipeline.record) ->
+         span "pass" r.r_pass (r.r_start -. c.compile_start) r.r_seconds
+           (("minor_words", Json.Int r.r_minor_words)
+           :: List.map
+                (fun (kind, get) -> (kind, Json.Int (get r.r_solver)))
+                Pipeline.counter_kinds))
+       c.records

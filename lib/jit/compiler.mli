@@ -25,19 +25,14 @@ type compiled = {
           monotonic seconds and solver work.  Per-pass timings and
           counters are derived from it (see {!Pipeline.by_pass}). *)
   solver : Solver.stats;
-      (** total data-flow solver work of this compilation, measured
-          around the whole pipeline; equals the sum of the per-pass
-          deltas in [records] *)
+      (** total data-flow solver work of this compilation: the sum of
+          the per-pass deltas in [records] *)
   checks : check_stats;
+  compile_start : float;
+      (** when the compile started, in seconds on {!Nullelim_obs.Clock} *)
   compile_seconds : float;  (** monotonic wall time of the compile *)
   decisions : Decision.event list;
       (** per-check decision log of this compilation, in record order *)
-  native_stats : Nullelim_backend.Emit_c.stats option;
-      (** C-emission statistics when [config.backend] is
-          {!Config.Native} and the program is expressible in the native
-          subset; [None] otherwise.  Emission here is pure bookkeeping —
-          compiling/loading the shared object is
-          {!Nullelim_backend.Native.compile}'s job. *)
 }
 
 val round : Config.t -> arch:Arch.t -> Pipeline.pass list
@@ -81,6 +76,12 @@ val other_time : compiled -> float
 val metrics : compiled -> Metrics.t
 (** A fresh metrics registry for this compilation, built on demand:
     the per-pass series of {!Pipeline.record_metrics}, the
-    [compile_seconds] gauge, the [checks_*] and [decision_events]
-    counters and, with native stats, [native_implicit_check_instrs]
-    and [native_trap_entries]. *)
+    [compile_seconds] gauge and the [checks_*] and [decision_events]
+    counters. *)
+
+val trace : compiled -> Nullelim_obs.Trace.event list
+(** The compile as Chrome trace events, rendered from [records]: a
+    [compile] span at ts 0 (args [config], [arch]) followed by one
+    [pass] span per record, in record order, on the same clock and
+    inside the compile span (args [minor_words] and the four solver
+    counters). *)

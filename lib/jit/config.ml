@@ -36,12 +36,6 @@ type null_opt =
   | New_phase1
   | New_full (** phase 1 iterated + phase 2 *)
 
-type backend =
-  | Interp (** the cost-accounting simulating interpreter *)
-  | Native (** emitted C, compiled and dlopen'd, real SIGSEGV traps *)
-
-let backend_name = function Interp -> "interp" | Native -> "native"
-
 type t = {
   name : string;
   null_opt : null_opt;
@@ -65,11 +59,6 @@ type t = {
   deopt_traps : int;
       (** tiered execution: hardware traps at one implicit site before
           it is deoptimized back to an explicit check *)
-  backend : backend;
-      (** which execution engine runs the compiled program; compilation
-          itself is backend-independent, but the artifact cache key
-          includes it because the native path additionally produces
-          emission artifacts *)
 }
 
 let base =
@@ -85,7 +74,6 @@ let base =
     weak_arrays = false;
     promote_calls = 10;
     deopt_traps = 1;
-    backend = Interp;
   }
 
 let no_null_opt_no_trap =

@@ -10,22 +10,6 @@ type null_opt =
   | New_phase1    (** the paper's §4.1 backward PRE only *)
   | New_full      (** §4.1 + the architecture-dependent §4.2 *)
 
-(** Which engine executes compiled programs.  Compilation is
-    backend-independent; the backend decides how the artifact runs (and
-    joins the code-cache key, since the native path carries emission
-    artifacts the interpreter path does not). *)
-type backend =
-  | Interp  (** the cost-accounting simulating interpreter *)
-  | Native
-      (** C emitted per function, compiled with the system [cc], loaded
-          via [dlopen]; implicit checks are real guard-page SIGSEGV
-          traps.  Falls back to {!Interp} with a warning when the
-          platform or toolchain lacks support — see
-          {!Nullelim_backend.Native.available}. *)
-
-val backend_name : backend -> string
-(** ["interp"] / ["native"] — CLI values and cache-key tags. *)
-
 type t = {
   name : string;                        (** table row label, [by_name] key *)
   null_opt : null_opt;
@@ -38,7 +22,6 @@ type t = {
   weak_arrays : bool;                   (** disable loop-invariant array optimizations *)
   promote_calls : int;                  (** tiered: calls before tier-2 promotion *)
   deopt_traps : int;                    (** tiered: traps at a site before deopt *)
-  backend : backend;                    (** execution engine for the artifact *)
 }
 
 val base : t
@@ -83,7 +66,8 @@ val semantic : t -> t * string option
     knobs [promote_calls] and [deopt_traps], which steer the tiered
     manager, not the compiler) and with [phase2_arch_override] replaced
     by the override architecture's name: an {!Arch.t} holds closures,
-    which cannot be marshalled.  A field added to [t] is semantic
+    which the key's structural digest refuses.  Every remaining field
+    can change the compiled program; a field added to [t] is semantic
     unless it is reset here. *)
 
 val by_name : string -> t option

@@ -1,8 +1,8 @@
-(** Umbrella module for the telemetry layer: trace spans, leveled
-    logging, the metrics registry, causal request contexts, the flight
-    recorder and its per-request timelines, Prometheus exposition, SLO
-    burn rates and the per-check decision log.  Client code says
-    [Obs.span "phase1" f], [Obs.Log.debug ...],
+(** Umbrella module for the telemetry layer: the Chrome trace-event
+    encoder, leveled logging, the metrics registry, causal request
+    contexts, the flight recorder and its per-request timelines,
+    Prometheus exposition, SLO burn rates and the per-check decision
+    log.  Client code says [Obs.Log.debug ...],
     [Obs.Metrics.counter ...], [Obs.Ctx.mint ...],
     [Obs.Recorder.record ...], [Obs.Decision.record ...]. *)
 
@@ -19,5 +19,3 @@ module Export = Export
 module Slo = Slo
 module Decision = Decision
 module Profile = Profile
-
-let span = Trace.span

@@ -272,7 +272,6 @@ let to_trace (t : t) : Trace.event list =
           ev_cat = "flight";
           ev_ts_us = (e.ev_ts -. t0) *. 1e6;
           ev_dur_us = 0.;
-          ev_depth = 0;
           ev_args =
             ([
                ("domain", Obs_json.Int e.ev_domain);

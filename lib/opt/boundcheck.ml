@@ -89,7 +89,7 @@ let eliminate_redundant (f : Ir.func) : int =
       | _ -> ()
     in
     let r =
-      Solver.solve ~name:"boundcheck.availability" ~dir:Solver.Forward ~cfg
+      Solver.solve ~dir:Solver.Forward ~cfg
         ~boundary:(Bitset.empty np) ~top:(Bitset.full np) ~meet:Solver.Inter
         ~boundary_blocks:(Cfg.handler_blocks f)
         ~transfer:(fun l inb ->

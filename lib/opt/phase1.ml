@@ -105,7 +105,7 @@ let analyse (cfg : Cfg.t) : analysis =
   done;
   let empty = Bitset.empty nv in
   let r =
-    Solver.solve ~name:"phase1.insertion-points" ~dir:Solver.Backward ~cfg
+    Solver.solve ~dir:Solver.Backward ~cfg
       ~boundary:(Bitset.empty nv) ~top:checked ~meet:Solver.Inter
       ~edge:(fun ~src ~dst s -> if same_region src dst then s else empty)
       ~transfer:(fun l out ->

@@ -169,7 +169,7 @@ let analyse ~arch (cfg : Cfg.t) : Solver.result =
   let same_region m l = (Ir.block f m).breg = (Ir.block f l).breg in
   let retreating m l = Cfg.rpo_pos cfg l <= Cfg.rpo_pos cfg m in
   let empty = Bitset.empty nv in
-  Solver.solve ~name:"phase2.forward-motion" ~dir:Solver.Forward ~cfg
+  Solver.solve ~dir:Solver.Forward ~cfg
     ~boundary:(Bitset.empty nv) ~top:(Bitset.full nv) ~meet:Solver.Inter
     ~edge:(fun ~src ~dst s ->
       if same_region src dst && not (retreating src dst) then s else empty)
@@ -254,7 +254,7 @@ let eliminate_substitutable ~arch ~(cfg : Cfg.t) (f : Ir.func)
   let retreating m l = Cfg.rpo_pos cfg l <= Cfg.rpo_pos cfg m in
   let empty = Bitset.empty nv in
   let r =
-    Solver.solve ~name:"phase2.substitutable" ~dir:Solver.Backward ~cfg
+    Solver.solve ~dir:Solver.Backward ~cfg
       ~boundary:(Bitset.empty nv) ~top:(Bitset.full nv) ~meet:Solver.Inter
       ~edge:(fun ~src ~dst s ->
         if same_region src dst && not (retreating src dst) then s else empty)

@@ -1,24 +1,21 @@
 (** Pass manager: named passes over whole programs.  [run] appends one
     {!record} per executed pass to a single sink: the pass name, its
-    monotonic wall time, the words it allocated on the minor heap and
-    the data-flow solver work it did.  Every per-pass view is derived
-    from those records: the compilation-time breakdown of the paper's
-    Tables 4 and 5 (null-check optimization vs. everything else, new
-    vs. old algorithm), the solver-work counters the benchmark harness
-    reports, and the per-compile metrics registry.
+    start stamp and monotonic wall time, the words it allocated on the
+    minor heap and the data-flow solver work it did.  Every per-pass
+    view is derived from those records: the compilation-time breakdown
+    of the paper's Tables 4 and 5 (null-check optimization vs.
+    everything else, new vs. old algorithm), the solver-work counters
+    the benchmark harness reports, the per-compile metrics registry and
+    the Chrome trace of a compile ([Compiler.trace]).
 
     [rounds] iterates a group of passes up to a bound and retires the
     remaining rounds once one leaves the program unchanged.
 
-    The pass manager is also where the telemetry layer hooks into the
-    pipeline: each pass runs under a {!Nullelim_obs.Trace} span (with
-    per-function child spans when tracing is active), and the decision
-    log's pass/function context is maintained here so individual passes
-    only state what they did. *)
+    The decision log's pass/function context is maintained here so
+    individual passes only state what they did. *)
 
 module Ir = Nullelim_ir.Ir
 module Solver = Nullelim_dataflow.Solver
-module Trace = Nullelim_obs.Trace
 module Clock = Nullelim_obs.Clock
 module Metrics = Nullelim_obs.Metrics
 module Decision = Nullelim_obs.Decision
@@ -27,6 +24,7 @@ type pass = { name : string; run : Ir.program -> unit }
 
 type record = {
   r_pass : string;
+  r_start : float;
   r_seconds : float;
   r_minor_words : int;
   r_solver : Solver.stats;
@@ -38,8 +36,7 @@ let sink () : sink = ref []
 let records (s : sink) = List.rev !s
 
 (** Lift a per-function transformation to a program pass.  Maintains the
-    decision log's function context and, when tracing, opens one child
-    span per function. *)
+    decision log's function context. *)
 let per_func name (g : Ir.func -> unit) : pass =
   {
     name;
@@ -48,8 +45,7 @@ let per_func name (g : Ir.func -> unit) : pass =
         Ir.iter_funcs
           (fun f ->
             Decision.set_func f.Ir.fn_name;
-            if Trace.enabled () then Trace.span ~cat:"func" f.Ir.fn_name (fun () -> g f)
-            else g f)
+            g f)
           p);
   }
 
@@ -64,24 +60,20 @@ let run ?sink (passes : pass list) (p : Ir.program) : unit =
     (fun pass ->
       Decision.set_pass pass.name;
       Decision.set_func "";
-      let execute () =
-        if Trace.enabled () then
-          Trace.span ~cat:"pass" pass.name (fun () -> pass.run p)
-        else pass.run p
-      in
       match sink with
-      | None -> ( try execute () with Skipped -> ())
+      | None -> ( try pass.run p with Skipped -> ())
       | Some s -> (
         let s0 = Solver.snapshot () in
         let w0 = Gc.minor_words () in
         let t0 = Clock.now_ns () in
-        match execute () with
+        match pass.run p with
         | () ->
           let t1 = Clock.now_ns () in
           let w1 = Gc.minor_words () in
           s :=
             {
               r_pass = pass.name;
+              r_start = Int64.to_float t0 *. 1e-9;
               r_seconds = Int64.to_float (Int64.sub t1 t0) *. 1e-9;
               r_minor_words = int_of_float (w1 -. w0);
               r_solver = Solver.diff (Solver.snapshot ()) s0;
@@ -186,6 +178,9 @@ let add_stats (a : Solver.stats) (b : Solver.stats) : Solver.stats =
   }
 
 let total recs = List.fold_left (fun acc r -> acc +. r.r_seconds) 0. recs
+
+let solver_total recs =
+  List.fold_left (fun acc r -> add_stats acc r.r_solver) (zero_stats ()) recs
 
 let total_matching recs pred =
   List.fold_left

@@ -1,9 +1,9 @@
 (** Pass manager: named program passes, each executed pass recorded
-    once (name, monotonic wall time, minor-heap words, solver work)
-    into a single sink;
+    once (name, start stamp, monotonic wall time, minor-heap words,
+    solver work) into a single sink;
     the source of the paper's compilation-time tables, of the
-    benchmark harness's solver-work report and of the per-compile
-    metrics registry. *)
+    benchmark harness's solver-work report, of the per-compile
+    metrics registry and of a compile's Chrome trace. *)
 
 module Ir = Nullelim_ir.Ir
 module Solver = Nullelim_dataflow.Solver
@@ -12,6 +12,9 @@ type pass = { name : string; run : Ir.program -> unit }
 
 type record = {
   r_pass : string;           (** the pass's name *)
+  r_start : float;
+      (** when this execution started, in seconds on
+          {!Nullelim_obs.Clock} (the flight recorder's clock) *)
   r_seconds : float;         (** monotonic wall time of this execution *)
   r_minor_words : int;
       (** words this execution allocated on the minor heap: the calling
@@ -34,10 +37,8 @@ val run : ?sink:sink -> pass list -> Ir.program -> unit
 (** Run the passes in order.  With [sink], append one record per
     executed pass: two clock reads, the calling domain's
     [Gc.minor_words] delta and its {!Solver} counter delta.  A pass of
-    a retired round (see {!rounds}) does nothing and leaves no record
-    (a trace shows it as an empty span).  Each pass runs under a trace
-    span, and the decision log's pass/function context is maintained
-    here. *)
+    a retired round (see {!rounds}) does nothing and leaves no record.
+    The decision log's pass/function context is maintained here. *)
 
 val rounds : max:int -> pass list -> pass list
 (** [rounds ~max round] is [max] copies of [round] that stop at a
@@ -55,6 +56,9 @@ val rounds : max:int -> pass list -> pass list
 val total : record list -> float
 val total_matching : record list -> (string -> bool) -> float
 
+val solver_total : record list -> Solver.stats
+(** The records' solver work summed. *)
+
 type pass_total = {
   p_pass : string;
   p_runs : int;           (** executions *)
@@ -65,6 +69,10 @@ type pass_total = {
 
 val by_pass : record list -> pass_total list
 (** The records summed per pass name, sorted by name. *)
+
+val counter_kinds : (string * (Solver.stats -> int)) list
+(** The four solver counters by name: [solves], [visits], [transfers],
+    [pushes]. *)
 
 val counters : record list -> (string * int) list
 (** Solver-work counters keyed by ["<pass>#<counter>"] with counter one

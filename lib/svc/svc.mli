@@ -13,12 +13,13 @@
     [Compiler.compile] is deterministic in its inputs (it re-seeds the
     provenance counter from the input program), and every piece of
     compiler state it touches is domain-local (solver counters, the
-    decision log, trace sinks, the site counter), so compiling the same
+    decision log, the site counter), so compiling the same
     job on any domain produces a byte-identical artifact.
     {!compile_all} preserves job order in its results; consequently a
     parallel batch is observably identical to {!compile_serial} except
-    for wall-clock fields ([compile_seconds], the seconds of each pass
-    record, [oc_seconds], [oc_queued_seconds]) and
+    for wall-clock fields ([compile_start], [compile_seconds], the
+    start and seconds of each pass record, [oc_seconds],
+    [oc_queued_seconds]) and
     [oc_worker]/[oc_cache_hit] provenance.
 
     {2 Admission and caching}

@@ -25,7 +25,6 @@
 
 module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
-module Trace = Nullelim_obs.Trace
 module Metrics = Nullelim_obs.Metrics
 module Log = Nullelim_obs.Log
 module Profile = Nullelim_obs.Profile
@@ -938,19 +937,12 @@ let start ~fuel ?metrics ?profile ?on_trap ~(arch : Arch.t) (p : Ir.program)
       layouts = Hashtbl.create 8;
     }
   in
-  let execute () =
+  let outcome =
     try Returned (invoke st p.prog_main args) with
     | Jexn k -> Uncaught k
     | Sim msg -> Sim_error msg
     | Out_of_fuel -> Sim_error "out of fuel"
     | Division_by_zero -> Sim_error "host division by zero"
-  in
-  let outcome =
-    if Trace.enabled () then
-      Trace.span ~cat:"interp"
-        ~args:[ ("main", Nullelim_obs.Obs_json.Str p.prog_main) ]
-        "run" execute
-    else execute ()
   in
   st.c.instrs <- fuel - st.fuel;
   st.c.cycles <- st.cycles;

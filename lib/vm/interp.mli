@@ -76,8 +76,7 @@ val run :
     as [interp_*] counters; with [profile], per-block execution counts
     and per-check-site dynamic hits are collected into the given
     collector (when absent, every profiling hook reduces to one option
-    match — no measurable slowdown); when tracing is active the whole
-    run is one span.
+    match — no measurable slowdown).
 
     [dispatch] is the call-boundary code-version resolver for tiered
     execution: every call (and the initial entry into main) maps the

@@ -29,8 +29,32 @@ dune exec bin/main.exe -- tiered \
   --runs 6 --promote-calls 3 \
   --out TIERED_report.md \
   --merge BENCH_baseline.json
-# reduced smoke settings: keep in sync with the CI loadgen step
-dune exec bin/main.exe -- loadgen \
-  --jobs 2 --duration 2 --max-requests 8000 --seed 42 \
-  --merge BENCH_baseline.json
+# reduced smoke settings: keep in sync with the CI loadgen step.  One
+# run's normalized p99 lands anywhere in a wide spread (7.5-20.6 over
+# seven runs of one build), so the step runs seven times and the run
+# with the median normalized p99 becomes the member.
+runs=$(mktemp -d)
+trap 'rm -rf "$runs"' EXIT
+for i in 1 2 3 4 5 6 7; do
+  dune exec bin/main.exe -- loadgen \
+    --jobs 2 --duration 2 --max-requests 8000 --seed 42 \
+    --out "$runs/loadgen$i.json"
+done
+# Merged as `--merge` would: the container is Obs_json's compact text
+# and, rebuilt above, has no loadgen member yet, so the chosen run's
+# document is appended verbatim before the closing brace.
+python3 - "$runs" BENCH_baseline.json <<'PY'
+import glob, json, sys
+runs, path = sys.argv[1], sys.argv[2]
+docs = sorted((json.load(open(p))["normalized_p99"], p)
+              for p in glob.glob(runs + "/loadgen*.json"))
+p99, median = docs[len(docs) // 2]
+print("loadgen normalized p99: %s; recording %.4g"
+      % (" ".join("%.4g" % d for d, _ in docs), p99))
+text = open(path).read().rstrip("\n")
+assert "loadgen" not in json.loads(text) and text.endswith("}")
+member = open(median).read().rstrip("\n")
+open(path, "w").write(text[:-1] + ',"loadgen":' + member + "}\n")
+PY
+dune exec bin/main.exe -- validate-json BENCH_baseline.json
 echo "refreshed BENCH_baseline.json, PROFILE_report.md and TIERED_report.md"

@@ -89,15 +89,6 @@ let test_zero_implicit_instrs () =
   Alcotest.(check bool) "trap table is populated" true
     (st.Emit_c.ec_trap_entries > 0)
 
-let test_compiler_native_stats () =
-  let cfg = { Config.new_full with Config.backend = Config.Native } in
-  let c = Compiler.compile cfg ~arch:ia32 (field_loop ()) in
-  match c.Compiler.native_stats with
-  | None -> Alcotest.fail "native backend config produced no emission stats"
-  | Some st ->
-    Alcotest.(check int) "zero implicit-check instructions" 0
-      st.Emit_c.ec_implicit_check_instrs
-
 (* ------------------------------------------------------------------ *)
 (* Native execution                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -203,8 +194,6 @@ let () =
         [
           Alcotest.test_case "implicit checks cost zero instructions" `Quick
             test_zero_implicit_instrs;
-          Alcotest.test_case "Compiler.compile surfaces native stats" `Quick
-            test_compiler_native_stats;
         ] );
       ( "execution",
         [

@@ -1,4 +1,4 @@
-(** Telemetry layer: trace spans, metrics registry, decision log.
+(** Telemetry layer: compile traces, metrics registry, decision log.
 
     The load-bearing property is reconciliation: for every registry
     workload and every configuration, folding the decision log's deltas
@@ -275,81 +275,43 @@ let test_metrics_hammer () =
     (Obs.Metrics.gauge_value (Obs.Metrics.gauge m "hammer_acc"))
 
 (* ------------------------------------------------------------------ *)
-(* Trace spans                                                         *)
+(* Chrome trace rendered from the pass records                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_trace_nesting () =
-  Obs.Trace.start ();
-  (* enough work that the spans are wider than the clock granularity *)
-  let work () = ignore (Sys.opaque_identity (List.init 20_000 Fun.id)) in
-  let r =
-    Obs.span "outer" (fun () ->
-        Obs.span "inner1" (fun () -> work ());
-        Obs.span "inner2" (fun () ->
-            Alcotest.(check int) "depth inside" 2 (Obs.Trace.depth ());
-            work ();
-            17))
-  in
-  Alcotest.(check int) "span returns" 17 r;
-  Alcotest.(check int) "balanced" 0 (Obs.Trace.depth ());
-  let evs = Obs.Trace.stop () in
-  Alcotest.(check int) "three events" 3 (List.length evs);
-  let by_name n =
-    match List.find_opt (fun e -> e.Obs.Trace.ev_name = n) evs with
-    | Some e -> e
-    | None -> Alcotest.failf "no span named %s" n
-  in
-  let outer = by_name "outer" in
-  Alcotest.(check int) "outer at top level" 0 outer.Obs.Trace.ev_depth;
-  List.iter
-    (fun n ->
-      let e = by_name n in
-      Alcotest.(check int) ("depth of " ^ n) 1 e.Obs.Trace.ev_depth;
-      (* contained in the outer interval *)
-      Alcotest.(check bool) (n ^ " starts inside outer") true
-        (e.ev_ts_us >= outer.ev_ts_us);
-      Alcotest.(check bool) (n ^ " ends inside outer") true
-        (e.ev_ts_us +. e.ev_dur_us <= outer.ev_ts_us +. outer.ev_dur_us))
-    [ "inner1"; "inner2" ];
-  (* stop returns start order: outer first *)
-  match evs with
-  | first :: _ ->
-    Alcotest.(check string) "outer first" "outer" first.Obs.Trace.ev_name
-  | [] -> Alcotest.fail "no events"
-
-let test_trace_exception_safety () =
-  Obs.Trace.start ();
-  (try Obs.span "boom" (fun () -> failwith "x") with Failure _ -> ());
-  Alcotest.(check int) "depth restored" 0 (Obs.Trace.depth ());
-  let evs = Obs.Trace.stop () in
-  Alcotest.(check int) "event recorded" 1 (List.length evs)
 
 let test_trace_compile_stream () =
   let w = Option.get (Workloads.find "numeric-sort") in
   let prog = w.Nullelim_workloads.Workload.build ~scale:1 in
-  Obs.Trace.start ();
-  let _c = Compiler.compile Config.new_full ~arch:Arch.ia32_windows prog in
-  Alcotest.(check int) "balanced after compile" 0 (Obs.Trace.depth ());
-  let evs = Obs.Trace.stop () in
-  (* the stream contains the expected layers *)
-  let has cat = List.exists (fun e -> e.Obs.Trace.ev_cat = cat) evs in
-  Alcotest.(check bool) "compile span" true (has "compile");
-  Alcotest.(check bool) "pass spans" true (has "pass");
-  Alcotest.(check bool) "function spans" true (has "func");
-  Alcotest.(check bool) "solver spans" true (has "solver");
-  (* Chrome trace JSON shape *)
-  let j = Obs.Trace.to_json evs in
-  match Json.member "traceEvents" j with
-  | Some (Json.List items) ->
-    Alcotest.(check int) "all events emitted" (List.length evs)
-      (List.length items);
+  let c = Compiler.compile Config.new_full ~arch:Arch.ia32_windows prog in
+  let recs = c.Compiler.records in
+  match Compiler.trace c with
+  | [] -> Alcotest.fail "no events"
+  | compile :: passes ->
+    Alcotest.(check string) "compile span first" "compile" compile.Obs.Trace.ev_cat;
+    Alcotest.(check (list string)) "one pass span per record, in order"
+      (List.map (fun r -> r.Pipeline.r_pass) recs)
+      (List.map (fun e -> e.Obs.Trace.ev_name) passes);
+    let fin e = e.Obs.Trace.ev_ts_us +. e.Obs.Trace.ev_dur_us in
+    List.iter2
+      (fun (r : Pipeline.record) (e : Obs.Trace.event) ->
+        Alcotest.(check string) "pass category" "pass" e.ev_cat;
+        Alcotest.(check (float 0.)) (r.r_pass ^ " dur") (r.r_seconds *. 1e6)
+          e.ev_dur_us;
+        Alcotest.(check bool) (r.r_pass ^ " inside the compile span") true
+          (e.ev_ts_us >= compile.ev_ts_us && fin e <= fin compile))
+      recs passes;
     List.iter
-      (fun item ->
-        match (Json.member "ph" item, Json.member "ts" item) with
-        | Some (Json.Str "X"), Some (Json.Float _ | Json.Int _) -> ()
-        | _ -> Alcotest.fail "event is not a complete event with ts")
-      items
-  | _ -> Alcotest.fail "no traceEvents array"
+      (fun (kind, get) ->
+        Alcotest.(check int) ("solver args sum: " ^ kind) (get c.Compiler.solver)
+          (List.fold_left
+             (fun acc (e : Obs.Trace.event) ->
+               match List.assoc_opt kind e.ev_args with
+               | Some (Json.Int n) -> acc + n
+               | _ -> Alcotest.failf "%s span has no %s arg" e.ev_name kind)
+             0 passes))
+      Pipeline.counter_kinds;
+    match Obs.Trace.validate (Obs.Trace.to_json (compile :: passes)) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "trace document invalid: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* Decision log                                                        *)
@@ -497,12 +459,7 @@ let () =
             test_metrics_hammer;
         ] );
       ( "trace",
-        [
-          Alcotest.test_case "well-nested + balanced" `Quick test_trace_nesting;
-          Alcotest.test_case "exception safety" `Quick
-            test_trace_exception_safety;
-          Alcotest.test_case "compile stream" `Quick test_trace_compile_stream;
-        ] );
+        [ Alcotest.test_case "compile stream" `Quick test_trace_compile_stream ] );
       ( "decisions",
         [
           Alcotest.test_case "reconciles on all workloads" `Slow

@@ -415,9 +415,6 @@ let check_sink what (c : Compiler.compiled) =
            (fun acc (k, v) ->
              if String.ends_with ~suffix:("#" ^ kind) k then acc + v else acc)
            0 counters);
-      (* the compile's own solver stats, measured around the whole
-         pipeline, equal the sum of the per-pass deltas *)
-      Alcotest.(check int) (what ^ ": compile solver " ^ kind) (get c.Compiler.solver) sum;
       Alcotest.(check int) (what ^ ": metrics solver_" ^ kind) sum
         (List.fold_left
            (fun acc (p : Pipeline.pass_total) ->

@@ -314,7 +314,7 @@ let printed_payload (j : Svc.job) =
   Buffer.add_string b j.Svc.jb_arch.Arch.name;
   Buffer.add_char b '\x00';
   Buffer.add_string b
-    (Printf.sprintf "%s|%b|%b|%s|%d|%b|%d|%b|%s\x00"
+    (Printf.sprintf "%s|%b|%b|%s|%d|%b|%d|%b\x00"
        (match cfg.Config.null_opt with
        | Config.No_null_opt -> "none"
        | Config.Old_whaley -> "whaley"
@@ -325,8 +325,7 @@ let printed_payload (j : Svc.job) =
        | None -> "-"
        | Some a -> a.Arch.name)
        cfg.Config.iterations cfg.Config.inline cfg.Config.heavy_factor
-       cfg.Config.weak_arrays
-       (Config.backend_name cfg.Config.backend));
+       cfg.Config.weak_arrays);
   Buffer.add_string b (Printf.sprintf "t%d[" j.Svc.jb_tier);
   List.iter
     (fun s -> Buffer.add_string b (string_of_int s ^ ","))
@@ -543,7 +542,6 @@ let test_key_config_sensitivity () =
         { base with Config.heavy_factor = base.Config.heavy_factor + 1 } );
       ( "weak_arrays",
         { base with Config.weak_arrays = not base.Config.weak_arrays } );
-      ("backend", { base with Config.backend = Config.Native });
     ]
   in
   let policy =
@@ -1278,13 +1276,6 @@ let semantic_variants (c : Config.t) =
       { c with Config.inline = not c.Config.inline };
       { c with Config.heavy_factor = c.Config.heavy_factor + 1 };
       { c with Config.weak_arrays = not c.Config.weak_arrays };
-      {
-        c with
-        Config.backend =
-          (match c.Config.backend with
-          | Config.Interp -> Config.Native
-          | Config.Native -> Config.Interp);
-      };
     ]
   in
   assert (List.length vs + 3 = Obj.size (Obj.repr c));
