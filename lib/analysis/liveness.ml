@@ -18,15 +18,24 @@ let step (s : Bitset.t) add (i : Ir.instr) : unit =
 let transfer_instr (s : Bitset.t) (i : Ir.instr) : unit =
   step s (Bitset.add_mut s) i
 
-let block_transfer (f : Ir.func) l (outb : Bitset.t) : Bitset.t =
-  let s = Bitset.copy outb in
-  let add = Bitset.add_mut s in
-  Ir.iter_term_uses add (Ir.block f l).term;
-  let instrs = (Ir.block f l).instrs in
+(* A block's transfer as its two sets: live-in is
+   [gen ∪ (live-out − kill)], where [gen] is what the backward walk
+   leaves in an empty set (the uses not preceded by a definition in the
+   block) and [kill] is every variable the block defines. *)
+let gen_kill nv (f : Ir.func) l : Bitset.t * Bitset.t =
+  let gen = Bitset.empty nv and kill = Bitset.empty nv in
+  let add = Bitset.add_mut gen in
+  let b = Ir.block f l in
+  Ir.iter_term_uses add b.term;
+  let instrs = b.instrs in
   for k = Array.length instrs - 1 downto 0 do
-    step s add instrs.(k)
+    let i = instrs.(k) in
+    (match Ir.def_of_instr i with
+    | Some d -> Bitset.add_mut kill d
+    | None -> ());
+    step gen add i
   done;
-  s
+  (gen, kill)
 
 type t = { result : Solver.result; func : Ir.func }
 
@@ -40,14 +49,23 @@ let solve (cfg : Cfg.t) : t =
      such blocks both the live-out and the live-in are conservatively
      the full set: no definition inside a protected block can make an
      earlier value dead. *)
-  let handler_of l = Ir.handler_of f (Ir.block f l).breg in
+  let sets =
+    Array.init (Ir.nblocks f) (fun l ->
+        match Ir.handler_of f (Ir.block f l).breg with
+        | Some _ -> None
+        | None -> Some (gen_kill nv f l))
+  in
   let result =
     Solver.solve ~dir:Solver.Backward ~cfg ~boundary:(Bitset.empty nv)
       ~top:(Bitset.empty nv) ~meet:Solver.Union
       ~transfer:(fun l s ->
-        match handler_of l with
-        | Some _ -> Bitset.full nv
-        | None -> block_transfer f l s)
+        match sets.(l) with
+        | None -> Bitset.full nv
+        | Some (gen, kill) ->
+          let s = Bitset.copy s in
+          Bitset.diff_into s kill;
+          Bitset.union_into s gen;
+          s)
       ()
   in
   { result; func = f }

@@ -12,9 +12,13 @@
  *     fault-PC -> site tables, the recovery-frame stack head);
  *   - it never calls into the OCaml runtime, never allocates, never
  *     takes a lock;
- *   - recovery is sigprocmask(SIG_UNBLOCK) + siglongjmp into the
- *     innermost native frame, whose emitted prologue re-dispatches the
- *     NPE exactly like the interpreter's handler search;
+ *   - recovery is one siglongjmp into the innermost native frame,
+ *     whose emitted prologue re-dispatches the NPE exactly like the
+ *     interpreter's handler search.  The handler is installed with
+ *     SA_NODEFER, so the signal is never blocked while it runs and
+ *     nothing has to be unblocked before the jump; the frames are
+ *     saved with sigsetjmp(env, 0), so the jump restores no mask
+ *     either: a trap costs one kernel entry, the fault's own;
  *   - faults whose PC is not in any registered trap bracket, or whose
  *     address is outside the guard region, are chained to the
  *     previously installed handler (the OCaml runtime's own SIGSEGV
@@ -258,14 +262,8 @@ static void ne_handler(int sig, siginfo_t *si, void *uctx)
       ne_top->trap_idx = ent->idx;
       ne_trap_ring[ne_trap_count % NE_TRAP_RING] = ent->site;
       ne_trap_count++;
-      /* The signal is blocked during handling and siglongjmp exits
-         the handler abnormally; unblock first or the next trap is
-         force-delivered with the default action. */
-      sigset_t s;
-      sigemptyset(&s);
-      sigaddset(&s, SIGSEGV);
-      sigaddset(&s, SIGBUS);
-      sigprocmask(SIG_UNBLOCK, &s, NULL);
+      /* SA_NODEFER left the signal unblocked, so the next trap is
+         delivered normally after this abnormal exit. */
       siglongjmp(ne_top->env, 1);
     }
     /* Guard address but unknown PC (or no native frame): not one of
@@ -279,7 +277,9 @@ static int ne_install(void)
   struct sigaction sa;
   memset(&sa, 0, sizeof sa);
   sa.sa_sigaction = ne_handler;
-  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  /* SA_NODEFER: see the recovery note in the header.  A guard fault
+     inside the handler re-enters it and aborts on ne_in_recovery. */
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK | SA_NODEFER;
   sigemptyset(&sa.sa_mask);
   if (sigaction(SIGSEGV, &sa, &ne_old_segv) != 0) return 0;
   if (sigaction(SIGBUS, &sa, &ne_old_bus) != 0) return 0;

@@ -91,18 +91,6 @@ let diff_into dst src =
     d.(i) <- d.(i) land lnot s.(i)
   done
 
-(** Fused meet: [meet_all_into ~op ~into ~n ~get] sets [into] to
-    [get 0 `op` get 1 `op` ... `op` get (n-1)] without allocating.
-    [op] is one of the [_into] kernels; [get] may return the same set
-    for several indices. *)
-let meet_all_into ~(op : t -> t -> unit) ~(into : t) ~(n : int)
-    ~(get : int -> t) : unit =
-  if n <= 0 then invalid_arg "Bitset.meet_all_into: no operands";
-  copy_into into (get 0);
-  for k = 1 to n - 1 do
-    op into (get k)
-  done
-
 let lift2 op a b =
   check_pair a b;
   { size = a.size; bits = Array.init (Array.length a.bits) (fun i -> op a.bits.(i) b.bits.(i)) }

@@ -50,12 +50,6 @@ val diff_into : t -> t -> unit
 (** [diff_into dst src] sets [dst := dst ∖ src].  With [dst == src] the
     result is the empty set, as the algebra demands. *)
 
-val meet_all_into : op:(t -> t -> unit) -> into:t -> n:int -> get:(int -> t) -> unit
-(** [meet_all_into ~op ~into ~n ~get] sets
-    [into := get 0 `op` … `op` get (n-1)] without allocating; [op] is
-    one of the [_into] kernels.  Raises [Invalid_argument] when
-    [n <= 0]. *)
-
 val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t

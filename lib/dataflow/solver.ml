@@ -16,7 +16,8 @@
       the empty set for may problems.
 
     The engine is a priority worklist: blocks are visited in reverse
-    postorder (forward) / postorder (backward), and when a block's
+    postorder (forward) / postorder (backward), lowest queued position
+    first, and when a block's
     output changes only its dependents — successors for forward
     problems, predecessors for backward ones — are re-queued, instead of
     re-scanning every block until a whole sweep is quiet.  Both engines
@@ -26,9 +27,9 @@
     the original round-robin engine precisely so the test suite can
     assert that.  Unreachable blocks keep [top].
 
-    The meet over incoming edges runs destructively through
-    {!Bitset.meet_all_into}, so a block visit allocates nothing beyond
-    what the client's own [transfer]/[edge] functions allocate.
+    The meet over incoming edges runs destructively into the block's
+    input slot, so a block visit allocates nothing beyond what the
+    client's own [transfer]/[edge] functions allocate.
 
     Setting the environment variable [NULLELIM_SOLVER=reference], or
     {!with_reference} on one domain, routes {!solve} to the round-robin
@@ -184,101 +185,82 @@ let solve_worklist ~(dir : direction) ~(cfg : Cfg.t)
   let order = visit_order dir cfg in
   let m = Array.length order in
   if m > 0 then begin
-    (* priority = position in the visit order; max_int marks blocks the
-       DFS never reached (they keep [top] and are never queued) *)
-    let prio = Array.make n max_int in
-    Array.iteri (fun i l -> prio.(l) <- i) order;
+    let forward = dir = Forward in
+    (* a block's position in the visit order, from the CFG's reverse
+       postorder; -1 marks blocks the DFS never reached (they keep [top]
+       and are never queued) *)
+    let pos l =
+      let r = Cfg.rpo_pos cfg l in
+      if r < 0 || forward then r else m - 1 - r
+    in
     (* dependency arrays: where a block's input comes from, and who must
        be re-queued when its output changes *)
     let input_of, dependents =
-      match dir with
-      | Forward -> (Cfg.pred_arrays cfg, Cfg.succ_arrays cfg)
-      | Backward -> (Cfg.succ_arrays cfg, Cfg.pred_arrays cfg)
+      if forward then (Cfg.pred_arrays cfg, Cfg.succ_arrays cfg)
+      else (Cfg.succ_arrays cfg, Cfg.pred_arrays cfg)
     in
     let is_boundary = Array.make n false in
-    List.iter
-      (fun l -> if l >= 0 && l < n then is_boundary.(l) <- true)
-      boundary_blocks;
+    if forward then
+      List.iter
+        (fun l -> if l >= 0 && l < n then is_boundary.(l) <- true)
+        boundary_blocks;
     let op = meet_into meet in
-    (* binary min-heap of labels keyed by [prio], deduplicated by
-       [inq] — at most one entry per block, so capacity [m] suffices *)
-    let heap = Array.make m 0 in
-    let hsize = ref 0 in
-    let inq = Array.make n false in
-    let swap i j =
-      let t = heap.(i) in
-      heap.(i) <- heap.(j);
-      heap.(j) <- t
+    (* where a block's input is met into, and where its output goes *)
+    let inputs = if forward then inb else outb
+    and outputs = if forward then outb else inb in
+    (* the fact flowing into [l] along its edge with neighbour [p] *)
+    let fact l p =
+      if forward then edge ~src:p ~dst:l outputs.(p)
+      else edge ~src:l ~dst:p outputs.(p)
     in
-    let rec up i =
-      if i > 0 then begin
-        let p = (i - 1) / 2 in
-        if prio.(heap.(i)) < prio.(heap.(p)) then begin
-          swap i p;
-          up p
-        end
-      end
-    in
-    let rec down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let s = ref i in
-      if l < !hsize && prio.(heap.(l)) < prio.(heap.(!s)) then s := l;
-      if r < !hsize && prio.(heap.(r)) < prio.(heap.(!s)) then s := r;
-      if !s <> i then begin
-        swap i !s;
-        down !s
-      end
-    in
-    let push l =
-      if not inq.(l) then begin
-        inq.(l) <- true;
-        heap.(!hsize) <- l;
-        incr hsize;
-        up (!hsize - 1);
-        counters.pushes <- counters.pushes + 1
-      end
-    in
-    let pop () =
-      let l = heap.(0) in
-      decr hsize;
-      heap.(0) <- heap.(!hsize);
-      if !hsize > 0 then down 0;
-      inq.(l) <- false;
-      l
-    in
-    (* seed with every reachable block, in visit order (so the first
+    (* The worklist is one flag per visit-order position, so taking the
+       lowest queued position visits blocks in the order a priority
+       queue keyed by position would.  [first] is at or below the lowest
+       set flag: a push below it moves it down, and a pop scans up from
+       it. *)
+    let queued = Array.make m true in
+    let pending = ref m and first = ref 0 in
+    (* seeded with every reachable block, in visit order (so the first
        drain is exactly one in-order sweep) *)
-    Array.iter push order;
-    while !hsize > 0 do
-      let l = pop () in
+    counters.pushes <- counters.pushes + m;
+    while !pending > 0 do
+      while not queued.(!first) do
+        incr first
+      done;
+      let k = !first in
+      queued.(k) <- false;
+      decr pending;
+      let l = order.(k) in
       counters.visits <- counters.visits + 1;
       (* 1. meet over incoming edges, destructively into the input slot *)
-      let input = match dir with Forward -> inb.(l) | Backward -> outb.(l) in
-      let srcs = match dir with Forward -> outb | Backward -> inb in
+      let input = inputs.(l) in
       let ins = input_of.(l) in
       let nin = Array.length ins in
-      if (dir = Forward && is_boundary.(l)) || nin = 0 then
-        Bitset.copy_into input boundary
-      else
-        Bitset.meet_all_into ~op ~into:input ~n:nin ~get:(fun k ->
-            let p = ins.(k) in
-            match dir with
-            | Forward -> edge ~src:p ~dst:l srcs.(p)
-            | Backward -> edge ~src:l ~dst:p srcs.(p));
+      if is_boundary.(l) || nin = 0 then Bitset.copy_into input boundary
+      else begin
+        Bitset.copy_into input (fact l ins.(0));
+        for j = 1 to nin - 1 do
+          op input (fact l ins.(j))
+        done
+      end;
       (* 2. block transfer *)
       counters.transfers <- counters.transfers + 1;
       let o = transfer l input in
       (* the output slot must stay distinct from the input slot, which
          the next visit overwrites in place *)
       let o = if o == input then Bitset.copy o else o in
-      let cur = match dir with Forward -> outb.(l) | Backward -> inb.(l) in
-      if not (Bitset.equal o cur) then begin
-        (match dir with Forward -> outb.(l) <- o | Backward -> inb.(l) <- o);
+      if not (Bitset.equal o outputs.(l)) then begin
+        outputs.(l) <- o;
         (* 3. re-queue the dependents whose input just changed *)
         let deps = dependents.(l) in
-        for k = 0 to Array.length deps - 1 do
-          let d = deps.(k) in
-          if prio.(d) <> max_int then push d
+        for j = 0 to Array.length deps - 1 do
+          let q = pos deps.(j) in
+          if q >= 0 && not queued.(q) then begin
+            queued.(q) <- true;
+            incr pending;
+            if q < !first then first := q;
+            counters.pushes <- counters.pushes + 1
+          end
         done
       end
     done
@@ -289,14 +271,17 @@ let solve_worklist ~(dir : direction) ~(cfg : Cfg.t)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let reference =
-  Domain.DLS.new_key (fun () ->
-      Sys.getenv_opt "NULLELIM_SOLVER" = Some "reference")
+(* what a newly started domain's switch reads *)
+let domain_default () = Sys.getenv_opt "NULLELIM_SOLVER" = Some "reference"
+
+let reference = Domain.DLS.new_key domain_default
 
 let with_reference on f =
   let saved = Domain.DLS.get reference in
   Domain.DLS.set reference on;
   Fun.protect ~finally:(fun () -> Domain.DLS.set reference saved) f
+
+let with_domain_default f = with_reference (domain_default ()) f
 
 let solve ~dir ~cfg ~boundary ~top ~meet ?edge ?boundary_blocks ~transfer () =
   let engine =

@@ -72,6 +72,13 @@ val with_reference : bool -> (unit -> 'a) -> 'a
     variable, and setting it on one domain never reaches another (a
     compile-service worker keeps its own). *)
 
+val with_domain_default : (unit -> 'a) -> 'a
+(** [with_domain_default f] runs [f] with the calling domain's switch
+    set to the value a newly started domain begins with (from
+    [NULLELIM_SOLVER]), then restores it.  The compile service runs a
+    request that a waiting caller picks up under it, so the caller's own
+    {!with_reference} never reaches another request's compile. *)
+
 val solve :
   dir:direction ->
   cfg:Cfg.t ->

@@ -177,17 +177,25 @@ let compile ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t)
     ~(arch : Arch.t) (p : Ir.program) : compiled =
   let p' = Ir.copy_program p in
   (* provenance determinism: sites minted during optimization depend only
-     on the input program, not on what was compiled before *)
+     on the input program, not on what was compiled before.  Re-seeding
+     may rewind the calling domain's counter below sites it has already
+     handed out, so it is moved back past them once the compile is
+     done: programs built later on this domain still get fresh sites. *)
+  let counter = Domain.DLS.get Ir.site_counter in
+  let saved = !counter in
   Ir.seed_sites p';
   let raw_e, raw_i = count_all_checks p' in
   let sink = Pipeline.sink () in
   let t0 = Clock.now () in
   let (), decisions =
-    Decision.with_log (fun () ->
-        Decision.set_tier tier;
-        (* one analysis context per function for every pass *)
-        Context.with_store (fun () ->
-            Pipeline.run ~sink (passes ~deopt_sites cfg ~arch) p'))
+    Fun.protect
+      ~finally:(fun () -> counter := max saved !counter)
+      (fun () ->
+        Decision.with_log (fun () ->
+            Decision.set_tier tier;
+            (* one analysis context per function for every pass *)
+            Context.with_store (fun () ->
+                Pipeline.run ~sink (passes ~deopt_sites cfg ~arch) p')))
   in
   let compile_seconds = Clock.now () -. t0 in
   let records = Pipeline.records sink in

@@ -59,7 +59,10 @@ val compile :
   compiled
 (** Compiles a copy; the input program is left untouched.  [tier]
     (default -1 = untiered) tags every decision event of this
-    compilation; [deopt_sites] is threaded to {!passes}. *)
+    compilation; [deopt_sites] is threaded to {!passes}.  The calling
+    domain's site counter is re-seeded from the input for the compile
+    and never ends below where it started, so programs built on that
+    domain afterwards still get fresh sites. *)
 
 val reconcile : compiled -> (unit, string) result
 (** Verify that folding the decision log's deltas over the raw check

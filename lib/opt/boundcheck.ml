@@ -56,6 +56,12 @@ let collect_pairs (f : Ir.func) : (Ir.operand * Ir.operand) array =
     f.fn_blocks;
   Array.of_list (List.rev !order)
 
+(* What one instruction does to the available pairs: the pairs its
+   definition kills, and the pair it makes available (-1 for none). *)
+type effect = { kills : int list; gen : int }
+
+let no_effect = { kills = []; gen = -1 }
+
 let eliminate_redundant (f : Ir.func) : int =
   let pairs = collect_pairs f in
   let np = Array.length pairs in
@@ -64,7 +70,6 @@ let eliminate_redundant (f : Ir.func) : int =
     let cfg = Context.cfg (Context.of_func f) in
     let index = Hashtbl.create 16 in
     Array.iteri (fun k p -> Hashtbl.replace index p k) pairs;
-    let killed_by = Array.make np [] in
     (* map var -> pair ids it participates in *)
     let by_var = Hashtbl.create 16 in
     Array.iteri
@@ -75,18 +80,30 @@ let eliminate_redundant (f : Ir.func) : int =
               (k :: (Option.value ~default:[] (Hashtbl.find_opt by_var v))))
           (pair_vars p))
       pairs;
-    ignore killed_by;
-    let transfer_instr (s : Bitset.t) i =
-      (match Ir.def_of_instr i with
-      | Some d ->
-        List.iter
-          (fun k -> Bitset.remove_mut s k)
-          (Option.value ~default:[] (Hashtbl.find_opt by_var d))
-      | None -> ());
-      match i with
-      | Ir.Bound_check (x, y, _) ->
-        Bitset.add_mut s (Hashtbl.find index (x, y))
-      | _ -> ()
+    (* each instruction's effect, resolved once for the solve and the
+       rewrite that follows it *)
+    let effects =
+      Array.map
+        (fun (b : Ir.block) ->
+          Array.map
+            (fun i ->
+              let kills =
+                match Ir.def_of_instr i with
+                | Some d -> Option.value ~default:[] (Hashtbl.find_opt by_var d)
+                | None -> []
+              in
+              let gen =
+                match i with
+                | Ir.Bound_check (x, y, _) -> Hashtbl.find index (x, y)
+                | _ -> -1
+              in
+              if kills = [] && gen < 0 then no_effect else { kills; gen })
+            b.instrs)
+        f.fn_blocks
+    in
+    let apply s e =
+      List.iter (fun k -> Bitset.remove_mut s k) e.kills;
+      if e.gen >= 0 then Bitset.add_mut s e.gen
     in
     let r =
       Solver.solve ~dir:Solver.Forward ~cfg
@@ -94,7 +111,7 @@ let eliminate_redundant (f : Ir.func) : int =
         ~boundary_blocks:(Cfg.handler_blocks f)
         ~transfer:(fun l inb ->
           let s = Bitset.copy inb in
-          Array.iter (transfer_instr s) (Ir.block f l).instrs;
+          Array.iter (apply s) effects.(l);
           s)
         ()
     in
@@ -104,15 +121,11 @@ let eliminate_redundant (f : Ir.func) : int =
         let s = Bitset.copy r.Solver.inb.(l) in
         let before = !removed in
         let keep = ref [] in
-        Array.iter
-          (fun i ->
-            let drop =
-              match i with
-              | Ir.Bound_check (x, y, _) ->
-                Bitset.mem (Hashtbl.find index (x, y)) s
-              | _ -> false
-            in
-            if drop then begin
+        Array.iteri
+          (fun k i ->
+            let e = effects.(l).(k) in
+            (* [gen] is set exactly on bound checks *)
+            if e.gen >= 0 && Bitset.mem e.gen s then begin
               incr removed;
               Decision.record ~block:l ~site:(Ir.site_of_instr i)
                 ~kind:Decision.Kbound
@@ -120,7 +133,7 @@ let eliminate_redundant (f : Ir.func) : int =
                 ~just:Decision.Available_on_entry ()
             end
             else keep := i :: !keep;
-            transfer_instr s i)
+            apply s e)
           (Ir.block f l).instrs;
         if !removed > before then Opt_util.set_instrs f l (List.rev !keep)
       end

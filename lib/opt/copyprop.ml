@@ -15,20 +15,47 @@ module Ir = Nullelim_ir.Ir
 
 let run (f : Ir.func) : int =
   let changed = ref 0 in
-  (* one table for the function, cleared per block *)
-  let copy : (Ir.var, Ir.operand) Hashtbl.t = Hashtbl.create 8 in
+  (* The facts, var-indexed and reset per block: [copy.(d)] is what a
+     use of [d] may read instead, and [readers.(s)] lists the variables
+     made copies of [s] (an entry goes stale once its variable is
+     redefined, so [kill] checks before it clears).  [touched] lists
+     every variable with a fact or a reader, for the reset. *)
+  let nv = f.Ir.fn_nvars in
+  let copy : Ir.operand option array = Array.make nv None in
+  let readers : Ir.var list array = Array.make nv [] in
+  let touched = ref [] in
   let kill v =
-    Hashtbl.remove copy v;
-    Hashtbl.filter_map_inplace
-      (fun _ s ->
-        match s with Ir.Var w when w = v -> None | _ -> Some s)
-      copy
+    copy.(v) <- None;
+    List.iter
+      (fun d ->
+        match copy.(d) with
+        | Some (Ir.Var w) when w = v -> copy.(d) <- None
+        | _ -> ())
+      readers.(v);
+    readers.(v) <- []
+  in
+  let set d src =
+    copy.(d) <- Some src;
+    touched := d :: !touched;
+    match src with
+    | Ir.Var s ->
+      readers.(s) <- d :: readers.(s);
+      touched := s :: !touched
+    | _ -> ()
+  in
+  let reset () =
+    List.iter
+      (fun v ->
+        copy.(v) <- None;
+        readers.(v) <- [])
+      !touched;
+    touched := []
   in
   (* substitution returns its argument itself when nothing changes *)
   let subst_op o =
     match o with
     | Ir.Var v -> (
-      match Hashtbl.find_opt copy v with
+      match copy.(v) with
       | Some o' ->
         incr changed;
         o'
@@ -36,7 +63,7 @@ let run (f : Ir.func) : int =
     | _ -> o
   in
   let subst_var v =
-    match Hashtbl.find_opt copy v with
+    match copy.(v) with
     | Some (Ir.Var w) ->
       incr changed;
       w
@@ -115,7 +142,7 @@ let run (f : Ir.func) : int =
   in
   Array.iter
     (fun (b : Ir.block) ->
-      Hashtbl.clear copy;
+      reset ();
       let instrs = b.instrs in
       for k = 0 to Array.length instrs - 1 do
         let i = instrs.(k) in
@@ -123,8 +150,8 @@ let run (f : Ir.func) : int =
         if i' != i then instrs.(k) <- i';
         (match Ir.def_of_instr i' with Some d -> kill d | None -> ());
         match i' with
-        | Move (d, (Ir.Var s as src)) when d <> s -> Hashtbl.replace copy d src
-        | Move (d, ((Ir.Cint _ | Ir.Cfloat _) as c)) -> Hashtbl.replace copy d c
+        | Move (d, (Ir.Var s as src)) when d <> s -> set d src
+        | Move (d, ((Ir.Cint _ | Ir.Cfloat _) as c)) -> set d c
         | _ -> ()
       done;
       let t' = rewrite_term b.term in

@@ -90,20 +90,26 @@ let try_push t x =
         true
       end)
 
+(* call with the lock held: take the oldest item, if any *)
+let take t =
+  match Queue.take_opt t.buf with
+  | Some x ->
+    (* popped on a consumer domain whose ambient ctx is stale or
+       absent: attribute the dequeue to the item itself *)
+    Recorder.record ~ctx:(t.ctx_of x) ~a:(Queue.length t.buf) t.crec
+      Recorder.Dequeue;
+    Condition.signal t.nonfull;
+    Some x
+  | None -> None
+
 let pop t =
   with_lock t (fun () ->
       while Queue.is_empty t.buf && not t.closed do
         Condition.wait t.nonempty t.m
       done;
-      match Queue.take_opt t.buf with
-      | Some x ->
-        (* popped on a consumer domain whose ambient ctx is stale or
-           absent: attribute the dequeue to the item itself *)
-        Recorder.record ~ctx:(t.ctx_of x) ~a:(Queue.length t.buf) t.crec
-          Recorder.Dequeue;
-        Condition.signal t.nonfull;
-        Some x
-      | None -> None (* closed and drained *))
+      take t (* [None]: closed and drained *))
+
+let try_pop t = with_lock t (fun () -> take t)
 
 let close t =
   with_lock t (fun () ->

@@ -63,6 +63,13 @@ val pop : 'a t -> 'a option
     {e and} drained — the consumer's signal to exit its loop.  Items
     pushed before {!close} are always delivered. *)
 
+val try_pop : 'a t -> 'a option
+(** [try_pop t] removes the oldest item if there is one and returns
+    [None] at once otherwise, open or closed — it never blocks.  A taken
+    item is recorded and wakes a blocked pusher exactly as {!pop} does.
+    A caller waiting on a queued request's result uses it to run queued
+    work instead of sleeping. *)
+
 val close : 'a t -> unit
 (** Close the channel: subsequent {!push}es raise {!Closed}, blocked
     pushers are woken to raise, and blocked poppers are woken to drain

@@ -6,9 +6,12 @@
     as a ready {!future}.  A miss becomes a task carrying its key and
     its own result slot (a mutex, a condition and a result); worker
     domains loop on [Chan.pop], compile, install the artifact under the
-    key and fill the slot.  [compile_all] admits one job after another
-    (blocking for queue room; with a cache, a repeated key waits for its
-    first copy) and awaits the futures in job order;
+    key and fill the slot.  A caller waiting on a slot takes tasks off
+    the queue with [Chan.try_pop] and runs them through the same task
+    body, and sleeps only once the queue is empty.  [compile_all]
+    admits one job after another (blocking for queue room; with a
+    cache, a repeated key waits for its first copy) and awaits the
+    futures in job order;
     [recompile_async] hands its single future to the caller.  Because
     each request completes on its own, several [compile_all] calls can
     be in flight at once and tasks of different batches interleave
@@ -22,6 +25,7 @@ module Recorder = Nullelim_obs.Recorder
 module Metrics = Nullelim_obs.Metrics
 module Ctx = Nullelim_obs.Ctx
 module Clock = Nullelim_obs.Clock
+module Solver = Nullelim_dataflow.Solver
 
 type job = {
   jb_program : Ir.program;
@@ -215,18 +219,23 @@ let compile_serial ?cache jobs =
 
 (* The completion of one request.  A request served at admission is
    [Ready] when it is handed out; a queued one is [Pending] until the
-   worker that runs it fills the slot once and broadcasts.  [poll] is a
-   lock/read/unlock, so the serving thread never waits on the pool. *)
+   domain that runs it fills the slot once and broadcasts.  [poll] is a
+   lock/read/unlock, so the serving thread never waits on the pool.
+   [f_help] runs one queued task of the slot's service on the calling
+   thread and says whether there was one: a caller blocked in [wait]
+   compiles queued requests instead of sleeping. *)
 type slot = {
   f_m : Mutex.t;
   f_done : Condition.t;
   mutable f_result : (outcome, exn) result option;
+  f_help : unit -> bool;
 }
 
 type future = Ready of (outcome, exn) result | Pending of slot
 
-let new_slot () =
-  { f_m = Mutex.create (); f_done = Condition.create (); f_result = None }
+let new_slot help =
+  { f_m = Mutex.create (); f_done = Condition.create (); f_result = None;
+    f_help = help }
 
 let fulfil f r =
   Mutex.lock f.f_m;
@@ -234,17 +243,33 @@ let fulfil f r =
   Condition.broadcast f.f_done;
   Mutex.unlock f.f_m
 
-(* block until the slot is filled; the caller decides whether to raise *)
+let filled f =
+  Mutex.lock f.f_m;
+  let r = f.f_result in
+  Mutex.unlock f.f_m;
+  r
+
+(* Wait for the slot, running queued tasks while there are any, and
+   block only once the queue is empty: the slot's own task is then
+   running on some domain, which broadcasts when it is done.  The
+   caller decides whether to raise. *)
 let wait = function
   | Ready r -> r
   | Pending f ->
-    Mutex.lock f.f_m;
-    while Option.is_none f.f_result do
-      Condition.wait f.f_done f.f_m
-    done;
-    let r = Option.get f.f_result in
-    Mutex.unlock f.f_m;
-    r
+    let rec help () =
+      match filled f with
+      | Some r -> r
+      | None when f.f_help () -> help ()
+      | None ->
+        Mutex.lock f.f_m;
+        while Option.is_none f.f_result do
+          Condition.wait f.f_done f.f_m
+        done;
+        let r = Option.get f.f_result in
+        Mutex.unlock f.f_m;
+        r
+    in
+    help ()
 
 (* A queued request: one whose admission lookup missed (or that had no
    cache to look in). *)
@@ -287,6 +312,7 @@ type accounting = {
 
 type t = {
   queue : task Chan.t;
+  help : unit -> bool;       (* run one queued task here, if any *)
   workers : unit Domain.t array;
   svc_cache : cache option;
   stopped : bool Atomic.t;
@@ -392,32 +418,36 @@ let ledger_release (a : accounting) tenant =
     Mutex.unlock a.am
   end
 
-let worker_loop queue cache srec acct completed worker =
+(* The one task body: whichever domain takes a task off the queue — a
+   pool worker, or a caller helping from [wait] — runs it through here,
+   and [worker] says which. *)
+let run_task cache srec acct completed ~worker task =
+  let ctx = task.t_ctx in
+  ledger_release acct ctx.Ctx.cx_tenant;
+  Recorder.record ~ctx ~a:task.t_id ~b:worker srec Recorder.Req_start;
+  let queued_seconds = Clock.now () -. task.t_enqueued in
+  let r =
+    try
+      Ok
+        (miss_outcome ?cache task.t_job task.t_admission ~ctx ~worker
+           ~queued_seconds)
+    with e -> Error e
+  in
+  Atomic.incr completed;
+  (match r with
+  | Ok o -> note_completed acct ctx ~queued_seconds ~seconds:o.oc_seconds
+  | Error _ ->
+    (* a failed compile still consumed its queue slot; count it so
+       submitted = completed holds once the service is quiescent *)
+    note_completed acct ctx ~queued_seconds ~seconds:0.);
+  Recorder.record ~ctx ~a:task.t_id ~b:worker srec Recorder.Req_done;
+  fulfil task.t_slot r
+
+let worker_loop queue run worker =
   let rec loop () =
     match Chan.pop queue with
     | None -> ()
-    | Some task ->
-      let ctx = task.t_ctx in
-      ledger_release acct ctx.Ctx.cx_tenant;
-      Recorder.record ~ctx ~a:task.t_id ~b:worker srec Recorder.Req_start;
-      let queued_seconds = Clock.now () -. task.t_enqueued in
-      let r =
-        try
-          Ok
-            (miss_outcome ?cache task.t_job task.t_admission ~ctx ~worker
-               ~queued_seconds)
-        with e -> Error e
-      in
-      Atomic.incr completed;
-      (match r with
-      | Ok o -> note_completed acct ctx ~queued_seconds ~seconds:o.oc_seconds
-      | Error _ ->
-        (* a failed compile still consumed its queue slot; count it so
-           submitted = completed holds once the service is quiescent *)
-        note_completed acct ctx ~queued_seconds ~seconds:0.);
-      Recorder.record ~ctx ~a:task.t_id ~b:worker srec Recorder.Req_done;
-      fulfil task.t_slot r;
-      loop ()
+    | Some task -> run ~worker task; loop ()
   in
   loop ()
 
@@ -448,12 +478,23 @@ let create ?domains ?(queue_capacity = 64) ?cache
           Recorder.Req_enqueue)
       ~capacity:(max 1 queue_capacity) ()
   in
+  let run = run_task cache recorder acct completed in
+  (* A helping caller runs the task under the defaults a fresh worker
+     domain has: its reference-solver switch and site counter are
+     domain-local, and the decision log and context are scoped by the
+     compile itself.  It is worker [n], one past the pool. *)
+  let help () =
+    match Chan.try_pop queue with
+    | None -> false
+    | Some task ->
+      Solver.with_domain_default (fun () -> run ~worker:n task);
+      true
+  in
   {
     queue;
+    help;
     workers =
-      Array.init n (fun i ->
-          Domain.spawn (fun () ->
-              worker_loop queue cache recorder acct completed i));
+      Array.init n (fun i -> Domain.spawn (fun () -> worker_loop queue run i));
     svc_cache = cache;
     stopped = Atomic.make false;
     seq = Atomic.make 0;
@@ -532,7 +573,7 @@ let submit t ~tenant ~blocking digested (j : job) : future option =
   | None when not (ledger_admit t.acct tenant) ->
     shed_request t ~id ~ctx ~reason:reason_tenant_cap
   | None -> (
-    let slot = new_slot () in
+    let slot = new_slot t.help in
     (* [t_enqueued] is stamped as close to the push as possible: the
        worker reads it for the queue-wait measurement.  Req_enqueue and
        the per-tenant submitted counter fire from the queue's
@@ -624,15 +665,7 @@ let recompile_async (t : t) ?(tenant = -1) (j : job) : future option =
   with Chan.Closed -> invalid_arg "Svc.recompile_async: service has been shut down"
 
 let poll (f : future) : outcome option =
-  let r =
-    match f with
-    | Ready r -> Some r
-    | Pending f ->
-      Mutex.lock f.f_m;
-      let r = f.f_result in
-      Mutex.unlock f.f_m;
-      r
-  in
+  let r = match f with Ready r -> Some r | Pending f -> filled f in
   (* raise outside the lock *)
   match r with
   | None -> None

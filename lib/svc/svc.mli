@@ -54,6 +54,24 @@
     completion, queue wait included.  The cache converges to one entry
     and the artifacts are identical, so that race is benign.
 
+    {2 Waiting callers help}
+
+    A caller blocked in {!await} (or in {!compile_all}, which awaits its
+    batch) does not sleep while the queue holds work: it takes the
+    oldest queued task, compiles it exactly as a worker would, and
+    checks its own request again, and it blocks only once the queue is
+    empty — its own request is then running on some domain.  So a
+    request is compiled by a pool worker or by a waiting caller, and the
+    submitting thread's core does useful work while it waits.  A helped
+    task runs under a fresh worker domain's defaults: the
+    reference-solver switch a new domain reads
+    ({!Nullelim_dataflow.Solver.with_domain_default}), the caller's site
+    counter never moved backward ([Compiler.compile] guarantees it),
+    and the decision log and causal context, which the compile scopes
+    itself.  Its outcome's [oc_worker] is the pool size ({!domains}) —
+    one past the last pool index, so it is neither a pool index nor
+    [-1].  {!poll} never helps: the serving thread must never block.
+
     {2 Shutdown}
 
     {!shutdown} closes the queue, lets queued work drain, and joins
@@ -90,8 +108,10 @@ type outcome = {
   oc_compiled : Compiler.compiled;
   oc_cache_hit : bool;    (** artifact came from the cache *)
   oc_worker : int;        (** index of the worker domain that compiled
-                              the job, or -1 when no worker did: a cache
-                              hit served at admission, or
+                              the job; the pool size ({!domains}) when a
+                              caller waiting in {!await} compiled it; or
+                              -1 when nothing was compiled for it: a
+                              cache hit served at admission, or
                               {!compile_serial} *)
   oc_seconds : float;     (** service time: the admission's key digest
                               and lookup plus, on a miss, the compile and
@@ -99,7 +119,8 @@ type outcome = {
                               queue wait *)
   oc_queued_seconds : float;
                           (** time from the push onto the queue until a
-                              worker picked the job up; 0 for a hit
+                              worker or a waiting caller picked the job
+                              up; 0 for a hit
                               served at admission and for
                               {!compile_serial} *)
   oc_done_at : float;     (** completion time on the monotonic
@@ -299,14 +320,19 @@ val recompile_async : t -> ?tenant:int -> job -> future option
     before the lookup, so even a request whose key would hit. *)
 
 val poll : future -> outcome option
-(** Non-blocking completion check: [Some outcome] once the worker has
-    finished, [None] while the job is queued or compiling.  Re-raises
-    the job's exception if its compilation failed. *)
+(** Non-blocking completion check: [Some outcome] once the job's
+    compile has finished, [None] while it is queued or compiling.  It
+    never runs queued work.  Re-raises the job's exception if its
+    compilation failed. *)
 
 val await : future -> outcome
-(** Block until the job completes (test/benchmark helper — the serving
-    thread uses {!poll}).  Re-raises the job's exception if its
-    compilation failed. *)
+(** Wait until the job completes (test/benchmark helper — the serving
+    thread uses {!poll}).  While the job is pending and the service's
+    queue holds tasks, the caller runs them itself, one at a time (see
+    "Waiting callers help" above); it blocks only while the queue is
+    empty.  Re-raises the job's exception if its compilation failed —
+    never that of a task it helped with, which fails its own request
+    only. *)
 
 val shutdown : t -> unit
 (** Close the queue and join every worker.  Work already queued is

@@ -108,12 +108,15 @@ and decoded = {
 and dblock = {
   db_ir : Ir.block;
   db_ops : op array;  (** one per instruction, in order *)
+  db_leaf : bool;
+      (** no [Call]: nothing the block runs can tick, so its ticks can
+          be taken at once *)
   db_term : state -> value array -> Ir.label;
       (** the terminator, after its tick: the label to continue at, or
           [returned] *)
 }
 
-(** One pre-decoded instruction: [op st tier vars]. *)
+(** One pre-decoded instruction: [op st tier vars], after its tick. *)
 and op = state -> int -> value array -> unit
 
 let record st e = st.trace_rev <- e :: st.trace_rev
@@ -284,15 +287,38 @@ let exec_term st vars (b : Ir.block) : Ir.label =
     returned
   | Throw s -> raise (Jexn (User s))
 
+(* A block's ticks, one per operation and one for the terminator.  A
+   block without calls that cannot run out of fuel takes them all
+   before it starts, and an operation that raises gives back the ticks
+   of the operations after it and of the terminator, so the fuel left
+   is what ticking one by one leaves.  Any other block ticks per
+   operation: a call spends fuel in between, and the block that runs
+   out must stop at the exact operation. *)
 let run_dblock st ~tier (f : Ir.func) vars l (b : dblock) : Ir.label =
   (match st.profile with
   | Some p -> Profile.hit_block p ~func:f.fn_name ~block:l
   | None -> ());
   let ops = b.db_ops in
-  for i = 0 to Array.length ops - 1 do
-    (Array.unsafe_get ops i) st tier vars
-  done;
-  tick st;
+  let n = Array.length ops in
+  if b.db_leaf && st.fuel > n + 1 then begin
+    st.fuel <- st.fuel - (n + 1);
+    let i = ref 0 in
+    try
+      while !i < n do
+        (Array.unsafe_get ops !i) st tier vars;
+        incr i
+      done
+    with e ->
+      st.fuel <- st.fuel + (n - !i);
+      raise e
+  end
+  else begin
+    for i = 0 to n - 1 do
+      tick st;
+      (Array.unsafe_get ops i) st tier vars
+    done;
+    tick st
+  end;
   b.db_term st vars
 
 (* The reference loop ([exec_func], [exec_block]) walks the IR; the run
@@ -344,14 +370,11 @@ and exec_block st ~tier f vars (l : Ir.label) (b : Ir.block) : Ir.label =
   | None -> ());
   let instrs = b.instrs in
   for ix = 0 to Array.length instrs - 1 do
-    exec_instr st ~tier f vars ~blk:l instrs ix
+    tick st;
+    step st ~tier f vars ~blk:l instrs ix
   done;
   tick st;
   exec_term st vars b
-
-and exec_instr st ~tier f vars ~blk (instrs : Ir.instr array) ix : unit =
-  tick st;
-  step st ~tier f vars ~blk instrs ix
 
 (* The generic step: instruction [ix] of block [blk], after its tick. *)
 and step st ~tier f vars ~blk (instrs : Ir.instr array) ix : unit =
@@ -615,8 +638,9 @@ and exec_decoded st ~tier (d : decoded) (args : value list) : value option =
 
 (* A decoded operation handles only its common case — operands of the
    expected type, a non-null base, an index in range — and hands
-   anything else, after its tick, to [step], so every counter, charge,
-   error, hook and event happens as in the reference loop.  Operand
+   anything else to [step], so every counter, charge, error, hook and
+   event happens as in the reference loop.  Operations do not tick:
+   [run_dblock] ticks for them.  Operand
    reads check [ox >= 0]: a variable's index, or -1 and the constant,
    boxed once here. *)
 
@@ -665,7 +689,6 @@ let memo_slot memo (obj : obj) off =
 let decode_int_binop ~slow c d op a b : op =
   let fn = int_fn op and ax, ak = operand a and bx, bk = operand b in
   fun st tier vars ->
-    tick st;
     match (read vars ax ak, read vars bx bk) with
     | Vint p, Vint q -> charge st c; vars.(d) <- Vint (fn p q)
     | _ -> slow st tier vars
@@ -673,7 +696,6 @@ let decode_int_binop ~slow c d op a b : op =
 let decode_float_binop ~slow c d op a b : op =
   let fn = float_fn op and ax, ak = operand a and bx, bk = operand b in
   fun st tier vars ->
-    tick st;
     match (read vars ax ak, read vars bx bk) with
     | Vfloat p, Vfloat q -> charge st c; vars.(d) <- fn p q
     | _ -> slow st tier vars
@@ -686,7 +708,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
   | Move (d, o) ->
     let c = cost.c_alu and ox, ok = operand o in
     fun st tier vars ->
-      tick st;
       (match read vars ox ok with
       | Vundef -> slow st tier vars
       | v -> charge st c; vars.(d) <- v)
@@ -704,7 +725,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
         if u = Neg then fun n -> Vint (-n) else fun n -> Vfloat (float_of_int n)
       in
       fun st tier vars ->
-        tick st;
         (match read vars ox ok with
         | Vint n -> charge st c; vars.(d) <- fn n
         | _ -> slow st tier vars)
@@ -716,7 +736,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
         | u -> fun x -> Vfloat (apply_intrinsic u x)
       in
       fun st tier vars ->
-        tick st;
         (match read vars ox ok with
         | Vfloat x -> charge st c; vars.(d) <- fn x
         | _ -> slow st tier vars))
@@ -727,7 +746,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
   | Null_check (Explicit, v, s) ->
     let c = cost.c_explicit_check in
     fun st tier vars ->
-      tick st;
       (match vars.(v) with
       | Vref (Obj _ | Arr _) -> (
         charge st c;
@@ -739,7 +757,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
       | _ -> slow st tier vars)
   | Null_check (Implicit, v, s) ->
     fun st tier vars ->
-      tick st;
       (match vars.(v) with
       | Vref _ -> (
         st.c.implicit_checks <- st.c.implicit_checks + 1;
@@ -751,7 +768,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
   | Bound_check (io, lo, s) ->
     let c = cost.c_bound_check and ix, ik = operand io and lx, lk = operand lo in
     fun st tier vars ->
-      tick st;
       (match (read vars ix ik, read vars lx lk) with
       | Vint i, Vint n when i >= 0 && i < n -> (
         charge st c;
@@ -764,7 +780,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
   | Get_field (d, o, fld) ->
     let c = cost.c_load and off = fld.foffset and memo = slot_memo () in
     fun st tier vars ->
-      tick st;
       (match vars.(o) with
       | Vref (Obj obj) ->
         let k = memo_slot memo obj off in
@@ -779,7 +794,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
     let c = cost.c_store and off = fld.foffset and memo = slot_memo () in
     let sx, sk = operand s in
     fun st tier vars ->
-      tick st;
       (match (vars.(o), read vars sx sk) with
       | Vref (Obj obj), v when v != Vundef ->
         let k = memo_slot memo obj off in
@@ -793,7 +807,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
   | Array_load (d, a, io, k) ->
     let c = cost.c_load and ix, ik = operand io in
     fun st tier vars ->
-      tick st;
       (match (vars.(a), read vars ix ik) with
       | Vref (Arr arr), Vint i
         when arr.a_kind == k && i >= 0 && i < Array.length arr.a_elems ->
@@ -804,7 +817,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
   | Array_store (a, io, s, k) ->
     let c = cost.c_store and ix, ik = operand io and sx, sk = operand s in
     fun st tier vars ->
-      tick st;
       (match (vars.(a), read vars ix ik, read vars sx sk) with
       | Vref (Arr arr), Vint i, v
         when v != Vundef && arr.a_kind == k && i >= 0
@@ -816,7 +828,6 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
   | Array_length (d, a) ->
     let c = cost.c_load in
     fun st tier vars ->
-      tick st;
       (match vars.(a) with
       | Vref (Arr arr) ->
         charge st c;
@@ -825,11 +836,9 @@ let decode_instr (cost : Arch.cost_model) (f : Ir.func) ~blk
       | _ -> slow st tier vars)
   | Call (d, Static callee, args) ->
     let intrinsic = intrinsic_of_name callee in
-    fun st _ vars ->
-      tick st;
-      call st vars d callee intrinsic (List.map (eval vars) args)
+    fun st _ vars -> call st vars d callee intrinsic (List.map (eval vars) args)
   | New_object _ | New_array _ | Call (_, Virtual _, _) | Print _ ->
-    fun st tier vars -> exec_instr st ~tier f vars ~blk instrs ix
+    slow
 
 (* [If] as [x < y] or [x = y], swapping operands or labels: the
    rewrite only ever sees two ints. *)
@@ -879,6 +888,8 @@ let decode ~(arch : Arch.t) (f : Ir.func) : decoded =
     {
       db_ir = b;
       db_ops = Array.mapi (fun ix _ -> decode_instr arch.cost f ~blk b.instrs ix) b.instrs;
+      db_leaf =
+        Array.for_all (function Ir.Call _ -> false | _ -> true) b.instrs;
       db_term = decode_term arch.cost b;
     }
   in

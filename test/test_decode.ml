@@ -443,13 +443,50 @@ let loop_program () =
   terminate b (Ir.Return (Some (Ir.Var acc)));
   with_callee (program ~classes:[ cell_cls ] ~main:"main" [ finish b ])
 
+(* a loop whose try regions throw from the middle of a block: one
+   block without calls (a bound check fails from the third iteration
+   on) and one whose call comes before the failing check *)
+let try_program () =
+  let open Builder in
+  let b = create ~name:"main" ~params:[] () in
+  let arr = fresh b and i = fresh b and acc = fresh b and x = fresh b in
+  emit b (Ir.New_array (arr, Ir.Kint, Ir.Cint 2));
+  emit b (Ir.Move (acc, Ir.Cint 0));
+  count_do b ~v:i ~from:(Ir.Cint 0) ~limit:(Ir.Cint 4) (fun b ->
+      with_try b
+        ~handler:(fun b -> emit b (Ir.Binop (acc, Ir.Add, Ir.Var acc, Ir.Cint 100)))
+        (fun b ->
+          emit b (Ir.Binop (x, Ir.Mul, Ir.Var i, Ir.Cint 3));
+          emit b (Ir.Bound_check (Ir.Var i, Ir.Cint 2, Ir.fresh_site ()));
+          emit b (Ir.Array_store (arr, Ir.Var i, Ir.Var x, Ir.Kint));
+          emit b (Ir.Binop (acc, Ir.Add, Ir.Var acc, Ir.Var x)));
+      with_try b
+        ~handler:(fun b -> emit b (Ir.Binop (acc, Ir.Sub, Ir.Var acc, Ir.Cint 1)))
+        (fun b ->
+          emit b (Ir.Call (Some x, Ir.Static "callee", [ Ir.Var acc; Ir.Var i ]));
+          emit b (Ir.Bound_check (Ir.Var x, Ir.Cint 3, Ir.fresh_site ()));
+          emit b (Ir.Binop (acc, Ir.Add, Ir.Var acc, Ir.Var x))));
+  emit b (Ir.Print (Ir.Var acc));
+  terminate b (Ir.Return (Some (Ir.Var acc)));
+  with_callee (program ~main:"main" [ finish b ])
+
+(* Every fuel limit, up to past the run's need, stops both engines at
+   the same operation with the same counters: the call loop, and the
+   try loop whose handlers run after a mid-block exception. *)
 let test_fuel () =
-  let p = loop_program () in
-  let full = (observe ~reference:true ~arch:ia32 p []).r.counters.instrs in
-  Alcotest.(check bool) "the loop runs to completion" true (full > 40);
-  for fuel = 1 to full + 2 do
-    agree ~fuel ~arch:ia32 (Printf.sprintf "fuel %d" fuel) p []
-  done
+  List.iter
+    (fun (name, p) ->
+      let r = (observe ~reference:true ~arch:ia32 p []).r in
+      Alcotest.(check bool) (name ^ " runs to completion") true
+        (r.counters.instrs > 40 && match r.outcome with Returned _ -> true | _ -> false);
+      for fuel = 1 to r.counters.instrs + 2 do
+        agree ~fuel ~arch:ia32 (Printf.sprintf "%s, fuel %d" name fuel) p []
+      done)
+    [ ("call loop", loop_program ()); ("try loop", try_program ()) ];
+  let r = (observe ~reference:false ~arch:ia32 (try_program ()) []).r in
+  Alcotest.(check int) "the try loop's handlers ran" 3
+    (List.length
+       (List.filter (function Interp.Ecaught _ -> true | _ -> false) r.trace))
 
 (* The same Get_field/Put_field operation sees objects whose slot for
    one offset differs (appended in different orders), and an object

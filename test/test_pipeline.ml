@@ -455,6 +455,26 @@ let test_single_sink () =
   Alcotest.(check bool) "some new-full compile settles before its last round"
     true !settled
 
+(* Compiling re-seeds the domain's site counter from its input; an old
+   input must not rewind it below sites the domain has handed out since,
+   or the next program built there repeats them. *)
+let test_compile_keeps_fresh_sites () =
+  let build () =
+    (Option.get (Nullelim_workloads.Registry.find "javac"))
+      .Nullelim_workloads.Workload.build ~scale:1
+  in
+  let sites p =
+    Hashtbl.fold (fun _ f acc -> Ir.sites_of_func f @ acc) p.Ir.funcs []
+  in
+  let old_p = build () in
+  let newer = List.concat_map sites [ build (); build (); build () ] in
+  ignore (Compiler.compile Config.new_full ~arch:Arch.ia32_windows old_p);
+  let next = sites (build ()) in
+  Alcotest.(check bool) "the programs have sites" true (next <> [] && newer <> []);
+  let newest = List.fold_left max min_int newer in
+  Alcotest.(check bool) "the next program's sites are all fresh" true
+    (List.for_all (fun s -> s > newest) next)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -488,4 +508,9 @@ let () =
       ( "sink",
         [ Alcotest.test_case "views derive from the records" `Quick test_single_sink ]
       );
+      ( "sites",
+        [
+          Alcotest.test_case "compile never rewinds the site counter" `Quick
+            test_compile_keeps_fresh_sites;
+        ] );
     ]

@@ -355,26 +355,6 @@ let test_bitset_kernels =
         Bitset.diff_into d d;
         Bitset.equal u a && Bitset.equal i a
         && Bitset.equal d (Bitset.empty size));
-    Test.make ~count:300 ~name:"kernels: meet_all_into folds the meet"
-      Gen.(
-        gen_kernel_case >>= fun (size, xs, ys) ->
-        list_size (int_range 1 5)
-          (list_size (int_range 0 20) (int_range 0 (size - 1)))
-        >>= fun more -> return (size, xs :: ys :: more))
-      (fun (size, operand_lists) ->
-        let sets = Array.of_list (List.map (Bitset.of_list size) operand_lists) in
-        let n = Array.length sets in
-        let check op op_into =
-          let into = Bitset.empty size in
-          Bitset.meet_all_into ~op:op_into ~into ~n ~get:(fun k -> sets.(k));
-          let expected = ref sets.(0) in
-          for k = 1 to n - 1 do
-            expected := op !expected sets.(k)
-          done;
-          Bitset.equal into !expected
-        in
-        check Bitset.inter Bitset.inter_into
-        && check Bitset.union Bitset.union_into);
     Test.make ~count:300 ~name:"kernels: word-scan iter/fold match elements"
       gen_kernel_case (fun (size, xs, _) ->
         let a = Bitset.of_list size xs in

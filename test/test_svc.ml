@@ -761,8 +761,9 @@ let test_parallel_matches_serial () =
         (List.combine serial parallel))
 
 (* The reference-solver switch is domain-local: flipping it on the
-   calling domain must not reach a pool worker, whose compile keeps the
-   worklist engine's solver counts. *)
+   calling domain must not reach any request's compile — neither a
+   pool worker's nor one the caller runs itself while it waits — which
+   keeps the worklist engine's solver counts. *)
 let test_solver_switch_domain_local () =
   let prog = (Option.get (Registry.find "javac")).W.build ~scale:1 in
   let solver_counts reference =
@@ -931,6 +932,128 @@ let test_failing_job () =
       | Some f ->
         raises_expected "await re-raises" (fun () -> Svc.await f);
         raises_expected "poll re-raises once done" (fun () -> Svc.poll f))
+
+(* ------------------------------------------------------------------ *)
+(* A waiting caller compiles queued requests                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything of an artifact but its measurements: the start and
+   seconds of the compile and of each pass record, and each pass's
+   minor words, which depend on the domain's history (they were seen to
+   differ between a worker's compile and a serial one). *)
+let check_same_artifact ~what (a : Compiler.compiled) (b : Compiler.compiled) =
+  Alcotest.(check string) (what ^ ": program bytes")
+    (program_bytes a.Compiler.program) (program_bytes b.Compiler.program);
+  Alcotest.(check bool) (what ^ ": config") true (a.Compiler.config = b.Compiler.config);
+  Alcotest.(check bool) (what ^ ": arch") true (a.Compiler.arch == b.Compiler.arch);
+  let untimed (c : Compiler.compiled) =
+    List.map
+      (fun (r : Pipeline.record) ->
+        (r.Pipeline.r_pass, r.Pipeline.r_solver))
+      c.Compiler.records
+  in
+  Alcotest.(check bool) (what ^ ": pass records") true (untimed a = untimed b);
+  Alcotest.(check bool) (what ^ ": solver") true (a.Compiler.solver = b.Compiler.solver);
+  Alcotest.(check bool) (what ^ ": checks") true (a.Compiler.checks = b.Compiler.checks);
+  Alcotest.(check bool) (what ^ ": decisions") true
+    (a.Compiler.decisions = b.Compiler.decisions)
+
+(* Submit [jobs] to a one-worker service and await the last: while the
+   worker compiles one, the caller runs the rest off the queue.  Which
+   requests the caller gets depends on scheduling (the worker may take
+   them all if the caller is descheduled), so this retries a few rounds
+   until the caller has helped with at least one of them. *)
+let helped_round jobs =
+  let rec round k =
+    let futures, helper =
+      Svc.with_service ~domains:1 (fun t ->
+          let fs =
+            List.map (fun j -> Option.get (Svc.recompile_async t j)) jobs
+          in
+          ignore (Svc.await (List.nth fs (List.length fs - 1)));
+          (fs, Svc.domains t))
+    in
+    let helped =
+      List.exists
+        (fun f ->
+          match Svc.poll f with
+          | Some o -> o.Svc.oc_worker = helper
+          | None | (exception _) -> false)
+        futures
+    in
+    if helped || k = 0 then (futures, helper, helped) else round (k - 1)
+  in
+  round 20
+
+let test_helped_equals_serial () =
+  let jobs = sample_jobs () in
+  let serial = Svc.compile_serial jobs in
+  let futures, helper, helped = helped_round jobs in
+  Alcotest.(check bool) "the waiting caller compiled a request" true helped;
+  List.iteri
+    (fun i (s, f) ->
+      let o = Option.get (Svc.poll f) in
+      Alcotest.(check bool) "worker 0 or the helper" true
+        (o.Svc.oc_worker = 0 || o.Svc.oc_worker = helper);
+      check_same_artifact ~what:(Printf.sprintf "job %d" i)
+        s.Svc.oc_compiled o.Svc.oc_compiled)
+    (List.combine serial futures)
+
+(* A helped request that fails fails its own future only: the caller
+   that ran it goes on waiting for its own request, which succeeds. *)
+let test_helped_failure () =
+  let good = sample_jobs () in
+  let jobs = (List.hd good :: failing_job () :: List.tl good) in
+  let futures, _, helped = helped_round jobs in
+  Alcotest.(check bool) "the waiting caller compiled a request" true helped;
+  List.iteri
+    (fun i f ->
+      match Svc.poll f with
+      | Some o when i <> 1 ->
+        Alcotest.(check bool) "a good job's own artifact" true
+          (o.Svc.oc_job == List.nth jobs i)
+      | Some _ -> Alcotest.fail "the broken job compiled"
+      | None -> Alcotest.failf "job %d never completed" i
+      | exception _ when i = 1 -> ()
+      | exception e ->
+        Alcotest.failf "job %d failed: %s" i (Printexc.to_string e))
+    futures
+
+(* With its request already on the worker and nothing queued, [await]
+   blocks on the request's condition and wakes when the worker is done;
+   the caller compiles nothing.  Whether the compile is still running
+   when [await] starts waiting depends on scheduling (javac makes it
+   likely); the result is the worker's either way. *)
+let test_await_blocks_when_queue_empty () =
+  let prog = (Option.get (Registry.find "javac")).W.build ~scale:1 in
+  Svc.with_service ~domains:1 (fun t ->
+      let f = Option.get (Svc.recompile_async t (job prog Config.new_full)) in
+      while (Svc.stats t).Svc.s_queue_depth > 0 do
+        Domain.cpu_relax ()
+      done;
+      let o = Svc.await f in
+      Alcotest.(check int) "the worker compiled it" 0 o.Svc.oc_worker;
+      Alcotest.(check int) "everything completed" 1 (Svc.stats t).Svc.s_completed)
+
+(* [poll] never runs queued work, so the serving thread never blocks:
+   polled to completion, every request is compiled by the pool. *)
+let test_poll_never_helps () =
+  let jobs = sample_jobs () in
+  let outcomes =
+    Svc.with_service ~domains:1 (fun t ->
+        let fs = List.map (fun j -> Option.get (Svc.recompile_async t j)) jobs in
+        List.map
+          (fun f ->
+            let rec spin () =
+              match Svc.poll f with
+              | Some o -> o
+              | None -> Domain.cpu_relax (); spin ()
+            in
+            spin ())
+          fs)
+  in
+  Alcotest.(check bool) "every request ran on worker 0" true
+    (List.for_all (fun o -> o.Svc.oc_worker = 0) outcomes)
 
 (* ------------------------------------------------------------------ *)
 (* Admission: a cache hit is served on the submitting thread           *)
@@ -1398,6 +1521,13 @@ let () =
             test_solver_switch_domain_local;
           Alcotest.test_case "a failing job fails only its request" `Quick
             test_failing_job;
+          Alcotest.test_case "a helped artifact = serial" `Quick
+            test_helped_equals_serial;
+          Alcotest.test_case "a failing helped job fails only its request"
+            `Quick test_helped_failure;
+          Alcotest.test_case "await blocks on an empty queue" `Quick
+            test_await_blocks_when_queue_empty;
+          Alcotest.test_case "poll never helps" `Quick test_poll_never_helps;
         ] );
       ( "admission",
         [
