@@ -607,8 +607,8 @@ let loadgen_cmd =
       $ opt_file [ "flight" ]
           ~doc:
             "Dump the global flight recorder (nullelim-flight schema) \
-             after the sweep — queue movement, request lifecycle and \
-             cache traffic of the final rate steps."
+             after the sweep — request lifecycle (each enqueue with \
+             the queue depth) and cache traffic of the final rate steps."
       $ opt_file [ "flight-trace" ]
           ~doc:
             "Convert the retained flight events to a Chrome trace-event \

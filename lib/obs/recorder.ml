@@ -9,8 +9,6 @@ type kind =
   | Cache_hit
   | Cache_miss
   | Cache_evict
-  | Enqueue
-  | Dequeue
   | Req_enqueue
   | Req_start
   | Req_done
@@ -24,8 +22,6 @@ let kind_name = function
   | Cache_hit -> "cache_hit"
   | Cache_miss -> "cache_miss"
   | Cache_evict -> "cache_evict"
-  | Enqueue -> "enqueue"
-  | Dequeue -> "dequeue"
   | Req_enqueue -> "req_enqueue"
   | Req_start -> "req_start"
   | Req_done -> "req_done"
@@ -35,7 +31,7 @@ let kind_name = function
 let all_kinds =
   [
     Tier_promote; Tier_demote; Trap_fired; Cache_hit; Cache_miss; Cache_evict;
-    Enqueue; Dequeue; Req_enqueue; Req_start; Req_done; Req_shed; Mark;
+    Req_enqueue; Req_start; Req_done; Req_shed; Mark;
   ]
 
 let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds

@@ -1,6 +1,6 @@
 (** Flight recorder: a fixed-size ring buffer of timestamped runtime
     events — tier promotions/demotions, trap firings, code-cache
-    traffic, queue movement, request lifecycle — cheap enough to leave
+    traffic, request lifecycle — cheap enough to leave
     on in production (one enabled-flag load, then one uncontended lock,
     a clock read and a handful of array stores per event).
 
@@ -25,9 +25,8 @@ type kind =
   | Cache_hit     (** a code-cache lookup found its key *)
   | Cache_miss    (** a code-cache lookup did not *)
   | Cache_evict   (** the code cache evicted an entry for space *)
-  | Enqueue       (** [a] = queue depth after the push *)
-  | Dequeue       (** [a] = queue depth after the pop *)
-  | Req_enqueue   (** [a] = request id *)
+  | Req_enqueue   (** [a] = request id, [b] = queue depth after the
+                      push (0 for a request served at admission) *)
   | Req_start     (** [a] = request id, [b] = worker, or -1 for a
                       request served at admission (a code-cache hit
                       answered on the submitting thread, which never
@@ -66,10 +65,12 @@ val record : ?ctx:Ctx.t -> ?ts:float -> ?a:int -> ?b:int -> t -> kind -> unit
     domain is the calling domain's id.  [ctx] defaults to the domain's
     ambient {!Ctx.current}; [ts] defaults to {!now}, and a caller passes an
     earlier {!now} reading to place an event at the instant it
-    describes when it can only decide to record it later (a request
-    served at admission records its enqueue and start after its cache
-    hit).  {!dump} sorts by [ts], so such an event still lands in
-    causal order. *)
+    describes: the reading it already took for a measurement (the
+    service's request events carry the readings behind the outcome's
+    queue wait and completion time), or one taken before it could
+    decide to record (a request served at admission records its
+    enqueue and start after its cache hit).  {!dump} sorts by [ts], so
+    such an event still lands in causal order. *)
 
 val set_enabled : t -> bool -> unit
 (** Disabling reduces {!record} to one atomic load + branch — the knob

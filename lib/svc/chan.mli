@@ -8,12 +8,9 @@
     drain but no new item is accepted.
 
     All operations are linearizable; any number of producer and
-    consumer domains may share one channel.
-
-    Observability: each successful push/pop records an
-    enqueue/dequeue event (with the depth after the operation) into
-    the channel's flight recorder, and the channel tracks its
-    high-water mark ({!high_water}). *)
+    consumer domains may share one channel.  The channel records
+    nothing itself: its one hook, [on_enqueue], lets the owner account
+    for an accepted item before any consumer can take it. *)
 
 type 'a t
 (** A bounded multi-producer multi-consumer channel carrying ['a]. *)
@@ -21,27 +18,16 @@ type 'a t
 exception Closed
 (** Raised by {!push} when the channel has been closed. *)
 
-val create :
-  ?recorder:Nullelim_obs.Recorder.t ->
-  ?ctx_of:('a -> Nullelim_obs.Ctx.t) ->
-  ?on_enqueue:('a -> unit) ->
-  capacity:int ->
-  unit ->
-  'a t
+val create : ?on_enqueue:('a -> int -> unit) -> capacity:int -> unit -> 'a t
 (** [create ~capacity ()] is an empty open channel holding at most
-    [capacity] items (clamped to at least 1).  Queue movement is
-    recorded into [recorder] (default {!Nullelim_obs.Recorder.global});
-    when [ctx_of] is given, each enqueue/dequeue event carries the
-    moved item's causal context (so the dequeue — which happens on a
-    consumer domain with no relevant ambient context — still lands on
-    the item's request timeline).  Default: no context.
+    [capacity] items (clamped to at least 1).
 
-    [on_enqueue] runs for each accepted item {e inside} the push's
-    critical section, before any consumer can observe the item — the
-    only place a per-request enqueue event can be recorded without
-    racing the consumer's first event for the same request (recording
-    after the push returns can timestamp {e later} than the worker's
-    dequeue).  Keep it cheap, and never call back into the channel. *)
+    [on_enqueue x depth] runs for each accepted item {e inside} the
+    push's critical section, with the queue depth after the push,
+    before any consumer can observe [x]: what it counts or records for
+    the item always precedes the consumer's work on it, the depth is
+    exact, and a refused {!try_push} never reaches it.  Keep it cheap,
+    and never call back into the channel. *)
 
 val push : 'a t -> 'a -> unit
 (** [push t x] appends [x], blocking while the channel is full.
@@ -66,9 +52,9 @@ val pop : 'a t -> 'a option
 val try_pop : 'a t -> 'a option
 (** [try_pop t] removes the oldest item if there is one and returns
     [None] at once otherwise, open or closed — it never blocks.  A taken
-    item is recorded and wakes a blocked pusher exactly as {!pop} does.
-    A caller waiting on a queued request's result uses it to run queued
-    work instead of sleeping. *)
+    item wakes a blocked pusher exactly as {!pop} does.  A caller
+    waiting on a queued request's result uses it to run queued work
+    instead of sleeping. *)
 
 val close : 'a t -> unit
 (** Close the channel: subsequent {!push}es raise {!Closed}, blocked
@@ -79,14 +65,5 @@ val length : 'a t -> int
 (** Number of items currently queued (a racy snapshot, exact only when
     no other domain is operating on the channel). *)
 
-val depth : 'a t -> int
-(** Synonym for {!length}: the queue-depth gauge. *)
-
-val high_water : 'a t -> int
-(** The deepest the queue has ever been; never exceeds the capacity. *)
-
 val capacity : 'a t -> int
 (** The (clamped) capacity this channel was created with. *)
-
-val is_closed : 'a t -> bool
-(** Has {!close} been called?  (Racy snapshot, like {!length}.) *)

@@ -317,21 +317,8 @@ type t = {
   svc_cache : cache option;
   stopped : bool Atomic.t;
   seq : int Atomic.t;        (* next request id *)
-  submitted : int Atomic.t;  (* requests served at admission or queued *)
-  completed : int Atomic.t;
-  shed : int Atomic.t;       (* async submissions rejected *)
   srec : Recorder.t;
   acct : accounting;
-}
-
-type stats = {
-  s_domains : int;
-  s_queue_capacity : int;
-  s_queue_depth : int;
-  s_queue_high_water : int;
-  s_submitted : int;
-  s_completed : int;
-  s_shed : int;
 }
 
 let default_domains () =
@@ -420,12 +407,16 @@ let ledger_release (a : accounting) tenant =
 
 (* The one task body: whichever domain takes a task off the queue — a
    pool worker, or a caller helping from [wait] — runs it through here,
-   and [worker] says which. *)
-let run_task cache srec acct completed ~worker task =
+   and [worker] says which.  Req_start and Req_done are stamped with the
+   clock readings the outcome is built from, so a timeline's wait is
+   [oc_queued_seconds] exactly and its done is [oc_done_at]. *)
+let run_task cache srec acct ~worker task =
   let ctx = task.t_ctx in
   ledger_release acct ctx.Ctx.cx_tenant;
-  Recorder.record ~ctx ~a:task.t_id ~b:worker srec Recorder.Req_start;
-  let queued_seconds = Clock.now () -. task.t_enqueued in
+  let started = Clock.now () in
+  Recorder.record ~ctx ~ts:started ~a:task.t_id ~b:worker srec
+    Recorder.Req_start;
+  let queued_seconds = started -. task.t_enqueued in
   let r =
     try
       Ok
@@ -433,14 +424,16 @@ let run_task cache srec acct completed ~worker task =
            ~queued_seconds)
     with e -> Error e
   in
-  Atomic.incr completed;
-  (match r with
-  | Ok o -> note_completed acct ctx ~queued_seconds ~seconds:o.oc_seconds
-  | Error _ ->
-    (* a failed compile still consumed its queue slot; count it so
-       submitted = completed holds once the service is quiescent *)
-    note_completed acct ctx ~queued_seconds ~seconds:0.);
-  Recorder.record ~ctx ~a:task.t_id ~b:worker srec Recorder.Req_done;
+  (* a failed compile still consumed its queue slot; count it so
+     submitted = completed holds once the service is quiescent *)
+  let seconds, done_at =
+    match r with
+    | Ok o -> (o.oc_seconds, o.oc_done_at)
+    | Error _ -> (0., Clock.now ())
+  in
+  note_completed acct ctx ~queued_seconds ~seconds;
+  Recorder.record ~ctx ~ts:done_at ~a:task.t_id ~b:worker srec
+    Recorder.Req_done;
   fulfil task.t_slot r
 
 let worker_loop queue run worker =
@@ -455,7 +448,6 @@ let create ?domains ?(queue_capacity = 64) ?cache
     ?(recorder = Recorder.global) ?(metrics = Metrics.global)
     ?(tenant_cap = 0) () : t =
   let n = max 1 (Option.value ~default:(default_domains ()) domains) in
-  let completed = Atomic.make 0 in
   let acct =
     {
       amx = metrics;
@@ -466,19 +458,20 @@ let create ?domains ?(queue_capacity = 64) ?cache
     }
   in
   let queue =
-    (* Req_enqueue and the submitted counter fire from the channel's
-       on_enqueue hook — inside the push critical section — so the
-       event's timestamp always precedes the worker's Req_start for the
-       same request, and a shed try_push never looks accepted. *)
-    Chan.create ~recorder
-      ~ctx_of:(fun task -> task.t_ctx)
-      ~on_enqueue:(fun task ->
+    (* The submitted counter and Req_enqueue move in the channel's
+       on_enqueue hook, inside the push critical section: before any
+       domain can take the task (so a request is counted submitted
+       before it can be counted completed), with the exact post-push
+       depth, and never for a refused try_push.  The event is stamped
+       [t_enqueued], the reading the queue wait is measured from. *)
+    Chan.create
+      ~on_enqueue:(fun task depth ->
         note_submitted acct task.t_ctx;
-        Recorder.record ~ctx:task.t_ctx ~a:task.t_id recorder
-          Recorder.Req_enqueue)
+        Recorder.record ~ctx:task.t_ctx ~ts:task.t_enqueued ~a:task.t_id
+          ~b:depth recorder Recorder.Req_enqueue)
       ~capacity:(max 1 queue_capacity) ()
   in
-  let run = run_task cache recorder acct completed in
+  let run = run_task cache recorder acct in
   (* A helping caller runs the task under the defaults a fresh worker
      domain has: its reference-solver switch and site counter are
      domain-local, and the decision log and context are scoped by the
@@ -498,26 +491,12 @@ let create ?domains ?(queue_capacity = 64) ?cache
     svc_cache = cache;
     stopped = Atomic.make false;
     seq = Atomic.make 0;
-    submitted = Atomic.make 0;
-    completed;
-    shed = Atomic.make 0;
     srec = recorder;
     acct;
   }
 
 let domains t = Array.length t.workers
 let cache t = t.svc_cache
-
-let stats t =
-  {
-    s_domains = Array.length t.workers;
-    s_queue_capacity = Chan.capacity t.queue;
-    s_queue_depth = Chan.depth t.queue;
-    s_queue_high_water = Chan.high_water t.queue;
-    s_submitted = Atomic.get t.submitted;
-    s_completed = Atomic.get t.completed;
-    s_shed = Atomic.get t.shed;
-  }
 
 let metrics t = t.acct.amx
 let tenant_cap t = t.acct.a_tenant_cap
@@ -530,7 +509,6 @@ let reason_queue_full = "queue_full"
 let reason_tenant_cap = "tenant_cap"
 
 let shed_request t ~id ~ctx ~reason =
-  Atomic.incr t.shed;
   note_shed t.acct ctx ~reason;
   Recorder.record ~ctx ~a:id
     ~b:(if reason = reason_tenant_cap then 1 else 0)
@@ -539,17 +517,16 @@ let shed_request t ~id ~ctx ~reason =
 
 (* A hit is complete at admission: it is submitted and completed on the
    submitting thread, with worker -1 and no queue wait.  Its enqueue and
-   start are stamped at [admitted_at], before the lookup, so the
-   request's timeline reads enqueue <= start <= Cache_hit <= done. *)
+   start are stamped at [admitted_at], before the lookup, and its done
+   at [oc_done_at], when the lookup returned, so the request's timeline
+   reads enqueue <= start <= Cache_hit <= done. *)
 let serve_at_admission t ~id ~ctx ~admitted_at j ad compiled =
   Recorder.record ~ctx ~ts:admitted_at ~a:id t.srec Recorder.Req_enqueue;
   Recorder.record ~ctx ~ts:admitted_at ~a:id ~b:(-1) t.srec Recorder.Req_start;
   note_submitted t.acct ctx;
-  Atomic.incr t.submitted;
   let o = hit_outcome j ad ~ctx compiled in
-  Atomic.incr t.completed;
   note_completed t.acct ctx ~queued_seconds:0. ~seconds:o.oc_seconds;
-  Recorder.record ~ctx ~a:id ~b:(-1) t.srec Recorder.Req_done;
+  Recorder.record ~ctx ~ts:o.oc_done_at ~a:id ~b:(-1) t.srec Recorder.Req_done;
   Ready (Ok o)
 
 (* The one submission step every pooled request goes through, on the
@@ -575,9 +552,10 @@ let submit t ~tenant ~blocking digested (j : job) : future option =
   | None -> (
     let slot = new_slot t.help in
     (* [t_enqueued] is stamped as close to the push as possible: the
-       worker reads it for the queue-wait measurement.  Req_enqueue and
-       the per-tenant submitted counter fire from the queue's
-       on_enqueue hook, only once the push is accepted. *)
+       worker reads it for the queue-wait measurement, and Req_enqueue
+       carries it.  Req_enqueue and the per-tenant submitted counter
+       fire from the queue's on_enqueue hook, only once the push is
+       accepted. *)
     let task =
       {
         t_id = id;
@@ -592,9 +570,7 @@ let submit t ~tenant ~blocking digested (j : job) : future option =
       if blocking then (Chan.push t.queue task; true)
       else Chan.try_push t.queue task
     with
-    | true ->
-      Atomic.incr t.submitted;
-      Some (Pending slot)
+    | true -> Some (Pending slot)
     | false ->
       ledger_release t.acct tenant;
       shed_request t ~id ~ctx ~reason:reason_queue_full

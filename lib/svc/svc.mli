@@ -72,6 +72,13 @@
     one past the last pool index, so it is neither a pool index nor
     [-1].  {!poll} never helps: the serving thread must never block.
 
+    {2 Accounting}
+
+    Each step of a request is recorded once, as one flight event, and
+    each count is kept once, as one counter of the registry the service
+    accounts into ({!metrics}); {!create} lists both.  The queue itself
+    records nothing.
+
     {2 Shutdown}
 
     {!shutdown} closes the queue, lets queued work drain, and joins
@@ -211,13 +218,18 @@ val create :
     {!default_domains}, clamped to at least 1) and a queue bound of
     [queue_capacity] jobs (default 64).  With [cache], every request
     is looked up once at admission; a hit is served there and a miss is
-    compiled by a worker and installed after.  Request lifecycle events
-    (enqueue/start/done/shed, carrying the request's causal context)
-    and queue movement are recorded into [recorder] (default
-    {!Nullelim_obs.Recorder.global}).  A hit served at admission
-    records [Req_enqueue] and [Req_start] stamped at admission, then
-    its [Cache_hit], then [Req_done]; its [Req_start]/[Req_done] carry
-    worker [b = -1].
+    compiled by a worker and installed after.  Each request records
+    one event per step into [recorder] (default
+    {!Nullelim_obs.Recorder.global}), carrying its causal context: a
+    queued request [Req_enqueue] (with the queue depth after the push
+    in [b]), [Req_start] and [Req_done], a shed one [Req_shed], and
+    with a cache its lookup's [Cache_miss] comes first.  The three
+    lifecycle events are stamped with the clock readings the outcome
+    is built from, so on a request's timeline the wait is
+    [oc_queued_seconds] and the done is [oc_done_at].  A hit served at
+    admission records [Req_enqueue] and [Req_start] stamped at
+    admission, then its [Cache_hit], then [Req_done]; its
+    [Req_start]/[Req_done] carry worker [b = -1].
 
     Per-tenant request accounting goes to [metrics] (default
     {!Nullelim_obs.Metrics.global}): counters
@@ -226,7 +238,10 @@ val create :
     [svc_requests_shed_total]\{tenant,reason\}, histograms
     [svc_queue_wait_seconds]\{tenant\} and
     [svc_compile_seconds]\{tenant\}.  Batch submissions carry tenant
-    ["none"].
+    ["none"].  Submitted counts every accepted request (served at
+    admission or queued) and completed every finished one, a failed
+    compile included, so every offered request is submitted or shed,
+    and submitted = completed once the service is quiescent.
 
     [tenant_cap] > 0 bounds how many requests {e of one tenant} may sit
     in the queue at once ({!recompile_async} sheds with reason
@@ -250,26 +265,6 @@ val domains : t -> int
 
 val cache : t -> cache option
 (** The cache installed at {!create} time, if any. *)
-
-type stats = {
-  s_domains : int;           (** worker domains *)
-  s_queue_capacity : int;    (** queue bound from {!create} *)
-  s_queue_depth : int;       (** current queue depth (racy snapshot) *)
-  s_queue_high_water : int;  (** deepest the queue has ever been *)
-  s_submitted : int;         (** requests accepted: served at
-                                 admission or queued *)
-  s_completed : int;         (** requests completed (hits served at
-                                 admission, compiles finished or failed) *)
-  s_shed : int;              (** async submissions rejected (queue full
-                                 or tenant cap; only misses are shed) *)
-}
-(** Service-level counters; snapshots are racy but each field is an
-    untorn word, and [s_submitted = s_completed] once the service is
-    quiescent (with [s_shed] counted apart, every offered request is
-    either completed or shed). *)
-
-val stats : t -> stats
-(** Snapshot the service counters and queue occupancy. *)
 
 val compile_all : t -> job list -> outcome list
 (** Compile every job on the worker pool and return the outcomes in

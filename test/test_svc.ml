@@ -35,7 +35,8 @@ let test_chan_fifo () =
     "fifo order" [ 1; 2; 3 ]
     (List.filter_map (fun () -> Chan.pop c) [ (); (); () ]);
   Chan.close c;
-  Alcotest.(check bool) "closed" true (Chan.is_closed c);
+  Alcotest.(check bool) "closed" true
+    (match Chan.try_push c 4 with _ -> false | exception Chan.Closed -> true);
   Alcotest.(check bool) "drained pop is None" true (Chan.pop c = None)
 
 let test_chan_close_semantics () =
@@ -82,23 +83,30 @@ let test_chan_cross_domain () =
   Alcotest.(check int) "all delivered" n (List.length got);
   Alcotest.(check (list int)) "in order" (List.init n (fun i -> i + 1)) got
 
-let test_chan_depth_high_water () =
-  let c = Chan.create ~capacity:3 () in
-  Alcotest.(check int) "empty depth" 0 (Chan.depth c);
-  Alcotest.(check int) "empty high water" 0 (Chan.high_water c);
+(* [on_enqueue] sees every accepted item with the depth after its push,
+   and never a refused one. *)
+let test_chan_length_capacity () =
+  let seen = ref [] in
+  let c =
+    Chan.create ~on_enqueue:(fun x d -> seen := (x, d) :: !seen) ~capacity:3 ()
+  in
+  Alcotest.(check int) "empty length" 0 (Chan.length c);
   Alcotest.(check int) "capacity" 3 (Chan.capacity c);
+  Alcotest.(check int) "capacity is clamped" 1
+    (Chan.capacity (Chan.create ~capacity:0 ()));
   Chan.push c 1;
   Chan.push c 2;
-  Alcotest.(check int) "depth 2" 2 (Chan.depth c);
-  Alcotest.(check int) "high water 2" 2 (Chan.high_water c);
+  Alcotest.(check int) "length 2" 2 (Chan.length c);
   ignore (Chan.pop c);
-  Alcotest.(check int) "depth falls" 1 (Chan.depth c);
-  Alcotest.(check int) "high water sticks" 2 (Chan.high_water c);
+  Alcotest.(check int) "length falls" 1 (Chan.length c);
   Chan.push c 3;
   Chan.push c 4;
-  Alcotest.(check int) "high water 3" 3 (Chan.high_water c);
-  Alcotest.(check bool) "never above capacity" true
-    (Chan.high_water c <= Chan.capacity c)
+  Alcotest.(check bool) "refused when full" false (Chan.try_push c 5);
+  Alcotest.(check int) "length at capacity" 3 (Chan.length c);
+  Alcotest.(check (list (pair int int)))
+    "hook: item and post-push depth"
+    [ (1, 1); (2, 2); (3, 2); (4, 3) ]
+    (List.rev !seen)
 
 (* ------------------------------------------------------------------ *)
 (* Codecache                                                           *)
@@ -870,21 +878,42 @@ let test_queue_smaller_than_batch () =
         "all jobs complete" 16
         (List.length (Svc.compile_all t jobs)))
 
-let test_service_stats () =
+(* The service's request counters, read from the registry it accounts
+   into: each test passes its own, so no other traffic is counted. *)
+let requests metrics what =
+  Obs.Metrics.counter_total_any metrics ("svc_requests_" ^ what ^ "_total")
+
+let events recorder kind =
+  List.filter
+    (fun e -> e.Obs.Recorder.ev_kind = kind)
+    (Obs.Recorder.dump recorder)
+
+(* Closed accounting from the registry, and the queue-depth series from
+   the flight events: each Req_enqueue carries the depth after its
+   push. *)
+let test_closed_accounting () =
   let w = (Option.get (Registry.find "assignment")).W.build ~scale:1 in
   let jobs = List.init 12 (fun _ -> job w Config.new_full) in
-  Svc.with_service ~domains:2 ~queue_capacity:4 (fun t ->
+  let metrics = Obs.Metrics.create () and recorder = Obs.Recorder.create () in
+  Svc.with_service ~domains:2 ~queue_capacity:4 ~metrics ~recorder (fun t ->
       let outcomes = Svc.compile_all t jobs in
-      let s = Svc.stats t in
-      Alcotest.(check int) "domains" 2 s.Svc.s_domains;
-      Alcotest.(check int) "capacity" 4 s.Svc.s_queue_capacity;
-      Alcotest.(check int) "submitted" 12 s.Svc.s_submitted;
-      Alcotest.(check int) "completed after batch" 12 s.Svc.s_completed;
-      Alcotest.(check int) "quiescent depth" 0 s.Svc.s_queue_depth;
-      Alcotest.(check bool) "high water positive" true
-        (s.Svc.s_queue_high_water > 0);
-      Alcotest.(check bool) "high water within capacity" true
-        (s.Svc.s_queue_high_water <= s.Svc.s_queue_capacity);
+      Alcotest.(check int) "domains" 2 (Svc.domains t);
+      Alcotest.(check int) "submitted" 12 (requests metrics "submitted");
+      Alcotest.(check int) "completed after batch" 12
+        (requests metrics "completed");
+      Alcotest.(check int) "nothing shed" 0 (requests metrics "shed");
+      let depths =
+        List.map
+          (fun e -> e.Obs.Recorder.ev_b)
+          (events recorder Obs.Recorder.Req_enqueue)
+      in
+      Alcotest.(check int) "one enqueue per job" 12 (List.length depths);
+      Alcotest.(check int) "every queued job started" 12
+        (List.length (events recorder Obs.Recorder.Req_start));
+      Alcotest.(check bool) "depth after a push is positive" true
+        (List.for_all (fun d -> d > 0) depths);
+      Alcotest.(check bool) "depth within capacity" true
+        (List.for_all (fun d -> d <= 4) depths);
       (* outcome timing fields the load generator builds on *)
       List.iter
         (fun (o : Svc.outcome) ->
@@ -917,14 +946,16 @@ let test_failing_job () =
         (Printexc.to_string e)
   in
   let good = sample_jobs () in
-  Svc.with_service ~domains:2 ~queue_capacity:2 (fun t ->
+  let metrics = Obs.Metrics.create () in
+  Svc.with_service ~domains:2 ~queue_capacity:2 ~metrics (fun t ->
       raises_expected "batch re-raises the failing job's exception" (fun () ->
           Svc.compile_all t (good @ [ bad ] @ good));
-      let s = Svc.stats t in
       Alcotest.(check int) "the whole batch was submitted"
-        ((2 * List.length good) + 1) s.Svc.s_submitted;
-      Alcotest.(check int) "every submitted job completed" s.Svc.s_submitted
-        s.Svc.s_completed;
+        ((2 * List.length good) + 1)
+        (requests metrics "submitted");
+      Alcotest.(check int) "every submitted job completed"
+        (requests metrics "submitted")
+        (requests metrics "completed");
       Alcotest.(check int) "the next batch succeeds" (List.length good)
         (List.length (Svc.compile_all t good));
       match Svc.recompile_async t bad with
@@ -1021,19 +1052,22 @@ let test_helped_failure () =
 
 (* With its request already on the worker and nothing queued, [await]
    blocks on the request's condition and wakes when the worker is done;
-   the caller compiles nothing.  Whether the compile is still running
-   when [await] starts waiting depends on scheduling (javac makes it
-   likely); the result is the worker's either way. *)
+   the caller compiles nothing.  The request is the service's only one,
+   so its Req_start says the worker took it.  Whether the compile is
+   still running when [await] starts waiting depends on scheduling
+   (javac makes it likely); the result is the worker's either way. *)
 let test_await_blocks_when_queue_empty () =
   let prog = (Option.get (Registry.find "javac")).W.build ~scale:1 in
-  Svc.with_service ~domains:1 (fun t ->
+  let metrics = Obs.Metrics.create () and recorder = Obs.Recorder.create () in
+  Svc.with_service ~domains:1 ~metrics ~recorder (fun t ->
       let f = Option.get (Svc.recompile_async t (job prog Config.new_full)) in
-      while (Svc.stats t).Svc.s_queue_depth > 0 do
+      while events recorder Obs.Recorder.Req_start = [] do
         Domain.cpu_relax ()
       done;
       let o = Svc.await f in
       Alcotest.(check int) "the worker compiled it" 0 o.Svc.oc_worker;
-      Alcotest.(check int) "everything completed" 1 (Svc.stats t).Svc.s_completed)
+      Alcotest.(check int) "everything completed" 1
+        (requests metrics "completed"))
 
 (* [poll] never runs queued work, so the serving thread never blocks:
    polled to completion, every request is compiled by the pool. *)
@@ -1078,7 +1112,8 @@ let test_one_lookup_per_request () =
   let n = List.length jobs in
   (* recompile_async: a cold pass, then a warm one *)
   let cache = Svc.create_cache () in
-  Svc.with_service ~domains:1 ~cache (fun t ->
+  let metrics = Obs.Metrics.create () in
+  Svc.with_service ~domains:1 ~cache ~metrics (fun t ->
       let cold =
         List.map
           (fun j -> Svc.await (Option.get (Svc.recompile_async t j)))
@@ -1112,10 +1147,11 @@ let test_one_lookup_per_request () =
             (Svc.job_key o.Svc.oc_job) o.Svc.oc_key)
         warm;
       check_against_serial "warm async" warm;
-      let s = Svc.stats t in
-      Alcotest.(check int) "submitted = completed" s.Svc.s_submitted
-        s.Svc.s_completed;
-      Alcotest.(check int) "every request submitted" (2 * n) s.Svc.s_submitted);
+      Alcotest.(check int) "submitted = completed"
+        (requests metrics "submitted")
+        (requests metrics "completed");
+      Alcotest.(check int) "every request submitted" (2 * n)
+        (requests metrics "submitted"));
   (* compile_all: the same on a fresh cache *)
   let cache = Svc.create_cache () in
   Svc.with_service ~domains:2 ~cache (fun t ->
@@ -1143,7 +1179,8 @@ let test_shutdown_before_lookup () =
   let jobs = sample_jobs () in
   let cache = Svc.create_cache () in
   ignore (Svc.compile_serial ~cache jobs);
-  let t = Svc.create ~domains:1 ~cache () in
+  let metrics = Obs.Metrics.create () in
+  let t = Svc.create ~domains:1 ~cache ~metrics () in
   Svc.shutdown t;
   let before = lookups cache in
   (match Svc.recompile_async t (List.hd jobs) with
@@ -1153,7 +1190,7 @@ let test_shutdown_before_lookup () =
   | _ -> Alcotest.fail "compile_all after shutdown must raise"
   | exception Invalid_argument _ -> ());
   Alcotest.(check int) "no lookup after shutdown" before (lookups cache);
-  Alcotest.(check int) "nothing submitted" 0 (Svc.stats t).Svc.s_submitted
+  Alcotest.(check int) "nothing submitted" 0 (requests metrics "submitted")
 
 (* The tenant cap guards queue slots, and a hit never takes one: a burst
    of hits from a capped tenant is never shed, and the queue never sees
@@ -1162,21 +1199,27 @@ let test_hits_bypass_queue_and_cap () =
   let jobs = sample_jobs () in
   let cache = Svc.create_cache () in
   ignore (Svc.compile_serial ~cache jobs);
-  let metrics = Obs.Metrics.create () in
+  let metrics = Obs.Metrics.create () and recorder = Obs.Recorder.create () in
   let n = 60 in
-  Svc.with_service ~domains:1 ~queue_capacity:1 ~cache ~metrics ~tenant_cap:1
-    (fun t ->
+  Svc.with_service ~domains:1 ~queue_capacity:1 ~cache ~metrics ~recorder
+    ~tenant_cap:1 (fun t ->
       for i = 0 to n - 1 do
         match Svc.recompile_async t ~tenant:0 (List.nth jobs (i mod List.length jobs)) with
         | Some f -> ignore (Svc.await f)
         | None -> Alcotest.failf "hit %d was shed" i
       done;
-      let s = Svc.stats t in
-      Alcotest.(check int) "nothing shed" 0 s.Svc.s_shed;
-      Alcotest.(check int) "submitted = completed" s.Svc.s_submitted
-        s.Svc.s_completed;
-      Alcotest.(check int) "all submitted" n s.Svc.s_submitted;
-      Alcotest.(check int) "the queue was never used" 0 s.Svc.s_queue_high_water;
+      Alcotest.(check int) "nothing shed" 0 (requests metrics "shed");
+      Alcotest.(check int) "submitted = completed"
+        (requests metrics "submitted")
+        (requests metrics "completed");
+      Alcotest.(check int) "all submitted" n (requests metrics "submitted");
+      Alcotest.(check bool) "the queue was never used" true
+        (List.for_all
+           (fun e -> e.Obs.Recorder.ev_b = 0)
+           (events recorder Obs.Recorder.Req_enqueue)
+        && List.for_all
+             (fun e -> e.Obs.Recorder.ev_b = -1)
+             (events recorder Obs.Recorder.Req_start));
       let count name =
         Obs.Metrics.counter_total metrics ~labels:[ ("tenant", "0") ] name
       in
@@ -1206,7 +1249,8 @@ let test_mixed_hit_shed_accounting () =
     |> List.filter (fun j -> not (List.mem (Svc.job_key j) warm_keys))
   in
   let nwarm = List.length warm in
-  Svc.with_service ~domains:1 ~cache ~tenant_cap:1 (fun t ->
+  let metrics = Obs.Metrics.create () in
+  Svc.with_service ~domains:1 ~cache ~metrics ~tenant_cap:1 (fun t ->
       let offered = ref 0 and shed_misses = ref 0 and futures = ref [] in
       let offer j =
         incr offered;
@@ -1224,14 +1268,15 @@ let test_mixed_hit_shed_accounting () =
           | None -> incr shed_misses)
         cold;
       List.iter (fun f -> ignore (Svc.await f)) !futures;
-      let s = Svc.stats t in
+      let submitted = requests metrics "submitted"
+      and shed = requests metrics "shed" in
       Alcotest.(check bool) "a burst of misses against cap 1 sheds" true
-        (s.Svc.s_shed > 0);
-      Alcotest.(check int) "only misses were shed" !shed_misses s.Svc.s_shed;
+        (shed > 0);
+      Alcotest.(check int) "only misses were shed" !shed_misses shed;
       Alcotest.(check int) "submitted + shed = offered" !offered
-        (s.Svc.s_submitted + s.Svc.s_shed);
-      Alcotest.(check int) "submitted = completed" s.Svc.s_submitted
-        s.Svc.s_completed)
+        (submitted + shed);
+      Alcotest.(check int) "submitted = completed" submitted
+        (requests metrics "completed"))
 
 (* With a cache, a batch that repeats its jobs compiles each key once:
    the later copies wait for the first and then hit, each still with
@@ -1262,19 +1307,30 @@ let test_batch_single_flight () =
     (fun i (s, o) -> check_same_outcome ~what:(Printf.sprintf "job %d" i) s o)
     (List.combine (serial @ serial) outcomes)
 
-(* On a mixed hit/miss run every completed request has a complete
-   causal timeline; a hit's reads enqueue <= start <= Cache_hit <= done
-   on worker -1, a miss's Cache_miss sits on its own timeline, and the
-   trace export keeps one lane. *)
+(* On a mixed hit/miss/shed run every completed request has a complete
+   causal timeline and each request records one event per step: a hit
+   reads enqueue <= start <= Cache_hit <= done on worker -1, a miss
+   starts with its Cache_miss, a shed request is its Cache_miss and its
+   Req_shed; and the trace export keeps one lane.  The sheds come from a
+   burst of cold misses by one tenant capped at one queued request: two
+   domains compile far slower than the caller admits (the same bet as
+   "mixed hit/shed accounting"). *)
 let test_admission_timelines () =
   let module Recorder = Obs.Recorder in
   let module Timeline = Obs.Timeline in
   let recorder = Recorder.create ~capacity:8192 () in
   let cache = Svc.create_cache ~recorder () in
   let jobs = sample_jobs () in
-  let hit_ids = ref [] and miss_ids = ref [] in
-  Svc.with_service ~domains:2 ~cache ~recorder (fun t ->
-      let first = List.filteri (fun i _ -> i mod 2 = 0) jobs in
+  let cold =
+    List.filter_map
+      (fun (w : W.t) ->
+        if List.mem w.W.name [ "assignment"; "huffman"; "jess" ] then None
+        else Some (job (w.W.build ~scale:1) Config.new_full))
+      (Registry.all ())
+  in
+  let first = List.filteri (fun i _ -> i mod 2 = 0) jobs in
+  let hit_ids = ref [] and miss_ids = ref [] and shed = ref 0 in
+  Svc.with_service ~domains:2 ~cache ~recorder ~tenant_cap:1 (fun t ->
       ignore (Svc.compile_all t first);
       List.iter
         (fun j ->
@@ -1282,14 +1338,41 @@ let test_admission_timelines () =
           let id = o.Svc.oc_ctx.Obs.Ctx.cx_request in
           if o.Svc.oc_cache_hit then hit_ids := id :: !hit_ids
           else miss_ids := id :: !miss_ids)
-        jobs);
+        jobs;
+      List.filter_map
+        (fun j ->
+          let f = Svc.recompile_async t ~tenant:4 j in
+          if f = None then incr shed;
+          f)
+        cold
+      |> List.iter (fun f -> ignore (Svc.await f)));
   Alcotest.(check int) "hits" 3 (List.length !hit_ids);
   Alcotest.(check int) "misses" 3 (List.length !miss_ids);
+  Alcotest.(check bool) "the capped burst shed" true (!shed > 0);
   Alcotest.(check int) "nothing dropped" 0 (Recorder.dropped recorder);
   let tls = Timeline.of_events (Recorder.dump recorder) in
   (match Timeline.check_complete tls with
   | Ok () -> ()
   | Error e -> Alcotest.failf "timelines incomplete: %s" e);
+  Alcotest.(check int) "one timeline per request"
+    (List.length first + List.length jobs + List.length cold)
+    (List.length tls);
+  List.iter
+    (fun (tl : Timeline.t) ->
+      let expected =
+        if Timeline.phase tl = Timeline.Shed then
+          Recorder.[ Cache_miss; Req_shed ]
+        else if List.mem tl.Timeline.tl_request !hit_ids then
+          Recorder.[ Req_enqueue; Req_start; Cache_hit; Req_done ]
+        else Recorder.[ Cache_miss; Req_enqueue; Req_start; Req_done ]
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "request %d's events" tl.Timeline.tl_request)
+        (List.map Recorder.kind_name expected)
+        (List.map
+           (fun e -> Recorder.kind_name e.Recorder.ev_kind)
+           tl.Timeline.tl_events))
+    tls;
   let timeline id = List.find (fun tl -> tl.Timeline.tl_request = id) tls in
   let ts kind (tl : Timeline.t) =
     match
@@ -1327,6 +1410,40 @@ let test_admission_timelines () =
     Alcotest.(check bool) "one trace lane" true
       (List.for_all (fun e -> Json.member "tid" e = Some (Json.Int 1)) evs)
   | _ -> Alcotest.fail "trace has no traceEvents"
+
+(* The lifecycle events carry the clock readings the outcome is built
+   from: a timeline's wait is the outcome's queue wait and its done the
+   outcome's completion time, exactly, for a queued miss and for a hit
+   served at admission. *)
+let test_stamps_are_outcome_readings () =
+  let module Timeline = Obs.Timeline in
+  let recorder = Obs.Recorder.create () in
+  let cache = Svc.create_cache ~recorder () in
+  let j = List.hd (sample_jobs ()) in
+  let miss, hit =
+    Svc.with_service ~domains:1 ~cache ~recorder (fun t ->
+        let request () = Svc.await (Option.get (Svc.recompile_async t j)) in
+        let miss = request () in
+        (miss, request ()))
+  in
+  Alcotest.(check (pair bool bool)) "a miss, then a hit" (false, true)
+    (miss.Svc.oc_cache_hit, hit.Svc.oc_cache_hit);
+  let tls = Timeline.of_events (Obs.Recorder.dump recorder) in
+  List.iter
+    (fun (what, (o : Svc.outcome)) ->
+      let tl =
+        List.find
+          (fun tl -> tl.Timeline.tl_request = o.Svc.oc_ctx.Obs.Ctx.cx_request)
+          tls
+      in
+      let same field expected got =
+        Alcotest.(check (option (float 0.))) (what ^ ": " ^ field)
+          (Some expected) got
+      in
+      same "wait = oc_queued_seconds" o.Svc.oc_queued_seconds
+        (Timeline.queue_wait tl);
+      same "done = oc_done_at" o.Svc.oc_done_at tl.Timeline.tl_done)
+    [ ("queued miss", miss); ("hit", hit) ]
 
 (* ------------------------------------------------------------------ *)
 (* The batch command's single-flight gate                              *)
@@ -1467,8 +1584,8 @@ let () =
           Alcotest.test_case "try_push backpressure" `Quick
             test_chan_try_push;
           Alcotest.test_case "cross-domain" `Quick test_chan_cross_domain;
-          Alcotest.test_case "depth + high water" `Quick
-            test_chan_depth_high_water;
+          Alcotest.test_case "length + capacity" `Quick
+            test_chan_length_capacity;
         ] );
       ( "codecache",
         [
@@ -1515,8 +1632,8 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_shutdown_semantics;
           Alcotest.test_case "queue smaller than batch" `Quick
             test_queue_smaller_than_batch;
-          Alcotest.test_case "service stats + high water bound" `Quick
-            test_service_stats;
+          Alcotest.test_case "closed accounting + queue depth" `Quick
+            test_closed_accounting;
           Alcotest.test_case "solver switch stays on its domain" `Quick
             test_solver_switch_domain_local;
           Alcotest.test_case "a failing job fails only its request" `Quick
@@ -1543,6 +1660,8 @@ let () =
             test_batch_single_flight;
           Alcotest.test_case "timelines on a mixed hit/miss run" `Quick
             test_admission_timelines;
+          Alcotest.test_case "stamps are the outcome's readings"
+            `Quick test_stamps_are_outcome_readings;
         ] );
       ( "batch",
         [
