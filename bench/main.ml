@@ -12,12 +12,13 @@
     cost ([nullelim fuzz]) and native trap costs
     ([nullelim native-bench]).
 
-    Environment:
-    - [BENCH_SCALE] (default 4): workload scale factor;
-    - [BENCH_JSON=path] (or [--json \[path\]]): additionally write a
-      machine-readable report — per-table values, per-workload compile
-      times, bechamel ns/compile estimates and solver work counters — to
-      [path] (default [BENCH_results.json]). *)
+    Flags:
+    - [--scale N] (default 4): workload scale factor;
+    - [--repeat N] (default 3): compile-time measurements per workload;
+    - [--json \[path\]]: additionally write a machine-readable report —
+      per-table values, per-workload compile times, bechamel ns/compile
+      estimates and solver work counters — to [path] (default
+      [BENCH_results.json]). *)
 
 module E = Nullelim_experiments.Experiments
 module Config = Nullelim.Config
@@ -28,38 +29,35 @@ module Solver = Nullelim.Solver
 module W = Nullelim_workloads.Workload
 module Registry = Nullelim_workloads.Registry
 
-let scale =
-  match Sys.getenv_opt "BENCH_SCALE" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
+let argv = Array.to_list Sys.argv
+
+let rec value_of flag = function
+  | f :: v :: _ when f = flag -> Some v
+  | _ :: rest -> value_of flag rest
+  | [] -> None
+
+let positive flag ~default =
+  match value_of flag argv with
+  | None -> default
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some n when n >= 1 -> n
+    | _ -> failwith (flag ^ " takes a positive integer, not " ^ v))
+
+let scale = positive "--scale" ~default:4
 
 (** Compile-time measurements repeat this many times and report
-    min/median ([BENCH_REPEAT] or [--repeat N], default 3). *)
-let repeat =
-  let of_string s = try Some (max 1 (int_of_string s)) with _ -> None in
-  match Sys.getenv_opt "BENCH_REPEAT" with
-  | Some s when of_string s <> None -> Option.get (of_string s)
-  | _ ->
-    let rec scan = function
-      | "--repeat" :: n :: _ when of_string n <> None -> Option.get (of_string n)
-      | _ :: rest -> scan rest
-      | [] -> 3
-    in
-    scan (Array.to_list Sys.argv)
+    min/median. *)
+let repeat = positive "--repeat" ~default:3
 
-(** Where to write the JSON report, if anywhere.  [BENCH_JSON=path] wins
-    over [--json [path]]; a bare [--json] uses the default file name. *)
+(** Where to write the JSON report, if anywhere; a bare [--json] uses
+    the default file name. *)
 let json_path =
-  match Sys.getenv_opt "BENCH_JSON" with
-  | Some p when p <> "" -> Some p
-  | _ ->
-    let rec scan = function
-      | "--json" :: p :: _ when String.length p > 0 && p.[0] <> '-' -> Some p
-      | "--json" :: _ -> Some "BENCH_results.json"
-      | _ :: rest -> scan rest
-      | [] -> None
-    in
-    scan (Array.to_list Sys.argv)
+  if not (List.mem "--json" argv) then None
+  else
+    match value_of "--json" argv with
+    | Some p when p <> "" && p.[0] <> '-' -> Some p
+    | _ -> Some "BENCH_results.json"
 
 let line = String.make 78 '-'
 

@@ -313,7 +313,7 @@ let emit_func ctx (f : Ir.func) : string =
     let action =
       match Ir.handler_of f b.Ir.breg with
       | Some h -> Printf.sprintf "NE_EVF(5, 1); goto L%d;" h
-      | None -> "*NE_PENDING = 1; goto L_ret_exn;"
+      | None -> "NE_ST->pending = 1; goto L_ret_exn;"
     in
     cases := (idx, action) :: !cases;
     idx
@@ -322,17 +322,17 @@ let emit_func ctx (f : Ir.func) : string =
   let raise_code b code =
     match Ir.handler_of f b.Ir.breg with
     | Some h -> bpf body "{ NE_EVF(5, %d); goto L%d; }\n" code h
-    | None -> bpf body "{ *NE_PENDING = %d; goto L_ret_exn; }\n" code
+    | None -> bpf body "{ NE_ST->pending = %d; goto L_ret_exn; }\n" code
   in
   let dispatch_pending b =
     match Ir.handler_of f b.Ir.breg with
     | Some h ->
       bpf body
-        "  if (*NE_PENDING) { if (*NE_PENDING > 0) { int64_t k_ = \
-         *NE_PENDING; *NE_PENDING = 0; NE_EVF(5, k_); goto L%d; } goto \
+        "  if (NE_ST->pending) { if (NE_ST->pending > 0) { int64_t k_ = \
+         NE_ST->pending; NE_ST->pending = 0; NE_EVF(5, k_); goto L%d; } goto \
          L_ret_exn; }\n"
         h
-    | None -> bpf body "  if (*NE_PENDING) goto L_ret_exn;\n"
+    | None -> bpf body "  if (NE_ST->pending) goto L_ret_exn;\n"
   in
   (* A load or store of [*(base + ir_off)].  Bracketed with trap labels
      when the simulated trap area covers the IR offset: the access
@@ -365,7 +365,7 @@ let emit_func ctx (f : Ir.func) : string =
       | None, Some s -> bpf body "  *(int64_t *)%s = %s;\n" addr s
       | _ -> assert false
   in
-  let sim_error () = bpf body "  { *NE_PENDING = -1; goto L_ret_exn; }\n" in
+  let sim_error () = bpf body "  { NE_ST->pending = -1; goto L_ret_exn; }\n" in
   let emit_instr b ~prev i =
     ctx.s_instrs <- ctx.s_instrs + 1;
     match i with
@@ -459,7 +459,7 @@ let emit_func ctx (f : Ir.func) : string =
         ~dst:(Some (var_str d)) ~src:None
     | Ir.New_object (d, cname) ->
       bpf body "  %s = ne_new_c%d();\n" (var_str d) (cls_id ctx cname);
-      bpf body "  if (*NE_PENDING) goto L_ret_exn;\n"
+      bpf body "  if (NE_ST->pending) goto L_ret_exn;\n"
     | Ir.New_array (d, k, n) ->
       bpf body "  %s = ne_new_arr(%d, %s);\n" (var_str d)
         (match k with Ir.Kref -> 1 | Ir.Kint | Ir.Kfloat -> 0)
@@ -513,9 +513,9 @@ let emit_func ctx (f : Ir.func) : string =
           "    NE_TLAB(%d_lo); int64_t h_ = *(volatile int64_t \
            *)(uintptr_t)r_; NE_TLAB(%d_hi);\n"
           idx idx;
-        bpf body "    if ((h_ & 7) != 1) { *NE_PENDING = -1; goto L_ret_exn; }\n";
+        bpf body "    if ((h_ & 7) != 1) { NE_ST->pending = -1; goto L_ret_exn; }\n";
         bpf body "    void *f_ = ne_vt[h_ >> 3][%d];\n" mid;
-        bpf body "    if (!f_) { *NE_PENDING = -1; goto L_ret_exn; }\n";
+        bpf body "    if (!f_) { NE_ST->pending = -1; goto L_ret_exn; }\n";
         bpf body
           "    int64_t t_ = ((int64_t (*)(const int64_t *, int64_t))f_)\
            ((int64_t[]){%s}, %d);\n"
@@ -537,7 +537,7 @@ let emit_func ctx (f : Ir.func) : string =
       bpf body "L%d: ;\n" l;
       if ctx.fuel_checks then
         bpf body
-          "  if ((*NE_FUEL -= %d) <= 0) { *NE_PENDING = -2; goto L_ret_exn; \
+          "  if ((NE_ST->fuel -= %d) <= 0) { NE_ST->pending = -2; goto L_ret_exn; \
            }\n"
           (Array.length b.instrs + 1);
       let prev = ref None in
@@ -551,7 +551,7 @@ let emit_func ctx (f : Ir.func) : string =
       | Ir.If (c, x, y, l1, l2) -> (
         match cmp_expr c (op_vk fk x) (op_vk fk y) (op_str x) (op_str y) with
         | Ok e -> bpf body "  if %s goto L%d; else goto L%d;\n" e l1 l2
-        | Error _ -> bpf body "  { *NE_PENDING = -1; goto L_ret_exn; }\n")
+        | Error _ -> bpf body "  { NE_ST->pending = -1; goto L_ret_exn; }\n")
       | Ir.Ifnull (v, l1, l2) ->
         bpf body "  if (%s == NE_NULL) goto L%d; else goto L%d;\n" (var_str v)
           l1 l2
@@ -566,7 +566,7 @@ let emit_func ctx (f : Ir.func) : string =
                | KR -> 3
                | KI | KU | KC -> 1)
            in
-           bpf body "  *NE_RETK = %d;\n" k);
+           bpf body "  NE_ST->ret_kind = %d;\n" k);
         (match o with
         | Some o -> bpf body "  ne_retv_ = %s;\n" (op_str o)
         | None -> ());
@@ -584,7 +584,8 @@ let emit_func ctx (f : Ir.func) : string =
     (cfn_of ctx f.fn_name)
     (if params = [] then "void" else String.concat ", " params);
   bpf out
-    "  if (++*NE_DEPTH > 2000) { *NE_PENDING = -3; --*NE_DEPTH; return 0; }\n";
+    "  if (++NE_ST->depth > 2000) { NE_ST->pending = -3; --NE_ST->depth; \
+     return 0; }\n";
   for v = 0 to f.fn_nvars - 1 do
     if v < f.fn_nparams then bpf out "  %sint64_t v%d = p%d;\n" vol v v
     else bpf out "  %sint64_t v%d = 0;\n" vol v
@@ -593,55 +594,37 @@ let emit_func ctx (f : Ir.func) : string =
   if has_frame then begin
     bpf out "  ne_frame fr_;\n";
     bpf out "  fr_.trap_idx = -1;\n";
-    bpf out "  fr_.prev = *NE_FRAMES;\n";
-    bpf out "  *NE_FRAMES = &fr_;\n";
+    bpf out "  fr_.prev = NE_ST->top;\n";
+    bpf out "  NE_ST->top = &fr_;\n";
     bpf out "  if (sigsetjmp(fr_.env, 0)) {\n";
-    bpf out "    *NE_INREC = 0;\n";
+    bpf out "    NE_ST->in_recovery = 0;\n";
     bpf out "    switch (fr_.trap_idx) {\n";
     List.iter
       (fun (idx, action) -> bpf out "    case %d: %s break;\n" idx action)
       (List.rev !cases);
-    bpf out "    default: *NE_PENDING = -1; goto L_ret_exn;\n";
+    bpf out "    default: NE_ST->pending = -1; goto L_ret_exn;\n";
     bpf out "    }\n  }\n"
   end;
   bpf out "  goto L0;\n";
   Buffer.add_buffer out body;
   bpf out "L_ret_exn: ;\n  ne_retv_ = 0;\nL_done: ;\n";
-  if has_frame then bpf out "  *NE_FRAMES = fr_.prev;\n";
-  bpf out "  --*NE_DEPTH;\n  return ne_retv_;\n}\n";
+  if has_frame then bpf out "  NE_ST->top = fr_.prev;\n";
+  bpf out "  --NE_ST->depth;\n  return ne_retv_;\n}\n";
   Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
 (* Module-level pieces                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The ABI block must stay textually identical to the copy in
-   native_stubs.c; ne_bind checks NE_ABI_VERSION at load time. *)
+(* The ABI block is lib/backend/ne_abi.h, embedded verbatim; ne_bind
+   checks NE_ABI_VERSION at load time. *)
 let runtime_header ~ncls ~nmeth =
-  let b = Buffer.create 2048 in
+  let b = Buffer.create 4096 in
   bpf b "#ifndef NE_PROG_H\n#define NE_PROG_H\n";
-  bpf b "#include <stdint.h>\n#include <string.h>\n#include <math.h>\n";
-  bpf b "#include <setjmp.h>\n\n";
-  bpf b "typedef struct ne_frame {\n";
-  bpf b "  sigjmp_buf env;\n";
-  bpf b "  volatile int32_t trap_idx; /* written by the signal handler */\n";
-  bpf b "  struct ne_frame *volatile prev;\n";
-  bpf b "} ne_frame;\n\n";
-  bpf b "typedef struct ne_rt {\n";
-  bpf b "  int64_t abi;\n  int64_t null_v;\n  int64_t *fuel;\n";
-  bpf b "  int64_t *depth;\n  int64_t *pending;\n  int64_t *ret_kind;\n";
-  bpf b "  volatile int *in_recovery;\n  ne_frame **frames;\n";
-  bpf b "  void *(*alloc)(int64_t nbytes);\n";
-  bpf b "  void (*ev)(int64_t tag, int64_t payload);\n";
-  bpf b "} ne_rt;\n\n";
-  bpf b "#define NE_ABI_VERSION 1\n\n";
-  bpf b "typedef struct ne_site_ent {\n";
-  bpf b "  const char *lo, *hi;\n  int32_t idx;\n  int32_t site;\n";
-  bpf b "} ne_site_ent;\n\n";
-  bpf b "extern int64_t NE_NULL;\n";
-  bpf b "extern int64_t *NE_FUEL, *NE_DEPTH, *NE_PENDING, *NE_RETK;\n";
-  bpf b "extern volatile int *NE_INREC;\n";
-  bpf b "extern ne_frame **NE_FRAMES;\n";
+  bpf b "#include <string.h>\n#include <math.h>\n\n";
+  Buffer.add_string b Ne_abi_h.text;
+  bpf b "\nextern int64_t NE_NULL;\n";
+  bpf b "extern ne_state *NE_ST;\n";
   bpf b "extern void *(*NE_ALLOC)(int64_t);\n";
   bpf b "extern void (*NE_EVP)(int64_t, int64_t);\n\n";
   bpf b "#define NE_EVF(t, a) (NE_EVP((int64_t)(t), (int64_t)(a)))\n";
@@ -681,26 +664,22 @@ let emit_mod ctx ~negarr_code ~cls_sorted ~meth_names ~entry_cfn : string =
   let b = Buffer.create 4096 in
   bpf b "#include \"prog.h\"\n\n";
   bpf b "int64_t NE_NULL;\n";
-  bpf b "int64_t *NE_FUEL, *NE_DEPTH, *NE_PENDING, *NE_RETK;\n";
-  bpf b "volatile int *NE_INREC;\n";
-  bpf b "ne_frame **NE_FRAMES;\n";
+  bpf b "ne_state *NE_ST;\n";
   bpf b "void *(*NE_ALLOC)(int64_t);\n";
   bpf b "void (*NE_EVP)(int64_t, int64_t);\n\n";
   bpf b "int ne_bind(const ne_rt *rt)\n{\n";
   bpf b "  if (rt->abi != NE_ABI_VERSION) return -1;\n";
-  bpf b "  NE_NULL = rt->null_v;\n  NE_FUEL = rt->fuel;\n";
-  bpf b "  NE_DEPTH = rt->depth;\n  NE_PENDING = rt->pending;\n";
-  bpf b "  NE_RETK = rt->ret_kind;\n  NE_INREC = rt->in_recovery;\n";
-  bpf b "  NE_FRAMES = rt->frames;\n  NE_ALLOC = rt->alloc;\n";
+  bpf b "  NE_NULL = rt->null_v;\n  NE_ST = rt->st;\n";
+  bpf b "  NE_ALLOC = rt->alloc;\n";
   bpf b "  NE_EVP = rt->ev;\n  return NE_ABI_VERSION;\n}\n\n";
   (* Array allocation: calloc-zeroed slots are already the interpreter's
      defaults for ints and floats; reference slots must be null, which
      is the guard base, not zero. *)
   bpf b "int64_t ne_new_arr(int64_t is_ref, int64_t len)\n{\n";
-  bpf b "  if (len < 0) { *NE_PENDING = %d; return NE_NULL; }\n" negarr_code;
-  bpf b "  if (len > (INT64_C(1) << 40)) { *NE_PENDING = -1; return NE_NULL; }\n";
+  bpf b "  if (len < 0) { NE_ST->pending = %d; return NE_NULL; }\n" negarr_code;
+  bpf b "  if (len > (INT64_C(1) << 40)) { NE_ST->pending = -1; return NE_NULL; }\n";
   bpf b "  char *p = NE_ALLOC(24 + len * 8);\n";
-  bpf b "  if (!p) { *NE_PENDING = -1; return NE_NULL; }\n";
+  bpf b "  if (!p) { NE_ST->pending = -1; return NE_NULL; }\n";
   bpf b "  *(int64_t *)p = 2;\n";
   bpf b "  *(int64_t *)(p + 16) = len;\n";
   bpf b "  if (is_ref)\n";
@@ -722,7 +701,7 @@ let emit_mod ctx ~negarr_code ~cls_sorted ~meth_names ~entry_cfn : string =
       in
       bpf b "int64_t ne_new_c%d(void) /* %s */\n{\n" i c.cname;
       bpf b "  char *p = NE_ALLOC(%d);\n" sz;
-      bpf b "  if (!p) { *NE_PENDING = -1; return NE_NULL; }\n";
+      bpf b "  if (!p) { NE_ST->pending = -1; return NE_NULL; }\n";
       bpf b "  *(int64_t *)p = (INT64_C(%d) << 3) | 1;\n" i;
       List.iter
         (fun (f : Ir.field) ->

@@ -30,6 +30,16 @@
     the header first — faulting on a null receiver exactly like the
     interpreter's "method-table load through null" model.
 
+    {2 Runtime ABI}
+
+    Every module's [prog.h] starts with [lib/backend/ne_abi.h],
+    embedded verbatim (the dune-generated [Ne_abi_h.text]): the same
+    file the runtime in [native_stubs.c] includes, so the two cannot
+    drift.  A module binds one global, [NE_ST], to the runtime's
+    [ne_state] (fuel, call depth, pending exception, return kind,
+    in-recovery flag, recovery-frame stack), and reaches each cell
+    through it.
+
     The emitted code must be compiled with
     [-O2 -fPIC -shared -fwrapv -fno-strict-aliasing] (see
     {!Native.compile}); [-fwrapv] makes intermediate 64-bit overflow

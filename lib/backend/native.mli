@@ -17,10 +17,18 @@
     gracefully ({!compile} returns [Error]) and callers fall back to
     the interpreter — tier-1 CI stays green on any platform.
 
+    {2 ABI}
+
+    Emitted modules and the runtime share one definition of the
+    recovery frame, the run state, the fault-PC table entry and the
+    binding record, [lib/backend/ne_abi.h] (version 2): the stubs
+    include it and {!Emit_c} embeds it.  A module whose [ne_bind] sees
+    another [NE_ABI_VERSION] fails to load.
+
     {2 Concurrency}
 
-    The guard region, signal handlers, runtime cells and module
-    registry are process-global, so [load]/[run]/[unload] are
+    The guard region, signal handlers, run state (one [ne_state]) and
+    module registry are process-global, so [load]/[run]/[unload] are
     serialized under one internal mutex.  Run results are mapped into
     {!Interp.result} so the differential oracle and the CLI treat both
     backends uniformly. *)

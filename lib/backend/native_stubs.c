@@ -51,33 +51,8 @@
 #define NE_PLATFORM_OK 0
 #endif
 
-/* ------------------------------------------------------------------ */
-/* ABI shared with the emitted code (see Emit_c.runtime_header).      */
-/* Keep the two copies textually identical; ne_bind checks ne_abi.    */
-/* ------------------------------------------------------------------ */
-
-#include <setjmp.h>
-
-typedef struct ne_frame {
-  sigjmp_buf env;
-  volatile int32_t trap_idx; /* written by the signal handler */
-  struct ne_frame *volatile prev;
-} ne_frame;
-
-typedef struct ne_rt {
-  int64_t abi;     /* NE_ABI_VERSION */
-  int64_t null_v;  /* the null value: base of the guard region */
-  int64_t *fuel;   /* block-granular fuel; <= 0 means out of fuel */
-  int64_t *depth;  /* call depth, limit 2000 like the interpreter */
-  int64_t *pending;  /* pending exception code, 0 = none */
-  int64_t *ret_kind; /* 0 void, 1 int, 2 float, 3 ref (main only) */
-  volatile int *in_recovery;
-  ne_frame **frames; /* top of the recovery-frame stack */
-  void *(*alloc)(int64_t nbytes); /* zeroed; NULL on heap-cap overflow */
-  void (*ev)(int64_t tag, int64_t payload); /* observable-event sink */
-} ne_rt;
-
-#define NE_ABI_VERSION 1
+/* The ABI shared with emitted code; ne_bind checks NE_ABI_VERSION. */
+#include "ne_abi.h"
 
 #if NE_PLATFORM_OK
 
@@ -99,15 +74,10 @@ static unsigned char *ne_guard_base = NULL;
 static size_t ne_guard_len = 0;
 
 /* ------------------------------------------------------------------ */
-/* Runtime cells shared with emitted code                             */
+/* Run cells shared with emitted code                                 */
 /* ------------------------------------------------------------------ */
 
-static int64_t ne_fuel = 0;
-static int64_t ne_depth = 0;
-static int64_t ne_pending = 0;
-static int64_t ne_ret_kind = 0;
-static volatile int ne_in_recovery = 0;
-static ne_frame *ne_top = NULL;
+static ne_state ne_st;
 
 /* Trap accounting for tests and the bench (not part of semantics). */
 static int64_t ne_trap_count = 0;
@@ -166,7 +136,7 @@ static void ne_ev(int64_t tag, int64_t a)
   if (ne_ev_len == ne_ev_cap) {
     size_t cap = ne_ev_cap ? ne_ev_cap * 2 : 4096;
     ne_ev_rec *p = realloc(ne_ev_buf, cap * sizeof *p);
-    if (!p) { ne_pending = -1; return; } /* degrade to a sim error */
+    if (!p) { ne_st.pending = -1; return; } /* degrade to a sim error */
     ne_ev_buf = p;
     ne_ev_cap = cap;
   }
@@ -178,12 +148,6 @@ static void ne_ev(int64_t tag, int64_t a)
 /* ------------------------------------------------------------------ */
 /* Fault-PC -> site tables (one per loaded module)                    */
 /* ------------------------------------------------------------------ */
-
-typedef struct {
-  const char *lo, *hi; /* text addresses bracketing the trapping access */
-  int32_t idx;         /* program-dense trap index (switch dispatch key) */
-  int32_t site;        /* Ir.site provenance id, -1 for vtable loads */
-} ne_site_ent;
 
 #define NE_MAX_MODULES 256
 
@@ -245,7 +209,7 @@ static void ne_handler(int sig, siginfo_t *si, void *uctx)
       ne_probe_armed = 0;
       siglongjmp(ne_probe_env, 1); /* savemask=1 restores the mask */
     }
-    if (ne_in_recovery) {
+    if (ne_st.in_recovery) {
       /* A trap fired while recovering from a trap: the recovery
          machinery itself faulted.  Nothing is trustworthy; die. */
       static const char msg[] =
@@ -257,14 +221,14 @@ static void ne_handler(int sig, siginfo_t *si, void *uctx)
     ucontext_t *uc = (ucontext_t *)uctx;
     const char *pc = (const char *)uc->uc_mcontext.gregs[REG_RIP];
     const ne_site_ent *ent = ne_lookup_pc(pc);
-    if (ent && ne_top) {
-      ne_in_recovery = 1;
-      ne_top->trap_idx = ent->idx;
+    if (ent && ne_st.top) {
+      ne_st.in_recovery = 1;
+      ne_st.top->trap_idx = ent->idx;
       ne_trap_ring[ne_trap_count % NE_TRAP_RING] = ent->site;
       ne_trap_count++;
       /* SA_NODEFER left the signal unblocked, so the next trap is
          delivered normally after this abnormal exit. */
-      siglongjmp(ne_top->env, 1);
+      siglongjmp(ne_st.top->env, 1);
     }
     /* Guard address but unknown PC (or no native frame): not one of
        ours; fall through to the previous handler / default action. */
@@ -278,7 +242,7 @@ static int ne_install(void)
   memset(&sa, 0, sizeof sa);
   sa.sa_sigaction = ne_handler;
   /* SA_NODEFER: see the recovery note in the header.  A guard fault
-     inside the handler re-enters it and aborts on ne_in_recovery. */
+     inside the handler re-enters it and aborts on in_recovery. */
   sa.sa_flags = SA_SIGINFO | SA_ONSTACK | SA_NODEFER;
   sigemptyset(&sa.sa_mask);
   if (sigaction(SIGSEGV, &sa, &ne_old_segv) != 0) return 0;
@@ -334,12 +298,7 @@ CAMLprim value ne_stub_load(value vpath)
   }
   ne_the_rt.abi = NE_ABI_VERSION;
   ne_the_rt.null_v = (int64_t)(uintptr_t)ne_guard_base;
-  ne_the_rt.fuel = &ne_fuel;
-  ne_the_rt.depth = &ne_depth;
-  ne_the_rt.pending = &ne_pending;
-  ne_the_rt.ret_kind = &ne_ret_kind;
-  ne_the_rt.in_recovery = &ne_in_recovery;
-  ne_the_rt.frames = &ne_top;
+  ne_the_rt.st = &ne_st;
   ne_the_rt.alloc = ne_alloc;
   ne_the_rt.ev = ne_ev;
   if (bind(&ne_the_rt) != NE_ABI_VERSION) {
@@ -385,13 +344,13 @@ CAMLprim value ne_stub_exec(value vfn, value vfuel)
   CAMLparam2(vfn, vfuel);
   CAMLlocal1(res);
   int64_t (*fn)(void) = (int64_t (*)(void))(uintptr_t)Int64_val(vfn);
-  ne_pending = 0;
-  ne_depth = 0;
-  ne_fuel = Int64_val(vfuel);
-  ne_ret_kind = 0;
+  ne_st.pending = 0;
+  ne_st.depth = 0;
+  ne_st.fuel = Int64_val(vfuel);
+  ne_st.ret_kind = 0;
+  ne_st.top = NULL;
+  ne_st.in_recovery = 0;
   ne_ev_len = 0;
-  ne_top = NULL;
-  ne_in_recovery = 0;
   ne_trap_count = 0;
   int64_t ret;
   /* Long native runs must not stall the other domains' GC. */
@@ -399,8 +358,8 @@ CAMLprim value ne_stub_exec(value vfn, value vfuel)
   ret = fn();
   caml_leave_blocking_section();
   res = caml_alloc_tuple(3);
-  Store_field(res, 0, Val_long((long)ne_pending));
-  Store_field(res, 1, Val_long((long)ne_ret_kind));
+  Store_field(res, 0, Val_long((long)ne_st.pending));
+  Store_field(res, 1, Val_long((long)ne_st.ret_kind));
   Store_field(res, 2, caml_copy_int64(ret));
   CAMLreturn(res);
 }
@@ -494,7 +453,7 @@ CAMLprim value ne_stub_fork_nested(value unit)
   pid_t pid = fork();
   if (pid < 0) return Val_long(-1);
   if (pid == 0) {
-    ne_in_recovery = 1;
+    ne_st.in_recovery = 1;
     volatile int64_t x = *(volatile int64_t *)(ne_guard_base + 16);
     (void)x;
     _exit(0);

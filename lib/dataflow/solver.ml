@@ -31,10 +31,10 @@
     input slot, so a block visit allocates nothing beyond what the
     client's own [transfer]/[edge] functions allocate.
 
-    Setting the environment variable [NULLELIM_SOLVER=reference], or
-    {!with_reference} on one domain, routes {!solve} to the round-robin
-    engine — the benchmark harness uses this to quote before/after
-    counter and timing deltas from the same binary. *)
+    {!with_reference} routes {!solve} on the calling domain to the
+    round-robin engine: the differential oracle and the tests compare
+    the two engines with it, and the benchmark harness quotes
+    before/after counter and timing deltas from the same binary. *)
 
 module Cfg = Nullelim_cfg.Cfg
 
@@ -271,17 +271,13 @@ let solve_worklist ~(dir : direction) ~(cfg : Cfg.t)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* what a newly started domain's switch reads *)
-let domain_default () = Sys.getenv_opt "NULLELIM_SOLVER" = Some "reference"
-
-let reference = Domain.DLS.new_key domain_default
+(* every domain starts on the worklist engine *)
+let reference = Domain.DLS.new_key (fun () -> false)
 
 let with_reference on f =
   let saved = Domain.DLS.get reference in
   Domain.DLS.set reference on;
   Fun.protect ~finally:(fun () -> Domain.DLS.set reference saved) f
-
-let with_domain_default f = with_reference (domain_default ()) f
 
 let solve ~dir ~cfg ~boundary ~top ~meet ?edge ?boundary_blocks ~transfer () =
   let engine =

@@ -68,16 +68,8 @@ val with_reference : bool -> (unit -> 'a) -> 'a
 (** [with_reference on f] runs [f] with the calling domain's engine
     switch set to [on], then restores it.  While it is on, {!solve}
     routes to {!solve_reference}.  The switch is domain-local: every
-    domain starts from the [NULLELIM_SOLVER=reference] environment
-    variable, and setting it on one domain never reaches another (a
-    compile-service worker keeps its own). *)
-
-val with_domain_default : (unit -> 'a) -> 'a
-(** [with_domain_default f] runs [f] with the calling domain's switch
-    set to the value a newly started domain begins with (from
-    [NULLELIM_SOLVER]), then restores it.  The compile service runs a
-    request that a waiting caller picks up under it, so the caller's own
-    {!with_reference} never reaches another request's compile. *)
+    domain starts on the worklist engine, and setting it on one domain
+    never reaches another (a compile-service worker keeps its own). *)
 
 val solve :
   dir:direction ->

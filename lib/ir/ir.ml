@@ -466,3 +466,51 @@ let sites_of_func f =
           | _ -> acc)
         acc b.instrs)
     [] f.fn_blocks
+
+(** {1 Content digest} *)
+
+(** [structural_digest v] is a 128-bit digest of [v]'s structure, as
+    32 lowercase hex characters: one walk over the value
+    ([digest_stubs.c]) feeds MurmurHash3 x64-128 with a word per
+    immediate, a word per block built from its tag and size, a string's
+    length and bytes, and a float's bits, visiting every field depth
+    first.  Two values get the same digest exactly when they are
+    structurally equal (up to the hash's collisions), over the values
+    [Marshal] accepts without [Closures]: physical sharing is not seen,
+    [0.0] and [-0.0] differ, and cycles do not terminate.  The hash is
+    not cryptographic, and it reads the runtime's value representation,
+    so a digest must never be persisted or compared across processes.
+    It allocates nothing but its result and does not recurse on the C
+    stack, so any list length or nesting depth is fine.
+    @raise Invalid_argument on a closure, custom (e.g. [Int64.t]),
+    abstract, lazy, forward, object or continuation block. *)
+external structural_digest : 'a -> string = "ne_structural_digest"
+
+(** A hash table's bindings sorted by key: a [Hashtbl]'s layout depends
+    on its insertion history, its content does not. *)
+let sorted_bindings cmp tbl =
+  List.sort
+    (fun (a, _) (b, _) -> cmp a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(** A function's content in canonical form: name, arity, method flag,
+    variable count, blocks (instructions with their check sites,
+    terminators, regions), handler table and debug names sorted by
+    variable.  Read straight off the record, so a new instruction
+    constructor is covered without editing this. *)
+let func_projection (f : func) =
+  ( f.fn_name,
+    f.fn_nparams,
+    f.fn_is_method,
+    f.fn_nvars,
+    f.fn_blocks,
+    f.fn_handlers,
+    sorted_bindings Int.compare f.fn_var_names )
+
+(** Every function's {!func_projection}, sorted by name.  The compile
+    service's cache key digests it with the job's other parts, and the
+    optimizer's rounds compare its digest alone. *)
+let funcs_projection (p : program) =
+  List.map
+    (fun (name, f) -> (name, func_projection f))
+    (sorted_bindings String.compare p.funcs)

@@ -12,7 +12,7 @@
     {v
       Out_bwd(n) = /\ over m in Succ(n) of (In_bwd(m) - Edge_try(m,n))
       In_bwd(n)  = (Out_bwd(n) - Kill_bwd(n)) \/ Gen_bwd(n)
-      Earliest(n) = Out_bwd(n) /\ /\ over m in Pred(n) of not Out_bwd(m)
+      Earliest(n) = Out_bwd(n) /\ (Kill_bwd(n) \/ /\ over m in Pred(n) of not Out_bwd(m))
     v}
 
     - [Gen_bwd(n)]: checks located in [n] that can move up to its entry —
@@ -29,9 +29,13 @@
     block exit only if every path from there executes an equivalent check
     before any barrier, so insertion never introduces an exception the
     original program would not have thrown.  [Earliest(n)] — the checks
-    that reach the exit of [n] but no predecessor's exit — are the
-    {e insertion points} (checks are inserted at block exits).  A block
-    with no predecessors hosts everything that reaches its exit.
+    that reach the exit of [n] but no predecessor's exit, plus those
+    that reach it and that [n] kills — are the {e insertion points}
+    (checks are inserted at block exits).  A killed check cannot move
+    above [n]: whatever the predecessors anticipate is a check of the
+    old value (or sits above a barrier), so [n]'s exit is the earliest
+    point for the new one.  A block with no predecessors hosts
+    everything that reaches its exit.
 
     Stage 2 — elimination (Section 4.1.2), a forward non-nullness
     analysis whose merge treats the pending insertions as available:
@@ -125,6 +129,9 @@ let analyse (cfg : Cfg.t) : analysis =
         else begin
           let acc = Bitset.copy out_bwd.(l) in
           List.iter (fun m -> Bitset.diff_into acc out_bwd.(m)) (Cfg.preds cfg l);
+          (* A check of a variable [l] overwrites reaches its exit anew,
+             whatever the predecessors anticipate of the old value. *)
+          Bitset.union_into acc (Bitset.inter out_bwd.(l) kill.(l));
           acc
         end)
   in

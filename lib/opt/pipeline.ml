@@ -88,58 +88,23 @@ let run ?sink (passes : pass list) (p : Ir.program) : unit =
 (* Rounds to a fixpoint                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything a round of per-function passes can change: each
-   function's blocks (copied, since passes rewrite them in place),
-   variable count and handlers, the domain's site counter and the
-   number of decision-log events. *)
-type fingerprint = {
-  fp_funcs : (Ir.func * int * Ir.block array * (Ir.region * Ir.label) list) list;
-  fp_sites : int;
-  fp_events : int;
-}
-
-let fingerprint (p : Ir.program) =
-  {
-    fp_funcs =
-      Hashtbl.fold
-        (fun _ (f : Ir.func) acc ->
-          ( f,
-            f.fn_nvars,
-            Array.map
-              (fun (b : Ir.block) -> { b with Ir.instrs = Array.copy b.instrs })
-              f.fn_blocks,
-            f.fn_handlers )
-          :: acc)
-        p.Ir.funcs [];
-    fp_sites = !(Domain.DLS.get Ir.site_counter);
-    fp_events = Decision.count ();
-  }
-
-let same_block (a : Ir.block) (b : Ir.block) =
-  a.breg = b.breg && compare a.term b.term = 0 && compare a.instrs b.instrs = 0
-
-let unchanged fp (p : Ir.program) =
-  fp.fp_sites = !(Domain.DLS.get Ir.site_counter)
-  && fp.fp_events = Decision.count ()
-  && Hashtbl.length p.Ir.funcs = List.length fp.fp_funcs
-  && List.for_all
-       (fun ((f : Ir.func), nvars, blocks, handlers) ->
-         (match Hashtbl.find_opt p.Ir.funcs f.fn_name with
-         | Some g -> g == f
-         | None -> false)
-         && f.fn_nvars = nvars
-         && f.fn_handlers = handlers
-         && Array.length f.fn_blocks = Array.length blocks
-         && Array.for_all2 same_block f.fn_blocks blocks)
-       fp.fp_funcs
+(* Everything a round of per-function passes can change: the
+   functions' content, the domain's site counter and the number of
+   decision-log events. *)
+let snapshot (p : Ir.program) =
+  ( Ir.structural_digest (Ir.funcs_projection p),
+    !(Domain.DLS.get Ir.site_counter),
+    Decision.count () )
 
 (* The round state lives in the closures of the returned passes, so
    running them one at a time through [run] skips the same rounds as
    running the whole list.  The first pass of round 1 resets it, which
-   makes the list reusable. *)
+   makes the list reusable.  The rounds are consecutive passes, so the
+   snapshot that closes one round is the one the next round opens
+   with. *)
 let rounds ~max (round : pass list) : pass list =
   let last = List.length round - 1 in
-  let stopped = ref false and before = ref None in
+  let stopped = ref false and before = ref ("", 0, 0) in
   List.concat
     (List.init max (fun r ->
          List.mapi
@@ -148,16 +113,16 @@ let rounds ~max (round : pass list) : pass list =
                pass with
                run =
                  (fun p ->
-                   if r = 0 && i = 0 then stopped := false;
+                   if r = 0 && i = 0 then begin
+                     stopped := false;
+                     if max > 1 then before := snapshot p
+                   end;
                    if !stopped then raise Skipped;
-                   let judge = r < max - 1 in
-                   if judge && i = 0 then before := Some (fingerprint p);
                    pass.run p;
-                   if judge && i = last then begin
-                     (match !before with
-                     | Some fp -> stopped := unchanged fp p
-                     | None -> ());
-                     before := None
+                   if r < max - 1 && i = last then begin
+                     let after = snapshot p in
+                     stopped := !before = after;
+                     before := after
                    end);
              })
            round))

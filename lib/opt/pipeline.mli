@@ -42,12 +42,13 @@ val run : ?sink:sink -> pass list -> Ir.program -> unit
 
 val rounds : max:int -> pass list -> pass list
 (** [rounds ~max round] is [max] copies of [round] that stop at a
-    fixpoint.  Before each round but the last, the first pass saves a
-    fingerprint of everything a round can change: every function's
-    blocks, [fn_nvars] and handlers, the domain's site counter and the
-    number of decision-log events.  When a round ends with the
-    fingerprint equal, the remaining rounds are skipped; the passes
-    are deterministic, so they would have changed nothing.  The round
+    fixpoint.  Before the first round and after each round but the
+    last, it takes a snapshot of everything a round can change: the
+    digest of {!Nullelim_ir.Ir.funcs_projection} (the projection the
+    compile service's cache key hashes), the domain's site counter and
+    the number of decision-log events.  When a round ends with the
+    snapshot it started with, the remaining rounds are skipped; the
+    passes are deterministic, so they would have changed nothing.  The round
     state lives in the returned passes, so running them one at a time
     through {!run} skips the same rounds; the list is reusable. *)
 

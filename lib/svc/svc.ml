@@ -63,44 +63,23 @@ type cache = Compiler.compiled Codecache.t
 (* ------------------------------------------------------------------ *)
 
 (* The key digests a canonical projection of the job read straight off
-   the IR with {!structural_digest}, a generic walk over the value, so a
-   new instruction constructor or function field is covered without
-   editing this code.  Hash tables are listed sorted by key (a
-   [Hashtbl]'s layout depends on its insertion history) and the deopt
-   set is sorted; the walk hashes values alone, not which of them happen
-   to be physically shared.  An [Arch.t] holds closures and enters by
-   name.  Instructions carry their check provenance sites, which flow
-   into the artifact's decision log and profile ids. *)
-external structural_digest : 'a -> string = "ne_structural_digest"
-
-let sorted_bindings cmp tbl =
-  List.sort
-    (fun (a, _) (b, _) -> cmp a b)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-let func_projection (f : Ir.func) =
-  ( f.Ir.fn_name,
-    f.Ir.fn_nparams,
-    f.Ir.fn_is_method,
-    f.Ir.fn_nvars,
-    f.Ir.fn_blocks,
-    f.Ir.fn_handlers,
-    sorted_bindings Int.compare f.Ir.fn_var_names )
-
+   the IR with {!Ir.structural_digest}, a generic walk over the value,
+   so a new instruction constructor or function field is covered without
+   editing this code.  The deopt set is sorted; the walk hashes values
+   alone, not which of them happen to be physically shared.  An
+   [Arch.t] holds closures and enters by name.  Instructions carry
+   their check provenance sites, which flow into the artifact's
+   decision log and profile ids. *)
 let job_key (j : job) : string =
   let p = j.jb_program in
-  let projection =
+  Ir.structural_digest
     ( j.jb_arch.Arch.name,
       Config.semantic j.jb_config,
       j.jb_tier,
       List.sort_uniq Int.compare j.jb_deopt,
       p.Ir.prog_main,
-      sorted_bindings String.compare p.Ir.classes,
-      List.map
-        (fun (name, f) -> (name, func_projection f))
-        (sorted_bindings String.compare p.Ir.funcs) )
-  in
-  structural_digest projection
+      Ir.sorted_bindings String.compare p.Ir.classes,
+      Ir.funcs_projection p )
 
 (* ------------------------------------------------------------------ *)
 (* Artifact sizing and cache construction                              *)
@@ -480,7 +459,7 @@ let create ?domains ?(queue_capacity = 64) ?cache
     match Chan.try_pop queue with
     | None -> false
     | Some task ->
-      Solver.with_domain_default (fun () -> run ~worker:n task);
+      Solver.with_reference false (fun () -> run ~worker:n task);
       true
   in
   {

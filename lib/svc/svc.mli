@@ -63,12 +63,11 @@
     empty — its own request is then running on some domain.  So a
     request is compiled by a pool worker or by a waiting caller, and the
     submitting thread's core does useful work while it waits.  A helped
-    task runs under a fresh worker domain's defaults: the
-    reference-solver switch a new domain reads
-    ({!Nullelim_dataflow.Solver.with_domain_default}), the caller's site
-    counter never moved backward ([Compiler.compile] guarantees it),
-    and the decision log and causal context, which the compile scopes
-    itself.  Its outcome's [oc_worker] is the pool size ({!domains}) —
+    task runs under a fresh worker domain's defaults: the worklist
+    solver engine ({!Nullelim_dataflow.Solver.with_reference} [false]),
+    the caller's site counter never moved backward ([Compiler.compile]
+    guarantees it), and the decision log and causal context, which the
+    compile scopes itself.  Its outcome's [oc_worker] is the pool size ({!domains}) —
     one past the last pool index, so it is neither a pool index nor
     [-1].  {!poll} never helps: the serving thread must never block.
 
@@ -146,14 +145,15 @@ type cache = Compiler.compiled Codecache.t
 (** A compiled-code cache shareable between services and batches. *)
 
 val job_key : job -> string
-(** Content digest of a job ({!structural_digest}, 32 hex characters)
-    over a canonical projection read straight off the IR, with no
-    printing: the architecture name, the configuration's semantic
-    fields ({!Config.semantic}), the tier, the sorted deopt sites, the
-    entry point, the classes sorted by name, and per function sorted by
-    name its name, arity, method flag, variable count, blocks
-    (instructions with their check provenance sites, terminators,
-    regions), handler table and debug variable names.  The projection
+(** Content digest of a job ({!Nullelim_ir.Ir.structural_digest}, 32
+    hex characters) over a canonical projection read straight off the
+    IR, with no printing: the architecture name, the configuration's
+    semantic fields ({!Config.semantic}), the tier, the sorted deopt
+    sites, the entry point, the classes sorted by name, and
+    {!Nullelim_ir.Ir.funcs_projection}: per function sorted by name its
+    name, arity, method flag, variable count, blocks (instructions with
+    their check provenance sites, terminators, regions), handler table
+    and debug variable names.  The projection
     is hashed by a generic walk, so the key depends on values only —
     not on hash-table insertion order or physical sharing — and a new
     instruction constructor or function field is covered without
@@ -163,22 +163,6 @@ val job_key : job -> string
     Keys are process-local: the digest reads the runtime's value
     representation, so a key must never be persisted or compared
     across processes. *)
-
-val structural_digest : 'a -> string
-(** [structural_digest v] is a 128-bit digest of [v]'s structure, as
-    32 lowercase hex characters: one walk over the value feeds
-    MurmurHash3 x64-128 with a word per immediate, a word per block
-    built from its tag and size, a string's length and bytes, and a
-    float's bits, visiting every field depth first.  Two values get the
-    same digest exactly when they are structurally equal (up to the
-    hash's collisions), over the values [Marshal] accepts without
-    [Closures]: physical sharing is not seen, [0.0] and [-0.0] differ,
-    and cycles do not terminate.  The hash is not cryptographic; it
-    keys in-process caches of values the process built itself.  It
-    allocates nothing but its result and does not recurse on the C
-    stack, so any list length or nesting depth is fine.
-    @raise Invalid_argument on a closure, custom (e.g. [Int64.t]),
-    abstract, lazy, forward, object or continuation block. *)
 
 val artifact_bytes : Compiler.compiled -> int
 (** Byte-cost estimate of keeping an artifact resident (used as the

@@ -5,7 +5,7 @@
     scripts/bench_golden.py --check BENCH_results.json  # compare with the committed one
 
 Hashes (SHA-256) the canonical JSON (sorted keys, no whitespace) of the
-`tables`, `check_stats` and `dynamic` members of a `BENCH_SCALE=1`
+`tables`, `check_stats` and `dynamic` members of a `--scale 1`
 report from `bench/main.exe`.  These members are interpreter counts and
 modelled cycles, so any optimizer change that alters a compiled
 program changes the hash.  `--check` compares against
@@ -26,7 +26,7 @@ def digest(path):
     with open(path) as f:
         report = json.load(f)
     if report.get("scale") != 1:
-        sys.exit("bench_golden: %s is not a BENCH_SCALE=1 report" % path)
+        sys.exit("bench_golden: %s is not a --scale 1 report" % path)
     missing = [m for m in MEMBERS if m not in report]
     if missing:
         sys.exit("bench_golden: %s lacks %s" % (path, ", ".join(missing)))

@@ -4,8 +4,8 @@
 # The file groups one member per schema, like BENCH_results.json:
 #   dynamic  nullelim-dynamic/1  per-site dynamic check counts
 #   tiered   nullelim-tiered/1   steady-state checks + promotion/deopt
-#                                counters (sync mode, reduced smoke
-#                                settings -- must match the CI step)
+#                                counters (sync mode, the reduced smoke
+#                                settings of scripts/smoke_flags.sh)
 #   loadgen  nullelim-loadgen/1  open-loop rate sweep; the gated member
 #                                is normalized_p99 (lowest-rate p99 /
 #                                mean compile time), compared at 3x --
@@ -20,24 +20,21 @@
 # normalized p99 exceeds 3x the recorded value.
 set -e
 cd "$(dirname "$0")/.."
+. scripts/smoke_flags.sh
 rm -f BENCH_baseline.json
 dune exec bin/main.exe -- profile \
   --out PROFILE_report.md \
   --merge BENCH_baseline.json
-# reduced smoke settings: keep in sync with the CI tiered step
-dune exec bin/main.exe -- tiered \
-  --runs 6 --promote-calls 3 \
+dune exec bin/main.exe -- tiered $TIERED_SMOKE_FLAGS \
   --out TIERED_report.md \
   --merge BENCH_baseline.json
-# reduced smoke settings: keep in sync with the CI loadgen step.  One
-# run's normalized p99 lands anywhere in a wide spread (7.5-20.6 over
-# seven runs of one build), so the step runs seven times and the run
-# with the median normalized p99 becomes the member.
+# One run's normalized p99 lands anywhere in a wide spread (7.5-20.6
+# over seven runs of one build), so the loadgen step runs seven times
+# and the run with the median normalized p99 becomes the member.
 runs=$(mktemp -d)
 trap 'rm -rf "$runs"' EXIT
 for i in 1 2 3 4 5 6 7; do
-  dune exec bin/main.exe -- loadgen \
-    --jobs 2 --duration 2 --max-requests 8000 --seed 42 \
+  dune exec bin/main.exe -- loadgen $LOADGEN_SMOKE_FLAGS \
     --out "$runs/loadgen$i.json"
 done
 # Merged as `--merge` would: the container is Obs_json's compact text

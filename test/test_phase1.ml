@@ -250,6 +250,71 @@ let test_this_nonnull () =
   ignore (Phase1.run f);
   check_int "this needs no check" 0 (Ir.count_checks f)
 
+(* The program QCHECK_SEED=28 draws for "phase1 idempotent".  [B3]
+   checks [a], then sets [a = null] and enters the loop [B7], whose
+   header checks the new [a].  [B3]'s predecessors anticipate a check of
+   the old [a], which once hid [B3]'s exit as the insertion point: the
+   first run left the check in the loop and only a second run hoisted
+   it.  Earliest now includes the checks a block kills. *)
+let kill_then_loop () =
+  let open Ir in
+  let a = 0 and b = 1 and arr = 2 and n = 3 in
+  let t0 = 4 and t1 = 5 and t2 = 6 and r = 7 in
+  let v8 = 8 and v9 = 9 and v10 = 10 and v11 = 11 in
+  let check v s = Null_check (Explicit, v, s) in
+  let block instrs term = { instrs = Array.of_list instrs; term; breg = no_region } in
+  let blocks =
+    [|
+      block
+        [ Move (t0, Cint 0); Move (t1, Cint 1); Move (t2, Cint 2);
+          Move (r, Var a); check arr 536; Array_length (v8, arr);
+          Bound_check (Var t0, Var v8, 537);
+          Array_load (t0, arr, Var t0, Kint) ]
+        (If (Lt, Var n, Var t2, 1, 2));
+      block
+        [ check arr 538; Array_length (v9, arr);
+          Bound_check (Var t1, Var v9, 539);
+          Array_store (arr, Var t1, Cint 9, Kint) ]
+        (If (Lt, Var n, Var t0, 4, 5));
+      block [] (Goto 3);
+      block
+        [ check b 540; check a 541; Get_field (n, a, H.fld_x); Move (a, Cnull);
+          Binop (n, Add, Var t1, Var t1); Move (v10, Cint 0) ]
+        (Goto 7);
+      block [] (Goto 6);
+      block [ New_object (a, "Point"); Binop (t1, Add, Var n, Var t0) ] (Goto 6);
+      block [] (Goto 3);
+      block
+        [ check a 542; Put_field (a, H.fld_x, Cint 0);
+          Binop (n, Bxor, Var n, Var t1); check arr 543;
+          Array_length (v11, arr); Bound_check (Var t0, Var v11, 544);
+          Array_load (n, arr, Var t0, Kint); Print (Var n);
+          Binop (v10, Add, Var v10, Cint 1) ]
+        (If (Lt, Var v10, Cint 3, 7, 8));
+      block
+        [ Binop (t0, Bxor, Cint (-3), Var t0); check r 545;
+          Put_field (r, H.fld_y, Cint (-3)); Binop (t0, Sub, Var t1, Var t2) ]
+        (Return (Some (Var n)));
+    |]
+  in
+  let names = Hashtbl.create 8 in
+  List.iteri (fun v s -> Hashtbl.replace names v s)
+    [ "a"; "b"; "arr"; "n"; "t0"; "t1"; "t2"; "r" ];
+  H.program_of
+    [ { fn_name = "f"; fn_nparams = 4; fn_is_method = false; fn_nvars = 12;
+        fn_blocks = blocks; fn_handlers = []; fn_var_names = names } ]
+    "f"
+
+let test_kill_then_loop () =
+  let p = kill_then_loop () in
+  let f = Ir.find_func p "f" in
+  ignore (Phase1.run f);
+  check_int "one run: no check inside the loop" 0 (H.checks_in_loops p "f");
+  let once = Fmt.str "%a" Ir_pp.pp_program p in
+  ignore (Phase1.run f);
+  Alcotest.(check string) "a second run changes nothing" once
+    (Fmt.str "%a" Ir_pp.pp_program p)
+
 let () =
   Alcotest.run "phase1"
     [
@@ -263,6 +328,8 @@ let () =
           Alcotest.test_case "figure6 barrier" `Quick test_barrier;
           Alcotest.test_case "figure6 barrier semantics" `Quick
             test_barrier_semantics;
+          Alcotest.test_case "figure4 hoist past a kill" `Quick
+            test_kill_then_loop;
         ] );
       ( "precise-exceptions",
         [

@@ -364,17 +364,35 @@ let test_rounds_deterministic () =
       p
   in
   Alcotest.(check int) "decision event every round: all four" 4 runs;
-  (* an in-place rewrite is seen, so the fingerprint copies the blocks *)
-  let runs, _ =
-    calls_under_rounds
-      (fun n (p : Ir.program) ->
-        if n = 1 then
-          let f = Ir.find_func p "mat" in
+  (* A change to any one thing a round can change, made in round 1
+     only, is seen: the group runs a second round and stops there.  The
+     in-place rewrite shows the digest is taken before the round, not
+     shared with the blocks it rewrites. *)
+  List.iter
+    (fun (what, change) ->
+      let runs, _ =
+        calls_under_rounds
+          (fun n (p : Ir.program) ->
+            if n = 1 then change (Ir.find_func p "mat"))
+          (Ir.copy_program p)
+      in
+      Alcotest.(check int) (what ^ " in round 1: two rounds") 2 runs)
+    [
+      ( "in-place rewrite",
+        fun f -> f.Ir.fn_blocks.(0).Ir.instrs.(0) <- Ir.Print (Ir.Cint 7) );
+      ("variable count", fun f -> f.Ir.fn_nvars <- f.Ir.fn_nvars + 1);
+      ("handler table", fun f -> f.Ir.fn_handlers <- (7, 0) :: f.Ir.fn_handlers);
+      ( "one terminator",
+        fun f ->
           let b = f.Ir.fn_blocks.(0) in
-          b.Ir.instrs.(0) <- Ir.Print (Ir.Cint 7))
-      (Ir.copy_program p)
-  in
-  Alcotest.(check int) "in-place rewrite in round 1: two rounds" 2 runs;
+          b.Ir.term <-
+            (match b.Ir.term with Ir.Goto 0 -> Ir.Goto 1 | _ -> Ir.Goto 0) );
+      ( "decision event",
+        fun _ ->
+          Obs.Decision.record ~kind:Obs.Decision.Kother
+            ~action:Obs.Decision.Speculated ~just:Obs.Decision.Speculative_read
+            () );
+    ];
   (* the round state resets, so the same list can run again *)
   let calls = ref 0 in
   let list =

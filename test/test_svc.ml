@@ -665,7 +665,7 @@ let test_key_agrees_with_marshal () =
 type nested = Leaf | Deeper of nested * int
 
 let test_structural_digest_edges () =
-  let d = Svc.structural_digest in
+  let d = Ir.structural_digest in
   let raises what v =
     match d v with
     | _ -> Alcotest.failf "%s: expected Invalid_argument" what
