@@ -84,8 +84,8 @@ let checks_per_call ~checks ~calls =
 (* Collection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_once ~arch (p : Ir.program) (cfg : Config.t) : Interp.counters =
-  let c = Compiler.compile cfg ~arch p in
+let run_once ?tier ~arch (p : Ir.program) (cfg : Config.t) : Interp.counters =
+  let c = Compiler.compile ?tier cfg ~arch p in
   let r = Interp.run ~fuel ~arch c.Compiler.program [] in
   match r.Interp.outcome with
   | Interp.Returned (Some _) -> r.Interp.counters
@@ -102,7 +102,7 @@ let collect ?svc ?(config = Config.new_full) ?(runs = default_runs)
   Ir.reset_sites ();
   let p = w.W.build ~scale:1 in
   let expected = w.W.expected ~scale:1 in
-  let tier0 = run_once ~arch p (Config.tier0 config) in
+  let tier0 = run_once ~tier:0 ~arch p config in
   let full = run_once ~arch p config in
   let t = Tier.create ?svc ~config ~arch p in
   let history = ref [] in

@@ -82,8 +82,8 @@ let code_digest (c : Compiler.compiled) : string =
 (* Serial oracles                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let compile_or_fail ~oracle_config cfg ~arch p =
-  try Compiler.compile cfg ~arch p
+let compile_or_fail ?tier ~oracle_config cfg ~arch p =
+  try Compiler.compile ?tier cfg ~arch p
   with e ->
     raise
       (Found
@@ -210,9 +210,7 @@ let check_tier ~arch ~fuel ~reference (p : Ir.program) =
            Interp.pp_outcome r.Interp.outcome)
   in
   let cfg = { Config.new_full with Config.promote_calls = 1 } in
-  let c0 =
-    compile_or_fail ~oracle_config:"tier0" (Config.tier0 cfg) ~arch p
-  in
+  let c0 = compile_or_fail ~tier:0 ~oracle_config:"tier0" cfg ~arch p in
   behave "tier0" (Interp.run ~fuel ~arch c0.Compiler.program []);
   let t = Tier.create ~config:cfg ~arch p in
   behave "promotion" (Tier.run ~fuel t []);

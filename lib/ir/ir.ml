@@ -493,11 +493,21 @@ let sorted_bindings cmp tbl =
     (fun (a, _) (b, _) -> cmp a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
+(** A function's debug names as an array indexed by variable, [None]
+    where a variable has no name.  Its length is [fn_nvars], or one
+    past the highest named variable if that is larger, so the table's
+    content fixes it and no sort is needed. *)
+let var_names_by_id (f : func) =
+  let n = Hashtbl.fold (fun v _ n -> max n (v + 1)) f.fn_var_names f.fn_nvars in
+  let names = Array.make n None in
+  Hashtbl.iter (fun v s -> names.(v) <- Some s) f.fn_var_names;
+  names
+
 (** A function's content in canonical form: name, arity, method flag,
     variable count, blocks (instructions with their check sites,
-    terminators, regions), handler table and debug names sorted by
-    variable.  Read straight off the record, so a new instruction
-    constructor is covered without editing this. *)
+    terminators, regions), handler table and {!var_names_by_id}.  Read
+    straight off the record, so a new instruction constructor is
+    covered without editing this. *)
 let func_projection (f : func) =
   ( f.fn_name,
     f.fn_nparams,
@@ -505,7 +515,7 @@ let func_projection (f : func) =
     f.fn_nvars,
     f.fn_blocks,
     f.fn_handlers,
-    sorted_bindings Int.compare f.fn_var_names )
+    var_names_by_id f )
 
 (** Every function's {!func_projection}, sorted by name.  The compile
     service's cache key digests it with the job's other parts, and the

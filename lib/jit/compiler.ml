@@ -106,14 +106,17 @@ let round (cfg : Config.t) ~(arch : Arch.t) : Pipeline.pass list =
   in
   null_pass @ helpers @ cleanup
 
-(** Build the pass list for a configuration. *)
-let passes ?(deopt_sites = []) (cfg : Config.t) ~(arch : Arch.t) :
-    Pipeline.pass list =
-  let normalize =
-    (* log:true — dropped code here is original, not a duplicate, so its
-       checks must leave the decision log balanced *)
-    Pipeline.per_func "other:normalize" (Opt.Opt_util.remove_unreachable ~log:true)
-  in
+(* log:true — dropped code here is original, not a duplicate, so its
+   checks must leave the decision log balanced *)
+let normalize =
+  Pipeline.per_func "other:normalize" (Opt.Opt_util.remove_unreachable ~log:true)
+
+(** Build the pass list for a configuration.  Tier 0 is the instant
+    compile: the input with unreachable code removed, every raw check
+    left as it is, whatever [cfg] asks for. *)
+let passes ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t) ~(arch : Arch.t)
+    : Pipeline.pass list =
+  if tier = 0 then [ normalize ] else
   let inline_passes =
     if cfg.inline then
       [
@@ -195,7 +198,7 @@ let compile ?(tier = -1) ?(deopt_sites = []) (cfg : Config.t)
             Decision.set_tier tier;
             (* one analysis context per function for every pass *)
             Context.with_store (fun () ->
-                Pipeline.run ~sink (passes ~deopt_sites cfg ~arch) p')))
+                Pipeline.run ~sink (passes ~tier ~deopt_sites cfg ~arch) p')))
   in
   let compile_seconds = Clock.now () -. t0 in
   let records = Pipeline.records sink in

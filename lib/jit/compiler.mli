@@ -40,11 +40,19 @@ val round : Config.t -> arch:Arch.t -> Pipeline.pass list
     scalar replacement) followed by the cleanup passes (Figure 2). *)
 
 val passes :
-  ?deopt_sites:Ir.site list -> Config.t -> arch:Arch.t -> Pipeline.pass list
-(** The configuration's passes.  The [iterations] rounds of phase 1
-    and its helpers are built with {!Pipeline.rounds}, so they stop at
-    their fixpoint; the HotSpot model's extra rounds run
-    unconditionally.  [deopt_sites] appends a deoptimization pass (after the
+  ?tier:int ->
+  ?deopt_sites:Ir.site list ->
+  Config.t ->
+  arch:Arch.t ->
+  Pipeline.pass list
+(** The configuration's passes.  At [tier] 0 (default -1 = untiered)
+    this is the instant compile, whatever the configuration and
+    [deopt_sites]: one [other:normalize] pass that removes unreachable
+    blocks and leaves every raw check as it is, so the result is the
+    always-sound fallback a deoptimization returns to.  Otherwise the
+    [iterations] rounds of phase 1 and its helpers are built with
+    {!Pipeline.rounds}, so they stop at their fixpoint; the HotSpot
+    model's extra rounds run unconditionally.  [deopt_sites] appends a deoptimization pass (after the
     architecture-dependent phase, before final DCE/codegen) that
     re-materializes the explicit check at each listed implicit site,
     recording a [Deoptimized]/[Trap_fired] decision event per site so
@@ -59,7 +67,8 @@ val compile :
   compiled
 (** Compiles a copy; the input program is left untouched.  [tier]
     (default -1 = untiered) tags every decision event of this
-    compilation; [deopt_sites] is threaded to {!passes}.  The calling
+    compilation and, with [deopt_sites], picks the passes
+    ({!passes}).  The calling
     domain's site counter is re-seeded from the input for the compile
     and never ends below where it started, so programs built on that
     domain afterwards still get fresh sites. *)

@@ -122,26 +122,6 @@ let aix_suite =
   [ aix_speculation; aix_no_speculation; aix_no_null_opt;
     aix_illegal_implicit ]
 
-(* --- tiered execution --------------------------------------------- *)
-
-(* The entry tier compiles instantly and leaves every raw check as an
-   explicit instruction: no elimination, no trap conversion, no
-   speculation, single pipeline round, no inlining.  Correctness is
-   trivially the baseline's, and any function the profile proves hot is
-   recompiled with the original (tier-2) configuration. *)
-let tier0 cfg =
-  {
-    cfg with
-    name = cfg.name ^ "@tier0";
-    null_opt = No_null_opt;
-    use_trap = false;
-    speculate = false;
-    phase2_arch_override = None;
-    iterations = 1;
-    inline = false;
-    heavy_factor = 1;
-  }
-
 (* Built by resetting the excluded fields rather than by listing the
    kept ones, so a field added to [t] joins the cache key by default. *)
 let semantic c =

@@ -50,14 +50,12 @@ val windows_suite : t list
 val aix_suite : t list
 (** The four AIX configurations, in table order. *)
 
-val tier0 : t -> t
-(** [tier0 cfg] is the instant-compile entry tier of [cfg]: naive
-    explicit checks (no elimination, no trap conversion, no
-    speculation, one pipeline round, no inlining), named
-    ["<name>@tier0"].  The tiered manager compiles every function with
-    this first and promotes hot functions to the unmodified [cfg].
-    [promote_calls]/[deopt_traps] are kept, so the policy rides with
-    the configuration. *)
+(** {1 Tiered execution}
+
+    A configuration is the tier-2 target of a tiered run, and
+    [promote_calls]/[deopt_traps] are its policy.  Tier 0 has no
+    configuration of its own: [Compiler.compile ~tier:0] runs only
+    [other:normalize], whatever the fields say. *)
 
 val semantic : t -> t * string option
 (** The part of a configuration that can change compiled code — what

@@ -111,19 +111,19 @@ let create ?svc ?cache ?(config = Config.new_full) ?metrics
     | None, Some s -> Svc.cache s
     | None, None -> None
   in
-  let cfg0 = Config.tier0 config in
-  let job0 = Svc.job ~tier:0 ~config:cfg0 ~arch program in
-  let oc0 = List.hd (Svc.compile_serial ?cache [ job0 ]) in
+  (* tier 0 bypasses the cache: a fresh program's tier-0 key never
+     hits, and digesting it costs as much as the compile *)
+  let c0 = Compiler.compile ~tier:0 config ~arch program in
   {
     program;
     arch;
     cfg = config;
     svc;
     cache;
-    p0 = oc0.Svc.oc_compiled.Compiler.program;
+    p0 = c0.Compiler.program;
     tbl = Hashtbl.create 64;
     site_traps = Hashtbl.create 64;
-    arts = [ (0, oc0.Svc.oc_compiled) ];
+    arts = [ (0, c0) ];
     c_promotions = 0;
     c_demotions = 0;
     c_deopts = 0;

@@ -1,8 +1,8 @@
 (** Tiered execution manager: closes the profile → recompile loop.
 
-    Every function starts at {b tier 0} — the instant-compile entry
-    configuration ({!Config.tier0}: naive explicit checks, no
-    elimination).  The manager counts invocations at call boundaries;
+    Every function starts at {b tier 0} — the instant compile
+    ([Compiler.compile ~tier:0]: the input program with unreachable
+    blocks removed, every raw check explicit, no optimizer pass).  The manager counts invocations at call boundaries;
     when a function crosses [promote_calls] it submits a {b tier 2}
     recompilation (the full phase-1 + phase-2 pipeline) to the compile
     pool with {!Svc.recompile_async} and keeps executing the tier-0
@@ -81,9 +81,10 @@ val create :
 (** Build a manager for [program].  [config] (default
     [Config.new_full]) is the tier-2 target; its [promote_calls] /
     [deopt_traps] fields are the policy.  The tier-0 compilation of the
-    whole program happens here, synchronously — that is the "instant"
-    compile every function starts with.  [cache] is consulted for both
-    tiers (pass the service's cache to share it).
+    whole program happens here, synchronously and without the cache —
+    that is the "instant" compile every function starts with.  [cache]
+    holds the tier-2 versions (pass the service's cache to share
+    it).
 
     Observability: with [metrics], every installation observes a
     [tier_install_seconds] histogram (submission → install latency,

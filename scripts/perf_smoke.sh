@@ -6,7 +6,10 @@
 #   miss  the cache must serve none (cache_hits = 0): every freshly
 #         built program mints new check sites, and the key covers them.
 # The hit run also gates steady state: its warm tier-2 code must execute
-# no explicit null checks (interp_explicit_checks = 0).
+# no explicit null checks (interp_explicit_checks = 0).  The miss run
+# must promote (tier_promotions > 0), so a cheaper cold tiered run
+# cannot come from promoting less.  Both runs print their tier-0
+# compile and tiered-run times.
 # Both runs must also report correct = true.
 #
 # Usage (from the root of a checkout, with dune on PATH):
@@ -41,8 +44,14 @@ explicit = metrics["interp_explicit_checks"]["value"]
 if workload == "hit" and explicit != 0:
     errors.append("hit executed %d explicit null checks in warm tier-2 code"
                   % explicit)
-print("%s: correct=%s cache_hits=%d cache_misses=%d explicit_checks=%d"
-      % (workload, result["correct"], hits, misses, explicit))
+promotions = metrics["tier_promotions"]["value"]
+if workload == "miss" and promotions == 0:
+    errors.append("miss promoted nothing: tier_promotions is 0")
+print("%s: correct=%s cache_hits=%d cache_misses=%d explicit_checks=%d "
+      "tier_promotions=%g tier_tier0_compile_ms=%.4f tier_run_ms=%.4f"
+      % (workload, result["correct"], hits, misses, explicit, promotions,
+         metrics["tier_tier0_compile_ms"]["value"],
+         metrics["tier_run_ms"]["value"]))
 for e in errors:
     print("perf smoke (%s): %s" % (workload, e), file=sys.stderr)
 sys.exit(1 if errors else 0)

@@ -119,12 +119,12 @@ let test_registry () =
       List.iter
         (fun ((cfg : Config.t), arch) ->
           List.iter
-            (fun (tier, cfg) ->
-              let c = Compiler.compile cfg ~arch prog in
+            (fun tier ->
+              let c = Compiler.compile ~tier cfg ~arch prog in
               agree ~arch
                 (Printf.sprintf "%s %s tier %d" w.W.name cfg.Config.name tier)
                 c.Compiler.program [])
-            [ (0, Config.tier0 cfg); (2, cfg) ])
+            [ 0; 2 ])
         configs)
     (Registry.all ())
 

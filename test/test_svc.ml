@@ -587,13 +587,19 @@ let marshalled_key (j : Svc.job) =
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
   let func_projection (f : Ir.func) =
+    let names =
+      Array.init
+        (List.fold_left max f.Ir.fn_nvars
+           (Hashtbl.fold (fun v _ acc -> (v + 1) :: acc) f.Ir.fn_var_names []))
+        (Hashtbl.find_opt f.Ir.fn_var_names)
+    in
     ( f.Ir.fn_name,
       f.Ir.fn_nparams,
       f.Ir.fn_is_method,
       f.Ir.fn_nvars,
       f.Ir.fn_blocks,
       f.Ir.fn_handlers,
-      sorted_bindings Int.compare f.Ir.fn_var_names )
+      names )
   in
   let p = j.Svc.jb_program in
   let projection =

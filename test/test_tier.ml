@@ -297,6 +297,49 @@ let test_workload_equivalence () =
     [ "assignment"; "huffman" ]
 
 (* ------------------------------------------------------------------ *)
+(* Tier 0 is the instant compile                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* On every workload under both archs the tier-0 compile runs one pass,
+   [other:normalize], and behaves as the input program with the same
+   dynamic explicit checks.  Tier 0 is [Compiler.compile ~tier:0], the
+   compile the fuzzer's tier oracle makes: the manager's tier-0 program
+   is that program, and the steady-state collector's tier-0 column
+   counts its checks. *)
+let test_tier0_contract () =
+  let digest (p : Ir.program) = Ir.structural_digest (Ir.funcs_projection p) in
+  List.iter
+    (fun (config, arch) ->
+      List.iter
+        (fun (w : W.t) ->
+          let what = w.W.name ^ " " ^ arch.Arch.name in
+          Ir.reset_sites ();
+          let p = w.W.build ~scale:1 in
+          let c0 = Compiler.compile ~tier:0 config ~arch p in
+          Alcotest.(check (list string))
+            (what ^ ": passes") [ "other:normalize" ]
+            (List.map (fun r -> r.Pipeline.r_pass) c0.Compiler.records);
+          let raw = Interp.run ~arch p [] in
+          let r0 = Interp.run ~arch c0.Compiler.program [] in
+          check_bool (what ^ ": outcome") true (Interp.equivalent raw r0);
+          let explicit (r : Interp.result) =
+            r.Interp.counters.Interp.explicit_checks
+          in
+          check_int (what ^ ": explicit checks") (explicit raw) (explicit r0);
+          (match Tier.artifacts (Tier.create ~config ~arch p) with
+          | (0, m) :: _ ->
+            Alcotest.(check string)
+              (what ^ ": the manager's tier 0")
+              (digest c0.Compiler.program) (digest m.Compiler.program)
+          | _ -> Alcotest.failf "%s: no tier-0 artifact" what);
+          check_int
+            (what ^ ": the collector's tier-0 column")
+            (explicit raw) (SS.collect ~config ~runs:2 ~arch w).SS.ss_tier0)
+        (Registry.all ()))
+    [ (Config.new_full, Arch.ia32_windows);
+      (Config.aix_speculation, Arch.ppc_aix) ]
+
+(* ------------------------------------------------------------------ *)
 (* Decoded code: dispatch returns the installed version, decoded once  *)
 (* ------------------------------------------------------------------ *)
 
@@ -379,6 +422,8 @@ let () =
         ] );
       ( "equivalence",
         [
+          Alcotest.test_case "tier 0 is the instant compile" `Quick
+            test_tier0_contract;
           Alcotest.test_case "workloads match untiered" `Slow
             test_workload_equivalence;
         ] );
