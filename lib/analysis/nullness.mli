@@ -5,7 +5,14 @@
     variables, the non-null edges of [Ifnull], the [this] parameter, and
     optionally ([deref_gen], used by Whaley's baseline) successful
     dereferences.  Handler blocks start from the boundary (nothing is
-    known when an exception arrives). *)
+    known when an exception arrives).
+
+    A solve is one {!Nullelim_dataflow.Solver} problem: the block
+    transfer walks the block's instructions on the solver's set, and
+    the edge transfer adds [extra_exit] and the [Ifnull] fact to the
+    solver's copy of the predecessor's exit, both in place and without
+    allocating.  The facts stay in the solver's rows; read them with
+    {!nonnull_at_exit} and {!iter_block}. *)
 
 module Ir = Nullelim_ir.Ir
 module Bitset = Nullelim_dataflow.Bitset
@@ -15,18 +22,18 @@ type t
 
 val solve :
   ?deref_gen:bool ->
-  ?extra_exit:(Ir.label -> Bitset.t option) ->
+  ?extra_exit:Bitset.t array ->
   Cfg.t ->
   t
-(** [extra_exit] adds facts at a block's exit before they flow along its
-    outgoing edges; phase 1 uses it to model the checks pending insertion
-    at block exits (the Earliest(m) term of the In_fwd equation). *)
+(** [extra_exit.(l)] adds facts at block [l]'s exit before they flow
+    along its outgoing edges; phase 1 uses it to model the checks
+    pending insertion at block exits (the Earliest(m) term of the
+    In_fwd equation). *)
 
-val at_exit : t -> Ir.label -> Bitset.t
+val nonnull_at_exit : t -> Ir.label -> Ir.var -> bool
+(** [nonnull_at_exit t l v]: is [v] known non-null at the exit of
+    [l]? *)
 
 val iter_block : t -> Ir.label -> (Bitset.t -> int -> Ir.instr -> unit) -> unit
 (** Iterate the instructions of a block with the fact set holding
     {e before} each instruction. *)
-
-val transfer_instr : ?deref_gen:bool -> Bitset.t -> Ir.instr -> unit
-(** In-place single-instruction transfer (exposed for block walks). *)

@@ -64,9 +64,8 @@ let emit_func ~(arch : Arch.t) (f : Ir.func) (alloc : Regalloc.allocation) :
             checks := !checks + base_cost arch i
           | _ -> ());
           Ir.iter_uses (fun u -> if spilled u then incr loads) i;
-          match Ir.def_of_instr i with
-          | Some d when spilled d -> incr stores
-          | _ -> ())
+          let d = Ir.def_of_instr i in
+          if d <> Ir.no_var && spilled d then incr stores)
         b.instrs;
       machine := !machine + term_cost b.term;
       Ir.iter_term_uses (fun u -> if spilled u then incr loads) b.term)

@@ -63,6 +63,7 @@ let build_intervals (cfg : Cfg.t) (live : Liveness.t) : interval list * int =
   let f = Cfg.func cfg in
   let nv = f.fn_nvars in
   let starts, total = linearize cfg in
+  let live_out = Bitset.empty nv in
   let first = Array.make nv max_int and last = Array.make nv (-1) in
   let touch v p =
     if p < first.(v) then first.(v) <- p;
@@ -78,15 +79,15 @@ let build_intervals (cfg : Cfg.t) (live : Liveness.t) : interval list * int =
       Array.iteri
         (fun k i ->
           let p = start + k in
-          (match Ir.def_of_instr i with Some d -> touch d p | None -> ());
+          let d = Ir.def_of_instr i in
+          if d <> Ir.no_var then touch d p;
           Ir.iter_uses (fun u -> touch u p) i)
         b.instrs;
       let term_pos = start + Array.length b.instrs in
       Ir.iter_term_uses (fun u -> touch u term_pos) b.term;
       (* live-out extension *)
-      Bitset.iter
-        (fun v -> touch v term_pos)
-        (Liveness.live_out live l))
+      Liveness.live_out_into live l live_out;
+      Bitset.iter (fun v -> touch v term_pos) live_out)
     starts;
   let ivs = ref [] in
   for v = nv - 1 downto 0 do

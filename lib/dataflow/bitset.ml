@@ -2,9 +2,9 @@
 
     A set carries its universe size so that complement is well defined.
     The original operations are functional (they return fresh sets); the
-    [_mut] and [_into] variants mutate their first argument in place and
-    are what the data-flow solver's hot loops use — the solver's
-    meet-over-edges allocates no intermediate sets.  Iteration scans
+    [_mut] and [_into] variants mutate their first argument in place and,
+    with the flat {!rows}, are what the data-flow solver's hot loops
+    use — a solver visit allocates nothing.  Iteration scans
     whole words and skips zero words instead of probing every index. *)
 
 type t = { size : int; bits : int array }
@@ -68,7 +68,10 @@ let check_pair a b =
 
 let copy_into dst src =
   check_pair dst src;
-  Array.blit src.bits 0 dst.bits 0 (Array.length src.bits)
+  let d = dst.bits and s = src.bits in
+  for i = 0 to Array.length d - 1 do
+    d.(i) <- s.(i)
+  done
 
 let union_into dst src =
   check_pair dst src;
@@ -90,6 +93,69 @@ let diff_into dst src =
   for i = 0 to Array.length d - 1 do
     d.(i) <- d.(i) land lnot s.(i)
   done
+
+(* Rows: set [r] is words [r * w .. r * w + w - 1] of one array.
+   Loops, not [Array.blit]: rows are a few words long. *)
+
+type rows = { rsize : int; w : int; words : int array }
+
+let rows n init =
+  let w = Array.length init.bits in
+  let words = Array.make (n * w) 0 in
+  for r = 0 to n - 1 do
+    for i = 0 to w - 1 do
+      words.((r * w) + i) <- init.bits.(i)
+    done
+  done;
+  { rsize = init.size; w; words }
+
+let check_row rows s =
+  if rows.rsize <> s.size then invalid_arg "Bitset: universe mismatch"
+
+let load_row dst rows r =
+  check_row rows dst;
+  let d = dst.bits and o = r * rows.w in
+  for i = 0 to rows.w - 1 do
+    d.(i) <- rows.words.(o + i)
+  done
+
+let store_row rows r src =
+  check_row rows src;
+  let s = src.bits and o = r * rows.w in
+  for i = 0 to rows.w - 1 do
+    rows.words.(o + i) <- s.(i)
+  done
+
+let union_row_into dst rows r =
+  check_row rows dst;
+  let d = dst.bits and o = r * rows.w in
+  for i = 0 to rows.w - 1 do
+    d.(i) <- d.(i) lor rows.words.(o + i)
+  done
+
+let diff_row_into dst rows r =
+  check_row rows dst;
+  let d = dst.bits and o = r * rows.w in
+  for i = 0 to rows.w - 1 do
+    d.(i) <- d.(i) land lnot rows.words.(o + i)
+  done
+
+let row_equal rows r s =
+  check_row rows s;
+  let o = r * rows.w and i = ref 0 in
+  while !i < rows.w && rows.words.(o + !i) = s.bits.(!i) do
+    incr i
+  done;
+  !i = rows.w
+
+let row_mem rows r i =
+  if i < 0 || i >= rows.rsize then invalid_arg "Bitset: index out of universe";
+  rows.words.((r * rows.w) + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0
+
+let row rows r =
+  let s = empty rows.rsize in
+  load_row s rows r;
+  s
 
 let lift2 op a b =
   check_pair a b;

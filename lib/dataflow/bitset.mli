@@ -4,7 +4,7 @@
     {!full} is representable.  The binary operations require both
     operands to share a universe and raise [Invalid_argument] otherwise.
 
-    Three API layers:
+    Four API layers:
     - functional operations ({!union}, {!inter}, {!diff}, …) return
       fresh sets;
     - [_mut] variants mutate single bits in place, for building sets
@@ -12,7 +12,9 @@
     - [_into] variants are destructive word-level kernels — the
       data-flow solver's meet-over-edges uses them to run without
       allocating intermediate sets.  All [_into] kernels tolerate
-      aliased arguments ([dst == src]).
+      aliased arguments ([dst == src]);
+    - {!rows} hold many sets in one flat array: the solver's fact
+      storage, read and written a row at a time.
 
     {!iter} and {!fold} scan whole words (skipping zero words) rather
     than probing every index. *)
@@ -64,3 +66,34 @@ val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val to_string : t -> string
+
+(** {2 Rows}
+
+    [n] sets over one universe, back to back in one flat [int array]:
+    the data-flow solver's fact storage, one row per block.  The row
+    operations allocate nothing (except {!row}) and raise
+    [Invalid_argument] when the set's universe is not the rows'. *)
+
+type rows
+
+val rows : int -> t -> rows
+(** [rows n init] is [n] rows, each a copy of [init]. *)
+
+val load_row : t -> rows -> int -> unit
+(** [load_row dst rows r] sets [dst := row r]. *)
+
+val store_row : rows -> int -> t -> unit
+(** [store_row rows r src] sets [row r := src]. *)
+
+val union_row_into : t -> rows -> int -> unit
+(** [union_row_into dst rows r] sets [dst := dst ∪ row r]. *)
+
+val diff_row_into : t -> rows -> int -> unit
+(** [diff_row_into dst rows r] sets [dst := dst ∖ row r]. *)
+
+val row_equal : rows -> int -> t -> bool
+val row_mem : rows -> int -> int -> bool
+(** [row_mem rows r i]: is [i] in row [r]? *)
+
+val row : rows -> int -> t
+(** A fresh copy of row [r]. *)

@@ -1,4 +1,5 @@
-(** Generic iterative bit-vector data-flow solver.
+(** Generic iterative bit-vector data-flow solver: one allocation-free
+    kernel, two visit schedules.
 
     All the paper's analyses (Sections 4.1.1, 4.1.2, 4.2.1, 4.2.2) and
     the auxiliary ones (nullness, liveness, availability) are instances.
@@ -11,22 +12,32 @@
       [Bitset.empty _] for may problems;
     - [meet]: combines facts flowing into a node ({!Inter} for
       all-paths problems, {!Union} for any-path ones);
-    - [edge]: per-edge transfer — the paper's [Edge_try]/[Edge] sets
-      live here.  It must not mutate its argument and must return a set
-      over the same universe (returning the argument unchanged is the
-      common, allocation-free case);
+    - [edge]: per-edge transfer, in place — the paper's
+      [Edge_try]/[Edge] sets live here.  It receives a scratch copy of
+      the neighbour's fact and rewrites it into the fact that flows
+      along the edge (leaving it alone is the identity);
     - [boundary_blocks]: blocks entered exceptionally (try-region
       handlers), whose input is forced to [boundary] regardless of
       syntactic predecessors (forward problems only);
-    - [transfer]: per-block transfer function.  It must not mutate or
-      retain its argument; the solver owns and reuses that set.
+    - [transfer]: per-block transfer, in place.  [transfer l s] finds
+      block [l]'s input in [s] and must leave its output there.  The
+      set belongs to the solver and is reused by the next visit, so
+      the transfer must not retain it.
+
+    Fact storage: a solve allocates its facts once, two
+    {!Bitset.rows} of blocks × words (block entry and exit), plus two
+    scratch sets.  A visit meets the incoming facts into a scratch set,
+    stores it as the block's input row, applies [transfer] to it and
+    compares it with the block's output row in place, storing it only
+    if it changed.  So the solver allocates nothing per visit, and a
+    solve whose transfers allocate nothing allocates the same words
+    however many visits it needs.
 
     {!solve} runs a sparse priority worklist keyed by reverse-postorder
     position (forward) / postorder position (backward): when a block's
-    output changes, only its dependents are re-queued.  The meet over
-    incoming edges is computed destructively, allocating no
-    intermediate sets.  {!solve_reference} is the original round-robin
-    full-sweep engine, retained as the differential-testing oracle and
+    output changes, only its dependents are re-queued.
+    {!solve_reference} runs the same visit in round-robin full sweeps
+    until one is quiet, retained as the differential-testing oracle and
     the measurable baseline; for the monotone transfer functions used
     in this code base both compute bit-identical results. *)
 
@@ -38,8 +49,9 @@ type meet = Inter | Union
 (** The meet operator: set intersection for all-paths/must problems,
     union for any-path/may problems. *)
 
-type result = { inb : Bitset.t array; outb : Bitset.t array }
-(** Facts at block entry ([inb]) and exit ([outb]), indexed by label. *)
+type result = { inb : Bitset.rows; outb : Bitset.rows }
+(** Facts at block entry ([inb]) and exit ([outb]), one row per label.
+    Unreachable blocks keep [top]. *)
 
 type stats = {
   mutable solves : int;    (** solver instances run *)
@@ -77,9 +89,9 @@ val solve :
   boundary:Bitset.t ->
   top:Bitset.t ->
   meet:meet ->
-  ?edge:(src:int -> dst:int -> Bitset.t -> Bitset.t) ->
+  ?edge:(src:int -> dst:int -> Bitset.t -> unit) ->
   ?boundary_blocks:int list ->
-  transfer:(int -> Bitset.t -> Bitset.t) ->
+  transfer:(int -> Bitset.t -> unit) ->
   unit ->
   result
 
@@ -89,9 +101,9 @@ val solve_worklist :
   boundary:Bitset.t ->
   top:Bitset.t ->
   meet:meet ->
-  ?edge:(src:int -> dst:int -> Bitset.t -> Bitset.t) ->
+  ?edge:(src:int -> dst:int -> Bitset.t -> unit) ->
   ?boundary_blocks:int list ->
-  transfer:(int -> Bitset.t -> Bitset.t) ->
+  transfer:(int -> Bitset.t -> unit) ->
   unit ->
   result
 (** The sparse worklist engine (what {!solve} normally runs). *)
@@ -102,10 +114,11 @@ val solve_reference :
   boundary:Bitset.t ->
   top:Bitset.t ->
   meet:meet ->
-  ?edge:(src:int -> dst:int -> Bitset.t -> Bitset.t) ->
+  ?edge:(src:int -> dst:int -> Bitset.t -> unit) ->
   ?boundary_blocks:int list ->
-  transfer:(int -> Bitset.t -> Bitset.t) ->
+  transfer:(int -> Bitset.t -> unit) ->
   unit ->
   result
-(** The retained round-robin engine: sweeps all blocks until a quiet
-    pass.  Differential-testing oracle and measurable baseline. *)
+(** The retained round-robin engine: the same visit, sweeping all
+    blocks until a quiet pass.  Differential-testing oracle and
+    measurable baseline. *)

@@ -209,15 +209,21 @@ let nblocks f = Array.length f.fn_blocks
 let handler_of f (r : region) =
   if r = no_region then None else List.assoc_opt r f.fn_handlers
 
-(** Variable defined by an instruction, if any. *)
+(** The variable {!def_of_instr} returns for an instruction that defines
+    none. *)
+let no_var : var = -1
+
+(** Variable defined by an instruction, or {!no_var}.  Allocates
+    nothing: the data-flow transfers call it on every instruction of
+    every block they visit. *)
 let def_of_instr = function
   | Move (d, _) | Unop (d, _, _) | Binop (d, _, _, _)
   | Get_field (d, _, _) | Array_load (d, _, _, _) | Array_length (d, _)
-  | New_object (d, _) | New_array (d, _, _) ->
-    Some d
-  | Call (d, _, _) -> d
-  | Null_check _ | Bound_check _ | Put_field _ | Array_store _ | Print _ ->
-    None
+  | New_object (d, _) | New_array (d, _, _) | Call (Some d, _, _) ->
+    d
+  | Call (None, _, _) | Null_check _ | Bound_check _ | Put_field _
+  | Array_store _ | Print _ ->
+    no_var
 
 let vars_of_operand = function Var v -> [ v ] | Cint _ | Cfloat _ | Cnull -> []
 
@@ -307,7 +313,7 @@ let may_throw_other = function
     region)". *)
 let is_side_effecting ~in_try i =
   writes_memory i || may_throw_other i
-  || (in_try && def_of_instr i <> None)
+  || (in_try && def_of_instr i <> no_var)
 
 (** [deref_site i]: if [i] dereferences an object slot, returns
     [(base_var, byte_offset, access)] where [access] is [`Read] or
@@ -327,6 +333,16 @@ let deref_site = function
   | Move _ | Unop _ | Binop _ | Null_check _ | Bound_check _ | New_object _
   | New_array _ | Call _ | Print _ ->
     None
+
+(** The base variable {!deref_site} would return, or {!no_var}; unlike
+    it, allocates nothing. *)
+let deref_base = function
+  | Get_field (_, o, _) | Put_field (o, _, _) | Array_length (_, o)
+  | Array_load (_, o, _, _) | Array_store (o, _, _, _) ->
+    o
+  | Move _ | Unop _ | Binop _ | Null_check _ | Bound_check _ | New_object _
+  | New_array _ | Call _ | Print _ ->
+    no_var
 
 (** {1 Small utilities} *)
 

@@ -59,9 +59,9 @@ let check_definite_assignment err (f : Ir.func) =
   let transfer st (b : Ir.block) =
     let st = Array.copy st in
     Array.iter
-      (fun i -> match Ir.def_of_instr i with
-        | Some d when d < nv -> st.(d) <- true
-        | _ -> ())
+      (fun i ->
+        let d = Ir.def_of_instr i in
+        if d <> Ir.no_var && d < nv then st.(d) <- true)
       b.instrs;
     st
   in
@@ -125,9 +125,8 @@ let check_definite_assignment err (f : Ir.func) =
           (fun i instr ->
             let where = Printf.sprintf "instr %d" i in
             Ir.iter_uses (use where) instr;
-            match Ir.def_of_instr instr with
-            | Some d when d < nv -> st.(d) <- true
-            | _ -> ())
+            let d = Ir.def_of_instr instr in
+            if d <> Ir.no_var && d < nv then st.(d) <- true)
           b.instrs;
         Ir.iter_term_uses (use "terminator") b.term)
     f.fn_blocks
@@ -199,9 +198,8 @@ let validate_func ?(strict = false) (p : Ir.program option) (f : Ir.func) :
       Array.iter
         (fun i ->
           Ir.iter_uses (check_var where) i;
-          (match Ir.def_of_instr i with
-          | Some d -> check_var where d
-          | None -> ());
+          let d = Ir.def_of_instr i in
+          if d <> Ir.no_var then check_var where d;
           match (i, p) with
           | Ir.Call (_, Virtual _, []), _ ->
             err "%s: virtual call without receiver" where

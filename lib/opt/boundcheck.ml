@@ -37,8 +37,10 @@ module Decision = Nullelim_obs.Decision
 
 let pair_vars (i, l) = Ir.vars_of_operand i @ Ir.vars_of_operand l
 
-(** Collect the universe of distinct (index, length) operand pairs. *)
-let collect_pairs (f : Ir.func) : (Ir.operand * Ir.operand) array =
+(** Collect the universe of distinct (index, length) operand pairs, in
+    order of first occurrence, and each pair's index in it. *)
+let collect_pairs (f : Ir.func) :
+    (Ir.operand * Ir.operand) array * (Ir.operand * Ir.operand, int) Hashtbl.t =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
   Array.iter
@@ -54,7 +56,7 @@ let collect_pairs (f : Ir.func) : (Ir.operand * Ir.operand) array =
           | _ -> ())
         b.instrs)
     f.fn_blocks;
-  Array.of_list (List.rev !order)
+  (Array.of_list (List.rev !order), tbl)
 
 (* What one instruction does to the available pairs: the pairs its
    definition kills, and the pair it makes available (-1 for none). *)
@@ -62,14 +64,24 @@ type effect = { kills : int list; gen : int }
 
 let no_effect = { kills = []; gen = -1 }
 
+(* Apply an effect in place (a loop, not [List.iter] with a closure:
+   the solver's transfer runs it per instruction per visit). *)
+let rec remove_all s = function
+  | [] -> ()
+  | k :: ks ->
+    Bitset.remove_mut s k;
+    remove_all s ks
+
+let apply s e =
+  remove_all s e.kills;
+  if e.gen >= 0 then Bitset.add_mut s e.gen
+
 let eliminate_redundant (f : Ir.func) : int =
-  let pairs = collect_pairs f in
+  let pairs, index = collect_pairs f in
   let np = Array.length pairs in
   if np = 0 then 0
   else begin
     let cfg = Context.cfg (Context.of_func f) in
-    let index = Hashtbl.create 16 in
-    Array.iteri (fun k p -> Hashtbl.replace index p k) pairs;
     (* map var -> pair ids it participates in *)
     let by_var = Hashtbl.create 16 in
     Array.iteri
@@ -87,10 +99,10 @@ let eliminate_redundant (f : Ir.func) : int =
         (fun (b : Ir.block) ->
           Array.map
             (fun i ->
+              let d = Ir.def_of_instr i in
               let kills =
-                match Ir.def_of_instr i with
-                | Some d -> Option.value ~default:[] (Hashtbl.find_opt by_var d)
-                | None -> []
+                if d = Ir.no_var then []
+                else Option.value ~default:[] (Hashtbl.find_opt by_var d)
               in
               let gen =
                 match i with
@@ -101,41 +113,40 @@ let eliminate_redundant (f : Ir.func) : int =
             b.instrs)
         f.fn_blocks
     in
-    let apply s e =
-      List.iter (fun k -> Bitset.remove_mut s k) e.kills;
-      if e.gen >= 0 then Bitset.add_mut s e.gen
-    in
     let r =
       Solver.solve ~dir:Solver.Forward ~cfg
         ~boundary:(Bitset.empty np) ~top:(Bitset.full np) ~meet:Solver.Inter
         ~boundary_blocks:(Cfg.handler_blocks f)
-        ~transfer:(fun l inb ->
-          let s = Bitset.copy inb in
-          Array.iter (apply s) effects.(l);
-          s)
+        ~transfer:(fun l s ->
+          let es = effects.(l) in
+          for k = 0 to Array.length es - 1 do
+            apply s es.(k)
+          done)
         ()
     in
-    let removed = ref 0 in
+    let removed = ref 0 and s = Bitset.empty np in
     for l = 0 to Ir.nblocks f - 1 do
       if Cfg.is_reachable cfg l then begin
-        let s = Bitset.copy r.Solver.inb.(l) in
-        let before = !removed in
-        let keep = ref [] in
+        Bitset.load_row s r.Solver.inb l;
+        let instrs = (Ir.block f l).instrs and dropped = ref [] in
         Array.iteri
           (fun k i ->
             let e = effects.(l).(k) in
             (* [gen] is set exactly on bound checks *)
             if e.gen >= 0 && Bitset.mem e.gen s then begin
               incr removed;
+              dropped := k :: !dropped;
               Decision.record ~block:l ~site:(Ir.site_of_instr i)
                 ~kind:Decision.Kbound
                 ~action:Decision.Eliminated_redundant
                 ~just:Decision.Available_on_entry ()
-            end
-            else keep := i :: !keep;
+            end;
             apply s e)
-          (Ir.block f l).instrs;
-        if !removed > before then Opt_util.set_instrs f l (List.rev !keep)
+          instrs;
+        (* rebuild only the blocks that lost a check *)
+        if !dropped <> [] then
+          Opt_util.set_instrs f l
+            (List.filteri (fun k _ -> not (List.mem k !dropped)) (Array.to_list instrs))
       end
     done;
     !removed
@@ -164,51 +175,46 @@ let hoist_loop_invariant (f : Ir.func) : int =
     List.iter
       (fun (l : Loops.loop) ->
         if not !continue_ then begin
-          let members = Loops.members l in
-          let defs_in_loop = Hashtbl.create 16 in
-          List.iter
-            (fun m ->
-              Array.iter
-                (fun i ->
-                  match Ir.def_of_instr i with
-                  | Some d -> Hashtbl.replace defs_in_loop d ()
-                  | None -> ())
-                (Ir.block f m).instrs)
-            members;
-          let latches = l.latches in
-          let exit_srcs = List.map fst (Loops.exit_edges cfg l) in
-          let block_ok b =
-            b = l.header
-            && List.for_all (fun t -> Dominance.dominates dom b t) latches
-            && List.for_all (fun t -> Dominance.dominates dom b t) exit_srcs
+          let instrs = (Ir.block f l.header).instrs in
+          (* Anything that can throw before the check in the first
+             iteration blocks hoisting: moving the bound check above it
+             would reorder exceptions observably.  Null checks count
+             here (unlike for null-check motion, where NPE-vs-NPE
+             reordering is permitted).  A bound check is such a barrier
+             itself, so the only candidate is the header's first null
+             check or barrier. *)
+          let k = ref 0 in
+          while
+            !k < Array.length instrs
+            &&
+            match instrs.(!k) with
+            | Ir.Null_check _ -> false
+            | i -> not (Opt_util.barrier f l.header i)
+          do
+            incr k
+          done;
+          let k = !k in
+          (* the check must be loop invariant, and its block (the header)
+             must dominate every latch and every exit-edge source *)
+          let hoistable x y =
+            let defs_in_loop = Hashtbl.create 16 in
+            List.iter
+              (fun m ->
+                Array.iter
+                  (fun i ->
+                    let d = Ir.def_of_instr i in
+                    if d <> Ir.no_var then Hashtbl.replace defs_in_loop d ())
+                  (Ir.block f m).instrs)
+              (Loops.members l);
+            let dominated t = Dominance.dominates dom l.header t in
+            operand_invariant defs_in_loop x
+            && operand_invariant defs_in_loop y
+            && List.for_all dominated l.latches
+            && List.for_all (fun (t, _) -> dominated t) (Loops.exit_edges cfg l)
           in
-          (* find the first hoistable check in the header with no barrier
-             above it *)
-          if block_ok l.header then begin
-            let instrs = (Ir.block f l.header).instrs in
-            let blocked = ref false in
-            let found = ref None in
-            Array.iteri
-              (fun k i ->
-                if !found = None && not !blocked then begin
-                  (match i with
-                  | Ir.Bound_check (x, y, _)
-                    when operand_invariant defs_in_loop x
-                         && operand_invariant defs_in_loop y ->
-                    found := Some (k, i)
-                  | _ -> ());
-                  (* Anything that can throw before the check in the first
-                     iteration blocks hoisting: moving the bound check
-                     above it would reorder exceptions observably.  Null
-                     checks count here (unlike for null-check motion,
-                     where NPE-vs-NPE reordering is permitted). *)
-                  match i with
-                  | Ir.Null_check _ -> blocked := true
-                  | _ -> if Opt_util.barrier f l.header i then blocked := true
-                end)
-              instrs;
-            match !found with
-            | Some (k, check) ->
+          if k < Array.length instrs then
+            match instrs.(k) with
+            | Ir.Bound_check (x, y, _) as check when hoistable x y ->
               let ph = Loops.ensure_preheader f cfg l in
               (* remove from header *)
               let keep = ref [] in
@@ -222,8 +228,7 @@ let hoist_loop_invariant (f : Ir.func) : int =
                 ~just:Decision.Invariant_in_loop ();
               incr hoisted;
               continue_ := true
-            | None -> ()
-          end
+            | _ -> ()
         end)
       loops
   done;

@@ -148,7 +148,8 @@ let run (f : Ir.func) : int =
         let i = instrs.(k) in
         let i' = rewrite i in
         if i' != i then instrs.(k) <- i';
-        (match Ir.def_of_instr i' with Some d -> kill d | None -> ());
+        let d = Ir.def_of_instr i' in
+        if d <> Ir.no_var then kill d;
         match i' with
         | Move (d, (Ir.Var s as src)) when d <> s -> set d src
         | Move (d, ((Ir.Cint _ | Ir.Cfloat _) as c)) -> set d c

@@ -49,7 +49,7 @@ let run ?(keep_derefs = false) (f : Ir.func) : int =
     in
     if Cfg.is_reachable cfg l && not protected_block then begin
       let b = Ir.block f l in
-      Bitset.copy_into s (Liveness.live_out live l);
+      Liveness.live_out_into live l s;
       Ir.iter_term_uses (Bitset.add_mut s) b.term;
       let instrs = b.instrs in
       let n = Array.length instrs in
@@ -64,10 +64,9 @@ let run ?(keep_derefs = false) (f : Ir.func) : int =
           | Ir.Null_check (Implicit, v, _), Some (base, _, _) -> v = base
           | _ -> false
         in
+        let d = Ir.def_of_instr i in
         let dead =
-          match Ir.def_of_instr i with
-          | Some d -> (not (Bitset.mem d s)) && removable ~keep_derefs i
-          | None -> false
+          d <> Ir.no_var && (not (Bitset.mem d s)) && removable ~keep_derefs i
         in
         if dead && not is_exception_site then begin
           keep.(k) <- false;

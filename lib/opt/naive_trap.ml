@@ -62,7 +62,7 @@ let run ~(arch : Arch.t) (f : Ir.func) : int =
               else if
                 Opt_util.barrier f l i
                 || Ir.may_throw_other i
-                || Ir.def_of_instr i = Some v
+                || Ir.def_of_instr i = v
                 || (match Ir.deref_site i with
                    | Some (base, _, _) -> base = v (* non-trapping deref *)
                    | None -> false)

@@ -70,9 +70,8 @@ let gen_kill_bwd (f : Ir.func) (l : Ir.label) : Bitset.t * Bitset.t =
           Bitset.add_mut gen v
       | _ -> ());
       if Opt_util.barrier f l i then blocked := true;
-      match Ir.def_of_instr i with
-      | Some d -> Bitset.add_mut killed d
-      | None -> ())
+      let d = Ir.def_of_instr i in
+      if d <> Ir.no_var then Bitset.add_mut killed d)
     (Ir.block f l).instrs;
   let kill = if !blocked then Bitset.full nv else killed in
   (gen, kill)
@@ -107,21 +106,19 @@ let analyse (cfg : Cfg.t) : analysis =
   for l = 0 to n - 1 do
     if Cfg.is_reachable cfg l then Bitset.union_into checked gen.(l)
   done;
-  let empty = Bitset.empty nv in
   let r =
     Solver.solve ~dir:Solver.Backward ~cfg
       ~boundary:(Bitset.empty nv) ~top:checked ~meet:Solver.Inter
-      ~edge:(fun ~src ~dst s -> if same_region src dst then s else empty)
-      ~transfer:(fun l out ->
-        let s = Bitset.copy out in
+      ~edge:(fun ~src ~dst s -> if not (same_region src dst) then Bitset.clear_mut s)
+      ~transfer:(fun l s ->
         Bitset.diff_into s kill.(l);
-        Bitset.union_into s gen.(l);
-        s)
+        Bitset.union_into s gen.(l))
       ()
   in
   let out_bwd =
     Array.init n (fun l ->
-        if Cfg.is_reachable cfg l then r.Solver.outb.(l) else Bitset.empty nv)
+        if Cfg.is_reachable cfg l then Bitset.row r.Solver.outb l
+        else Bitset.empty nv)
   in
   let earliest =
     Array.init n (fun l ->
@@ -146,7 +143,7 @@ let run (f : Ir.func) : int * int =
      the exit of m. *)
   let nullness =
     Nullness.solve ~deref_gen:false
-      ~extra_exit:(fun m -> Some earliest.(m))
+      ~extra_exit:earliest
       cfg
   in
   let eliminated = ref 0 and inserted = ref 0 in
@@ -167,16 +164,17 @@ let run (f : Ir.func) : int * int =
               ~just:Decision.Nonnull_dominating ()
           | _ -> keep := i :: !keep);
       (* Earliest(l) minus what is already available at the exit of l. *)
-      let to_insert = Bitset.diff earliest.(l) (Nullness.at_exit nullness l) in
       Bitset.iter
         (fun v ->
-          let s = Ir.fresh_site () in
-          keep := Ir.Null_check (Explicit, v, s) :: !keep;
-          incr inserted;
-          Decision.record ~d_explicit:1 ~block:l ~var:v ~site:s
-            ~kind:Decision.Kexplicit ~action:Decision.Moved_backward
-            ~just:Decision.Insertion_earliest ())
-        to_insert;
+          if not (Nullness.nonnull_at_exit nullness l v) then begin
+            let s = Ir.fresh_site () in
+            keep := Ir.Null_check (Explicit, v, s) :: !keep;
+            incr inserted;
+            Decision.record ~d_explicit:1 ~block:l ~var:v ~site:s
+              ~kind:Decision.Kexplicit ~action:Decision.Moved_backward
+              ~just:Decision.Insertion_earliest ()
+          end)
+        earliest.(l);
       Opt_util.set_instrs f l (List.rev !keep)
     end
   done;

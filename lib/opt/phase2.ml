@@ -58,99 +58,99 @@ type stats = {
   mutable eliminated : int;
 }
 
-(** The shared walk.  Updates [floating] in place; when [emit] is given,
-    produces the rewritten instruction list through it.  [log] records
-    decision-log events and must be set only on the rewriting walk — the
-    same function serves as the data-flow transfer, which must stay
-    silent or every check would be logged once per solver visit.
+(** What the rewriting walk adds to the transfer walk: where the
+    rewritten instructions go, the counts, and the provenance id for a
+    check rematerialized on a floating variable.  The floating set is a
+    bit-vector over variables, so site identity is carried on the side
+    by a function-level representative map (see {!run}). *)
+type rewrite = {
+  emit : Ir.instr -> unit;
+  stats : stats;
+  site_of : Ir.var -> Ir.site;
+}
 
-    [site_of] supplies the provenance id for a check rematerialized on a
-    floating variable.  The floating set is a bit-vector over variables,
-    so site identity is carried on the side: the rewriting walk passes a
-    function-level representative map (see {!run}); the transfer walk
-    never emits and may use the default. *)
-let walk_block ~arch (f : Ir.func) (l : Ir.label)
-    ~(floating : Bitset.t) ?emit ?stats ?(log = false)
-    ?(site_of = fun (_ : Ir.var) -> Ir.no_site) () : unit =
-  let emit i = match emit with Some e -> e i | None -> () in
-  let count_impl () =
-    match stats with Some s -> s.made_implicit <- s.made_implicit + 1 | None -> ()
-  in
-  let count_expl () =
-    match stats with Some s -> s.made_explicit <- s.made_explicit + 1 | None -> ()
-  in
-  let log_pickup ck v s =
-    if log then
-      let kind, d_explicit, d_implicit =
-        match ck with
-        | Ir.Explicit -> (Decision.Kexplicit, -1, 0)
-        | Ir.Implicit -> (Decision.Kimplicit, 0, -1)
-      in
-      Decision.record ~d_explicit ~d_implicit ~block:l ~var:v ~site:s ~kind
-        ~action:Decision.Moved_forward ~just:Decision.Floated ()
-  in
-  let log_explicit v s just =
-    if log then
-      Decision.record ~d_explicit:1 ~block:l ~var:v ~site:s
-        ~kind:Decision.Kexplicit ~action:Decision.Moved_forward ~just ()
-  in
-  Array.iter
-    (fun i ->
-      match i with
-      | Ir.Null_check (ck, v, s) ->
-        (* the check is picked up and floats; the instruction is dropped *)
-        log_pickup ck v s;
-        Bitset.add_mut floating v
-      | _ ->
-        (* 1. dereference of a floating variable consumes its check:
-           implicit when the trap is guaranteed, explicit otherwise.  The
-           emission is deferred until after any barrier flush so that an
-           implicit check stays immediately adjacent to its exception
-           site (a store is both a consumer of its own check and a
-           barrier for every other floating check). *)
-        let pending =
-          match Ir.deref_site i with
-          | Some (base, off, _) when Bitset.mem base floating ->
-            Bitset.remove_mut floating base;
-            Some (base, off, Arch.instr_traps_for arch i base)
-          | Some _ | None -> None
+(* The rewriting walk materializes the floating check of [v] as an
+   explicit check in block [l], for reason [just]. *)
+let explicit rw l v just =
+  rw.emit (Ir.Null_check (Explicit, v, rw.site_of v));
+  rw.stats.made_explicit <- rw.stats.made_explicit + 1;
+  Decision.record ~d_explicit:1 ~block:l ~var:v ~site:(rw.site_of v)
+    ~kind:Decision.Kexplicit ~action:Decision.Moved_forward ~just ()
+
+(** The shared walk.  Updates [floating] in place.  With [rw] it also
+    produces the rewritten instructions, counts them and records the
+    decision-log events; without it, it is the data-flow transfer,
+    which must stay silent (or every check would be logged once per
+    solver visit) and allocates nothing. *)
+let walk_block ~arch (f : Ir.func) (l : Ir.label) ~(floating : Bitset.t)
+    (rw : rewrite option) : unit =
+  let instrs = (Ir.block f l).instrs in
+  for k = 0 to Array.length instrs - 1 do
+    let i = instrs.(k) in
+    match i with
+    | Ir.Null_check (ck, v, s) ->
+      (* the check is picked up and floats; the instruction is dropped *)
+      (match rw with
+      | Some _ ->
+        let kind, d_explicit, d_implicit =
+          match ck with
+          | Ir.Explicit -> (Decision.Kexplicit, -1, 0)
+          | Ir.Implicit -> (Decision.Kimplicit, 0, -1)
         in
-        (* 2. side-effect barrier: flush everything still floating *)
-        if Opt_util.barrier f l i then begin
-          Bitset.iter
-            (fun v ->
-              emit (Ir.Null_check (Explicit, v, site_of v));
-              count_expl ();
-              log_explicit v (site_of v) Decision.Side_effect_barrier)
-            floating;
-          Bitset.clear_mut floating
-        end
-        else begin
-          (* 3. overwrite of a floating variable *)
-          match Ir.def_of_instr i with
-          | Some d when Bitset.mem d floating ->
-            emit (Ir.Null_check (Explicit, d, site_of d));
-            count_expl ();
-            log_explicit d (site_of d) Decision.Overwritten;
-            Bitset.remove_mut floating d
-          | Some _ | None -> ()
-        end;
-        (match pending with
-        | Some (base, off, true) ->
-          emit (Ir.Null_check (Implicit, base, site_of base));
-          count_impl ();
-          if log then
-            Decision.record ~d_implicit:1 ~block:l ~var:base
-              ~site:(site_of base) ~kind:Decision.Kimplicit
-              ~action:Decision.Converted_implicit
-              ~just:(Decision.Trap_covered off) ()
-        | Some (base, _, false) ->
-          emit (Ir.Null_check (Explicit, base, site_of base));
-          count_expl ();
-          log_explicit base (site_of base) Decision.Trap_not_covered
+        Decision.record ~d_explicit ~d_implicit ~block:l ~var:v ~site:s ~kind
+          ~action:Decision.Moved_forward ~just:Decision.Floated ()
+      | None -> ());
+      Bitset.add_mut floating v
+    | _ ->
+      (* 1. dereference of a floating variable consumes its check:
+         implicit when the trap is guaranteed, explicit otherwise.  The
+         emission is deferred until after any barrier flush so that an
+         implicit check stays immediately adjacent to its exception
+         site (a store is both a consumer of its own check and a
+         barrier for every other floating check). *)
+      let base = Ir.deref_base i in
+      let consumed = base <> Ir.no_var && Bitset.mem base floating in
+      if consumed then Bitset.remove_mut floating base;
+      (* 2. side-effect barrier: flush everything still floating *)
+      if Opt_util.barrier f l i then begin
+        (match rw with
+        | Some rw ->
+          Bitset.iter (fun v -> explicit rw l v Decision.Side_effect_barrier) floating
         | None -> ());
-        emit i)
-    (Ir.block f l).instrs
+        Bitset.clear_mut floating
+      end
+      else begin
+        (* 3. overwrite of a floating variable *)
+        let d = Ir.def_of_instr i in
+        if d <> Ir.no_var && Bitset.mem d floating then begin
+          (match rw with
+          | Some rw -> explicit rw l d Decision.Overwritten
+          | None -> ());
+          Bitset.remove_mut floating d
+        end
+      end;
+      match rw with
+      | None -> ()
+      | Some rw ->
+        (if consumed then
+           match Ir.deref_site i with
+           | Some (_, off, _) when Arch.instr_traps_for arch i base ->
+             rw.emit (Ir.Null_check (Implicit, base, rw.site_of base));
+             rw.stats.made_implicit <- rw.stats.made_implicit + 1;
+             Decision.record ~d_implicit:1 ~block:l ~var:base
+               ~site:(rw.site_of base) ~kind:Decision.Kimplicit
+               ~action:Decision.Converted_implicit
+               ~just:(Decision.Trap_covered off) ()
+           | _ -> explicit rw l base Decision.Trap_not_covered);
+        rw.emit i
+  done
+
+(* The edge transfer of both stages' solves: a fact crosses an edge
+   only within one try region and never along a retreating edge. *)
+let cut_edge (cfg : Cfg.t) (f : Ir.func) ~src ~dst s =
+  if (Ir.block f src).breg <> (Ir.block f dst).breg
+     || Cfg.rpo_pos cfg dst <= Cfg.rpo_pos cfg src
+  then Bitset.clear_mut s
 
 (** Forward data-flow of Section 4.2.1.
 
@@ -162,22 +162,16 @@ let walk_block ~arch (f : Ir.func) (l : Ir.label)
     check on a variable never dereferenced again simply disappears —
     observably so when the loop does not terminate (the NPE is traded
     for divergence).  Killing the fact on the retreating edge makes the
-    materialization at the edge's source mandatory instead. *)
+    materialization at the edge's source mandatory instead.  The edge
+    transfer ({!cut_edge}, shared with the backward stage) also kills
+    everything on edges that change try region ([Edge_try]). *)
 let analyse ~arch (cfg : Cfg.t) : Solver.result =
   let f = Cfg.func cfg in
   let nv = f.fn_nvars in
-  let same_region m l = (Ir.block f m).breg = (Ir.block f l).breg in
-  let retreating m l = Cfg.rpo_pos cfg l <= Cfg.rpo_pos cfg m in
-  let empty = Bitset.empty nv in
   Solver.solve ~dir:Solver.Forward ~cfg
     ~boundary:(Bitset.empty nv) ~top:(Bitset.full nv) ~meet:Solver.Inter
-    ~edge:(fun ~src ~dst s ->
-      if same_region src dst && not (retreating src dst) then s else empty)
-    ~boundary_blocks:(Cfg.handler_blocks f)
-    ~transfer:(fun l inb ->
-      let floating = Bitset.copy inb in
-      walk_block ~arch f l ~floating ();
-      floating)
+    ~edge:(cut_edge cfg f) ~boundary_blocks:(Cfg.handler_blocks f)
+    ~transfer:(fun l floating -> walk_block ~arch f l ~floating None)
     ()
 
 (** Mutation-testing hook (flipped only by the fuzzer's self-test; see
@@ -231,9 +225,8 @@ let eliminate_substitutable ~arch ~(cfg : Cfg.t) (f : Ir.func)
             Bitset.add_mut gen base
           | Some _ | None -> ()));
         if sub_barrier f l i then blocked := true;
-        match Ir.def_of_instr i with
-        | Some d -> Bitset.add_mut killed d
-        | None -> ())
+        let d = Ir.def_of_instr i in
+        if d <> Ir.no_var then Bitset.add_mut killed d)
       (Ir.block f l).instrs;
     let kill = if !blocked then Bitset.full nv else killed in
     (gen, kill)
@@ -246,29 +239,23 @@ let eliminate_substitutable ~arch ~(cfg : Cfg.t) (f : Ir.func)
     gen.(l) <- g;
     kill.(l) <- k
   done;
-  let same_region m l = (Ir.block f m).breg = (Ir.block f l).breg in
   (* kill covers on retreating edges, as in {!analyse}: the optimistic
      backward fixpoint would otherwise let a cycle certify itself as
      "covered later" with no cover anywhere in it, deleting a check in
      front of a non-terminating loop *)
-  let retreating m l = Cfg.rpo_pos cfg l <= Cfg.rpo_pos cfg m in
-  let empty = Bitset.empty nv in
   let r =
     Solver.solve ~dir:Solver.Backward ~cfg
       ~boundary:(Bitset.empty nv) ~top:(Bitset.full nv) ~meet:Solver.Inter
-      ~edge:(fun ~src ~dst s ->
-        if same_region src dst && not (retreating src dst) then s else empty)
-      ~transfer:(fun l out ->
-        let s = Bitset.copy out in
+      ~edge:(cut_edge cfg f)
+      ~transfer:(fun l s ->
         Bitset.diff_into s kill.(l);
-        Bitset.union_into s gen.(l);
-        s)
+        Bitset.union_into s gen.(l))
       ()
   in
   for l = 0 to n - 1 do
     if Cfg.is_reachable cfg l then begin
       let instrs = (Ir.block f l).instrs in
-      let sub = Bitset.copy r.Solver.outb.(l) in
+      let sub = Bitset.row r.Solver.outb l in
       let out = ref [] in
       for k = Array.length instrs - 1 downto 0 do
         let i = instrs.(k) in
@@ -285,9 +272,8 @@ let eliminate_substitutable ~arch ~(cfg : Cfg.t) (f : Ir.func)
         if not deleted then out := i :: !out;
         (* update [sub] to the point before [i] *)
         if sub_barrier f l i then Bitset.clear_mut sub;
-        (match Ir.def_of_instr i with
-        | Some d -> Bitset.remove_mut sub d
-        | None -> ());
+        let d = Ir.def_of_instr i in
+        if d <> Ir.no_var then Bitset.remove_mut sub d;
         match i with
         | Ir.Null_check (_, v, _) -> if not deleted then Bitset.add_mut sub v
         | _ -> (
@@ -335,24 +321,18 @@ let run ~(arch : Arch.t) (f : Ir.func) : stats =
   for l = 0 to nblocks - 1 do
     if Cfg.is_reachable cfg l then begin
       let acc = ref [] in
-      let emit i = acc := i :: !acc in
-      let floating = Bitset.copy r.Solver.inb.(l) in
-      walk_block ~arch f l ~floating ~emit ~stats ~log:true ~site_of ();
+      let rw = { emit = (fun i -> acc := i :: !acc); stats; site_of } in
+      let floating = Bitset.row r.Solver.inb l in
+      walk_block ~arch f l ~floating (Some rw);
       (* materialize checks that not every successor accepts *)
       let succs = Cfg.succs cfg l in
       Bitset.iter
         (fun v ->
           let continues =
             succs <> []
-            && List.for_all (fun s -> Bitset.mem v r.Solver.inb.(s)) succs
+            && List.for_all (fun s -> Bitset.row_mem r.Solver.inb s v) succs
           in
-          if not continues then begin
-            emit (Ir.Null_check (Explicit, v, site_of v));
-            stats.made_explicit <- stats.made_explicit + 1;
-            Decision.record ~d_explicit:1 ~block:l ~var:v ~site:(site_of v)
-              ~kind:Decision.Kexplicit ~action:Decision.Moved_forward
-              ~just:Decision.Not_anticipated ()
-          end)
+          if not continues then explicit rw l v Decision.Not_anticipated)
         floating;
       Opt_util.set_instrs f l (List.rev !acc)
     end

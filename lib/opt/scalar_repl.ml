@@ -27,7 +27,6 @@
     iterate-until-settled design of Figure 2. *)
 
 module Ir = Nullelim_ir.Ir
-module Bitset = Nullelim_dataflow.Bitset
 module Cfg = Nullelim_cfg.Cfg
 module Context = Nullelim_cfg.Context
 module Loops = Nullelim_cfg.Loops
@@ -58,11 +57,10 @@ let summarize (f : Ir.func) members : loop_summary =
     (fun m ->
       Array.iter
         (fun i ->
-          (match Ir.def_of_instr i with
-          | Some d ->
+          let d = Ir.def_of_instr i in
+          if d <> Ir.no_var then
             Hashtbl.replace defs d
-              (1 + Option.value ~default:0 (Hashtbl.find_opt defs d))
-          | None -> ());
+              (1 + Option.value ~default:0 (Hashtbl.find_opt defs d));
           match i with
           | Ir.Put_field (_, fld, _) -> Hashtbl.replace stored_fields fld.fname ()
           | Ir.Array_store (_, _, _, k) -> Hashtbl.replace stored_kinds k ()
@@ -98,9 +96,9 @@ let bounds_proven (f : Ir.func) ph ~arr ~idx =
           | Ir.Bound_check (x, Ir.Var l2, _) when x = idx && l2 = len ->
             ok := true
           | i ->
-            (match Ir.def_of_instr i with
-            | Some d when d = len || List.mem d (Ir.vars_of_operand idx) -> ()
-            | _ -> scan (j + 1))
+            let d = Ir.def_of_instr i in
+            if not (d = len || List.mem d (Ir.vars_of_operand idx)) then
+              scan (j + 1)
       in
       scan (k + 1)
     | _ -> ()
@@ -116,7 +114,7 @@ let hoist_in_loop ~speculate ~(arch : Arch.t) (f : Ir.func) (cfg : Cfg.t)
   if s.has_call then false
   else begin
     let nonnull_at ph v =
-      Bitset.mem v (Nullness.at_exit (Lazy.force nullness) ph)
+      Nullness.nonnull_at_exit (Lazy.force nullness) ph v
     in
     let may_speculate_read ~offset =
       speculate
@@ -125,7 +123,7 @@ let hoist_in_loop ~speculate ~(arch : Arch.t) (f : Ir.func) (cfg : Cfg.t)
     in
     let dst_ok d =
       Hashtbl.find_opt s.defs d = Some 1
-      && not (Bitset.mem d (Liveness.live_in (Lazy.force live) l.header))
+      && not (Liveness.live_in (Lazy.force live) l.header d)
     in
     (* collect all candidates: (block, index, instr, base, site) *)
     let candidates = ref [] in
@@ -195,69 +193,75 @@ let hoist_in_loop ~speculate ~(arch : Arch.t) (f : Ir.func) (cfg : Cfg.t)
 (* Block-local redundant-load elimination                              *)
 (* ------------------------------------------------------------------ *)
 
-type expr = Efield of Ir.var * int | Elen of Ir.var
+(* The key of an [arraylength] load, in place of a field offset. *)
+let len_key = min_int
 
 let eliminate_redundant_loads (f : Ir.func) (stats : stats) : unit =
-  (* one table for the function, cleared per block *)
-  let avail : (expr, Ir.var) Hashtbl.t = Hashtbl.create 16 in
-  let kill_var v =
-    Hashtbl.filter_map_inplace
-      (fun e w ->
-        match e with
-        | (Efield (a, _) | Elen a) when a = v || w = v -> None
-        | Efield _ | Elen _ -> Some w)
-      avail
+  (* The loads available in the current block: entry [k] (below [!n])
+     says [held.(k)] holds the load of [base.(k)] at offset [off.(k)]
+     ([len_key] for the array length).  A block adds at most one entry
+     per instruction, and a kill scans only the live entries. *)
+  let cap =
+    Array.fold_left (fun m (b : Ir.block) -> max m (Array.length b.instrs)) 0
+      f.fn_blocks
   in
-  let kill_field offset =
-    Hashtbl.filter_map_inplace
-      (fun e w ->
-        match e with
-        | Efield (_, o) when o = offset -> None
-        | Efield _ | Elen _ -> Some w)
-      avail
+  let base = Array.make cap 0 and off = Array.make cap 0
+  and held = Array.make cap 0 and n = ref 0 in
+  (* keep, in order, the entries [keep] accepts *)
+  let filter keep =
+    let j = ref 0 in
+    for k = 0 to !n - 1 do
+      if keep k then begin
+        base.(!j) <- base.(k);
+        off.(!j) <- off.(k);
+        held.(!j) <- held.(k);
+        incr j
+      end
+    done;
+    n := !j
   in
-  let kill_all_fields () =
-    Hashtbl.filter_map_inplace
-      (fun e w -> match e with Efield _ -> None | Elen _ -> Some w)
-      avail
+  let find b o =
+    let k = ref 0 in
+    while !k < !n && not (base.(!k) = b && off.(!k) = o) do
+      incr k
+    done;
+    if !k < !n then held.(!k) else Ir.no_var
+  in
+  let set b o v =
+    filter (fun k -> base.(k) <> b || off.(k) <> o);
+    base.(!n) <- b;
+    off.(!n) <- o;
+    held.(!n) <- v;
+    incr n
   in
   Array.iter
     (fun (b : Ir.block) ->
-      Hashtbl.clear avail;
+      n := 0;
       let instrs = b.instrs in
       for k = 0 to Array.length instrs - 1 do
         let i = instrs.(k) in
-        let replacement =
+        let w =
           match i with
-          | Ir.Get_field (d, o, fld) -> (
-            match Hashtbl.find_opt avail (Efield (o, fld.foffset)) with
-            | Some w when w <> d -> Some (Ir.Move (d, Ir.Var w))
-            | _ -> None)
-          | Ir.Array_length (d, a) -> (
-            match Hashtbl.find_opt avail (Elen a) with
-            | Some w when w <> d -> Some (Ir.Move (d, Ir.Var w))
-            | _ -> None)
-          | _ -> None
+          | Ir.Get_field (_, o, fld) -> find o fld.foffset
+          | Ir.Array_length (_, a) -> find a len_key
+          | _ -> Ir.no_var
         in
-        (match replacement with
-        | Some r ->
+        (match i with
+        | (Ir.Get_field (d, _, _) | Ir.Array_length (d, _))
+          when w <> Ir.no_var && w <> d ->
           stats.replaced <- stats.replaced + 1;
-          instrs.(k) <- r
-        | None -> ());
+          instrs.(k) <- Ir.Move (d, Ir.Var w)
+        | _ -> ());
         (* update availability from the ORIGINAL instruction *)
-        (match Ir.def_of_instr i with
-        | Some d -> kill_var d
-        | None -> ());
+        let d = Ir.def_of_instr i in
+        if d <> Ir.no_var then filter (fun k -> base.(k) <> d && held.(k) <> d);
         match i with
-        | Ir.Get_field (d, o, fld) ->
-          Hashtbl.replace avail (Efield (o, fld.foffset)) d
-        | Ir.Array_length (d, a) -> Hashtbl.replace avail (Elen a) d
+        | Ir.Get_field (d, o, fld) -> set o fld.foffset d
+        | Ir.Array_length (d, a) -> set a len_key d
         | Ir.Put_field (o, fld, src) -> (
-          kill_field fld.foffset;
-          match src with
-          | Ir.Var sv -> Hashtbl.replace avail (Efield (o, fld.foffset)) sv
-          | _ -> ())
-        | Ir.Call _ -> kill_all_fields ()
+          filter (fun k -> off.(k) <> fld.foffset);
+          match src with Ir.Var sv -> set o fld.foffset sv | _ -> ())
+        | Ir.Call _ -> filter (fun k -> off.(k) = len_key)
         | _ -> ()
       done)
     f.fn_blocks

@@ -26,9 +26,15 @@ by more than the bound.  Runs that exit non-zero, print no result or
 report `correct: false` or failed operations are counted per side and
 left out of the statistics.  Every run is printed as it finishes.
 
+Before the runs it builds the benchmark in each checkout and prints,
+from `nm`, where the code of a few hot modules (PLACED) begins in
+perfbench/bench.exe on each side, flagging the modules whose code moved.
+A swing on a path the change did not touch (the `hit` request path, say)
+that comes with moved code is likely placement, not the change.
+
 The script reads perfbench/ and BENCHMARK.json and writes neither.
-`--self-test` checks the statistics and the pairing on a fixed fixture
-without running anything.
+`--self-test` checks the statistics, the pairing and the placement
+report on fixed fixtures without running anything.
 """
 
 import argparse
@@ -39,6 +45,8 @@ import subprocess
 import sys
 
 WIN_SHARE = 0.9
+PLACED = ["Interp", "Svc", "Solver", "Liveness", "Pipeline"]
+EXE = os.path.join("_build", "default", "perfbench", "bench.exe")
 
 
 def quartiles(xs):
@@ -186,6 +194,55 @@ def report(bench, runs, workloads, log=print):
     return rows, bad
 
 
+def code_begins(nm_text):
+    """{module: address} of the PLACED modules' `code_begin` symbols in
+    `nm` output (`camlLib__Module.code_begin`, or `__code_begin` before
+    OCaml 5)."""
+    found = {}
+    for line in nm_text.splitlines():
+        parts = line.split()
+        if len(parts) != 3 or not parts[2].endswith("code_begin"):
+            continue
+        name = parts[2][:-len("code_begin")].rstrip("._")
+        module = name.rsplit("__", 1)[-1]
+        if module in PLACED:
+            found[module] = int(parts[0], 16)
+    return found
+
+
+def placement(nm_texts, log=print):
+    """Print each PLACED module's code_begin per side from
+    {side: nm output}; returns the modules that moved."""
+    begins = {side: code_begins(text) for side, text in nm_texts.items()}
+    moved = []
+    log("%-9s %18s %18s %10s" % ("module", "parent", "change", "moved by"))
+    for m in PLACED:
+        p, c = begins["parent"].get(m), begins["change"].get(m)
+        if p is None or c is None:
+            log("%-9s %18s %18s %10s" % (m, p and hex(p), c and hex(c), "?"))
+            continue
+        if p != c:
+            moved.append(m)
+        log("%-9s %#18x %#18x %10s" % (m, p, c, "%+d" % (c - p) if p != c else "-"))
+    log("code placement: %s" % (
+        "moved " + ", ".join(moved) if moved else "no listed module moved"))
+    return moved
+
+
+def build_and_nm(checkout):
+    """Build the benchmark in [checkout] as perfbench/run.py does; the
+    `nm` output of the executable ("" if either step fails)."""
+    env = dict(os.environ, DUNE_CACHE="disabled")
+    build = subprocess.run(
+        ["dune", "build", "--root", ".", "./perfbench/bench.exe"], cwd=checkout,
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    if build.returncode != 0:
+        return ""
+    nm = subprocess.run(["nm", os.path.join(checkout, EXE)],
+                        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return nm.stdout if nm.returncode == 0 else ""
+
+
 def self_test():
     bench = {"end_to_end": [
         {"name": "t_ms", "better": "lower", "bound": 0.25},
@@ -240,6 +297,35 @@ def self_test():
     row = summarize(bench["end_to_end"][0],
                     [(1.0 + 0.1 * k, 0.99 + 0.1 * k) for k in range(10)])
     assert row["wins"] == 10 and row["verdict"] == "unresolved", row
+
+    # placement: Solver and Pipeline moved, Svc is missing on one side,
+    # and a module not in PLACED (or a non-code_begin symbol) is ignored
+    nm_parent = """
+0000000000120b10 T camlNullelim_vm__Interp.code_begin
+0000000000110fb0 T camlNullelim_svc__Svc.code_begin
+00000000001396d0 T camlNullelim_dataflow__Solver.code_begin
+0000000000137820 T camlNullelim_analysis__Liveness.code_begin
+000000000012bf80 T camlNullelim_opt__Pipeline__code_begin
+0000000000139700 T camlNullelim_dataflow__Solver.code_end
+0000000000100000 T camlNullelim_opt__Phase1.code_begin
+                 U memmove
+"""
+    nm_change = """
+0000000000120b10 T camlNullelim_vm__Interp.code_begin
+0000000000139a10 T camlNullelim_dataflow__Solver.code_begin
+0000000000137820 T camlNullelim_analysis__Liveness.code_begin
+000000000012bfc0 T camlNullelim_opt__Pipeline__code_begin
+0000000000100040 T camlNullelim_opt__Phase1.code_begin
+"""
+    assert code_begins(nm_parent) == {
+        "Interp": 0x120b10, "Svc": 0x110fb0, "Solver": 0x1396d0,
+        "Liveness": 0x137820, "Pipeline": 0x12bf80}, code_begins(nm_parent)
+    lines = []
+    moved = placement({"parent": nm_parent, "change": nm_change}, log=lines.append)
+    assert moved == ["Solver", "Pipeline"], moved
+    assert lines[-1] == "code placement: moved Solver, Pipeline", lines
+    assert any(l.startswith("Svc") and l.rstrip().endswith("?") for l in lines), lines
+    assert any(l.startswith("Pipeline") and l.rstrip().endswith("+64") for l in lines), lines
     print("perf_pairs self-test: ok")
 
 
@@ -261,6 +347,7 @@ def main():
         bench = json.load(f)
     workloads = [w["name"] for w in bench["workloads"]]
     checkouts = {"parent": args.parent, "change": args.change}
+    placement({side: build_and_nm(path) for side, path in checkouts.items()})
     runs = collect(
         schedule(args.pairs, args.first_seed, workloads),
         lambda side, w, seed: run_one(checkouts[side], w, seed, args.seconds))

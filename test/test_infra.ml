@@ -272,14 +272,11 @@ let test_solver_must () =
     Solver.solve ~dir:Solver.Forward ~cfg ~boundary:(Bitset.empty nv)
       ~top:(Bitset.full nv) ~meet:Solver.Inter
       ~transfer:(fun l s ->
-        let s = Bitset.copy s in
         Array.iter
           (fun i ->
-            match Ir.def_of_instr i with
-            | Some d -> Bitset.add_mut s d
-            | None -> ())
-          (Ir.block f l).instrs;
-        s)
+            let d = Ir.def_of_instr i in
+            if d <> Ir.no_var then Bitset.add_mut s d)
+          (Ir.block f l).instrs)
       ()
   in
   (* find the join block: the one ending in Return *)
@@ -288,9 +285,8 @@ let test_solver_must () =
     (fun l (blk : Ir.block) ->
       match blk.term with Ir.Return _ -> join := l | _ -> ())
     f.fn_blocks;
-  let at_join = r.Solver.inb.(!join) in
-  check_bool "x assigned on both paths" true (Bitset.mem x at_join);
-  check_bool "y only on one path" false (Bitset.mem y at_join)
+  check_bool "x assigned on both paths" true (Bitset.row_mem r.Solver.inb !join x);
+  check_bool "y only on one path" false (Bitset.row_mem r.Solver.inb !join y)
 
 let test_solver_loop_fixpoint () =
   (* on the loop shape, a must-fact generated before the loop survives
@@ -302,15 +298,62 @@ let test_solver_loop_fixpoint () =
   let r =
     Solver.solve ~dir:Solver.Forward ~cfg ~boundary:(Bitset.empty nv)
       ~top:(Bitset.full nv) ~meet:Solver.Inter
-      ~transfer:(fun l s -> if l = 0 then Bitset.union s gen_entry else s)
+      ~transfer:(fun l s -> if l = 0 then Bitset.union_into s gen_entry)
       ()
   in
   Array.iteri
     (fun l (_ : Ir.block) ->
       if Cfg.is_reachable cfg l && l <> 0 then
         check_bool "fact reaches everywhere" true
-          (Bitset.mem 1 r.Solver.inb.(l)))
+          (Bitset.row_mem r.Solver.inb l 1))
     f.fn_blocks
+
+(* Two functions with the same blocks and instructions: a chain of
+   copies [v_j := v_(j+1)] that backward liveness settles in one sweep,
+   and the same chain whose last block branches back to its first, so
+   that liveness must re-visit the whole chain. *)
+let copy_chain ~loop =
+  let open Builder in
+  let b = create ~name:"chain" ~params:[ "c" ] () in
+  let k = 12 in
+  let vs = Array.init (k + 1) (fun _ -> fresh b) in
+  let blocks = Array.init k (fun _ -> new_block b) in
+  let exit = new_block b in
+  terminate b (Goto blocks.(0));
+  for j = 0 to k - 1 do
+    switch_to b blocks.(j);
+    emit b (Move (vs.(j), Var vs.(j + 1)));
+    if j < k - 1 then terminate b (Goto blocks.(j + 1))
+    else
+      terminate b
+        (If (Ne, Var (param b 0), Cint 0, (if loop then blocks.(0) else exit), exit))
+  done;
+  switch_to b exit;
+  terminate b (Return (Some (Var vs.(0))));
+  finish b
+
+(* A solve allocates its fact storage once: its minor words do not grow
+   with the number of visits, under either engine, for liveness and for
+   nullness. *)
+let test_solver_words_per_visit () =
+  let measure reference f =
+    let cfg = Cfg.make f in
+    Solver.with_reference reference (fun () ->
+        let s0 = Solver.snapshot () in
+        let w0 = Gc.minor_words () in
+        ignore (Liveness.solve cfg);
+        ignore (Nullness.solve ~deref_gen:true cfg);
+        let w = Gc.minor_words () -. w0 in
+        ((Solver.diff (Solver.snapshot ()) s0).Solver.visits, w))
+  in
+  List.iter
+    (fun reference ->
+      let straight = copy_chain ~loop:false and looped = copy_chain ~loop:true in
+      ignore (measure reference straight);
+      let v1, w1 = measure reference straight and v2, w2 = measure reference looped in
+      check_bool "the loop forces re-visits" true (v2 > v1);
+      Alcotest.(check (float 0.)) "same words, more visits" w1 w2)
+    [ false; true ]
 
 let test_remove_unreachable () =
   let open Builder in
@@ -345,5 +388,7 @@ let () =
         [
           Alcotest.test_case "must problem on diamond" `Quick test_solver_must;
           Alcotest.test_case "loop fixpoint" `Quick test_solver_loop_fixpoint;
+          Alcotest.test_case "words do not grow with visits" `Quick
+            test_solver_words_per_visit;
         ] );
     ]

@@ -386,78 +386,118 @@ let test_bitset_kernels =
    fixpoints — on every direction/meet combination, with per-edge
    transfers and with handler blocks pinned to the boundary value.  The
    random programs include try regions, so handler-entry boundary
-   forcing and region-crossing edges are exercised. *)
+   forcing and region-crossing edges are exercised.  Then every real
+   client runs under both engines: liveness, nullness (plain, with
+   [deref_gen] as Whaley runs it, and with phase 1's [extra_exit]), the
+   bound-check availability, phase 1's backward problem and phase 2's
+   two solves. *)
+let engines_agree prog =
+  let f = Ir.find_func prog "f" in
+  let cfg = Cfg.make f in
+  let n = Ir.nblocks f in
+  let nv = max 2 f.Ir.fn_nvars in
+  (* gen = defs of the block; kill = a deterministic pseudo-random
+     pair of variables, so kills differ from gens *)
+  let gen_ =
+    Array.init n (fun l ->
+        let s = Bitset.empty nv in
+        Array.iter
+          (fun i ->
+            let d = Ir.def_of_instr i in
+            if d <> Ir.no_var then Bitset.add_mut s d)
+          (Ir.block f l).instrs;
+        s)
+  in
+  let kill =
+    Array.init n (fun l ->
+        Bitset.of_list nv [ (l * 5 + 1) mod nv; (l * 3 + 2) mod nv ])
+  in
+  let edge_kill = Bitset.of_list nv [ 1 ] in
+  let handlers = List.sort_uniq compare (List.map snd f.Ir.fn_handlers) in
+  let transfer l s =
+    Bitset.diff_into s kill.(l);
+    Bitset.union_into s gen_.(l)
+  in
+  (* the paper's Edge_try shape: crossing into a different try region
+     kills facts (Section 4.1.1) *)
+  let edge ~src ~dst s =
+    if (Ir.block f src).Ir.breg <> (Ir.block f dst).Ir.breg then
+      Bitset.diff_into s edge_kill
+  in
+  let rows_equal a b =
+    List.for_all (fun l -> Bitset.equal (Bitset.row a l) (Bitset.row b l))
+      (List.init n Fun.id)
+  in
+  let synthetic (dir, meet) =
+    let boundary, top =
+      match meet with
+      | Solver.Inter -> (Bitset.of_list nv [ 0 ], Bitset.full nv)
+      | Solver.Union -> (Bitset.of_list nv [ 0 ], Bitset.empty nv)
+    in
+    let solve engine =
+      engine ~dir ~cfg ~boundary ~top ~meet ?edge:(Some edge)
+        ?boundary_blocks:(Some handlers) ~transfer ()
+    in
+    let a = solve Solver.solve_worklist and b = solve Solver.solve_reference in
+    rows_equal a.Solver.inb b.Solver.inb && rows_equal a.Solver.outb b.Solver.outb
+  in
+  (* [observe] under each engine, from the same site counter *)
+  let agree what observe =
+    let sites = Domain.DLS.get Ir.site_counter in
+    let s0 = !sites in
+    let a = Solver.with_reference false observe in
+    sites := s0;
+    let b = Solver.with_reference true observe in
+    a = b || QCheck2.Test.fail_reportf "engines disagree on %s" what
+  in
+  let facts mem =
+    List.init n (fun l -> List.filter (mem l) (List.init f.Ir.fn_nvars Fun.id))
+  in
+  let nullness ?deref_gen ?extra_exit () =
+    let t = Nullness.solve ?deref_gen ?extra_exit cfg in
+    facts (Nullness.nonnull_at_exit t)
+  in
+  (* a pass's output on a copy of the function *)
+  let pass run () =
+    let g = Ir.copy_func f in
+    let r = run g in
+    (r, g.Ir.fn_blocks)
+  in
+  List.for_all
+    (fun dm ->
+      synthetic dm
+      || QCheck2.Test.fail_reportf "engines disagree (%s, %s)"
+           (match fst dm with Solver.Forward -> "fwd" | Backward -> "bwd")
+           (match snd dm with Solver.Inter -> "inter" | Union -> "union"))
+    [
+      (Solver.Forward, Solver.Inter);
+      (Solver.Forward, Solver.Union);
+      (Solver.Backward, Solver.Inter);
+      (Solver.Backward, Solver.Union);
+    ]
+  && agree "liveness" (fun () ->
+         let t = Liveness.solve cfg in
+         let out = Bitset.empty f.Ir.fn_nvars in
+         ( facts (Liveness.live_in t),
+           List.init n (fun l ->
+               Liveness.live_out_into t l out;
+               Bitset.elements out) ))
+  && agree "nullness" (fun () -> nullness ())
+  && agree "nullness deref_gen" (fun () -> nullness ~deref_gen:true ())
+  && agree "nullness extra_exit" (fun () -> nullness ~extra_exit:gen_ ())
+  && agree "phase1 analysis" (fun () ->
+         let a = Phase1.analyse cfg in
+         List.map Bitset.elements
+           (Array.to_list a.Phase1.out_bwd @ Array.to_list a.Phase1.earliest))
+  && agree "boundcheck availability" (pass Boundcheck.eliminate_redundant)
+  && agree "phase1" (pass Phase1.run)
+  && agree "phase2" (pass (fun g ->
+         let s = Phase2.run ~arch:Arch.ia32_windows g in
+         (s.Phase2.made_implicit, s.made_explicit, s.eliminated)))
+
 let test_solver_differential =
   QCheck2.Test.make ~count:60 ~name:"solver: worklist ≍ round-robin"
-    gen_program (fun prog ->
-      let f = Ir.find_func prog "f" in
-      let cfg = Cfg.make f in
-      let n = Ir.nblocks f in
-      let nv = max 2 f.Ir.fn_nvars in
-      (* gen = defs of the block; kill = a deterministic pseudo-random
-         pair of variables, so kills differ from gens *)
-      let gen_ =
-        Array.init n (fun l ->
-            let s = Bitset.empty nv in
-            Array.iter
-              (fun i ->
-                match Ir.def_of_instr i with
-                | Some d -> Bitset.add_mut s d
-                | None -> ())
-              (Ir.block f l).instrs;
-            s)
-      in
-      let kill =
-        Array.init n (fun l ->
-            Bitset.of_list nv [ (l * 5 + 1) mod nv; (l * 3 + 2) mod nv ])
-      in
-      let edge_kill = Bitset.of_list nv [ 1 ] in
-      let handlers =
-        List.sort_uniq compare (List.map snd f.Ir.fn_handlers)
-      in
-      let transfer l s =
-        let s' = Bitset.copy s in
-        Bitset.diff_into s' kill.(l);
-        Bitset.union_into s' gen_.(l);
-        s'
-      in
-      (* the paper's Edge_try shape: crossing into a different try
-         region kills facts (Section 4.1.1) *)
-      let edge ~src ~dst s =
-        if (Ir.block f src).Ir.breg <> (Ir.block f dst).Ir.breg then
-          Bitset.diff s edge_kill
-        else s
-      in
-      List.for_all
-        (fun (dir, meet) ->
-          let boundary, top =
-            match meet with
-            | Solver.Inter -> (Bitset.of_list nv [ 0 ], Bitset.full nv)
-            | Solver.Union -> (Bitset.of_list nv [ 0 ], Bitset.empty nv)
-          in
-          let solve engine =
-            engine ~dir ~cfg ~boundary ~top ~meet ?edge:(Some edge)
-              ?boundary_blocks:(Some handlers) ~transfer ()
-          in
-          let a = solve Solver.solve_worklist in
-          let b = solve Solver.solve_reference in
-          let ok = ref true in
-          for l = 0 to n - 1 do
-            if
-              (not (Bitset.equal a.Solver.inb.(l) b.Solver.inb.(l)))
-              || not (Bitset.equal a.Solver.outb.(l) b.Solver.outb.(l))
-            then ok := false
-          done;
-          !ok
-          || QCheck2.Test.fail_reportf "engines disagree (%s, %s)"
-               (match dir with Solver.Forward -> "fwd" | Backward -> "bwd")
-               (match meet with Solver.Inter -> "inter" | Union -> "union"))
-        [
-          (Solver.Forward, Solver.Inter);
-          (Solver.Forward, Solver.Union);
-          (Solver.Backward, Solver.Inter);
-          (Solver.Backward, Solver.Union);
-        ])
+    gen_program engines_agree
 
 (* dominance sanity on random programs *)
 let test_dominance =
