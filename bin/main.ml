@@ -191,25 +191,34 @@ let run_native_or_fallback ~arch (compiled : Compiler.compiled) =
 let run_cmd =
   let run arch cfg scale trace stats profile backend name =
     let w = find_workload name in
-    if profile then Ir.reset_sites ();
-    let prog = w.W.build ~scale in
-    let orig_sites = Hashtbl.create 64 in
-    if profile then
-      Hashtbl.iter
-        (fun _ f ->
-          List.iter
-            (fun s -> Hashtbl.replace orig_sites s ())
-            (Ir.sites_of_func f))
-        prog.Ir.funcs;
-    let prof = if profile then Some (Obs.Profile.create ()) else None in
-    let compiled = Compiler.compile cfg ~arch prog in
-    let t0 = Obs.Clock.now () in
-    let r =
-      match backend with
-      | `Native -> run_native_or_fallback ~arch compiled
-      | `Interp -> Interp.run ?profile:prof ~arch compiled.Compiler.program []
+    if profile && backend = `Native then begin
+      Fmt.epr
+        "--profile needs --backend interp: only the interpreter feeds the \
+         per-site profile@.";
+      exit 2
+    end;
+    (* --profile takes its compile and run from the profile report's
+       collector; otherwise the run happens here *)
+    let pr =
+      if not profile then None
+      else
+        match PR.collect ~scale ~arch cfg w with
+        | r -> Some r
+        | exception Failure e -> Fmt.epr "%s@." e; exit 1
     in
-    let t1 = Obs.Clock.now () in
+    let compiled, r, (t0, t1) =
+      match pr with
+      | Some pr -> (pr.PR.pr_compiled, pr.PR.pr_result, pr.PR.pr_run_span)
+      | None ->
+        let compiled = Compiler.compile cfg ~arch (w.W.build ~scale) in
+        let t0 = Obs.Clock.now () in
+        let r =
+          match backend with
+          | `Native -> run_native_or_fallback ~arch compiled
+          | `Interp -> Interp.run ~arch compiled.Compiler.program []
+        in
+        (compiled, r, (t0, Obs.Clock.now ()))
+    in
     Option.iter
       (fun path ->
         let run_span =
@@ -218,7 +227,8 @@ let run_cmd =
             ev_cat = "run";
             ev_ts_us = (t0 -. compiled.Compiler.compile_start) *. 1e6;
             ev_dur_us = (t1 -. t0) *. 1e6;
-            ev_args = [ ("main", Obs.Json.Str prog.Ir.prog_main) ];
+            ev_args =
+              [ ("main", Obs.Json.Str compiled.Compiler.program.Ir.prog_main) ];
           }
         in
         Obs.Trace.write path (Compiler.trace compiled @ [ run_span ]);
@@ -242,18 +252,7 @@ let run_cmd =
     Fmt.pr "static implicit: %d@." compiled.Compiler.checks.Compiler.implicit_after;
     Fmt.pr "compile time   : %.4f s@." compiled.Compiler.compile_seconds;
     Option.iter
-      (fun p ->
-        let pr =
-          {
-            PR.pr_workload = w.W.name;
-            pr_config = cfg.Config.name;
-            pr_profile = p;
-            pr_counters = r.Interp.counters;
-            pr_decisions = compiled.Compiler.decisions;
-            pr_program = compiled.Compiler.program;
-            pr_orig_sites = orig_sites;
-          }
-        in
+      (fun pr ->
         let buf = Buffer.create 4096 in
         PR.md_site_table buf pr;
         PR.md_hotness buf pr ~loops_top:5;
@@ -262,7 +261,7 @@ let run_cmd =
           (Result.map_error (( ^ ) "profile reconciliation FAILED: ")
              (PR.reconcile pr));
         Fmt.pr "profile reconciles with interpreter counters@.")
-      prof;
+      pr;
     if stats then Fmt.pr "%a" X.Experiments.pp_pass_stats compiled
   in
   cmd "run" ~doc:"Compile and run a workload, printing counters and checksum."
@@ -281,7 +280,7 @@ let run_cmd =
           ~doc:
             "Collect the per-site dynamic profile during the run and print \
              the per-site check table, loop hotness and reconciliation \
-             status."
+             status (interpreter only: exits 2 with --backend native)."
       $ opt
           Arg.(enum [ ("interp", `Interp); ("native", `Native) ])
           `Interp [ "backend" ] ~docv:"BACKEND"

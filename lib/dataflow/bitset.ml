@@ -23,7 +23,6 @@ let full size =
   { size; bits }
 
 let copy s = { s with bits = Array.copy s.bits }
-let size s = s.size
 
 let check s i =
   if i < 0 || i >= s.size then invalid_arg "Bitset: index out of universe"
@@ -31,19 +30,6 @@ let check s i =
 let mem i s =
   check s i;
   s.bits.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
-
-let add i s =
-  check s i;
-  let t = copy s in
-  t.bits.(i / word_bits) <- t.bits.(i / word_bits) lor (1 lsl (i mod word_bits));
-  t
-
-let remove i s =
-  check s i;
-  let t = copy s in
-  t.bits.(i / word_bits) <-
-    t.bits.(i / word_bits) land lnot (1 lsl (i mod word_bits));
-  t
 
 (* in-place variants for hot local loops *)
 let add_mut s i =
@@ -169,8 +155,6 @@ let complement s = diff (full s.size) s
 
 let equal a b = a.size = b.size && a.bits = b.bits
 
-let is_empty s = Array.for_all (fun w -> w = 0) s.bits
-
 let subset a b =
   check_pair a b;
   let rec go i =
@@ -221,6 +205,3 @@ let of_list size l =
   let s = empty size in
   List.iter (fun i -> add_mut s i) l;
   s
-
-let to_string s =
-  "{" ^ String.concat "," (List.map string_of_int (elements s)) ^ "}"

@@ -29,11 +29,8 @@ val full : int -> t
 
 val of_list : int -> int list -> t
 val copy : t -> t
-val size : t -> int
 
 val mem : int -> t -> bool
-val add : int -> t -> t
-val remove : int -> t -> t
 
 val add_mut : t -> int -> unit
 val remove_mut : t -> int -> unit
@@ -59,13 +56,11 @@ val complement : t -> t
 
 val equal : t -> t -> bool
 val subset : t -> t -> bool
-val is_empty : t -> bool
 val cardinal : t -> int
 
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
-val to_string : t -> string
 
 (** {2 Rows}
 

@@ -4,8 +4,10 @@
     *attribution* data: which check site, loop and optimization decision
     each dynamic count came from.  One {!run} bundles everything a report
     needs about a single workload x config execution — the profile
-    collector, the aggregate interpreter counters, the compiled program
-    (for loop structure) and the decision log (for provenance lineage).
+    collector, the interpreter's result (outcome and aggregate
+    counters), and the compiled artifact (its program for loop
+    structure, its decision log for provenance lineage).  [nullelim run
+    --profile] prints its tables from the same {!collect}.
 
     Reconciliation ({!reconcile}) is the correctness contract: per-site
     profile counts must sum exactly to the aggregate counters, and every
@@ -22,6 +24,7 @@ module Compiler = Nullelim_jit.Compiler
 module Context = Nullelim_cfg.Context
 module Loops = Nullelim_cfg.Loops
 module Profile = Nullelim_obs.Profile
+module Clock = Nullelim_obs.Clock
 module Decision = Nullelim_obs.Decision
 module Json = Nullelim_obs.Obs_json
 module Doc = Nullelim_obs.Doc
@@ -46,9 +49,9 @@ type run = {
   pr_workload : string;
   pr_config : string;
   pr_profile : Profile.t;
-  pr_counters : Interp.counters;
-  pr_decisions : Decision.event list;
-  pr_program : Ir.program;  (** the optimized program that was executed *)
+  pr_compiled : Compiler.compiled;  (** the artifact that was executed *)
+  pr_result : Interp.result;
+  pr_run_span : float * float;  (** {!Clock.now} before and after the run *)
   pr_orig_sites : (Ir.site, unit) Hashtbl.t;
       (** sites present in the freshly built (pre-optimization) program *)
 }
@@ -69,9 +72,11 @@ let collect ?(scale = 1) ~(arch : Arch.t) (cfg : Config.t) (w : W.t) : run =
     prog.Ir.funcs;
   let c = Compiler.compile cfg ~arch prog in
   let profile = Profile.create () in
+  let t0 = Clock.now () in
   let r =
     Interp.run ~fuel:1_000_000_000 ~profile ~arch c.Compiler.program []
   in
+  let t1 = Clock.now () in
   (match r.Interp.outcome with
   | Interp.Returned (Some _) -> ()
   | o ->
@@ -82,9 +87,9 @@ let collect ?(scale = 1) ~(arch : Arch.t) (cfg : Config.t) (w : W.t) : run =
     pr_workload = w.W.name;
     pr_config = cfg.Config.name;
     pr_profile = profile;
-    pr_counters = r.Interp.counters;
-    pr_decisions = c.Compiler.decisions;
-    pr_program = c.Compiler.program;
+    pr_compiled = c;
+    pr_result = r;
+    pr_run_span = (t0, t1);
     pr_orig_sites = orig;
   }
 
@@ -102,7 +107,7 @@ let collect_all ?(scale = 1) ~(arch : Arch.t) () : run list list =
     and every executed site must have a provenance story. *)
 let reconcile (r : run) : (unit, string) result =
   let ( let* ) = Result.bind in
-  let p = r.pr_profile and c = r.pr_counters in
+  let p = r.pr_profile and c = r.pr_result.Interp.counters in
   let sites = Profile.sites p in
   let sum f = List.fold_left (fun a row -> a + f row) 0 sites in
   let eq name got want =
@@ -148,7 +153,7 @@ let reconcile (r : run) : (unit, string) result =
   List.iter
     (fun (e : Decision.event) ->
       if e.Decision.site >= 0 then Hashtbl.replace minted e.Decision.site ())
-    r.pr_decisions;
+    r.pr_compiled.Compiler.decisions;
   List.fold_left
     (fun acc (s : Profile.site_row) ->
       let* () = acc in
@@ -216,7 +221,7 @@ let loop_hotness (r : run) : hot_loop list =
             }
             :: !loops)
         (Context.loops ctx))
-    r.pr_program;
+    r.pr_compiled.Compiler.program;
   List.sort (fun a b -> compare (b.hl_dynamic, a.hl_func) (a.hl_dynamic, b.hl_func)) !loops
 
 type func_summary = {
@@ -240,7 +245,7 @@ let func_summaries ?(top = 3) (r : run) : func_summary list =
             (fun blk -> Hashtbl.replace in_loop (f.Ir.fn_name, blk) ())
             (Loops.members l))
         (Context.loops ctx))
-    r.pr_program;
+    r.pr_compiled.Compiler.program;
   let checks = Hashtbl.create 64 in
   List.iter
     (fun (s : Profile.site_row) ->
@@ -314,8 +319,8 @@ type elim_row = {
     baseline config. *)
 let elim_rows (runs : run list) : elim_row list =
   let null_checks (r : run) =
-    r.pr_counters.Interp.explicit_checks
-    + r.pr_counters.Interp.implicit_checks
+    let c = r.pr_result.Interp.counters in
+    c.Interp.explicit_checks + c.Interp.implicit_checks
   in
   let base =
     match List.find_opt (fun r -> r.pr_config = baseline_config) runs with
@@ -325,15 +330,16 @@ let elim_rows (runs : run list) : elim_row list =
   let pct n = 100. *. float_of_int n /. float_of_int (max 1 base) in
   List.map
     (fun r ->
+      let c = r.pr_result.Interp.counters in
       {
         er_workload = r.pr_workload;
         er_config = r.pr_config;
-        er_explicit = r.pr_counters.Interp.explicit_checks;
-        er_implicit = r.pr_counters.Interp.implicit_checks;
-        er_bound = r.pr_counters.Interp.bound_checks;
+        er_explicit = c.Interp.explicit_checks;
+        er_implicit = c.Interp.implicit_checks;
+        er_bound = c.Interp.bound_checks;
         er_baseline = base;
         er_pct_eliminated = 100. -. pct (null_checks r);
-        er_pct_implicit = pct r.pr_counters.Interp.implicit_checks;
+        er_pct_implicit = pct c.Interp.implicit_checks;
       })
     runs
 

@@ -275,7 +275,7 @@ let forced_program () =
 let forced_deopt ?(config = Config.new_full) ~(arch : Arch.t) () : forced_deopt
     =
   let cfg =
-    { config with Config.promote_calls = 1; deopt_traps = 1; inline = false }
+    { config with Config.promote_calls = 1; inline = false }
   in
   let p = forced_program () in
   let sites =

@@ -55,10 +55,8 @@ type t = {
           optimizations) *)
   promote_calls : int;
       (** tiered execution: invocations of a tier-0 function before the
-          manager submits a tier-2 recompilation *)
-  deopt_traps : int;
-      (** tiered execution: hardware traps at one implicit site before
-          it is deoptimized back to an explicit check *)
+          manager submits a tier-2 recompilation (a site deoptimizes at
+          its first trap; there is no threshold for that) *)
 }
 
 let base =
@@ -73,7 +71,6 @@ let base =
     heavy_factor = 1;
     weak_arrays = false;
     promote_calls = 10;
-    deopt_traps = 1;
   }
 
 let no_null_opt_no_trap =
@@ -125,8 +122,7 @@ let aix_suite =
 (* Built by resetting the excluded fields rather than by listing the
    kept ones, so a field added to [t] joins the cache key by default. *)
 let semantic c =
-  ( { c with name = ""; promote_calls = 0; deopt_traps = 0;
-             phase2_arch_override = None },
+  ( { c with name = ""; promote_calls = 0; phase2_arch_override = None },
     Option.map (fun (a : Arch.t) -> a.Arch.name) c.phase2_arch_override )
 
 let by_name n =

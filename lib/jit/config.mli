@@ -21,7 +21,6 @@ type t = {
   heavy_factor : int;                   (** extra pipeline weight (HotSpot-model compile-time handicap) *)
   weak_arrays : bool;                   (** disable loop-invariant array optimizations *)
   promote_calls : int;                  (** tiered: calls before tier-2 promotion *)
-  deopt_traps : int;                    (** tiered: traps at a site before deopt *)
 }
 
 val base : t
@@ -53,7 +52,8 @@ val aix_suite : t list
 (** {1 Tiered execution}
 
     A configuration is the tier-2 target of a tiered run, and
-    [promote_calls]/[deopt_traps] are its policy.  Tier 0 has no
+    [promote_calls] is its policy; a site deoptimizes at its first
+    trap, whatever the configuration.  Tier 0 has no
     configuration of its own: [Compiler.compile ~tier:0] runs only
     [other:normalize], whatever the fields say. *)
 
@@ -61,8 +61,8 @@ val semantic : t -> t * string option
 (** The part of a configuration that can change compiled code — what
     the code-cache key ([Svc.job_key]) reads.  It is the
     configuration with the policy fields reset ([name], and the tiering
-    knobs [promote_calls] and [deopt_traps], which steer the tiered
-    manager, not the compiler) and with [phase2_arch_override] replaced
+    knob [promote_calls], which steers the tiered manager, not the
+    compiler) and with [phase2_arch_override] replaced
     by the override architecture's name: an {!Arch.t} holds closures,
     which the key's structural digest refuses.  Every remaining field
     can change the compiled program; a field added to [t] is semantic

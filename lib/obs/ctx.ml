@@ -25,13 +25,6 @@ let mint ?(tenant = -1) ?(request = -1) () =
     cx_parent = -1;
   }
 
-let child c =
-  {
-    c with
-    cx_span = Atomic.fetch_and_add next_span 1;
-    cx_parent = c.cx_span;
-  }
-
 let key : t ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref none)
 
 let current () = !(Domain.DLS.get key)

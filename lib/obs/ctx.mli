@@ -4,7 +4,9 @@
     A context is minted at the service front door — one per compile
     request — and names the {e tenant} that submitted the request, the
     service-wide {e request id}, and a process-unique {e span id} with
-    its parent (so nested work can hang off the request).  It is carried
+    its parent's (every context is minted as a root, parent [-1]; the
+    field keeps the recorded event format ready for nested spans).  It
+    is carried
     two ways:
 
     - {e explicitly}, on the structures that cross domains (a queued
@@ -37,10 +39,6 @@ val is_none : t -> bool
 val mint : ?tenant:int -> ?request:int -> unit -> t
 (** A fresh root span ([cx_parent = -1]) with a process-unique span id.
     Span ids start at 1, so id 0 never occurs. *)
-
-val child : t -> t
-(** Same tenant and request, fresh span id, parent = the argument's
-    span. *)
 
 val current : unit -> t
 (** The calling domain's ambient context ({!none} if unset). *)

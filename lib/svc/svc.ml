@@ -619,6 +619,8 @@ let recompile_async (t : t) ?(tenant = -1) (j : job) : future option =
   try submit t ~tenant ~blocking:false (digest j) j
   with Chan.Closed -> invalid_arg "Svc.recompile_async: service has been shut down"
 
+let completed (o : outcome) : future = Ready (Ok o)
+
 let poll (f : future) : outcome option =
   let r = match f with Ready r -> Some r | Pending f -> filled f in
   (* raise outside the lock *)

@@ -99,9 +99,9 @@ type job = {
 (** One compile request.  The program may be shared by many jobs (the
     batch driver compiles each workload under several configurations);
     jobs only ever read it.  [jb_tier]/[jb_deopt] are threaded to
-    [Compiler.compile] and are part of {!job_key} — the policy fields of
-    the configuration ([name], [promote_calls], [deopt_traps]) are not,
-    since they never change the artifact (see {!Config.semantic}). *)
+    [Compiler.compile] and are part of {!job_key} — the configuration's
+    [name] and its tiering policy [promote_calls] are not, since they
+    never change the artifact (see {!Config.semantic}). *)
 
 val job :
   ?tier:int -> ?deopt:Ir.site list -> config:Config.t -> arch:Arch.t ->
@@ -276,6 +276,11 @@ type future
     accepts — each job of a {!compile_all} batch and each
     {!recompile_async} submission — completes through one of these; a
     cache hit's is already complete when it is handed out. *)
+
+val completed : outcome -> future
+(** A future that is already complete with the outcome: how a caller
+    without a pool hands a {!compile_serial} result to code that takes
+    futures (the tiered manager's synchronous mode). *)
 
 val reason_tenant_cap : string
 (** ["tenant_cap"] — the [reason] label when the submitting tenant was

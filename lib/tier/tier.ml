@@ -3,19 +3,21 @@
     Implementation shape: one [fstate] per function, holding the
     installed code version (decoded body + tier + deopt set + cache
     key) and the decoded tier-0 body a demotion returns to, the
-    invocation counter, and at most one desired next version.  The
-    desired version lives in two fields: [fs_goal] ("we want this
-    version but have not managed to submit it") and [fs_pending] ("a
-    compile toward this version is in flight").  Every [dispatch] of
-    the function advances that little state machine non-blockingly:
-    poll/install a completed pending compile, retry a submission the
-    queue refused, trigger a promotion when the counter crosses the
-    threshold.  [on_trap] is the only other writer: it demotes
-    immediately (the tier-0 body is always resident) and replaces the
-    goal with the deoptimized version — which also marks any in-flight
-    compile stale, so [poll] drops it instead of installing it
-    (no lost updates: the stale artifact never overwrites the newer
-    deopt decision).
+    invocation counter, and at most one desired next version.  Every
+    recompile targets tier 2, so a version is named by its deopt set
+    alone.  The desired version lives in two fields: [fs_goal] ("we
+    want this deopt set but have not managed to submit it") and
+    [fs_pending] ("a compile toward this deopt set is in flight", one
+    {!Svc.future} in both modes).  Every [dispatch] of the function
+    advances that little state machine non-blockingly: poll/install a
+    completed pending compile, retry a submission the queue refused,
+    trigger a promotion when the counter crosses the threshold.
+    [on_trap] is the only other writer: at a site's first trap it
+    demotes immediately (the tier-0 body is always resident) and
+    replaces the goal with the deoptimized version — which also marks
+    any in-flight compile stale, so [poll] drops it instead of
+    installing it (no lost updates: the stale artifact never overwrites
+    the newer deopt decision).
 
     Everything runs on the serving thread except the compiles
     themselves; no locks are needed because the interpreter is
@@ -34,16 +36,16 @@ module Metrics = Nullelim_obs.Metrics
 module Recorder = Nullelim_obs.Recorder
 module Clock = Nullelim_obs.Clock
 
+(* Every recompile targets tier 2; tier 1 is reserved. *)
+let top_tier = 2
+
 type pending = {
-  pd_tier : int;
   pd_deopt : Ir.site list;
   pd_submitted : float;  (* when the recompile was handed over; the
                             install latency histogram measures from
                             here to installation *)
-  pd_state : [ `Ready of Svc.outcome | `Future of Svc.future ];
-      (** [`Ready] in synchronous mode: compiled at submission time,
-          installed at the next call boundary, so sync and async modes
-          share the install-at-boundary semantics *)
+  pd_future : Svc.future;  (* already complete in synchronous mode;
+                              installed at a call boundary either way *)
 }
 
 type fstate = {
@@ -55,10 +57,9 @@ type fstate = {
   mutable fs_tier : int;
   mutable fs_deopt : Ir.site list;    (* sorted; sites gone explicit *)
   mutable fs_key : string option;     (* cache key of the installed
-                                         artifact; None = initial tier 0 *)
+                                         artifact; None = tier 0 *)
   mutable fs_calls : int;
-  mutable fs_promoted : bool;         (* hotness promotion already decided *)
-  mutable fs_goal : (int * Ir.site list) option;
+  mutable fs_goal : Ir.site list option;
   mutable fs_pending : pending option;
 }
 
@@ -74,15 +75,15 @@ type stats = {
 }
 
 type t = {
-  program : Ir.program;               (* the input program; jobs copy it *)
   arch : Arch.t;
-  cfg : Config.t;                     (* the tier-2 target *)
-  svc : Svc.t option;
+  promote_at : int;                   (* calls before promotion, >= 1 *)
+  submit : Ir.site list -> Svc.future option;
+      (* the tier-2 recompile with this deopt set: through the pool's
+         non-blocking front door ([None] = the queue refused it), or
+         without a pool a future the serial path completed *)
   cache : Svc.cache option;
   p0 : Ir.program;                    (* tier-0 compiled program *)
   tbl : (string, fstate) Hashtbl.t;
-  site_traps : (int, int) Hashtbl.t;  (* per-site trap counts (sites are
-                                         program-unique) *)
   mutable arts : (int * Compiler.compiled) list; (* reverse compile order *)
   mutable c_promotions : int;
   mutable c_demotions : int;
@@ -94,8 +95,6 @@ type t = {
   mutable c_recompile : float;
   tm : Metrics.t option;   (* install-latency histograms land here *)
   trec : Recorder.t;
-  tenant : int;            (* tenant attributed to this manager's
-                              recompiles; -1 = untenanted *)
 }
 
 (* Install latency spans five decades: a cached synchronous install is
@@ -106,23 +105,24 @@ let install_buckets = Metrics.log_buckets ~lo:1e-5 ~hi:10. ~per_decade:5
 let create ?svc ?cache ?(config = Config.new_full) ?metrics
     ?(recorder = Recorder.global) ?(tenant = -1) ~arch program =
   let cache =
-    match (cache, svc) with
-    | (Some _ as c), _ -> c
-    | None, Some s -> Svc.cache s
-    | None, None -> None
+    match cache with Some _ -> cache | None -> Option.bind svc Svc.cache
+  in
+  let submit deopt =
+    let job = Svc.job ~tier:top_tier ~deopt ~config ~arch program in
+    match svc with
+    | Some svc -> Svc.recompile_async svc ~tenant job
+    | None -> Some (Svc.completed (List.hd (Svc.compile_serial ?cache [ job ])))
   in
   (* tier 0 bypasses the cache: a fresh program's tier-0 key never
      hits, and digesting it costs as much as the compile *)
   let c0 = Compiler.compile ~tier:0 config ~arch program in
   {
-    program;
     arch;
-    cfg = config;
-    svc;
+    promote_at = max 1 config.Config.promote_calls;
+    submit;
     cache;
     p0 = c0.Compiler.program;
     tbl = Hashtbl.create 64;
-    site_traps = Hashtbl.create 64;
     arts = [ (0, c0) ];
     c_promotions = 0;
     c_demotions = 0;
@@ -134,7 +134,6 @@ let create ?svc ?cache ?(config = Config.new_full) ?metrics
     c_recompile = 0.;
     tm = metrics;
     trec = recorder;
-    tenant;
   }
 
 let fstate t name =
@@ -151,7 +150,6 @@ let fstate t name =
         fs_deopt = [];
         fs_key = None;
         fs_calls = 0;
-        fs_promoted = false;
         fs_goal = None;
         fs_pending = None;
       }
@@ -171,19 +169,18 @@ let install t fs (pd : pending) (oc : Svc.outcome) =
   fs.fs_code <-
     Interp.decode ~arch:t.arch
       (Ir.find_func oc.Svc.oc_compiled.Compiler.program fs.fs_name);
-  fs.fs_tier <- pd.pd_tier;
+  fs.fs_tier <- top_tier;
   fs.fs_deopt <- pd.pd_deopt;
   fs.fs_key <- Some oc.Svc.oc_key;
-  t.arts <- (pd.pd_tier, oc.Svc.oc_compiled) :: t.arts;
+  t.arts <- (top_tier, oc.Svc.oc_compiled) :: t.arts;
   t.c_installs <- t.c_installs + 1;
-  if prev_tier = 0 && pd.pd_tier > 0 then
-    t.c_promotions <- t.c_promotions + 1;
+  if prev_tier = 0 then t.c_promotions <- t.c_promotions + 1;
   t.c_recompile <- t.c_recompile +. oc.Svc.oc_seconds;
   (* the install event joins the *compile request's* causal timeline
      (the outcome's context carries the request id the service minted at
      submission), so a per-request slice shows enqueue → start → done →
      the promotion it paid for *)
-  Recorder.record ~ctx:oc.Svc.oc_ctx ~a:pd.pd_tier
+  Recorder.record ~ctx:oc.Svc.oc_ctx ~a:top_tier
     ~b:(List.length pd.pd_deopt)
     t.trec Recorder.Tier_promote;
   (match t.tm with
@@ -206,26 +203,15 @@ let install t fs (pd : pending) (oc : Svc.outcome) =
    for the next call boundary. *)
 let try_submit t fs =
   match (fs.fs_goal, fs.fs_pending) with
-  | Some (tier, deopt), None -> (
-    let job = Svc.job ~tier ~deopt ~config:t.cfg ~arch:t.arch t.program in
+  | Some deopt, None -> (
     let submitted = Clock.now () in
-    match t.svc with
-    | None ->
-      let oc = List.hd (Svc.compile_serial ?cache:t.cache [ job ]) in
+    match t.submit deopt with
+    | Some fut ->
       fs.fs_pending <-
-        Some { pd_tier = tier; pd_deopt = deopt; pd_submitted = submitted;
-               pd_state = `Ready oc };
+        Some { pd_deopt = deopt; pd_submitted = submitted; pd_future = fut };
       fs.fs_goal <- None;
       t.c_submitted <- t.c_submitted + 1
-    | Some svc -> (
-      match Svc.recompile_async svc ~tenant:t.tenant job with
-      | Some fut ->
-        fs.fs_pending <-
-          Some { pd_tier = tier; pd_deopt = deopt; pd_submitted = submitted;
-                 pd_state = `Future fut };
-        fs.fs_goal <- None;
-        t.c_submitted <- t.c_submitted + 1
-      | None -> t.c_queue_full <- t.c_queue_full + 1))
+    | None -> t.c_queue_full <- t.c_queue_full + 1)
   | _ -> ()
 
 (* Non-blocking: if the pending compile has finished, install it —
@@ -236,32 +222,26 @@ let poll_install t fs =
   match fs.fs_pending with
   | None -> ()
   | Some pd -> (
-    let done_ =
-      match pd.pd_state with
-      | `Ready oc -> Some oc
-      | `Future fut -> Svc.poll fut
-    in
-    match done_ with
+    match Svc.poll pd.pd_future with
     | None -> ()
     | Some oc ->
       fs.fs_pending <- None;
       if fs.fs_goal = None then install t fs pd oc
       else invalidate t oc.Svc.oc_key)
 
+(* Hotness promotion happens once: a function that is past tier 0, has
+   a version wanted or in flight, or has deopted has been promoted. *)
+let promoted fs =
+  fs.fs_tier <> 0 || fs.fs_goal <> None || fs.fs_pending <> None
+  || fs.fs_deopt <> []
+
 let dispatch t name : Interp.decoded * int =
   let fs = fstate t name in
   poll_install t fs;
   try_submit t fs;
   fs.fs_calls <- fs.fs_calls + 1;
-  if
-    (not fs.fs_promoted)
-    && fs.fs_tier = 0
-    && fs.fs_goal = None
-    && fs.fs_pending = None
-    && fs.fs_calls >= max 1 t.cfg.Config.promote_calls
-  then begin
-    fs.fs_promoted <- true;
-    fs.fs_goal <- Some (2, fs.fs_deopt);
+  if fs.fs_calls >= t.promote_at && not (promoted fs) then begin
+    fs.fs_goal <- Some [];
     try_submit t fs
   end;
   (fs.fs_code, fs.fs_tier)
@@ -275,33 +255,26 @@ let on_trap t ~func ~site =
     || (match fs.fs_pending with
        | Some pd -> List.mem site pd.pd_deopt
        | None -> false)
-    || match fs.fs_goal with
-       | Some (_, d) -> List.mem site d
-       | None -> false
+    || match fs.fs_goal with Some d -> List.mem site d | None -> false
   in
   if not requested then begin
-    let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.site_traps site) in
-    Hashtbl.replace t.site_traps site n;
-    if n >= max 1 t.cfg.Config.deopt_traps then begin
-      (* The bet lost at this site.  Fall back to the always-sound
-         tier-0 body right now — the *next* call executes explicit
-         checks, so the trap cannot storm while the deoptimized
-         variant compiles — and request tier 2 with the accumulated
-         losing sites re-materialized. *)
-      if fs.fs_tier <> 0 then begin
-        Recorder.record ~a:site ~b:fs.fs_tier t.trec Recorder.Tier_demote;
-        fs.fs_code <- fs.fs_code0;
-        fs.fs_tier <- 0;
-        t.c_demotions <- t.c_demotions + 1;
-        (match fs.fs_key with Some k -> invalidate t k | None -> ());
-        fs.fs_key <- None
-      end;
-      fs.fs_deopt <- List.sort_uniq compare (site :: fs.fs_deopt);
-      t.c_deopts <- t.c_deopts + 1;
-      fs.fs_promoted <- true;
-      fs.fs_goal <- Some (2, fs.fs_deopt);
-      try_submit t fs
-    end
+    (* The bet lost at this site.  Fall back to the always-sound tier-0
+       body right now — the *next* call executes explicit checks, so
+       the trap cannot storm while the deoptimized variant compiles —
+       and request tier 2 with the accumulated losing sites
+       re-materialized. *)
+    if fs.fs_tier <> 0 then begin
+      Recorder.record ~a:site ~b:fs.fs_tier t.trec Recorder.Tier_demote;
+      fs.fs_code <- fs.fs_code0;
+      fs.fs_tier <- 0;
+      t.c_demotions <- t.c_demotions + 1;
+      (match fs.fs_key with Some k -> invalidate t k | None -> ());
+      fs.fs_key <- None
+    end;
+    fs.fs_deopt <- List.sort_uniq compare (site :: fs.fs_deopt);
+    t.c_deopts <- t.c_deopts + 1;
+    fs.fs_goal <- Some fs.fs_deopt;
+    try_submit t fs
   end
 
 let run ?fuel ?metrics ?profile t args =
@@ -314,41 +287,25 @@ let settle t =
   let rec settle_one fs =
     try_submit t fs;
     match fs.fs_pending with
-    | Some { pd_state = `Future fut; _ } ->
-      (* a sanctioned blocking point like [drain] *)
-      ignore (Svc.await fut)
-    | Some _ -> ()
+    | Some pd -> ignore (Svc.await pd.pd_future)
     | None when fs.fs_goal <> None ->
       Domain.cpu_relax (); (* queue full; workers are draining it *)
       settle_one fs
     | None -> ()
   in
-  if t.svc <> None then Hashtbl.iter (fun _ fs -> settle_one fs) t.tbl
+  Hashtbl.iter (fun _ fs -> settle_one fs) t.tbl
 
-let drain t =
-  let drain_one _ fs =
-    let continue_ = ref true in
-    while !continue_ do
-      try_submit t fs;
-      match fs.fs_pending with
-      | Some pd ->
-        let oc =
-          match pd.pd_state with
-          | `Ready oc -> oc
-          | `Future fut ->
-            (* a sanctioned blocking point: not part of the serving
-               path *)
-            Svc.await fut
-        in
-        fs.fs_pending <- None;
-        if fs.fs_goal = None then install t fs pd oc
-        else invalidate t oc.Svc.oc_key
-      | None ->
-        if fs.fs_goal = None then continue_ := false
-        else Domain.cpu_relax () (* queue full; workers are draining it *)
-    done
-  in
-  Hashtbl.iter drain_one t.tbl
+(* Each round settles every compile in flight and installs (or drops as
+   stale) what completed, as the functions' next call boundaries would;
+   a stale drop leaves its goal for the next round. *)
+let rec drain t =
+  settle t;
+  Hashtbl.iter (fun _ fs -> poll_install t fs) t.tbl;
+  if
+    Hashtbl.fold
+      (fun _ fs busy -> busy || fs.fs_goal <> None || fs.fs_pending <> None)
+      t.tbl false
+  then drain t
 
 let stats t =
   {
@@ -362,17 +319,9 @@ let stats t =
     st_recompile_seconds = t.c_recompile;
   }
 
-let tier_of t name =
-  match Hashtbl.find_opt t.tbl name with Some fs -> fs.fs_tier | None -> 0
-
-let deopt_sites t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some fs -> List.sort compare fs.fs_deopt
-  | None -> []
-
+(* [f] of a function's state, [none] if it was never dispatched *)
+let query t name ~none f = Option.fold ~none ~some:f (Hashtbl.find_opt t.tbl name)
+let tier_of t name = query t name ~none:0 (fun fs -> fs.fs_tier)
+let deopt_sites t name = query t name ~none:[] (fun fs -> fs.fs_deopt)
+let installed_key t name = query t name ~none:None (fun fs -> fs.fs_key)
 let artifacts t = List.rev t.arts
-
-let installed_key t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some fs -> fs.fs_key
-  | None -> None

@@ -14,14 +14,16 @@
     The reverse edge is {b deoptimization}: when a hardware trap
     actually fires at an implicit check site (the interpreter's
     [on_trap] hook), the paper's bet — the check is free until the trap
-    fires — has lost at that site.  After [deopt_traps] firings the
+    fires — has lost at that site.  At the site's first trap the
     manager immediately demotes the function to its tier-0 version
     (explicit checks are always sound) and submits a recompilation of
     tier 2 with that site's explicit check re-materialized
     ([Compiler.compile ~deopt_sites]); the resulting variant replaces
     the tier-0 fallback when it is ready.  Deopt sites accumulate per
     function, so repeated traps at different sites converge to a
-    variant that keeps exactly the losing checks explicit.
+    variant that keeps exactly the losing checks explicit.  Every
+    recompile targets tier 2 (tier 1 is reserved), so a wanted version
+    is named by its deopt set alone.
 
     {2 Code versioning}
 
@@ -39,12 +41,15 @@
     {2 Synchronous mode}
 
     Without a service ([?svc] absent), submissions compile immediately
-    on the calling thread and install at the next call boundary —
-    fully deterministic, used by the unit tests, the fuzz
-    tier-equivalence oracle and the CI counter-drift gate.  With a
-    service, {!dispatch} and {!on_trap} call into it only through
-    {!Svc.poll} and {!Svc.recompile_async}, neither of which blocks;
-    only {!settle} and {!drain} wait on the pool. *)
+    on the calling thread through {!Svc.compile_serial} and install at
+    the next call boundary — fully deterministic, used by the unit
+    tests, the fuzz tier-equivalence oracle and the CI counter-drift
+    gate.  A pending compile is one {!Svc.future} in both modes
+    ({!Svc.completed} in this one), so every step of the state machine
+    reads it the same way.  With a service, {!dispatch} and {!on_trap}
+    call into it only through {!Svc.poll} and {!Svc.recompile_async},
+    neither of which blocks; only {!settle} and {!drain} wait on the
+    pool. *)
 
 module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
@@ -79,8 +84,8 @@ val create :
   Ir.program ->
   t
 (** Build a manager for [program].  [config] (default
-    [Config.new_full]) is the tier-2 target; its [promote_calls] /
-    [deopt_traps] fields are the policy.  The tier-0 compilation of the
+    [Config.new_full]) is the tier-2 target; its [promote_calls] field
+    is the policy.  The tier-0 compilation of the
     whole program happens here, synchronously and without the cache —
     that is the "instant" compile every function starts with.  [cache]
     holds the tier-2 versions (pass the service's cache to share
@@ -109,9 +114,10 @@ val dispatch : t -> string -> Interp.decoded * int
 
 val on_trap : t -> func:string -> site:int -> unit
 (** The interpreter's trap hook (plug into [Interp.run ~on_trap]).
-    Counts the trap; at the configured threshold demotes the function
-    to tier 0 at once and requests the deoptimized tier-2 variant.
-    Traps at sites already deopted (or already requested) only count. *)
+    Counts the trap; at a site's first trap demotes the function to
+    tier 0 at once and requests the deoptimized tier-2 variant.  Traps
+    at sites already in the installed, in-flight or wanted deopt set
+    only count. *)
 
 val run :
   ?fuel:int ->
@@ -130,13 +136,16 @@ val settle : t -> unit
     installing any of it: each artifact is installed by the serving
     path at the function's next call boundary, as in normal running
     (goal versions deferred by a full queue are submitted first).
-    Test/benchmark helper.  No-op in synchronous mode. *)
+    Test/benchmark helper.  Changes nothing in synchronous mode, where
+    every submission has completed already. *)
 
 val drain : t -> unit
-(** Block until every in-flight recompilation has completed and
-    installed (goal versions that were never submitted because the
-    queue was full are submitted first).  Test/benchmark helper — the
-    serving path never blocks.  No-op in synchronous mode. *)
+(** {!settle}, then install (or drop as stale) every completed
+    recompilation as the function's next call boundary would, repeated
+    until no function has a wanted version or a compile in flight.
+    Test/benchmark helper — the serving path never blocks.  In
+    synchronous mode it installs the compiles still waiting for a
+    call boundary. *)
 
 val stats : t -> stats
 

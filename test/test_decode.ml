@@ -132,7 +132,7 @@ let test_registry () =
    results, trap feedback and the managers' decisions must match run
    after run, through promotions and deopts. *)
 let test_tiered_manager () =
-  let cfg = { Config.new_full with promote_calls = 2; deopt_traps = 1 } in
+  let cfg = { Config.new_full with promote_calls = 2 } in
   List.iter
     (fun (w : W.t) ->
       let prog = w.W.build ~scale:1 in

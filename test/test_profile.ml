@@ -228,7 +228,7 @@ let test_inline_lineage () =
     List.filter
       (fun (e : Obs.Decision.event) ->
         e.Obs.Decision.action = Obs.Decision.Duplicated)
-      r.PR.pr_decisions
+      r.PR.pr_compiled.Compiler.decisions
   in
   Alcotest.(check bool) "mtrt inlines at least one check" true (dups <> []);
   List.iter

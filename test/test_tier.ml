@@ -1,8 +1,9 @@
 (** Tiered-execution manager tests: forced-promotion determinism, the
     promotion/deoptimization state machine, exact-site deoptimization
     with per-tier decision-log reconciliation, the no-lost-updates
-    guarantee when a trap arrives while a promotion is in flight,
-    end-to-end equivalence of tiered and untiered execution, and the
+    guarantee when a trap arrives while a promotion is in flight, the
+    synchronous and pooled managers reaching the same state, end-to-end
+    equivalence of tiered and untiered execution, and the
     steady-state collector driving a real pool. *)
 
 open Nullelim
@@ -23,7 +24,6 @@ let cfg =
     Config.new_full with
     Config.name = "tier-test";
     promote_calls = 1;
-    deopt_traps = 1;
     inline = false;
   }
 
@@ -268,6 +268,57 @@ let test_stale_promotion_dropped () =
     ((Codecache.stats cache).Codecache.invalidations >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* One path: the synchronous and pooled managers reach the same state  *)
+(* ------------------------------------------------------------------ *)
+
+(* The same script of call boundaries and traps through a synchronous
+   manager and through one on a one-domain pool, settling after every
+   step so each pooled compile has completed before the next boundary,
+   as a synchronous one has: promotion, a demoting deopt, a repeated
+   trap that only counts, a trap that makes the in-flight deopt compile
+   stale, and a run of the converged code.  Both end in the same
+   versions, counters and decision logs. *)
+let test_sync_and_pooled_agree () =
+  let p = SS.forced_program () in
+  let sa, sb = helper_sites p in
+  let drive ?svc () =
+    let t = Tier.create ?svc ~config:cfg ~arch p in
+    let step f = f (); Tier.settle t in
+    let call name () = ignore (Tier.dispatch t name) in
+    let trap site () = Tier.on_trap t ~func:"helper" ~site in
+    List.iter step [ call "main"; call "helper"; call "helper" ];
+    (* the second site traps while the first deopt variant is in flight *)
+    trap sb ();
+    trap sa ();
+    List.iter step [ trap sb; call "helper"; call "helper"; trap sa ];
+    let r = Tier.run t [] in
+    Tier.drain t;
+    let per_func f = List.map (f t) [ "main"; "helper" ] in
+    ( r,
+      per_func Tier.tier_of,
+      per_func Tier.deopt_sites,
+      { (Tier.stats t) with
+        Tier.st_recompile_seconds = 0.; st_queue_full = 0 },
+      List.map
+        (fun (tier, (c : Compiler.compiled)) -> (tier, c.Compiler.decisions))
+        (Tier.artifacts t) )
+  in
+  let r1, tiers1, deopts1, stats1, logs1 = drive () in
+  let r2, tiers2, deopts2, stats2, logs2 =
+    Svc.with_service ~domains:1 (fun svc -> drive ~svc ())
+  in
+  check_bool "same run" true (Interp.equivalent r1 r2);
+  Alcotest.(check (list int)) "same tiers" tiers1 tiers2;
+  check_bool "same deopt sets" true (deopts1 = deopts2);
+  check_bool "both sites deoptimized" true
+    (List.nth deopts1 1 = List.sort compare [ sa; sb ]);
+  check_bool "same stats" true (stats1 = stats2);
+  check_int "one stale compile dropped" (stats1.Tier.st_submitted - 1)
+    stats1.Tier.st_installs;
+  check_int "same artifact count" (List.length logs1) (List.length logs2);
+  check_bool "same decision logs" true (logs1 = logs2)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end equivalence on real workloads                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -419,6 +470,8 @@ let () =
             test_stale_promotion_dropped;
           Alcotest.test_case "dispatch returns decoded installed code" `Quick
             test_dispatch_decoded;
+          Alcotest.test_case "sync and pooled managers agree" `Quick
+            test_sync_and_pooled_agree;
         ] );
       ( "equivalence",
         [
